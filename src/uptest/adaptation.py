@@ -20,9 +20,7 @@ class AdaptationError(Exception):
 
 
 def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg) -> Dstg:
-    """Apply the diff to the learned state graph in place (on a copy)."""
-    dstg = copy.deepcopy(dstg)
-
+    """Apply the diff to the given learned state graph in place and return it."""
     window_mapping = diff.window_mapping()
     widget_mapping = diff.widget_mapping()
 
@@ -168,7 +166,7 @@ def adapt_model(
 
     dstg = copy.deepcopy(base.dstg)
     _remove_stale_transition_edges(dstg, diff, base)
-    dstg = update_dstg(dstg, diff, updated_ewtg)
+    update_dstg(dstg, diff, updated_ewtg)
 
     # keep only states/AVMs that resolve against the updated static layer
     for state in list(dstg.abstract_states.values()):

@@ -310,7 +310,6 @@ def cmd_harness_targets(args) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--config", default=None, help="JSON config file")
-    parser.add_argument("--workdir", default=".", help="artifact directory")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,6 +369,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--from-version", default=None)
     p.add_argument("--to-version", default=None)
     p.add_argument("--budget", type=int, default=100)
+    p.add_argument("--workdir", default=".", help="artifact directory")
     _add_common(p)
     p.set_defaults(func=cmd_pipeline)
 

@@ -1,6 +1,6 @@
-"""Engine tunables with file/flag override support.
+"""Engine tunables, read from an optional JSON config file.
 
-Precedence: explicit flag values > config file > defaults.
+Keys the file sets replace the defaults; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -8,7 +8,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
-from typing import Optional, Union
+from typing import Union
 
 
 DEFAULT_TEXT_DICTIONARY = ("hello", "42", "lorem ipsum", "test@example.com", "")
@@ -50,9 +50,5 @@ class EngineConfig:
         return cls(**kwargs)
 
 
-def load_config(path: Optional[Union[str, Path]] = None, **overrides) -> EngineConfig:
-    doc: dict = {}
-    if path is not None:
-        doc = json.loads(Path(path).read_text("utf-8"))
-    doc.update({k: v for k, v in overrides.items() if v is not None})
-    return EngineConfig.from_dict(doc)
+def load_config(path: Union[str, Path]) -> EngineConfig:
+    return EngineConfig.from_dict(json.loads(Path(path).read_text("utf-8")))

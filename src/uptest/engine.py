@@ -207,6 +207,7 @@ class TestEngine:
 
         self.current_state: Optional[AbstractState] = None
         self.current_tree: Optional[GuiTree] = None
+        self.trees_observed = 0
         self.state_history: list[AbstractState] = []
         self.visited_layouts: list = []
         self.observed_this_session: set[str] = set()
@@ -294,12 +295,12 @@ class TestEngine:
         self._ensure_window(result)
         self._ensure_runtime_widgets(result)
         dstg = self.model.dstg
-        index = len(self.model.gstg.gui_trees) + 1
+        self.trees_observed += 1
         tree = GuiTree(
-            id=f"t{index}",
+            id=f"t{self.trees_observed}",
             window_id=result.window_id,
             root=result.root,
-            session_index=index,
+            session_index=self.trees_observed,
         )
         level = LEVELS[dstg.level_for(result.window_id)]
         derived = derive_abstract_state(tree, level, state_id="observe")
@@ -320,7 +321,6 @@ class TestEngine:
             match.obsolete = False
         self.observed_this_session.add(match.id)
         tree.abstract_state_id = match.id
-        self.model.gstg.gui_trees.append(tree)
         self.state_history.append(match)
         self.visited_layouts.append(layout_fingerprint(match))
         self.current_state = match
@@ -452,13 +452,13 @@ class TestEngine:
                 self.attempts_without_gain[matched.id] = (
                     self.attempts_without_gain.get(matched.id, 0) + 1
                 )
-        if before_state is not None and before_tree is not None:
+        if before_state is not None:
             self._record_transition(before_state, action, widget_id, after_state)
             self.model.gstg.trace.append(
                 TraceStep(
                     action=action,
-                    before_tree_id=before_tree.id,
-                    after_tree_id=self.current_tree.id,
+                    before_state_id=before_state.id,
+                    after_state_id=after_state.id,
                 )
             )
         return result
@@ -532,11 +532,7 @@ class TestEngine:
                     self.model.diff_context.get("replacedWidgets", [])
                 ),
             )
-            try:
-                equivalent = is_backward_equivalent(observed, expected, context)
-            except Exception:
-                equivalent = False
-            if equivalent:
+            if is_backward_equivalent(observed, expected, context):
                 return "backward-equivalent"
         self._online_refine(expected_id, observed, predecessor, step)
         return "mismatch"
@@ -639,20 +635,24 @@ class TestEngine:
             max_plan_length=self.config.max_plan_length,
             guard_threshold=self.config.layout_similarity_threshold,
         )
-        self._log_plan(phase, inp.id, sequence)
+        entry = self._log_plan(phase, inp.id, sequence)
         if sequence is None:
             self.random_explore(min(5, self._budget_left()))
-            return self.executed - start
+        else:
+            self._follow_plan(sequence, entry)
+        return self.executed - start
+
+    def _follow_plan(self, sequence: ActionSequence, entry: dict) -> None:
+        """Execute planned steps until one mismatches or the budget runs out."""
         for step in sequence.steps:
             if self._budget_left() <= 0:
                 break
             outcome = self._execute_step(step)
-            self.plan_log[-1]["outcomes"].append(outcome)
+            entry["outcomes"].append(outcome)
             if outcome == "mismatch":
                 break
-        return self.executed - start
 
-    def _log_plan(self, phase: int, target: str, sequence: Optional[ActionSequence]) -> None:
+    def _log_plan(self, phase: int, target: str, sequence: Optional[ActionSequence]) -> dict:
         entry: dict = {"event": "plan", "phase": phase, "target": target}
         if sequence is None:
             entry["steps"] = None
@@ -674,6 +674,7 @@ class TestEngine:
             entry["cost"] = sequence.cost
         entry["outcomes"] = []
         self.plan_log.append(entry)
+        return entry
 
     def _visit_window(self, window_id: str, phase: int) -> None:
         window = self.model.ewtg.windows.get(window_id)
@@ -690,16 +691,9 @@ class TestEngine:
             max_plan_length=self.config.max_plan_length,
             guard_threshold=self.config.layout_similarity_threshold,
         )
-        self._log_plan(phase, f"window:{window_id}", sequence)
-        if sequence is None:
-            return
-        for step in sequence.steps:
-            if self._budget_left() <= 0:
-                break
-            outcome = self._execute_step(step)
-            self.plan_log[-1]["outcomes"].append(outcome)
-            if outcome == "mismatch":
-                break
+        entry = self._log_plan(phase, f"window:{window_id}", sequence)
+        if sequence is not None:
+            self._follow_plan(sequence, entry)
 
     def _run_phase(self, phase: int, cap: int, pending_fn) -> None:
         used_at_start = self.executed

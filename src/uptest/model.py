@@ -3,8 +3,9 @@
 The static layer (windows, widgets, inputs, window transitions) is produced by
 the harness or hand-authored.  The dynamic layer (abstract states, abstract
 transitions) is learned during test sessions and drives planning.  The session
-layer (GUI trees plus the executed action trace) records what actually
-happened and is discarded when a model is carried over to a new app version.
+layer is the trace of executed actions between abstract states; it is what
+replay re-runs, and it is discarded when a model is carried over to a new app
+version.  Concrete GUI trees are not part of the model.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 
 class ModelError(Exception):
@@ -345,15 +346,6 @@ class GuiNode:
             "widgetRef": self.widget_ref,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuiNode":
-        return cls(
-            properties=dict(d["properties"]),
-            children=[cls.from_dict(c) for c in d.get("children", [])],
-            bounds_hint=d.get("boundsHint"),
-            widget_ref=d.get("widgetRef"),
-        )
-
 
 @dataclass
 class GuiTree:
@@ -371,16 +363,6 @@ class GuiTree:
             "abstractStateId": self.abstract_state_id,
             "sessionIndex": self.session_index,
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GuiTree":
-        return cls(
-            id=d["id"],
-            window_id=d["windowId"],
-            root=GuiNode.from_dict(d["root"]),
-            abstract_state_id=d.get("abstractStateId"),
-            session_index=d.get("sessionIndex", 0),
-        )
 
 
 @dataclass
@@ -419,25 +401,25 @@ class Action:
 
 @dataclass
 class TraceStep:
-    """One executed action with the trees observed around it."""
+    """One executed action with the abstract states observed around it."""
 
     action: Action
-    before_tree_id: str
-    after_tree_id: str
+    before_state_id: str
+    after_state_id: str
 
     def to_dict(self) -> dict:
         return {
             "action": self.action.to_dict(),
-            "beforeTreeId": self.before_tree_id,
-            "afterTreeId": self.after_tree_id,
+            "beforeStateId": self.before_state_id,
+            "afterStateId": self.after_state_id,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceStep":
         return cls(
             action=Action.from_dict(d["action"]),
-            before_tree_id=d["beforeTreeId"],
-            after_tree_id=d["afterTreeId"],
+            before_state_id=d["beforeStateId"],
+            after_state_id=d["afterStateId"],
         )
 
 
@@ -532,27 +514,14 @@ class Dstg:
 
 @dataclass
 class Gstg:
-    gui_trees: list[GuiTree] = field(default_factory=list)
     trace: list[TraceStep] = field(default_factory=list)
 
-    def tree_by_id(self, tree_id: str) -> Optional[GuiTree]:
-        for t in self.gui_trees:
-            if t.id == tree_id:
-                return t
-        return None
-
     def to_dict(self) -> dict:
-        return {
-            "guiTrees": [t.to_dict() for t in self.gui_trees],
-            "trace": [s.to_dict() for s in self.trace],
-        }
+        return {"trace": [s.to_dict() for s in self.trace]}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Gstg":
-        return cls(
-            gui_trees=[GuiTree.from_dict(t) for t in d.get("guiTrees", [])],
-            trace=[TraceStep.from_dict(s) for s in d.get("trace", [])],
-        )
+        return cls(trace=[TraceStep.from_dict(s) for s in d.get("trace", [])])
 
 
 @dataclass
@@ -679,26 +648,12 @@ def validate_integrity(model: AppModel) -> list[str]:
         if window_id not in ewtg.windows:
             violations.append(f"abstraction policy references missing window {window_id}")
 
-    prev_index = -1
-    for tree in model.gstg.gui_trees:
-        if tree.window_id not in ewtg.windows:
-            violations.append(f"gui tree {tree.id} references missing window {tree.window_id}")
-        if tree.abstract_state_id is not None:
-            state = dstg.abstract_states.get(tree.abstract_state_id)
-            if state is None:
-                violations.append(
-                    f"gui tree {tree.id} references missing state {tree.abstract_state_id}"
-                )
-            elif state.window_id != tree.window_id:
-                violations.append(f"gui tree {tree.id} maps to a state of another window")
-        if tree.session_index <= prev_index:
-            violations.append(f"gui tree {tree.id} breaks session index ordering")
-        prev_index = tree.session_index
-
-    tree_ids = {t.id for t in model.gstg.gui_trees}
     for step in model.gstg.trace:
-        if step.before_tree_id not in tree_ids or step.after_tree_id not in tree_ids:
-            violations.append("trace step references a missing gui tree")
+        if (
+            step.before_state_id not in dstg.abstract_states
+            or step.after_state_id not in dstg.abstract_states
+        ):
+            violations.append("trace step references a missing state")
 
     return violations
 

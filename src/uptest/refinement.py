@@ -13,7 +13,7 @@ from typing import Iterable, Optional
 
 from .abstraction import LEVELS, derive_abstract_state
 from .harness import DriverRejection
-from .model import AppModel, GuiTree
+from .model import AbstractState, AppModel, GuiTree
 
 
 def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppModel:
@@ -39,14 +39,7 @@ def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppMo
     return model
 
 
-def _states_match(model: AppModel, expected_tree: GuiTree, observed_result) -> bool:
-    expected_state = (
-        model.dstg.abstract_states.get(expected_tree.abstract_state_id)
-        if expected_tree.abstract_state_id
-        else None
-    )
-    if expected_state is None:
-        return True  # nothing to check against
+def _states_match(expected_state: AbstractState, observed_result) -> bool:
     if observed_result.window_id != expected_state.window_id:
         return False
     level = LEVELS[expected_state.abstraction_level]
@@ -68,7 +61,6 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
         warnings.warn(f"replay aborted at reset: {exc}")
         return model
     for step in trace:
-        expected_tree = model.gstg.tree_by_id(step.after_tree_id)
         try:
             result = driver.perform(step.action)
         except DriverRejection:
@@ -76,13 +68,11 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
         except Exception as exc:
             warnings.warn(f"replay aborted mid-trace: {exc}")
             return model
-        if expected_tree is None:
-            continue
-        matched = result is not None and _states_match(model, expected_tree, result)
-        if not matched and expected_tree.abstract_state_id:
-            state = model.dstg.abstract_states.get(expected_tree.abstract_state_id)
-            if state is not None:
-                state.obsolete = True
+        expected = model.dstg.abstract_states.get(step.after_state_id)
+        if expected is None:
+            continue  # nothing to check against
+        if result is None or not _states_match(expected, result):
+            expected.obsolete = True
     return model
 
 

@@ -369,10 +369,7 @@ def test_a8_obsolescence_flagging_and_avoidance():
         # every traversed state on the headline-dependent path must be flagged
         expected_flags = set()
         for step in model.gstg.trace:
-            tree = model.gstg.tree_by_id(step.after_tree_id)
-            state_id = tree.abstract_state_id
-            if state_id is None:
-                continue
+            state_id = step.after_state_id
             if model.dstg.abstract_states[state_id].window_id in ("list", "detail"):
                 expected_flags.add(state_id)
         assert expected_flags

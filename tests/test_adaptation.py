@@ -86,7 +86,7 @@ def test_adapt_discards_the_session_layer_and_diff_context_is_set():
     spec = load_spec(fixture_path("diary"))
     adapted = adapt_model(base, export_ewtg(spec, "v1"), diary_diff(), version="v1")
     assert adapted.version == "v1"
-    assert adapted.gstg.gui_trees == [] and adapted.gstg.trace == []
+    assert adapted.gstg.trace == []
     assert adapted.diff_context == {"addedWidgets": ["w9"], "replacedWidgets": ["w8"]}
 
 

@@ -115,6 +115,17 @@ def test_pipeline_fails_cleanly_on_missing_workdir(tmp_path, capsys):
     assert "pipeline failed" in capsys.readouterr().err
 
 
+def test_schema_1_model_is_rejected(tmp_path, capsys):
+    doc = json.loads(serialize_model(AppModel(version="v0")))
+    doc["schema_version"] = 1
+    doc["gstg"]["guiTrees"] = []
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    assert main(["plan", str(path), "--from-state", "st-1",
+                 "--target-window", "main"]) == 1
+    assert "unsupported schema version 1" in capsys.readouterr().err
+
+
 def test_compare_command(tmp_path):
     a = {"summary": {"targetMethodCoverage": 0.5, "executedActions": 40,
                      "targetInstructionCoverage": 0.4, "utaCount": 3,
@@ -153,10 +164,9 @@ def test_config_file_overrides_defaults(tmp_path):
     assert cfg.retrigger_cap == 5
     assert cfg.max_plan_length == 6
     assert cfg.string_similarity_threshold == EngineConfig().string_similarity_threshold
-    # explicit overrides outrank the file
-    assert load_config(cfg_path, retrigger_cap=7).retrigger_cap == 7
+    cfg_path.write_text(json.dumps({"no_such_option": 1}), "utf-8")
     with pytest.raises(ValueError):
-        load_config(None, no_such_option=1)
+        load_config(cfg_path)
 
 
 def test_config_round_trip():

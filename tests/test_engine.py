@@ -22,9 +22,12 @@ from uptest.model import (
     serialize_model,
     validate_integrity,
 )
+from uptest.harness import PerformResult
 from uptest.planner import PlanStep
 
 from uptest import fixture_path
+
+from conftest import make_node, make_tree
 
 
 def diary_setup(version="v0"):
@@ -91,10 +94,9 @@ def test_session_model_stays_consistent_and_trace_is_replayable():
     result, _ = run_diary()
     model = result.model
     assert validate_integrity(model) == []
-    tree_ids = {t.id for t in model.gstg.gui_trees}
     for step in model.gstg.trace:
-        assert step.before_tree_id in tree_ids
-        assert step.after_tree_id in tree_ids
+        assert step.before_state_id in result.observed_state_ids
+        assert step.after_state_id in result.observed_state_ids
     assert result.observed_state_ids <= set(model.dstg.abstract_states)
 
 
@@ -214,3 +216,29 @@ def test_online_refine_sharpens_when_the_state_was_seen_this_version():
     engine._online_refine("sb", sc, sa, step)
     assert "at1" in model.dstg.abstract_transitions  # the edge survives
     assert model.dstg.abstraction_policy["win"] == "L2"
+
+
+def test_refinement_during_a_planned_step_keeps_the_plan_log_intact():
+    # the learned edge sa -> sb turns out to lead elsewhere, so the planned
+    # step both refines the source window and ends in a mismatch
+    model = two_state_model()
+    model.dstg.abstract_states["sb"].observed_in_versions = {"v1"}
+
+    class ElsewhereDriver:
+        def perform(self, action):
+            root = make_node(children=[make_node(clickable=True, resourceId="x")])
+            return PerformResult("other", WindowKind.ACTIVITY, "c.other", root, [])
+
+    targets = TargetSet(target_method_ids={"m"}, instruction_counts={"m": 1})
+    engine = TestEngine(model, targets, ElsewhereDriver(), budget=5, seed=0)
+    sa = model.dstg.abstract_states["sa"]
+    engine.current_state = sa
+    engine.current_tree = make_tree("win", make_node(children=[make_node(widget_ref="wd")]))
+    engine.state_history = [sa]
+
+    engine._visit_window("other", phase=3)
+
+    plan, refine = engine.plan_log[0], engine.plan_log[1]
+    assert plan["event"] == "plan" and plan["outcomes"] == ["mismatch"]
+    assert refine == {"event": "refine", "window": "win", "level": "L2"}
+    assert engine.executed == 1

@@ -16,7 +16,6 @@ from uptest.model import (
     Ewtg,
     EwtgWidget,
     Gstg,
-    GuiTree,
     Input,
     ModelError,
     TraceStep,
@@ -72,18 +71,11 @@ def small_model() -> AppModel:
     )
 
     gstg = Gstg()
-    root = make_node(widget_ref="wd-ok", clickable=True, resourceId="ok")
-    gstg.gui_trees.append(
-        GuiTree(id="t1", window_id="w-main", root=root, abstract_state_id="s1", session_index=1)
-    )
-    gstg.gui_trees.append(
-        GuiTree(id="t2", window_id="w-edit", root=make_node(), session_index=2)
-    )
     gstg.trace.append(
         TraceStep(
             action=Action("i-ok", ActionType.CLICK, concrete_node_path=()),
-            before_tree_id="t1",
-            after_tree_id="t2",
+            before_state_id="s1",
+            after_state_id="s2",
         )
     )
     return AppModel(version="v1", ewtg=ewtg, dstg=dstg, gstg=gstg)
@@ -162,20 +154,14 @@ def test_validation_catches_input_in_wrong_window():
     assert any("another window" in v for v in violations)
 
 
-def test_validation_catches_trace_without_tree():
+def test_validation_catches_trace_with_missing_state():
     model = small_model()
     model.gstg.trace[0] = TraceStep(
         action=model.gstg.trace[0].action,
-        before_tree_id="t1",
-        after_tree_id="t-missing",
+        before_state_id="s1",
+        after_state_id="s-missing",
     )
-    assert any("missing gui tree" in v for v in validate_integrity(model))
-
-
-def test_validation_catches_session_index_disorder():
-    model = small_model()
-    model.gstg.gui_trees[1].session_index = 0
-    assert any("session index" in v for v in validate_integrity(model))
+    assert any("missing state" in v for v in validate_integrity(model))
 
 
 def test_models_equal_is_structural():

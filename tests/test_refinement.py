@@ -12,7 +12,6 @@ from uptest.model import (
     AppModel,
     Dstg,
     Ewtg,
-    GuiTree,
     TraceStep,
     Window,
     WindowKind,
@@ -78,22 +77,20 @@ def replay_model(after_roots):
     ewtg = Ewtg(windows={"wa": window("wa")}, launcher_window_id="wa")
     dstg = Dstg()
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
-    previous_tree_id = None
+    previous_state_id = None
     for i, root in enumerate(after_roots, start=1):
-        tree = GuiTree(id=f"t{i}", window_id="wa", root=root, session_index=i)
+        tree = make_tree("wa", root, tree_id=f"t{i}")
         state = derive_abstract_state(tree, LEVELS["L1"], state_id=f"s{i}")
         dstg.abstract_states[state.id] = state
-        tree.abstract_state_id = state.id
-        model.gstg.gui_trees.append(tree)
-        if previous_tree_id is not None:
+        if previous_state_id is not None:
             model.gstg.trace.append(
                 TraceStep(
                     action=Action(f"i{i}", ActionType.CLICK, concrete_node_path=()),
-                    before_tree_id=previous_tree_id,
-                    after_tree_id=tree.id,
+                    before_state_id=previous_state_id,
+                    after_state_id=state.id,
                 )
             )
-        previous_tree_id = tree.id
+        previous_state_id = state.id
     return model
 
 
