@@ -1,5 +1,6 @@
 """Static diff: similarity metrics, matching passes, classification."""
 
+import hashlib
 import math
 import random
 
@@ -9,7 +10,6 @@ from uptest.diff import (
     DiffResult,
     _greedy_assign,
     diff_ewtg,
-    ewtg_to_rcv,
     levenshtein_ratio,
     xpath_similarity,
 )
@@ -25,6 +25,8 @@ from uptest.model import (
 )
 
 from uptest import fixture_path
+
+from random_ewtg import random_ewtg_pair
 
 
 # --- independent oracles --------------------------------------------------
@@ -214,22 +216,50 @@ def test_transition_with_same_trigger_and_destination_is_matched():
     assert diff.is_empty()
 
 
-def test_runtime_created_elements_stay_out_of_the_diff():
-    base = one_window_ewtg("Main", "com.app.Main", [])
-    base.windows["w-rt"] = Window(
+def with_runtime_elements(ewtg):
+    """Add a runtime-created window and widget, and transitions that use them."""
+    ewtg.windows["w-rt"] = Window(
         id="w-rt", name="rt", kind=WindowKind.ACTIVITY, class_name="rt",
         runtime_created=True,
     )
-    base.widgets["wd-rt"] = EwtgWidget(
+    ewtg.widgets["wd-rt"] = EwtgWidget(
         id="wd-rt", window_id="w1", class_name="View", resource_id="rt",
         content_description="", xpath="/rt", runtime_created=True,
     )
-    upd = one_window_ewtg("Main", "com.app.Main", [])
-    diff = diff_ewtg(base, upd)
-    assert diff.is_empty()
-    rcv = ewtg_to_rcv(base)
-    assert [e.id for e in rcv.elements_of_kind("Window")] == ["w1"]
-    assert rcv.elements_of_kind("Widget") == []
+    ewtg.windows["w1"].widget_ids.add("wd-rt")
+    ewtg.inputs["i-rt"] = Input(
+        id="i-rt", window_id="w1", widget_id="wd-rt", action_type=ActionType.CLICK
+    )
+    ewtg.window_transitions["wt-rt"] = WindowTransition(
+        id="wt-rt", source_window_id="w1", destination_window_id="w1", input_id="i-rt",
+    )
+    ewtg.inputs["i-to-rt"] = Input(
+        id="i-to-rt", window_id="w1", action_type=ActionType.PRESS_MENU
+    )
+    ewtg.window_transitions["wt-to-rt"] = WindowTransition(
+        id="wt-to-rt", source_window_id="w1", destination_window_id="w-rt",
+        input_id="i-to-rt",
+    )
+    return ewtg
+
+
+def test_runtime_created_elements_stay_out_of_the_diff():
+    runtime_ids = {"w-rt", "wd-rt", "wt-rt", "wt-to-rt"}
+    static = one_window_ewtg("Main", "com.app.Main", [])
+    for base, upd in (
+        (with_runtime_elements(one_window_ewtg("Main", "com.app.Main", [])), static),
+        (static, with_runtime_elements(one_window_ewtg("Main", "com.app.Main", []))),
+        (
+            with_runtime_elements(one_window_ewtg("Main", "com.app.Main", [])),
+            with_runtime_elements(one_window_ewtg("Main", "com.app.Main", [])),
+        ),
+    ):
+        diff = diff_ewtg(base, upd)
+        assert diff.is_empty()
+        assert diff.matched_windows == {"w1": "w1"}
+        for value in diff.to_dict().values():
+            ids = set(value) | set(value.values() if isinstance(value, dict) else ())
+            assert not ids & runtime_ids
 
 
 def test_diff_result_json_round_trip():
@@ -244,3 +274,23 @@ def test_self_diff_of_bundled_fixture_versions_is_empty():
         for v in spec.versions:
             ewtg = export_ewtg(spec, v.version)
             assert diff_ewtg(ewtg, ewtg).is_empty()
+
+
+#: sha256 of the concatenated ``to_json()`` of both diffs of 50 random pairs,
+#: frozen from the diff before it matched directly on the window graphs.
+RANDOM_PAIRS_DIGEST = "98356edc08de045b2ba09a115eebc4e40f42b189f13e0432a9c3f68f8de7e38e"
+
+
+def test_diff_of_random_window_graph_pairs_is_unchanged():
+    digest = hashlib.sha256()
+    classes = {key: 0 for key in DiffResult().to_dict()}
+    for seed in range(50):
+        base, updated = random_ewtg_pair(seed)
+        for a, b in ((base, updated), (updated, base)):
+            diff = diff_ewtg(a, b)
+            digest.update(diff.to_json())
+            for key, value in diff.to_dict().items():
+                classes[key] += len(value)
+    # the pairs reach every class, so the digest covers every kind of outcome
+    assert all(classes.values()), classes
+    assert digest.hexdigest() == RANDOM_PAIRS_DIGEST
