@@ -7,7 +7,6 @@ from .model import (  # noqa: F401
     AppModel,
     ModelError,
     deserialize_model,
-    models_equal,
     serialize_model,
     validate_integrity,
 )

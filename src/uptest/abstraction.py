@@ -162,17 +162,6 @@ def derive_abstract_state(
     )
 
 
-def states_equal(a: AbstractState, b: AbstractState) -> bool:
-    """True iff the AVM valuation multisets (with cardinalities) coincide."""
-    if a.abstraction_level != b.abstraction_level:
-        raise AbstractionError(
-            f"cannot compare states at levels {a.abstraction_level} and {b.abstraction_level}"
-        )
-    if a.window_id != b.window_id:
-        return False
-    return a.valuation_multiset() == b.valuation_multiset()
-
-
 # --- layout fingerprints -------------------------------------------------
 
 
@@ -204,10 +193,6 @@ def fingerprint_similarity(a: Counter, b: Counter) -> float:
     inter = sum(min(a[k], b[k]) for k in keys)
     union = sum(max(a[k], b[k]) for k in keys)
     return inter / union
-
-
-def layout_similarity(a: AbstractState, b: AbstractState) -> float:
-    return fingerprint_similarity(layout_fingerprint(a), layout_fingerprint(b))
 
 
 def fingerprint_to_dict(fp: Counter) -> dict:

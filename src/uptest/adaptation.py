@@ -1,10 +1,13 @@
 """Carry a learned model over to a new app version.
 
-The base model is copied, its session trace dropped, its static layer swapped
-for the new version's, and the learned state graph rewritten according to the
-diff: elements of deleted windows/widgets/transitions disappear, replaced
-elements are rebound to their replacement, and anything left disconnected
-from the launcher window's states is pruned.
+The base model's learned state graph is copied once and rewritten according
+to the diff in a single cleanup pass: learned instances of deleted or
+replaced window transitions are dropped, states and AVMs whose window or
+widget the diff does not pair (deleted, or created at runtime and so never
+compared) disappear with the transitions they carried, paired elements are
+rebound to their counterpart, and anything left disconnected from the
+launcher window's states is pruned.  The session trace is not carried over,
+and the static layer is the new version's.
 """
 
 from __future__ import annotations
@@ -24,59 +27,41 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg) -> Dstg:
     window_mapping = diff.window_mapping()
     widget_mapping = diff.widget_mapping()
 
-    # (a) drop states of deleted windows
-    deleted_state_ids = {
-        s.id
-        for s in dstg.abstract_states.values()
-        if s.window_id in diff.deleted_windows
-    }
-    for sid in deleted_state_ids:
-        del dstg.abstract_states[sid]
-
-    # (b) drop AVMs of deleted widgets
-    for state in dstg.abstract_states.values():
+    # (a) drop states of windows the diff does not pair, and (b) AVMs of
+    # widgets it does not pair: deleted elements and runtime-created ones,
+    # which the diff never compares.  (d, e) Rebind the rest to their pairs.
+    for sid, state in list(dstg.abstract_states.items()):
+        if state.window_id not in window_mapping:
+            del dstg.abstract_states[sid]
+            continue
+        state.window_id = window_mapping[state.window_id]
         state.avms = [
             avm
             for avm in state.avms
-            if avm.ewtg_widget_id is None or avm.ewtg_widget_id not in diff.deleted_widgets
+            if avm.ewtg_widget_id is None or avm.ewtg_widget_id in widget_mapping
         ]
-
-    # (c) drop transitions of deleted window transitions, (f) of replaced ones,
-    # plus any transition dangling after (a)
-    def transition_survives(tr) -> bool:
-        if tr.source_state_id not in dstg.abstract_states:
-            return False
-        if tr.destination_state_id not in dstg.abstract_states:
-            return False
-        src = dstg.abstract_states[tr.source_state_id]
-        if tr.source_avm_id is not None and src.avm_by_id(tr.source_avm_id) is None:
-            return False
-        return True
-
-    for tr_id in list(dstg.abstract_transitions):
-        if not transition_survives(dstg.abstract_transitions[tr_id]):
-            del dstg.abstract_transitions[tr_id]
-
-    # (d) rebind states of replaced windows
-    for state in dstg.abstract_states.values():
-        if state.window_id in window_mapping:
-            state.window_id = window_mapping[state.window_id]
-
-    # (e) rebind AVMs of replaced widgets
-    for state in dstg.abstract_states.values():
         for avm in state.avms:
-            if avm.ewtg_widget_id is not None and avm.ewtg_widget_id in widget_mapping:
+            if avm.ewtg_widget_id is not None:
                 avm.ewtg_widget_id = widget_mapping[avm.ewtg_widget_id]
 
-    # abstraction policy follows its windows
-    new_policy = {}
-    for window_id, level in dstg.abstraction_policy.items():
-        if window_id in diff.deleted_windows:
-            continue
-        new_policy[window_mapping.get(window_id, window_id)] = level
-    dstg.abstraction_policy = new_policy
+    # (c) drop transitions left dangling by (a) and (b)
+    for tr_id, tr in list(dstg.abstract_transitions.items()):
+        src = dstg.abstract_states.get(tr.source_state_id)
+        if (
+            src is None
+            or tr.destination_state_id not in dstg.abstract_states
+            or (tr.source_avm_id is not None and src.avm_by_id(tr.source_avm_id) is None)
+        ):
+            del dstg.abstract_transitions[tr_id]
 
-    # (h) drop components not containing a launcher-window state
+    # abstraction policy follows its windows
+    dstg.abstraction_policy = {
+        window_mapping[window_id]: level
+        for window_id, level in dstg.abstraction_policy.items()
+        if window_id in window_mapping
+    }
+
+    # (f) drop components not containing a launcher-window state
     _prune_disconnected(dstg, ewtg.launcher_window_id)
     return dstg
 
@@ -167,29 +152,6 @@ def adapt_model(
     dstg = copy.deepcopy(base.dstg)
     _remove_stale_transition_edges(dstg, diff, base)
     update_dstg(dstg, diff, updated_ewtg)
-
-    # keep only states/AVMs that resolve against the updated static layer
-    for state in list(dstg.abstract_states.values()):
-        if state.window_id not in updated_ewtg.windows:
-            del dstg.abstract_states[state.id]
-            continue
-        state.avms = [
-            avm
-            for avm in state.avms
-            if avm.ewtg_widget_id is None or avm.ewtg_widget_id in updated_ewtg.widgets
-        ]
-    for tr_id in list(dstg.abstract_transitions):
-        tr = dstg.abstract_transitions[tr_id]
-        src = dstg.abstract_states.get(tr.source_state_id)
-        if (
-            src is None
-            or tr.destination_state_id not in dstg.abstract_states
-            or (tr.source_avm_id is not None and src.avm_by_id(tr.source_avm_id) is None)
-        ):
-            del dstg.abstract_transitions[tr_id]
-    for window_id in list(dstg.abstraction_policy):
-        if window_id not in updated_ewtg.windows:
-            del dstg.abstraction_policy[window_id]
 
     model = AppModel(
         version=version or base.version,

@@ -1,11 +1,14 @@
 """Static-model diffing between two app versions.
 
-Both window graphs are converted into element trees (windows at the top,
-widgets and transitions below their window) and matched in three passes:
-an exact pass, a greedy assignment of correspondence candidates scored by
-string similarity, and a final classification into matched / replaced /
-added / deleted.  Runtime-discovered elements are excluded on both sides
-so that they are never reported as deletions.
+``diff_ewtg`` reads both window graphs directly and pairs their elements in
+one pass: windows first, then widgets inside paired windows, then
+transitions.  Each kind gets an exact pass (matched) and a greedy assignment
+of correspondence candidates scored by string similarity (replaced);
+transitions pair on the same trigger instead, and the destination decides
+matched or replaced.  Whatever is left unpaired is deleted (base side) or
+added (updated side).  Runtime-discovered elements, and transitions that
+reference them, are excluded on both sides so that they are never reported
+as deletions.
 """
 
 from __future__ import annotations
@@ -16,7 +19,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Ewtg, WindowTransition
+from .model import Ewtg, EwtgWidget, Input, Window, WindowTransition
 
 
 # --- string similarity ---------------------------------------------------
@@ -52,106 +55,6 @@ def xpath_similarity(a: str, b: str) -> float:
         sum(v * v for v in tb.values())
     )
     return dot / norm
-
-
-# --- RCV-style element model --------------------------------------------
-
-
-@dataclass
-class MElement:
-    id: str
-    kind: str  # Window | Widget | Transition
-    attributes: dict[str, str] = field(default_factory=dict)
-    references: dict[str, str] = field(default_factory=dict)
-    children: list["MElement"] = field(default_factory=list)
-
-
-@dataclass
-class RcvModel:
-    roots: list[MElement] = field(default_factory=list)
-
-    def elements_of_kind(self, kind: str) -> list[MElement]:
-        out = []
-
-        def visit(e: MElement):
-            if e.kind == kind:
-                out.append(e)
-            for c in e.children:
-                visit(c)
-
-        for root in self.roots:
-            visit(root)
-        return out
-
-
-def ewtg_to_rcv(ewtg: Ewtg) -> RcvModel:
-    """Windows at the top level; widgets and outgoing transitions below them.
-
-    Runtime-created elements and anything referencing them stay out of the
-    model so the diff only compares what static analysis could see.
-    """
-    model = RcvModel()
-    window_elements: dict[str, MElement] = {}
-    for window in sorted(ewtg.windows.values(), key=lambda w: w.id):
-        if window.runtime_created:
-            continue
-        elem = MElement(
-            id=window.id,
-            kind="Window",
-            attributes={
-                "name": window.name,
-                "kind": window.kind.value,
-                "className": window.class_name,
-            },
-        )
-        window_elements[window.id] = elem
-        model.roots.append(elem)
-
-    for widget in sorted(ewtg.widgets.values(), key=lambda w: w.id):
-        if widget.runtime_created:
-            continue
-        parent_window = window_elements.get(widget.window_id)
-        if parent_window is None:
-            continue
-        elem = MElement(
-            id=widget.id,
-            kind="Widget",
-            attributes={
-                "resourceId": widget.resource_id,
-                "className": widget.class_name,
-                "contentDescription": widget.content_description,
-                "xpath": widget.xpath,
-            },
-            references={"window": widget.window_id},
-        )
-        if widget.parent_id is not None:
-            elem.references["parent"] = widget.parent_id
-        parent_window.children.append(elem)
-
-    for wt in sorted(ewtg.window_transitions.values(), key=lambda t: t.id):
-        inp = ewtg.inputs.get(wt.input_id)
-        if inp is None:
-            continue
-        source = window_elements.get(wt.source_window_id)
-        if source is None or wt.destination_window_id not in window_elements:
-            continue
-        if inp.widget_id is not None:
-            widget = ewtg.widgets.get(inp.widget_id)
-            if widget is None or widget.runtime_created:
-                continue
-        elem = MElement(
-            id=wt.id,
-            kind="Transition",
-            attributes={"actionType": inp.action_type.value},
-            references={
-                "source": wt.source_window_id,
-                "destination": wt.destination_window_id,
-            },
-        )
-        if inp.widget_id is not None:
-            elem.references["widget"] = inp.widget_id
-        source.children.append(elem)
-    return model
 
 
 # --- diff result ---------------------------------------------------------
@@ -237,6 +140,8 @@ class DiffResult:
         return cls.from_dict(json.loads(data.decode("utf-8")))
 
 
+
+
 # --- matching ------------------------------------------------------------
 
 
@@ -254,227 +159,108 @@ def _greedy_assign(candidates: list[tuple[float, int, str, str]]) -> dict[str, s
     return assignment
 
 
-def _window_corresponds(a: MElement, b: MElement, threshold: float) -> Optional[float]:
+def _window_corresponds(a: Window, b: Window, threshold: float) -> Optional[float]:
     """Same window type, other attributes similar.  Returns a score or None."""
-    if a.attributes["kind"] != b.attributes["kind"]:
+    if a.kind != b.kind:
         return None
-    name_sim = levenshtein_ratio(a.attributes["name"], b.attributes["name"])
-    class_sim = levenshtein_ratio(a.attributes["className"], b.attributes["className"])
-    if name_sim < threshold or class_sim < threshold:
+    name_sim = levenshtein_ratio(a.name, b.name)
+    if name_sim < threshold:
+        return None
+    class_sim = levenshtein_ratio(a.class_name, b.class_name)
+    if class_sim < threshold:
         return None
     return (name_sim + class_sim) / 2
 
 
-def _parents_paired(a: MElement, b: MElement, widget_pairs: dict[str, str]) -> bool:
-    base_parent = a.references.get("parent")
-    upd_parent = b.references.get("parent")
-    if base_parent is None or upd_parent is None:
-        return base_parent is None and upd_parent is None
-    return widget_pairs.get(base_parent) == upd_parent
+def _parents_paired(a: EwtgWidget, b: EwtgWidget, widget_pairs: dict[str, str]) -> bool:
+    if a.parent_id is None or b.parent_id is None:
+        return a.parent_id is None and b.parent_id is None
+    return widget_pairs.get(a.parent_id) == b.parent_id
 
 
-def _parent_depth_order(widgets: list[MElement]) -> list[MElement]:
+def _parent_depth_order(widgets: list[EwtgWidget]) -> list[EwtgWidget]:
     """Parents before children so pairing can be checked incrementally."""
     by_id = {w.id: w for w in widgets}
 
-    def depth(w: MElement) -> int:
+    def depth(w: EwtgWidget) -> int:
         d = 0
         seen = set()
-        parent = w.references.get("parent")
+        parent = w.parent_id
         while parent in by_id and parent not in seen:
             seen.add(parent)
             d += 1
-            parent = by_id[parent].references.get("parent")
+            parent = by_id[parent].parent_id
         return d
 
     return sorted(widgets, key=lambda w: (depth(w), w.id))
 
 
 def _widget_corresponds(
-    a: MElement,
-    b: MElement,
+    a: EwtgWidget,
+    b: EwtgWidget,
     widget_pairs: dict[str, str],
     lev_threshold: float,
     xpath_threshold: float,
 ) -> Optional[float]:
     """Correspondence with a single allowed exception: parent or class name."""
-    rid_sim = levenshtein_ratio(a.attributes["resourceId"], b.attributes["resourceId"])
-    cd_sim = levenshtein_ratio(
-        a.attributes["contentDescription"], b.attributes["contentDescription"]
-    )
-    xp_sim = xpath_similarity(a.attributes["xpath"], b.attributes["xpath"])
-    class_sim = levenshtein_ratio(a.attributes["className"], b.attributes["className"])
-    parent_ok = _parents_paired(a, b, widget_pairs)
-
-    core_ok = rid_sim >= lev_threshold and cd_sim >= lev_threshold and xp_sim >= xpath_threshold
-    if not core_ok:
+    rid_sim = levenshtein_ratio(a.resource_id, b.resource_id)
+    if rid_sim < lev_threshold:
         return None
-    class_ok = class_sim >= lev_threshold
-    if not class_ok and not parent_ok:
+    cd_sim = levenshtein_ratio(a.content_description, b.content_description)
+    if cd_sim < lev_threshold:
+        return None
+    xp_sim = xpath_similarity(a.xpath, b.xpath)
+    if xp_sim < xpath_threshold:
+        return None
+    class_sim = levenshtein_ratio(a.class_name, b.class_name)
+    if class_sim >= lev_threshold:
+        return (rid_sim + cd_sim + xp_sim + class_sim) / 4
+    if not _parents_paired(a, b, widget_pairs):
         # both the class name and the parent changed: not a correspondence
         return None
-    if not class_ok:  # className is the single allowed exception
-        return (rid_sim + cd_sim + xp_sim) / 3
-    return (rid_sim + cd_sim + xp_sim + class_sim) / 4
+    return (rid_sim + cd_sim + xp_sim) / 3  # className is the single allowed exception
 
 
-def match_models(
-    base: RcvModel,
-    updated: RcvModel,
-    lev_threshold: float = 0.4,
-    xpath_threshold: float = 0.4,
-) -> "RawMatching":
-    """Exact matching pass followed by correspondence candidate assignment."""
-    matching = RawMatching()
+def _window_key(w: Window) -> tuple:
+    return (w.name, w.kind, w.class_name)
 
-    # Windows: exact on all attributes, then correspondence.
-    base_windows = base.elements_of_kind("Window")
-    upd_windows = updated.elements_of_kind("Window")
-    unmatched_upd = list(upd_windows)
-    for bw in base_windows:
-        for uw in list(unmatched_upd):
-            if bw.attributes == uw.attributes:
-                matching.matched_windows[bw.id] = uw.id
-                unmatched_upd.remove(uw)
-                break
-    candidates = []
-    order = 0
-    for bw in base_windows:
-        if bw.id in matching.matched_windows:
+
+def _widget_key(w: EwtgWidget) -> tuple:
+    return (w.resource_id, w.class_name, w.content_description, w.xpath)
+
+
+def _static_windows(ewtg: Ewtg) -> list[Window]:
+    return sorted((w for w in ewtg.windows.values() if not w.runtime_created), key=lambda w: w.id)
+
+
+def _static_widgets_by_window(ewtg: Ewtg, windows: list[Window]) -> dict[str, list[EwtgWidget]]:
+    by_window: dict[str, list[EwtgWidget]] = {w.id: [] for w in windows}
+    for widget in sorted(ewtg.widgets.values(), key=lambda w: w.id):
+        if not widget.runtime_created and widget.window_id in by_window:
+            by_window[widget.window_id].append(widget)
+    return by_window
+
+
+def _static_transitions(
+    ewtg: Ewtg, windows: list[Window]
+) -> list[tuple[WindowTransition, Input]]:
+    """Transitions between static windows on a static trigger, by source window then id."""
+    window_ids = {w.id for w in windows}
+    out = []
+    for wt in sorted(
+        ewtg.window_transitions.values(), key=lambda t: (t.source_window_id, t.id)
+    ):
+        inp = ewtg.inputs.get(wt.input_id)
+        if inp is None:
             continue
-        for uw in unmatched_upd:
-            score = _window_corresponds(bw, uw, lev_threshold)
-            if score is not None:
-                candidates.append((score, order, bw.id, uw.id))
-                order += 1
-    matching.corresponding_windows = _greedy_assign(candidates)
-
-    window_pairs = dict(matching.matched_windows)
-    window_pairs.update(matching.corresponding_windows)
-
-    # Widgets: matched inside paired windows only.
-    base_by_window = {w.id: [c for c in w.children if c.kind == "Widget"] for w in base_windows}
-    upd_by_window = {w.id: [c for c in w.children if c.kind == "Widget"] for w in upd_windows}
-    widget_pairs: dict[str, str] = {}
-    for base_win_id, upd_win_id in sorted(window_pairs.items()):
-        b_widgets = _parent_depth_order(base_by_window.get(base_win_id, []))
-        u_widgets = list(upd_by_window.get(upd_win_id, []))
-        # exact pass; parent-depth ordering guarantees parents are paired first
-        for bw in b_widgets:
-            for uw in list(u_widgets):
-                if bw.attributes == uw.attributes and _parents_paired(bw, uw, widget_pairs):
-                    matching.matched_widgets[bw.id] = uw.id
-                    widget_pairs[bw.id] = uw.id
-                    u_widgets.remove(uw)
-                    break
-        # correspondence pass
-        candidates = []
-        order = 0
-        for bw in b_widgets:
-            if bw.id in matching.matched_widgets:
-                continue
-            for uw in u_widgets:
-                score = _widget_corresponds(
-                    bw, uw, widget_pairs, lev_threshold, xpath_threshold
-                )
-                if score is not None:
-                    candidates.append((score, order, bw.id, uw.id))
-                    order += 1
-        assigned = _greedy_assign(candidates)
-        matching.corresponding_widgets.update(assigned)
-        widget_pairs.update(assigned)
-
-    # Transitions: sources must be paired windows, action type equal, widget paired.
-    base_transitions = base.elements_of_kind("Transition")
-    upd_transitions = updated.elements_of_kind("Transition")
-    unmatched_upd_tr = list(upd_transitions)
-    for bt in base_transitions:
-        src_pair = window_pairs.get(bt.references["source"])
-        if src_pair is None:
+        if wt.source_window_id not in window_ids or wt.destination_window_id not in window_ids:
             continue
-        for ut in list(unmatched_upd_tr):
-            if ut.references["source"] != src_pair:
+        if inp.widget_id is not None:
+            widget = ewtg.widgets.get(inp.widget_id)
+            if widget is None or widget.runtime_created:
                 continue
-            if bt.attributes["actionType"] != ut.attributes["actionType"]:
-                continue
-            b_widget = bt.references.get("widget")
-            u_widget = ut.references.get("widget")
-            widgets_paired = (b_widget is None and u_widget is None) or (
-                b_widget is not None and widget_pairs.get(b_widget) == u_widget
-            )
-            if not widgets_paired:
-                continue
-            dest_pair = window_pairs.get(bt.references["destination"])
-            if dest_pair == ut.references["destination"]:
-                matching.matched_transitions[bt.id] = ut.id
-            else:
-                # same trigger, different destination: behaviour change
-                matching.corresponding_transitions[bt.id] = ut.id
-            unmatched_upd_tr.remove(ut)
-            break
-
-    matching.base_windows = [w.id for w in base_windows]
-    matching.updated_windows = [w.id for w in upd_windows]
-    matching.base_widgets = [w.id for win in base_windows for w in win.children if w.kind == "Widget"]
-    matching.updated_widgets = [
-        w.id for win in upd_windows for w in win.children if w.kind == "Widget"
-    ]
-    matching.base_transitions = [t.id for t in base_transitions]
-    matching.updated_transitions = [t.id for t in upd_transitions]
-    return matching
-
-
-@dataclass
-class RawMatching:
-    matched_windows: dict[str, str] = field(default_factory=dict)
-    corresponding_windows: dict[str, str] = field(default_factory=dict)
-    matched_widgets: dict[str, str] = field(default_factory=dict)
-    corresponding_widgets: dict[str, str] = field(default_factory=dict)
-    matched_transitions: dict[str, str] = field(default_factory=dict)
-    corresponding_transitions: dict[str, str] = field(default_factory=dict)
-    base_windows: list[str] = field(default_factory=list)
-    updated_windows: list[str] = field(default_factory=list)
-    base_widgets: list[str] = field(default_factory=list)
-    updated_widgets: list[str] = field(default_factory=list)
-    base_transitions: list[str] = field(default_factory=list)
-    updated_transitions: list[str] = field(default_factory=list)
-
-
-def classify_correspondence(matching: RawMatching) -> DiffResult:
-    """Partition every element into matched / replaced / added / deleted."""
-    result = DiffResult()
-    result.matched_windows = dict(matching.matched_windows)
-    result.replaced_windows = dict(matching.corresponding_windows)
-    result.matched_widgets = dict(matching.matched_widgets)
-    result.replaced_widgets = dict(matching.corresponding_widgets)
-    result.matched_transitions = dict(matching.matched_transitions)
-    result.replaced_transitions = dict(matching.corresponding_transitions)
-
-    paired_base_windows = set(result.matched_windows) | set(result.replaced_windows)
-    paired_upd_windows = set(result.matched_windows.values()) | set(
-        result.replaced_windows.values()
-    )
-    result.deleted_windows = {w for w in matching.base_windows if w not in paired_base_windows}
-    result.added_windows = {w for w in matching.updated_windows if w not in paired_upd_windows}
-
-    paired_base_widgets = set(result.matched_widgets) | set(result.replaced_widgets)
-    paired_upd_widgets = set(result.matched_widgets.values()) | set(
-        result.replaced_widgets.values()
-    )
-    result.deleted_widgets = {w for w in matching.base_widgets if w not in paired_base_widgets}
-    result.added_widgets = {w for w in matching.updated_widgets if w not in paired_upd_widgets}
-
-    paired_base_tr = set(result.matched_transitions) | set(result.replaced_transitions)
-    paired_upd_tr = set(result.matched_transitions.values()) | set(
-        result.replaced_transitions.values()
-    )
-    result.deleted_transitions = {
-        t for t in matching.base_transitions if t not in paired_base_tr
-    }
-    result.added_transitions = {
-        t for t in matching.updated_transitions if t not in paired_upd_tr
-    }
-    return result
+        out.append((wt, inp))
+    return out
 
 
 def diff_ewtg(
@@ -483,7 +269,93 @@ def diff_ewtg(
     lev_threshold: float = 0.4,
     xpath_threshold: float = 0.4,
 ) -> DiffResult:
-    matching = match_models(
-        ewtg_to_rcv(base), ewtg_to_rcv(updated), lev_threshold, xpath_threshold
+    """Pair windows, then widgets inside paired windows, then transitions."""
+    result = DiffResult()
+
+    # Windows: exact on all attributes, then correspondence.
+    base_windows = _static_windows(base)
+    upd_windows = _static_windows(updated)
+    unmatched_upd = list(upd_windows)
+    for bw in base_windows:
+        for uw in unmatched_upd:
+            if _window_key(bw) == _window_key(uw):
+                result.matched_windows[bw.id] = uw.id
+                unmatched_upd.remove(uw)
+                break
+    candidates = []
+    for bw in base_windows:
+        if bw.id in result.matched_windows:
+            continue
+        for uw in unmatched_upd:
+            score = _window_corresponds(bw, uw, lev_threshold)
+            if score is not None:
+                candidates.append((score, len(candidates), bw.id, uw.id))
+    result.replaced_windows = _greedy_assign(candidates)
+    window_pairs = result.window_mapping()
+
+    # Widgets: matched inside paired windows only, exact pass then correspondence.
+    base_by_window = _static_widgets_by_window(base, base_windows)
+    upd_by_window = _static_widgets_by_window(updated, upd_windows)
+    widget_pairs: dict[str, str] = {}
+    for base_win_id, upd_win_id in sorted(window_pairs.items()):
+        # parent-depth ordering guarantees parents are paired first
+        b_widgets = _parent_depth_order(base_by_window[base_win_id])
+        u_widgets = list(upd_by_window[upd_win_id])
+        for bw in b_widgets:
+            for uw in u_widgets:
+                if _widget_key(bw) == _widget_key(uw) and _parents_paired(bw, uw, widget_pairs):
+                    result.matched_widgets[bw.id] = uw.id
+                    widget_pairs[bw.id] = uw.id
+                    u_widgets.remove(uw)
+                    break
+        candidates = []
+        for bw in b_widgets:
+            if bw.id in result.matched_widgets:
+                continue
+            for uw in u_widgets:
+                score = _widget_corresponds(
+                    bw, uw, widget_pairs, lev_threshold, xpath_threshold
+                )
+                if score is not None:
+                    candidates.append((score, len(candidates), bw.id, uw.id))
+        assigned = _greedy_assign(candidates)
+        result.replaced_widgets.update(assigned)
+        widget_pairs.update(assigned)
+
+    # Transitions: the same trigger (paired source window, action type, and
+    # paired widget or none) pairs them; the destination decides whether the
+    # pair is matched or replaced.
+    base_transitions = _static_transitions(base, base_windows)
+    upd_transitions = _static_transitions(updated, upd_windows)
+    by_trigger: dict[tuple, list[WindowTransition]] = {}
+    for ut, inp in upd_transitions:
+        key = (ut.source_window_id, inp.action_type, inp.widget_id)
+        by_trigger.setdefault(key, []).append(ut)
+    for bt, inp in base_transitions:
+        src_pair = window_pairs.get(bt.source_window_id)
+        widget_pair = widget_pairs.get(inp.widget_id)
+        if src_pair is None or (inp.widget_id is not None and widget_pair is None):
+            continue  # an unpaired source window or widget pairs with nothing
+        same_trigger = by_trigger.get((src_pair, inp.action_type, widget_pair))
+        if not same_trigger:
+            continue
+        ut = same_trigger.pop(0)
+        if window_pairs.get(bt.destination_window_id) == ut.destination_window_id:
+            result.matched_transitions[bt.id] = ut.id
+        else:
+            # same trigger, different destination: behaviour change
+            result.replaced_transitions[bt.id] = ut.id
+
+    # Whatever is left unpaired on either side was deleted or added.
+    base_widget_ids = {w.id for ws in base_by_window.values() for w in ws}
+    upd_widget_ids = {w.id for ws in upd_by_window.values() for w in ws}
+    transition_pairs = {**result.matched_transitions, **result.replaced_transitions}
+    result.deleted_windows = {w.id for w in base_windows} - window_pairs.keys()
+    result.added_windows = {w.id for w in upd_windows} - set(window_pairs.values())
+    result.deleted_widgets = base_widget_ids - widget_pairs.keys()
+    result.added_widgets = upd_widget_ids - set(widget_pairs.values())
+    result.deleted_transitions = {t.id for t, _ in base_transitions} - transition_pairs.keys()
+    result.added_transitions = {t.id for t, _ in upd_transitions} - set(
+        transition_pairs.values()
     )
-    return classify_correspondence(matching)
+    return result

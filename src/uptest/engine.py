@@ -116,7 +116,8 @@ class UtaRecord:
     def to_dict(self) -> dict:
         return {
             "beforeTree": self.before_tree.to_dict(),
-            "action": self.action.to_dict(),
+            # reports show each action's cost; the model's trace does not store it
+            "action": {**self.action.to_dict(), "cost": self.action.cost},
             "afterTree": self.after_tree.to_dict(),
             "newlyCovered": {
                 k: sorted(v) for k, v in sorted(self.newly_covered.items())
@@ -454,13 +455,7 @@ class TestEngine:
                 )
         if before_state is not None:
             self._record_transition(before_state, action, widget_id, after_state)
-            self.model.gstg.trace.append(
-                TraceStep(
-                    action=action,
-                    before_state_id=before_state.id,
-                    after_state_id=after_state.id,
-                )
-            )
+            self.model.gstg.trace.append(TraceStep(action=action, after_state_id=after_state.id))
         return result
 
     def _guard_holds_now(self, guard: Optional[dict]) -> bool:

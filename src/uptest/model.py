@@ -3,9 +3,10 @@
 The static layer (windows, widgets, inputs, window transitions) is produced by
 the harness or hand-authored.  The dynamic layer (abstract states, abstract
 transitions) is learned during test sessions and drives planning.  The session
-layer is the trace of executed actions between abstract states; it is what
-replay re-runs, and it is discarded when a model is carried over to a new app
-version.  Concrete GUI trees are not part of the model.
+layer is the trace of executed actions, each with the abstract state it
+reached; it is what replay re-runs, and it is discarded when a model is
+carried over to a new app version.  Concrete GUI trees are not part of the
+model.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Optional
 
-SCHEMA_VERSION = 2
+SCHEMA_VERSION = 3
 
 
 class ModelError(Exception):
@@ -384,7 +385,6 @@ class Action:
             if self.concrete_node_path is not None
             else None,
             "dataPayload": self.data_payload,
-            "cost": self.cost,
         }
 
     @classmethod
@@ -401,26 +401,17 @@ class Action:
 
 @dataclass
 class TraceStep:
-    """One executed action with the abstract states observed around it."""
+    """One executed action and the abstract state it reached."""
 
     action: Action
-    before_state_id: str
     after_state_id: str
 
     def to_dict(self) -> dict:
-        return {
-            "action": self.action.to_dict(),
-            "beforeStateId": self.before_state_id,
-            "afterStateId": self.after_state_id,
-        }
+        return {"action": self.action.to_dict(), "afterStateId": self.after_state_id}
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceStep":
-        return cls(
-            action=Action.from_dict(d["action"]),
-            before_state_id=d["beforeStateId"],
-            after_state_id=d["afterStateId"],
-        )
+        return cls(action=Action.from_dict(d["action"]), after_state_id=d["afterStateId"])
 
 
 @dataclass
@@ -479,12 +470,6 @@ class Dstg:
     def transitions_from(self, state_id: str) -> list[AbstractTransition]:
         return sorted(
             (t for t in self.abstract_transitions.values() if t.source_state_id == state_id),
-            key=lambda t: t.id,
-        )
-
-    def transitions_to(self, state_id: str) -> list[AbstractTransition]:
-        return sorted(
-            (t for t in self.abstract_transitions.values() if t.destination_state_id == state_id),
             key=lambda t: t.id,
         )
 
@@ -649,10 +634,7 @@ def validate_integrity(model: AppModel) -> list[str]:
             violations.append(f"abstraction policy references missing window {window_id}")
 
     for step in model.gstg.trace:
-        if (
-            step.before_state_id not in dstg.abstract_states
-            or step.after_state_id not in dstg.abstract_states
-        ):
+        if step.after_state_id not in dstg.abstract_states:
             violations.append("trace step references a missing state")
 
     return violations
@@ -683,8 +665,3 @@ def deserialize_model(data: bytes) -> AppModel:
     if violations:
         raise ModelError("model failed integrity validation: " + "; ".join(violations))
     return model
-
-
-def models_equal(a: AppModel, b: AppModel) -> bool:
-    """Structural equality, ignoring in-memory object identity."""
-    return a.to_dict() == b.to_dict()

@@ -96,10 +96,6 @@ class ActionSequence:
         return self.cost_full + self.cost_partial * self.likelihood_partial
 
 
-def sequence_cost(sequence: ActionSequence) -> float:
-    return sequence.cost
-
-
 def _truncate2(x: float) -> float:
     """Two-decimal truncation used when reporting partial-execution likelihood."""
     return math.floor(x * 100.0 + 1e-9) / 100.0

@@ -7,7 +7,6 @@ import pytest
 from uptest.abstraction import (
     LEVELS,
     LEVEL_ORDER,
-    AbstractionError,
     BackwardEquivalenceContext,
     derive_abstract_state,
     fingerprint_from_dict,
@@ -16,10 +15,8 @@ from uptest.abstraction import (
     is_backward_equivalent,
     is_interactable,
     layout_fingerprint,
-    layout_similarity,
     make_layout_guard,
     refine_level,
-    states_equal,
 )
 from uptest.model import AbstractState, AttributeValuationMap
 
@@ -109,25 +106,6 @@ def test_l5_splits_on_child_text_where_l4_does_not():
     assert l5_a.valuation_multiset() != l5_b.valuation_multiset()
 
 
-def test_states_equal_requires_same_level():
-    a = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="a")
-    b = derive_abstract_state(two_buttons_tree(), LEVELS["L2"], state_id="b")
-    with pytest.raises(AbstractionError):
-        states_equal(a, b)
-
-
-def test_states_equal_compares_window_and_multiset():
-    a = derive_abstract_state(two_buttons_tree(), LEVELS["L2"], state_id="a")
-    b = derive_abstract_state(two_buttons_tree(), LEVELS["L2"], state_id="b")
-    c = derive_abstract_state(two_buttons_tree(text_b="C"), LEVELS["L2"], state_id="c")
-    assert states_equal(a, b)
-    assert not states_equal(a, c)  # the second button's text differs at L2
-    other = derive_abstract_state(
-        make_tree("other-window", two_buttons_tree().root), LEVELS["L2"], state_id="d"
-    )
-    assert not states_equal(a, other)
-
-
 def test_refine_level_finds_the_first_distinguishing_level():
     tree_a = two_buttons_tree(text_b="B")
     tree_b = two_buttons_tree(text_b="ZZZ")
@@ -141,7 +119,7 @@ def test_layout_fingerprint_projects_finer_levels_onto_l1():
     l1 = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="a")
     l2 = derive_abstract_state(two_buttons_tree(), LEVELS["L2"], state_id="b")
     assert layout_fingerprint(l1) == layout_fingerprint(l2)
-    assert layout_similarity(l1, l2) == 1.0
+    assert fingerprint_similarity(layout_fingerprint(l1), layout_fingerprint(l2)) == 1.0
 
 
 def test_fingerprint_similarity_hand_computed_jaccard():

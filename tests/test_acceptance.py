@@ -41,7 +41,7 @@ from uptest.model import (
     deserialize_model,
     serialize_model,
 )
-from uptest.planner import PlanStep, plan_to_target, sequence_cost
+from uptest.planner import PlanStep, plan_to_target
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
 from uptest import fixture_path
@@ -77,15 +77,15 @@ class ExplodingDriver:
 def test_a1_cost_model_reproduction():
     with criterion("A1 cost-model reproduction"):
         start_time = time.perf_counter()
-        assert sequence_cost(probabilistic_sequence()) == pytest.approx(3.99, abs=1e-9)
-        assert sequence_cost(deterministic_sequence()) == pytest.approx(5.0, abs=1e-9)
+        assert probabilistic_sequence().cost == pytest.approx(3.99, abs=1e-9)
+        assert deterministic_sequence().cost == pytest.approx(5.0, abs=1e-9)
         model = route_choice_model()
         seq = plan_to_target(
             model, model.dstg.abstract_states["s9"], model.ewtg.inputs["i3"]
         )
         assert seq is not None
         assert [s.input_id for s in seq.steps] == ["i1", "i2", "i3"]
-        assert sequence_cost(seq) == pytest.approx(3.99, abs=1e-9)
+        assert seq.cost == pytest.approx(3.99, abs=1e-9)
         assert time.perf_counter() - start_time < 1.0
 
 
@@ -332,7 +332,7 @@ def test_a7_planner_matches_exhaustive_enumeration():
                 assert oracle is None
             else:
                 assert oracle is not None
-                assert sequence_cost(seq) == pytest.approx(oracle, abs=1e-9)
+                assert seq.cost == pytest.approx(oracle, abs=1e-9)
                 nontrivial += 1
         assert nontrivial > 20  # the sample is not degenerate
         assert time.perf_counter() - start_time < 60.0

@@ -15,6 +15,7 @@ from uptest.model import (
     AttributeValuationMap,
     Dstg,
     Ewtg,
+    EwtgWidget,
     Window,
     WindowKind,
     validate_integrity,
@@ -125,6 +126,51 @@ def test_disconnected_component_is_pruned():
     updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg)
     assert "s9" not in updated.abstract_states
     assert {"s1", "s2"} <= set(updated.abstract_states)
+
+
+def states_linked_to_a_launcher_state(model: AppModel) -> set[str]:
+    """States joined to a launcher-window state by transitions in either direction."""
+    dstg = model.dstg
+    linked = {
+        s.id for s in dstg.abstract_states.values()
+        if s.window_id == model.ewtg.launcher_window_id
+    }
+    grew = True
+    while grew:
+        grew = False
+        for tr in dstg.abstract_transitions.values():
+            ends = {tr.source_state_id, tr.destination_state_id}
+            if ends & linked and not ends <= linked:
+                linked |= ends
+                grew = True
+    return linked
+
+
+def test_state_reached_only_through_a_runtime_widget_is_pruned():
+    base = diary_base_model()
+    # a widget the session found at runtime; the diff never compares it
+    base.ewtg.widgets["w-rt"] = EwtgWidget(
+        id="w-rt", window_id="main", class_name="View", resource_id="rt",
+        content_description="", xpath="/rt", runtime_created=True,
+    )
+    base.ewtg.windows["main"].widget_ids.add("w-rt")
+    base.dstg.abstract_states["s1"].avms.append(avm("avm-rt", "w-rt", "rt"))
+    # the only way to state x starts at that widget's AVM
+    base.dstg.abstract_states["x"] = AbstractState(
+        id="x", window_id="edit", avms=[avm("avm-x", "w6", "name")],
+    )
+    base.dstg.abstract_transitions["at-rt"] = AbstractTransition(
+        id="at-rt", source_state_id="s1", source_avm_id="avm-rt",
+        action_type=ActionType.CLICK, destination_state_id="x",
+    )
+    assert validate_integrity(base) == []
+    spec = load_spec(fixture_path("diary"))
+    adapted = adapt_model(base, export_ewtg(spec, "v1"), diary_diff(), version="v1")
+    assert "x" not in adapted.dstg.abstract_states
+    assert "at-rt" not in adapted.dstg.abstract_transitions
+    assert adapted.dstg.abstract_states["s1"].avm_by_id("avm-rt") is None
+    assert set(adapted.dstg.abstract_states) == states_linked_to_a_launcher_state(adapted)
+    assert validate_integrity(adapted) == []
 
 
 def test_replaced_transition_drops_its_learned_instances():

@@ -124,6 +124,13 @@ def test_schema_1_model_is_rejected(tmp_path, capsys):
     assert main(["plan", str(path), "--from-state", "st-1",
                  "--target-window", "main"]) == 1
     assert "unsupported schema version 1" in capsys.readouterr().err
+    # schema 2 trace steps also stored the state before each action
+    doc["schema_version"] = 2
+    del doc["gstg"]["guiTrees"]
+    path.write_text(json.dumps(doc), "utf-8")
+    assert main(["plan", str(path), "--from-state", "st-1",
+                 "--target-window", "main"]) == 1
+    assert "unsupported schema version 2" in capsys.readouterr().err
 
 
 def test_compare_command(tmp_path):

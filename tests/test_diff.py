@@ -216,6 +216,19 @@ def test_transition_with_same_trigger_and_destination_is_matched():
     assert diff.is_empty()
 
 
+def test_transition_of_a_deleted_widget_does_not_pair_with_a_widgetless_one():
+    base = two_window_ewtg("w2")
+    updated = two_window_ewtg("w2")
+    del updated.widgets["wd1"]
+    updated.windows["w1"].widget_ids = set()
+    updated.inputs["i1"].widget_id = None  # a Click the spec gives no widget
+    diff = diff_ewtg(base, updated)
+    assert diff.deleted_widgets == {"wd1"}
+    assert not diff.matched_transitions and not diff.replaced_transitions
+    assert diff.deleted_transitions == {"wt1"}
+    assert diff.added_transitions == {"wt1"}
+
+
 def with_runtime_elements(ewtg):
     """Add a runtime-created window and widget, and transitions that use them."""
     ewtg.windows["w-rt"] = Window(
@@ -245,14 +258,14 @@ def with_runtime_elements(ewtg):
 
 def test_runtime_created_elements_stay_out_of_the_diff():
     runtime_ids = {"w-rt", "wd-rt", "wt-rt", "wt-to-rt"}
-    static = one_window_ewtg("Main", "com.app.Main", [])
+
+    def main():
+        return one_window_ewtg("Main", "com.app.Main", [])
+
     for base, upd in (
-        (with_runtime_elements(one_window_ewtg("Main", "com.app.Main", [])), static),
-        (static, with_runtime_elements(one_window_ewtg("Main", "com.app.Main", []))),
-        (
-            with_runtime_elements(one_window_ewtg("Main", "com.app.Main", [])),
-            with_runtime_elements(one_window_ewtg("Main", "com.app.Main", [])),
-        ),
+        (with_runtime_elements(main()), main()),
+        (main(), with_runtime_elements(main())),
+        (with_runtime_elements(main()), with_runtime_elements(main())),
     ):
         diff = diff_ewtg(base, upd)
         assert diff.is_empty()

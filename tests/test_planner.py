@@ -27,7 +27,6 @@ from uptest.planner import (
     PlanStep,
     build_meta_state,
     plan_to_target,
-    sequence_cost,
     windows_reached_by_input,
 )
 
@@ -151,14 +150,14 @@ def test_probabilistic_cost_is_three_ninety_nine():
     assert seq.cost_partial == 1.5
     # 1 - (1 * 2/3 * 1/2) = 0.666..., truncated to two decimals
     assert seq.likelihood_partial == pytest.approx(0.66, abs=1e-12)
-    assert sequence_cost(seq) == pytest.approx(3.99, abs=1e-9)
+    assert seq.cost == pytest.approx(3.99, abs=1e-9)
 
 
 def test_deterministic_cost_is_plain_action_sum():
     seq = deterministic_sequence()
     assert seq.kind == "deterministic"
     assert seq.likelihood_partial == 0.0
-    assert sequence_cost(seq) == pytest.approx(5.0, abs=1e-9)
+    assert seq.cost == pytest.approx(5.0, abs=1e-9)
 
 
 def test_plan_selects_the_cheaper_probabilistic_route():
@@ -169,7 +168,7 @@ def test_plan_selects_the_cheaper_probabilistic_route():
     assert seq is not None
     assert [s.input_id for s in seq.steps] == ["i1", "i2", "i3"]
     assert [s.probability for s in seq.steps] == [1.0, pytest.approx(2 / 3), 0.5]
-    assert sequence_cost(seq) == pytest.approx(3.99, abs=1e-9)
+    assert seq.cost == pytest.approx(3.99, abs=1e-9)
 
 
 def test_plan_probabilities_come_from_widget_presence():
@@ -225,7 +224,7 @@ def test_plan_avoids_obsolete_destinations():
     seq = plan_to_target(model, start, model.ewtg.inputs["i3"])
     assert seq is not None
     assert [s.input_id for s in seq.steps][-1] == "i3"
-    assert sequence_cost(seq) == pytest.approx(5.0, abs=1e-9)
+    assert seq.cost == pytest.approx(5.0, abs=1e-9)
 
 
 def test_layout_guarded_edges_require_a_similar_visited_layout():
@@ -302,7 +301,7 @@ def test_plan_cost_matches_exhaustive_enumeration_on_random_models():
             assert oracle is None
         else:
             assert oracle is not None
-            assert sequence_cost(seq) == pytest.approx(oracle, abs=1e-9)
+            assert seq.cost == pytest.approx(oracle, abs=1e-9)
             assert sequence_cost_oracle(seq.steps) == pytest.approx(
-                sequence_cost(seq), abs=1e-9
+                seq.cost, abs=1e-9
             )

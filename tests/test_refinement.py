@@ -77,20 +77,17 @@ def replay_model(after_roots):
     ewtg = Ewtg(windows={"wa": window("wa")}, launcher_window_id="wa")
     dstg = Dstg()
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
-    previous_state_id = None
     for i, root in enumerate(after_roots, start=1):
         tree = make_tree("wa", root, tree_id=f"t{i}")
         state = derive_abstract_state(tree, LEVELS["L1"], state_id=f"s{i}")
         dstg.abstract_states[state.id] = state
-        if previous_state_id is not None:
+        if i > 1:  # the first screen is where the trace starts
             model.gstg.trace.append(
                 TraceStep(
                     action=Action(f"i{i}", ActionType.CLICK, concrete_node_path=()),
-                    before_state_id=previous_state_id,
                     after_state_id=state.id,
                 )
             )
-        previous_state_id = state.id
     return model
 
 
