@@ -7,9 +7,10 @@ import copy
 import json
 import sys
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .adaptation import AdaptationError, adapt_model
-from .config import EngineConfig, load_config
+from .config import ConfigError, EngineConfig, load_config
 from .diff import DiffResult, diff_ewtg
 from .engine import TargetSet, emit_report, run_session
 from .harness import (
@@ -23,6 +24,7 @@ from .harness import (
     updated_methods,
 )
 from .model import (
+    SHAPE_ERRORS,
     AppModel,
     Ewtg,
     ModelError,
@@ -32,9 +34,19 @@ from .model import (
 from .planner import MetaState, plan_to_target
 from .refinement import prune_unvisited, replay_flag_obsolete
 
+T = TypeVar("T")
+
+
+def _read_document(path: str, parse: Callable[[dict], T], what: str) -> T:
+    """``parse`` applied to the JSON file at ``path``; a malformed one raises ModelError."""
+    try:
+        return parse(json.loads(Path(path).read_text("utf-8")))
+    except SHAPE_ERRORS as exc:
+        raise ModelError(f"malformed {what} {path}: {type(exc).__name__}: {exc}") from exc
+
 
 def _read_ewtg(path: str) -> Ewtg:
-    return Ewtg.from_dict(json.loads(Path(path).read_text("utf-8")))
+    return _read_document(path, Ewtg.from_dict, "window graph")
 
 
 def _write_json(path, doc) -> None:
@@ -58,11 +70,13 @@ def _targets_for(spec: AppSpec, version: str, first: bool) -> TargetSet:
 
 
 def _targets_from_file(path: str) -> TargetSet:
-    doc = json.loads(Path(path).read_text("utf-8"))
-    return TargetSet(
-        target_method_ids=set(doc["targetMethodIds"]),
-        instruction_counts=dict(doc.get("instructionCounts", {})),
-    )
+    def parse(doc: dict) -> TargetSet:
+        return TargetSet(
+            target_method_ids=set(doc["targetMethodIds"]),
+            instruction_counts=dict(doc.get("instructionCounts", {})),
+        )
+
+    return _read_document(path, parse, "targets file")
 
 
 def _session_kwargs(spec: AppSpec, version: str):
@@ -93,7 +107,7 @@ def cmd_diff(args) -> int:
 def cmd_adapt(args) -> int:
     base = deserialize_model(Path(args.base_model).read_bytes())
     updated = _read_ewtg(args.updated_ewtg)
-    diff = DiffResult.from_json(Path(args.diff).read_bytes())
+    diff = _read_document(args.diff, DiffResult.from_dict, "diff")
     model = adapt_model(base, updated, diff, version=args.version or "")
     Path(args.out).write_bytes(serialize_model(model) + b"\n")
     return 0
@@ -401,7 +415,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, SpecError, AdaptationError, FileNotFoundError) as exc:
+    except (ConfigError, ModelError, SpecError, AdaptationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

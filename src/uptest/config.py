@@ -1,6 +1,7 @@
 """Engine tunables, read from an optional JSON config file.
 
-Keys the file sets replace the defaults; unknown keys are rejected.
+Keys the file sets replace the defaults; unknown keys and similarity
+thresholds outside [0, 1] are rejected with ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -12,6 +13,16 @@ from typing import Union
 
 
 DEFAULT_TEXT_DICTIONARY = ("hello", "42", "lorem ipsum", "test@example.com", "")
+
+_THRESHOLDS = (
+    "string_similarity_threshold",
+    "xpath_similarity_threshold",
+    "layout_similarity_threshold",
+)
+
+
+class ConfigError(ValueError):
+    """A config document or value the engine cannot use."""
 
 
 @dataclass
@@ -30,6 +41,12 @@ class EngineConfig:
     # text payloads tried for TextFill inputs
     text_dictionary: tuple[str, ...] = DEFAULT_TEXT_DICTIONARY
 
+    def __post_init__(self) -> None:
+        for name in _THRESHOLDS:
+            value = getattr(self, name)
+            if not isinstance(value, (int, float)) or not 0 <= value <= 1:
+                raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+
     def to_dict(self) -> dict:
         d = asdict(self)
         d["phase_caps"] = list(self.phase_caps)
@@ -41,7 +58,7 @@ class EngineConfig:
         known = {f.name for f in fields(cls)}
         unknown = set(d) - known
         if unknown:
-            raise ValueError(f"unknown config keys: {sorted(unknown)}")
+            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
         if "phase_caps" in kwargs:
             kwargs["phase_caps"] = tuple(kwargs["phase_caps"])
@@ -51,4 +68,10 @@ class EngineConfig:
 
 
 def load_config(path: Union[str, Path]) -> EngineConfig:
-    return EngineConfig.from_dict(json.loads(Path(path).read_text("utf-8")))
+    try:
+        doc = json.loads(Path(path).read_text("utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise ConfigError(f"config {path} is not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise ConfigError(f"config {path} must be a JSON object")
+    return EngineConfig.from_dict(doc)

@@ -3,7 +3,8 @@
 ``diff_ewtg`` reads both window graphs directly and pairs their elements in
 one pass: windows first, then widgets inside paired windows, then
 transitions.  Each kind gets an exact pass (matched) and a greedy assignment
-of correspondence candidates scored by string similarity (replaced);
+of correspondence candidates scored by string similarity (replaced), which
+is the exact Levenshtein ratio computed with a bit-parallel edit distance;
 transitions pair on the same trigger instead, and the destination decides
 matched or replaced.  Whatever is left unpaired is deleted (base side) or
 added (updated side).  Runtime-discovered elements, and transitions that
@@ -33,13 +34,42 @@ def levenshtein_ratio(a: str, b: str) -> float:
         return 0.0
     if a == b:
         return 1.0
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return 1.0 - prev[-1] / max(len(a), len(b))
+    return 1.0 - _edit_distance(a, b) / max(len(a), len(b))
+
+
+def _edit_distance(a: str, b: str) -> int:
+    """Exact Levenshtein distance, bit-parallel over the characters of one string.
+
+    Myers' algorithm (J. ACM 1999) in Hyyrö's edit-distance form (2001): bit i
+    of ``pv``/``mv`` says that cell i of the current DP column is one more/less
+    than cell i - 1, so each character of the other string updates the whole
+    column with a few integer operations.  Python ints are unbounded, so any
+    length fits in one word under ``mask``.
+    """
+    if len(a) < len(b):
+        a, b = b, a  # the longer string is the column, the shorter is folded over it
+    peq: dict[str, int] = {}
+    for i, ch in enumerate(a):
+        peq[ch] = peq.get(ch, 0) | (1 << i)
+    mask = (1 << len(a)) - 1
+    last = 1 << (len(a) - 1)
+    pv, mv, distance = mask, 0, len(a)
+    for ch in b:
+        eq = peq.get(ch, 0)
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        ph = (mv | ~(xh | pv)) & mask
+        mh = pv & xh
+        if ph & last:
+            distance += 1
+        elif mh & last:
+            distance -= 1
+        # row 0 of the matrix grows by one per column: shift in a +1
+        ph = (ph << 1) | 1
+        mh <<= 1
+        pv = (mh | ~(xv | ph)) & mask
+        mv = ph & xv
+    return distance
 
 
 def xpath_similarity(a: str, b: str) -> float:
@@ -134,12 +164,6 @@ class DiffResult:
 
     def to_json(self) -> bytes:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True).encode("utf-8")
-
-    @classmethod
-    def from_json(cls, data: bytes) -> "DiffResult":
-        return cls.from_dict(json.loads(data.decode("utf-8")))
-
-
 
 
 # --- matching ------------------------------------------------------------

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from .model import (
+    SHAPE_ERRORS,
     Action,
     ActionType,
     Ewtg,
@@ -333,21 +334,30 @@ def _validate_version(v: VersionSpec) -> None:
 
 
 def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
-    if isinstance(source, dict):
-        doc = source
-    elif isinstance(source, bytes):
-        doc = json.loads(source.decode("utf-8"))
-    else:
-        doc = json.loads(Path(source).read_text("utf-8"))
+    """Parse and validate an app spec; any malformed document raises ``SpecError``."""
+    try:
+        if isinstance(source, dict):
+            doc = source
+        elif isinstance(source, bytes):
+            doc = json.loads(source.decode("utf-8"))
+        else:
+            doc = json.loads(Path(source).read_text("utf-8"))
+    except ValueError as exc:  # undecodable bytes or malformed JSON
+        raise SpecError(f"app spec is not a JSON document: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SpecError("app spec must be a JSON object")
     if "appId" not in doc or "versions" not in doc:
         raise SpecError("app spec must declare appId and versions")
-    versions = [VersionSpec.from_dict(v) for v in doc["versions"]]
-    if not versions:
-        raise SpecError("app spec declares no versions")
-    for v in versions:
-        if not v.windows:
-            raise SpecError(f"version {v.version} declares no windows")
-        _validate_version(v)
+    try:
+        versions = [VersionSpec.from_dict(v) for v in doc["versions"]]
+        if not versions:
+            raise SpecError("app spec declares no versions")
+        for v in versions:
+            if not v.windows:
+                raise SpecError(f"version {v.version} declares no windows")
+            _validate_version(v)
+    except SHAPE_ERRORS as exc:
+        raise SpecError(f"malformed app spec: {type(exc).__name__}: {exc}") from exc
     return AppSpec(app_id=doc["appId"], versions=versions)
 
 

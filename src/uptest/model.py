@@ -23,6 +23,12 @@ class ModelError(Exception):
     """Raised for malformed or inconsistent model documents."""
 
 
+#: What a ``from_dict`` raises on a decoded JSON document of the wrong shape:
+#: a missing key, a value of the wrong JSON type, or an unknown enum value.
+#: ``ValueError`` also covers undecodable bytes and malformed JSON.
+SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+
+
 class WindowKind(str, Enum):
     ACTIVITY = "Activity"
     DIALOG = "Dialog"
@@ -660,7 +666,10 @@ def deserialize_model(data: bytes) -> AppModel:
         raise ModelError(f"unsupported schema version {schema!r}, expected {SCHEMA_VERSION}")
     if "version" not in doc:
         raise ModelError("model document missing version tag")
-    model = AppModel.from_dict(doc)
+    try:
+        model = AppModel.from_dict(doc)
+    except SHAPE_ERRORS as exc:
+        raise ModelError(f"malformed model document: {type(exc).__name__}: {exc}") from exc
     violations = validate_integrity(model)
     if violations:
         raise ModelError("model failed integrity validation: " + "; ".join(violations))

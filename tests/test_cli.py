@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from uptest.cli import compare_runs, main
-from uptest.config import EngineConfig, load_config
+from uptest.config import ConfigError, EngineConfig, load_config
 from uptest.diff import DiffResult
 from uptest.harness import export_ewtg, load_spec
 from uptest.model import AppModel, deserialize_model, serialize_model
@@ -21,6 +21,19 @@ def write_ewtg(tmp_path, version) -> Path:
     out = tmp_path / f"ewtg_{version}.json"
     assert main(["harness", "export-ewtg", DIARY, "--version", version,
                  "--out", str(out)]) == 0
+    return out
+
+
+def write_text(tmp_path, name, text) -> Path:
+    path = tmp_path / name
+    path.write_text(text, "utf-8")
+    return path
+
+
+def write_base_model(tmp_path) -> Path:
+    out = tmp_path / "model_v0.json"
+    spec = load_spec(DIARY)
+    out.write_bytes(serialize_model(AppModel(version="v0", ewtg=export_ewtg(spec, "v0"))))
     return out
 
 
@@ -45,7 +58,7 @@ def test_diff_command_chains_from_exports(tmp_path):
     updated = write_ewtg(tmp_path, "v1")
     out = tmp_path / "diff.json"
     assert main(["diff", str(base), str(updated), "--out", str(out)]) == 0
-    diff = DiffResult.from_json(out.read_bytes())
+    diff = DiffResult.from_dict(json.loads(out.read_bytes()))
     assert diff.replaced_windows == {"main": "home"}
     assert diff.replaced_widgets == {"w3": "w8"}
 
@@ -162,6 +175,10 @@ def test_missing_input_files_exit_with_an_error(tmp_path, capsys):
     assert main(["diff", str(tmp_path / "a.json"), str(tmp_path / "b.json"),
                  "--out", str(tmp_path / "d.json")]) == 1
     assert "error:" in capsys.readouterr().err
+    # a directory in place of a file is an OSError, not a traceback
+    assert main(["diff", str(tmp_path), str(tmp_path),
+                 "--out", str(tmp_path / "d.json")]) == 1
+    assert "error:" in capsys.readouterr().err
 
 
 def test_config_file_overrides_defaults(tmp_path):
@@ -174,6 +191,89 @@ def test_config_file_overrides_defaults(tmp_path):
     cfg_path.write_text(json.dumps({"no_such_option": 1}), "utf-8")
     with pytest.raises(ValueError):
         load_config(cfg_path)
+    with pytest.raises(ConfigError):
+        load_config(cfg_path)
+
+
+def test_config_rejects_thresholds_outside_the_unit_interval():
+    for name in ("string_similarity_threshold", "xpath_similarity_threshold",
+                 "layout_similarity_threshold"):
+        for bad in (7, -0.1, 1.5, "0.4", None):
+            with pytest.raises(ConfigError, match=name):
+                EngineConfig.from_dict({name: bad})
+        for ok in (0, 0.0, 0.5, 1):
+            assert getattr(EngineConfig.from_dict({name: ok}), name) == ok
+
+
+@pytest.mark.parametrize("config_doc, message", [
+    ({"string_similarity_threshold": 7}, "string_similarity_threshold"),
+    ({"xpath_similarity_threshold": -1}, "xpath_similarity_threshold"),
+    ({"layout_similarity_threshold": 2}, "layout_similarity_threshold"),
+    ({"no_such_option": 1}, "unknown config keys"),
+    ("{not json", "not a JSON document"),
+    ("[0.4]", "must be a JSON object"),
+])
+def test_diff_command_rejects_a_bad_config(tmp_path, capsys, config_doc, message):
+    cfg = write_text(tmp_path, "cfg.json",
+                     config_doc if isinstance(config_doc, str) else json.dumps(config_doc))
+    base = write_ewtg(tmp_path, "v0")
+    out = tmp_path / "diff.json"
+    assert main(["diff", str(base), str(base), "--out", str(out), "--config", str(cfg)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1  # one line, no traceback
+
+
+@pytest.mark.parametrize("text", [
+    "not json",
+    "[]",
+    json.dumps({"windows": 3}),
+    json.dumps({"windows": [{"id": "w1"}]}),
+    json.dumps({"windows": [{"id": "w1", "name": "M", "kind": "Spaceship",
+                             "className": "M"}]}),
+])
+def test_diff_and_adapt_reject_a_malformed_window_graph(tmp_path, capsys, text):
+    good = write_ewtg(tmp_path, "v0")
+    bad = write_text(tmp_path, "bad.json", text)
+    out = tmp_path / "out.json"
+    assert main(["diff", str(good), str(bad), "--out", str(out)]) == 1
+    assert "malformed window graph" in capsys.readouterr().err
+
+    model = write_base_model(tmp_path)
+    diff = tmp_path / "diff.json"
+    assert main(["diff", str(good), str(good), "--out", str(diff)]) == 0
+    assert main(["adapt", str(model), str(bad), str(diff), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed window graph" in err
+    assert not out.exists()
+
+
+def test_adapt_rejects_a_malformed_diff(tmp_path, capsys):
+    model = write_base_model(tmp_path)
+    good = write_ewtg(tmp_path, "v0")
+    bad = write_text(tmp_path, "diff.json", json.dumps({"replacedWindows": 5}))
+    assert main(["adapt", str(model), str(good), str(bad), "--out",
+                 str(tmp_path / "out.json")]) == 1
+    assert "malformed diff" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    ("not json", "not a JSON document"),
+    ("[1]", "JSON object"),
+    (json.dumps({"appId": "a", "versions": [{"version": "v0",
+                                              "windows": [{"name": "x"}]}]}),
+     "malformed app spec"),
+])
+def test_spec_commands_reject_a_malformed_spec(tmp_path, capsys, text, message):
+    spec = write_text(tmp_path, "spec.json", text)
+    assert main(["harness", "export-ewtg", str(spec), "--version", "v0",
+                 "--out", str(tmp_path / "e.json")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert len(err.strip().splitlines()) == 1
+    assert main(["pipeline", str(spec), "--workdir", str(tmp_path)]) == 1
+    assert message in capsys.readouterr().err
 
 
 def test_config_round_trip():

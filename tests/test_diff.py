@@ -1,6 +1,7 @@
 """Static diff: similarity metrics, matching passes, classification."""
 
 import hashlib
+import json
 import math
 import random
 
@@ -66,12 +67,20 @@ def test_levenshtein_ratio_frozen_values():
 
 
 def test_levenshtein_ratio_matches_oracle_on_random_strings():
+    # exact equality: the distance is an integer, so the ratio must be bit-identical
     rng = random.Random(42)
-    alphabet = "abcde"
-    for _ in range(200):
-        a = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
-        b = "".join(rng.choice(alphabet) for _ in range(rng.randrange(0, 8)))
-        assert levenshtein_ratio(a, b) == pytest.approx(ratio_oracle(a, b))
+
+    def word(alphabet, low, high):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(low, high + 1)))
+
+    # lengths up to 80 cross one 64-bit word; two letters give heavy repeats
+    for alphabet in ("ab", "abcde", "aé日_"):
+        for _ in range(150):
+            pairs = [(word(alphabet, 0, 80), word(alphabet, 0, 80))]
+            pairs.append((word(alphabet, 0, 3), word(alphabet, 60, 80)))  # very unequal
+            for a, b in pairs:
+                assert levenshtein_ratio(a, b) == ratio_oracle(a, b), (a, b)
+                assert levenshtein_ratio(b, a) == ratio_oracle(b, a), (b, a)
 
 
 def test_xpath_similarity_hand_computed_cosine():
@@ -277,7 +286,7 @@ def test_runtime_created_elements_stay_out_of_the_diff():
 
 def test_diff_result_json_round_trip():
     diff = diff_ewtg(two_window_ewtg("w2"), two_window_ewtg("w3"))
-    restored = DiffResult.from_json(diff.to_json())
+    restored = DiffResult.from_dict(json.loads(diff.to_json()))
     assert restored.to_dict() == diff.to_dict()
 
 

@@ -111,6 +111,24 @@ def click(session, result, widget_id, input_id="i"):
 # --- spec validation ------------------------------------------------------
 
 
+def test_load_spec_rejects_malformed_documents_with_spec_error():
+    with pytest.raises(SpecError, match="not a JSON document"):
+        load_spec(b"{not json")
+    with pytest.raises(SpecError, match="not a JSON document"):
+        load_spec(b"\xff\xfe")
+    with pytest.raises(SpecError, match="JSON object"):
+        load_spec(b"[1, 2]")
+    missing_id = base_spec_doc()
+    del missing_id["versions"][0]["windows"][0]["id"]
+    bad_kind = base_spec_doc()
+    bad_kind["versions"][0]["windows"][0]["kind"] = "Spaceship"
+    bad_handlers = base_spec_doc()
+    bad_handlers["versions"][0]["handlers"] = []
+    for doc in (missing_id, bad_kind, bad_handlers, {"appId": "a", "versions": [3]}):
+        with pytest.raises(SpecError, match="malformed app spec"):
+            load_spec(doc)
+
+
 def test_load_spec_requires_exactly_one_launcher():
     doc = base_spec_doc()
     doc["versions"][0]["windows"][1]["launcher"] = True

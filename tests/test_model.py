@@ -105,6 +105,15 @@ def test_deserialize_rejects_garbage():
         deserialize_model(b"[1, 2, 3]")
 
 
+def test_deserialize_rejects_a_wrongly_shaped_document():
+    good = json.loads(serialize_model(small_model()).decode("utf-8"))
+    bad_action = {"inputs": [{"id": "i", "windowId": "w1", "actionType": "NoSuchAction"}]}
+    for ewtg in ({"windows": [{"id": "w1"}]}, {"windows": 3}, [], bad_action):
+        doc = dict(good, ewtg=ewtg)
+        with pytest.raises(ModelError, match="malformed model document"):
+            deserialize_model(json.dumps(doc).encode("utf-8"))
+
+
 def test_deserialize_rejects_wrong_schema_version():
     doc = json.loads(serialize_model(small_model()).decode("utf-8"))
     doc["schema_version"] = 99
