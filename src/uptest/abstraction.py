@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
 from .model import (
+    LEVEL_ORDER,
     AbstractState,
     AttributeValuationMap,
     GuiNode,
@@ -84,8 +85,6 @@ LEVELS: dict[str, AbstractionLevel] = {
     "L4": AbstractionLevel("L4", _L2_REDUCERS, _L1_REDUCERS),
     "L5": AbstractionLevel("L5", _L2_REDUCERS, _L2_REDUCERS),
 }
-
-LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
 
 #: Reducer names that make up a layout fingerprint (text and children excluded).
 _L1_REDUCER_NAMES = tuple(r.name for r in _L1_REDUCERS)

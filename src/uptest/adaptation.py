@@ -7,7 +7,7 @@ widget the diff does not pair (deleted, or created at runtime and so never
 compared) disappear with the transitions they carried, paired elements are
 rebound to their counterpart, and anything left disconnected from the
 launcher window's states is pruned.  The session trace is not carried over,
-and the static layer is the new version's.
+and the static layer is the new version's window graph itself, not a copy.
 """
 
 from __future__ import annotations
@@ -141,7 +141,15 @@ def _remove_stale_transition_edges(dstg: Dstg, diff: DiffResult, base: AppModel)
 def adapt_model(
     base: AppModel, updated_ewtg: Ewtg, diff: DiffResult, version: str = ""
 ) -> AppModel:
-    """Produce the model to start the updated version's session from."""
+    """Produce the model to start the updated version's session from.
+
+    The returned model takes ownership of ``updated_ewtg``: it becomes the
+    model's static layer as is, and the session run on the model adds its
+    runtime-discovered windows and widgets to it.  Pass a window graph that
+    nothing else holds, such as a fresh ``export_ewtg`` result, and do not
+    use it afterwards.  ``base`` is not changed; its learned state graph is
+    copied.
+    """
     for base_id in diff.replaced_windows:
         if base_id not in base.ewtg.windows:
             raise AdaptationError(f"diff references unknown base window {base_id}")
@@ -155,7 +163,7 @@ def adapt_model(
 
     model = AppModel(
         version=version or base.version,
-        ewtg=copy.deepcopy(updated_ewtg),
+        ewtg=updated_ewtg,
         dstg=dstg,
         gstg=Gstg(),
         diff_context={

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import argparse
-import copy
 import json
 import sys
 from pathlib import Path
@@ -55,6 +54,12 @@ def _write_json(path, doc) -> None:
 
 def _config(args) -> EngineConfig:
     return load_config(args.config) if args.config else EngineConfig()
+
+
+def _budget(args) -> int:
+    if args.budget < 0:
+        raise ConfigError(f"--budget must be >= 0, got {args.budget}")
+    return args.budget
 
 
 def _targets_for(spec: AppSpec, version: str, first: bool) -> TargetSet:
@@ -126,7 +131,7 @@ def cmd_test(args) -> int:
         model,
         targets,
         driver,
-        budget=args.budget,
+        budget=_budget(args),
         seed=args.seed,
         config=_config(args),
         **_session_kwargs(spec, args.version),
@@ -213,7 +218,7 @@ def pipeline_run(
         version = spec.versions[index].version
         ewtg = export_ewtg(spec, version)
         if model is None:
-            model = AppModel(version=version, ewtg=copy.deepcopy(ewtg))
+            model = AppModel(version=version, ewtg=ewtg)
             targets = _targets_for(spec, version, first=True)
         else:
             diff = diff_ewtg(
@@ -257,7 +262,7 @@ def cmd_pipeline(args) -> int:
             spec,
             from_version,
             to_version,
-            budget=args.budget,
+            budget=_budget(args),
             seed=args.seed,
             workdir=Path(args.workdir),
             config=_config(args),

@@ -1,7 +1,7 @@
 """Engine tunables, read from an optional JSON config file.
 
-Keys the file sets replace the defaults; unknown keys and similarity
-thresholds outside [0, 1] are rejected with ``ConfigError``.
+Keys the file sets replace the defaults; unknown keys and values of the
+wrong type or out of range are rejected with ``ConfigError``.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from typing import Union
 
 DEFAULT_TEXT_DICTIONARY = ("hello", "42", "lorem ipsum", "test@example.com", "")
 
-_THRESHOLDS = (
+_FRACTIONS = (
     "string_similarity_threshold",
     "xpath_similarity_threshold",
     "layout_similarity_threshold",
+    "default_meta_probability",
 )
+_COUNTS = ("retrigger_cap", "max_plan_length")
 
 
 class ConfigError(ValueError):
@@ -42,10 +44,27 @@ class EngineConfig:
     text_dictionary: tuple[str, ...] = DEFAULT_TEXT_DICTIONARY
 
     def __post_init__(self) -> None:
-        for name in _THRESHOLDS:
+        for name in _FRACTIONS:
             value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not 0 <= value <= 1:
+            if not _is_fraction(value):
                 raise ConfigError(f"{name} must be a number in [0, 1], got {value!r}")
+        for name in _COUNTS:
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
+        caps = self.phase_caps
+        if not (
+            isinstance(caps, tuple)
+            and len(caps) == 3
+            and all(_is_fraction(c) for c in caps)
+            and sum(caps) <= 1
+        ):
+            raise ConfigError(
+                f"phase_caps must be three numbers in [0, 1] summing to at most 1, got {caps!r}"
+            )
+        words = self.text_dictionary
+        if not (isinstance(words, tuple) and words and all(isinstance(t, str) for t in words)):
+            raise ConfigError(f"text_dictionary must be a non-empty list of strings, got {words!r}")
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -60,11 +79,14 @@ class EngineConfig:
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         kwargs = dict(d)
-        if "phase_caps" in kwargs:
-            kwargs["phase_caps"] = tuple(kwargs["phase_caps"])
-        if "text_dictionary" in kwargs:
-            kwargs["text_dictionary"] = tuple(kwargs["text_dictionary"])
+        for name in ("phase_caps", "text_dictionary"):
+            if isinstance(kwargs.get(name), list):
+                kwargs[name] = tuple(kwargs[name])
         return cls(**kwargs)
+
+
+def _is_fraction(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool) and 0 <= value <= 1
 
 
 def load_config(path: Union[str, Path]) -> EngineConfig:

@@ -253,6 +253,14 @@ def _widget_key(w: EwtgWidget) -> tuple:
     return (w.resource_id, w.class_name, w.content_description, w.xpath)
 
 
+def _by_key(elements: list, key) -> dict[tuple, list]:
+    """Elements grouped by ``key``, each group in the order of ``elements``."""
+    groups: dict[tuple, list] = {}
+    for element in elements:
+        groups.setdefault(key(element), []).append(element)
+    return groups
+
+
 def _static_windows(ewtg: Ewtg) -> list[Window]:
     return sorted((w for w in ewtg.windows.values() if not w.runtime_created), key=lambda w: w.id)
 
@@ -299,13 +307,13 @@ def diff_ewtg(
     # Windows: exact on all attributes, then correspondence.
     base_windows = _static_windows(base)
     upd_windows = _static_windows(updated)
-    unmatched_upd = list(upd_windows)
+    upd_by_key = _by_key(upd_windows, _window_key)
     for bw in base_windows:
-        for uw in unmatched_upd:
-            if _window_key(bw) == _window_key(uw):
-                result.matched_windows[bw.id] = uw.id
-                unmatched_upd.remove(uw)
-                break
+        same_key = upd_by_key.get(_window_key(bw))
+        if same_key:
+            result.matched_windows[bw.id] = same_key.pop(0).id
+    matched_upd = set(result.matched_windows.values())
+    unmatched_upd = [uw for uw in upd_windows if uw.id not in matched_upd]
     candidates = []
     for bw in base_windows:
         if bw.id in result.matched_windows:
@@ -324,14 +332,18 @@ def diff_ewtg(
     for base_win_id, upd_win_id in sorted(window_pairs.items()):
         # parent-depth ordering guarantees parents are paired first
         b_widgets = _parent_depth_order(base_by_window[base_win_id])
-        u_widgets = list(upd_by_window[upd_win_id])
+        upd_by_key = _by_key(upd_by_window[upd_win_id], _widget_key)
+        matched_upd = set()
         for bw in b_widgets:
-            for uw in u_widgets:
-                if _widget_key(bw) == _widget_key(uw) and _parents_paired(bw, uw, widget_pairs):
+            same_key = upd_by_key.get(_widget_key(bw), ())
+            for i, uw in enumerate(same_key):
+                if _parents_paired(bw, uw, widget_pairs):
                     result.matched_widgets[bw.id] = uw.id
                     widget_pairs[bw.id] = uw.id
-                    u_widgets.remove(uw)
+                    matched_upd.add(uw.id)
+                    del same_key[i]
                     break
+        u_widgets = [uw for uw in upd_by_window[upd_win_id] if uw.id not in matched_upd]
         candidates = []
         for bw in b_widgets:
             if bw.id in result.matched_widgets:
@@ -351,10 +363,9 @@ def diff_ewtg(
     # pair is matched or replaced.
     base_transitions = _static_transitions(base, base_windows)
     upd_transitions = _static_transitions(updated, upd_windows)
-    by_trigger: dict[tuple, list[WindowTransition]] = {}
-    for ut, inp in upd_transitions:
-        key = (ut.source_window_id, inp.action_type, inp.widget_id)
-        by_trigger.setdefault(key, []).append(ut)
+    by_trigger = _by_key(
+        upd_transitions, lambda t: (t[0].source_window_id, t[1].action_type, t[1].widget_id)
+    )
     for bt, inp in base_transitions:
         src_pair = window_pairs.get(bt.source_window_id)
         widget_pair = widget_pairs.get(inp.widget_id)
@@ -363,7 +374,7 @@ def diff_ewtg(
         same_trigger = by_trigger.get((src_pair, inp.action_type, widget_pair))
         if not same_trigger:
             continue
-        ut = same_trigger.pop(0)
+        ut, _ = same_trigger.pop(0)
         if window_pairs.get(bt.destination_window_id) == ut.destination_window_id:
             result.matched_transitions[bt.id] = ut.id
         else:

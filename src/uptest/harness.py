@@ -11,12 +11,14 @@ yield the static window graph and the per-version updated-method manifest.
 from __future__ import annotations
 
 import json
+import operator
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Optional, Union
 
 from .model import (
+    OPTIONAL_STR,
     SHAPE_ERRORS,
     Action,
     ActionType,
@@ -27,6 +29,7 @@ from .model import (
     Window,
     WindowKind,
     WindowTransition,
+    require,
 )
 
 
@@ -48,6 +51,9 @@ _WIDGET_BOOL_PROPS = (
     "selected",
     "isInputField",
 )
+# every property off except ``enabled`` unless the spec says otherwise
+_DEFAULT_WIDGET_PROPS = {p: p == "enabled" for p in _WIDGET_BOOL_PROPS}
+_WIDGET_PROP_NAMES = frozenset(_WIDGET_BOOL_PROPS)
 
 
 @dataclass
@@ -66,8 +72,10 @@ class WidgetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WidgetSpec":
-        props = {p: bool(d.get(p, p == "enabled")) for p in _WIDGET_BOOL_PROPS}
-        return cls(
+        props = _DEFAULT_WIDGET_PROPS.copy()
+        for p in _WIDGET_PROP_NAMES.intersection(d):
+            props[p] = bool(d[p])
+        w = cls(
             id=d["id"],
             resource_id=d.get("resourceId", d["id"]),
             class_name=d.get("className", "View"),
@@ -80,6 +88,21 @@ class WidgetSpec:
             tiny=d.get("tiny", False),
             properties=props,
         )
+        # inline checks: this runs once per widget of every version
+        if not (
+            isinstance(w.id, str)
+            and isinstance(w.resource_id, str)
+            and isinstance(w.class_name, str)
+            and isinstance(w.xpath, str)
+            and isinstance(w.content_description, str)
+            and isinstance(w.text, str)
+            and isinstance(w.parent, OPTIONAL_STR)
+            and isinstance(w.visible, bool)
+            and isinstance(w.dynamic_only, bool)
+            and isinstance(w.tiny, bool)
+        ):
+            raise TypeError(f"widget {w.id!r} has a field of the wrong type")
+        return w
 
 
 @dataclass
@@ -103,7 +126,7 @@ class WindowSpec:
                 raise SpecError(f"duplicate widget id {spec.id}")
             widgets[spec.id] = spec
             order.append(spec.id)
-        return cls(
+        window = cls(
             id=d["id"],
             name=d.get("name", d["id"]),
             kind=WindowKind(d.get("kind", "Activity")),
@@ -113,6 +136,15 @@ class WindowSpec:
             widgets=widgets,
             widget_order=order,
         )
+        if not (
+            isinstance(window.id, str)
+            and isinstance(window.name, str)
+            and isinstance(window.class_name, str)
+            and isinstance(window.launcher, bool)
+            and isinstance(window.dynamic_only, bool)
+        ):
+            raise TypeError(f"window {window.id!r} has a field of the wrong type")
+        return window
 
 
 @dataclass
@@ -125,13 +157,21 @@ class InputSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputSpec":
-        return cls(
+        inp = cls(
             id=d["id"],
             window=d["window"],
             action_type=ActionType(d["actionType"]),
             widget=d.get("widget"),
             handler=d.get("handler"),
         )
+        if not (
+            isinstance(inp.id, str)
+            and isinstance(inp.window, str)
+            and isinstance(inp.widget, OPTIONAL_STR)
+            and isinstance(inp.handler, OPTIONAL_STR)
+        ):
+            raise TypeError(f"input {inp.id!r} has a field of the wrong type")
+        return inp
 
 
 @dataclass
@@ -143,13 +183,16 @@ class CommandSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommandSpec":
-        instructions = tuple(d.get("instructions", (0, 0)))
-        return cls(
+        lo, hi = d.get("instructions", (0, 0))
+        cmd = cls(
             guard=list(d.get("guard", [])),
             effects=list(d.get("effects", [])),
-            instructions=(int(instructions[0]), int(instructions[1])),
+            instructions=(lo, hi),
             hidden=d.get("hidden", False),
         )
+        if not (isinstance(lo, int) and isinstance(hi, int) and isinstance(cmd.hidden, bool)):
+            raise TypeError("a command's instructions or hidden flag has the wrong type")
+        return cmd
 
 
 @dataclass
@@ -160,11 +203,14 @@ class HandlerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HandlerSpec":
-        return cls(
+        handler = cls(
             method_id=d["methodId"],
-            instruction_count=int(d["instructionCount"]),
+            instruction_count=d["instructionCount"],
             body=[CommandSpec.from_dict(c) for c in d.get("body", [])],
         )
+        if not (isinstance(handler.method_id, str) and isinstance(handler.instruction_count, int)):
+            raise TypeError(f"handler {handler.method_id!r} has a field of the wrong type")
+        return handler
 
     def canonical(self) -> str:
         return json.dumps(
@@ -194,12 +240,16 @@ class VariableSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VariableSpec":
-        return cls(
+        var = cls(
             name=d["name"],
             type=d.get("type", "int"),
             initial=d.get("initial", 0),
             persistent=d.get("persistent", False),
         )
+        require(str, var.name, var.type)
+        require((str, int, float, type(None)), var.initial)
+        require(bool, var.persistent)
+        return var
 
 
 @dataclass
@@ -210,7 +260,17 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        return cls(pool=list(d["pool"]), widget=d.get("widget"), var=d.get("var"))
+        gen = cls(pool=d["pool"], widget=d.get("widget"), var=d.get("var"))
+        require(list, gen.pool)
+        require(OPTIONAL_STR, gen.widget, gen.var)
+        return gen
+
+
+def _lists_of_strings(d: dict, key: str) -> dict[str, list[str]]:
+    lists = {k: list(v) for k, v in d.get(key, {}).items()}
+    for items in lists.values():
+        require(str, *items)
+    return lists
 
 
 @dataclass
@@ -257,7 +317,7 @@ class VersionSpec:
             if spec.id in inputs:
                 raise SpecError(f"duplicate input id {spec.id}")
             inputs[spec.id] = spec
-        return cls(
+        version = cls(
             version=d["version"],
             windows=windows,
             window_order=order,
@@ -266,10 +326,12 @@ class VersionSpec:
             variables={
                 v["name"]: VariableSpec.from_dict(v) for v in d.get("stateVariables", [])
             },
-            related_windows={k: list(v) for k, v in d.get("relatedWindows", {}).items()},
+            related_windows=_lists_of_strings(d, "relatedWindows"),
             generators=[GeneratorSpec.from_dict(g) for g in d.get("generators", [])],
-            text_inputs={k: list(v) for k, v in d.get("textInputs", {}).items()},
+            text_inputs=_lists_of_strings(d, "textInputs"),
         )
+        require(str, version.version)
+        return version
 
 
 @dataclass
@@ -284,6 +346,17 @@ class AppSpec:
         raise SpecError(f"unknown version {version!r}")
 
 
+#: Comparison operators a handler guard may use; ``==`` when omitted.
+GUARD_OPS = {
+    "==": operator.eq,
+    "!=": operator.ne,
+    "<": operator.lt,
+    "<=": operator.le,
+    ">": operator.gt,
+    ">=": operator.ge,
+}
+
+
 def _validate_version(v: VersionSpec) -> None:
     launchers = [w for w in v.windows.values() if w.launcher]
     if len(launchers) != 1:
@@ -292,12 +365,21 @@ def _validate_version(v: VersionSpec) -> None:
         )
     if launchers[0].dynamic_only:
         raise SpecError(f"version {v.version}: launcher window cannot be dynamic-only")
+    widget_ids = set()
     for window in v.windows.values():
+        widget_ids.update(window.widgets)
+        rooted: set[str] = set()  # widgets whose ancestors are known to end at the window
         for widget in window.widgets.values():
-            if widget.parent is not None and widget.parent not in window.widgets:
-                raise SpecError(
-                    f"widget {widget.id} references unknown parent {widget.parent}"
-                )
+            chain: list[str] = []
+            node = widget
+            while node.parent is not None and node.id not in rooted:
+                if node.id in chain:
+                    raise SpecError(f"widget {node.id} is its own ancestor")
+                if node.parent not in window.widgets:
+                    raise SpecError(f"widget {node.id} references unknown parent {node.parent}")
+                chain.append(node.id)
+                node = window.widgets[node.parent]
+            rooted.update(chain)
     for inp in v.inputs.values():
         if inp.window not in v.windows:
             raise SpecError(f"input {inp.id} references unknown window {inp.window}")
@@ -305,6 +387,9 @@ def _validate_version(v: VersionSpec) -> None:
             raise SpecError(f"input {inp.id} references unknown widget {inp.widget}")
         if inp.handler is not None and inp.handler not in v.handlers:
             raise SpecError(f"input {inp.id} references unknown handler {inp.handler}")
+    # variables that are incremented or compared by order must only ever hold numbers
+    numeric: set[str] = set()
+    written = [(name, var.initial) for name, var in v.variables.items()]
     for key, handler in v.handlers.items():
         if handler.instruction_count < 1:
             raise SpecError(f"handler {key} must declare a positive instruction count")
@@ -318,12 +403,37 @@ def _validate_version(v: VersionSpec) -> None:
             for cond in cmd.guard:
                 if cond.get("var") not in v.variables:
                     raise SpecError(f"handler {key} guard references unknown variable")
+                op = cond.get("op", "==")
+                if op not in GUARD_OPS:
+                    raise SpecError(f"handler {key} guard has unknown op {op!r}")
+                if op not in ("==", "!="):
+                    numeric.add(cond["var"])
+                    written.append((cond["var"], cond.get("value")))
+            # the effects DriverSession._apply_effects applies, and nothing else
             for effect in cmd.effects:
-                for var_key in ("set", "inc"):
-                    if var_key in effect and effect[var_key].get("var") not in v.variables:
-                        raise SpecError(f"handler {key} effect references unknown variable")
-                if "goto" in effect and effect["goto"] not in v.windows:
-                    raise SpecError(f"handler {key} goto references unknown window")
+                for name, arg in effect.items():
+                    if name in ("set", "inc", "setVarFromPayload"):
+                        var = arg if name == "setVarFromPayload" else arg.get("var")
+                        if var not in v.variables:
+                            raise SpecError(f"handler {key} effect references unknown variable")
+                        if name == "set":
+                            written.append((var, arg["value"]))
+                        elif name == "inc":
+                            numeric.add(var)
+                            written.append((var, arg.get("by", 1)))
+                        else:
+                            written.append((var, ""))
+                    elif name in ("show", "hide", "toggle", "setTextFromPayload"):
+                        if arg not in widget_ids:
+                            raise SpecError(f"handler {key} {name} targets unknown widget")
+                    elif name in ("setText", "setChecked"):
+                        if arg.get("widget") not in widget_ids or "value" not in arg:
+                            raise SpecError(f"handler {key} {name} needs a widget and a value")
+                    elif name == "goto":
+                        if arg not in v.windows:
+                            raise SpecError(f"handler {key} goto references unknown window")
+                    elif name != "back":
+                        raise SpecError(f"handler {key} has unknown effect {name!r}")
     for gen in v.generators:
         if not gen.pool:
             raise SpecError("generator pool must be non-empty")
@@ -331,6 +441,9 @@ def _validate_version(v: VersionSpec) -> None:
             raise SpecError(f"generator references unknown widget {gen.widget}")
         if gen.var is not None and gen.var not in v.variables:
             raise SpecError(f"generator references unknown variable {gen.var}")
+    for name, value in written:
+        if name in numeric and not isinstance(value, (int, float)):
+            raise SpecError(f"variable {name} is used as a number but may hold {value!r}")
 
 
 def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
@@ -356,6 +469,7 @@ def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
             if not v.windows:
                 raise SpecError(f"version {v.version} declares no windows")
             _validate_version(v)
+        require(str, doc["appId"])
     except SHAPE_ERRORS as exc:
         raise SpecError(f"malformed app spec: {type(exc).__name__}: {exc}") from exc
     return AppSpec(app_id=doc["appId"], versions=versions)
@@ -671,23 +785,10 @@ class DriverSession:
         return self._result(executed)
 
     def _guard_holds(self, guard: list[dict]) -> bool:
-        for cond in guard:
-            value = self.variables.get(cond["var"])
-            op = cond.get("op", "==")
-            ref = cond.get("value")
-            if op == "==" and not value == ref:
-                return False
-            if op == "!=" and not value != ref:
-                return False
-            if op == "<" and not value < ref:
-                return False
-            if op == "<=" and not value <= ref:
-                return False
-            if op == ">" and not value > ref:
-                return False
-            if op == ">=" and not value >= ref:
-                return False
-        return True
+        return all(
+            GUARD_OPS[cond.get("op", "==")](self.variables.get(cond["var"]), cond.get("value"))
+            for cond in guard
+        )
 
     def _go_back(self) -> bool:
         if len(self.window_stack) > 1:

@@ -18,15 +18,29 @@ from typing import Any, Optional
 
 SCHEMA_VERSION = 3
 
+#: Abstraction levels from coarsest to finest.
+LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
+
 
 class ModelError(Exception):
     """Raised for malformed or inconsistent model documents."""
 
 
 #: What a ``from_dict`` raises on a decoded JSON document of the wrong shape:
-#: a missing key, a value of the wrong JSON type, or an unknown enum value.
-#: ``ValueError`` also covers undecodable bytes and malformed JSON.
-SHAPE_ERRORS = (KeyError, TypeError, ValueError, AttributeError)
+#: a missing key or list element, a value of the wrong JSON type, or an
+#: unknown enum value.  ``ValueError`` also covers undecodable bytes and
+#: malformed JSON.
+SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError)
+
+OPTIONAL_STR = (str, type(None))
+
+
+def require(kind, *values) -> None:
+    """Raise ``TypeError``, one of ``SHAPE_ERRORS``, unless every value is a ``kind``."""
+    for value in values:
+        if not isinstance(value, kind):
+            names = kind.__name__ if isinstance(kind, type) else "/".join(k.__name__ for k in kind)
+            raise TypeError(f"expected {names}, got {value!r}")
 
 
 class WindowKind(str, Enum):
@@ -108,7 +122,7 @@ class Window:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Window":
-        return cls(
+        w = cls(
             id=d["id"],
             name=d["name"],
             kind=WindowKind(d["kind"]),
@@ -116,6 +130,9 @@ class Window:
             runtime_created=d.get("runtimeCreated", False),
             widget_ids=set(d.get("widgetIds", [])),
         )
+        require(str, w.id, w.name, w.class_name, *w.widget_ids)
+        require(bool, w.runtime_created)
+        return w
 
 
 @dataclass
@@ -143,7 +160,7 @@ class EwtgWidget:
 
     @classmethod
     def from_dict(cls, d: dict) -> "EwtgWidget":
-        return cls(
+        w = cls(
             id=d["id"],
             window_id=d["windowId"],
             class_name=d["className"],
@@ -153,6 +170,19 @@ class EwtgWidget:
             parent_id=d.get("parentId"),
             runtime_created=d.get("runtimeCreated", False),
         )
+        # inline checks: this runs once per widget of every loaded model
+        if not (
+            isinstance(w.id, str)
+            and isinstance(w.window_id, str)
+            and isinstance(w.class_name, str)
+            and isinstance(w.resource_id, str)
+            and isinstance(w.content_description, str)
+            and isinstance(w.xpath, str)
+            and isinstance(w.parent_id, OPTIONAL_STR)
+            and isinstance(w.runtime_created, bool)
+        ):
+            raise TypeError(f"widget {w.id!r} has a field of the wrong type")
+        return w
 
 
 @dataclass
@@ -174,13 +204,21 @@ class Input:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Input":
-        return cls(
+        i = cls(
             id=d["id"],
             window_id=d["windowId"],
             widget_id=d.get("widgetId"),
             action_type=ActionType(d["actionType"]),
             handler_method_ids=set(d.get("handlerMethodIds", [])),
         )
+        if not (
+            isinstance(i.id, str)
+            and isinstance(i.window_id, str)
+            and isinstance(i.widget_id, OPTIONAL_STR)
+        ):
+            raise TypeError(f"input {i.id!r} has a field of the wrong type")
+        require(str, *i.handler_method_ids)
+        return i
 
 
 @dataclass
@@ -200,12 +238,20 @@ class WindowTransition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WindowTransition":
-        return cls(
+        t = cls(
             id=d["id"],
             source_window_id=d["sourceWindowId"],
             destination_window_id=d["destinationWindowId"],
             input_id=d["inputId"],
         )
+        if not (
+            isinstance(t.id, str)
+            and isinstance(t.source_window_id, str)
+            and isinstance(t.destination_window_id, str)
+            and isinstance(t.input_id, str)
+        ):
+            raise TypeError(f"window transition {t.id!r} has a field of the wrong type")
+        return t
 
 
 @dataclass
@@ -231,12 +277,17 @@ class AttributeValuationMap:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AttributeValuationMap":
-        return cls(
+        avm = cls(
             id=d["id"],
             valuations=dict(d["valuations"]),
             cardinality=d.get("cardinality", 1),
             ewtg_widget_id=d.get("ewtgWidgetId"),
         )
+        require(str, avm.id)
+        require(int, avm.cardinality)
+        require(OPTIONAL_STR, avm.ewtg_widget_id)
+        require((str, int, float, type(None)), *avm.valuations.values())
+        return avm
 
 
 @dataclass
@@ -279,7 +330,7 @@ class AbstractState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AbstractState":
-        return cls(
+        state = cls(
             id=d["id"],
             window_id=d["windowId"],
             avms=[AttributeValuationMap.from_dict(a) for a in d.get("avms", [])],
@@ -287,6 +338,10 @@ class AbstractState:
             obsolete=d.get("obsolete", False),
             observed_in_versions=set(d.get("observedInVersions", [])),
         )
+        require(str, state.id, state.window_id, state.abstraction_level)
+        require(str, *state.observed_in_versions)
+        require(bool, state.obsolete)
+        return state
 
 
 @dataclass
@@ -314,7 +369,7 @@ class AbstractTransition:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AbstractTransition":
-        return cls(
+        t = cls(
             id=d["id"],
             source_state_id=d["sourceStateId"],
             source_avm_id=d.get("sourceAvmId"),
@@ -324,6 +379,14 @@ class AbstractTransition:
             layout_guard=d.get("layoutGuard"),
             provenance_version=d.get("provenanceVersion", ""),
         )
+        require(str, t.id, t.source_state_id, t.destination_state_id, t.provenance_version)
+        require(OPTIONAL_STR, t.source_avm_id, t.data_payload)
+        if t.layout_guard is not None:
+            for entry in t.layout_guard["entries"]:
+                require(dict, entry["valuations"])
+                require((str, int, float, type(None)), *entry["valuations"].values())
+                require(int, entry["count"])
+        return t
 
 
 @dataclass
@@ -395,7 +458,7 @@ class Action:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Action":
-        return cls(
+        action = cls(
             input_id=d["inputId"],
             action_type=ActionType(d["actionType"]),
             concrete_node_path=tuple(d["concreteNodePath"])
@@ -403,6 +466,10 @@ class Action:
             else None,
             data_payload=d.get("dataPayload"),
         )
+        require(str, action.input_id)
+        require(int, *(action.concrete_node_path or ()))
+        require(OPTIONAL_STR, action.data_payload)
+        return action
 
 
 @dataclass
@@ -417,7 +484,9 @@ class TraceStep:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TraceStep":
-        return cls(action=Action.from_dict(d["action"]), after_state_id=d["afterStateId"])
+        step = cls(action=Action.from_dict(d["action"]), after_state_id=d["afterStateId"])
+        require(str, step.after_state_id)
+        return step
 
 
 @dataclass
@@ -447,7 +516,7 @@ class Ewtg:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Ewtg":
-        return cls(
+        ewtg = cls(
             windows={w["id"]: Window.from_dict(w) for w in d.get("windows", [])},
             widgets={w["id"]: EwtgWidget.from_dict(w) for w in d.get("widgets", [])},
             inputs={i["id"]: Input.from_dict(i) for i in d.get("inputs", [])},
@@ -456,6 +525,8 @@ class Ewtg:
             },
             launcher_window_id=d.get("launcherWindowId"),
         )
+        require(OPTIONAL_STR, ewtg.launcher_window_id)
+        return ewtg
 
 
 @dataclass
@@ -537,13 +608,17 @@ class AppModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "AppModel":
-        return cls(
+        model = cls(
             version=d["version"],
             ewtg=Ewtg.from_dict(d.get("ewtg", {})),
             dstg=Dstg.from_dict(d.get("dstg", {})),
             gstg=Gstg.from_dict(d.get("gstg", {})),
             diff_context={k: list(v) for k, v in d.get("diffContext", {}).items()},
         )
+        require(str, model.version)
+        for ids in model.diff_context.values():
+            require(str, *ids)
+        return model
 
 
 def validate_integrity(model: AppModel) -> list[str]:
@@ -611,6 +686,8 @@ def validate_integrity(model: AppModel) -> list[str]:
     for state in dstg.abstract_states.values():
         if state.window_id not in ewtg.windows:
             violations.append(f"state {state.id} references missing window {state.window_id}")
+        if state.abstraction_level not in LEVEL_ORDER:
+            violations.append(f"state {state.id} has unknown abstraction level")
         for avm in state.avms:
             if avm.cardinality < 1:
                 violations.append(f"avm {avm.id} of state {state.id} has cardinality < 1")
@@ -635,9 +712,11 @@ def validate_integrity(model: AppModel) -> list[str]:
                 f"{tr.destination_state_id}"
             )
 
-    for window_id in dstg.abstraction_policy:
+    for window_id, level in dstg.abstraction_policy.items():
         if window_id not in ewtg.windows:
             violations.append(f"abstraction policy references missing window {window_id}")
+        if level not in LEVEL_ORDER:
+            violations.append(f"abstraction policy of window {window_id} has unknown level")
 
     for step in model.gstg.trace:
         if step.after_state_id not in dstg.abstract_states:
@@ -647,11 +726,15 @@ def validate_integrity(model: AppModel) -> list[str]:
 
 
 def serialize_model(model: AppModel) -> bytes:
-    """Serialize a validated model to a canonical JSON document."""
+    """Serialize a validated model to a canonical JSON document.
+
+    The document is compact, with sorted keys and no whitespace, because
+    ``json`` encodes that in C; any layout of the same document loads.
+    """
     violations = validate_integrity(model)
     if violations:
         raise ModelError("model failed integrity validation: " + "; ".join(violations))
-    return json.dumps(model.to_dict(), indent=2, sort_keys=True).encode("utf-8")
+    return json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 def deserialize_model(data: bytes) -> AppModel:

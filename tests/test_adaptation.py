@@ -107,6 +107,16 @@ def test_adapt_does_not_mutate_the_base_model():
     assert base.to_dict() == snapshot
 
 
+def test_adapted_model_takes_the_updated_window_graph_without_copying_it():
+    base = diary_base_model()
+    snapshot = copy.deepcopy(base.to_dict())
+    updated_ewtg = export_ewtg(load_spec(fixture_path("diary")), "v1")
+    adapted = adapt_model(base, updated_ewtg, diary_diff(), version="v1")
+    assert adapted.ewtg is updated_ewtg
+    assert adapted.dstg is not base.dstg
+    assert base.to_dict() == snapshot
+
+
 def test_deleted_window_drops_states_and_edges():
     base = diary_base_model()
     diff = DiffResult(deleted_windows={"edit"}, matched_windows={"main": "main"})

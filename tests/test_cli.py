@@ -276,6 +276,50 @@ def test_spec_commands_reject_a_malformed_spec(tmp_path, capsys, text, message):
     assert message in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("config_doc", [
+    {"phase_caps": [0.5, 0.5, 0.5]},
+    {"phase_caps": [0.5, 0.5]},
+    {"phase_caps": [1.5, 0, 0]},
+    {"phase_caps": [-0.1, 0.5, 0.5]},
+    {"phase_caps": ["0.5", 0.3, 0.2]},
+    {"phase_caps": 0.5},
+    {"retrigger_cap": 0},
+    {"retrigger_cap": 2.5},
+    {"max_plan_length": -1},
+    {"max_plan_length": 0},
+    {"default_meta_probability": 1.5},
+    {"default_meta_probability": -0.5},
+    {"text_dictionary": []},
+    {"text_dictionary": 5},
+    {"text_dictionary": ["ok", 3]},
+])
+def test_config_rejects_values_out_of_range(config_doc):
+    (name,) = config_doc
+    with pytest.raises(ConfigError, match=name):
+        EngineConfig.from_dict(config_doc)
+
+
+def test_config_accepts_values_at_the_ends_of_their_ranges():
+    EngineConfig.from_dict({
+        "phase_caps": [1, 0, 0], "retrigger_cap": 1, "max_plan_length": 1,
+        "default_meta_probability": 0, "text_dictionary": [""],
+    })
+    EngineConfig.from_dict({"phase_caps": [0.25, 0.25, 0.5], "default_meta_probability": 1})
+
+
+@pytest.mark.parametrize("command", ["test", "pipeline"])
+def test_negative_budget_is_a_one_line_error(tmp_path, capsys, command):
+    if command == "test":
+        argv = ["test", str(write_base_model(tmp_path)), DIARY, "--version", "v0"]
+    else:
+        argv = ["pipeline", DIARY, "--workdir", str(tmp_path)]
+    assert main(argv + ["--budget", "-1"]) == 1
+    err = capsys.readouterr().err
+    assert "--budget must be >= 0" in err
+    assert len(err.strip().splitlines()) == 1
+    assert not list(tmp_path.glob("report_*.json"))
+
+
 def test_config_round_trip():
     cfg = EngineConfig(phase_caps=(0.6, 0.2, 0.2))
     assert EngineConfig.from_dict(cfg.to_dict()) == cfg

@@ -179,6 +179,56 @@ def test_load_spec_rejects_broken_documents(mutate):
         load_spec(doc)
 
 
+def go_command(doc) -> dict:
+    return doc["versions"][0]["handlers"]["h-go"]["body"][1]
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: go_command(d)["guard"].append({"var": "clicks", "op": "=~", "value": 1}),
+         "unknown op '=~'"),
+        (lambda d: go_command(d)["effects"].append({"launch": "second"}),
+         "unknown effect 'launch'"),
+        (lambda d: go_command(d)["effects"].append({"show": "w-nope"}), "show targets"),
+        (lambda d: go_command(d)["effects"].append({"hide": "w-nope"}), "hide targets"),
+        (lambda d: go_command(d)["effects"].append({"toggle": "w-nope"}), "toggle targets"),
+        (lambda d: go_command(d)["effects"].append({"setTextFromPayload": "w-nope"}),
+         "setTextFromPayload targets"),
+        (lambda d: go_command(d)["effects"].append(
+            {"setText": {"widget": "w-nope", "value": "x"}}), "setText needs"),
+        (lambda d: go_command(d)["effects"].append({"setChecked": {"widget": "w-go"}}),
+         "setChecked needs"),
+        (lambda d: go_command(d)["effects"].append({"setVarFromPayload": "nope"}),
+         "unknown variable"),
+        (lambda d: go_command(d)["effects"].append({"setVarFromPayload": "clicks"}),
+         "variable clicks is used as a number"),
+        (lambda d: go_command(d)["effects"].append({"set": {"var": "clicks", "value": "a"}}),
+         "variable clicks is used as a number"),
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][0].update({"parent": "w-go"}),
+         "own ancestor"),
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][0].update({"resourceId": 5}),
+         "wrong type"),
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][0].update({"parent": ["w-name"]}),
+         "wrong type"),
+        (lambda d: go_command(d).update({"instructions": [5]}), "malformed app spec"),
+        (lambda d: d["versions"][0].update({"textInputs": {"w-name": ["a", None]}}),
+         "malformed app spec"),
+    ],
+)
+def test_load_spec_rejects_what_would_fail_mid_session(mutate, message):
+    doc = base_spec_doc()
+    mutate(doc)
+    with pytest.raises(SpecError, match=message):
+        load_spec(doc)
+
+
+def test_effect_targets_may_be_widgets_of_another_window():
+    doc = base_spec_doc()
+    go_command(doc)["effects"].append({"toggle": "w-label"})
+    load_spec(doc)
+
+
 # --- static export --------------------------------------------------------
 
 

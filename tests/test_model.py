@@ -98,6 +98,18 @@ def test_serialize_round_trip():
     assert serialize_model(restored) == data
 
 
+def test_serialized_model_is_compact_json_with_sorted_keys():
+    data = serialize_model(small_model())
+    assert b"\n" not in data
+    assert data == json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode()
+
+
+def test_indented_model_document_loads_and_serializes_compact():
+    data = serialize_model(small_model())
+    indented = json.dumps(json.loads(data), indent=2, sort_keys=True).encode("utf-8")
+    assert serialize_model(deserialize_model(indented)) == data
+
+
 def test_deserialize_rejects_garbage():
     with pytest.raises(ModelError):
         deserialize_model(b"not json at all")
@@ -111,6 +123,33 @@ def test_deserialize_rejects_a_wrongly_shaped_document():
     for ewtg in ({"windows": [{"id": "w1"}]}, {"windows": 3}, [], bad_action):
         doc = dict(good, ewtg=ewtg)
         with pytest.raises(ModelError, match="malformed model document"):
+            deserialize_model(json.dumps(doc).encode("utf-8"))
+
+
+@pytest.mark.parametrize("edit", [
+    lambda doc: doc["ewtg"]["widgets"][0].update(resourceId=5),
+    lambda doc: doc["ewtg"]["windows"][0].update(widgetIds=[["wd-ok"]]),
+    lambda doc: doc["dstg"]["abstractStates"][0]["avms"][0].update(valuations={"R_RID": []}),
+    lambda doc: doc["dstg"]["abstractTransitions"][0].update(
+        layoutGuard={"entries": [{"valuations": {"R_RID": "ok"}, "count": "1"}]}),
+    lambda doc: doc["dstg"]["abstractTransitions"][0].update(layoutGuard={"entries": 3}),
+    lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=["0"]),
+])
+def test_deserialize_rejects_fields_of_the_wrong_type(edit):
+    doc = json.loads(serialize_model(small_model()).decode("utf-8"))
+    edit(doc)
+    with pytest.raises(ModelError, match="malformed model document"):
+        deserialize_model(json.dumps(doc).encode("utf-8"))
+
+
+def test_deserialize_rejects_an_unknown_abstraction_level():
+    for edit in (
+        lambda doc: doc["dstg"]["abstractStates"][0].update(abstractionLevel="L9"),
+        lambda doc: doc["dstg"].update(abstractionPolicy={"w-main": "L0"}),
+    ):
+        doc = json.loads(serialize_model(small_model()).decode("utf-8"))
+        edit(doc)
+        with pytest.raises(ModelError, match="unknown"):
             deserialize_model(json.dumps(doc).encode("utf-8"))
 
 
