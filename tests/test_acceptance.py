@@ -5,6 +5,7 @@ Each test prints one "<criterion>: PASS" or "<criterion>: FAIL" line
 """
 
 import copy
+import hashlib
 import json
 import random
 import time
@@ -455,3 +456,26 @@ def test_a10_determinism_and_round_trip(tmp_path):
         for name in model_files:
             payload = outputs[0][name].rstrip(b"\n")
             assert serialize_model(deserialize_model(payload)) == payload
+
+
+#: sha256 over the name and bytes of every file ``pipeline_run`` writes for
+#: each fixture app (first to last version, budget 300, seeds 3 and 4), frozen
+#: from the session and replay before they kept their lookups in indexes.
+SESSION_DIGEST = "1f5df5343b9ac54d92a98e71dc27e1185f846e33a65a812ddbae2d3af28e7de4"
+
+
+def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
+    digest = hashlib.sha256()
+    for app in ("diary", "dialog", "news", "deep"):
+        spec = load_spec(fixture_path(app))
+        for seed in (3, 4):
+            workdir = tmp_path / f"{app}-{seed}"
+            workdir.mkdir()
+            pipeline_run(
+                spec, spec.versions[0].version, spec.versions[-1].version,
+                budget=300, seed=seed, workdir=workdir, config=EngineConfig(),
+            )
+            for path in sorted(workdir.iterdir()):
+                digest.update(path.name.encode())
+                digest.update(path.read_bytes())
+    assert digest.hexdigest() == SESSION_DIGEST
