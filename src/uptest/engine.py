@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import random
 import re
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional, Union
@@ -177,6 +178,15 @@ _NODE_ACTIONS = (
 )
 
 
+def _state_key(state: AbstractState) -> tuple:
+    """What an observation has to share with a state to match it."""
+    return (
+        state.window_id,
+        state.abstraction_level,
+        frozenset(state.valuation_multiset().items()),
+    )
+
+
 class TestEngine:
     __test__ = False  # not a test class despite the name
 
@@ -210,7 +220,8 @@ class TestEngine:
         self.current_tree: Optional[GuiTree] = None
         self.trees_observed = 0
         self.state_history: list[AbstractState] = []
-        self.visited_layouts: list = []
+        self.visited_layouts: list[Counter] = []
+        self._layouts: dict[str, Counter] = {}  # state id -> layout fingerprint
         self.observed_this_session: set[str] = set()
         self.created_this_session: set[str] = set()
         self.retraversal_failures: dict[str, int] = {}
@@ -222,6 +233,11 @@ class TestEngine:
         self.obsolete_scope = {
             s.window_id for s in model.dstg.abstract_states.values() if s.obsolete
         }
+        # an observation matches the lowest-id state with its key
+        self._states_by_key: dict[tuple, AbstractState] = {}
+        for sid in sorted(model.dstg.abstract_states):
+            state = model.dstg.abstract_states[sid]
+            self._states_by_key.setdefault(_state_key(state), state)
         # continue numbering after inherited states so new ids never collide
         taken = re.compile(r"^(?:st|at)-(\d+)$")
         self._counter = max(
@@ -304,18 +320,13 @@ class TestEngine:
             session_index=self.trees_observed,
         )
         level = LEVELS[dstg.level_for(result.window_id)]
-        derived = derive_abstract_state(tree, level, state_id="observe")
-        match = None
-        for candidate in dstg.states_of_window(result.window_id):
-            if candidate.abstraction_level != level.name:
-                continue
-            if candidate.valuation_multiset() == derived.valuation_multiset():
-                match = candidate
-                break
+        key = _state_key(derive_abstract_state(tree, level, state_id="observe"))
+        match = self._states_by_key.get(key)
         if match is None:
             sid = self._next_id("st-")
             match = derive_abstract_state(tree, level, state_id=sid)
             dstg.abstract_states[sid] = match
+            self._states_by_key[key] = match
             self.created_this_session.add(sid)
         match.observed_in_versions.add(self.model.version)
         if match.obsolete:
@@ -323,7 +334,10 @@ class TestEngine:
         self.observed_this_session.add(match.id)
         tree.abstract_state_id = match.id
         self.state_history.append(match)
-        self.visited_layouts.append(layout_fingerprint(match))
+        layout = self._layouts.get(match.id)
+        if layout is None:
+            layout = self._layouts[match.id] = layout_fingerprint(match)
+        self.visited_layouts.append(layout)
         self.current_state = match
         self.current_tree = tree
         return match

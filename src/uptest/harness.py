@@ -596,12 +596,21 @@ class PerformResult:
 
 
 class DriverSession:
-    """One app run; deterministic given (spec, version, seed, actions)."""
+    """One app run; deterministic given (spec, version, seed, actions).
+
+    An action's node path refers to the screen in the driver's last result,
+    the one its last ``reset`` or ``perform`` returned.  A rejected action
+    changes nothing, so that screen stays current.
+    """
 
     def __init__(self, spec: AppSpec, version: str, seed: int = 0):
         self.spec = spec
         self.version_spec = spec.versions[spec.version_index(version)]
         self.seed = seed
+        # (window, widget, action type) -> the lowest-id input declared for it
+        self._inputs: dict[tuple[str, Optional[str], ActionType], InputSpec] = {}
+        for inp in sorted(self.version_spec.inputs.values(), key=lambda i: i.id):
+            self._inputs.setdefault((inp.window, inp.widget, inp.action_type), inp)
         self.launch_counter = 0
         self.variables: dict[str, Any] = {}
         self.window_stack: list[str] = []
@@ -633,8 +642,9 @@ class DriverSession:
 
     def _result(self, executed: list[tuple[str, int, int]]) -> PerformResult:
         window = self.version_spec.windows[self.current_window_id]
+        self._screen = self.render()  # what the next action's node path refers to
         return PerformResult(
-            window.id, window.kind, window.class_name, self.render(), executed
+            window.id, window.kind, window.class_name, self._screen, executed
         )
 
     def _apply_generators(self) -> None:
@@ -727,16 +737,6 @@ class DriverSession:
         ActionType.TEXT_FILL: "isInputField",
     }
 
-    def _find_input(self, widget_id: Optional[str], action_type: ActionType) -> Optional[InputSpec]:
-        for inp in sorted(self.version_spec.inputs.values(), key=lambda i: i.id):
-            if (
-                inp.window == self.current_window_id
-                and inp.widget == widget_id
-                and inp.action_type == action_type
-            ):
-                return inp
-        return None
-
     def perform(self, action: Action) -> PerformResult:
         if action.action_type == ActionType.RESET_APP:
             return self.reset()
@@ -744,9 +744,8 @@ class DriverSession:
         window = self.version_spec.windows[self.current_window_id]
         widget_id: Optional[str] = None
         if action.concrete_node_path is not None:
-            root = self.render()
             try:
-                node = root.node_at(action.concrete_node_path)
+                node = self._screen.node_at(action.concrete_node_path)
             except IndexError:
                 raise DriverRejection("node path no longer resolves")
             widget_id = node.widget_ref
@@ -767,7 +766,7 @@ class DriverSession:
             # typing fills the field; a handler (if any) reacts afterwards
             self._text[widget_id] = action.data_payload or ""
 
-        inp = self._find_input(widget_id, action.action_type)
+        inp = self._inputs.get((window.id, widget_id, action.action_type))
         executed: list[tuple[str, int, int]] = []
         if inp is not None and inp.handler is not None:
             handler = self.version_spec.handlers[inp.handler]

@@ -403,8 +403,11 @@ class GuiNode:
         return out
 
     def node_at(self, path: tuple[int, ...]) -> "GuiNode":
+        """The node at ``path``; ``IndexError`` when a step has no such child."""
         node = self
         for i in path:
+            if i < 0:
+                raise IndexError(f"negative child index {i}")
             node = node.children[i]
         return node
 
@@ -468,6 +471,8 @@ class Action:
         )
         require(str, action.input_id)
         require(int, *(action.concrete_node_path or ()))
+        if any(i < 0 for i in action.concrete_node_path or ()):
+            raise ValueError(f"node path {d['concreteNodePath']} has a negative index")
         require(OPTIONAL_STR, action.data_payload)
         return action
 

@@ -39,7 +39,9 @@ def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppMo
     return model
 
 
-def _states_match(expected_state: AbstractState, observed_result) -> bool:
+def _states_match(
+    expected_state: AbstractState, expected_multiset: dict, observed_result
+) -> bool:
     if observed_result.window_id != expected_state.window_id:
         return False
     level = LEVELS[expected_state.abstraction_level]
@@ -47,7 +49,7 @@ def _states_match(expected_state: AbstractState, observed_result) -> bool:
         id="replay", window_id=observed_result.window_id, root=observed_result.root
     )
     derived = derive_abstract_state(observed_tree, level, state_id="replay")
-    return derived.valuation_multiset() == expected_state.valuation_multiset()
+    return derived.valuation_multiset() == expected_multiset
 
 
 def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
@@ -60,6 +62,7 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
     except Exception as exc:  # pragma: no cover - defensive
         warnings.warn(f"replay aborted at reset: {exc}")
         return model
+    multisets: dict[str, dict] = {}  # expected state id -> valuation multiset
     for step in trace:
         try:
             result = driver.perform(step.action)
@@ -71,7 +74,10 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
         expected = model.dstg.abstract_states.get(step.after_state_id)
         if expected is None:
             continue  # nothing to check against
-        if result is None or not _states_match(expected, result):
+        multiset = multisets.get(expected.id)
+        if multiset is None:
+            multiset = multisets[expected.id] = expected.valuation_multiset()
+        if result is None or not _states_match(expected, multiset, result):
             expected.obsolete = True
     return model
 

@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from uptest.abstraction import LEVELS, derive_abstract_state
 from uptest.engine import TargetSet, TestEngine, run_session
 from uptest.harness import DriverSession, export_ewtg, load_spec, method_instruction_counts
 from uptest.model import (
@@ -241,3 +242,45 @@ def test_refinement_during_a_planned_step_keeps_the_plan_log_intact():
     assert plan["event"] == "plan" and plan["outcomes"] == ["mismatch"]
     assert refine == {"event": "refine", "window": "win", "level": "L2"}
     assert engine.executed == 1
+
+
+# --- matching observations to learned states ------------------------------
+
+
+def observed_result(window_id="win", *children):
+    root = make_node(children=list(children))
+    return PerformResult(window_id, WindowKind.ACTIVITY, f"c.{window_id}", root, [])
+
+
+def test_observation_matches_the_first_equal_state_in_id_order():
+    model = two_state_model()
+    result = observed_result(
+        "win", make_node(widget_ref="wd", clickable=True, resourceId="wd")
+    )
+    for sid in ("st-9", "st-10"):
+        tree = make_tree("win", result.root)
+        model.dstg.abstract_states[sid] = derive_abstract_state(
+            tree, LEVELS["L1"], state_id=sid
+        )
+    engine = engine_on(model)
+    # "st-10" sorts before "st-9" as a string
+    assert engine._observe(result).id == "st-10"
+    assert engine.created_this_session == set()
+
+
+def test_observation_after_refinement_matches_only_states_at_the_new_level():
+    model = two_state_model()
+    # a screen without interactable nodes has the empty multiset at every
+    # level, the multiset of the L1 states "sb" and "sc"
+    result = observed_result("other")
+    engine = engine_on(model)
+    assert engine._observe(result).id == "sb"
+
+    engine._refine_window("other")
+    refined = engine._observe(result)
+    assert refined.id not in ("sb", "sc")
+    assert refined.abstraction_level == "L2"
+    assert engine.created_this_session == {refined.id}
+    # the state created at the new level is the one the next observation matches
+    assert engine._observe(result) is refined
+    assert engine.created_this_session == {refined.id}

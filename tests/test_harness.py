@@ -351,6 +351,65 @@ def test_rejections():
         session.perform(Action("x", ActionType.CLICK, concrete_node_path=(9, 9)))
 
 
+def test_negative_node_path_is_rejected_not_resolved_from_the_end():
+    session = DriverSession(load_spec(fixture_path("diary")), "v0")
+    session.reset()
+    # (-1,) would be the launcher's last child, whose click runs m-add
+    with pytest.raises(DriverRejection):
+        session.perform(Action("x", ActionType.CLICK, concrete_node_path=(-1,)))
+
+
+def test_inputs_sharing_a_widget_and_action_run_the_lowest_input_id():
+    doc = base_spec_doc()
+    inputs = doc["versions"][0]["inputs"]
+    # the lowest id is neither the first nor the last one listed for w-go
+    for index, (input_id, handler) in enumerate(
+        (("i-z", "h-name"), ("i-a", "h-back"), ("i-y", "h-name"))
+    ):
+        inputs.insert(2 * index, {"id": input_id, "window": "main", "widget": "w-go",
+                                  "actionType": "Click", "handler": handler})
+    session = DriverSession(load_spec(doc), "v1")
+    result = click(session, session.reset(), "w-go")
+    assert result.executed == [("m-back", 1, 2)]
+
+
+def test_node_path_after_a_rejected_action_resolves_on_the_unchanged_screen():
+    session = toy_session()
+    result = session.reset()
+    with pytest.raises(DriverRejection):
+        click(session, result, "w-tiny")
+    assert click(session, result, "w-go").executed == [("m-go", 5, 6)]
+
+
+def test_node_path_after_a_show_effect_resolves_on_the_new_screen():
+    doc = base_spec_doc()
+    version = doc["versions"][0]
+    version["windows"][0]["widgets"].append(
+        {"id": "w-show", "resourceId": "show", "className": "Button",
+         "xpath": "/L/Button[4]", "clickable": True}
+    )
+    version["inputs"] += [
+        {"id": "i-show", "window": "main", "widget": "w-show",
+         "actionType": "Click", "handler": "h-show"},
+        {"id": "i-hidden", "window": "main", "widget": "w-hidden",
+         "actionType": "Click", "handler": "h-hidden"},
+    ]
+    version["handlers"]["h-show"] = {
+        "methodId": "m-show", "instructionCount": 1,
+        "body": [{"guard": [], "effects": [{"show": "w-hidden"}], "instructions": [1, 1]}],
+    }
+    version["handlers"]["h-hidden"] = {
+        "methodId": "m-hidden", "instructionCount": 1,
+        "body": [{"guard": [], "effects": [], "instructions": [1, 1]}],
+    }
+    session = DriverSession(load_spec(doc), "v1")
+    before = session.reset()
+    shown = click(session, before, "w-show")
+    # the shown widget takes the path "w-show" had on the screen before
+    assert path_of(shown.root, "w-hidden") == path_of(before.root, "w-show")
+    assert click(session, shown, "w-hidden").executed == [("m-hidden", 1, 1)]
+
+
 def test_reset_restores_state_except_persistent_variables():
     session = toy_session()
     result = session.reset()

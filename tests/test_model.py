@@ -134,6 +134,7 @@ def test_deserialize_rejects_a_wrongly_shaped_document():
         layoutGuard={"entries": [{"valuations": {"R_RID": "ok"}, "count": "1"}]}),
     lambda doc: doc["dstg"]["abstractTransitions"][0].update(layoutGuard={"entries": 3}),
     lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=["0"]),
+    lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=[-1]),
 ])
 def test_deserialize_rejects_fields_of_the_wrong_type(edit):
     doc = json.loads(serialize_model(small_model()).decode("utf-8"))
