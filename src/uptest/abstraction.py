@@ -5,6 +5,11 @@ node of a concrete GUI tree; nodes with identical reducer outputs merge into a
 single attribute-valuation map with a cardinality.  Levels L1..L3 grow the
 reducer set; L4 and L5 keep L2's reducers but additionally apply L1's / L2's
 reducers to each widget's children.
+
+A screen matches a state when their windows, levels and valuation multisets
+(``{valuation key: count}`` over the interactable nodes) are equal;
+``valuation_multiset`` computes a screen's multiset in one walk, without
+building a state.
 """
 
 from __future__ import annotations
@@ -12,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Any, Callable, Optional
+from typing import Callable, Iterator, Optional
 
 from .model import (
     LEVEL_ORDER,
@@ -31,13 +36,6 @@ class AbstractionError(Exception):
 class Reducer:
     name: str
     property_name: str
-
-    def extract(self, node: GuiNode) -> Any:
-        if self.property_name not in node.properties:
-            raise AbstractionError(
-                f"node is missing property {self.property_name!r} required by {self.name}"
-            )
-        return node.properties[self.property_name]
 
 
 R_RID = Reducer("R_RID", "resourceId")
@@ -76,6 +74,44 @@ class AbstractionLevel:
     name: str
     own_reducers: tuple[Reducer, ...]
     child_reducers: tuple[Reducer, ...] = ()
+    # (key name, property) pairs in the order sorting a valuation dict lists
+    # them; every "child:" name sorts after every own "R_" name
+    _own_fields: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+    _child_fields: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        own = sorted((r.name, r.property_name) for r in self.own_reducers)
+        children = sorted((f"child:{r.name}", r.property_name) for r in self.child_reducers)
+        object.__setattr__(self, "_own_fields", tuple(own))
+        object.__setattr__(self, "_child_fields", tuple(children))
+
+    def valuation_key(self, node: GuiNode) -> tuple:
+        """The node's ``(key name, value)`` pairs, sorted by name."""
+        props = node.properties
+        try:
+            key = tuple([(name, props[prop]) for name, prop in self._own_fields])
+            if self._child_fields:
+                key += tuple(
+                    [
+                        (name, _child_values(node.children, prop))
+                        for name, prop in self._child_fields
+                    ]
+                )
+        except KeyError as exc:
+            prop = exc.args[0]
+            reducer = next(
+                r.name
+                for r in self.own_reducers + self.child_reducers
+                if r.property_name == prop
+            )
+            raise AbstractionError(
+                f"node is missing property {prop!r} required by {reducer}"
+            ) from None
+        return key
+
+
+def _child_values(children: list[GuiNode], prop: str) -> str:
+    return "[" + ",".join(sorted(json.dumps(c.properties[prop]) for c in children)) + "]"
 
 
 LEVELS: dict[str, AbstractionLevel] = {
@@ -102,14 +138,28 @@ def is_interactable(node: GuiNode) -> bool:
     )
 
 
-def node_valuations(node: GuiNode, level: AbstractionLevel) -> dict[str, Any]:
-    vals: dict[str, Any] = {}
-    for reducer in level.own_reducers:
-        vals[reducer.name] = reducer.extract(node)
-    for reducer in level.child_reducers:
-        child_values = sorted(json.dumps(reducer.extract(c)) for c in node.children)
-        vals[f"child:{reducer.name}"] = "[" + ",".join(child_values) + "]"
-    return vals
+def _interactable_nodes(root: GuiNode) -> Iterator[GuiNode]:
+    """The tree's interactable nodes in pre-order, the order of ``walk``."""
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        if is_interactable(node):
+            yield node
+        stack.extend(reversed(node.children))
+
+
+def valuation_multiset(root: GuiNode, level: AbstractionLevel) -> dict[tuple, int]:
+    """``{valuation key: count}`` over the screen's interactable nodes.
+
+    Equal to ``derive_abstract_state(tree, level).valuation_multiset()`` for a
+    tree with this root, without building the state.
+    """
+    counts: dict[tuple, int] = {}
+    key_of = level.valuation_key
+    for node in _interactable_nodes(root):
+        key = key_of(node)
+        counts[key] = counts.get(key, 0) + 1
+    return counts
 
 
 def derive_abstract_state(
@@ -118,41 +168,38 @@ def derive_abstract_state(
     widget_map: Optional[Callable[[GuiNode], Optional[str]]] = None,
     state_id: str = "",
 ) -> AbstractState:
-    """Abstract a concrete tree: one AVM per distinct valuation vector.
+    """Abstract a concrete tree: one AVM per distinct valuation key.
 
+    AVMs are numbered in the order their key first appears in the walk.
     ``widget_map`` associates nodes with static widget ids; by default the
-    node's own ``widget_ref`` is used.
+    node's own ``widget_ref`` is used, and an AVM takes the lowest of its
+    nodes' widget ids.
     """
     if widget_map is None:
         widget_map = lambda node: node.widget_ref  # noqa: E731
 
-    groups: dict[tuple, dict] = {}
-    order: list[tuple] = []
-    for _path, node in tree.root.walk():
-        if not is_interactable(node):
-            continue
-        vals = node_valuations(node, level)
-        key = tuple(sorted(vals.items()))
-        if key not in groups:
-            groups[key] = {"valuations": vals, "count": 0, "widget_ids": []}
-            order.append(key)
-        groups[key]["count"] += 1
+    groups: dict[tuple, list] = {}  # valuation key -> [count, widget ids]
+    key_of = level.valuation_key
+    for node in _interactable_nodes(tree.root):
+        key = key_of(node)
+        group = groups.get(key)
+        if group is None:
+            group = groups[key] = [0, set()]
+        group[0] += 1
         wid = widget_map(node)
         if wid is not None:
-            groups[key]["widget_ids"].append(wid)
+            group[1].add(wid)
 
-    avms = []
-    for index, key in enumerate(order, start=1):
-        group = groups[key]
-        widget_id = sorted(set(group["widget_ids"]))[0] if group["widget_ids"] else None
-        avms.append(
-            AttributeValuationMap(
-                id=f"{state_id or tree.id}-avm{index}",
-                valuations=group["valuations"],
-                cardinality=group["count"],
-                ewtg_widget_id=widget_id,
-            )
+    prefix = state_id or tree.id
+    avms = [
+        AttributeValuationMap(
+            id=f"{prefix}-avm{index}",
+            valuations=dict(key),
+            cardinality=count,
+            ewtg_widget_id=min(widget_ids) if widget_ids else None,
         )
+        for index, (key, (count, widget_ids)) in enumerate(groups.items(), start=1)
+    ]
     return AbstractState(
         id=state_id or f"{tree.id}-state",
         window_id=tree.window_id,
@@ -233,12 +280,7 @@ def make_layout_guard(
 # --- refinement ----------------------------------------------------------
 
 
-def refine_level(
-    current_level: str,
-    tree_a: GuiTree,
-    tree_b: GuiTree,
-    widget_map: Optional[Callable[[GuiNode], Optional[str]]] = None,
-) -> Optional[str]:
+def refine_level(current_level: str, tree_a: GuiTree, tree_b: GuiTree) -> Optional[str]:
     """Lowest level above ``current_level`` that tells the two trees apart.
 
     Returns None when the trees stay indistinguishable through L5; the caller
@@ -247,9 +289,7 @@ def refine_level(
     start = LEVEL_ORDER.index(current_level)
     for name in LEVEL_ORDER[start + 1 :]:
         level = LEVELS[name]
-        sa = derive_abstract_state(tree_a, level, widget_map, state_id="refine-a")
-        sb = derive_abstract_state(tree_b, level, widget_map, state_id="refine-b")
-        if sa.valuation_multiset() != sb.valuation_multiset():
+        if valuation_multiset(tree_a.root, level) != valuation_multiset(tree_b.root, level):
             return name
     return None
 
@@ -282,15 +322,13 @@ def is_backward_equivalent(
     """
     if observed.window_id != expected.window_id:
         return False
-    observed_keys = {avm.valuation_key() for avm in observed.avms}
+    observed_keys = [(avm.ewtg_widget_id, avm.valuation_key()) for avm in observed.avms]
     expected_keys = {avm.valuation_key() for avm in expected.avms}
-    for avm in expected.avms:
-        if avm.valuation_key() not in observed_keys:
-            return False
+    if not expected_keys <= {key for _, key in observed_keys}:
+        return False
     excluded = context.excluded
-    for avm in observed.avms:
-        if avm.ewtg_widget_id is not None and avm.ewtg_widget_id in excluded:
-            continue
-        if avm.valuation_key() not in expected_keys:
-            return False
-    return True
+    return all(
+        key in expected_keys
+        for widget_id, key in observed_keys
+        if widget_id is None or widget_id not in excluded
+    )

@@ -31,6 +31,7 @@ from .abstraction import (
     is_interactable,
     layout_fingerprint,
     make_layout_guard,
+    valuation_multiset,
 )
 from .config import EngineConfig
 from .harness import DriverRejection, PerformResult
@@ -178,13 +179,9 @@ _NODE_ACTIONS = (
 )
 
 
-def _state_key(state: AbstractState) -> tuple:
+def _state_key(window_id: str, level: str, multiset: dict[tuple, int]) -> tuple:
     """What an observation has to share with a state to match it."""
-    return (
-        state.window_id,
-        state.abstraction_level,
-        frozenset(state.valuation_multiset().items()),
-    )
+    return (window_id, level, frozenset(multiset.items()))
 
 
 class TestEngine:
@@ -237,7 +234,10 @@ class TestEngine:
         self._states_by_key: dict[tuple, AbstractState] = {}
         for sid in sorted(model.dstg.abstract_states):
             state = model.dstg.abstract_states[sid]
-            self._states_by_key.setdefault(_state_key(state), state)
+            key = _state_key(
+                state.window_id, state.abstraction_level, state.valuation_multiset()
+            )
+            self._states_by_key.setdefault(key, state)
         # continue numbering after inherited states so new ids never collide
         taken = re.compile(r"^(?:st|at)-(\d+)$")
         self._counter = max(
@@ -320,9 +320,10 @@ class TestEngine:
             session_index=self.trees_observed,
         )
         level = LEVELS[dstg.level_for(result.window_id)]
-        key = _state_key(derive_abstract_state(tree, level, state_id="observe"))
+        multiset = valuation_multiset(result.root, level)
+        key = _state_key(result.window_id, level.name, multiset)
         match = self._states_by_key.get(key)
-        if match is None:
+        if match is None:  # only a new state is derived
             sid = self._next_id("st-")
             match = derive_abstract_state(tree, level, state_id=sid)
             dstg.abstract_states[sid] = match

@@ -30,6 +30,7 @@ from .model import (
     WindowKind,
     WindowTransition,
     require,
+    require_int,
 )
 
 
@@ -190,8 +191,8 @@ class CommandSpec:
             instructions=(lo, hi),
             hidden=d.get("hidden", False),
         )
-        if not (isinstance(lo, int) and isinstance(hi, int) and isinstance(cmd.hidden, bool)):
-            raise TypeError("a command's instructions or hidden flag has the wrong type")
+        require_int(lo, hi)
+        require(bool, cmd.hidden)
         return cmd
 
 
@@ -208,8 +209,8 @@ class HandlerSpec:
             instruction_count=d["instructionCount"],
             body=[CommandSpec.from_dict(c) for c in d.get("body", [])],
         )
-        if not (isinstance(handler.method_id, str) and isinstance(handler.instruction_count, int)):
-            raise TypeError(f"handler {handler.method_id!r} has a field of the wrong type")
+        require(str, handler.method_id)
+        require_int(handler.instruction_count)
         return handler
 
     def canonical(self) -> str:

@@ -43,6 +43,13 @@ def require(kind, *values) -> None:
             raise TypeError(f"expected {names}, got {value!r}")
 
 
+def require_int(*values) -> None:
+    """``require(int, ...)`` that also rejects booleans, which JSON keeps apart."""
+    for value in values:
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise TypeError(f"expected int, got {value!r}")
+
+
 class WindowKind(str, Enum):
     ACTIVITY = "Activity"
     DIALOG = "Dialog"
@@ -284,7 +291,7 @@ class AttributeValuationMap:
             ewtg_widget_id=d.get("ewtgWidgetId"),
         )
         require(str, avm.id)
-        require(int, avm.cardinality)
+        require_int(avm.cardinality)
         require(OPTIONAL_STR, avm.ewtg_widget_id)
         require((str, int, float, type(None)), *avm.valuations.values())
         return avm
@@ -385,7 +392,7 @@ class AbstractTransition:
             for entry in t.layout_guard["entries"]:
                 require(dict, entry["valuations"])
                 require((str, int, float, type(None)), *entry["valuations"].values())
-                require(int, entry["count"])
+                require_int(entry["count"])
         return t
 
 
@@ -470,7 +477,7 @@ class Action:
             data_payload=d.get("dataPayload"),
         )
         require(str, action.input_id)
-        require(int, *(action.concrete_node_path or ()))
+        require_int(*(action.concrete_node_path or ()))
         if any(i < 0 for i in action.concrete_node_path or ()):
             raise ValueError(f"node path {d['concreteNodePath']} has a negative index")
         require(OPTIONAL_STR, action.data_payload)

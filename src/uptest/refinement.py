@@ -11,9 +11,10 @@ from __future__ import annotations
 import warnings
 from typing import Iterable, Optional
 
-from .abstraction import LEVELS, derive_abstract_state
+from .abstraction import LEVELS, valuation_multiset
+from .abstraction import derive_abstract_state  # noqa: F401  perfbench traces it here
 from .harness import DriverRejection
-from .model import AbstractState, AppModel, GuiTree
+from .model import AbstractState, AppModel
 
 
 def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppModel:
@@ -45,11 +46,7 @@ def _states_match(
     if observed_result.window_id != expected_state.window_id:
         return False
     level = LEVELS[expected_state.abstraction_level]
-    observed_tree = GuiTree(
-        id="replay", window_id=observed_result.window_id, root=observed_result.root
-    )
-    derived = derive_abstract_state(observed_tree, level, state_id="replay")
-    return derived.valuation_multiset() == expected_multiset
+    return valuation_multiset(observed_result.root, level) == expected_multiset
 
 
 def replay_flag_obsolete(model: AppModel, driver) -> AppModel:

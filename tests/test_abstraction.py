@@ -1,12 +1,15 @@
 """State abstraction: reducers, levels, fingerprints, backward equivalence."""
 
+import random
 from collections import Counter
 
 import pytest
 
+from uptest import fixture_path
 from uptest.abstraction import (
     LEVELS,
     LEVEL_ORDER,
+    AbstractionError,
     BackwardEquivalenceContext,
     derive_abstract_state,
     fingerprint_from_dict,
@@ -17,8 +20,10 @@ from uptest.abstraction import (
     layout_fingerprint,
     make_layout_guard,
     refine_level,
+    valuation_multiset,
 )
-from uptest.model import AbstractState, AttributeValuationMap
+from uptest.harness import DriverRejection, DriverSession, load_spec
+from uptest.model import AbstractState, Action, ActionType, AttributeValuationMap
 
 from conftest import make_node, make_tree
 
@@ -104,6 +109,99 @@ def test_l5_splits_on_child_text_where_l4_does_not():
     l5_a = derive_abstract_state(tree_a, LEVELS["L5"], state_id="a")
     l5_b = derive_abstract_state(tree_b, LEVELS["L5"], state_id="b")
     assert l5_a.valuation_multiset() != l5_b.valuation_multiset()
+
+
+_NODE_ACTIONS = (
+    ("clickable", ActionType.CLICK),
+    ("longClickable", ActionType.LONG_CLICK),
+    ("scrollable", ActionType.SWIPE),
+    ("isInputField", ActionType.TEXT_FILL),
+)
+
+
+def walk_screens(app: str, steps: int, seed: int):
+    """Every screen of a seeded random walk over each version of a fixture."""
+    spec = load_spec(fixture_path(app))
+    for version in spec.versions:
+        rng = random.Random(f"{seed}:{app}:{version.version}")
+        driver = DriverSession(spec, version.version, seed=seed)
+        result = driver.reset()
+        for _ in range(steps):
+            yield result
+            actions = [Action("back", ActionType.PRESS_BACK)]
+            for path, node in result.root.walk():
+                for prop, action_type in _NODE_ACTIONS:
+                    if node.properties.get(prop):
+                        payload = "typed" if action_type == ActionType.TEXT_FILL else None
+                        actions.append(Action("walk", action_type, path, payload))
+            try:
+                result = driver.perform(rng.choice(actions))
+            except DriverRejection:
+                pass
+
+
+@pytest.mark.parametrize("app", ["diary", "dialog", "news", "deep"])
+def test_valuation_multiset_equals_the_derived_states_multiset(app):
+    screens = 0
+    for result in walk_screens(app, steps=60, seed=3):
+        tree = make_tree(result.window_id, result.root)
+        for name in LEVEL_ORDER:
+            level = LEVELS[name]
+            derived = derive_abstract_state(tree, level, state_id="s")
+            assert valuation_multiset(result.root, level) == derived.valuation_multiset()
+        screens += 1
+    assert screens >= 60
+
+
+def nested_tree(order=(0, 1, 2)):
+    """Interactable widgets with children, some of them interactable too."""
+    kids = [
+        make_node(className="TextView", text="b", checked=True),
+        make_node(clickable=True, resourceId="inner", text="a"),
+        make_node(className="ImageView", contentDescription="icon"),
+    ]
+    return make_tree("win", make_node(children=[
+        make_node(clickable=True, resourceId="row", children=[kids[i] for i in order]),
+        make_node(clickable=True, resourceId="row", children=[make_node(text="c")]),
+        make_node(clickable=True, resourceId="row", children=[make_node(text="d")]),
+        make_node(scrollable=True, resourceId="list", children=[
+            make_node(longClickable=True, resourceId="row", children=[make_node(text="c")]),
+        ]),
+    ]))
+
+
+def test_valuation_multiset_reads_children_from_l4_on():
+    tree = nested_tree()
+    for name in LEVEL_ORDER:
+        level = LEVELS[name]
+        multiset = valuation_multiset(tree.root, level)
+        derived = derive_abstract_state(tree, level, state_id="s")
+        assert multiset == derived.valuation_multiset()
+        # the order of a widget's children does not matter
+        assert valuation_multiset(nested_tree(order=(2, 0, 1)).root, level) == multiset
+    # the three clickable rows merge at L3, split by child layout at L4 and by
+    # child text at L5
+    sizes = [len(valuation_multiset(tree.root, LEVELS[name])) for name in ("L3", "L4", "L5")]
+    assert sizes == [4, 5, 6]
+
+
+def test_a_node_missing_a_reducer_property_raises_abstraction_error():
+    button = make_node(clickable=True)
+    del button.properties["checked"]
+    tree = make_tree("win", make_node(children=[button]))
+    with pytest.raises(AbstractionError, match="'checked' required by R_Ch"):
+        valuation_multiset(tree.root, LEVELS["L1"])
+    with pytest.raises(AbstractionError, match="'checked' required by R_Ch"):
+        derive_abstract_state(tree, LEVELS["L1"])
+    # a child is read only from L4 on, and then it must carry the property too
+    child = make_node()
+    del child.properties["text"]
+    tree = make_tree("win", make_node(children=[make_node(clickable=True, children=[child])]))
+    assert valuation_multiset(tree.root, LEVELS["L4"])
+    with pytest.raises(AbstractionError, match="'text' required by R_T"):
+        valuation_multiset(tree.root, LEVELS["L5"])
+    with pytest.raises(AbstractionError, match="'text' required by R_T"):
+        derive_abstract_state(tree, LEVELS["L5"])
 
 
 def test_refine_level_finds_the_first_distinguishing_level():

@@ -284,3 +284,20 @@ def test_observation_after_refinement_matches_only_states_at_the_new_level():
     # the state created at the new level is the one the next observation matches
     assert engine._observe(result) is refined
     assert engine.created_this_session == {refined.id}
+
+
+def test_a_session_derives_a_state_only_for_each_new_state(monkeypatch):
+    import uptest.engine
+
+    derived = []
+
+    def counting_derive(*args, **kwargs):
+        state = derive_abstract_state(*args, **kwargs)
+        derived.append(state.id)
+        return state
+
+    monkeypatch.setattr(uptest.engine, "derive_abstract_state", counting_derive)
+    result, _ = run_diary(budget=60, seed=2)
+    # screens that match a known state are looked up by their multiset alone
+    assert sorted(derived) == sorted(result.model.dstg.abstract_states)
+    assert len(derived) < result.executed_actions

@@ -214,6 +214,10 @@ def go_command(doc) -> dict:
         (lambda d: go_command(d).update({"instructions": [5]}), "malformed app spec"),
         (lambda d: d["versions"][0].update({"textInputs": {"w-name": ["a", None]}}),
          "malformed app spec"),
+        (lambda d: go_command(d).update({"instructions": [True, 3]}), "malformed app spec"),
+        (lambda d: go_command(d).update({"instructions": [1, False]}), "malformed app spec"),
+        (lambda d: d["versions"][0]["handlers"]["h-go"].update({"instructionCount": True}),
+         "malformed app spec"),
     ],
 )
 def test_load_spec_rejects_what_would_fail_mid_session(mutate, message):

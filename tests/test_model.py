@@ -135,6 +135,10 @@ def test_deserialize_rejects_a_wrongly_shaped_document():
     lambda doc: doc["dstg"]["abstractTransitions"][0].update(layoutGuard={"entries": 3}),
     lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=["0"]),
     lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=[-1]),
+    lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=[True]),
+    lambda doc: doc["dstg"]["abstractStates"][0]["avms"][0].update(cardinality=True),
+    lambda doc: doc["dstg"]["abstractTransitions"][0].update(
+        layoutGuard={"entries": [{"valuations": {"R_RID": "ok"}, "count": True}]}),
 ])
 def test_deserialize_rejects_fields_of_the_wrong_type(edit):
     doc = json.loads(serialize_model(small_model()).decode("utf-8"))
