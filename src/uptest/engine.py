@@ -22,6 +22,7 @@ from typing import Optional, Union
 from .abstraction import (
     LEVELS,
     LEVEL_ORDER,
+    AbstractionLevel,
     BackwardEquivalenceContext,
     derive_abstract_state,
     fingerprint_from_dict,
@@ -42,6 +43,7 @@ from .model import (
     ActionType,
     AppModel,
     EwtgWidget,
+    GuiNode,
     GuiTree,
     Input,
     TraceStep,
@@ -184,6 +186,53 @@ def _state_key(window_id: str, level: str, multiset: dict[tuple, int]) -> tuple:
     return (window_id, level, frozenset(multiset.items()))
 
 
+class _Screen:
+    """What the engine reads off one screen, each fact worked out once.
+
+    Screens are never mutated (see ``GuiNode``), so the facts hold for as long
+    as the driver hands the same screen back.
+    """
+
+    def __init__(self, window_id: str, root: GuiNode):
+        self.window_id = window_id
+        self.root = root
+        self._keys: dict[str, tuple] = {}  # level name -> state key
+        # widget ref -> (node path, node, xpath) of its first node in walk order
+        self.widgets: dict[str, tuple[tuple[int, ...], GuiNode, str]] = {}
+        # (node path, widget ref, action type) of every action exploration may pick
+        self.candidates: list[tuple[tuple[int, ...], Optional[str], ActionType]] = []
+        # pre-order, the order of ``GuiNode.walk``; an xpath lists the class
+        # names of the nodes below the root down to the node
+        stack: list[tuple[tuple[int, ...], GuiNode, str]] = [((), root, "/")]
+        while stack:
+            path, node, xpath = stack.pop()
+            ref = node.widget_ref
+            if ref is not None and ref not in self.widgets:
+                self.widgets[ref] = (path, node, xpath)
+            if is_interactable(node) and not (
+                node.bounds_hint and node.bounds_hint.get("tiny")
+            ):
+                self.candidates.extend(
+                    (path, ref, action_type)
+                    for prop, action_type in _NODE_ACTIONS
+                    if node.properties.get(prop)
+                )
+            prefix = xpath if path else ""
+            for i in range(len(node.children) - 1, -1, -1):
+                child = node.children[i]
+                stack.append(
+                    (path + (i,), child, f"{prefix}/{child.properties['className']}")
+                )
+
+    def state_key(self, level: AbstractionLevel) -> tuple:
+        key = self._keys.get(level.name)
+        if key is None:
+            key = self._keys[level.name] = _state_key(
+                self.window_id, level.name, valuation_multiset(self.root, level)
+            )
+        return key
+
+
 class TestEngine:
     __test__ = False  # not a test class despite the name
 
@@ -217,6 +266,7 @@ class TestEngine:
         self.current_tree: Optional[GuiTree] = None
         self.trees_observed = 0
         self.state_history: list[AbstractState] = []
+        self._screens: dict[GuiNode, _Screen] = {}
         self.visited_layouts: list[Counter] = []
         self._layouts: dict[str, Counter] = {}  # state id -> layout fingerprint
         self.observed_this_session: set[str] = set()
@@ -238,6 +288,10 @@ class TestEngine:
                 state.window_id, state.abstraction_level, state.valuation_multiset()
             )
             self._states_by_key.setdefault(key, state)
+        # (window, widget, action type) -> the lowest-id input declared for it
+        self._inputs: dict[tuple[str, Optional[str], ActionType], Input] = {}
+        for inp in model.ewtg.inputs.values():
+            self._index_input(inp)
         # continue numbering after inherited states so new ids never collide
         taken = re.compile(r"^(?:st|at)-(\d+)$")
         self._counter = max(
@@ -258,6 +312,16 @@ class TestEngine:
         self._counter += 1
         return f"{prefix}{self._counter}"
 
+    def _index_input(self, inp: Input) -> None:
+        key = (inp.window_id, inp.widget_id, inp.action_type)
+        held = self._inputs.get(key)
+        if held is None or inp.id < held.id:
+            self._inputs[key] = inp
+
+    def _add_input(self, inp: Input) -> None:
+        self.model.ewtg.inputs[inp.id] = inp
+        self._index_input(inp)
+
     def _ensure_window(self, result: PerformResult) -> None:
         ewtg = self.model.ewtg
         if result.window_id in ewtg.windows:
@@ -269,31 +333,27 @@ class TestEngine:
             class_name=result.window_class_name,
             runtime_created=True,
         )
-        back_id = f"ri-{result.window_id}-back"
-        ewtg.inputs[back_id] = Input(
-            id=back_id,
-            window_id=result.window_id,
-            action_type=ActionType.PRESS_BACK,
+        self._add_input(
+            Input(
+                id=f"ri-{result.window_id}-back",
+                window_id=result.window_id,
+                action_type=ActionType.PRESS_BACK,
+            )
         )
 
-    def _ensure_runtime_widgets(self, result: PerformResult) -> None:
+    def _ensure_runtime_widgets(self, screen: _Screen) -> None:
         ewtg = self.model.ewtg
-        window = ewtg.windows[result.window_id]
-        for path, node in result.root.walk():
-            ref = node.widget_ref
-            if ref is None or ref in ewtg.widgets:
+        window = ewtg.windows[screen.window_id]
+        for ref, (_, node, xpath) in screen.widgets.items():
+            if ref in ewtg.widgets:
                 continue
-            xpath = "/" + "/".join(
-                result.root.node_at(path[: i + 1]).properties["className"]
-                for i in range(len(path))
-            )
             ewtg.widgets[ref] = EwtgWidget(
                 id=ref,
-                window_id=result.window_id,
+                window_id=screen.window_id,
                 class_name=node.properties["className"],
                 resource_id=node.properties["resourceId"],
                 content_description=node.properties["contentDescription"],
-                xpath=xpath or f"/{ref}",
+                xpath=xpath,
                 runtime_created=True,
             )
             window.widget_ids.add(ref)
@@ -301,16 +361,27 @@ class TestEngine:
                 if node.properties.get(prop):
                     input_id = f"ri-{ref}-{action_type.value}"
                     if input_id not in ewtg.inputs:
-                        ewtg.inputs[input_id] = Input(
-                            id=input_id,
-                            window_id=result.window_id,
-                            widget_id=ref,
-                            action_type=action_type,
+                        self._add_input(
+                            Input(
+                                id=input_id,
+                                window_id=screen.window_id,
+                                widget_id=ref,
+                                action_type=action_type,
+                            )
                         )
 
+    def _screen(self, window_id: str, root: GuiNode) -> _Screen:
+        screen = self._screens.get(root)
+        if screen is None:
+            screen = self._screens[root] = _Screen(window_id, root)
+        return screen
+
     def _observe(self, result: PerformResult) -> AbstractState:
-        self._ensure_window(result)
-        self._ensure_runtime_widgets(result)
+        seen = result.root in self._screens
+        screen = self._screen(result.window_id, result.root)
+        if not seen:  # a screen seen before has nothing the model lacks
+            self._ensure_window(result)
+            self._ensure_runtime_widgets(screen)
         dstg = self.model.dstg
         self.trees_observed += 1
         tree = GuiTree(
@@ -320,8 +391,7 @@ class TestEngine:
             session_index=self.trees_observed,
         )
         level = LEVELS[dstg.level_for(result.window_id)]
-        multiset = valuation_multiset(result.root, level)
-        key = _state_key(result.window_id, level.name, multiset)
+        key = screen.state_key(level)
         match = self._states_by_key.get(key)
         if match is None:  # only a new state is derived
             sid = self._next_id("st-")
@@ -411,21 +481,15 @@ class TestEngine:
         )
         return pool[self.rng.randrange(len(pool))]
 
+    def _current_screen(self) -> _Screen:
+        tree = self.current_tree
+        return self._screen(tree.window_id, tree.root)
+
     def _node_path_for_widget(self, widget_id: str) -> Optional[tuple[int, ...]]:
         if self.current_tree is None:
             return None
-        for path, node in self.current_tree.root.walk():
-            if node.widget_ref == widget_id:
-                return path
-        return None
-
-    def _matched_input(
-        self, window_id: str, widget_id: Optional[str], action_type: ActionType
-    ) -> Optional[Input]:
-        for inp in self.model.ewtg.inputs_of_window(window_id):
-            if inp.widget_id == widget_id and inp.action_type == action_type:
-                return inp
-        return None
+        first = self._current_screen().widgets.get(widget_id)
+        return first[0] if first is not None else None
 
     def _perform(self, action: Action, widget_id: Optional[str]) -> Optional[PerformResult]:
         """Execute one action; returns None on driver rejection."""
@@ -441,8 +505,8 @@ class TestEngine:
             return None
         matched = None
         if before_state is not None:
-            matched = self._matched_input(
-                before_state.window_id, widget_id, action.action_type
+            matched = self._inputs.get(
+                (before_state.window_id, widget_id, action.action_type)
             )
         if matched is not None:
             self.triggered_inputs.add(matched.id)
@@ -583,15 +647,7 @@ class TestEngine:
         for _ in range(max(0, min(budget_slice, self._budget_left()))):
             if self.current_tree is None:
                 break
-            candidates: list[tuple[tuple[int, ...], Optional[str], ActionType]] = []
-            for path, node in self.current_tree.root.walk():
-                if not is_interactable(node):
-                    continue
-                if node.bounds_hint and node.bounds_hint.get("tiny"):
-                    continue
-                for prop, action_type in _NODE_ACTIONS:
-                    if node.properties.get(prop):
-                        candidates.append((path, node.widget_ref, action_type))
+            candidates = self._current_screen().candidates
             if candidates:
                 path, widget_id, action_type = candidates[
                     self.rng.randrange(len(candidates))

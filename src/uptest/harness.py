@@ -602,6 +602,11 @@ class DriverSession:
     An action's node path refers to the screen in the driver's last result,
     the one its last ``reset`` or ``perform`` returned.  A rejected action
     changes nothing, so that screen stays current.
+
+    The driver renders each distinct screen once: whenever it comes back to
+    the same window with the same visible widgets, texts and checked flags,
+    it returns the same ``GuiNode`` tree as before.  Callers share these
+    trees and must never mutate them.
     """
 
     def __init__(self, spec: AppSpec, version: str, seed: int = 0):
@@ -619,6 +624,8 @@ class DriverSession:
         self._visible: dict[str, bool] = {}
         self._text: dict[str, str] = {}
         self._checked: dict[str, bool] = {}
+        # (window, each widget's text and checked flag or None when hidden) -> screen
+        self._screens: dict[tuple, GuiNode] = {}
         self.reset()
 
     # -- state management
@@ -673,7 +680,21 @@ class DriverSession:
     # -- rendering
 
     def render(self) -> GuiNode:
+        """The current screen, built only the first time the driver is in its state."""
         window = self.version_spec.windows[self.current_window_id]
+        widgets = window.widgets
+        key = (window.id, *[
+            (self.widget_text(w), self.widget_checked(w))
+            if self.widget_visible(w)
+            else None
+            for w in map(widgets.__getitem__, window.widget_order)
+        ])
+        screen = self._screens.get(key)
+        if screen is None:
+            screen = self._screens[key] = self._build_screen(window)
+        return screen
+
+    def _build_screen(self, window: WindowSpec) -> GuiNode:
         visible = [
             window.widgets[wid]
             for wid in window.widget_order

@@ -396,8 +396,17 @@ class AbstractTransition:
         return t
 
 
-@dataclass
+@dataclass(eq=False)
 class GuiNode:
+    """One node of a concrete screen.
+
+    A screen is never mutated once built: the driver hands the same tree back
+    whenever it shows the same screen again, and the engine and the replay
+    remember what they work out from a screen under the screen itself.  So
+    nodes compare and hash by identity; compare ``to_dict()`` for equal
+    content.
+    """
+
     properties: dict[str, Any]
     children: list["GuiNode"] = field(default_factory=list)
     bounds_hint: Optional[dict] = None

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from .abstraction import LEVELS, valuation_multiset
 from .abstraction import derive_abstract_state  # noqa: F401  perfbench traces it here
 from .harness import DriverRejection
-from .model import AbstractState, AppModel
+from .model import AbstractState, AppModel, GuiNode
 
 
 def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppModel:
@@ -41,12 +41,21 @@ def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppMo
 
 
 def _states_match(
-    expected_state: AbstractState, expected_multiset: dict, observed_result
+    expected_state: AbstractState,
+    expected_multiset: dict,
+    observed_result,
+    screens: dict[tuple[GuiNode, str], dict],
 ) -> bool:
+    """Whether the observed screen matches the expected state; ``screens``
+    holds each (screen, level) multiset worked out so far."""
     if observed_result.window_id != expected_state.window_id:
         return False
-    level = LEVELS[expected_state.abstraction_level]
-    return valuation_multiset(observed_result.root, level) == expected_multiset
+    key = (observed_result.root, expected_state.abstraction_level)
+    observed = screens.get(key)
+    if observed is None:
+        level = LEVELS[expected_state.abstraction_level]
+        observed = screens[key] = valuation_multiset(observed_result.root, level)
+    return observed == expected_multiset
 
 
 def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
@@ -60,6 +69,7 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
         warnings.warn(f"replay aborted at reset: {exc}")
         return model
     multisets: dict[str, dict] = {}  # expected state id -> valuation multiset
+    screens: dict[tuple[GuiNode, str], dict] = {}  # (screen, level) -> multiset
     for step in trace:
         try:
             result = driver.perform(step.action)
@@ -74,7 +84,7 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
         multiset = multisets.get(expected.id)
         if multiset is None:
             multiset = multisets[expected.id] = expected.valuation_multiset()
-        if result is None or not _states_match(expected, multiset, result):
+        if result is None or not _states_match(expected, multiset, result, screens):
             expected.obsolete = True
     return model
 

@@ -5,6 +5,7 @@ Each test prints one "<criterion>: PASS" or "<criterion>: FAIL" line
 """
 
 import copy
+import dataclasses
 import hashlib
 import json
 import random
@@ -479,3 +480,47 @@ def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
                 digest.update(path.name.encode())
                 digest.update(path.read_bytes())
     assert digest.hexdigest() == SESSION_DIGEST
+
+
+class CopyingDriver:
+    """A ``DriverSession`` that returns a fresh deep copy of every screen."""
+
+    def __init__(self, *args, **kwargs):
+        self._driver = DriverSession(*args, **kwargs)
+
+    def reset(self):
+        return self._copy(self._driver.reset())
+
+    def perform(self, action):
+        return self._copy(self._driver.perform(action))
+
+    @staticmethod
+    def _copy(result):
+        return dataclasses.replace(result, root=copy.deepcopy(result.root))
+
+
+def test_sharing_screens_only_saves_work(tmp_path, monkeypatch):
+    # the session and the replay reuse what they work out from a screen the
+    # driver returns again; with equal but never identical screens each
+    # pipeline output must come out the same
+    import uptest.cli
+
+    for app in ("diary", "dialog", "news", "deep"):
+        spec = load_spec(fixture_path(app))
+        outputs = {}
+        for name, driver in (("shared", DriverSession), ("copied", CopyingDriver)):
+            monkeypatch.setattr(uptest.cli, "DriverSession", driver)
+            workdir = tmp_path / f"{app}-{name}"
+            workdir.mkdir()
+            pipeline_run(
+                spec, spec.versions[0].version, spec.versions[-1].version,
+                budget=300, seed=5, workdir=workdir, config=EngineConfig(),
+            )
+            outputs[name] = {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+        shared, copied = outputs["shared"], outputs["copied"]
+        assert sorted(shared) == sorted(copied)
+        for file_name, data in shared.items():
+            if file_name.startswith("model_"):
+                assert json.loads(copied[file_name]) == json.loads(data), file_name
+            else:
+                assert copied[file_name] == data, file_name

@@ -126,6 +126,45 @@ def test_runtime_windows_and_inputs_are_folded_into_the_model():
     assert runtime_widgets
 
 
+def test_the_input_table_holds_the_lowest_id_input_of_each_key():
+    spec = load_spec(fixture_path("dialog"))
+    model = AppModel(version="v1", ewtg=export_ewtg(spec, "v1"))
+    # the runtime window's back input, added mid-session, sorts before this one
+    model.ewtg.inputs["zz-dlg-back"] = Input(
+        id="zz-dlg-back", window_id="dlg", action_type=ActionType.PRESS_BACK
+    )
+    counts = method_instruction_counts(spec, "v1")
+    targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
+    engine = TestEngine(model, targets, DriverSession(spec, "v1", seed=2), budget=60, seed=2)
+    engine.run_session()
+    assert "ri-dlg-back" in model.ewtg.inputs
+    expected = {}
+    for inp in sorted(model.ewtg.inputs.values(), key=lambda i: i.id):
+        expected.setdefault((inp.window_id, inp.widget_id, inp.action_type), inp)
+    assert engine._inputs == expected
+
+
+def test_runtime_widgets_take_the_class_names_down_to_them_as_xpath():
+    model = two_state_model()
+    engine = engine_on(model)
+    result = observed_result(
+        "new",
+        make_node(className="Layout", widget_ref="rw-panel", children=[
+            make_node(className="Button", widget_ref="rw-ok", clickable=True),
+            make_node(className="Frame", children=[
+                make_node(className="EditText", widget_ref="rw-name", isInputField=True),
+            ]),
+        ]),
+    )
+    engine._observe(result)
+    widgets = model.ewtg.widgets
+    assert [widgets[w].xpath for w in ("rw-panel", "rw-ok", "rw-name")] == [
+        "/Layout", "/Layout/Button", "/Layout/Frame/EditText",
+    ]
+    assert {"ri-new-back", "ri-rw-ok-Click", "ri-rw-name-TextFill"} <= set(model.ewtg.inputs)
+    assert engine._inputs[("new", "rw-name", ActionType.TEXT_FILL)].id == "ri-rw-name-TextFill"
+
+
 # --- focused unit checks on refinement hooks ------------------------------
 
 

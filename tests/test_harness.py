@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from uptest.engine import TargetSet, run_session
 from uptest.harness import (
     DriverRejection,
     DriverSession,
@@ -15,7 +16,7 @@ from uptest.harness import (
     target_manifest,
     updated_methods,
 )
-from uptest.model import Action, ActionType
+from uptest.model import Action, ActionType, AppModel
 
 from uptest import fixture_path
 from conftest import path_of
@@ -468,3 +469,189 @@ def test_generator_follows_the_documented_seeding_scheme():
         node = [n for _, n in session.render().walk() if n.widget_ref == "w-article"][0]
         assert node.properties["text"] == expected
         assert session.variables["vi"] == pool.index(expected)
+
+
+# --- rendering each distinct screen once ----------------------------------
+
+
+def screens_spec_doc() -> dict:
+    """Three windows.  The main one nests two widgets in a panel and has one
+    button per effect kind, and a generator sets its title on every launch.
+    The other two show the same texts, so only their window tells them apart."""
+
+    def button(widget_id, **extra):
+        return {"id": widget_id, "resourceId": widget_id[2:], "className": "Button",
+                "clickable": True, **extra}
+
+    def handler(*effects):
+        return {"methodId": f"m{len(handlers)}", "instructionCount": 1,
+                "body": [{"guard": [], "effects": list(effects), "instructions": [1, 1]}]}
+
+    handlers: dict = {}
+    inputs = []
+    for window, widget, action_type, effects in (
+        ("main", "w-hide", "Click", [{"hide": "w-panel"}]),
+        ("main", "w-show", "Click", [{"show": "w-panel"}]),
+        ("main", "w-check", "Click", [{"toggle": "w-check"}]),
+        ("main", "w-set", "Click", [{"setChecked": {"widget": "w-check", "value": False}},
+                                    {"setText": {"widget": "w-label", "value": "set"}}]),
+        ("main", "w-field", "TextFill", [{"setTextFromPayload": "w-title"}]),
+        ("main", "w-go", "Click", [{"goto": "second"}]),
+        ("second", "w-label", "Click", [{"back": True}]),
+        ("second", "w-next", "Click", [{"goto": "third"}]),
+        ("third", "w-close", "Click", [{"back": True}]),
+    ):
+        key = f"h-{widget}"
+        handlers[key] = handler(*effects)
+        inputs.append({"id": f"i-{widget}", "window": window, "widget": widget,
+                       "actionType": action_type, "handler": key})
+    return {
+        "appId": "screens",
+        "versions": [{
+            "version": "v1",
+            "windows": [
+                {"id": "main", "className": "com.screens.Main", "launcher": True,
+                 "widgets": [
+                     {"id": "w-panel", "resourceId": "panel", "className": "Layout"},
+                     {"id": "w-check", "resourceId": "check", "className": "CheckBox",
+                      "clickable": True, "parent": "w-panel"},
+                     {"id": "w-field", "resourceId": "field", "className": "EditText",
+                      "isInputField": True, "parent": "w-panel"},
+                     {"id": "w-title", "resourceId": "title", "className": "TextView"},
+                     button("w-hide"), button("w-show"), button("w-set"), button("w-go"),
+                     button("w-tiny", tiny=True),
+                 ]},
+                {"id": "second", "className": "com.screens.Second",
+                 "widgets": [button("w-label", text="default"), button("w-next")]},
+                {"id": "third", "className": "com.screens.Third",
+                 "widgets": [button("w-close", text="default"), button("w-more")]},
+            ],
+            "inputs": inputs,
+            "handlers": handlers,
+            "generators": [{"pool": ["first", "second", "third"], "widget": "w-title"}],
+        }],
+    }
+
+
+def screens_session() -> DriverSession:
+    return DriverSession(load_spec(screens_spec_doc()), "v1", seed=4)
+
+
+def assert_screen_is_current(session, result):
+    """The screen the driver returned is what a fresh build of its state renders."""
+    window = session.version_spec.windows[session.current_window_id]
+    assert result.root.to_dict() == session._build_screen(window).to_dict()
+    assert session.render() is result.root
+
+
+def fill(session, result, widget_id, payload):
+    return session.perform(Action("i", ActionType.TEXT_FILL, data_payload=payload,
+                                  concrete_node_path=path_of(result.root, widget_id)))
+
+
+def test_a_repeated_driver_state_renders_the_same_screen():
+    session = screens_session()
+    start = session.reset()
+    assert session.render() is start.root
+    hidden = click(session, start, "w-hide")
+    assert hidden.root is not start.root
+    # showing the panel again overrides its visibility with the value it had
+    shown = click(session, hidden, "w-show")
+    assert shown.root is start.root
+    second = click(session, shown, "w-go")
+    back = click(session, second, "w-label")
+    assert back.root is start.root
+    assert click(session, back, "w-go").root is second.root
+    third = click(session, second, "w-next")
+    assert third.root is not second.root
+    assert_screen_is_current(session, third)
+    assert click(session, third, "w-close").root is second.root
+
+
+def test_after_each_kind_of_change_the_screen_is_a_fresh_build():
+    session = screens_session()
+    result = session.reset()  # the generator sets the title
+    assert_screen_is_current(session, result)
+    steps = (
+        lambda r: fill(session, r, "w-field", "typed"),  # TEXT_FILL, setTextFromPayload
+        lambda r: click(session, r, "w-check"),  # toggle
+        lambda r: click(session, r, "w-set"),  # setChecked, setText
+        lambda r: click(session, r, "w-hide"),  # hide
+        lambda r: click(session, r, "w-show"),  # show
+        lambda r: click(session, r, "w-go"),  # goto
+        lambda r: click(session, r, "w-label"),  # back
+        lambda r: session.reset(),  # a new launch draws another title
+    )
+    screens = [result.root.to_dict()]
+    for step in steps:
+        result = step(result)
+        assert_screen_is_current(session, result)
+        screens.append(result.root.to_dict())
+        with pytest.raises(DriverRejection):  # a rejected action keeps the screen
+            click(session, result, "w-tiny") if result.window_id == "main" else (
+                session.perform(Action("i", ActionType.CLICK, concrete_node_path=(5,)))
+            )
+        assert_screen_is_current(session, result)
+    # every step above changes what the screen shows
+    assert all(a != b for a, b in zip(screens, screens[1:]))
+
+
+def test_an_effect_on_another_windows_widget_shows_once_the_driver_is_there():
+    session = screens_session()
+    start = session.reset()
+    second = click(session, start, "w-go")
+    back = click(session, second, "w-label")
+    again = click(session, click(session, back, "w-set"), "w-go")
+    assert again.root is not second.root
+    label = [n for _, n in again.root.walk() if n.widget_ref == "w-label"][0]
+    assert label.properties["text"] == "set"
+    assert_screen_is_current(session, again)
+
+
+def test_a_hidden_parent_moves_its_children_to_the_root_and_showing_it_nests_them():
+    session = screens_session()
+    start = session.reset()
+    assert [len(path_of(start.root, w)) for w in ("w-check", "w-field")] == [2, 2]
+    hidden = click(session, start, "w-hide")
+    assert "w-panel" not in {n.widget_ref for _, n in hidden.root.walk()}
+    assert [len(path_of(hidden.root, w)) for w in ("w-check", "w-field")] == [1, 1]
+    assert_screen_is_current(session, hidden)
+    shown = click(session, hidden, "w-show")
+    assert [len(path_of(shown.root, w)) for w in ("w-check", "w-field")] == [2, 2]
+    assert_screen_is_current(session, shown)
+
+
+def test_a_long_session_builds_no_more_screens_than_it_shows(monkeypatch):
+    builds = []
+    build = DriverSession._build_screen
+
+    def counting_build(self, window):
+        builds.append(window.id)
+        return build(self, window)
+
+    monkeypatch.setattr(DriverSession, "_build_screen", counting_build)
+
+    class Recording:
+        def __init__(self, driver):
+            self.driver = driver
+            self.screens = []
+
+        def reset(self):
+            result = self.driver.reset()
+            self.screens.append(result.root)
+            return result
+
+        def perform(self, action):
+            result = self.driver.perform(action)
+            self.screens.append(result.root)
+            return result
+
+    spec = load_spec(fixture_path("diary"))
+    driver = Recording(DriverSession(spec, "v0", seed=3))
+    model = AppModel(version="v0", ewtg=export_ewtg(spec, "v0"))
+    counts = method_instruction_counts(spec, "v0")
+    targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
+    result = run_session(model, targets, driver, budget=1000, seed=3)
+    assert result.executed_actions == 1000
+    distinct = {repr(root.to_dict()) for root in driver.screens}
+    assert len(builds) <= len(distinct) < 20
