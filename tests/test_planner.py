@@ -1,5 +1,7 @@
 """Planning: cost model, meta states, best-first search."""
 
+import hashlib
+import json
 import random
 
 import pytest
@@ -305,3 +307,70 @@ def test_plan_cost_matches_exhaustive_enumeration_on_random_models():
             assert sequence_cost_oracle(seq.steps) == pytest.approx(
                 seq.cost, abs=1e-9
             )
+
+
+def _decorate(model, rng):
+    """Layout guards and payloads on some recorded transitions, plus the
+    layouts of some states as the visited ones, so plans cover guard checks."""
+    states = sorted(model.dstg.abstract_states.values(), key=lambda s: s.id)
+    for tid in sorted(model.dstg.abstract_transitions):
+        tr = model.dstg.abstract_transitions[tid]
+        if rng.random() < 0.3:
+            tr.layout_guard = fingerprint_to_dict(layout_fingerprint(rng.choice(states)))
+        if rng.random() < 0.2:
+            tr.data_payload = rng.choice(("hello", "42", ""))
+    return [layout_fingerprint(s) for s in states if rng.random() < 0.5]
+
+
+def _plan_record(seq):
+    if seq is None:
+        return None
+    steps = []
+    for s in seq.steps:
+        if isinstance(s.expected, MetaState):
+            expected = {
+                "window": s.expected.window_id,
+                "source": s.expected.source_input_id,
+                "presence": [list(p) for p in s.expected.widget_presence],
+            }
+        else:
+            expected = s.expected
+        steps.append({
+            "input": s.input_id, "action": s.action_type.value, "widget": s.widget_id,
+            "expected": expected, "p": s.probability, "guard": s.guard,
+            "payload": s.data_payload,
+        })
+    return {"steps": steps, "cost": seq.cost}
+
+
+#: sha256 of every plan (each step's input, action, widget, expected state or
+#: meta window and presence, probability, guard and payload, plus the cost) on
+#: 400 seeded random models, frozen from the planner that scanned the model for
+#: every edge it considered.
+RANDOM_PLANS_DIGEST = "44e47af79a24045583a90e5f76f77c1e7b91fc7a017dfb929eba34377e28dfaa"
+
+
+TARGET_KINDS = {AbstractState: "state", Window: "window", Input: "input"}
+
+
+def test_plans_on_random_models_are_unchanged():
+    digest = hashlib.sha256()
+    seen = {"state": 0, "window": 0, "input": 0, "none": 0, "meta": 0, "guard": 0, "payload": 0}
+    for seed in range(400):
+        rng = random.Random(seed)
+        model, start, target = random_model(rng)
+        layouts = _decorate(model, rng)
+        seq = plan_to_target(model, start, target, visited_layouts=layouts)
+        record = _plan_record(seq)
+        digest.update(json.dumps(record, sort_keys=True).encode("utf-8"))
+        seen[TARGET_KINDS[type(target)]] += 1
+        if record is None:
+            seen["none"] += 1
+            continue
+        for step in record["steps"]:
+            seen["meta"] += isinstance(step["expected"], dict)
+            seen["guard"] += step["guard"] is not None
+            seen["payload"] += step["payload"] is not None
+    # every target kind, missing plans, meta steps, guards and payloads occur
+    assert all(seen.values()), seen
+    assert digest.hexdigest() == RANDOM_PLANS_DIGEST
