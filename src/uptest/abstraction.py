@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .model import (
     LEVEL_ORDER,
@@ -125,8 +125,6 @@ LEVELS: dict[str, AbstractionLevel] = {
 #: Reducer names that make up a layout fingerprint (text and children excluded).
 _L1_REDUCER_NAMES = tuple(r.name for r in _L1_REDUCERS)
 
-LAYOUT_SIMILARITY_THRESHOLD = 0.8
-
 
 def is_interactable(node: GuiNode) -> bool:
     props = node.properties
@@ -165,19 +163,13 @@ def valuation_multiset(root: GuiNode, level: AbstractionLevel) -> dict[tuple, in
 def derive_abstract_state(
     tree: GuiTree,
     level: AbstractionLevel,
-    widget_map: Optional[Callable[[GuiNode], Optional[str]]] = None,
     state_id: str = "",
 ) -> AbstractState:
     """Abstract a concrete tree: one AVM per distinct valuation key.
 
-    AVMs are numbered in the order their key first appears in the walk.
-    ``widget_map`` associates nodes with static widget ids; by default the
-    node's own ``widget_ref`` is used, and an AVM takes the lowest of its
-    nodes' widget ids.
+    AVMs are numbered in the order their key first appears in the walk, and
+    an AVM takes the lowest of its nodes' ``widget_ref`` ids.
     """
-    if widget_map is None:
-        widget_map = lambda node: node.widget_ref  # noqa: E731
-
     groups: dict[tuple, list] = {}  # valuation key -> [count, widget ids]
     key_of = level.valuation_key
     for node in _interactable_nodes(tree.root):
@@ -186,9 +178,8 @@ def derive_abstract_state(
         if group is None:
             group = groups[key] = [0, set()]
         group[0] += 1
-        wid = widget_map(node)
-        if wid is not None:
-            group[1].add(wid)
+        if node.widget_ref is not None:
+            group[1].add(node.widget_ref)
 
     prefix = state_id or tree.id
     avms = [
@@ -260,7 +251,7 @@ def fingerprint_from_dict(d: dict) -> Counter:
 def make_layout_guard(
     destination: AbstractState,
     trace_states: list[AbstractState],
-    threshold: float = LAYOUT_SIMILARITY_THRESHOLD,
+    threshold: float,
 ) -> Optional[Counter]:
     """Fingerprint of the nearest previously visited state with a similar layout.
 
@@ -275,6 +266,14 @@ def make_layout_guard(
         if fingerprint_similarity(fp, dest_fp) >= threshold:
             return fp
     return None
+
+
+def guard_holds(guard: Optional[dict], visited_layouts: list[Counter], threshold: float) -> bool:
+    """True without a guard, else when a visited layout is similar enough to it."""
+    if guard is None:
+        return True
+    guard_fp = fingerprint_from_dict(guard)
+    return any(fingerprint_similarity(guard_fp, fp) >= threshold for fp in visited_layouts)
 
 
 # --- refinement ----------------------------------------------------------

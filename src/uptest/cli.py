@@ -167,15 +167,7 @@ def cmd_plan(args) -> int:
     if target is None:
         print("unknown target", file=sys.stderr)
         return 2
-    config = _config(args)
-    sequence = plan_to_target(
-        model,
-        state,
-        target,
-        default_meta_probability=config.default_meta_probability,
-        max_plan_length=config.max_plan_length,
-        guard_threshold=config.layout_similarity_threshold,
-    )
+    sequence = plan_to_target(model, state, target, config=_config(args))
     if sequence is None:
         print("no path to target")
         return 1

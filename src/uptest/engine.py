@@ -25,9 +25,8 @@ from .abstraction import (
     AbstractionLevel,
     BackwardEquivalenceContext,
     derive_abstract_state,
-    fingerprint_from_dict,
-    fingerprint_similarity,
     fingerprint_to_dict,
+    guard_holds,
     is_backward_equivalent,
     is_interactable,
     layout_fingerprint,
@@ -52,10 +51,6 @@ from .model import (
 )
 from .planner import ActionSequence, MetaState, PlanStep, plan_to_target
 from .refinement import propagate_obsolescence
-
-
-class EngineError(Exception):
-    pass
 
 
 @dataclass
@@ -446,7 +441,9 @@ class TestEngine:
                     self._refine_window(before.window_id)
         guard = None
         if closing:
-            fp = make_layout_guard(after, self.state_history[:-1])
+            fp = make_layout_guard(
+                after, self.state_history[:-1], self.config.layout_similarity_threshold
+            )
             guard = fingerprint_to_dict(fp if fp is not None else layout_fingerprint(after))
         tr = AbstractTransition(
             id=self._next_id("at-"),
@@ -537,20 +534,12 @@ class TestEngine:
             self.model.gstg.trace.append(TraceStep(action=action, after_state_id=after_state.id))
         return result
 
-    def _guard_holds_now(self, guard: Optional[dict]) -> bool:
-        if guard is None:
-            return True
-        guard_fp = fingerprint_from_dict(guard)
-        return any(
-            fingerprint_similarity(guard_fp, fp)
-            >= self.config.layout_similarity_threshold
-            for fp in self.visited_layouts
-        )
-
     def _execute_step(self, step: PlanStep) -> str:
         """Run one planned step; outcome is as-expected, backward-equivalent, or mismatch."""
         if step.guard is not None:
-            satisfied = self._guard_holds_now(step.guard)
+            satisfied = guard_holds(
+                step.guard, self.visited_layouts, self.config.layout_similarity_threshold
+            )
             self.guard_checks.append(
                 {
                     "guard": step.guard,
@@ -693,13 +682,7 @@ class TestEngine:
     def _pursue_input(self, inp: Input, phase: int) -> int:
         start = self.executed
         sequence = plan_to_target(
-            self.model,
-            self.current_state,
-            inp,
-            visited_layouts=self.visited_layouts,
-            default_meta_probability=self.config.default_meta_probability,
-            max_plan_length=self.config.max_plan_length,
-            guard_threshold=self.config.layout_similarity_threshold,
+            self.model, self.current_state, inp, self.visited_layouts, self.config
         )
         entry = self._log_plan(phase, inp.id, sequence)
         if sequence is None:
@@ -749,13 +732,7 @@ class TestEngine:
         if self.current_state.window_id == window_id:
             return
         sequence = plan_to_target(
-            self.model,
-            self.current_state,
-            window,
-            visited_layouts=self.visited_layouts,
-            default_meta_probability=self.config.default_meta_probability,
-            max_plan_length=self.config.max_plan_length,
-            guard_threshold=self.config.layout_similarity_threshold,
+            self.model, self.current_state, window, self.visited_layouts, self.config
         )
         entry = self._log_plan(phase, f"window:{window_id}", sequence)
         if sequence is not None:

@@ -518,12 +518,6 @@ class Ewtg:
     window_transitions: dict[str, WindowTransition] = field(default_factory=dict)
     launcher_window_id: Optional[str] = None
 
-    def inputs_of_window(self, window_id: str) -> list[Input]:
-        return sorted(
-            (i for i in self.inputs.values() if i.window_id == window_id),
-            key=lambda i: i.id,
-        )
-
     def to_dict(self) -> dict:
         return {
             "windows": [w.to_dict() for w in sorted(self.windows.values(), key=lambda w: w.id)],
@@ -558,12 +552,6 @@ class Dstg:
 
     def level_for(self, window_id: str) -> str:
         return self.abstraction_policy.get(window_id, "L1")
-
-    def states_of_window(self, window_id: str) -> list[AbstractState]:
-        return sorted(
-            (s for s in self.abstract_states.values() if s.window_id == window_id),
-            key=lambda s: s.id,
-        )
 
     def transitions_from(self, state_id: str) -> list[AbstractTransition]:
         return sorted(

@@ -17,7 +17,8 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .abstraction import fingerprint_from_dict, fingerprint_similarity
+from .abstraction import guard_holds
+from .config import EngineConfig
 from .model import (
     AbstractState,
     ActionType,
@@ -26,10 +27,6 @@ from .model import (
     Window,
     action_cost,
 )
-
-DEFAULT_META_PROBABILITY = 0.5
-DEFAULT_MAX_PLAN_LENGTH = 8
-LAYOUT_GUARD_THRESHOLD = 0.8
 
 
 @dataclass(frozen=True)
@@ -101,66 +98,6 @@ def _truncate2(x: float) -> float:
     return math.floor(x * 100.0 + 1e-9) / 100.0
 
 
-# --- graph access helpers ------------------------------------------------
-
-
-def _input_lookup(model: AppModel) -> dict[tuple[str, Optional[str], ActionType], Input]:
-    table: dict[tuple[str, Optional[str], ActionType], Input] = {}
-    for inp in sorted(model.ewtg.inputs.values(), key=lambda i: i.id):
-        key = (inp.window_id, inp.widget_id, inp.action_type)
-        table.setdefault(key, inp)
-    return table
-
-
-def _transition_widget(model: AppModel, tr) -> Optional[str]:
-    state = model.dstg.abstract_states.get(tr.source_state_id)
-    if state is None or tr.source_avm_id is None:
-        return None
-    avm = state.avm_by_id(tr.source_avm_id)
-    return avm.ewtg_widget_id if avm else None
-
-
-def windows_reached_by_input(model: AppModel, inp: Input) -> list[str]:
-    """Destination windows of recorded transitions exercising this input."""
-    windows = set()
-    for tr in model.dstg.abstract_transitions.values():
-        src = model.dstg.abstract_states.get(tr.source_state_id)
-        dst = model.dstg.abstract_states.get(tr.destination_state_id)
-        if src is None or dst is None or dst.obsolete:
-            continue
-        if src.window_id != inp.window_id:
-            continue
-        if tr.action_type != inp.action_type:
-            continue
-        if _transition_widget(model, tr) != inp.widget_id:
-            continue
-        windows.add(dst.window_id)
-    return sorted(windows)
-
-
-def build_meta_state(model: AppModel, inp: Input, destination_window_id: str) -> MetaState:
-    """Widget presence ratios over the destination window's known states."""
-    states = [
-        s
-        for s in model.dstg.states_of_window(destination_window_id)
-        if not s.obsolete
-    ]
-    presence: dict[str, float] = {}
-    if states:
-        counts: Counter = Counter()
-        for state in states:
-            widgets = {
-                avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None
-            }
-            counts.update(widgets)
-        presence = {w: counts[w] / len(states) for w in sorted(counts)}
-    return MetaState(
-        window_id=destination_window_id,
-        source_input_id=inp.id,
-        widget_presence=tuple(sorted(presence.items())),
-    )
-
-
 # --- search --------------------------------------------------------------
 
 
@@ -178,21 +115,67 @@ class _Edge:
 
 
 class Planner:
+    """Plans over one view of the model, built once from one pass over each
+    of its collections; the model must not change while the planner is used."""
+
     def __init__(
         self,
         model: AppModel,
         visited_layouts: Optional[list[Counter]] = None,
-        default_meta_probability: float = DEFAULT_META_PROBABILITY,
-        max_plan_length: int = DEFAULT_MAX_PLAN_LENGTH,
-        guard_threshold: float = LAYOUT_GUARD_THRESHOLD,
+        config: Optional[EngineConfig] = None,
     ):
         self.model = model
         self.visited_layouts = visited_layouts or []
-        self.default_meta_probability = default_meta_probability
-        self.max_plan_length = max_plan_length
-        self.guard_threshold = guard_threshold
+        self.config = config or EngineConfig()
         self._meta_states: dict[tuple, MetaState] = {}
         self._target: Optional[Union[Window, AbstractState, Input]] = None
+
+        ewtg, dstg = model.ewtg, model.dstg
+        # inputs by window in id order; (window, widget, action) -> lowest-id input
+        self._inputs_of_window: dict[str, list[Input]] = {}
+        self._input_for: dict[tuple[str, Optional[str], ActionType], Input] = {}
+        for inp in sorted(ewtg.inputs.values(), key=lambda i: i.id):
+            self._inputs_of_window.setdefault(inp.window_id, []).append(inp)
+            self._input_for.setdefault((inp.window_id, inp.widget_id, inp.action_type), inp)
+        # input id -> destination windows of its window transitions, in id order
+        self._window_destinations: dict[str, list[str]] = {}
+        for wt in sorted(ewtg.window_transitions.values(), key=lambda t: t.id):
+            self._window_destinations.setdefault(wt.input_id, []).append(
+                wt.destination_window_id
+            )
+        # state id -> (widget, transition, destination) in id order, for
+        # transitions whose destination exists; (window, widget, action) ->
+        # windows reached by recorded transitions into live states
+        self._transitions_from: dict[str, list[tuple]] = {}
+        reached: dict[tuple[str, Optional[str], ActionType], set[str]] = {}
+        states = dstg.abstract_states
+        for tr in sorted(dstg.abstract_transitions.values(), key=lambda t: t.id):
+            src = states.get(tr.source_state_id)
+            dest = states.get(tr.destination_state_id)
+            if src is None or dest is None:
+                continue
+            avm = src.avm_by_id(tr.source_avm_id) if tr.source_avm_id is not None else None
+            widget_id = avm.ewtg_widget_id if avm else None
+            self._transitions_from.setdefault(src.id, []).append((widget_id, tr, dest))
+            if not dest.obsolete:
+                reached.setdefault((src.window_id, widget_id, tr.action_type), set()).add(
+                    dest.window_id
+                )
+        self._reached = {key: sorted(windows) for key, windows in reached.items()}
+        # window -> presence ratio of each widget over the window's live states
+        counts: dict[str, Counter] = {}
+        live: Counter = Counter()
+        for state in states.values():
+            if state.obsolete:
+                continue
+            live[state.window_id] += 1
+            counts.setdefault(state.window_id, Counter()).update(
+                {avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None}
+            )
+        self._presence = {
+            window_id: tuple(sorted((w, c / live[window_id]) for w, c in widget_counts.items()))
+            for window_id, widget_counts in counts.items()
+        }
 
     # node keys: ("state", state_id) or ("meta", window_id, presence tuple)
 
@@ -201,56 +184,38 @@ class Planner:
         self._meta_states[key] = meta
         return key
 
-    def _guard_satisfied(self, guard: Optional[dict]) -> bool:
-        if guard is None:
-            return True
-        guard_fp = fingerprint_from_dict(guard)
-        return any(
-            fingerprint_similarity(guard_fp, fp) >= self.guard_threshold
-            for fp in self.visited_layouts
-        )
-
     def _destinations_for_input(self, inp: Input) -> list[tuple[tuple, ExpectedState]]:
-        """Meta destinations for an input never exercised in the source node."""
-        reached = windows_reached_by_input(self.model, inp)
-        out: list[tuple[tuple, ExpectedState]] = []
+        """Meta destinations for an input never exercised in the source node.
+
+        Windows that recorded transitions on the input's widget reached carry
+        the widget presence of their live states; failing those, the input's
+        window transitions give destinations without presence data.
+        """
+        reached = self._reached.get((inp.window_id, inp.widget_id, inp.action_type))
         if reached:
-            for window_id in reached:
-                meta = build_meta_state(self.model, inp, window_id)
-                out.append((self._meta_node(meta), meta))
-            return out
-        for wt in sorted(
-            self.model.ewtg.window_transitions.values(), key=lambda t: t.id
-        ):
-            if wt.input_id != inp.id:
-                continue
-            meta = MetaState(
-                window_id=wt.destination_window_id,
-                source_input_id=inp.id,
-                widget_presence=(),
-            )
-            out.append((self._meta_node(meta), meta))
-        if not out and isinstance(self._target, Input) and self._target.id == inp.id:
-            # destination unknown, but executing the target input is the goal
-            meta = MetaState(window_id=inp.window_id, source_input_id=inp.id)
+            windows = [(w, self._presence.get(w, ())) for w in reached]
+        else:
+            windows = [(w, ()) for w in self._window_destinations.get(inp.id, ())]
+            if not windows and isinstance(self._target, Input) and self._target.id == inp.id:
+                # destination unknown, but executing the target input is the goal
+                windows = [(inp.window_id, ())]
+        out: list[tuple[tuple, ExpectedState]] = []
+        for window_id, presence in windows:
+            meta = MetaState(window_id, inp.id, presence)
             out.append((self._meta_node(meta), meta))
         return out
 
     def _edges_from_state(self, state: AbstractState, at_start: bool) -> list[_Edge]:
         edges: list[_Edge] = []
-        lookup = _input_lookup(self.model)
         exercised: set[tuple[Optional[str], ActionType]] = set()
-        for tr in self.model.dstg.transitions_from(state.id):
-            dest = self.model.dstg.abstract_states.get(tr.destination_state_id)
-            if dest is None:
-                continue
-            widget_id = _transition_widget(self.model, tr)
+        threshold = self.config.layout_similarity_threshold
+        for widget_id, tr, dest in self._transitions_from.get(state.id, ()):
             exercised.add((widget_id, tr.action_type))
             if dest.obsolete:
                 continue
-            if not self._guard_satisfied(tr.layout_guard):
+            if not guard_holds(tr.layout_guard, self.visited_layouts, threshold):
                 continue
-            inp = lookup.get((state.window_id, widget_id, tr.action_type))
+            inp = self._input_for.get((state.window_id, widget_id, tr.action_type))
             input_id = inp.id if inp else f"runtime:{state.window_id}:{widget_id}:{tr.action_type.value}"
             edges.append(
                 _Edge(
@@ -268,7 +233,7 @@ class Planner:
         present_widgets = {
             avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None
         }
-        for inp in self.model.ewtg.inputs_of_window(state.window_id):
+        for inp in self._inputs_of_window.get(state.window_id, ()):
             if inp.action_type == ActionType.RESET_APP and not at_start:
                 continue
             if (inp.widget_id, inp.action_type) in exercised:
@@ -293,7 +258,7 @@ class Planner:
         edges: list[_Edge] = []
         presence = meta.presence()
         has_presence_data = bool(presence)
-        for inp in self.model.ewtg.inputs_of_window(meta.window_id):
+        for inp in self._inputs_of_window.get(meta.window_id, ()):
             if inp.action_type == ActionType.RESET_APP:
                 continue
             if inp.widget_id is None:
@@ -301,7 +266,7 @@ class Planner:
             elif has_presence_data:
                 probability = presence.get(inp.widget_id, 0.0)
             else:
-                probability = self.default_meta_probability
+                probability = self.config.default_meta_probability
             if probability <= 0.0:
                 continue
             for dest_key, expected in self._destinations_for_input(inp):
@@ -354,9 +319,10 @@ class Planner:
             return ActionSequence(steps=[])
 
         counter = 0
-        # frontier entries: cost, meta steps, tiebreak, node key, steps, cost_full, prod
+        # frontier entries: cost, meta steps, tiebreak, node key, steps,
+        # cost_full, prod, and the node keys the path visited
         frontier: list[tuple] = []
-        heapq.heappush(frontier, (0.0, 0, counter, start_key, [], 0.0, 1.0))
+        heapq.heappush(frontier, (0.0, 0, counter, start_key, [], 0.0, 1.0, frozenset([start_key])))
         # Pareto frontiers per node: lower cost_full and higher probability
         # dominate, but only when the dominating path visited no extra nodes
         # (otherwise it might forbid a suffix the dominated path still allows)
@@ -378,14 +344,11 @@ class Planner:
             entries.append((cost_full, prod, visited))
 
         while frontier:
-            cost, meta_count, _, key, steps, cost_full, prod = heapq.heappop(frontier)
+            cost, meta_count, _, key, steps, cost_full, prod, visited_keys = heapq.heappop(frontier)
             if key == "GOAL" or node_is_goal(key):
                 return ActionSequence(steps=list(steps))
-            if len(steps) >= self.max_plan_length:
+            if len(steps) >= self.config.max_plan_length:
                 continue
-            visited_keys = frozenset(
-                {start_key} | {self._step_key(s) for s in steps}
-            )
             if dominated(key, cost_full, prod, visited_keys):
                 continue
             record(key, cost_full, prod, visited_keys)
@@ -418,31 +381,19 @@ class Planner:
                 ]
                 new_meta_count = meta_count + (1 if isinstance(edge.expected, MetaState) else 0)
                 counter += 1
-                entry = (
-                    new_cost,
-                    new_meta_count,
-                    counter,
-                    edge.dest_key,
-                    new_steps,
-                    new_cost_full,
-                    new_prod,
-                )
                 if edge_is_goal(edge):
                     # target input reached; candidate completes with this step
-                    heapq.heappush(frontier, (new_cost, new_meta_count, counter, "GOAL", new_steps, new_cost_full, new_prod))
+                    heapq.heappush(frontier, (new_cost, new_meta_count, counter, "GOAL", new_steps, new_cost_full, new_prod, None))
                     continue
-                if dominated(
-                    edge.dest_key, new_cost_full, new_prod, visited_keys | {edge.dest_key}
-                ):
+                new_visited = visited_keys | {edge.dest_key}
+                if dominated(edge.dest_key, new_cost_full, new_prod, new_visited):
                     continue
-                heapq.heappush(frontier, entry)
+                heapq.heappush(
+                    frontier,
+                    (new_cost, new_meta_count, counter, edge.dest_key, new_steps,
+                     new_cost_full, new_prod, new_visited),
+                )
         return None
-
-    @staticmethod
-    def _step_key(step: PlanStep) -> tuple:
-        if isinstance(step.expected, MetaState):
-            return ("meta", step.expected.window_id, step.expected.widget_presence)
-        return ("state", step.expected)
 
 
 def plan_to_target(
@@ -450,15 +401,6 @@ def plan_to_target(
     current_state: AbstractState,
     target: Union[Window, AbstractState, Input],
     visited_layouts: Optional[list[Counter]] = None,
-    default_meta_probability: float = DEFAULT_META_PROBABILITY,
-    max_plan_length: int = DEFAULT_MAX_PLAN_LENGTH,
-    guard_threshold: float = LAYOUT_GUARD_THRESHOLD,
+    config: Optional[EngineConfig] = None,
 ) -> Optional[ActionSequence]:
-    planner = Planner(
-        model,
-        visited_layouts=visited_layouts,
-        default_meta_probability=default_meta_probability,
-        max_plan_length=max_plan_length,
-        guard_threshold=guard_threshold,
-    )
-    return planner.plan(current_state, target)
+    return Planner(model, visited_layouts, config).plan(current_state, target)

@@ -11,6 +11,7 @@ import math
 import random
 from typing import Optional, Union
 
+from uptest.config import EngineConfig
 from uptest.model import (
     AbstractState,
     AbstractTransition,
@@ -47,7 +48,7 @@ def exhaustive_min_cost(
     max_length: int = 8,
 ) -> Optional[float]:
     """Minimum cost over every acyclic sequence of length <= max_length."""
-    planner = Planner(model, max_plan_length=max_length)
+    planner = Planner(model, config=EngineConfig(max_plan_length=max_length))
     planner._target = target
 
     if isinstance(target, AbstractState):

@@ -244,12 +244,12 @@ def test_make_layout_guard_prefers_most_recent_similar_state():
         id="far", window_id="win",
         avms=[AttributeValuationMap(id="a", valuations={"R_CN": "Spinner"})],
     )
-    guard = make_layout_guard(base, [similar_old, similar_new, unrelated])
+    guard = make_layout_guard(base, [similar_old, similar_new, unrelated], 0.8)
     assert guard == layout_fingerprint(similar_new)
     # the destination's own id is skipped while walking backward
     same_id = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="dest")
-    assert make_layout_guard(base, [unrelated, same_id]) is None
-    assert make_layout_guard(base, []) is None
+    assert make_layout_guard(base, [unrelated, same_id], 0.8) is None
+    assert make_layout_guard(base, [], 0.8) is None
 
 
 def avm(key, widget=None):

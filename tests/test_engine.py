@@ -4,7 +4,13 @@ import copy
 
 import pytest
 
-from uptest.abstraction import LEVELS, derive_abstract_state
+from uptest.abstraction import (
+    LEVELS,
+    derive_abstract_state,
+    fingerprint_to_dict,
+    layout_fingerprint,
+)
+from uptest.config import EngineConfig
 from uptest.engine import TargetSet, TestEngine, run_session
 from uptest.harness import DriverSession, export_ewtg, load_spec, method_instruction_counts
 from uptest.model import (
@@ -230,6 +236,27 @@ def test_closing_nondeterminism_is_guarded_not_refined():
     tr = engine._record_transition(sa, action, None, sc)
     assert "win" not in model.dstg.abstraction_policy  # no level bump
     assert tr.layout_guard is not None  # the new edge carries a layout guard
+
+
+@pytest.mark.parametrize("threshold, guard_from", [(0.8, "dest"), (0.6, "near")])
+def test_closing_guards_use_the_configured_layout_threshold(threshold, guard_from):
+    model = two_state_model()
+    states = model.dstg.abstract_states
+    for sid, rids in (("near", ("a", "b")), ("dest", ("a", "b", "c"))):
+        states[sid] = AbstractState(
+            id=sid, window_id="other",
+            avms=[AttributeValuationMap(id=f"{sid}-{r}", valuations={"R_RID": r}) for r in rids],
+        )
+    targets = TargetSet(target_method_ids={"m"}, instruction_counts={"m": 1})
+    engine = TestEngine(
+        model, targets, driver=None, budget=0, seed=0,
+        config=EngineConfig(layout_similarity_threshold=threshold),
+    )
+    sa = states["sa"]
+    # "near" shares 2 of the 3 layout valuations of "dest": similarity 2/3
+    engine.state_history = [states["near"], sa, states["dest"]]
+    tr = engine._record_transition(sa, Action("x", ActionType.PRESS_BACK), None, states["dest"])
+    assert tr.layout_guard == fingerprint_to_dict(layout_fingerprint(states[guard_from]))
 
 
 def test_online_refine_deletes_stale_inherited_edges():

@@ -22,14 +22,13 @@ from uptest.model import (
     validate_integrity,
 )
 from uptest.abstraction import fingerprint_to_dict, layout_fingerprint
+from uptest.config import EngineConfig
 from uptest.planner import (
     ActionSequence,
     MetaState,
     Planner,
     PlanStep,
-    build_meta_state,
     plan_to_target,
-    windows_reached_by_input,
 )
 
 from planner_oracle import exhaustive_min_cost, random_model, sequence_cost_oracle
@@ -175,16 +174,17 @@ def test_plan_selects_the_cheaper_probabilistic_route():
 
 def test_plan_probabilities_come_from_widget_presence():
     model = route_choice_model()
-    reached = windows_reached_by_input(model, model.ewtg.inputs["i1"])
-    assert reached == ["win2"]
-    meta = build_meta_state(model, model.ewtg.inputs["i1"], "win2")
+    destinations = Planner(model)._destinations_for_input(model.ewtg.inputs["i1"])
+    assert [meta.window_id for _, meta in destinations] == ["win2"]
+    meta = destinations[0][1]
     assert meta.presence() == {"w2": pytest.approx(2 / 3), "w4": pytest.approx(2 / 3)}
 
 
 def test_obsolete_states_leave_the_presence_ratio():
     model = route_choice_model()
     model.dstg.abstract_states["u3"].obsolete = True
-    meta = build_meta_state(model, model.ewtg.inputs["i1"], "win2")
+    [(_, meta)] = Planner(model)._destinations_for_input(model.ewtg.inputs["i1"])
+    assert meta.window_id == "win2"
     assert meta.presence()["w2"] == pytest.approx(1.0)
 
 
@@ -272,7 +272,11 @@ def test_plans_are_acyclic_except_for_the_goal_step():
     seq = plan_to_target(model, start, model.ewtg.inputs["i3"])
     assert seq is not None
     non_goal = seq.steps[:-1]
-    keys = [Planner._step_key(s) for s in non_goal]
+    keys = [
+        ("meta", s.expected.window_id, s.expected.widget_presence) if s.is_meta
+        else ("state", s.expected)
+        for s in non_goal
+    ]
     assert len(keys) == len(set(keys))
 
 
@@ -280,8 +284,8 @@ def test_plan_respects_the_length_bound():
     model = route_choice_model()
     start = model.dstg.abstract_states["s9"]
     target = model.dstg.abstract_states["s6"]
-    assert plan_to_target(model, start, target, max_plan_length=2) is None
-    seq = plan_to_target(model, start, target, max_plan_length=4)
+    assert plan_to_target(model, start, target, config=EngineConfig(max_plan_length=2)) is None
+    seq = plan_to_target(model, start, target, config=EngineConfig(max_plan_length=4))
     assert seq is not None and len(seq.steps) <= 4
 
 
