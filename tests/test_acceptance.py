@@ -47,6 +47,7 @@ from uptest.planner import PlanStep, plan_to_target
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
 from uptest import fixture_path
+from hidden_app import hidden_spec_doc
 from planner_oracle import exhaustive_min_cost, random_model
 from test_planner import (
     deterministic_sequence,
@@ -480,6 +481,50 @@ def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
                 digest.update(path.name.encode())
                 digest.update(path.read_bytes())
     assert digest.hexdigest() == SESSION_DIGEST
+
+
+#: sha256 over the name and bytes of every file ``pipeline_run`` writes for
+#: the hidden-variable app (v1 to v2, budget 300, seeds 7, 20 and 26), frozen
+#: before the engine kept the transitions out of each state in an index.  On
+#: these seeds a session records an outcome again after deleting a stale edge.
+REFINE_DIGEST = "69389e396e5626e8396b97ef01f942e72b344bf0dd5d71a409587977797c5bf5"
+
+
+def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monkeypatch):
+    import uptest.cli
+
+    refines, deleted = [], []
+    session = uptest.cli.run_session
+    online_refine = TestEngine._online_refine
+
+    def recording_session(*args, **kwargs):
+        result = session(*args, **kwargs)
+        refines.extend(e for e in result.plan_log if e.get("event") == "refine")
+        return result
+
+    def counting_online_refine(self, *args):
+        before = len(self.model.dstg.abstract_transitions)
+        online_refine(self, *args)
+        deleted.append(before - len(self.model.dstg.abstract_transitions))
+
+    monkeypatch.setattr(uptest.cli, "run_session", recording_session)
+    monkeypatch.setattr(TestEngine, "_online_refine", counting_online_refine)
+    spec = load_spec(hidden_spec_doc())
+    digest = hashlib.sha256()
+    for seed in (7, 20, 26):
+        workdir = tmp_path / f"hidden-{seed}"
+        workdir.mkdir()
+        pipeline_run(
+            spec, "v1", "v2", budget=300, seed=seed, workdir=workdir,
+            config=EngineConfig(),
+        )
+        for path in sorted(workdir.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+    # the digest covers both kinds of online refinement
+    assert {e["window"] for e in refines} == {"main", "left", "right"}
+    assert sum(deleted) >= 3
+    assert digest.hexdigest() == REFINE_DIGEST
 
 
 class CopyingDriver:
