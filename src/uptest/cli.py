@@ -267,8 +267,10 @@ def cmd_pipeline(args) -> int:
 
 def compare_runs(report_a: dict, report_b: dict) -> dict:
     for doc in (report_a, report_b):
-        if "summary" not in doc or "utas" not in doc:
-            raise ValueError("report document missing summary/utas")
+        if not isinstance(doc, dict) or "summary" not in doc or "utas" not in doc:
+            raise ValueError("report document is not an object with summary/utas")
+        if not isinstance(doc["summary"], dict):
+            raise ValueError("report summary is not a JSON object")
     keys = (
         "targetMethodCoverage",
         "targetInstructionCoverage",

@@ -11,6 +11,7 @@ window's abstraction is sharpened or the stale learned transition is dropped.
 
 from __future__ import annotations
 
+import bisect
 import json
 import random
 import re
@@ -283,6 +284,15 @@ class TestEngine:
                 state.window_id, state.abstraction_level, state.valuation_multiset()
             )
             self._states_by_key.setdefault(key, state)
+        # (source state, source AVM, action type) -> its transitions in id order
+        self._transitions: dict[
+            tuple[str, Optional[str], ActionType], list[AbstractTransition]
+        ] = {}
+        for tid in sorted(model.dstg.abstract_transitions):
+            tr = model.dstg.abstract_transitions[tid]
+            self._transitions.setdefault(
+                (tr.source_state_id, tr.source_avm_id, tr.action_type), []
+            ).append(tr)
         # (window, widget, action type) -> the lowest-id input declared for it
         self._inputs: dict[tuple[str, Optional[str], ActionType], Input] = {}
         for inp in model.ewtg.inputs.values():
@@ -372,9 +382,9 @@ class TestEngine:
         return screen
 
     def _observe(self, result: PerformResult) -> AbstractState:
-        seen = result.root in self._screens
-        screen = self._screen(result.window_id, result.root)
-        if not seen:  # a screen seen before has nothing the model lacks
+        screen = self._screens.get(result.root)
+        if screen is None:  # a screen seen before has nothing the model lacks
+            screen = self._screens[result.root] = _Screen(result.window_id, result.root)
             self._ensure_window(result)
             self._ensure_runtime_widgets(screen)
         dstg = self.model.dstg
@@ -394,10 +404,11 @@ class TestEngine:
             dstg.abstract_states[sid] = match
             self._states_by_key[key] = match
             self.created_this_session.add(sid)
-        match.observed_in_versions.add(self.model.version)
-        if match.obsolete:
+        if match.id not in self.observed_this_session:
+            # nothing flags a state obsolete while the session runs
+            self.observed_this_session.add(match.id)
+            match.observed_in_versions.add(self.model.version)
             match.obsolete = False
-        self.observed_this_session.add(match.id)
         tree.abstract_state_id = match.id
         self.state_history.append(match)
         layout = self._layouts.get(match.id)
@@ -426,12 +437,11 @@ class TestEngine:
         avm = before.avm_for_widget(widget_id) if widget_id else None
         avm_id = avm.id if avm else None
         closing = self._is_closing(action, before, after)
-        for tr in dstg.transitions_from(before.id):
-            if (
-                tr.source_avm_id == avm_id
-                and tr.action_type == action.action_type
-                and tr.data_payload == payload
-            ):
+        outcomes = self._transitions.setdefault(
+            (before.id, avm_id, action.action_type), []
+        )
+        for tr in outcomes:
+            if tr.data_payload == payload:
                 if tr.destination_state_id == after.id:
                     return tr
                 # same state and input, different outcome: non-determinism.
@@ -456,6 +466,8 @@ class TestEngine:
             provenance_version=self.model.version,
         )
         dstg.abstract_transitions[tr.id] = tr
+        # ids order as strings ("at-10" before "at-9"), as the model file does
+        bisect.insort(outcomes, tr, key=lambda t: t.id)
         return tr
 
     def _refine_window(self, window_id: str) -> None:
@@ -622,13 +634,11 @@ class TestEngine:
         dstg = self.model.dstg
         avm = predecessor.avm_for_widget(step.widget_id) if step.widget_id else None
         avm_id = avm.id if avm else None
-        for tr in dstg.transitions_from(predecessor.id):
-            if (
-                tr.destination_state_id == expected_id
-                and tr.action_type == step.action_type
-                and tr.source_avm_id == avm_id
-            ):
+        outcomes = self._transitions.get((predecessor.id, avm_id, step.action_type), [])
+        for tr in outcomes:
+            if tr.destination_state_id == expected_id:
                 del dstg.abstract_transitions[tr.id]
+        outcomes[:] = [tr for tr in outcomes if tr.destination_state_id != expected_id]
 
     # -- exploration ------------------------------------------------------
 

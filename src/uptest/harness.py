@@ -587,6 +587,12 @@ def target_manifest(spec: AppSpec) -> dict:
 # --- driver --------------------------------------------------------------
 
 
+#: Effects that write a widget's runtime visibility, text or checked flag.
+_OVERRIDE_EFFECTS = frozenset(
+    ("show", "hide", "setText", "setTextFromPayload", "setChecked", "toggle")
+)
+
+
 @dataclass
 class PerformResult:
     window_id: str
@@ -606,7 +612,8 @@ class DriverSession:
     The driver renders each distinct screen once: whenever it comes back to
     the same window with the same visible widgets, texts and checked flags,
     it returns the same ``GuiNode`` tree as before.  Callers share these
-    trees and must never mutate them.
+    trees and must never mutate them.  Until a runtime override changes, it
+    returns each window's screen without looking at the window's widgets.
     """
 
     def __init__(self, spec: AppSpec, version: str, seed: int = 0):
@@ -626,6 +633,8 @@ class DriverSession:
         self._checked: dict[str, bool] = {}
         # (window, each widget's text and checked flag or None when hidden) -> screen
         self._screens: dict[tuple, GuiNode] = {}
+        # window id -> its screen; holds while the overrides above are unchanged
+        self._current: dict[str, GuiNode] = {}
         self.reset()
 
     # -- state management
@@ -643,6 +652,7 @@ class DriverSession:
         self._visible = {}
         self._text = {}
         self._checked = {}
+        self._current = {}
         self.window_stack = [self.version_spec.launcher_window.id]
         self.launch_counter += 1
         self._apply_generators()
@@ -681,6 +691,9 @@ class DriverSession:
 
     def render(self) -> GuiNode:
         """The current screen, built only the first time the driver is in its state."""
+        screen = self._current.get(self.current_window_id)
+        if screen is not None:
+            return screen
         window = self.version_spec.windows[self.current_window_id]
         widgets = window.widgets
         key = (window.id, *[
@@ -692,6 +705,7 @@ class DriverSession:
         screen = self._screens.get(key)
         if screen is None:
             screen = self._screens[key] = self._build_screen(window)
+        self._current[window.id] = screen
         return screen
 
     def _build_screen(self, window: WindowSpec) -> GuiNode:
@@ -787,6 +801,7 @@ class DriverSession:
         if action.action_type == ActionType.TEXT_FILL and widget_id is not None:
             # typing fills the field; a handler (if any) reacts afterwards
             self._text[widget_id] = action.data_payload or ""
+            self._current.clear()
 
         inp = self._inputs.get((window.id, widget_id, action.action_type))
         executed: list[tuple[str, int, int]] = []
@@ -822,6 +837,9 @@ class DriverSession:
     ) -> bool:
         navigated = False
         for effect in effects:
+            if not _OVERRIDE_EFFECTS.isdisjoint(effect):
+                # an effect may change a widget of any window, not only this one
+                self._current.clear()
             if "set" in effect:
                 self.variables[effect["set"]["var"]] = effect["set"]["value"]
             if "inc" in effect:

@@ -553,12 +553,6 @@ class Dstg:
     def level_for(self, window_id: str) -> str:
         return self.abstraction_policy.get(window_id, "L1")
 
-    def transitions_from(self, state_id: str) -> list[AbstractTransition]:
-        return sorted(
-            (t for t in self.abstract_transitions.values() if t.source_state_id == state_id),
-            key=lambda t: t.id,
-        )
-
     def to_dict(self) -> dict:
         return {
             "abstractStates": [

@@ -166,9 +166,22 @@ def test_compare_command(tmp_path):
     assert main(["compare", str(pa), str(pb), "--out", str(out)]) == 1
 
 
-def test_compare_runs_rejects_malformed_reports():
+def test_compare_runs_rejects_malformed_reports(tmp_path, capsys):
+    ok = {"summary": {}, "utas": []}
     with pytest.raises(ValueError):
         compare_runs({"summary": {}}, {"no": "utas"})
+    # a report that is not an object, or whose summary is not one
+    for bad in (5, [1], {"summary": 3, "utas": []}):
+        with pytest.raises(ValueError):
+            compare_runs(bad, ok)
+        with pytest.raises(ValueError):
+            compare_runs(ok, bad)
+        pa, pb = tmp_path / "bad.json", tmp_path / "ok.json"
+        pa.write_text(json.dumps(bad), "utf-8")
+        pb.write_text(json.dumps(ok), "utf-8")
+        assert main(["compare", str(pa), str(pb)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("compare failed: ") and err.count("\n") == 1
 
 
 def test_missing_input_files_exit_with_an_error(tmp_path, capsys):

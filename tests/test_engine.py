@@ -4,6 +4,7 @@ import copy
 
 import pytest
 
+from uptest.adaptation import adapt_model
 from uptest.abstraction import (
     LEVELS,
     derive_abstract_state,
@@ -12,7 +13,14 @@ from uptest.abstraction import (
 )
 from uptest.config import EngineConfig
 from uptest.engine import TargetSet, TestEngine, run_session
-from uptest.harness import DriverSession, export_ewtg, load_spec, method_instruction_counts
+from uptest.diff import diff_ewtg
+from uptest.harness import (
+    DriverSession,
+    export_ewtg,
+    load_spec,
+    method_instruction_counts,
+    updated_methods,
+)
 from uptest.model import (
     AbstractState,
     AbstractTransition,
@@ -35,6 +43,7 @@ from uptest.planner import PlanStep
 from uptest import fixture_path
 
 from conftest import make_node, make_tree
+from hidden_app import hidden_spec_doc
 
 
 def diary_setup(version="v0"):
@@ -308,6 +317,106 @@ def test_refinement_during_a_planned_step_keeps_the_plan_log_intact():
     assert plan["event"] == "plan" and plan["outcomes"] == ["mismatch"]
     assert refine == {"event": "refine", "window": "win", "level": "L2"}
     assert engine.executed == 1
+
+
+# --- the recorded transitions out of each state ---------------------------
+
+
+def transition_groups(dstg):
+    """The model's transitions by (source state, source AVM, action type), in id order."""
+    groups = {}
+    for tid in sorted(dstg.abstract_transitions):
+        tr = dstg.abstract_transitions[tid]
+        groups.setdefault((tr.source_state_id, tr.source_avm_id, tr.action_type), []).append(tr)
+    return groups
+
+
+def indexed_transitions(engine):
+    return {key: outcomes for key, outcomes in engine._transitions.items() if outcomes}
+
+
+def test_the_transition_index_follows_the_model_through_sessions_that_refine():
+    spec = load_spec(hidden_spec_doc())
+    model = None
+    refines = 0
+    for version in ("v1", "v2"):
+        ewtg = export_ewtg(spec, version)
+        if model is None:
+            model = AppModel(version=version, ewtg=ewtg)
+            methods = set(method_instruction_counts(spec, version))
+        else:
+            model = adapt_model(model, ewtg, diff_ewtg(model.ewtg, ewtg), version=version)
+            methods = updated_methods(spec, version)
+        counts = method_instruction_counts(spec, version)
+        engine = TestEngine(
+            model, TargetSet(methods, counts), DriverSession(spec, version, seed=7),
+            budget=300, seed=7,
+        )
+        assert indexed_transitions(engine) == transition_groups(model.dstg)
+        engine.run_session()
+        groups = transition_groups(model.dstg)
+        assert indexed_transitions(engine) == groups
+        # the session recorded more than one outcome of some action
+        assert any(len({t.destination_state_id for t in g}) > 1 for g in groups.values())
+        refines += sum(e.get("event") == "refine" for e in engine.plan_log)
+    assert refines > 0
+
+
+def outcomes_model():
+    """``sa``'s click has two recorded outcomes whose ids sort differently as
+    strings ("at-10" < "at-9") and as numbers."""
+    model = two_state_model()
+    dstg = model.dstg
+    del dstg.abstract_transitions["at1"]
+    dstg.abstract_states["sd"] = AbstractState(id="sd", window_id="other", avms=[])
+    for tid, dest in (("at-9", "sb"), ("at-10", "sc")):
+        dstg.abstract_transitions[tid] = AbstractTransition(
+            id=tid, source_state_id="sa", source_avm_id="sa-wd",
+            action_type=ActionType.CLICK, destination_state_id=dest,
+        )
+    return model
+
+
+def record_click(engine, destination_id):
+    """The transition recorded for ``sa``'s click and the levels it refined
+    ``win`` through, starting from L1."""
+    dstg = engine.model.dstg
+    dstg.abstraction_policy.clear()
+    start = len(engine.plan_log)
+    action = Action("i-wd", ActionType.CLICK, concrete_node_path=())
+    tr = engine._record_transition(
+        dstg.abstract_states["sa"], action, "wd", dstg.abstract_states[destination_id]
+    )
+    return tr.id, [e["level"] for e in engine.plan_log[start:]]
+
+
+def test_recorded_outcomes_are_compared_in_string_id_order():
+    model = outcomes_model()
+    engine = engine_on(model)
+    engine.state_history = [model.dstg.abstract_states["sa"]]
+    # "at-10" comes first, so an outcome of "at-9" passes it over and refines once
+    assert record_click(engine, "sb") == ("at-9", ["L2"])
+    assert record_click(engine, "sc") == ("at-10", [])
+    # a third outcome differs from both, and its new id sorts between them
+    assert record_click(engine, "sd") == ("at-11", ["L2", "L3"])
+    assert record_click(engine, "sb") == ("at-9", ["L2", "L3"])
+    assert record_click(engine, "sd") == ("at-11", ["L2"])
+    assert indexed_transitions(engine) == transition_groups(model.dstg)
+
+
+def test_an_outcome_recorded_after_its_stale_edge_is_deleted_is_a_new_edge():
+    model = two_state_model()
+    model.dstg.abstract_states["sb"].observed_in_versions = {"v0"}
+    engine = engine_on(model)
+    sa = model.dstg.abstract_states["sa"]
+    engine.state_history = [sa]
+    step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
+    engine._online_refine("sb", model.dstg.abstract_states["sc"], sa, step)
+    assert "at1" not in model.dstg.abstract_transitions
+    # the click does lead to sb after all: nothing is left to conflict with
+    assert record_click(engine, "sb") == ("at-1", [])
+    assert record_click(engine, "sc") == ("at-2", ["L2"])
+    assert indexed_transitions(engine) == transition_groups(model.dstg)
 
 
 # --- matching observations to learned states ------------------------------

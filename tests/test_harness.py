@@ -475,8 +475,9 @@ def test_generator_follows_the_documented_seeding_scheme():
 
 
 def screens_spec_doc() -> dict:
-    """Three windows.  The main one nests two widgets in a panel and has one
-    button per effect kind, and a generator sets its title on every launch.
+    """Three windows.  The main one nests two widgets in a panel, has one
+    button per effect kind and a text field without an input, and a generator
+    sets its title on every launch.
     The other two show the same texts, so only their window tells them apart."""
 
     def button(widget_id, **extra):
@@ -518,6 +519,9 @@ def screens_spec_doc() -> dict:
                      {"id": "w-field", "resourceId": "field", "className": "EditText",
                       "isInputField": True, "parent": "w-panel"},
                      {"id": "w-title", "resourceId": "title", "className": "TextView"},
+                     # typing here writes a text that no handler reacts to
+                     {"id": "w-memo", "resourceId": "memo", "className": "EditText",
+                      "isInputField": True},
                      button("w-hide"), button("w-show"), button("w-set"), button("w-go"),
                      button("w-tiny", tiny=True),
                  ]},
@@ -619,6 +623,57 @@ def test_a_hidden_parent_moves_its_children_to_the_root_and_showing_it_nests_the
     shown = click(session, hidden, "w-show")
     assert [len(path_of(shown.root, w)) for w in ("w-check", "w-field")] == [2, 2]
     assert_screen_is_current(session, shown)
+
+
+_WALK_ACTIONS = (
+    ("clickable", ActionType.CLICK),
+    ("longClickable", ActionType.LONG_CLICK),
+    ("scrollable", ActionType.SWIPE),
+    ("isInputField", ActionType.TEXT_FILL),
+)
+
+
+def walk_checking_screens(session, steps, rng):
+    """A random walk that checks the returned screen after every step."""
+    result = session.reset()
+    assert_screen_is_current(session, result)
+    for _ in range(steps):
+        if rng.random() < 0.02:
+            result = session.reset()
+        else:
+            actions = [Action("walk", ActionType.PRESS_BACK)]
+            for path, node in result.root.walk():
+                for prop, action_type in _WALK_ACTIONS:
+                    if node.properties[prop]:
+                        # a small pool, so that typed texts recur
+                        payload = (rng.choice(("a", "b")) if action_type == ActionType.TEXT_FILL
+                                   else None)
+                        actions.append(Action("walk", action_type, path, payload))
+            try:
+                result = session.perform(rng.choice(actions))
+            except DriverRejection:
+                pass  # the screen stays current
+        assert_screen_is_current(session, result)
+
+
+def test_random_walks_see_a_current_screen_after_every_step(monkeypatch):
+    applied = set()
+    apply_effects = DriverSession._apply_effects
+
+    def recording_apply_effects(self, effects, action, widget_id):
+        applied.update(name for effect in effects for name in effect)
+        return apply_effects(self, effects, action, widget_id)
+
+    monkeypatch.setattr(DriverSession, "_apply_effects", recording_apply_effects)
+    walks = [(app, load_spec(fixture_path(app))) for app in ("diary", "dialog", "news", "deep")]
+    walks.append(("screens", load_spec(screens_spec_doc())))
+    for app, spec in walks:
+        for version in spec.versions:
+            rng = random.Random(f"{app}:{version.version}")
+            walk_checking_screens(DriverSession(spec, version.version, seed=2), 500, rng)
+    # the walks write every kind of runtime override
+    assert {"show", "hide", "setText", "setTextFromPayload", "setChecked",
+            "toggle"} <= applied
 
 
 def test_a_long_session_builds_no_more_screens_than_it_shows(monkeypatch):
