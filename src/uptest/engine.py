@@ -375,12 +375,6 @@ class TestEngine:
                             )
                         )
 
-    def _screen(self, window_id: str, root: GuiNode) -> _Screen:
-        screen = self._screens.get(root)
-        if screen is None:
-            screen = self._screens[root] = _Screen(window_id, root)
-        return screen
-
     def _observe(self, result: PerformResult) -> AbstractState:
         screen = self._screens.get(result.root)
         if screen is None:  # a screen seen before has nothing the model lacks
@@ -492,7 +486,10 @@ class TestEngine:
 
     def _current_screen(self) -> _Screen:
         tree = self.current_tree
-        return self._screen(tree.window_id, tree.root)
+        screen = self._screens.get(tree.root)
+        if screen is None:
+            screen = self._screens[tree.root] = _Screen(tree.window_id, tree.root)
+        return screen
 
     def _node_path_for_widget(self, widget_id: str) -> Optional[tuple[int, ...]]:
         if self.current_tree is None:
