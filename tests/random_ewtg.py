@@ -6,14 +6,16 @@ with small edits: renamed ids, one-character name edits, class-name and
 window-kind changes, deletions, additions and changed destinations.
 Widgetless inputs only use window-level action types and widget inputs never
 do, so a widget-level transition can never meet a widgetless one with the
-same action type.
+same action type.  A ``Shape`` sets how many windows and widgets the base
+graph draws and how its resource ids look; ``LARGE`` draws windows of 30+
+widgets with long and empty resource ids.
 """
 
 from __future__ import annotations
 
 import copy
 import random
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 from uptest.model import (
     WINDOW_LEVEL_ACTIONS,
@@ -31,6 +33,21 @@ CLASSES = ["Button", "TextView", "EditText", "ImageView", "CheckBox"]
 KINDS = [WindowKind.ACTIVITY, WindowKind.DIALOG, WindowKind.OPTIONS_MENU]
 WIDGET_ACTIONS = [ActionType.CLICK, ActionType.LONG_CLICK, ActionType.TEXT_FILL, ActionType.ITEM_CLICK]
 WINDOW_ACTIONS = sorted(WINDOW_LEVEL_ACTIONS, key=lambda a: a.value)
+
+
+@dataclass(frozen=True)
+class Shape:
+    """How large a base graph is drawn.  The defaults draw the original small pairs,
+    with the same sequence of random draws."""
+
+    windows: tuple[int, int] = (2, 6)
+    widgets: tuple[int, int] = (0, 20)
+    id_words: int = 1  # words joined into each resource id
+    empty_ids: float = 0.0  # share of widgets given an empty resource id
+
+
+#: windows of 30+ widgets whose unpaired resource ids together pass 64 characters
+LARGE = Shape(windows=(2, 3), widgets=(80, 120), id_words=3, empty_ids=0.15)
 
 
 def _tweak(rng: random.Random, s: str) -> str:
@@ -54,14 +71,19 @@ def _add_window(ewtg: Ewtg, rng: random.Random, window_id: str, runtime: bool) -
     )
 
 
-def _add_widget(ewtg: Ewtg, rng: random.Random, widget_id: str, window_id: str) -> None:
+def _add_widget(
+    ewtg: Ewtg, rng: random.Random, widget_id: str, window_id: str, shape: Shape
+) -> None:
     siblings = sorted(ewtg.windows[window_id].widget_ids)
     parent = rng.choice(siblings) if siblings and rng.random() < 0.5 else None
     cls = rng.choice(CLASSES)
     xpath = (ewtg.widgets[parent].xpath if parent else "/LinearLayout") + "/" + cls
+    resource_id = "".join(rng.choice(WORDS) for _ in range(shape.id_words))
+    resource_id += rng.choice(["", "Button", "Text"])
+    if shape.empty_ids and rng.random() < shape.empty_ids:
+        resource_id = ""
     ewtg.widgets[widget_id] = EwtgWidget(
-        id=widget_id, window_id=window_id, class_name=cls,
-        resource_id=rng.choice(WORDS) + rng.choice(["", "Button", "Text"]),
+        id=widget_id, window_id=window_id, class_name=cls, resource_id=resource_id,
         content_description=rng.choice(["", "", rng.choice(WORDS)]),
         xpath=xpath, parent_id=parent, runtime_created=rng.random() < 0.1,
     )
@@ -83,12 +105,12 @@ def _add_transition(ewtg: Ewtg, rng: random.Random, tag: str, window_id: str) ->
     )
 
 
-def _random_base(rng: random.Random) -> Ewtg:
+def _random_base(rng: random.Random, shape: Shape) -> Ewtg:
     ewtg = Ewtg(launcher_window_id="w0")
-    for i in range(rng.randint(2, 6)):
+    for i in range(rng.randint(*shape.windows)):
         _add_window(ewtg, rng, f"w{i}", runtime=i > 0 and rng.random() < 0.15)
-    for n in range(rng.randint(0, 20)):
-        _add_widget(ewtg, rng, f"wd{n}", rng.choice(sorted(ewtg.windows)))
+    for n in range(rng.randint(*shape.widgets)):
+        _add_widget(ewtg, rng, f"wd{n}", rng.choice(sorted(ewtg.windows)), shape)
     for t in range(rng.randint(0, 12)):
         _add_transition(ewtg, rng, str(t), rng.choice(sorted(ewtg.windows)))
     return ewtg
@@ -153,7 +175,7 @@ def _rename_ids(ewtg: Ewtg, rng: random.Random) -> Ewtg:
     return out
 
 
-def _random_update(base: Ewtg, rng: random.Random) -> Ewtg:
+def _random_update(base: Ewtg, rng: random.Random, shape: Shape) -> Ewtg:
     ewtg = copy.deepcopy(base)
     for window_id in sorted(ewtg.windows):
         r = rng.random()
@@ -188,13 +210,13 @@ def _random_update(base: Ewtg, rng: random.Random) -> Ewtg:
     if rng.random() < 0.4:
         _add_window(ewtg, rng, "wn", runtime=rng.random() < 0.2)
     for n in range(rng.randint(0, 4)):
-        _add_widget(ewtg, rng, f"wdn{n}", rng.choice(sorted(ewtg.windows)))
+        _add_widget(ewtg, rng, f"wdn{n}", rng.choice(sorted(ewtg.windows)), shape)
     for t in range(rng.randint(0, 3)):
         _add_transition(ewtg, rng, f"n{t}", rng.choice(sorted(ewtg.windows)))
     return _rename_ids(ewtg, rng)
 
 
-def random_ewtg_pair(seed: int) -> tuple[Ewtg, Ewtg]:
+def random_ewtg_pair(seed: int, shape: Shape = Shape()) -> tuple[Ewtg, Ewtg]:
     rng = random.Random(seed)
-    base = _random_base(rng)
-    return base, _random_update(base, rng)
+    base = _random_base(rng, shape)
+    return base, _random_update(base, rng, shape)

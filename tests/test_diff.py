@@ -27,7 +27,7 @@ from uptest.model import (
 
 from uptest import fixture_path
 
-from random_ewtg import random_ewtg_pair
+from random_ewtg import LARGE, random_ewtg_pair
 
 
 # --- independent oracles --------------------------------------------------
@@ -316,3 +316,35 @@ def test_diff_of_random_window_graph_pairs_is_unchanged():
     # the pairs reach every class, so the digest covers every kind of outcome
     assert all(classes.values()), classes
     assert digest.hexdigest() == RANDOM_PAIRS_DIGEST
+
+
+#: sha256 of the concatenated ``to_json()`` of both diffs of 20 large random
+#: pairs, frozen from the diff that scored each pair of widgets on its own.
+LARGE_PAIRS_DIGEST = "c7d98e3c848dc55b4b807647c79723cd8c191289e3ad8841aa10902a0ca1cc1f"
+
+
+def test_diff_of_large_random_window_graph_pairs_is_unchanged():
+    digest = hashlib.sha256()
+    widest = empty_ids = lane_bits = replaced = 0
+    for seed in range(20):
+        base, updated = random_ewtg_pair(seed, LARGE)
+        for a, b in ((base, updated), (updated, base)):
+            diff = diff_ewtg(a, b)
+            digest.update(diff.to_json())
+            replaced += len(diff.replaced_widgets)
+            for window_id in diff.window_mapping():
+                widgets = [
+                    w for w in a.widgets.values()
+                    if w.window_id == window_id and not w.runtime_created
+                ]
+                unpaired = [w for w in widgets if w.id not in diff.matched_widgets]
+                widest = max(widest, len(widgets))
+                empty_ids += sum(not w.resource_id for w in unpaired)
+                # each id and a guard bit, side by side
+                lane_bits = max(lane_bits, sum(len(w.resource_id) + 1 for w in unpaired))
+    # windows of 30+ widgets, empty ids among the widgets scored for
+    # correspondence, and one window's ids wider than a 64-bit word
+    assert widest >= 30 and empty_ids and lane_bits > 64 and replaced, (
+        widest, empty_ids, lane_bits, replaced,
+    )
+    assert digest.hexdigest() == LARGE_PAIRS_DIGEST
