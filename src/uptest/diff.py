@@ -4,9 +4,12 @@
 one pass: windows first, then widgets inside paired windows, then
 transitions.  Each kind gets an exact pass (matched) and a greedy assignment
 of correspondence candidates scored by string similarity (replaced), which
-is the exact Levenshtein ratio computed with a bit-parallel edit distance;
-transitions pair on the same trigger instead, and the destination decides
-matched or replaced.  Whatever is left unpaired is deleted (base side) or
+is the exact Levenshtein ratio computed with a bit-parallel edit distance.
+Inside a window pair the resource ids of all unpaired base widgets are
+packed side by side, one lane each, into one integer, so one pass over an
+unpaired updated widget's id yields its distance to every one of them; each
+widget's xpath token vector is built once.  Transitions pair on the same
+trigger instead, and the destination decides matched or replaced.  Whatever is left unpaired is deleted (base side) or
 added (updated side).  Runtime-discovered elements, and transitions that
 reference them, are excluded on both sides so that they are never reported
 as deletions.
@@ -26,6 +29,56 @@ from .model import Ewtg, EwtgWidget, Input, Window, WindowTransition
 # --- string similarity ---------------------------------------------------
 
 
+class PackedPatterns:
+    """Exact Levenshtein distances from one text to many patterns in one pass.
+
+    Myers' algorithm (J. ACM 1999) in Hyyrö's edit-distance form (2001): bit i
+    of ``pv``/``mv`` says that cell i of a pattern's DP column is one more/less
+    than cell i - 1, so each character of the text updates the whole column
+    with a few integer operations.  The patterns sit side by side in one
+    Python int (Hyyrö, Fredriksson and Navarro, ACM JEA 2006), each in its own
+    lane with a zero guard bit above it: the carry of ``(eq & pv) + pv`` stops
+    at the guard bit, and masking with the lane bits drops what a shift moves
+    into it.  Row 0 of the matrix is 0..len(text), so a lane's distance is
+    len(text) plus the vertical deltas summed down its column.
+    """
+
+    def __init__(self, patterns: list[str]):
+        self.peq: dict[str, int] = {}  # character -> its positions in every lane
+        self.lanes: list[int] = []
+        self.bottoms = 0  # the lowest bit of each non-empty lane
+        offset = 0
+        for pattern in patterns:
+            for i, ch in enumerate(pattern):
+                self.peq[ch] = self.peq.get(ch, 0) | (1 << (offset + i))
+            self.lanes.append(((1 << len(pattern)) - 1) << offset)
+            if pattern:
+                self.bottoms |= 1 << offset
+            offset += len(pattern) + 1
+        self.mask = sum(self.lanes)
+
+    def distances(self, text: str) -> list[int]:
+        """The edit distance from ``text`` to each pattern, in pattern order."""
+        peq, mask, bottoms = self.peq, self.mask, self.bottoms
+        pv, mv = mask, 0
+        for ch in text:
+            eq = peq.get(ch, 0)
+            xv = eq | mv
+            xh = (((eq & pv) + pv) ^ pv) | eq
+            # row 0 grows by one per column: shift a +1 into each lane's bottom
+            ph = (((mv | ~(xh | pv)) << 1) & mask) | bottoms
+            pv = (((pv & xh) << 1) | ~(xv | ph)) & mask
+            mv = ph & xv
+        n = len(text)
+        return [n + (pv & lane).bit_count() - (mv & lane).bit_count() for lane in self.lanes]
+
+
+def _ratio(a: str, b: str, distance: int) -> float:
+    """1 - distance / max(len); 1.0 when both strings are empty."""
+    longer = max(len(a), len(b))
+    return 1.0 - distance / longer if longer else 1.0
+
+
 def levenshtein_ratio(a: str, b: str) -> float:
     """1 - editDistance / max(len); 1.0 when both strings are empty."""
     if not a and not b:
@@ -34,57 +87,27 @@ def levenshtein_ratio(a: str, b: str) -> float:
         return 0.0
     if a == b:
         return 1.0
-    return 1.0 - _edit_distance(a, b) / max(len(a), len(b))
+    return _ratio(a, b, PackedPatterns([a]).distances(b)[0])
 
 
-def _edit_distance(a: str, b: str) -> int:
-    """Exact Levenshtein distance, bit-parallel over the characters of one string.
-
-    Myers' algorithm (J. ACM 1999) in Hyyrö's edit-distance form (2001): bit i
-    of ``pv``/``mv`` says that cell i of the current DP column is one more/less
-    than cell i - 1, so each character of the other string updates the whole
-    column with a few integer operations.  Python ints are unbounded, so any
-    length fits in one word under ``mask``.
-    """
-    if len(a) < len(b):
-        a, b = b, a  # the longer string is the column, the shorter is folded over it
-    peq: dict[str, int] = {}
-    for i, ch in enumerate(a):
-        peq[ch] = peq.get(ch, 0) | (1 << i)
-    mask = (1 << len(a)) - 1
-    last = 1 << (len(a) - 1)
-    pv, mv, distance = mask, 0, len(a)
-    for ch in b:
-        eq = peq.get(ch, 0)
-        xv = eq | mv
-        xh = (((eq & pv) + pv) ^ pv) | eq
-        ph = (mv | ~(xh | pv)) & mask
-        mh = pv & xh
-        if ph & last:
-            distance += 1
-        elif mh & last:
-            distance -= 1
-        # row 0 of the matrix grows by one per column: shift in a +1
-        ph = (ph << 1) | 1
-        mh <<= 1
-        pv = (mh | ~(xv | ph)) & mask
-        mv = ph & xv
-    return distance
+def _xpath_vector(path: str) -> tuple[Counter, float]:
+    """The '/'-token count vector of a path and its Euclidean norm."""
+    tokens = Counter(t for t in path.split("/") if t)
+    return tokens, math.sqrt(sum(v * v for v in tokens.values()))
 
 
-def xpath_similarity(a: str, b: str) -> float:
-    """Cosine similarity between '/'-token count vectors of two paths."""
-    ta = Counter(t for t in a.split("/") if t)
-    tb = Counter(t for t in b.split("/") if t)
+def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
+    (ta, norm_a), (tb, norm_b) = a, b
     if not ta and not tb:
         return 1.0
     if not ta or not tb:
         return 0.0
-    dot = sum(ta[t] * tb[t] for t in ta if t in tb)
-    norm = math.sqrt(sum(v * v for v in ta.values())) * math.sqrt(
-        sum(v * v for v in tb.values())
-    )
-    return dot / norm
+    return sum(ta[t] * tb[t] for t in ta if t in tb) / (norm_a * norm_b)
+
+
+def xpath_similarity(a: str, b: str) -> float:
+    """Cosine similarity between '/'-token count vectors of two paths."""
+    return _cosine(_xpath_vector(a), _xpath_vector(b))
 
 
 # --- diff result ---------------------------------------------------------
@@ -219,30 +242,43 @@ def _parent_depth_order(widgets: list[EwtgWidget]) -> list[EwtgWidget]:
     return sorted(widgets, key=lambda w: (depth(w), w.id))
 
 
-def _widget_corresponds(
-    a: EwtgWidget,
-    b: EwtgWidget,
+def _widget_candidates(
+    b_widgets: list[EwtgWidget],
+    u_widgets: list[EwtgWidget],
     widget_pairs: dict[str, str],
     lev_threshold: float,
     xpath_threshold: float,
-) -> Optional[float]:
-    """Correspondence with a single allowed exception: parent or class name."""
-    rid_sim = levenshtein_ratio(a.resource_id, b.resource_id)
-    if rid_sim < lev_threshold:
-        return None
-    cd_sim = levenshtein_ratio(a.content_description, b.content_description)
-    if cd_sim < lev_threshold:
-        return None
-    xp_sim = xpath_similarity(a.xpath, b.xpath)
-    if xp_sim < xpath_threshold:
-        return None
-    class_sim = levenshtein_ratio(a.class_name, b.class_name)
-    if class_sim >= lev_threshold:
-        return (rid_sim + cd_sim + xp_sim + class_sim) / 4
-    if not _parents_paired(a, b, widget_pairs):
-        # both the class name and the parent changed: not a correspondence
-        return None
-    return (rid_sim + cd_sim + xp_sim) / 3  # className is the single allowed exception
+) -> list[tuple[float, int, str, str]]:
+    """Correspondence candidates among one window pair's unpaired widgets.
+
+    A pair corresponds with a single allowed exception: parent or class name.
+    The resource-id distances come from one packed pass per updated widget
+    over the ids of all base widgets; candidates keep (base, updated) order.
+    """
+    base_ids = PackedPatterns([bw.resource_id for bw in b_widgets])
+    rid_distances = [base_ids.distances(uw.resource_id) for uw in u_widgets]
+    vectors = {p: _xpath_vector(p) for p in {w.xpath for w in (*b_widgets, *u_widgets)}}
+    candidates = []
+    for i, bw in enumerate(b_widgets):
+        for uw, distances in zip(u_widgets, rid_distances):
+            rid_sim = _ratio(bw.resource_id, uw.resource_id, distances[i])
+            if rid_sim < lev_threshold:
+                continue
+            cd_sim = levenshtein_ratio(bw.content_description, uw.content_description)
+            if cd_sim < lev_threshold:
+                continue
+            xp_sim = _cosine(vectors[bw.xpath], vectors[uw.xpath])
+            if xp_sim < xpath_threshold:
+                continue
+            class_sim = levenshtein_ratio(bw.class_name, uw.class_name)
+            if class_sim >= lev_threshold:
+                score = (rid_sim + cd_sim + xp_sim + class_sim) / 4
+            elif _parents_paired(bw, uw, widget_pairs):
+                score = (rid_sim + cd_sim + xp_sim) / 3  # className is the single allowed exception
+            else:
+                continue  # both the class name and the parent changed
+            candidates.append((score, len(candidates), bw.id, uw.id))
+    return candidates
 
 
 def _window_key(w: Window) -> tuple:
@@ -343,17 +379,13 @@ def diff_ewtg(
                     matched_upd.add(uw.id)
                     del same_key[i]
                     break
-        u_widgets = [uw for uw in upd_by_window[upd_win_id] if uw.id not in matched_upd]
-        candidates = []
-        for bw in b_widgets:
-            if bw.id in result.matched_widgets:
-                continue
-            for uw in u_widgets:
-                score = _widget_corresponds(
-                    bw, uw, widget_pairs, lev_threshold, xpath_threshold
-                )
-                if score is not None:
-                    candidates.append((score, len(candidates), bw.id, uw.id))
+        candidates = _widget_candidates(
+            [bw for bw in b_widgets if bw.id not in result.matched_widgets],
+            [uw for uw in upd_by_window[upd_win_id] if uw.id not in matched_upd],
+            widget_pairs,
+            lev_threshold,
+            xpath_threshold,
+        )
         assigned = _greedy_assign(candidates)
         result.replaced_widgets.update(assigned)
         widget_pairs.update(assigned)

@@ -265,6 +265,7 @@ class TestEngine:
         self._screens: dict[GuiNode, _Screen] = {}
         self.visited_layouts: list[Counter] = []
         self._layouts: dict[str, Counter] = {}  # state id -> layout fingerprint
+        self._avm_ids: dict[str, dict[str, str]] = {}  # state id -> widget id -> AVM id
         self.observed_this_session: set[str] = set()
         self.created_this_session: set[str] = set()
         self.retraversal_failures: dict[str, int] = {}
@@ -413,6 +414,18 @@ class TestEngine:
         self.current_tree = tree
         return match
 
+    def _avm_id(self, state: AbstractState, widget_id: Optional[str]) -> Optional[str]:
+        """The id of the first of ``state``'s AVMs bound to ``widget_id``, if any."""
+        if not widget_id:
+            return None
+        avm_ids = self._avm_ids.get(state.id)
+        if avm_ids is None:
+            avm_ids = self._avm_ids[state.id] = {}
+            for avm in state.avms:
+                if avm.ewtg_widget_id is not None:
+                    avm_ids.setdefault(avm.ewtg_widget_id, avm.id)
+        return avm_ids.get(widget_id)
+
     def _is_closing(self, action: Action, before: AbstractState, after: AbstractState) -> bool:
         if action.action_type == ActionType.PRESS_BACK:
             return True
@@ -428,8 +441,7 @@ class TestEngine:
     ) -> AbstractTransition:
         dstg = self.model.dstg
         payload = action.data_payload if action.action_type == ActionType.TEXT_FILL else None
-        avm = before.avm_for_widget(widget_id) if widget_id else None
-        avm_id = avm.id if avm else None
+        avm_id = self._avm_id(before, widget_id)
         closing = self._is_closing(action, before, after)
         outcomes = self._transitions.setdefault(
             (before.id, avm_id, action.action_type), []
@@ -629,8 +641,7 @@ class TestEngine:
         if predecessor is None:
             return
         dstg = self.model.dstg
-        avm = predecessor.avm_for_widget(step.widget_id) if step.widget_id else None
-        avm_id = avm.id if avm else None
+        avm_id = self._avm_id(predecessor, step.widget_id)
         outcomes = self._transitions.get((predecessor.id, avm_id, step.action_type), [])
         for tr in outcomes:
             if tr.destination_state_id == expected_id:

@@ -312,12 +312,6 @@ class AbstractState:
                 return avm
         return None
 
-    def avm_for_widget(self, widget_id: str) -> Optional[AttributeValuationMap]:
-        for avm in self.avms:
-            if avm.ewtg_widget_id == widget_id:
-                return avm
-        return None
-
     def valuation_multiset(self) -> dict[tuple, int]:
         counts: dict[tuple, int] = {}
         for avm in self.avms:

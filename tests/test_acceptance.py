@@ -194,7 +194,7 @@ def test_a3_adaptation_reproduction():
         assert adapted.dstg.to_dict() == golden_adapted_dstg().to_dict()
         # the added cancel widget (w9) carries no learned element
         for state in adapted.dstg.abstract_states.values():
-            assert state.avm_for_widget("w9") is None
+            assert all(avm.ewtg_widget_id != "w9" for avm in state.avms)
 
 
 def _equivalence_oracle(observed, expected, excluded_widget_ids):

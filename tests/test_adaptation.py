@@ -78,7 +78,7 @@ def test_adapt_diary_rebinds_and_prunes():
     assert at1.source_state_id == "s1" and at1.destination_state_id == "s2"
     # the added cancel widget has no learned element yet
     for state in adapted.dstg.abstract_states.values():
-        assert state.avm_for_widget("w9") is None
+        assert all(avm.ewtg_widget_id != "w9" for avm in state.avms)
     assert validate_integrity(adapted) == []
 
 

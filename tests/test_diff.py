@@ -9,6 +9,7 @@ import pytest
 
 from uptest.diff import (
     DiffResult,
+    PackedPatterns,
     _greedy_assign,
     diff_ewtg,
     levenshtein_ratio,
@@ -81,6 +82,32 @@ def test_levenshtein_ratio_matches_oracle_on_random_strings():
             for a, b in pairs:
                 assert levenshtein_ratio(a, b) == ratio_oracle(a, b), (a, b)
                 assert levenshtein_ratio(b, a) == ratio_oracle(b, a), (b, a)
+
+
+def test_packed_distances_match_oracle_in_every_lane():
+    rng = random.Random(11)
+
+    def word(alphabet, low, high):
+        return "".join(rng.choice(alphabet) for _ in range(rng.randrange(low, high + 1)))
+
+    # up to 25 lanes of up to 80 characters cross many 64-bit words; a
+    # repeated pattern gets a lane of its own, and an empty one (the diff
+    # packs empty resource ids too) a lane of no bits
+    for alphabet in ("ab", "abcde", "aé日_"):
+        for _ in range(12):
+            patterns = []
+            for _ in range(rng.randrange(1, 26)):
+                if patterns and rng.random() < 0.2:
+                    patterns.append(rng.choice(patterns))
+                else:
+                    patterns.append(word(alphabet, 1, 80))
+            if rng.random() < 0.3:
+                patterns[rng.randrange(len(patterns))] = ""
+            packed = PackedPatterns(patterns)
+            for _ in range(2):
+                text = word(alphabet, 0, 80)
+                expected = [edit_distance_oracle(p, text) for p in patterns]
+                assert packed.distances(text) == expected, (patterns, text)
 
 
 def test_xpath_similarity_hand_computed_cosine():
