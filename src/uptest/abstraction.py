@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Optional
+from typing import Collection, Iterator, Optional
 
 from .model import (
     LEVEL_ORDER,
@@ -268,7 +268,9 @@ def make_layout_guard(
     return None
 
 
-def guard_holds(guard: Optional[dict], visited_layouts: list[Counter], threshold: float) -> bool:
+def guard_holds(
+    guard: Optional[dict], visited_layouts: Collection[Counter], threshold: float
+) -> bool:
     """True without a guard, else when a visited layout is similar enough to it."""
     if guard is None:
         return True
@@ -296,28 +298,17 @@ def refine_level(current_level: str, tree_a: GuiTree, tree_b: GuiTree) -> Option
 # --- backward equivalence ------------------------------------------------
 
 
-@dataclass
-class BackwardEquivalenceContext:
-    """Widget ids the diff marked as added or as replacement targets."""
-
-    added_widget_ids: set[str] = field(default_factory=set)
-    replaced_widget_ids: set[str] = field(default_factory=set)
-
-    @property
-    def excluded(self) -> set[str]:
-        return self.added_widget_ids | self.replaced_widget_ids
-
-
 def is_backward_equivalent(
     observed: AbstractState,
     expected: AbstractState,
-    context: BackwardEquivalenceContext,
+    excluded: set[str],
 ) -> bool:
     """An observed state may continue a sequence planned for an inherited state.
 
     Holds when both states belong to the same window, every expected AVM has a
     matching AVM in the observed state, and every observed AVM matches an
-    expected one except those for widgets added or replaced by the update.
+    expected one except those for the ``excluded`` widgets: the ones the
+    update added or replaced.
     """
     if observed.window_id != expected.window_id:
         return False
@@ -325,7 +316,6 @@ def is_backward_equivalent(
     expected_keys = {avm.valuation_key() for avm in expected.avms}
     if not expected_keys <= {key for _, key in observed_keys}:
         return False
-    excluded = context.excluded
     return all(
         key in expected_keys
         for widget_id, key in observed_keys

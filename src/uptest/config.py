@@ -7,7 +7,7 @@ wrong type or out of range are rejected with ``ConfigError``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 from typing import Union
 

@@ -23,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Ewtg, EwtgWidget, Input, Window, WindowTransition
+from .model import Ewtg, EwtgWidget, Input, Window, WindowTransition, require
 
 
 # --- string similarity ---------------------------------------------------
@@ -170,19 +170,31 @@ class DiffResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiffResult":
+        def ids(key: str) -> set[str]:
+            value = d.get(key, [])
+            require(list, value)
+            require(str, *value)
+            return set(value)
+
+        def pairs(key: str) -> dict[str, str]:
+            value = d.get(key, {})
+            require(dict, value)
+            require(str, *value, *value.values())
+            return dict(value)
+
         return cls(
-            added_windows=set(d.get("addedWindows", [])),
-            deleted_windows=set(d.get("deletedWindows", [])),
-            replaced_windows=dict(d.get("replacedWindows", {})),
-            added_widgets=set(d.get("addedWidgets", [])),
-            deleted_widgets=set(d.get("deletedWidgets", [])),
-            replaced_widgets=dict(d.get("replacedWidgets", {})),
-            added_transitions=set(d.get("addedTransitions", [])),
-            deleted_transitions=set(d.get("deletedTransitions", [])),
-            replaced_transitions=dict(d.get("replacedTransitions", {})),
-            matched_windows=dict(d.get("matchedWindows", {})),
-            matched_widgets=dict(d.get("matchedWidgets", {})),
-            matched_transitions=dict(d.get("matchedTransitions", {})),
+            added_windows=ids("addedWindows"),
+            deleted_windows=ids("deletedWindows"),
+            replaced_windows=pairs("replacedWindows"),
+            added_widgets=ids("addedWidgets"),
+            deleted_widgets=ids("deletedWidgets"),
+            replaced_widgets=pairs("replacedWidgets"),
+            added_transitions=ids("addedTransitions"),
+            deleted_transitions=ids("deletedTransitions"),
+            replaced_transitions=pairs("replacedTransitions"),
+            matched_windows=pairs("matchedWindows"),
+            matched_widgets=pairs("matchedWidgets"),
+            matched_transitions=pairs("matchedTransitions"),
         )
 
     def to_json(self) -> bytes:

@@ -18,13 +18,12 @@ import re
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional, Union
+from typing import Optional
 
 from .abstraction import (
     LEVELS,
     LEVEL_ORDER,
     AbstractionLevel,
-    BackwardEquivalenceContext,
     derive_abstract_state,
     fingerprint_to_dict,
     guard_holds,
@@ -263,16 +262,21 @@ class TestEngine:
         self.trees_observed = 0
         self.state_history: list[AbstractState] = []
         self._screens: dict[GuiNode, _Screen] = {}
-        self.visited_layouts: list[Counter] = []
-        self._layouts: dict[str, Counter] = {}  # state id -> layout fingerprint
+        # state id -> layout fingerprint of each state observed this session,
+        # in first-visit order
+        self.visited_layouts: dict[str, Counter] = {}
         self._avm_ids: dict[str, dict[str, str]] = {}  # state id -> widget id -> AVM id
-        self.observed_this_session: set[str] = set()
         self.created_this_session: set[str] = set()
-        self.retraversal_failures: dict[str, int] = {}
-        self.retraversal_successes: dict[str, int] = {}
+        # states planned steps expected, by whether the step reached them
+        self.retraversal_failures: set[str] = set()
+        self.retraversal_successes: set[str] = set()
         self.triggered_inputs: set[str] = set()
         self.attempts_without_gain: dict[str, int] = {}
         self.guard_checks: list[dict] = []
+        # an observed state may differ from the expected one in these widgets
+        self._update_widgets = set(model.diff_context.get("addedWidgets", ())) | set(
+            model.diff_context.get("replacedWidgets", ())
+        )
         # windows already carrying obsolete states; scope for propagation
         self.obsolete_scope = {
             s.window_id for s in model.dstg.abstract_states.values() if s.obsolete
@@ -399,17 +403,13 @@ class TestEngine:
             dstg.abstract_states[sid] = match
             self._states_by_key[key] = match
             self.created_this_session.add(sid)
-        if match.id not in self.observed_this_session:
+        if match.id not in self.visited_layouts:
+            self.visited_layouts[match.id] = layout_fingerprint(match)
             # nothing flags a state obsolete while the session runs
-            self.observed_this_session.add(match.id)
             match.observed_in_versions.add(self.model.version)
             match.obsolete = False
         tree.abstract_state_id = match.id
         self.state_history.append(match)
-        layout = self._layouts.get(match.id)
-        if layout is None:
-            layout = self._layouts[match.id] = layout_fingerprint(match)
-        self.visited_layouts.append(layout)
         self.current_state = match
         self.current_tree = tree
         return match
@@ -559,7 +559,9 @@ class TestEngine:
         """Run one planned step; outcome is as-expected, backward-equivalent, or mismatch."""
         if step.guard is not None:
             satisfied = guard_holds(
-                step.guard, self.visited_layouts, self.config.layout_similarity_threshold
+                step.guard,
+                self.visited_layouts.values(),
+                self.config.layout_similarity_threshold,
             )
             self.guard_checks.append(
                 {
@@ -601,23 +603,14 @@ class TestEngine:
 
         expected_id = step.expected
         if observed.id == expected_id:
-            self.retraversal_successes[expected_id] = (
-                self.retraversal_successes.get(expected_id, 0) + 1
-            )
+            self.retraversal_successes.add(expected_id)
             return "as-expected"
+        self.retraversal_failures.add(expected_id)
         expected = self.model.dstg.abstract_states.get(expected_id)
-        self.retraversal_failures[expected_id] = (
-            self.retraversal_failures.get(expected_id, 0) + 1
-        )
-        if expected is not None:
-            context = BackwardEquivalenceContext(
-                added_widget_ids=set(self.model.diff_context.get("addedWidgets", [])),
-                replaced_widget_ids=set(
-                    self.model.diff_context.get("replacedWidgets", [])
-                ),
-            )
-            if is_backward_equivalent(observed, expected, context):
-                return "backward-equivalent"
+        if expected is not None and is_backward_equivalent(
+            observed, expected, self._update_widgets
+        ):
+            return "backward-equivalent"
         self._online_refine(expected_id, observed, predecessor, step)
         return "mismatch"
 
@@ -700,7 +693,7 @@ class TestEngine:
     def _pursue_input(self, inp: Input, phase: int) -> int:
         start = self.executed
         sequence = plan_to_target(
-            self.model, self.current_state, inp, self.visited_layouts, self.config
+            self.model, self.current_state, inp, self.visited_layouts.values(), self.config
         )
         entry = self._log_plan(phase, inp.id, sequence)
         if sequence is None:
@@ -750,7 +743,7 @@ class TestEngine:
         if self.current_state.window_id == window_id:
             return
         sequence = plan_to_target(
-            self.model, self.current_state, window, self.visited_layouts, self.config
+            self.model, self.current_state, window, self.visited_layouts.values(), self.config
         )
         entry = self._log_plan(phase, f"window:{window_id}", sequence)
         if sequence is not None:
@@ -806,13 +799,12 @@ class TestEngine:
             # residual budget goes to free exploration
             self.random_explore(self._budget_left())
 
-            observations = {
-                "created": sorted(self.created_this_session),
-                "retraversal_failures": dict(self.retraversal_failures),
-                "retraversal_successes": dict(self.retraversal_successes),
-            }
             propagate_obsolescence(
-                self.model, observations, scope_window_ids=self.obsolete_scope or None
+                self.model,
+                self.created_this_session,
+                self.retraversal_failures,
+                self.retraversal_successes,
+                scope_window_ids=self.obsolete_scope or None,
             )
         return SessionResult(
             model=self.model,
@@ -821,7 +813,7 @@ class TestEngine:
             plan_log=self.plan_log,
             executed_actions=self.executed,
             actions_to_first_target_coverage=self.first_coverage_at,
-            observed_state_ids=set(self.observed_this_session),
+            observed_state_ids=set(self.visited_layouts),
         )
 
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Optional
+from typing import Any, Callable, Optional, TypeVar
 
 SCHEMA_VERSION = 3
 
@@ -48,6 +48,26 @@ def require_int(*values) -> None:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"expected int, got {value!r}")
+
+
+T = TypeVar("T")
+
+
+def _reject_repeats(ids: list, what: str) -> None:
+    """Raise ``ValueError`` naming the first id that repeats, if one does."""
+    seen = set()
+    for id_ in ids:
+        if id_ in seen:
+            raise ValueError(f"duplicate {what} id {id_!r}")
+        seen.add(id_)
+
+
+def _by_id(entries: list[dict], parse: Callable[[dict], T], what: str) -> dict[str, T]:
+    """``parse`` of each entry, keyed by its id; an id may not repeat."""
+    items = {entry["id"]: parse(entry) for entry in entries}
+    if len(items) != len(entries):
+        _reject_repeats([entry["id"] for entry in entries], what)
+    return items
 
 
 class WindowKind(str, Enum):
@@ -342,6 +362,7 @@ class AbstractState:
         require(str, state.id, state.window_id, state.abstraction_level)
         require(str, *state.observed_in_versions)
         require(bool, state.obsolete)
+        _reject_repeats([avm.id for avm in state.avms], "AVM")
         return state
 
 
@@ -526,12 +547,12 @@ class Ewtg:
     @classmethod
     def from_dict(cls, d: dict) -> "Ewtg":
         ewtg = cls(
-            windows={w["id"]: Window.from_dict(w) for w in d.get("windows", [])},
-            widgets={w["id"]: EwtgWidget.from_dict(w) for w in d.get("widgets", [])},
-            inputs={i["id"]: Input.from_dict(i) for i in d.get("inputs", [])},
-            window_transitions={
-                t["id"]: WindowTransition.from_dict(t) for t in d.get("windowTransitions", [])
-            },
+            windows=_by_id(d.get("windows", []), Window.from_dict, "window"),
+            widgets=_by_id(d.get("widgets", []), EwtgWidget.from_dict, "widget"),
+            inputs=_by_id(d.get("inputs", []), Input.from_dict, "input"),
+            window_transitions=_by_id(
+                d.get("windowTransitions", []), WindowTransition.from_dict, "window transition"
+            ),
             launcher_window_id=d.get("launcherWindowId"),
         )
         require(OPTIONAL_STR, ewtg.launcher_window_id)
@@ -561,12 +582,14 @@ class Dstg:
     @classmethod
     def from_dict(cls, d: dict) -> "Dstg":
         return cls(
-            abstract_states={
-                s["id"]: AbstractState.from_dict(s) for s in d.get("abstractStates", [])
-            },
-            abstract_transitions={
-                t["id"]: AbstractTransition.from_dict(t) for t in d.get("abstractTransitions", [])
-            },
+            abstract_states=_by_id(
+                d.get("abstractStates", []), AbstractState.from_dict, "abstract state"
+            ),
+            abstract_transitions=_by_id(
+                d.get("abstractTransitions", []),
+                AbstractTransition.from_dict,
+                "abstract transition",
+            ),
             abstraction_policy=dict(d.get("abstractionPolicy", {})),
         )
 
@@ -613,6 +636,7 @@ class AppModel:
             diff_context={k: list(v) for k, v in d.get("diffContext", {}).items()},
         )
         require(str, model.version)
+        require(list, *d.get("diffContext", {}).values())
         for ids in model.diff_context.values():
             require(str, *ids)
         return model
@@ -623,11 +647,7 @@ def validate_integrity(model: AppModel) -> list[str]:
     violations: list[str] = []
     ewtg = model.ewtg
 
-    seen_window_ids: set[str] = set()
     for w in ewtg.windows.values():
-        if w.id in seen_window_ids:
-            violations.append(f"duplicate window id {w.id}")
-        seen_window_ids.add(w.id)
         for wid in w.widget_ids:
             widget = ewtg.widgets.get(wid)
             if widget is None:

@@ -15,7 +15,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Optional, Union
+from typing import Collection, Optional, Union
 
 from .abstraction import guard_holds
 from .config import EngineConfig
@@ -36,9 +36,6 @@ class MetaState:
     window_id: str
     source_input_id: str
     widget_presence: tuple[tuple[str, float], ...] = ()
-
-    def presence(self) -> dict[str, float]:
-        return dict(self.widget_presence)
 
 
 ExpectedState = Union[str, MetaState]  # abstract state id or a meta state
@@ -101,19 +98,6 @@ def _truncate2(x: float) -> float:
 # --- search --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Edge:
-    input_id: str
-    action_type: ActionType
-    widget_id: Optional[str]
-    probability: float
-    cost: int
-    dest_key: tuple
-    expected: ExpectedState
-    guard: Optional[dict] = None
-    payload: Optional[str] = None
-
-
 class Planner:
     """Plans over one view of the model, built once from one pass over each
     of its collections; the model must not change while the planner is used."""
@@ -121,13 +105,12 @@ class Planner:
     def __init__(
         self,
         model: AppModel,
-        visited_layouts: Optional[list[Counter]] = None,
+        visited_layouts: Optional[Collection[Counter]] = None,
         config: Optional[EngineConfig] = None,
     ):
         self.model = model
         self.visited_layouts = visited_layouts or []
         self.config = config or EngineConfig()
-        self._meta_states: dict[tuple, MetaState] = {}
         self._target: Optional[Union[Window, AbstractState, Input]] = None
 
         ewtg, dstg = model.ewtg, model.dstg
@@ -177,14 +160,10 @@ class Planner:
             for window_id, widget_counts in counts.items()
         }
 
-    # node keys: ("state", state_id) or ("meta", window_id, presence tuple)
+    # node keys: ("state", state_id) or ("meta", window_id, presence tuple);
+    # an edge is a (destination node key, plan step) pair
 
-    def _meta_node(self, meta: MetaState) -> tuple:
-        key = ("meta", meta.window_id, meta.widget_presence)
-        self._meta_states[key] = meta
-        return key
-
-    def _destinations_for_input(self, inp: Input) -> list[tuple[tuple, ExpectedState]]:
+    def _destinations_for_input(self, inp: Input) -> list[tuple[tuple, MetaState]]:
         """Meta destinations for an input never exercised in the source node.
 
         Windows that recorded transitions on the input's widget reached carry
@@ -199,14 +178,15 @@ class Planner:
             if not windows and isinstance(self._target, Input) and self._target.id == inp.id:
                 # destination unknown, but executing the target input is the goal
                 windows = [(inp.window_id, ())]
-        out: list[tuple[tuple, ExpectedState]] = []
-        for window_id, presence in windows:
-            meta = MetaState(window_id, inp.id, presence)
-            out.append((self._meta_node(meta), meta))
-        return out
+        return [
+            (("meta", window_id, presence), MetaState(window_id, inp.id, presence))
+            for window_id, presence in windows
+        ]
 
-    def _edges_from_state(self, state: AbstractState, at_start: bool) -> list[_Edge]:
-        edges: list[_Edge] = []
+    def _edges_from_state(
+        self, state: AbstractState, at_start: bool
+    ) -> list[tuple[tuple, PlanStep]]:
+        edges: list[tuple[tuple, PlanStep]] = []
         exercised: set[tuple[Optional[str], ActionType]] = set()
         threshold = self.config.layout_similarity_threshold
         for widget_id, tr, dest in self._transitions_from.get(state.id, ()):
@@ -217,19 +197,11 @@ class Planner:
                 continue
             inp = self._input_for.get((state.window_id, widget_id, tr.action_type))
             input_id = inp.id if inp else f"runtime:{state.window_id}:{widget_id}:{tr.action_type.value}"
-            edges.append(
-                _Edge(
-                    input_id=input_id,
-                    action_type=tr.action_type,
-                    widget_id=widget_id,
-                    probability=1.0,
-                    cost=action_cost(tr.action_type),
-                    dest_key=("state", dest.id),
-                    expected=dest.id,
-                    guard=tr.layout_guard,
-                    payload=tr.data_payload,
-                )
+            step = PlanStep(
+                input_id, tr.action_type, widget_id, dest.id, 1.0,
+                data_payload=tr.data_payload, guard=tr.layout_guard,
             )
+            edges.append((("state", dest.id), step))
         present_widgets = {
             avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None
         }
@@ -240,46 +212,31 @@ class Planner:
                 continue
             if inp.widget_id is not None and inp.widget_id not in present_widgets:
                 continue
-            for dest_key, expected in self._destinations_for_input(inp):
+            for dest_key, meta in self._destinations_for_input(inp):
                 edges.append(
-                    _Edge(
-                        input_id=inp.id,
-                        action_type=inp.action_type,
-                        widget_id=inp.widget_id,
-                        probability=1.0,
-                        cost=action_cost(inp.action_type),
-                        dest_key=dest_key,
-                        expected=expected,
-                    )
+                    (dest_key, PlanStep(inp.id, inp.action_type, inp.widget_id, meta, 1.0))
                 )
         return edges
 
-    def _edges_from_meta(self, meta: MetaState) -> list[_Edge]:
-        edges: list[_Edge] = []
-        presence = meta.presence()
-        has_presence_data = bool(presence)
-        for inp in self._inputs_of_window.get(meta.window_id, ()):
+    def _edges_from_meta(
+        self, window_id: str, widget_presence: tuple[tuple[str, float], ...]
+    ) -> list[tuple[tuple, PlanStep]]:
+        edges: list[tuple[tuple, PlanStep]] = []
+        presence = dict(widget_presence)
+        for inp in self._inputs_of_window.get(window_id, ()):
             if inp.action_type == ActionType.RESET_APP:
                 continue
             if inp.widget_id is None:
                 probability = 1.0
-            elif has_presence_data:
+            elif presence:
                 probability = presence.get(inp.widget_id, 0.0)
             else:
                 probability = self.config.default_meta_probability
             if probability <= 0.0:
                 continue
-            for dest_key, expected in self._destinations_for_input(inp):
+            for dest_key, meta in self._destinations_for_input(inp):
                 edges.append(
-                    _Edge(
-                        input_id=inp.id,
-                        action_type=inp.action_type,
-                        widget_id=inp.widget_id,
-                        probability=probability,
-                        cost=action_cost(inp.action_type),
-                        dest_key=dest_key,
-                        expected=expected,
-                    )
+                    (dest_key, PlanStep(inp.id, inp.action_type, inp.widget_id, meta, probability))
                 )
         return edges
 
@@ -311,8 +268,8 @@ class Planner:
                 return key[1] == target.id
             return False
 
-        def edge_is_goal(edge: _Edge) -> bool:
-            return isinstance(target, Input) and edge.input_id == target.id
+        def edge_is_goal(step: PlanStep) -> bool:
+            return isinstance(target, Input) and step.input_id == target.id
 
         start_key = ("state", current_state.id)
         if node_is_goal(start_key):
@@ -357,40 +314,30 @@ class Planner:
                 state = self.model.dstg.abstract_states[key[1]]
                 edges = self._edges_from_state(state, at_start=not steps)
             else:
-                edges = self._edges_from_meta(self._meta_states[key])
-            for edge in edges:
+                edges = self._edges_from_meta(key[1], key[2])
+            for dest_key, step in edges:
                 # a goal edge may revisit a node (e.g. a self-loop input)
-                if not edge_is_goal(edge) and edge.dest_key in visited_keys:
+                if not edge_is_goal(step) and dest_key in visited_keys:
                     continue
-                new_cost_full = cost_full + edge.cost
-                new_prod = prod * edge.probability
+                new_cost_full = cost_full + step.cost
+                new_prod = prod * step.probability
                 likelihood = (
                     0.0 if new_prod == 1.0 else _truncate2(1.0 - new_prod)
                 )
                 new_cost = new_cost_full + (new_cost_full / 2.0) * likelihood
-                new_steps = steps + [
-                    PlanStep(
-                        input_id=edge.input_id,
-                        action_type=edge.action_type,
-                        widget_id=edge.widget_id,
-                        expected=edge.expected,
-                        probability=edge.probability,
-                        data_payload=edge.payload,
-                        guard=edge.guard,
-                    )
-                ]
-                new_meta_count = meta_count + (1 if isinstance(edge.expected, MetaState) else 0)
+                new_steps = steps + [step]
+                new_meta_count = meta_count + (1 if step.is_meta else 0)
                 counter += 1
-                if edge_is_goal(edge):
+                if edge_is_goal(step):
                     # target input reached; candidate completes with this step
                     heapq.heappush(frontier, (new_cost, new_meta_count, counter, "GOAL", new_steps, new_cost_full, new_prod, None))
                     continue
-                new_visited = visited_keys | {edge.dest_key}
-                if dominated(edge.dest_key, new_cost_full, new_prod, new_visited):
+                new_visited = visited_keys | {dest_key}
+                if dominated(dest_key, new_cost_full, new_prod, new_visited):
                     continue
                 heapq.heappush(
                     frontier,
-                    (new_cost, new_meta_count, counter, edge.dest_key, new_steps,
+                    (new_cost, new_meta_count, counter, dest_key, new_steps,
                      new_cost_full, new_prod, new_visited),
                 )
         return None
@@ -400,7 +347,7 @@ def plan_to_target(
     model: AppModel,
     current_state: AbstractState,
     target: Union[Window, AbstractState, Input],
-    visited_layouts: Optional[list[Counter]] = None,
+    visited_layouts: Optional[Collection[Counter]] = None,
     config: Optional[EngineConfig] = None,
 ) -> Optional[ActionSequence]:
     return Planner(model, visited_layouts, config).plan(current_state, target)

@@ -91,25 +91,24 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
 
 def propagate_obsolescence(
     model: AppModel,
-    session_observations: dict,
+    created: set[str],
+    missed: set[str],
+    reached: set[str],
     scope_window_ids: Optional[set[str]] = None,
 ) -> AppModel:
     """Flag session-created states whose incoming edges never re-traversed.
 
-    ``session_observations`` carries ``created`` state ids plus per-state
-    ``retraversal_failures`` and ``retraversal_successes`` counters collected
-    by the engine.  When ``scope_window_ids`` is given, only states of those
-    windows are considered (windows already known to shed states quickly).
+    ``missed`` holds the states a planned step expected and did not reach,
+    ``reached`` those a planned step expected and reached; a created state
+    that was missed and never reached is flagged.  When ``scope_window_ids``
+    is given, only states of those windows are considered (windows already
+    known to shed states quickly).
     """
-    created = set(session_observations.get("created", ()))
-    failures = session_observations.get("retraversal_failures", {})
-    successes = session_observations.get("retraversal_successes", {})
-    for sid in sorted(created):
+    for sid in (created & missed) - reached:
         state = model.dstg.abstract_states.get(sid)
         if state is None:
             continue
         if scope_window_ids is not None and state.window_id not in scope_window_ids:
             continue
-        if failures.get(sid, 0) > 0 and successes.get(sid, 0) == 0:
-            state.obsolete = True
+        state.obsolete = True
     return model

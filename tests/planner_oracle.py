@@ -79,27 +79,27 @@ def exhaustive_min_cost(
     def edges_at(key, node, at_start):
         if key[0] == "state":
             return planner._edges_from_state(node, at_start=at_start)
-        return planner._edges_from_meta(node)
+        return planner._edges_from_meta(key[1], key[2])
 
     def walk(key, node, steps, visited):
         if len(steps) >= max_length:
             return
-        for edge in edges_at(key, node, at_start=not steps):
-            is_goal_edge = isinstance(target, Input) and edge.input_id == target.id
-            if not is_goal_edge and edge.dest_key in visited:
+        for dest_key, step in edges_at(key, node, at_start=not steps):
+            is_goal_edge = isinstance(target, Input) and step.input_id == target.id
+            if not is_goal_edge and dest_key in visited:
                 continue
-            new_steps = steps + [edge]
+            new_steps = steps + [step]
             if is_goal_edge:
                 note(new_steps)
                 continue
-            if node_is_goal(edge.dest_key):
+            if node_is_goal(dest_key):
                 note(new_steps)
                 continue
-            if edge.dest_key[0] == "state":
-                next_node = model.dstg.abstract_states[edge.dest_key[1]]
+            if dest_key[0] == "state":
+                next_node = model.dstg.abstract_states[dest_key[1]]
             else:
-                next_node = edge.expected
-            walk(edge.dest_key, next_node, new_steps, visited | {edge.dest_key})
+                next_node = step.expected
+            walk(dest_key, next_node, new_steps, visited | {dest_key})
 
     walk(start_key, start, [], {start_key})
     return best[0]

@@ -10,7 +10,6 @@ from uptest.abstraction import (
     LEVELS,
     LEVEL_ORDER,
     AbstractionError,
-    BackwardEquivalenceContext,
     derive_abstract_state,
     fingerprint_from_dict,
     fingerprint_similarity,
@@ -261,22 +260,19 @@ def test_backward_equivalence_tolerates_only_added_or_replaced_widgets():
     observed = AbstractState(
         id="s3", window_id="w", avms=[avm("a", "w-a"), avm("b", "w-b"), avm("new", "w-new")]
     )
-    ctx = BackwardEquivalenceContext(added_widget_ids={"w-new"})
-    assert is_backward_equivalent(observed, expected, ctx)
+    assert is_backward_equivalent(observed, expected, {"w-new"})
     # the same extra AVM without the exemption breaks equivalence
-    assert not is_backward_equivalent(observed, expected, BackwardEquivalenceContext())
-    # a replaced widget is exempt too
-    ctx_r = BackwardEquivalenceContext(replaced_widget_ids={"w-new"})
-    assert is_backward_equivalent(observed, expected, ctx_r)
+    assert not is_backward_equivalent(observed, expected, set())
+    assert not is_backward_equivalent(observed, expected, {"w-a", "w-b"})
 
 
 def test_backward_equivalence_requires_all_expected_avms():
     expected = AbstractState(id="s2", window_id="w", avms=[avm("a"), avm("b")])
     observed = AbstractState(id="s3", window_id="w", avms=[avm("a")])
-    assert not is_backward_equivalent(observed, expected, BackwardEquivalenceContext())
+    assert not is_backward_equivalent(observed, expected, set())
 
 
 def test_backward_equivalence_requires_same_window():
     expected = AbstractState(id="s2", window_id="w", avms=[avm("a")])
     observed = AbstractState(id="s3", window_id="other", avms=[avm("a")])
-    assert not is_backward_equivalent(observed, expected, BackwardEquivalenceContext())
+    assert not is_backward_equivalent(observed, expected, set())

@@ -15,7 +15,6 @@ from contextlib import contextmanager
 import pytest
 
 from uptest.abstraction import (
-    BackwardEquivalenceContext,
     fingerprint_from_dict,
     fingerprint_to_dict,
     is_backward_equivalent,
@@ -215,19 +214,17 @@ def _equivalence_oracle(observed, expected, excluded_widget_ids):
 
 def test_a4_backward_equivalence_property():
     with criterion("A4 backward equivalence"):
-        context = BackwardEquivalenceContext(
-            added_widget_ids={"w9"}, replaced_widget_ids={"w8"}
-        )
+        excluded = {"w8", "w9"}  # w9 was added, w8 is a replacement target
         s2 = golden_adapted_dstg().abstract_states["s2"]
         s3 = copy.deepcopy(s2)
         s3.id = "s3"
         s3.avms.append(_avm("avm9", "w9", "cancel"))
-        assert is_backward_equivalent(s3, s2, context)
+        assert is_backward_equivalent(s3, s2, excluded)
         # flipping any non-added AVM valuation breaks equivalence
         for index in range(len(s2.avms)):
             broken = copy.deepcopy(s3)
             broken.avms[index].valuations["R_RID"] = "flipped"
-            assert not is_backward_equivalent(broken, s2, context)
+            assert not is_backward_equivalent(broken, s2, excluded)
 
         rng = random.Random(404)
         widget_pool = ["w6", "w10", "w9", "w8", "w3", None]
@@ -252,8 +249,8 @@ def test_a4_backward_equivalence_property():
                     )
                 else:
                     observed.window_id = rng.choice(["edit", "edit", "home"])
-            assert is_backward_equivalent(observed, s2, context) == \
-                _equivalence_oracle(observed, s2, context.excluded)
+            assert is_backward_equivalent(observed, s2, excluded) == \
+                _equivalence_oracle(observed, s2, excluded)
 
 
 def _session(spec, version, model, budget, seed):
@@ -418,7 +415,7 @@ def test_a9_guard_soundness_over_seeded_sessions():
             for check in engine.guard_checks:
                 total_checks += 1
                 guard_fp = fingerprint_from_dict(check["guard"])
-                visited = engine.visited_layouts[: check["visitedCount"]]
+                visited = list(engine.visited_layouts.values())[: check["visitedCount"]]
                 expected = any(
                     _jaccard(guard_fp, fp) >= threshold for fp in visited
                 )

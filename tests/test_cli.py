@@ -271,6 +271,38 @@ def test_adapt_rejects_a_malformed_diff(tmp_path, capsys):
     assert "malformed diff" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("diff_doc", [
+    {"matchedWindows": {"edit": ["x"]}},
+    {"matchedWidgets": ["ab", "cd"]},  # dict() would read it as {"a": "b", "c": "d"}
+    {"replacedWidgets": {"w1": 5}},
+    {"addedWidgets": "w9"},
+    {"addedWidgets": [5]},
+    {"deletedWindows": {"main": "main"}},
+])
+def test_adapt_rejects_diff_fields_of_the_wrong_shape(tmp_path, capsys, diff_doc):
+    model = write_base_model(tmp_path)
+    good = write_ewtg(tmp_path, "v0")
+    bad = write_text(tmp_path, "diff.json", json.dumps(diff_doc))
+    out = tmp_path / "out.json"
+    assert main(["adapt", str(model), str(good), str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed diff") and err.count("\n") == 1
+    assert not out.exists()
+
+
+def test_diff_rejects_a_window_graph_with_a_repeated_window_id(tmp_path, capsys):
+    good = write_ewtg(tmp_path, "v0")
+    doc = json.loads(good.read_text("utf-8"))
+    doc["windows"].append(dict(doc["windows"][0], kind="Dialog"))
+    bad = write_text(tmp_path, "twice.json", json.dumps(doc))
+    out = tmp_path / "diff.json"
+    assert main(["diff", str(good), str(bad), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed window graph") and err.count("\n") == 1
+    assert "duplicate window id" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("text, message", [
     ("not json", "not a JSON document"),
     ("[1]", "JSON object"),

@@ -106,6 +106,17 @@ def test_first_coverage_index_matches_the_event_log():
     assert result.actions_to_first_target_coverage == first
 
 
+def test_visited_layouts_hold_one_layout_per_state_in_first_visit_order():
+    spec, model, targets = diary_setup()
+    engine = TestEngine(model, targets, DriverSession(spec, "v0", seed=1), budget=40, seed=1)
+    result = engine.run_session()
+    first_visits = list(dict.fromkeys(state.id for state in engine.state_history))
+    assert len(first_visits) < len(engine.state_history)  # states were seen again
+    assert list(engine.visited_layouts) == first_visits
+    for sid, layout in engine.visited_layouts.items():
+        assert layout == layout_fingerprint(result.model.dstg.abstract_states[sid])
+
+
 def test_session_model_stays_consistent_and_trace_is_replayable():
     result, _ = run_diary()
     model = result.model
@@ -317,6 +328,45 @@ def test_refinement_during_a_planned_step_keeps_the_plan_log_intact():
     assert plan["event"] == "plan" and plan["outcomes"] == ["mismatch"]
     assert refine == {"event": "refine", "window": "win", "level": "L2"}
     assert engine.executed == 1
+
+
+@pytest.mark.parametrize(
+    "diff_context, outcome",
+    [
+        ({"addedWidgets": ["w-new"]}, "backward-equivalent"),
+        ({"replacedWidgets": ["w-new"]}, "backward-equivalent"),
+        ({"addedWidgets": ["w-other"], "replacedWidgets": ["wd"]}, "mismatch"),
+        ({}, "mismatch"),
+    ],
+)
+def test_a_planned_step_continues_through_a_backward_equivalent_state(diff_context, outcome):
+    # the expected state "sb" shows one widget; the observed screen shows it
+    # plus "w-new", which only an update may add or replace
+    kept = make_node(widget_ref="w-keep", clickable=True, resourceId="keep")
+    extra = make_node(widget_ref="w-new", clickable=True, resourceId="new")
+    model = two_state_model()
+    model.dstg.abstract_states["sb"] = derive_abstract_state(
+        make_tree("other", make_node(children=[kept])), LEVELS["L1"], state_id="sb"
+    )
+    model.diff_context = diff_context
+
+    class ExtraWidgetDriver:
+        def perform(self, action):
+            root = make_node(children=[kept, extra])
+            return PerformResult("other", WindowKind.ACTIVITY, "c.other", root, [])
+
+    targets = TargetSet(target_method_ids={"m"}, instruction_counts={"m": 1})
+    engine = TestEngine(model, targets, ExtraWidgetDriver(), budget=5, seed=0)
+    sa = model.dstg.abstract_states["sa"]
+    engine.current_state = sa
+    engine.current_tree = make_tree("win", make_node(children=[make_node(widget_ref="wd")]))
+    engine.state_history = [sa]
+
+    step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
+    assert engine._execute_step(step) == outcome
+    assert engine.current_state.id not in ("sa", "sb")
+    # only a mismatch drops the learned edge to the state that never showed
+    assert ("at1" in model.dstg.abstract_transitions) == (outcome == "backward-equivalent")
 
 
 # --- the recorded transitions out of each state ---------------------------

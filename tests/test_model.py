@@ -139,11 +139,32 @@ def test_deserialize_rejects_a_wrongly_shaped_document():
     lambda doc: doc["dstg"]["abstractStates"][0]["avms"][0].update(cardinality=True),
     lambda doc: doc["dstg"]["abstractTransitions"][0].update(
         layoutGuard={"entries": [{"valuations": {"R_RID": "ok"}, "count": True}]}),
+    lambda doc: doc.update(diffContext={"addedWidgets": "wd-ok"}),
 ])
 def test_deserialize_rejects_fields_of_the_wrong_type(edit):
     doc = json.loads(serialize_model(small_model()).decode("utf-8"))
     edit(doc)
     with pytest.raises(ModelError, match="malformed model document"):
+        deserialize_model(json.dumps(doc).encode("utf-8"))
+
+
+@pytest.mark.parametrize("path, what", [
+    (("ewtg", "windows"), "window"),
+    (("ewtg", "widgets"), "widget"),
+    (("ewtg", "inputs"), "input"),
+    (("ewtg", "windowTransitions"), "window transition"),
+    (("dstg", "abstractStates"), "abstract state"),
+    (("dstg", "abstractTransitions"), "abstract transition"),
+    (("dstg", "abstractStates", 0, "avms"), "AVM"),
+])
+def test_deserialize_rejects_a_repeated_id(path, what):
+    doc = json.loads(serialize_model(small_model()).decode("utf-8"))
+    entries = doc
+    for key in path:
+        entries = entries[key]
+    # a second entry under the first one's id, otherwise well formed
+    entries.append(dict(entries[0]))
+    with pytest.raises(ModelError, match=f"duplicate {what} id"):
         deserialize_model(json.dumps(doc).encode("utf-8"))
 
 

@@ -177,7 +177,7 @@ def test_plan_probabilities_come_from_widget_presence():
     destinations = Planner(model)._destinations_for_input(model.ewtg.inputs["i1"])
     assert [meta.window_id for _, meta in destinations] == ["win2"]
     meta = destinations[0][1]
-    assert meta.presence() == {"w2": pytest.approx(2 / 3), "w4": pytest.approx(2 / 3)}
+    assert dict(meta.widget_presence) == {"w2": pytest.approx(2 / 3), "w4": pytest.approx(2 / 3)}
 
 
 def test_obsolete_states_leave_the_presence_ratio():
@@ -185,7 +185,7 @@ def test_obsolete_states_leave_the_presence_ratio():
     model.dstg.abstract_states["u3"].obsolete = True
     [(_, meta)] = Planner(model)._destinations_for_input(model.ewtg.inputs["i1"])
     assert meta.window_id == "win2"
-    assert meta.presence()["w2"] == pytest.approx(1.0)
+    assert dict(meta.widget_presence)["w2"] == pytest.approx(1.0)
 
 
 def test_plan_to_state_and_window_targets():

@@ -158,12 +158,9 @@ def test_propagate_obsolescence_needs_failures_and_no_successes():
         }
     )
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
-    observations = {
-        "created": ["s1", "s2", "s3"],
-        "retraversal_failures": {"s1": 2, "s2": 1, "s3": 1},
-        "retraversal_successes": {"s2": 1},
-    }
-    propagate_obsolescence(model, observations)
+    propagate_obsolescence(
+        model, created={"s1", "s2", "s3"}, missed={"s1", "s2", "s3"}, reached={"s2"}
+    )
     assert model.dstg.abstract_states["s1"].obsolete
     assert not model.dstg.abstract_states["s2"].obsolete  # a success clears it
     assert model.dstg.abstract_states["s3"].obsolete
@@ -178,11 +175,9 @@ def test_propagate_obsolescence_respects_the_window_scope():
         }
     )
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
-    observations = {
-        "created": ["s1", "s3"],
-        "retraversal_failures": {"s1": 1, "s3": 1},
-        "retraversal_successes": {},
-    }
-    propagate_obsolescence(model, observations, scope_window_ids={"wb"})
+    propagate_obsolescence(
+        model, created={"s1", "s3"}, missed={"s1", "s3"}, reached=set(),
+        scope_window_ids={"wb"},
+    )
     assert not model.dstg.abstract_states["s1"].obsolete
     assert model.dstg.abstract_states["s3"].obsolete
