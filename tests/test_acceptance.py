@@ -11,6 +11,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from enum import Enum
 
 import pytest
 
@@ -457,10 +458,47 @@ def test_a10_determinism_and_round_trip(tmp_path):
             assert serialize_model(deserialize_model(payload)) == payload
 
 
-#: sha256 over the name and bytes of every file ``pipeline_run`` writes for
-#: each fixture app (first to last version, budget 300, seeds 3 and 4), frozen
-#: from the session and replay before they kept their lookups in indexes.
-SESSION_DIGEST = "1f5df5343b9ac54d92a98e71dc27e1185f846e33a65a812ddbae2d3af28e7de4"
+def _canonical(value):
+    """``value`` as plain JSON data, walked through its dataclass fields.
+
+    Sets are sorted and enums are given by value, so two models with the same
+    content give the same data whatever layout their document had.
+    """
+    if dataclasses.is_dataclass(value):
+        return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, (set, frozenset)):
+        return sorted(_canonical(v) for v in value)
+    if isinstance(value, dict):
+        return {k: _canonical(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_canonical(v) for v in value]
+    return value
+
+
+def _digest_contents(digest, workdir) -> None:
+    """Add the name and content of every ``pipeline_run`` output in ``workdir``.
+
+    A diff counts by its bytes, a report by its JSON data and a model by its
+    decoded ``AppModel``, so the digest holds across layouts of the documents.
+    """
+    for path in sorted(workdir.iterdir()):
+        data = path.read_bytes()
+        if path.name.startswith("report_"):
+            data = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode()
+        elif path.name.startswith("model_"):
+            data = json.dumps(_canonical(deserialize_model(data)), sort_keys=True).encode()
+        digest.update(path.name.encode())
+        digest.update(data)
+
+
+#: sha256 over the name and content (see ``_digest_contents``) of every file
+#: ``pipeline_run`` writes for each fixture app (first to last version, budget
+#: 300, seeds 3 and 4), frozen over file bytes from the session and replay
+#: before they kept their lookups in indexes, and over content before the
+#: model and report layouts changed.
+SESSION_DIGEST = "020ebefb17868238b86bdb50631726852371af0912c3b848fb46564b1ecff195"
 
 
 def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
@@ -474,17 +512,16 @@ def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
                 spec, spec.versions[0].version, spec.versions[-1].version,
                 budget=300, seed=seed, workdir=workdir, config=EngineConfig(),
             )
-            for path in sorted(workdir.iterdir()):
-                digest.update(path.name.encode())
-                digest.update(path.read_bytes())
+            _digest_contents(digest, workdir)
     assert digest.hexdigest() == SESSION_DIGEST
 
 
-#: sha256 over the name and bytes of every file ``pipeline_run`` writes for
+#: sha256 over the name and content of every file ``pipeline_run`` writes for
 #: the hidden-variable app (v1 to v2, budget 300, seeds 7, 20 and 26), frozen
-#: before the engine kept the transitions out of each state in an index.  On
+#: over file bytes before the engine kept the transitions out of each state in
+#: an index, and over content before the model and report layouts changed.  On
 #: these seeds a session records an outcome again after deleting a stale edge.
-REFINE_DIGEST = "69389e396e5626e8396b97ef01f942e72b344bf0dd5d71a409587977797c5bf5"
+REFINE_DIGEST = "1e663f975a609b5607a99d778d0cd406f66f4253d05f495f91ea584aaab34f92"
 
 
 def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monkeypatch):
@@ -515,9 +552,7 @@ def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monk
             spec, "v1", "v2", budget=300, seed=seed, workdir=workdir,
             config=EngineConfig(),
         )
-        for path in sorted(workdir.iterdir()):
-            digest.update(path.name.encode())
-            digest.update(path.read_bytes())
+        _digest_contents(digest, workdir)
     # the digest covers both kinds of online refinement
     assert {e["window"] for e in refines} == {"main", "left", "right"}
     assert sum(deleted) >= 3
