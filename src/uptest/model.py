@@ -7,6 +7,19 @@ layer is the trace of executed actions, each with the abstract state it
 reached; it is what replay re-runs, and it is discarded when a model is
 carried over to a new app version.  Concrete GUI trees are not part of the
 model.
+
+A model document (schema 4) writes every list of records as a table,
+``{"columns": [...], "rows": [[...], ...]}``: the column names once, then one
+row per record with one cell per column.  The columns are the record's fields
+in declaration order, named in camelCase (``TraceStep`` flattens its action:
+``inputId, actionType, concreteNodePath, dataPayload, afterStateId``).  The
+tables are the window graph's ``windows``, ``widgets``, ``inputs`` and
+``windowTransitions``, the state graph's ``abstractStates`` (whose ``avms``
+cell is itself a table) and ``abstractTransitions``, and the session layer's
+``trace``.  Rows come in id order, the trace in execution order.  The window
+graph file ``uptest harness export-ewtg`` writes is the ``ewtg`` object of a
+model document.  A reader takes a table only with exactly the writer's
+columns and rows of exactly that width.
 """
 
 from __future__ import annotations
@@ -14,9 +27,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Optional, TypeVar
+from operator import attrgetter
+from typing import Any, Optional
 
-SCHEMA_VERSION = 3
+SCHEMA_VERSION = 4
 
 #: Abstraction levels from coarsest to finest.
 LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
@@ -26,10 +40,10 @@ class ModelError(Exception):
     """Raised for malformed or inconsistent model documents."""
 
 
-#: What a ``from_dict`` raises on a decoded JSON document of the wrong shape:
-#: a missing key or list element, a value of the wrong JSON type, or an
-#: unknown enum value.  ``ValueError`` also covers undecodable bytes and
-#: malformed JSON.
+#: What a ``from_dict`` or ``from_row`` raises on a decoded JSON document of
+#: the wrong shape: a missing key, a table with another header or a row of
+#: another width, a value of the wrong JSON type, or an unknown enum value.
+#: ``ValueError`` also covers undecodable bytes and malformed JSON.
 SHAPE_ERRORS = (LookupError, TypeError, ValueError, AttributeError)
 
 OPTIONAL_STR = (str, type(None))
@@ -50,9 +64,6 @@ def require_int(*values) -> None:
             raise TypeError(f"expected int, got {value!r}")
 
 
-T = TypeVar("T")
-
-
 def _reject_repeats(ids: list, what: str) -> None:
     """Raise ``ValueError`` naming the first id that repeats, if one does."""
     seen = set()
@@ -62,11 +73,46 @@ def _reject_repeats(ids: list, what: str) -> None:
         seen.add(id_)
 
 
-def _by_id(entries: list[dict], parse: Callable[[dict], T], what: str) -> dict[str, T]:
-    """``parse`` of each entry, keyed by its id; an id may not repeat."""
-    items = {entry["id"]: parse(entry) for entry in entries}
-    if len(items) != len(entries):
-        _reject_repeats([entry["id"] for entry in entries], what)
+_TABLE_KEYS = {"columns", "rows"}
+_BY_ID = attrgetter("id")
+
+
+def _table(cls, records) -> dict:
+    """``records``, in the order given, as a table of ``cls`` rows."""
+    return {"columns": list(cls.COLUMNS), "rows": [r.to_row() for r in records]}
+
+
+def _id_table(cls, records: dict) -> dict:
+    return _table(cls, sorted(records.values(), key=_BY_ID))
+
+
+def _records(table: Any, cls) -> list:
+    """``cls.from_row`` of each row of a table written with ``cls.COLUMNS``.
+
+    Raises ``TypeError`` or ``ValueError`` unless ``table`` is an object of
+    exactly ``columns`` and ``rows``, its ``columns`` equal ``cls.COLUMNS``
+    and each row is a list of one cell per column.
+    """
+    columns = cls.COLUMNS
+    if type(table) is not dict or table.keys() != _TABLE_KEYS:
+        raise TypeError(f"expected a table of {', '.join(columns)}")
+    if table["columns"] != list(columns):
+        raise ValueError(f"expected the columns {', '.join(columns)}")
+    rows = table["rows"]
+    require(list, rows)
+    width = len(columns)
+    for row in rows:
+        if type(row) is not list or len(row) != width:
+            raise ValueError(f"expected rows of {width} cells: {', '.join(columns)}")
+    return list(map(cls.from_row, rows))
+
+
+def _by_id(table: Any, cls, what: str) -> dict:
+    """The records of ``table`` keyed by id; an id may not repeat."""
+    records = _records(table, cls)
+    items = {record.id: record for record in records}
+    if len(items) != len(records):
+        _reject_repeats([record.id for record in records], what)
     return items
 
 
@@ -93,6 +139,11 @@ class ActionType(str, Enum):
     ITEM_CLICK = "ItemClick"
     ITEM_LONG_CLICK = "ItemLongClick"
 
+
+#: Enum members by value; a dict lookup is about ten times faster than the
+#: enum call.
+_WINDOW_KINDS = {kind.value: kind for kind in WindowKind}
+_ACTION_TYPES = {action.value: action for action in ActionType}
 
 #: Window-level inputs act on no particular widget.
 WINDOW_LEVEL_ACTIONS = {
@@ -137,29 +188,26 @@ class Window:
     runtime_created: bool = False
     widget_ids: set[str] = field(default_factory=set)
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "name": self.name,
-            "kind": self.kind.value,
-            "className": self.class_name,
-            "runtimeCreated": self.runtime_created,
-            "widgetIds": sorted(self.widget_ids),
-        }
+    COLUMNS = ("id", "name", "kind", "className", "runtimeCreated", "widgetIds")
+
+    def to_row(self) -> list:
+        return [
+            self.id,
+            self.name,
+            self.kind.value,
+            self.class_name,
+            self.runtime_created,
+            sorted(self.widget_ids),
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Window":
-        w = cls(
-            id=d["id"],
-            name=d["name"],
-            kind=WindowKind(d["kind"]),
-            class_name=d["className"],
-            runtime_created=d.get("runtimeCreated", False),
-            widget_ids=set(d.get("widgetIds", [])),
-        )
-        require(str, w.id, w.name, w.class_name, *w.widget_ids)
-        require(bool, w.runtime_created)
-        return w
+    def from_row(cls, row: list) -> "Window":
+        id_, name, kind, class_name, runtime_created, widget_ids = row
+        require(str, id_, name, class_name)
+        require(bool, runtime_created)
+        require(list, widget_ids)
+        require(str, *widget_ids)
+        return cls(id_, name, _WINDOW_KINDS[kind], class_name, runtime_created, set(widget_ids))
 
 
 @dataclass
@@ -173,30 +221,32 @@ class EwtgWidget:
     parent_id: Optional[str] = None
     runtime_created: bool = False
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "windowId": self.window_id,
-            "className": self.class_name,
-            "resourceId": self.resource_id,
-            "contentDescription": self.content_description,
-            "xpath": self.xpath,
-            "parentId": self.parent_id,
-            "runtimeCreated": self.runtime_created,
-        }
+    COLUMNS = (
+        "id",
+        "windowId",
+        "className",
+        "resourceId",
+        "contentDescription",
+        "xpath",
+        "parentId",
+        "runtimeCreated",
+    )
+
+    def to_row(self) -> list:
+        return [
+            self.id,
+            self.window_id,
+            self.class_name,
+            self.resource_id,
+            self.content_description,
+            self.xpath,
+            self.parent_id,
+            self.runtime_created,
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "EwtgWidget":
-        w = cls(
-            id=d["id"],
-            window_id=d["windowId"],
-            class_name=d["className"],
-            resource_id=d["resourceId"],
-            content_description=d.get("contentDescription", ""),
-            xpath=d["xpath"],
-            parent_id=d.get("parentId"),
-            runtime_created=d.get("runtimeCreated", False),
-        )
+    def from_row(cls, row: list) -> "EwtgWidget":
+        w = cls(*row)
         # inline checks: this runs once per widget of every loaded model
         if not (
             isinstance(w.id, str)
@@ -220,32 +270,29 @@ class Input:
     widget_id: Optional[str] = None
     handler_method_ids: set[str] = field(default_factory=set)
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "windowId": self.window_id,
-            "widgetId": self.widget_id,
-            "actionType": self.action_type.value,
-            "handlerMethodIds": sorted(self.handler_method_ids),
-        }
+    COLUMNS = ("id", "windowId", "actionType", "widgetId", "handlerMethodIds")
+
+    def to_row(self) -> list:
+        return [
+            self.id,
+            self.window_id,
+            self.action_type.value,
+            self.widget_id,
+            sorted(self.handler_method_ids),
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "Input":
-        i = cls(
-            id=d["id"],
-            window_id=d["windowId"],
-            widget_id=d.get("widgetId"),
-            action_type=ActionType(d["actionType"]),
-            handler_method_ids=set(d.get("handlerMethodIds", [])),
-        )
+    def from_row(cls, row: list) -> "Input":
+        id_, window_id, action_type, widget_id, handler_method_ids = row
         if not (
-            isinstance(i.id, str)
-            and isinstance(i.window_id, str)
-            and isinstance(i.widget_id, OPTIONAL_STR)
+            isinstance(id_, str)
+            and isinstance(window_id, str)
+            and isinstance(widget_id, OPTIONAL_STR)
+            and isinstance(handler_method_ids, list)
         ):
-            raise TypeError(f"input {i.id!r} has a field of the wrong type")
-        require(str, *i.handler_method_ids)
-        return i
+            raise TypeError(f"input {id_!r} has a field of the wrong type")
+        require(str, *handler_method_ids)
+        return cls(id_, window_id, _ACTION_TYPES[action_type], widget_id, set(handler_method_ids))
 
 
 @dataclass
@@ -255,22 +302,14 @@ class WindowTransition:
     destination_window_id: str
     input_id: str
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "sourceWindowId": self.source_window_id,
-            "destinationWindowId": self.destination_window_id,
-            "inputId": self.input_id,
-        }
+    COLUMNS = ("id", "sourceWindowId", "destinationWindowId", "inputId")
+
+    def to_row(self) -> list:
+        return [self.id, self.source_window_id, self.destination_window_id, self.input_id]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "WindowTransition":
-        t = cls(
-            id=d["id"],
-            source_window_id=d["sourceWindowId"],
-            destination_window_id=d["destinationWindowId"],
-            input_id=d["inputId"],
-        )
+    def from_row(cls, row: list) -> "WindowTransition":
+        t = cls(*row)
         if not (
             isinstance(t.id, str)
             and isinstance(t.source_window_id, str)
@@ -294,23 +333,16 @@ class AttributeValuationMap:
         """Hashable canonical form of the valuations, used for comparisons."""
         return tuple(sorted(self.valuations.items()))
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "ewtgWidgetId": self.ewtg_widget_id,
-            "valuations": dict(sorted(self.valuations.items())),
-            "cardinality": self.cardinality,
-        }
+    COLUMNS = ("id", "valuations", "cardinality", "ewtgWidgetId")
+
+    def to_row(self) -> list:
+        return [self.id, dict(self.valuations), self.cardinality, self.ewtg_widget_id]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AttributeValuationMap":
-        avm = cls(
-            id=d["id"],
-            valuations=dict(d["valuations"]),
-            cardinality=d.get("cardinality", 1),
-            ewtg_widget_id=d.get("ewtgWidgetId"),
-        )
+    def from_row(cls, row: list) -> "AttributeValuationMap":
+        avm = cls(*row)
         require(str, avm.id)
+        require(dict, avm.valuations)
         require_int(avm.cardinality)
         require(OPTIONAL_STR, avm.ewtg_widget_id)
         require((str, int, float, type(None)), *avm.valuations.values())
@@ -339,31 +371,28 @@ class AbstractState:
             counts[key] = counts.get(key, 0) + avm.cardinality
         return counts
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "windowId": self.window_id,
-            "avms": [a.to_dict() for a in sorted(self.avms, key=lambda a: a.id)],
-            "abstractionLevel": self.abstraction_level,
-            "obsolete": self.obsolete,
-            "observedInVersions": sorted(self.observed_in_versions),
-        }
+    COLUMNS = ("id", "windowId", "avms", "abstractionLevel", "obsolete", "observedInVersions")
+
+    def to_row(self) -> list:
+        return [
+            self.id,
+            self.window_id,
+            _table(AttributeValuationMap, sorted(self.avms, key=_BY_ID)),
+            self.abstraction_level,
+            self.obsolete,
+            sorted(self.observed_in_versions),
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AbstractState":
-        state = cls(
-            id=d["id"],
-            window_id=d["windowId"],
-            avms=[AttributeValuationMap.from_dict(a) for a in d.get("avms", [])],
-            abstraction_level=d.get("abstractionLevel", "L1"),
-            obsolete=d.get("obsolete", False),
-            observed_in_versions=set(d.get("observedInVersions", [])),
-        )
-        require(str, state.id, state.window_id, state.abstraction_level)
-        require(str, *state.observed_in_versions)
-        require(bool, state.obsolete)
-        _reject_repeats([avm.id for avm in state.avms], "AVM")
-        return state
+    def from_row(cls, row: list) -> "AbstractState":
+        id_, window_id, avms, abstraction_level, obsolete, observed_in_versions = row
+        require(str, id_, window_id, abstraction_level)
+        require(bool, obsolete)
+        require(list, observed_in_versions)
+        require(str, *observed_in_versions)
+        avms = _records(avms, AttributeValuationMap)
+        _reject_repeats([avm.id for avm in avms], "AVM")
+        return cls(id_, window_id, avms, abstraction_level, obsolete, set(observed_in_versions))
 
 
 @dataclass
@@ -377,33 +406,38 @@ class AbstractTransition:
     layout_guard: Optional[dict] = None  # serialized layout fingerprint
     provenance_version: str = ""
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "sourceStateId": self.source_state_id,
-            "sourceAvmId": self.source_avm_id,
-            "actionType": self.action_type.value,
-            "dataPayload": self.data_payload,
-            "destinationStateId": self.destination_state_id,
-            "layoutGuard": self.layout_guard,
-            "provenanceVersion": self.provenance_version,
-        }
+    COLUMNS = (
+        "id",
+        "sourceStateId",
+        "sourceAvmId",
+        "actionType",
+        "destinationStateId",
+        "dataPayload",
+        "layoutGuard",
+        "provenanceVersion",
+    )
+
+    def to_row(self) -> list:
+        return [
+            self.id,
+            self.source_state_id,
+            self.source_avm_id,
+            self.action_type.value,
+            self.destination_state_id,
+            self.data_payload,
+            self.layout_guard,
+            self.provenance_version,
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "AbstractTransition":
-        t = cls(
-            id=d["id"],
-            source_state_id=d["sourceStateId"],
-            source_avm_id=d.get("sourceAvmId"),
-            action_type=ActionType(d["actionType"]),
-            destination_state_id=d["destinationStateId"],
-            data_payload=d.get("dataPayload"),
-            layout_guard=d.get("layoutGuard"),
-            provenance_version=d.get("provenanceVersion", ""),
-        )
+    def from_row(cls, row: list) -> "AbstractTransition":
+        t = cls(*row)
+        t.action_type = _ACTION_TYPES[t.action_type]
         require(str, t.id, t.source_state_id, t.destination_state_id, t.provenance_version)
         require(OPTIONAL_STR, t.source_avm_id, t.data_payload)
         if t.layout_guard is not None:
+            require(dict, t.layout_guard)
+            require(list, t.layout_guard["entries"])
             for entry in t.layout_guard["entries"]:
                 require(dict, entry["valuations"])
                 require((str, int, float, type(None)), *entry["valuations"].values())
@@ -490,23 +524,6 @@ class Action:
             "dataPayload": self.data_payload,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "Action":
-        action = cls(
-            input_id=d["inputId"],
-            action_type=ActionType(d["actionType"]),
-            concrete_node_path=tuple(d["concreteNodePath"])
-            if d.get("concreteNodePath") is not None
-            else None,
-            data_payload=d.get("dataPayload"),
-        )
-        require(str, action.input_id)
-        require_int(*(action.concrete_node_path or ()))
-        if any(i < 0 for i in action.concrete_node_path or ()):
-            raise ValueError(f"node path {d['concreteNodePath']} has a negative index")
-        require(OPTIONAL_STR, action.data_payload)
-        return action
-
 
 @dataclass
 class TraceStep:
@@ -515,14 +532,35 @@ class TraceStep:
     action: Action
     after_state_id: str
 
-    def to_dict(self) -> dict:
-        return {"action": self.action.to_dict(), "afterStateId": self.after_state_id}
+    COLUMNS = ("inputId", "actionType", "concreteNodePath", "dataPayload", "afterStateId")
+
+    def to_row(self) -> list:
+        a = self.action
+        path = a.concrete_node_path
+        return [
+            a.input_id,
+            a.action_type.value,
+            None if path is None else list(path),
+            a.data_payload,
+            self.after_state_id,
+        ]
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TraceStep":
-        step = cls(action=Action.from_dict(d["action"]), after_state_id=d["afterStateId"])
-        require(str, step.after_state_id)
-        return step
+    def from_row(cls, row: list) -> "TraceStep":
+        input_id, action_type, path, data_payload, after_state_id = row
+        if not (
+            isinstance(input_id, str)
+            and isinstance(data_payload, OPTIONAL_STR)
+            and isinstance(after_state_id, str)
+        ):
+            raise TypeError(f"trace step {input_id!r} has a field of the wrong type")
+        if path is not None:
+            require(list, path)
+            require_int(*path)
+            if any(i < 0 for i in path):
+                raise ValueError(f"node path {path} has a negative index")
+            path = tuple(path)
+        return cls(Action(input_id, _ACTION_TYPES[action_type], path, data_payload), after_state_id)
 
 
 @dataclass
@@ -535,24 +573,20 @@ class Ewtg:
 
     def to_dict(self) -> dict:
         return {
-            "windows": [w.to_dict() for w in sorted(self.windows.values(), key=lambda w: w.id)],
-            "widgets": [w.to_dict() for w in sorted(self.widgets.values(), key=lambda w: w.id)],
-            "inputs": [i.to_dict() for i in sorted(self.inputs.values(), key=lambda i: i.id)],
-            "windowTransitions": [
-                t.to_dict() for t in sorted(self.window_transitions.values(), key=lambda t: t.id)
-            ],
+            "windows": _id_table(Window, self.windows),
+            "widgets": _id_table(EwtgWidget, self.widgets),
+            "inputs": _id_table(Input, self.inputs),
+            "windowTransitions": _id_table(WindowTransition, self.window_transitions),
             "launcherWindowId": self.launcher_window_id,
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Ewtg":
         ewtg = cls(
-            windows=_by_id(d.get("windows", []), Window.from_dict, "window"),
-            widgets=_by_id(d.get("widgets", []), EwtgWidget.from_dict, "widget"),
-            inputs=_by_id(d.get("inputs", []), Input.from_dict, "input"),
-            window_transitions=_by_id(
-                d.get("windowTransitions", []), WindowTransition.from_dict, "window transition"
-            ),
+            windows=_by_id(d["windows"], Window, "window"),
+            widgets=_by_id(d["widgets"], EwtgWidget, "widget"),
+            inputs=_by_id(d["inputs"], Input, "input"),
+            window_transitions=_by_id(d["windowTransitions"], WindowTransition, "window transition"),
             launcher_window_id=d.get("launcherWindowId"),
         )
         require(OPTIONAL_STR, ewtg.launcher_window_id)
@@ -570,25 +604,17 @@ class Dstg:
 
     def to_dict(self) -> dict:
         return {
-            "abstractStates": [
-                s.to_dict() for s in sorted(self.abstract_states.values(), key=lambda s: s.id)
-            ],
-            "abstractTransitions": [
-                t.to_dict() for t in sorted(self.abstract_transitions.values(), key=lambda t: t.id)
-            ],
+            "abstractStates": _id_table(AbstractState, self.abstract_states),
+            "abstractTransitions": _id_table(AbstractTransition, self.abstract_transitions),
             "abstractionPolicy": dict(sorted(self.abstraction_policy.items())),
         }
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dstg":
         return cls(
-            abstract_states=_by_id(
-                d.get("abstractStates", []), AbstractState.from_dict, "abstract state"
-            ),
+            abstract_states=_by_id(d["abstractStates"], AbstractState, "abstract state"),
             abstract_transitions=_by_id(
-                d.get("abstractTransitions", []),
-                AbstractTransition.from_dict,
-                "abstract transition",
+                d["abstractTransitions"], AbstractTransition, "abstract transition"
             ),
             abstraction_policy=dict(d.get("abstractionPolicy", {})),
         )
@@ -599,11 +625,11 @@ class Gstg:
     trace: list[TraceStep] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"trace": [s.to_dict() for s in self.trace]}
+        return {"trace": _table(TraceStep, self.trace)}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Gstg":
-        return cls(trace=[TraceStep.from_dict(s) for s in d.get("trace", [])])
+        return cls(trace=_records(d["trace"], TraceStep))
 
 
 @dataclass
@@ -630,9 +656,9 @@ class AppModel:
     def from_dict(cls, d: dict) -> "AppModel":
         model = cls(
             version=d["version"],
-            ewtg=Ewtg.from_dict(d.get("ewtg", {})),
-            dstg=Dstg.from_dict(d.get("dstg", {})),
-            gstg=Gstg.from_dict(d.get("gstg", {})),
+            ewtg=Ewtg.from_dict(d["ewtg"]),
+            dstg=Dstg.from_dict(d["dstg"]),
+            gstg=Gstg.from_dict(d["gstg"]),
             diff_context={k: list(v) for k, v in d.get("diffContext", {}).items()},
         )
         require(str, model.version)

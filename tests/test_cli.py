@@ -41,7 +41,9 @@ def test_harness_export_writes_the_static_model(tmp_path):
     out = write_ewtg(tmp_path, "v0")
     doc = json.loads(out.read_text("utf-8"))
     assert doc["launcherWindowId"] == "main"
-    assert {w["id"] for w in doc["windows"]} == {"main", "edit"}
+    windows = doc["windows"]
+    assert windows["columns"][0] == "id"
+    assert {row[0] for row in windows["rows"]} == {"main", "edit"}
 
 
 def test_harness_targets_writes_the_manifest(tmp_path):
@@ -293,7 +295,10 @@ def test_adapt_rejects_diff_fields_of_the_wrong_shape(tmp_path, capsys, diff_doc
 def test_diff_rejects_a_window_graph_with_a_repeated_window_id(tmp_path, capsys):
     good = write_ewtg(tmp_path, "v0")
     doc = json.loads(good.read_text("utf-8"))
-    doc["windows"].append(dict(doc["windows"][0], kind="Dialog"))
+    windows = doc["windows"]
+    twice = list(windows["rows"][0])
+    twice[windows["columns"].index("kind")] = "Dialog"
+    windows["rows"].append(twice)
     bad = write_text(tmp_path, "twice.json", json.dumps(doc))
     out = tmp_path / "diff.json"
     assert main(["diff", str(good), str(bad), "--out", str(out)]) == 1

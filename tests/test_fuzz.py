@@ -122,8 +122,9 @@ def learned_model_doc() -> dict:
     run_session(model, targets, DriverSession(spec, "v1", seed=1), budget=60, seed=1)
     doc = json.loads(serialize_model(model))
     transitions = doc["dstg"]["abstractTransitions"]
-    assert transitions and doc["gstg"]["trace"]
-    assert any(t["layoutGuard"] for t in transitions)
+    assert transitions["rows"] and doc["gstg"]["trace"]["rows"]
+    guard = transitions["columns"].index("layoutGuard")
+    assert any(row[guard] for row in transitions["rows"])
     return doc
 
 

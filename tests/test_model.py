@@ -1,6 +1,7 @@
 """Model layer: construction, validation, serialization."""
 
 import json
+import random
 
 import pytest
 
@@ -28,6 +29,8 @@ from uptest.model import (
 )
 
 from conftest import make_node
+from planner_oracle import random_model
+from random_ewtg import random_ewtg_pair
 
 
 def small_model() -> AppModel:
@@ -78,6 +81,78 @@ def small_model() -> AppModel:
     return AppModel(version="v1", ewtg=ewtg, dstg=dstg, gstg=gstg)
 
 
+def model_doc(model: AppModel = None) -> dict:
+    return json.loads(serialize_model(model or small_model()).decode("utf-8"))
+
+
+def load(doc: dict) -> AppModel:
+    return deserialize_model(json.dumps(doc).encode("utf-8"))
+
+
+def cells(table: dict, row: int) -> dict:
+    """Row ``row`` of ``table`` by column name (a copy: write with ``set_cell``)."""
+    return dict(zip(table["columns"], table["rows"][row]))
+
+
+def set_cell(table: dict, row: int, column: str, value) -> None:
+    table["rows"][row][table["columns"].index(column)] = value
+
+
+def avm_table(doc: dict) -> dict:
+    """The AVM table of state ``s1``, the first row of the state table."""
+    return cells(doc["dstg"]["abstractStates"], 0)["avms"]
+
+
+#: Where each table of a model document sits, and the columns it has.
+TABLES = {
+    "windows": (
+        lambda doc: doc["ewtg"]["windows"],
+        ["id", "name", "kind", "className", "runtimeCreated", "widgetIds"],
+    ),
+    "widgets": (
+        lambda doc: doc["ewtg"]["widgets"],
+        ["id", "windowId", "className", "resourceId", "contentDescription", "xpath",
+         "parentId", "runtimeCreated"],
+    ),
+    "inputs": (
+        lambda doc: doc["ewtg"]["inputs"],
+        ["id", "windowId", "actionType", "widgetId", "handlerMethodIds"],
+    ),
+    "windowTransitions": (
+        lambda doc: doc["ewtg"]["windowTransitions"],
+        ["id", "sourceWindowId", "destinationWindowId", "inputId"],
+    ),
+    "abstractStates": (
+        lambda doc: doc["dstg"]["abstractStates"],
+        ["id", "windowId", "avms", "abstractionLevel", "obsolete", "observedInVersions"],
+    ),
+    "avms": (avm_table, ["id", "valuations", "cardinality", "ewtgWidgetId"]),
+    "abstractTransitions": (
+        lambda doc: doc["dstg"]["abstractTransitions"],
+        ["id", "sourceStateId", "sourceAvmId", "actionType", "destinationStateId",
+         "dataPayload", "layoutGuard", "provenanceVersion"],
+    ),
+    "trace": (
+        lambda doc: doc["gstg"]["trace"],
+        ["inputId", "actionType", "concreteNodePath", "dataPayload", "afterStateId"],
+    ),
+}
+
+#: A cell of another JSON type than its column takes; a string column gets 5.
+WRONG_CELLS = {
+    "runtimeCreated": 1,
+    "obsolete": 0,
+    "cardinality": True,
+    "widgetIds": "wd-ok",
+    "handlerMethodIds": "m-ok",
+    "observedInVersions": "v1",
+    "concreteNodePath": "0",
+    "valuations": [["R_RID", "ok"]],
+    "avms": [],
+    "layoutGuard": [],
+}
+
+
 def test_action_costs():
     assert action_cost(ActionType.RESET_APP) == 10
     for at in ActionType:
@@ -93,6 +168,7 @@ def test_serialize_round_trip():
     model = small_model()
     data = serialize_model(model)
     restored = deserialize_model(data)
+    assert restored == model
     assert restored.to_dict() == model.to_dict()
     # canonical: serializing again yields the same bytes
     assert serialize_model(restored) == data
@@ -118,34 +194,88 @@ def test_deserialize_rejects_garbage():
 
 
 def test_deserialize_rejects_a_wrongly_shaped_document():
-    good = json.loads(serialize_model(small_model()).decode("utf-8"))
-    bad_action = {"inputs": [{"id": "i", "windowId": "w1", "actionType": "NoSuchAction"}]}
-    for ewtg in ({"windows": [{"id": "w1"}]}, {"windows": 3}, [], bad_action):
-        doc = dict(good, ewtg=ewtg)
+    good = model_doc()
+    ewtg = good["ewtg"]
+    short_row = dict(ewtg["windows"], rows=[["w1"]])
+    bad_action = dict(ewtg["inputs"], rows=[["i", "w-main", "NoSuchAction", None, []]])
+    record_list = [cells(ewtg["windows"], 0)]
+    for bad in (
+        dict(ewtg, windows=short_row),
+        dict(ewtg, windows=3),
+        dict(ewtg, windows=record_list),
+        [],
+        dict(ewtg, inputs=bad_action),
+    ):
+        doc = dict(good, ewtg=bad)
         with pytest.raises(ModelError, match="malformed model document"):
-            deserialize_model(json.dumps(doc).encode("utf-8"))
+            load(doc)
+
+
+def guard(count) -> dict:
+    return {"entries": [{"valuations": {"R_RID": "ok"}, "count": count}]}
 
 
 @pytest.mark.parametrize("edit", [
-    lambda doc: doc["ewtg"]["widgets"][0].update(resourceId=5),
-    lambda doc: doc["ewtg"]["windows"][0].update(widgetIds=[["wd-ok"]]),
-    lambda doc: doc["dstg"]["abstractStates"][0]["avms"][0].update(valuations={"R_RID": []}),
-    lambda doc: doc["dstg"]["abstractTransitions"][0].update(
-        layoutGuard={"entries": [{"valuations": {"R_RID": "ok"}, "count": "1"}]}),
-    lambda doc: doc["dstg"]["abstractTransitions"][0].update(layoutGuard={"entries": 3}),
-    lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=["0"]),
-    lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=[-1]),
-    lambda doc: doc["gstg"]["trace"][0]["action"].update(concreteNodePath=[True]),
-    lambda doc: doc["dstg"]["abstractStates"][0]["avms"][0].update(cardinality=True),
-    lambda doc: doc["dstg"]["abstractTransitions"][0].update(
-        layoutGuard={"entries": [{"valuations": {"R_RID": "ok"}, "count": True}]}),
+    lambda doc: set_cell(doc["ewtg"]["widgets"], 0, "resourceId", 5),
+    lambda doc: set_cell(doc["ewtg"]["windows"], 0, "widgetIds", [["wd-ok"]]),
+    lambda doc: set_cell(avm_table(doc), 0, "valuations", {"R_RID": []}),
+    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard("1")),
+    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", {"entries": 3}),
+    lambda doc: set_cell(doc["gstg"]["trace"], 0, "concreteNodePath", ["0"]),
+    lambda doc: set_cell(doc["gstg"]["trace"], 0, "concreteNodePath", [-1]),
+    lambda doc: set_cell(doc["gstg"]["trace"], 0, "concreteNodePath", [True]),
+    lambda doc: set_cell(avm_table(doc), 0, "cardinality", True),
+    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard(True)),
     lambda doc: doc.update(diffContext={"addedWidgets": "wd-ok"}),
 ])
 def test_deserialize_rejects_fields_of_the_wrong_type(edit):
-    doc = json.loads(serialize_model(small_model()).decode("utf-8"))
+    doc = model_doc()
     edit(doc)
     with pytest.raises(ModelError, match="malformed model document"):
-        deserialize_model(json.dumps(doc).encode("utf-8"))
+        load(doc)
+
+
+def test_the_written_tables_have_the_documented_columns():
+    doc = model_doc()
+    for locate, columns in TABLES.values():
+        table = locate(doc)
+        assert set(table) == {"columns", "rows"}
+        assert table["columns"] == columns
+        assert table["rows"]
+
+
+@pytest.mark.parametrize("table, column", [
+    (name, column) for name, (_, columns) in TABLES.items() for column in columns
+])
+def test_deserialize_rejects_a_cell_of_the_wrong_type(table, column):
+    doc = model_doc()
+    set_cell(TABLES[table][0](doc), 0, column, WRONG_CELLS.get(column, 5))
+    with pytest.raises(ModelError, match="malformed model document"):
+        load(doc)
+
+
+@pytest.mark.parametrize("table", list(TABLES))
+@pytest.mark.parametrize("edit", [
+    lambda table: table["columns"].reverse(),
+    lambda table: table["columns"].append("extra"),
+    lambda table: table.update(extra=[]),
+    lambda table: table["rows"][0].append(None),
+    lambda table: table["rows"][0].pop(),
+    lambda table: table["rows"].append({}),
+], ids=["reversed header", "longer header", "third key", "long row", "short row", "object row"])
+def test_deserialize_rejects_another_header_or_row_width(table, edit):
+    doc = model_doc()
+    edit(TABLES[table][0](doc))
+    with pytest.raises(ModelError, match="malformed model document"):
+        load(doc)
+
+
+def at(doc: dict, path: tuple):
+    """Walk ``path``: object keys, and inside a table a row index then a column name."""
+    node, keys = doc, iter(path)
+    for key in keys:
+        node = cells(node, key)[next(keys)] if isinstance(key, int) else node[key]
+    return node
 
 
 @pytest.mark.parametrize("path, what", [
@@ -158,32 +288,74 @@ def test_deserialize_rejects_fields_of_the_wrong_type(edit):
     (("dstg", "abstractStates", 0, "avms"), "AVM"),
 ])
 def test_deserialize_rejects_a_repeated_id(path, what):
-    doc = json.loads(serialize_model(small_model()).decode("utf-8"))
-    entries = doc
-    for key in path:
-        entries = entries[key]
-    # a second entry under the first one's id, otherwise well formed
-    entries.append(dict(entries[0]))
+    doc = model_doc()
+    rows = at(doc, path)["rows"]
+    # a second row under the first one's id, otherwise well formed
+    rows.append(list(rows[0]))
     with pytest.raises(ModelError, match=f"duplicate {what} id"):
-        deserialize_model(json.dumps(doc).encode("utf-8"))
+        load(doc)
 
 
 def test_deserialize_rejects_an_unknown_abstraction_level():
     for edit in (
-        lambda doc: doc["dstg"]["abstractStates"][0].update(abstractionLevel="L9"),
+        lambda doc: set_cell(doc["dstg"]["abstractStates"], 0, "abstractionLevel", "L9"),
         lambda doc: doc["dstg"].update(abstractionPolicy={"w-main": "L0"}),
     ):
-        doc = json.loads(serialize_model(small_model()).decode("utf-8"))
+        doc = model_doc()
         edit(doc)
         with pytest.raises(ModelError, match="unknown"):
-            deserialize_model(json.dumps(doc).encode("utf-8"))
+            load(doc)
 
 
 def test_deserialize_rejects_wrong_schema_version():
-    doc = json.loads(serialize_model(small_model()).decode("utf-8"))
-    doc["schema_version"] = 99
-    with pytest.raises(ModelError):
-        deserialize_model(json.dumps(doc).encode("utf-8"))
+    # schema 3 wrote each record as an object; no reader for it is kept
+    for schema in (99, 3):
+        doc = model_doc()
+        doc["schema_version"] = schema
+        with pytest.raises(ModelError, match=f"unsupported schema version {schema}"):
+            load(doc)
+
+
+def _random_trace(model: AppModel, rng: random.Random) -> None:
+    """Trace steps over the model's inputs and states, some with paths and payloads."""
+    inputs = sorted(model.ewtg.inputs.values(), key=lambda i: i.id)
+    states = sorted(model.dstg.abstract_states)
+    for _ in range(rng.randrange(0, 6) if inputs and states else 0):
+        inp = rng.choice(inputs)
+        path = rng.choice([None, (), (0,), (2, 1)])
+        payload = rng.choice([None, "", "hello"])
+        model.gstg.trace.append(
+            TraceStep(Action(inp.id, inp.action_type, path, payload), rng.choice(states))
+        )
+
+
+def _round_trips(model: AppModel) -> None:
+    data = serialize_model(model)
+    restored = deserialize_model(data)
+    assert restored == model
+    assert serialize_model(restored) == data
+
+
+def test_random_window_graphs_round_trip():
+    for seed in range(30):
+        for version, ewtg in zip(("v0", "v1"), random_ewtg_pair(seed)):
+            _round_trips(AppModel(version=version, ewtg=ewtg))
+
+
+def test_random_models_round_trip():
+    rng = random.Random(4)
+    for _ in range(30):
+        model, _, _ = random_model(rng)
+        for tr in sorted(model.dstg.abstract_transitions.values(), key=lambda t: t.id):
+            if rng.random() < 0.3:
+                tr.data_payload = rng.choice(("hello", ""))
+            if rng.random() < 0.3:
+                tr.layout_guard = guard(rng.randrange(1, 4))
+        for state in model.dstg.abstract_states.values():
+            state.observed_in_versions = set(rng.sample(["v0", "v1", "v2"], rng.randrange(3)))
+        model.diff_context = {"addedWidgets": sorted(model.ewtg.widgets)[:2]}
+        _random_trace(model, rng)
+        _round_trips(model)
 
 
 def test_deserialize_rejects_missing_version():
