@@ -161,9 +161,11 @@ class SessionResult:
 
 
 def emit_report(result: SessionResult, targets: TargetSet, out_path) -> dict:
+    """Write the session report as compact JSON with sorted keys, which ``json``
+    encodes in C (an indent makes it fall back to its Python encoder)."""
     doc = result.report(targets)
     Path(out_path).write_text(
-        json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8"
+        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8"
     )
     return doc
 
