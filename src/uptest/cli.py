@@ -28,6 +28,8 @@ from .model import (
     Ewtg,
     ModelError,
     deserialize_model,
+    require,
+    require_int,
     serialize_model,
 )
 from .planner import MetaState, plan_to_target
@@ -74,12 +76,23 @@ def _targets_for(spec: AppSpec, version: str, first: bool) -> TargetSet:
     )
 
 
-def _targets_from_file(path: str) -> TargetSet:
+def _targets_from_file(path: str, version: str) -> TargetSet:
+    """The targets of ``version`` in a manifest ``harness diff-targets`` wrote."""
+
     def parse(doc: dict) -> TargetSet:
-        return TargetSet(
-            target_method_ids=set(doc["targetMethodIds"]),
-            instruction_counts=dict(doc.get("instructionCounts", {})),
-        )
+        require(list, doc["versions"])
+        for entry in doc["versions"]:
+            require(dict, entry)
+            if entry["version"] == version:
+                break
+        else:
+            raise LookupError(f"no entry for version {version!r}")
+        methods, counts = entry["updatedMethodIds"], entry["instructionCounts"]
+        require(list, methods)
+        require(str, *methods)
+        require(dict, counts)
+        require_int(*counts.values())
+        return TargetSet(target_method_ids=set(methods), instruction_counts=counts)
 
     return _read_document(path, parse, "targets file")
 
@@ -125,7 +138,7 @@ def cmd_test(args) -> int:
         first = spec.version_index(args.version) == 0
         targets = _targets_for(spec, args.version, first)
     else:
-        targets = _targets_from_file(args.targets)
+        targets = _targets_from_file(args.targets, args.version)
     driver = DriverSession(spec, args.version, seed=args.seed)
     result = run_session(
         model,
@@ -352,7 +365,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("model")
     p.add_argument("appspec")
     p.add_argument("--version", required=True)
-    p.add_argument("--targets", default="auto", help='"auto" or a targets file')
+    p.add_argument(
+        "--targets", default="auto", help='"auto" or a manifest from harness diff-targets'
+    )
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--out-model", default=None)
     p.add_argument("--report", default=None)

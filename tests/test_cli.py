@@ -55,6 +55,58 @@ def test_harness_targets_writes_the_manifest(tmp_path):
     assert "m-cancel" in doc["versions"][1]["updatedMethodIds"]
 
 
+def write_model(tmp_path, version) -> Path:
+    out = tmp_path / f"model_{version}.json"
+    spec = load_spec(DIARY)
+    out.write_bytes(serialize_model(AppModel(version=version, ewtg=export_ewtg(spec, version))))
+    return out
+
+
+def run_test_command(tmp_path, version, targets) -> bytes:
+    report = tmp_path / f"report_{version}_{Path(targets).name}.json"
+    assert main(["test", str(write_model(tmp_path, version)), DIARY, "--version", version,
+                 "--targets", targets, "--budget", "30", "--seed", "4",
+                 "--report", str(report)]) == 0
+    return report.read_bytes()
+
+
+@pytest.mark.parametrize("version", ["v0", "v1"])
+def test_test_command_reads_the_target_manifest(tmp_path, version):
+    manifest = tmp_path / "targets.json"
+    assert main(["harness", "diff-targets", DIARY, "--out", str(manifest)]) == 0
+    from_file = run_test_command(tmp_path, version, str(manifest))
+    assert from_file == run_test_command(tmp_path, version, "auto")
+    assert json.loads(from_file)["summary"]["targetMethodCount"] > 0
+
+
+def manifest_entry(**fields) -> dict:
+    entry = {"version": "v0", "updatedMethodIds": ["m-add"], "instructionCounts": {"m-add": 3}}
+    return {"appId": "diary", "versions": [dict(entry, **fields)]}
+
+
+@pytest.mark.parametrize("doc", [
+    {"targetMethodIds": "m-add"},
+    {"targetMethodIds": ["m-add"], "instructionCounts": {"m-add": 3}},
+    [],
+    {"versions": {"version": "v0"}},
+    {"versions": ["v0"]},
+    manifest_entry(version="v1"),
+    manifest_entry(updatedMethodIds="m-add"),
+    manifest_entry(updatedMethodIds=[5]),
+    manifest_entry(instructionCounts={"m-add": "x"}),
+    manifest_entry(instructionCounts={"m-add": True}),
+    manifest_entry(instructionCounts=[["m-add", 3]]),
+])
+def test_test_command_rejects_a_malformed_target_manifest(tmp_path, capsys, doc):
+    targets = write_text(tmp_path, "targets.json", json.dumps(doc))
+    report = tmp_path / "report.json"
+    assert main(["test", str(write_model(tmp_path, "v0")), DIARY, "--version", "v0",
+                 "--targets", str(targets), "--report", str(report)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed targets file") and err.count("\n") == 1
+    assert not report.exists()
+
+
 def test_diff_command_chains_from_exports(tmp_path):
     base = write_ewtg(tmp_path, "v0")
     updated = write_ewtg(tmp_path, "v1")
