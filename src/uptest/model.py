@@ -556,11 +556,13 @@ class TraceStep:
             raise TypeError(f"trace step {input_id!r} has a field of the wrong type")
         if path is not None:
             require(list, path)
-            require_int(*path)
-            if any(i < 0 for i in path):
-                raise ValueError(f"node path {path} has a negative index")
+            for i in path:
+                # type(), not isinstance: a JSON boolean is no index
+                if type(i) is not int or i < 0:
+                    raise TypeError(f"node path {path} holds {i!r}, not an index >= 0")
             path = tuple(path)
-        return cls(Action(input_id, _ACTION_TYPES[action_type], path, data_payload), after_state_id)
+        action = Action(input_id, _ACTION_TYPES[action_type], path, data_payload)
+        return cls(action, after_state_id)
 
 
 @dataclass
@@ -586,7 +588,9 @@ class Ewtg:
             windows=_by_id(d["windows"], Window, "window"),
             widgets=_by_id(d["widgets"], EwtgWidget, "widget"),
             inputs=_by_id(d["inputs"], Input, "input"),
-            window_transitions=_by_id(d["windowTransitions"], WindowTransition, "window transition"),
+            window_transitions=_by_id(
+                d["windowTransitions"], WindowTransition, "window transition"
+            ),
             launcher_window_id=d.get("launcherWindowId"),
         )
         require(OPTIONAL_STR, ewtg.launcher_window_id)
