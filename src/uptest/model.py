@@ -615,12 +615,14 @@ class Dstg:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Dstg":
+        policy = d.get("abstractionPolicy", {})
+        require(dict, policy)
         return cls(
             abstract_states=_by_id(d["abstractStates"], AbstractState, "abstract state"),
             abstract_transitions=_by_id(
                 d["abstractTransitions"], AbstractTransition, "abstract transition"
             ),
-            abstraction_policy=dict(d.get("abstractionPolicy", {})),
+            abstraction_policy=dict(policy),
         )
 
 

@@ -81,8 +81,8 @@ def small_model() -> AppModel:
     return AppModel(version="v1", ewtg=ewtg, dstg=dstg, gstg=gstg)
 
 
-def model_doc(model: AppModel = None) -> dict:
-    return json.loads(serialize_model(model or small_model()).decode("utf-8"))
+def model_doc() -> dict:
+    return json.loads(serialize_model(small_model()).decode("utf-8"))
 
 
 def load(doc: dict) -> AppModel:
@@ -98,9 +98,17 @@ def set_cell(table: dict, row: int, column: str, value) -> None:
     table["rows"][row][table["columns"].index(column)] = value
 
 
+def at(doc: dict, path: tuple):
+    """Walk ``path``: object keys, and inside a table a row index then a column name."""
+    node, keys = doc, iter(path)
+    for key in keys:
+        node = cells(node, key)[next(keys)] if isinstance(key, int) else node[key]
+    return node
+
+
 def avm_table(doc: dict) -> dict:
     """The AVM table of state ``s1``, the first row of the state table."""
-    return cells(doc["dstg"]["abstractStates"], 0)["avms"]
+    return at(doc, ("dstg", "abstractStates", 0, "avms"))
 
 
 #: Where each table of a model document sits, and the columns it has.
@@ -227,6 +235,8 @@ def guard(count) -> dict:
     lambda doc: set_cell(avm_table(doc), 0, "cardinality", True),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard(True)),
     lambda doc: doc.update(diffContext={"addedWidgets": "wd-ok"}),
+    # dict() would read a list of pairs as an object
+    lambda doc: doc["dstg"].update(abstractionPolicy=[["w-main", "L2"]]),
 ])
 def test_deserialize_rejects_fields_of_the_wrong_type(edit):
     doc = model_doc()
@@ -268,14 +278,6 @@ def test_deserialize_rejects_another_header_or_row_width(table, edit):
     edit(TABLES[table][0](doc))
     with pytest.raises(ModelError, match="malformed model document"):
         load(doc)
-
-
-def at(doc: dict, path: tuple):
-    """Walk ``path``: object keys, and inside a table a row index then a column name."""
-    node, keys = doc, iter(path)
-    for key in keys:
-        node = cells(node, key)[next(keys)] if isinstance(key, int) else node[key]
-    return node
 
 
 @pytest.mark.parametrize("path, what", [
