@@ -98,7 +98,7 @@ def set_cell(table: dict, row: int, column: str, value) -> None:
     table["rows"][row][table["columns"].index(column)] = value
 
 
-def at(doc: dict, path: tuple):
+def doc_at(doc: dict, path: tuple):
     """Walk ``path``: object keys, and inside a table a row index then a column name."""
     node, keys = doc, iter(path)
     for key in keys:
@@ -108,7 +108,7 @@ def at(doc: dict, path: tuple):
 
 def avm_table(doc: dict) -> dict:
     """The AVM table of state ``s1``, the first row of the state table."""
-    return at(doc, ("dstg", "abstractStates", 0, "avms"))
+    return doc_at(doc, ("dstg", "abstractStates", 0, "avms"))
 
 
 #: Where each table of a model document sits, and the columns it has.
@@ -291,7 +291,7 @@ def test_deserialize_rejects_another_header_or_row_width(table, edit):
 ])
 def test_deserialize_rejects_a_repeated_id(path, what):
     doc = model_doc()
-    rows = at(doc, path)["rows"]
+    rows = doc_at(doc, path)["rows"]
     # a second row under the first one's id, otherwise well formed
     rows.append(list(rows[0]))
     with pytest.raises(ModelError, match=f"duplicate {what} id"):
