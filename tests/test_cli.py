@@ -30,10 +30,10 @@ def write_text(tmp_path, name, text) -> Path:
     return path
 
 
-def write_base_model(tmp_path) -> Path:
-    out = tmp_path / "model_v0.json"
+def write_base_model(tmp_path, version="v0") -> Path:
+    out = tmp_path / f"model_{version}.json"
     spec = load_spec(DIARY)
-    out.write_bytes(serialize_model(AppModel(version="v0", ewtg=export_ewtg(spec, "v0"))))
+    out.write_bytes(serialize_model(AppModel(version=version, ewtg=export_ewtg(spec, version))))
     return out
 
 
@@ -55,16 +55,9 @@ def test_harness_targets_writes_the_manifest(tmp_path):
     assert "m-cancel" in doc["versions"][1]["updatedMethodIds"]
 
 
-def write_model(tmp_path, version) -> Path:
-    out = tmp_path / f"model_{version}.json"
-    spec = load_spec(DIARY)
-    out.write_bytes(serialize_model(AppModel(version=version, ewtg=export_ewtg(spec, version))))
-    return out
-
-
 def run_test_command(tmp_path, version, targets) -> bytes:
     report = tmp_path / f"report_{version}_{Path(targets).name}.json"
-    assert main(["test", str(write_model(tmp_path, version)), DIARY, "--version", version,
+    assert main(["test", str(write_base_model(tmp_path, version)), DIARY, "--version", version,
                  "--targets", targets, "--budget", "30", "--seed", "4",
                  "--report", str(report)]) == 0
     return report.read_bytes()
@@ -100,7 +93,7 @@ def manifest_entry(**fields) -> dict:
 def test_test_command_rejects_a_malformed_target_manifest(tmp_path, capsys, doc):
     targets = write_text(tmp_path, "targets.json", json.dumps(doc))
     report = tmp_path / "report.json"
-    assert main(["test", str(write_model(tmp_path, "v0")), DIARY, "--version", "v0",
+    assert main(["test", str(write_base_model(tmp_path, "v0")), DIARY, "--version", "v0",
                  "--targets", str(targets), "--report", str(report)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed targets file") and err.count("\n") == 1
