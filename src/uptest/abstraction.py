@@ -187,9 +187,9 @@ def derive_abstract_state(
             id=f"{prefix}-avm{index}",
             valuations=dict(key),
             cardinality=count,
-            ewtg_widget_id=min(widget_ids) if widget_ids else None,
+            ewtg_widget_id=min(refs) if refs else None,
         )
-        for index, (key, (count, widget_ids)) in enumerate(groups.items(), start=1)
+        for index, (key, (count, refs)) in enumerate(groups.items(), start=1)
     ]
     return AbstractState(
         id=state_id or f"{tree.id}-state",

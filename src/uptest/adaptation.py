@@ -121,7 +121,7 @@ def _remove_stale_transition_edges(dstg: Dstg, diff: DiffResult, base: AppModel)
         inp = base_ewtg.inputs.get(wt.input_id)
         if inp is None:
             continue
-        doomed_keys.add((wt.source_window_id, inp.widget_id, inp.action_type))
+        doomed_keys.add((inp.window_id, inp.widget_id, inp.action_type))
 
     base_states = base.dstg.abstract_states
     for tr_id in list(dstg.abstract_transitions):

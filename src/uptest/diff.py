@@ -324,22 +324,24 @@ def _static_widgets_by_window(ewtg: Ewtg, windows: list[Window]) -> dict[str, li
 def _static_transitions(
     ewtg: Ewtg, windows: list[Window]
 ) -> list[tuple[WindowTransition, Input]]:
-    """Transitions between static windows on a static trigger, by source window then id."""
+    """Transitions between static windows on a static trigger, by source window then id.
+
+    A transition's source window is its input's window.
+    """
     window_ids = {w.id for w in windows}
     out = []
-    for wt in sorted(
-        ewtg.window_transitions.values(), key=lambda t: (t.source_window_id, t.id)
-    ):
+    for wt in ewtg.window_transitions.values():
         inp = ewtg.inputs.get(wt.input_id)
         if inp is None:
             continue
-        if wt.source_window_id not in window_ids or wt.destination_window_id not in window_ids:
+        if inp.window_id not in window_ids or wt.destination_window_id not in window_ids:
             continue
         if inp.widget_id is not None:
             widget = ewtg.widgets.get(inp.widget_id)
             if widget is None or widget.runtime_created:
                 continue
         out.append((wt, inp))
+    out.sort(key=lambda t: (t[1].window_id, t[0].id))
     return out
 
 
@@ -408,10 +410,10 @@ def diff_ewtg(
     base_transitions = _static_transitions(base, base_windows)
     upd_transitions = _static_transitions(updated, upd_windows)
     by_trigger = _by_key(
-        upd_transitions, lambda t: (t[0].source_window_id, t[1].action_type, t[1].widget_id)
+        upd_transitions, lambda t: (t[1].window_id, t[1].action_type, t[1].widget_id)
     )
     for bt, inp in base_transitions:
-        src_pair = window_pairs.get(bt.source_window_id)
+        src_pair = window_pairs.get(inp.window_id)
         widget_pair = widget_pairs.get(inp.widget_id)
         if src_pair is None or (inp.widget_id is not None and widget_pair is None):
             continue  # an unpaired source window or widget pairs with nothing
@@ -426,13 +428,13 @@ def diff_ewtg(
             result.replaced_transitions[bt.id] = ut.id
 
     # Whatever is left unpaired on either side was deleted or added.
-    base_widget_ids = {w.id for ws in base_by_window.values() for w in ws}
-    upd_widget_ids = {w.id for ws in upd_by_window.values() for w in ws}
+    base_widgets = {w.id for ws in base_by_window.values() for w in ws}
+    upd_widgets = {w.id for ws in upd_by_window.values() for w in ws}
     transition_pairs = {**result.matched_transitions, **result.replaced_transitions}
     result.deleted_windows = {w.id for w in base_windows} - window_pairs.keys()
     result.added_windows = {w.id for w in upd_windows} - set(window_pairs.values())
-    result.deleted_widgets = base_widget_ids - widget_pairs.keys()
-    result.added_widgets = upd_widget_ids - set(widget_pairs.values())
+    result.deleted_widgets = base_widgets - widget_pairs.keys()
+    result.added_widgets = upd_widgets - set(widget_pairs.values())
     result.deleted_transitions = {t.id for t, _ in base_transitions} - transition_pairs.keys()
     result.added_transitions = {t.id for t, _ in upd_transitions} - set(
         transition_pairs.values()

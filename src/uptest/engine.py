@@ -355,7 +355,6 @@ class TestEngine:
 
     def _ensure_runtime_widgets(self, screen: _Screen) -> None:
         ewtg = self.model.ewtg
-        window = ewtg.windows[screen.window_id]
         for ref, (_, node, xpath) in screen.widgets.items():
             if ref in ewtg.widgets:
                 continue
@@ -368,7 +367,6 @@ class TestEngine:
                 xpath=xpath,
                 runtime_created=True,
             )
-            window.widget_ids.add(ref)
             for prop, action_type in _NODE_ACTIONS:
                 if node.properties.get(prop):
                     input_id = f"ri-{ref}-{action_type.value}"

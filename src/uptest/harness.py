@@ -487,15 +487,11 @@ def export_ewtg(spec: AppSpec, version: str) -> Ewtg:
         window = v.windows[wid]
         if window.dynamic_only:
             continue
-        exported_widgets = {
-            w.id for w in window.widgets.values() if not w.dynamic_only
-        }
         ewtg.windows[window.id] = Window(
             id=window.id,
             name=window.name,
             kind=window.kind,
             class_name=window.class_name,
-            widget_ids=set(exported_widgets),
         )
         if window.launcher:
             ewtg.launcher_window_id = window.id
@@ -541,7 +537,6 @@ def export_ewtg(spec: AppSpec, version: str) -> Ewtg:
                     tid = f"wt-{inp.id}-{ci}-{dest}"
                     ewtg.window_transitions[tid] = WindowTransition(
                         id=tid,
-                        source_window_id=inp.window,
                         destination_window_id=dest,
                         input_id=inp.id,
                     )

@@ -8,7 +8,11 @@ reached; it is what replay re-runs, and it is discarded when a model is
 carried over to a new app version.  Concrete GUI trees are not part of the
 model.
 
-A model document (schema 4) writes every list of records as a table,
+The window graph stores each fact once: a window's widgets are the widgets
+whose ``window_id`` names it, and a window transition's source window is its
+input's ``window_id``.
+
+A model document (schema 5) writes every list of records as a table,
 ``{"columns": [...], "rows": [[...], ...]}``: the column names once, then one
 row per record with one cell per column.  The columns are the record's fields
 in declaration order, named in camelCase (``TraceStep`` flattens its action:
@@ -30,7 +34,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Optional
 
-SCHEMA_VERSION = 4
+SCHEMA_VERSION = 5
 
 #: Abstraction levels from coarsest to finest.
 LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
@@ -186,28 +190,18 @@ class Window:
     kind: WindowKind
     class_name: str
     runtime_created: bool = False
-    widget_ids: set[str] = field(default_factory=set)
 
-    COLUMNS = ("id", "name", "kind", "className", "runtimeCreated", "widgetIds")
+    COLUMNS = ("id", "name", "kind", "className", "runtimeCreated")
 
     def to_row(self) -> list:
-        return [
-            self.id,
-            self.name,
-            self.kind.value,
-            self.class_name,
-            self.runtime_created,
-            sorted(self.widget_ids),
-        ]
+        return [self.id, self.name, self.kind.value, self.class_name, self.runtime_created]
 
     @classmethod
     def from_row(cls, row: list) -> "Window":
-        id_, name, kind, class_name, runtime_created, widget_ids = row
+        id_, name, kind, class_name, runtime_created = row
         require(str, id_, name, class_name)
         require(bool, runtime_created)
-        require(list, widget_ids)
-        require(str, *widget_ids)
-        return cls(id_, name, _WINDOW_KINDS[kind], class_name, runtime_created, set(widget_ids))
+        return cls(id_, name, _WINDOW_KINDS[kind], class_name, runtime_created)
 
 
 @dataclass
@@ -298,21 +292,19 @@ class Input:
 @dataclass
 class WindowTransition:
     id: str
-    source_window_id: str
     destination_window_id: str
     input_id: str
 
-    COLUMNS = ("id", "sourceWindowId", "destinationWindowId", "inputId")
+    COLUMNS = ("id", "destinationWindowId", "inputId")
 
     def to_row(self) -> list:
-        return [self.id, self.source_window_id, self.destination_window_id, self.input_id]
+        return [self.id, self.destination_window_id, self.input_id]
 
     @classmethod
     def from_row(cls, row: list) -> "WindowTransition":
         t = cls(*row)
         if not (
             isinstance(t.id, str)
-            and isinstance(t.source_window_id, str)
             and isinstance(t.destination_window_id, str)
             and isinstance(t.input_id, str)
         ):
@@ -679,16 +671,6 @@ def validate_integrity(model: AppModel) -> list[str]:
     violations: list[str] = []
     ewtg = model.ewtg
 
-    for w in ewtg.windows.values():
-        for wid in w.widget_ids:
-            widget = ewtg.widgets.get(wid)
-            if widget is None:
-                violations.append(f"window {w.id} references missing widget {wid}")
-            elif widget.window_id != w.id:
-                violations.append(
-                    f"window {w.id} lists widget {wid} that belongs to {widget.window_id}"
-                )
-
     for widget in ewtg.widgets.values():
         if widget.window_id not in ewtg.windows:
             violations.append(f"widget {widget.id} references missing window {widget.window_id}")
@@ -714,19 +696,12 @@ def validate_integrity(model: AppModel) -> list[str]:
                 violations.append(f"input {inp.id} widget {inp.widget_id} is in another window")
 
     for wt in ewtg.window_transitions.values():
-        if wt.source_window_id not in ewtg.windows:
-            violations.append(f"transition {wt.id} references missing source {wt.source_window_id}")
         if wt.destination_window_id not in ewtg.windows:
             violations.append(
                 f"transition {wt.id} references missing destination {wt.destination_window_id}"
             )
-        inp = ewtg.inputs.get(wt.input_id)
-        if inp is None:
+        if wt.input_id not in ewtg.inputs:
             violations.append(f"transition {wt.id} references missing input {wt.input_id}")
-        elif inp.window_id != wt.source_window_id:
-            violations.append(
-                f"transition {wt.id} input {wt.input_id} does not belong to its source window"
-            )
 
     if ewtg.launcher_window_id is not None and ewtg.launcher_window_id not in ewtg.windows:
         violations.append(f"launcher window {ewtg.launcher_window_id} missing")

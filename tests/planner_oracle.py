@@ -109,7 +109,6 @@ def random_model(rng: random.Random) -> tuple[AppModel, AbstractState, object]:
     """A random small model plus a start state and a target."""
     n_windows = rng.randrange(2, 5)
     ewtg = Ewtg()
-    widget_ids = []
     for wi in range(n_windows):
         wid = f"win{wi}"
         ewtg.windows[wid] = Window(
@@ -121,8 +120,6 @@ def random_model(rng: random.Random) -> tuple[AppModel, AbstractState, object]:
                 id=gid, window_id=wid, class_name="Button", resource_id=gid,
                 content_description="", xpath=f"/L/{gid}",
             )
-            ewtg.windows[wid].widget_ids.add(gid)
-            widget_ids.append(gid)
             if rng.random() < 0.6:
                 iid = f"i-{gid}"
                 ewtg.inputs[iid] = Input(
@@ -134,12 +131,10 @@ def random_model(rng: random.Random) -> tuple[AppModel, AbstractState, object]:
         if not input_ids:
             break
         iid = rng.choice(input_ids)
-        inp = ewtg.inputs[iid]
         dest = f"win{rng.randrange(n_windows)}"
         tid = f"wt{ti}"
         ewtg.window_transitions[tid] = WindowTransition(
-            id=tid, source_window_id=inp.window_id,
-            destination_window_id=dest, input_id=iid,
+            id=tid, destination_window_id=dest, input_id=iid,
         )
 
     dstg = Dstg()
@@ -147,7 +142,7 @@ def random_model(rng: random.Random) -> tuple[AppModel, AbstractState, object]:
     state_ids = []
     for si in range(n_states):
         wid = f"win{rng.randrange(n_windows)}"
-        window_widgets = sorted(ewtg.windows[wid].widget_ids)
+        window_widgets = sorted(g.id for g in ewtg.widgets.values() if g.window_id == wid)
         chosen = [g for g in window_widgets if rng.random() < 0.7]
         avms = [
             AttributeValuationMap(

@@ -71,10 +71,15 @@ def _add_window(ewtg: Ewtg, rng: random.Random, window_id: str, runtime: bool) -
     )
 
 
+def _widgets_of(ewtg: Ewtg, window_id: str) -> list[str]:
+    """The sorted ids of the widgets in ``window_id``."""
+    return sorted(w.id for w in ewtg.widgets.values() if w.window_id == window_id)
+
+
 def _add_widget(
     ewtg: Ewtg, rng: random.Random, widget_id: str, window_id: str, shape: Shape
 ) -> None:
-    siblings = sorted(ewtg.windows[window_id].widget_ids)
+    siblings = _widgets_of(ewtg, window_id)
     parent = rng.choice(siblings) if siblings and rng.random() < 0.5 else None
     cls = rng.choice(CLASSES)
     xpath = (ewtg.widgets[parent].xpath if parent else "/LinearLayout") + "/" + cls
@@ -87,11 +92,10 @@ def _add_widget(
         content_description=rng.choice(["", "", rng.choice(WORDS)]),
         xpath=xpath, parent_id=parent, runtime_created=rng.random() < 0.1,
     )
-    ewtg.windows[window_id].widget_ids.add(widget_id)
 
 
 def _add_transition(ewtg: Ewtg, rng: random.Random, tag: str, window_id: str) -> None:
-    widgets = sorted(ewtg.windows[window_id].widget_ids)
+    widgets = _widgets_of(ewtg, window_id)
     if widgets and rng.random() < 0.7:
         widget, action = rng.choice(widgets), rng.choice(WIDGET_ACTIONS)
     else:
@@ -100,8 +104,8 @@ def _add_transition(ewtg: Ewtg, rng: random.Random, tag: str, window_id: str) ->
         id=f"i{tag}", window_id=window_id, action_type=action, widget_id=widget
     )
     ewtg.window_transitions[f"wt{tag}"] = WindowTransition(
-        id=f"wt{tag}", source_window_id=window_id,
-        destination_window_id=rng.choice(sorted(ewtg.windows)), input_id=f"i{tag}",
+        id=f"wt{tag}", destination_window_id=rng.choice(sorted(ewtg.windows)),
+        input_id=f"i{tag}",
     )
 
 
@@ -117,8 +121,7 @@ def _random_base(rng: random.Random, shape: Shape) -> Ewtg:
 
 
 def _delete_widget(ewtg: Ewtg, widget_id: str) -> None:
-    widget = ewtg.widgets.pop(widget_id)
-    ewtg.windows[widget.window_id].widget_ids.discard(widget_id)
+    ewtg.widgets.pop(widget_id)
     for other in ewtg.widgets.values():
         if other.parent_id == widget_id:
             other.parent_id = None
@@ -129,15 +132,13 @@ def _delete_widget(ewtg: Ewtg, widget_id: str) -> None:
 
 
 def _delete_window(ewtg: Ewtg, window_id: str) -> None:
-    for widget_id in sorted(ewtg.windows[window_id].widget_ids):
+    for widget_id in _widgets_of(ewtg, window_id):
         _delete_widget(ewtg, widget_id)
     del ewtg.windows[window_id]
     for inp in [i for i in ewtg.inputs.values() if i.window_id == window_id]:
         del ewtg.inputs[inp.id]
     for wt in list(ewtg.window_transitions.values()):
-        if window_id in (wt.source_window_id, wt.destination_window_id) or (
-            wt.input_id not in ewtg.inputs
-        ):
+        if wt.destination_window_id == window_id or wt.input_id not in ewtg.inputs:
             del ewtg.window_transitions[wt.id]
 
 
@@ -155,7 +156,7 @@ def _rename_ids(ewtg: Ewtg, rng: random.Random) -> Ewtg:
     for w in ewtg.windows.values():
         out.windows[win[w.id]] = Window(
             id=win[w.id], name=w.name, kind=w.kind, class_name=w.class_name,
-            runtime_created=w.runtime_created, widget_ids={wid[i] for i in w.widget_ids},
+            runtime_created=w.runtime_created,
         )
     for w in ewtg.widgets.values():
         out.widgets[wid[w.id]] = replace(
@@ -169,8 +170,8 @@ def _rename_ids(ewtg: Ewtg, rng: random.Random) -> Ewtg:
         )
     for t in ewtg.window_transitions.values():
         out.window_transitions[tr[t.id]] = WindowTransition(
-            id=tr[t.id], source_window_id=win[t.source_window_id],
-            destination_window_id=win[t.destination_window_id], input_id=inp[t.input_id],
+            id=tr[t.id], destination_window_id=win[t.destination_window_id],
+            input_id=inp[t.input_id],
         )
     return out
 

@@ -197,7 +197,7 @@ def test_a3_adaptation_reproduction():
             assert all(avm.ewtg_widget_id != "w9" for avm in state.avms)
 
 
-def _equivalence_oracle(observed, expected, excluded_widget_ids):
+def _equivalence_oracle(observed, expected, excluded):
     """Independent restatement of the backward-equivalence predicate."""
     if observed.window_id != expected.window_id:
         return False
@@ -206,7 +206,7 @@ def _equivalence_oracle(observed, expected, excluded_widget_ids):
     if not expected_keys <= observed_keys:
         return False
     for avm in observed.avms:
-        if avm.ewtg_widget_id in excluded_widget_ids:
+        if avm.ewtg_widget_id in excluded:
             continue
         if tuple(sorted(avm.valuations.items())) not in expected_keys:
             return False

@@ -163,7 +163,6 @@ def test_state_reached_only_through_a_runtime_widget_is_pruned():
         id="w-rt", window_id="main", class_name="View", resource_id="rt",
         content_description="", xpath="/rt", runtime_created=True,
     )
-    base.ewtg.windows["main"].widget_ids.add("w-rt")
     base.dstg.abstract_states["s1"].avms.append(avm("avm-rt", "w-rt", "rt"))
     # the only way to state x starts at that widget's AVM
     base.dstg.abstract_states["x"] = AbstractState(

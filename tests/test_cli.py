@@ -285,6 +285,30 @@ def test_diff_command_rejects_a_bad_config(tmp_path, capsys, config_doc, message
     assert len(err.strip().splitlines()) == 1  # one line, no traceback
 
 
+#: A window graph in the schema-4 columns, which stored each window's widgets
+#: and each window transition's source window a second time.
+SCHEMA_4_EWTG = {
+    "windows": {
+        "columns": ["id", "name", "kind", "className", "runtimeCreated", "widgetIds"],
+        "rows": [["main", "Main", "Activity", "com.app.Main", False, ["ok"]]],
+    },
+    "widgets": {
+        "columns": ["id", "windowId", "className", "resourceId", "contentDescription",
+                    "xpath", "parentId", "runtimeCreated"],
+        "rows": [["ok", "main", "Button", "ok", "", "/L/Button", None, False]],
+    },
+    "inputs": {
+        "columns": ["id", "windowId", "actionType", "widgetId", "handlerMethodIds"],
+        "rows": [["i-ok", "main", "Click", "ok", []]],
+    },
+    "windowTransitions": {
+        "columns": ["id", "sourceWindowId", "destinationWindowId", "inputId"],
+        "rows": [["wt-ok", "main", "main", "i-ok"]],
+    },
+    "launcherWindowId": "main",
+}
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     "[]",
@@ -292,13 +316,16 @@ def test_diff_command_rejects_a_bad_config(tmp_path, capsys, config_doc, message
     json.dumps({"windows": [{"id": "w1"}]}),
     json.dumps({"windows": [{"id": "w1", "name": "M", "kind": "Spaceship",
                              "className": "M"}]}),
+    json.dumps(SCHEMA_4_EWTG),
 ])
 def test_diff_and_adapt_reject_a_malformed_window_graph(tmp_path, capsys, text):
     good = write_ewtg(tmp_path, "v0")
     bad = write_text(tmp_path, "bad.json", text)
     out = tmp_path / "out.json"
     assert main(["diff", str(good), str(bad), "--out", str(out)]) == 1
-    assert "malformed window graph" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "malformed window graph" in err
+    assert err.count("\n") == 1
 
     model = write_base_model(tmp_path)
     diff = tmp_path / "diff.json"
@@ -306,6 +333,7 @@ def test_diff_and_adapt_reject_a_malformed_window_graph(tmp_path, capsys, text):
     assert main(["adapt", str(model), str(bad), str(diff), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "malformed window graph" in err
+    assert err.count("\n") == 1
     assert not out.exists()
 
 

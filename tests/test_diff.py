@@ -159,7 +159,6 @@ def one_window_ewtg(window_name, class_name, widgets, kind=WindowKind.ACTIVITY):
     ewtg = Ewtg(launcher_window_id="w1")
     ewtg.windows["w1"] = Window(
         id="w1", name=window_name, kind=kind, class_name=class_name,
-        widget_ids=set(w[0] for w in widgets),
     )
     for wid, rid, cls, xpath in widgets:
         ewtg.widgets[wid] = EwtgWidget(
@@ -225,7 +224,6 @@ def two_window_ewtg(dest_of_click):
         ewtg.windows[wid] = Window(
             id=wid, name=name, kind=WindowKind.ACTIVITY, class_name=f"com.app.{name}",
         )
-    ewtg.windows["w1"].widget_ids = {"wd1"}
     ewtg.widgets["wd1"] = EwtgWidget(
         id="wd1", window_id="w1", class_name="Button", resource_id="go",
         content_description="", xpath="/L/Button",
@@ -234,8 +232,7 @@ def two_window_ewtg(dest_of_click):
         id="i1", window_id="w1", widget_id="wd1", action_type=ActionType.CLICK
     )
     ewtg.window_transitions["wt1"] = WindowTransition(
-        id="wt1", source_window_id="w1",
-        destination_window_id=dest_of_click, input_id="i1",
+        id="wt1", destination_window_id=dest_of_click, input_id="i1",
     )
     return ewtg
 
@@ -256,7 +253,6 @@ def test_transition_of_a_deleted_widget_does_not_pair_with_a_widgetless_one():
     base = two_window_ewtg("w2")
     updated = two_window_ewtg("w2")
     del updated.widgets["wd1"]
-    updated.windows["w1"].widget_ids = set()
     updated.inputs["i1"].widget_id = None  # a Click the spec gives no widget
     diff = diff_ewtg(base, updated)
     assert diff.deleted_widgets == {"wd1"}
@@ -275,19 +271,17 @@ def with_runtime_elements(ewtg):
         id="wd-rt", window_id="w1", class_name="View", resource_id="rt",
         content_description="", xpath="/rt", runtime_created=True,
     )
-    ewtg.windows["w1"].widget_ids.add("wd-rt")
     ewtg.inputs["i-rt"] = Input(
         id="i-rt", window_id="w1", widget_id="wd-rt", action_type=ActionType.CLICK
     )
     ewtg.window_transitions["wt-rt"] = WindowTransition(
-        id="wt-rt", source_window_id="w1", destination_window_id="w1", input_id="i-rt",
+        id="wt-rt", destination_window_id="w1", input_id="i-rt",
     )
     ewtg.inputs["i-to-rt"] = Input(
         id="i-to-rt", window_id="w1", action_type=ActionType.PRESS_MENU
     )
     ewtg.window_transitions["wt-to-rt"] = WindowTransition(
-        id="wt-to-rt", source_window_id="w1", destination_window_id="w-rt",
-        input_id="i-to-rt",
+        id="wt-to-rt", destination_window_id="w-rt", input_id="i-to-rt",
     )
     return ewtg
 

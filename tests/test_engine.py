@@ -198,7 +198,6 @@ def two_state_model():
     ewtg = Ewtg(launcher_window_id="win")
     ewtg.windows["win"] = Window(
         id="win", name="win", kind=WindowKind.ACTIVITY, class_name="c.win",
-        widget_ids={"wd"},
     )
     ewtg.windows["other"] = Window(
         id="other", name="other", kind=WindowKind.ACTIVITY, class_name="c.other",

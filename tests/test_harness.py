@@ -259,7 +259,8 @@ def test_export_records_handler_methods_and_transitions():
     assert ewtg.inputs["i-go"].handler_method_ids == {"m-go"}
     wt = list(ewtg.window_transitions.values())
     assert len(wt) == 1
-    assert (wt[0].source_window_id, wt[0].destination_window_id) == ("main", "second")
+    source = ewtg.inputs[wt[0].input_id].window_id
+    assert (source, wt[0].destination_window_id) == ("main", "second")
 
 
 def test_updated_methods_first_version_is_everything():

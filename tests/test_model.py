@@ -37,7 +37,7 @@ def small_model() -> AppModel:
     ewtg = Ewtg(launcher_window_id="w-main")
     ewtg.windows["w-main"] = Window(
         id="w-main", name="Main", kind=WindowKind.ACTIVITY,
-        class_name="com.app.Main", widget_ids={"wd-ok"},
+        class_name="com.app.Main",
     )
     ewtg.windows["w-edit"] = Window(
         id="w-edit", name="Edit", kind=WindowKind.ACTIVITY, class_name="com.app.Edit",
@@ -51,8 +51,7 @@ def small_model() -> AppModel:
         action_type=ActionType.CLICK, handler_method_ids={"m-ok"},
     )
     ewtg.window_transitions["wt-1"] = WindowTransition(
-        id="wt-1", source_window_id="w-main",
-        destination_window_id="w-edit", input_id="i-ok",
+        id="wt-1", destination_window_id="w-edit", input_id="i-ok",
     )
 
     dstg = Dstg(abstraction_policy={"w-main": "L2"})
@@ -115,7 +114,7 @@ def avm_table(doc: dict) -> dict:
 TABLES = {
     "windows": (
         lambda doc: doc["ewtg"]["windows"],
-        ["id", "name", "kind", "className", "runtimeCreated", "widgetIds"],
+        ["id", "name", "kind", "className", "runtimeCreated"],
     ),
     "widgets": (
         lambda doc: doc["ewtg"]["widgets"],
@@ -128,7 +127,7 @@ TABLES = {
     ),
     "windowTransitions": (
         lambda doc: doc["ewtg"]["windowTransitions"],
-        ["id", "sourceWindowId", "destinationWindowId", "inputId"],
+        ["id", "destinationWindowId", "inputId"],
     ),
     "abstractStates": (
         lambda doc: doc["dstg"]["abstractStates"],
@@ -151,7 +150,6 @@ WRONG_CELLS = {
     "runtimeCreated": 1,
     "obsolete": 0,
     "cardinality": True,
-    "widgetIds": "wd-ok",
     "handlerMethodIds": "m-ok",
     "observedInVersions": "v1",
     "concreteNodePath": "0",
@@ -225,7 +223,7 @@ def guard(count) -> dict:
 
 @pytest.mark.parametrize("edit", [
     lambda doc: set_cell(doc["ewtg"]["widgets"], 0, "resourceId", 5),
-    lambda doc: set_cell(doc["ewtg"]["windows"], 0, "widgetIds", [["wd-ok"]]),
+    lambda doc: set_cell(doc["ewtg"]["inputs"], 0, "handlerMethodIds", [["m-ok"]]),
     lambda doc: set_cell(avm_table(doc), 0, "valuations", {"R_RID": []}),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard("1")),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", {"entries": 3}),
@@ -310,8 +308,10 @@ def test_deserialize_rejects_an_unknown_abstraction_level():
 
 
 def test_deserialize_rejects_wrong_schema_version():
-    # schema 3 wrote each record as an object; no reader for it is kept
-    for schema in (99, 3):
+    # schema 3 wrote each record as an object and schema 4 stored each window's
+    # widgets and each window transition's source again; no reader for either
+    # is kept
+    for schema in (99, 3, 4):
         doc = model_doc()
         doc["schema_version"] = schema
         with pytest.raises(ModelError, match=f"unsupported schema version {schema}"):
@@ -368,12 +368,28 @@ def test_deserialize_rejects_missing_version():
 
 
 def test_validation_catches_dangling_references():
-    model = small_model()
-    model.dstg.abstract_states["s3"] = AbstractState(id="s3", window_id="w-missing")
-    violations = validate_integrity(model)
-    assert any("missing window" in v for v in violations)
-    with pytest.raises(ModelError):
-        serialize_model(model)
+    def missing_state_window(model):
+        model.dstg.abstract_states["s3"] = AbstractState(id="s3", window_id="w-missing")
+
+    def missing_transition_input(model):
+        model.ewtg.window_transitions["wt-1"].input_id = "i-missing"
+
+    def missing_transition_destination(model):
+        model.ewtg.window_transitions["wt-1"].destination_window_id = "w-missing"
+
+    for edit, message in (
+        (missing_state_window, "state s3 references missing window w-missing"),
+        (missing_transition_input, "transition wt-1 references missing input i-missing"),
+        (
+            missing_transition_destination,
+            "transition wt-1 references missing destination w-missing",
+        ),
+    ):
+        model = small_model()
+        edit(model)
+        assert message in validate_integrity(model)
+        with pytest.raises(ModelError):
+            serialize_model(model)
 
 
 def test_validation_catches_bad_avm():

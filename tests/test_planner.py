@@ -64,7 +64,6 @@ def route_choice_model() -> AppModel:
         ("w6", "winA"), ("w7", "winB"), ("w8", "winC"),
     ):
         ewtg.widgets[wid] = _widget(wid, win)
-        ewtg.windows[win].widget_ids.add(wid)
     ewtg.inputs["i1"] = Input(
         id="i1", window_id="win1", widget_id="w1", action_type=ActionType.CLICK
     )
@@ -77,10 +76,10 @@ def route_choice_model() -> AppModel:
 
     dstg = Dstg()
 
-    def add_state(sid, window_id, widget_ids):
+    def add_state(sid, window_id, widgets):
         state = AbstractState(
             id=sid, window_id=window_id,
-            avms=[_avm(sid, w) for w in widget_ids],
+            avms=[_avm(sid, w) for w in widgets],
         )
         dstg.abstract_states[sid] = state
         return state
@@ -252,8 +251,7 @@ def test_reset_app_costs_ten_and_is_start_only():
         id="i-reset", window_id="dead", action_type=ActionType.RESET_APP
     )
     ewtg.window_transitions["wt-reset"] = WindowTransition(
-        id="wt-reset", source_window_id="dead",
-        destination_window_id="home", input_id="i-reset",
+        id="wt-reset", destination_window_id="home", input_id="i-reset",
     )
     dstg = Dstg(abstract_states={"sd": AbstractState(id="sd", window_id="dead")})
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
