@@ -458,25 +458,14 @@ def test_a10_determinism_and_round_trip(tmp_path):
             assert serialize_model(deserialize_model(payload)) == payload
 
 
-#: Fields that repeat a fact another field holds: a window's widgets are the
-#: widgets whose ``window_id`` names it, and a window transition's source is
-#: its input's window.
-_REPEATED_FIELDS = {"widget_ids", "source_window_id"}
-
-
 def _canonical(value):
     """``value`` as plain JSON data, walked through its dataclass fields.
 
     Sets are sorted and enums are given by value, so two models with the same
-    content give the same data whatever layout their document had.  Fields in
-    ``_REPEATED_FIELDS`` are left out.
+    content give the same data whatever layout their document had.
     """
     if dataclasses.is_dataclass(value):
-        return {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.name not in _REPEATED_FIELDS
-        }
+        return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (set, frozenset)):
@@ -508,8 +497,8 @@ def _digest_contents(digest, workdir) -> None:
 #: ``pipeline_run`` writes for each fixture app (first to last version, budget
 #: 300, seeds 3 and 4), frozen over file bytes from the session and replay
 #: before they kept their lookups in indexes, over content before the model
-#: and report layouts changed, and without ``_REPEATED_FIELDS`` before the
-#: model stopped storing them.
+#: and report layouts changed, and over content without the window-graph
+#: fields schema 5 dropped before they were dropped.
 SESSION_DIGEST = "704a9a05ba41214be8f3cde92d865c334b158857310d842746477e195da7a228"
 
 
@@ -532,8 +521,9 @@ def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
 #: the hidden-variable app (v1 to v2, budget 300, seeds 7, 20 and 26), frozen
 #: over file bytes before the engine kept the transitions out of each state in
 #: an index, over content before the model and report layouts changed, and
-#: without ``_REPEATED_FIELDS`` before the model stopped storing them.  On
-#: these seeds a session records an outcome again after deleting a stale edge.
+#: over content without the window-graph fields schema 5 dropped before they
+#: were dropped.  On these seeds a session records an outcome again after
+#: deleting a stale edge.
 REFINE_DIGEST = "055553671d78ae46c6418ca9df29d4d17fc4c318550fd09be1ca484ba63da755"
 
 
