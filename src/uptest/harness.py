@@ -115,18 +115,15 @@ class WindowSpec:
     launcher: bool = False
     dynamic_only: bool = False
     widgets: dict[str, WidgetSpec] = field(default_factory=dict)
-    widget_order: list[str] = field(default_factory=list)
 
     @classmethod
     def from_dict(cls, d: dict) -> "WindowSpec":
         widgets = {}
-        order = []
         for wd in d.get("widgets", []):
             spec = WidgetSpec.from_dict(wd)
             if spec.id in widgets:
                 raise SpecError(f"duplicate widget id {spec.id}")
             widgets[spec.id] = spec
-            order.append(spec.id)
         window = cls(
             id=d["id"],
             name=d.get("name", d["id"]),
@@ -135,7 +132,6 @@ class WindowSpec:
             launcher=d.get("launcher", False),
             dynamic_only=d.get("dynamicOnly", False),
             widgets=widgets,
-            widget_order=order,
         )
         if not (
             isinstance(window.id, str)
@@ -278,7 +274,6 @@ def _lists_of_strings(d: dict, key: str) -> dict[str, list[str]]:
 class VersionSpec:
     version: str
     windows: dict[str, WindowSpec]
-    window_order: list[str]
     inputs: dict[str, InputSpec]
     handlers: dict[str, HandlerSpec]
     variables: dict[str, VariableSpec]
@@ -288,9 +283,9 @@ class VersionSpec:
 
     @property
     def launcher_window(self) -> WindowSpec:
-        for wid in self.window_order:
-            if self.windows[wid].launcher:
-                return self.windows[wid]
+        for window in self.windows.values():
+            if window.launcher:
+                return window
         raise SpecError("no launcher window")
 
     def widget_window(self, widget_id: str) -> Optional[WindowSpec]:
@@ -305,13 +300,11 @@ class VersionSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "VersionSpec":
         windows = {}
-        order = []
         for wd in d.get("windows", []):
             spec = WindowSpec.from_dict(wd)
             if spec.id in windows:
                 raise SpecError(f"duplicate window id {spec.id}")
             windows[spec.id] = spec
-            order.append(spec.id)
         inputs = {}
         for idd in d.get("inputs", []):
             spec = InputSpec.from_dict(idd)
@@ -321,7 +314,6 @@ class VersionSpec:
         version = cls(
             version=d["version"],
             windows=windows,
-            window_order=order,
             inputs=inputs,
             handlers={k: HandlerSpec.from_dict(v) for k, v in d.get("handlers", {}).items()},
             variables={
@@ -366,9 +358,9 @@ def _validate_version(v: VersionSpec) -> None:
         )
     if launchers[0].dynamic_only:
         raise SpecError(f"version {v.version}: launcher window cannot be dynamic-only")
-    widget_ids = set()
+    spec_widgets = set()
     for window in v.windows.values():
-        widget_ids.update(window.widgets)
+        spec_widgets.update(window.widgets)
         rooted: set[str] = set()  # widgets whose ancestors are known to end at the window
         for widget in window.widgets.values():
             chain: list[str] = []
@@ -425,10 +417,10 @@ def _validate_version(v: VersionSpec) -> None:
                         else:
                             written.append((var, ""))
                     elif name in ("show", "hide", "toggle", "setTextFromPayload"):
-                        if arg not in widget_ids:
+                        if arg not in spec_widgets:
                             raise SpecError(f"handler {key} {name} targets unknown widget")
                     elif name in ("setText", "setChecked"):
-                        if arg.get("widget") not in widget_ids or "value" not in arg:
+                        if arg.get("widget") not in spec_widgets or "value" not in arg:
                             raise SpecError(f"handler {key} {name} needs a widget and a value")
                     elif name == "goto":
                         if arg not in v.windows:
@@ -483,8 +475,7 @@ def export_ewtg(spec: AppSpec, version: str) -> Ewtg:
     """Static model of one version, blind to dynamic-only elements."""
     v = spec.versions[spec.version_index(version)]
     ewtg = Ewtg()
-    for wid in v.window_order:
-        window = v.windows[wid]
+    for window in v.windows.values():
         if window.dynamic_only:
             continue
         ewtg.windows[window.id] = Window(
@@ -495,8 +486,7 @@ def export_ewtg(spec: AppSpec, version: str) -> Ewtg:
         )
         if window.launcher:
             ewtg.launcher_window_id = window.id
-        for widget_id in window.widget_order:
-            widget = window.widgets[widget_id]
+        for widget in window.widgets.values():
             if widget.dynamic_only:
                 continue
             parent = widget.parent
@@ -690,12 +680,11 @@ class DriverSession:
         if screen is not None:
             return screen
         window = self.version_spec.windows[self.current_window_id]
-        widgets = window.widgets
         key = (window.id, *[
             (self.widget_text(w), self.widget_checked(w))
             if self.widget_visible(w)
             else None
-            for w in map(widgets.__getitem__, window.widget_order)
+            for w in window.widgets.values()
         ])
         screen = self._screens.get(key)
         if screen is None:
@@ -704,11 +693,7 @@ class DriverSession:
         return screen
 
     def _build_screen(self, window: WindowSpec) -> GuiNode:
-        visible = [
-            window.widgets[wid]
-            for wid in window.widget_order
-            if self.widget_visible(window.widgets[wid])
-        ]
+        visible = [w for w in window.widgets.values() if self.widget_visible(w)]
         visible_ids = {w.id for w in visible}
         children_of: dict[Optional[str], list[WidgetSpec]] = {}
         for widget in visible:
