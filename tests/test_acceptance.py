@@ -497,8 +497,8 @@ def _digest_contents(digest, workdir) -> None:
 #: ``pipeline_run`` writes for each fixture app (first to last version, budget
 #: 300, seeds 3 and 4), frozen over file bytes from the session and replay
 #: before they kept their lookups in indexes, over content before the model
-#: and report layouts changed, and over content without the window-graph
-#: fields schema 5 dropped before they were dropped.
+#: and report layouts changed, and, before schema 5, over content without the
+#: two window-graph fields that schema dropped.
 SESSION_DIGEST = "704a9a05ba41214be8f3cde92d865c334b158857310d842746477e195da7a228"
 
 
@@ -520,9 +520,9 @@ def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
 #: sha256 over the name and content of every file ``pipeline_run`` writes for
 #: the hidden-variable app (v1 to v2, budget 300, seeds 7, 20 and 26), frozen
 #: over file bytes before the engine kept the transitions out of each state in
-#: an index, over content before the model and report layouts changed, and
-#: over content without the window-graph fields schema 5 dropped before they
-#: were dropped.  On these seeds a session records an outcome again after
+#: an index, over content before the model and report layouts changed, and,
+#: before schema 5, over content without the two window-graph fields that
+#: schema dropped.  On these seeds a session records an outcome again after
 #: deleting a stale edge.
 REFINE_DIGEST = "055553671d78ae46c6418ca9df29d4d17fc4c318550fd09be1ca484ba63da755"
 

@@ -36,8 +36,7 @@ from random_ewtg import random_ewtg_pair
 def small_model() -> AppModel:
     ewtg = Ewtg(launcher_window_id="w-main")
     ewtg.windows["w-main"] = Window(
-        id="w-main", name="Main", kind=WindowKind.ACTIVITY,
-        class_name="com.app.Main",
+        id="w-main", name="Main", kind=WindowKind.ACTIVITY, class_name="com.app.Main",
     )
     ewtg.windows["w-edit"] = Window(
         id="w-edit", name="Edit", kind=WindowKind.ACTIVITY, class_name="com.app.Edit",
