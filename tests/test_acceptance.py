@@ -465,7 +465,11 @@ def _canonical(value):
     content give the same data whatever layout their document had.
     """
     if dataclasses.is_dataclass(value):
-        return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {
+            f.name: _canonical(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+            if f.name != "provenance_version"
+        }
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (set, frozenset)):
@@ -477,18 +481,34 @@ def _canonical(value):
     return value
 
 
+def _step(model, step) -> list:
+    """A trace step of ``model`` as its action type, node path, payload and
+    reached state."""
+    action = step.action
+    return _canonical(
+        [action.action_type, action.concrete_node_path, action.data_payload, step.after_state_id]
+    )
+
+
+def _canonical_model(model) -> dict:
+    """``_canonical(model)`` with each trace step given by ``_step``."""
+    doc = _canonical(model)
+    doc["gstg"]["trace"] = [_step(model, step) for step in model.gstg.trace]
+    return doc
+
+
 def _digest_contents(digest, workdir) -> None:
     """Add the name and content of every ``pipeline_run`` output in ``workdir``.
 
-    A diff counts by its bytes, a report by its JSON data and a model by its
-    decoded ``AppModel``, so the digest holds across layouts of the documents.
+    A diff or a report counts by its JSON data and a model by its decoded
+    ``AppModel``, so the digest holds across layouts of the documents.
     """
     for path in sorted(workdir.iterdir()):
         data = path.read_bytes()
-        if path.name.startswith("report_"):
+        if path.name.startswith(("diff_", "report_")):
             data = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode()
         elif path.name.startswith("model_"):
-            data = json.dumps(_canonical(deserialize_model(data)), sort_keys=True).encode()
+            data = json.dumps(_canonical_model(deserialize_model(data)), sort_keys=True).encode()
         digest.update(path.name.encode())
         digest.update(data)
 
@@ -497,9 +517,11 @@ def _digest_contents(digest, workdir) -> None:
 #: ``pipeline_run`` writes for each fixture app (first to last version, budget
 #: 300, seeds 3 and 4), frozen over file bytes from the session and replay
 #: before they kept their lookups in indexes, over content before the model
-#: and report layouts changed, and, before schema 5, over content without the
-#: two window-graph fields that schema dropped.
-SESSION_DIGEST = "704a9a05ba41214be8f3cde92d865c334b158857310d842746477e195da7a228"
+#: and report layouts changed, before schema 5 over content without the two
+#: window-graph fields that schema dropped, and, before schema 6 stored each
+#: trace step as the transition it took, over diff content, trace steps without
+#: their input ids and transitions without their version.
+SESSION_DIGEST = "87b786fd6b54e801648e33755ee4f7a52691bc239f1b0355bb2fdbc242cc0183"
 
 
 def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
@@ -520,11 +542,11 @@ def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
 #: sha256 over the name and content of every file ``pipeline_run`` writes for
 #: the hidden-variable app (v1 to v2, budget 300, seeds 7, 20 and 26), frozen
 #: over file bytes before the engine kept the transitions out of each state in
-#: an index, over content before the model and report layouts changed, and,
-#: before schema 5, over content without the two window-graph fields that
-#: schema dropped.  On these seeds a session records an outcome again after
-#: deleting a stale edge.
-REFINE_DIGEST = "055553671d78ae46c6418ca9df29d4d17fc4c318550fd09be1ca484ba63da755"
+#: an index, over content before the model and report layouts changed, before
+#: schema 5 over content without the two window-graph fields that schema
+#: dropped, and as ``SESSION_DIGEST`` before schema 6.  On these seeds a
+#: session records an outcome again after deleting a stale edge.
+REFINE_DIGEST = "a3b64636465474a6e4de45ad21d8368a9ee677189d7ac502c75e5709a745b0bb"
 
 
 def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monkeypatch):

@@ -319,8 +319,14 @@ def test_self_diff_of_bundled_fixture_versions_is_empty():
             assert diff_ewtg(ewtg, ewtg).is_empty()
 
 
-#: sha256 of the concatenated ``to_json()`` of both diffs of 50 random pairs,
-#: frozen from the diff before it matched directly on the window graphs.
+def _content(diff) -> bytes:
+    """A diff's content in one fixed layout: indented, with sorted keys."""
+    return json.dumps(diff.to_dict(), indent=2, sort_keys=True).encode("utf-8")
+
+
+#: sha256 of the concatenated ``_content`` of both diffs of 50 random pairs,
+#: frozen from the diff before it matched directly on the window graphs, over
+#: its ``to_json()`` bytes in the same layout.
 RANDOM_PAIRS_DIGEST = "98356edc08de045b2ba09a115eebc4e40f42b189f13e0432a9c3f68f8de7e38e"
 
 
@@ -331,7 +337,7 @@ def test_diff_of_random_window_graph_pairs_is_unchanged():
         base, updated = random_ewtg_pair(seed)
         for a, b in ((base, updated), (updated, base)):
             diff = diff_ewtg(a, b)
-            digest.update(diff.to_json())
+            digest.update(_content(diff))
             for key, value in diff.to_dict().items():
                 classes[key] += len(value)
     # the pairs reach every class, so the digest covers every kind of outcome
@@ -339,8 +345,9 @@ def test_diff_of_random_window_graph_pairs_is_unchanged():
     assert digest.hexdigest() == RANDOM_PAIRS_DIGEST
 
 
-#: sha256 of the concatenated ``to_json()`` of both diffs of 20 large random
-#: pairs, frozen from the diff that scored each pair of widgets on its own.
+#: sha256 of the concatenated ``_content`` of both diffs of 20 large random
+#: pairs, frozen from the diff that scored each pair of widgets on its own,
+#: over its ``to_json()`` bytes in the same layout.
 LARGE_PAIRS_DIGEST = "c7d98e3c848dc55b4b807647c79723cd8c191289e3ad8841aa10902a0ca1cc1f"
 
 
@@ -351,7 +358,7 @@ def test_diff_of_large_random_window_graph_pairs_is_unchanged():
         base, updated = random_ewtg_pair(seed, LARGE)
         for a, b in ((base, updated), (updated, base)):
             diff = diff_ewtg(a, b)
-            digest.update(diff.to_json())
+            digest.update(_content(diff))
             replaced += len(diff.replaced_widgets)
             for window_id in diff.window_mapping():
                 widgets = [
