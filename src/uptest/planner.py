@@ -240,6 +240,39 @@ class Planner:
                 )
         return edges
 
+    def _edges(self, key: tuple, at_start: bool) -> list[tuple[tuple, PlanStep]]:
+        if key[0] == "state":
+            return self._edges_from_state(self.model.dstg.abstract_states[key[1]], at_start)
+        return self._edges_from_meta(key[1], key[2])
+
+    def _goal_reachable(self, start_key: tuple, node_is_goal, edge_is_goal) -> bool:
+        """Whether a walk of at most ``max_plan_length`` edges reaches the goal.
+
+        Every plan the search can return is such a walk, so when none exists
+        the search would expand its whole bounded space to find nothing.  A
+        node's edges are the same at every depth, except that the start node
+        also has its ``at_start`` edges; so a breadth-first pass that expands
+        each node once, at the depth it is first seen, finds every goal within
+        the bound.
+        """
+        seen = {start_key}
+        layer = [start_key]
+        for depth in range(self.config.max_plan_length):
+            next_layer = []
+            for key in layer:
+                for dest_key, step in self._edges(key, at_start=depth == 0):
+                    # a goal edge may lead to a node already seen
+                    if edge_is_goal(step):
+                        return True
+                    if dest_key in seen:
+                        continue
+                    if node_is_goal(dest_key):
+                        return True
+                    seen.add(dest_key)
+                    next_layer.append(dest_key)
+            layer = next_layer
+        return False
+
     def plan(
         self,
         current_state: AbstractState,
@@ -274,6 +307,8 @@ class Planner:
         start_key = ("state", current_state.id)
         if node_is_goal(start_key):
             return ActionSequence(steps=[])
+        if not self._goal_reachable(start_key, node_is_goal, edge_is_goal):
+            return None
 
         counter = 0
         # frontier entries: cost, meta steps, tiebreak, node key, steps,
@@ -310,12 +345,7 @@ class Planner:
                 continue
             record(key, cost_full, prod, visited_keys)
 
-            if key[0] == "state":
-                state = self.model.dstg.abstract_states[key[1]]
-                edges = self._edges_from_state(state, at_start=not steps)
-            else:
-                edges = self._edges_from_meta(key[1], key[2])
-            for dest_key, step in edges:
+            for dest_key, step in self._edges(key, at_start=not steps):
                 # a goal edge may revisit a node (e.g. a self-loop input)
                 if not edge_is_goal(step) and dest_key in visited_keys:
                     continue

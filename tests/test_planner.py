@@ -376,3 +376,31 @@ def test_plans_on_random_models_are_unchanged():
     # every target kind, missing plans, meta steps, guards and payloads occur
     assert all(seen.values()), seen
     assert digest.hexdigest() == RANDOM_PLANS_DIGEST
+
+
+def test_precheck_stops_exactly_the_plans_the_search_cannot_find(monkeypatch):
+    # with and without the breadth-first pre-check the planner returns the
+    # same plans, and the pre-check answers "unreachable" for every target
+    # the search alone would give up on, and for no other
+    precheck = Planner._goal_reachable
+    answers = []
+
+    def spying(self, *args):
+        answers.append(precheck(self, *args))
+        return answers[-1]
+
+    stopped = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        model, start, target = random_model(rng)
+        layouts = _decorate(model, rng)
+        answers.clear()
+        monkeypatch.setattr(Planner, "_goal_reachable", spying)
+        checked = plan_to_target(model, start, target, visited_layouts=layouts)
+        monkeypatch.setattr(Planner, "_goal_reachable", lambda self, *args: True)
+        searched = plan_to_target(model, start, target, visited_layouts=layouts)
+        assert _plan_record(checked) == _plan_record(searched), seed
+        if answers:  # the start was not the goal and the target not obsolete
+            assert answers == [searched is not None], seed
+            stopped += searched is None
+    assert stopped
