@@ -469,7 +469,6 @@ class TestEngine:
             destination_state_id=after.id,
             data_payload=payload,
             layout_guard=guard,
-            provenance_version=self.model.version,
         )
         dstg.abstract_transitions[tr.id] = tr
         # ids order as strings ("at-10" before "at-9"), as the model file does
@@ -551,8 +550,8 @@ class TestEngine:
                     self.attempts_without_gain.get(matched.id, 0) + 1
                 )
         if before_state is not None:
-            self._record_transition(before_state, action, widget_id, after_state)
-            self.model.gstg.trace.append(TraceStep(action=action, after_state_id=after_state.id))
+            tr = self._record_transition(before_state, action, widget_id, after_state)
+            self.model.gstg.trace.append(TraceStep(tr.id, action.concrete_node_path))
         return result
 
     def _execute_step(self, step: PlanStep) -> str:

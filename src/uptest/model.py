@@ -3,21 +3,21 @@
 The static layer (windows, widgets, inputs, window transitions) is produced by
 the harness or hand-authored.  The dynamic layer (abstract states, abstract
 transitions) is learned during test sessions and drives planning.  The session
-layer is the trace of executed actions, each with the abstract state it
-reached; it is what replay re-runs, and it is discarded when a model is
-carried over to a new app version.  Concrete GUI trees are not part of the
-model.
+layer is the trace of executed actions, each given as the abstract transition
+it took and the node it acted on; it is what replay re-runs, and it is
+discarded when a model is carried over to a new app version.  Concrete GUI
+trees are not part of the model.
 
-The window graph stores each fact once: a window's widgets are the widgets
-whose ``window_id`` names it, and a window transition's source window is its
-input's ``window_id``.
+The model stores each fact once: a window's widgets are the widgets whose
+``window_id`` names it, a window transition's source window is its input's
+``window_id``, and a trace step's action type, payload and reached state are
+those of its transition.
 
-A model document (schema 5) writes every list of records as a table,
+A model document (schema 6) writes every list of records as a table,
 ``{"columns": [...], "rows": [[...], ...]}``: the column names once, then one
 row per record with one cell per column.  The columns are the record's fields
-in declaration order, named in camelCase (``TraceStep`` flattens its action:
-``inputId, actionType, concreteNodePath, dataPayload, afterStateId``).  The
-tables are the window graph's ``windows``, ``widgets``, ``inputs`` and
+in declaration order, named in camelCase (the trace's are ``transitionId,
+concreteNodePath``).  The tables are the window graph's ``windows``, ``widgets``, ``inputs`` and
 ``windowTransitions``, the state graph's ``abstractStates`` (whose ``avms``
 cell is itself a table) and ``abstractTransitions``, and the session layer's
 ``trace``.  Rows come in id order, the trace in execution order.  The window
@@ -34,7 +34,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Optional
 
-SCHEMA_VERSION = 5
+SCHEMA_VERSION = 6
 
 #: Abstraction levels from coarsest to finest.
 LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
@@ -396,7 +396,6 @@ class AbstractTransition:
     destination_state_id: str
     data_payload: Optional[str] = None
     layout_guard: Optional[dict] = None  # serialized layout fingerprint
-    provenance_version: str = ""
 
     COLUMNS = (
         "id",
@@ -406,7 +405,6 @@ class AbstractTransition:
         "destinationStateId",
         "dataPayload",
         "layoutGuard",
-        "provenanceVersion",
     )
 
     def to_row(self) -> list:
@@ -418,14 +416,13 @@ class AbstractTransition:
             self.destination_state_id,
             self.data_payload,
             self.layout_guard,
-            self.provenance_version,
         ]
 
     @classmethod
     def from_row(cls, row: list) -> "AbstractTransition":
         t = cls(*row)
         t.action_type = _ACTION_TYPES[t.action_type]
-        require(str, t.id, t.source_state_id, t.destination_state_id, t.provenance_version)
+        require(str, t.id, t.source_state_id, t.destination_state_id)
         require(OPTIONAL_STR, t.source_avm_id, t.data_payload)
         if t.layout_guard is not None:
             require(dict, t.layout_guard)
@@ -519,33 +516,23 @@ class Action:
 
 @dataclass
 class TraceStep:
-    """One executed action and the abstract state it reached."""
+    """One executed action: the abstract transition it took and the node it
+    acted on.  Its action type, payload and reached state are the
+    transition's."""
 
-    action: Action
-    after_state_id: str
+    transition_id: str
+    concrete_node_path: Optional[tuple[int, ...]] = None
 
-    COLUMNS = ("inputId", "actionType", "concreteNodePath", "dataPayload", "afterStateId")
+    COLUMNS = ("transitionId", "concreteNodePath")
 
     def to_row(self) -> list:
-        a = self.action
-        path = a.concrete_node_path
-        return [
-            a.input_id,
-            a.action_type.value,
-            None if path is None else list(path),
-            a.data_payload,
-            self.after_state_id,
-        ]
+        path = self.concrete_node_path
+        return [self.transition_id, None if path is None else list(path)]
 
     @classmethod
     def from_row(cls, row: list) -> "TraceStep":
-        input_id, action_type, path, data_payload, after_state_id = row
-        if not (
-            isinstance(input_id, str)
-            and isinstance(data_payload, OPTIONAL_STR)
-            and isinstance(after_state_id, str)
-        ):
-            raise TypeError(f"trace step {input_id!r} has a field of the wrong type")
+        transition_id, path = row
+        require(str, transition_id)
         if path is not None:
             require(list, path)
             for i in path:
@@ -553,8 +540,7 @@ class TraceStep:
                 if type(i) is not int or i < 0:
                     raise TypeError(f"node path {path} holds {i!r}, not an index >= 0")
             path = tuple(path)
-        action = Action(input_id, _ACTION_TYPES[action_type], path, data_payload)
-        return cls(action, after_state_id)
+        return cls(transition_id, path)
 
 
 @dataclass
@@ -742,9 +728,9 @@ def validate_integrity(model: AppModel) -> list[str]:
         if level not in LEVEL_ORDER:
             violations.append(f"abstraction policy of window {window_id} has unknown level")
 
-    for step in model.gstg.trace:
-        if step.after_state_id not in dstg.abstract_states:
-            violations.append("trace step references a missing state")
+    for i, step in enumerate(model.gstg.trace):
+        if step.transition_id not in dstg.abstract_transitions:
+            violations.append(f"trace step {i} references missing transition {step.transition_id}")
 
     return violations
 

@@ -14,7 +14,7 @@ from typing import Iterable, Optional
 from .abstraction import LEVELS, valuation_multiset
 from .abstraction import derive_abstract_state  # noqa: F401  perfbench traces it here
 from .harness import DriverRejection
-from .model import AbstractState, AppModel, GuiNode
+from .model import AbstractState, Action, AppModel, GuiNode
 
 
 def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppModel:
@@ -59,7 +59,11 @@ def _states_match(
 
 
 def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
-    """Re-run the recorded trace; expected states that fail to reappear are flagged."""
+    """Re-run the recorded trace; expected states that fail to reappear are flagged.
+
+    Each step performs its transition's action on its node and expects its
+    transition's destination.
+    """
     trace = model.gstg.trace
     if not trace:
         return model
@@ -68,19 +72,26 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
     except Exception as exc:  # pragma: no cover - defensive
         warnings.warn(f"replay aborted at reset: {exc}")
         return model
+    dstg = model.dstg
+    # (transition id, node path) -> the step's action and expected state
+    steps: dict[tuple, tuple[Action, AbstractState]] = {}
     multisets: dict[str, dict] = {}  # expected state id -> valuation multiset
     screens: dict[tuple[GuiNode, str], dict] = {}  # (screen, level) -> multiset
     for step in trace:
+        key = (step.transition_id, step.concrete_node_path)
+        known = steps.get(key)
+        if known is None:
+            tr = dstg.abstract_transitions[step.transition_id]
+            action = Action(tr.id, tr.action_type, step.concrete_node_path, tr.data_payload)
+            known = steps[key] = (action, dstg.abstract_states[tr.destination_state_id])
+        action, expected = known
         try:
-            result = driver.perform(step.action)
+            result = driver.perform(action)
         except DriverRejection:
             result = None
         except Exception as exc:
             warnings.warn(f"replay aborted mid-trace: {exc}")
             return model
-        expected = model.dstg.abstract_states.get(step.after_state_id)
-        if expected is None:
-            continue  # nothing to check against
         multiset = multisets.get(expected.id)
         if multiset is None:
             multiset = multisets[expected.id] = expected.valuation_multiset()

@@ -157,7 +157,6 @@ def diary_base_model() -> AppModel:
     dstg.abstract_transitions["at1"] = AbstractTransition(
         id="at1", source_state_id="s1", source_avm_id="avm2",
         action_type=ActionType.CLICK, destination_state_id="s2",
-        provenance_version="v0",
     )
     return AppModel(version="v0", ewtg=ewtg, dstg=dstg)
 
@@ -178,7 +177,6 @@ def golden_adapted_dstg() -> Dstg:
     dstg.abstract_transitions["at1"] = AbstractTransition(
         id="at1", source_state_id="s1", source_avm_id="avm2",
         action_type=ActionType.CLICK, destination_state_id="s2",
-        provenance_version="v0",
     )
     return dstg
 
@@ -370,7 +368,7 @@ def test_a8_obsolescence_flagging_and_avoidance():
         # every traversed state on the headline-dependent path must be flagged
         expected_flags = set()
         for step in model.gstg.trace:
-            state_id = step.after_state_id
+            state_id = model.dstg.abstract_transitions[step.transition_id].destination_state_id
             if model.dstg.abstract_states[state_id].window_id in ("list", "detail"):
                 expected_flags.add(state_id)
         assert expected_flags
@@ -465,11 +463,7 @@ def _canonical(value):
     content give the same data whatever layout their document had.
     """
     if dataclasses.is_dataclass(value):
-        return {
-            f.name: _canonical(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-            if f.name != "provenance_version"
-        }
+        return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):
         return value.value
     if isinstance(value, (set, frozenset)):
@@ -484,9 +478,9 @@ def _canonical(value):
 def _step(model, step) -> list:
     """A trace step of ``model`` as its action type, node path, payload and
     reached state."""
-    action = step.action
+    tr = model.dstg.abstract_transitions[step.transition_id]
     return _canonical(
-        [action.action_type, action.concrete_node_path, action.data_payload, step.after_state_id]
+        [tr.action_type, step.concrete_node_path, tr.data_payload, tr.destination_state_id]
     )
 
 

@@ -48,7 +48,6 @@ def diary_base_model() -> AppModel:
     dstg.abstract_transitions["at1"] = AbstractTransition(
         id="at1", source_state_id="s1", source_avm_id="avm2",
         action_type=ActionType.CLICK, destination_state_id="s2",
-        provenance_version="v0",
     )
     return AppModel(version="v0", ewtg=ewtg, dstg=dstg)
 

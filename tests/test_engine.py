@@ -11,6 +11,7 @@ from uptest.abstraction import (
     fingerprint_to_dict,
     layout_fingerprint,
 )
+from uptest.cli import pipeline_run
 from uptest.config import EngineConfig
 from uptest.engine import TargetSet, TestEngine, run_session
 from uptest.diff import diff_ewtg
@@ -34,6 +35,7 @@ from uptest.model import (
     Input,
     Window,
     WindowKind,
+    deserialize_model,
     serialize_model,
     validate_integrity,
 )
@@ -122,8 +124,38 @@ def test_session_model_stays_consistent_and_trace_is_replayable():
     model = result.model
     assert validate_integrity(model) == []
     for step in model.gstg.trace:
-        assert step.after_state_id in result.observed_state_ids
+        reached = model.dstg.abstract_transitions[step.transition_id].destination_state_id
+        assert reached in result.observed_state_ids
     assert result.observed_state_ids <= set(model.dstg.abstract_states)
+
+
+@pytest.mark.parametrize("app", ["diary", "dialog", "news", "deep", "hidden"])
+def test_each_trace_step_starts_where_the_step_before_it_ended(app, tmp_path, monkeypatch):
+    # in every written model, after pruning, replay and online refinement,
+    # the first step's transition leaves the state the session's reset
+    # reached, and each later one the state the step before it reached
+    starts = []
+    run = TestEngine.run_session
+
+    def recording_run(self):
+        result = run(self)
+        starts.append(self.state_history[0].id)
+        return result
+
+    monkeypatch.setattr(TestEngine, "run_session", recording_run)
+    spec = load_spec(hidden_spec_doc() if app == "hidden" else fixture_path(app))
+    artifacts = pipeline_run(
+        spec, spec.versions[0].version, spec.versions[-1].version,
+        budget=300, seed=7, workdir=tmp_path, config=EngineConfig(),
+    )
+    models = [deserialize_model(p.read_bytes()) for p in artifacts if p.name.startswith("model_")]
+    assert len(models) == len(starts) == len(spec.versions)
+    for model, state_id in zip(models, starts):
+        assert model.gstg.trace
+        for step in model.gstg.trace:
+            tr = model.dstg.abstract_transitions[step.transition_id]
+            assert tr.source_state_id == state_id
+            state_id = tr.destination_state_id
 
 
 def test_sessions_are_deterministic():

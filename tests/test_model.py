@@ -8,7 +8,6 @@ import pytest
 from uptest.model import (
     AbstractState,
     AbstractTransition,
-    Action,
     ActionType,
     AppModel,
     AttributeValuationMap,
@@ -66,16 +65,9 @@ def small_model() -> AppModel:
     dstg.abstract_transitions["at-1"] = AbstractTransition(
         id="at-1", source_state_id="s1", source_avm_id="avm-1",
         action_type=ActionType.CLICK, destination_state_id="s2",
-        provenance_version="v1",
     )
 
-    gstg = Gstg()
-    gstg.trace.append(
-        TraceStep(
-            action=Action("i-ok", ActionType.CLICK, concrete_node_path=()),
-            after_state_id="s2",
-        )
-    )
+    gstg = Gstg(trace=[TraceStep("at-1", concrete_node_path=())])
     return AppModel(version="v1", ewtg=ewtg, dstg=dstg, gstg=gstg)
 
 
@@ -136,12 +128,9 @@ TABLES = {
     "abstractTransitions": (
         lambda doc: doc["dstg"]["abstractTransitions"],
         ["id", "sourceStateId", "sourceAvmId", "actionType", "destinationStateId",
-         "dataPayload", "layoutGuard", "provenanceVersion"],
+         "dataPayload", "layoutGuard"],
     ),
-    "trace": (
-        lambda doc: doc["gstg"]["trace"],
-        ["inputId", "actionType", "concreteNodePath", "dataPayload", "afterStateId"],
-    ),
+    "trace": (lambda doc: doc["gstg"]["trace"], ["transitionId", "concreteNodePath"]),
 }
 
 #: A cell of another JSON type than its column takes; a string column gets 5.
@@ -307,10 +296,10 @@ def test_deserialize_rejects_an_unknown_abstraction_level():
 
 
 def test_deserialize_rejects_wrong_schema_version():
-    # schema 3 wrote each record as an object and schema 4 stored each window's
-    # widgets and each window transition's source again; no reader for either
-    # is kept
-    for schema in (99, 3, 4):
+    # schema 3 wrote each record as an object, schema 4 stored each window's
+    # widgets and each window transition's source again, and schema 5 each
+    # trace step's action and reached state; no reader for any of them is kept
+    for schema in (99, 3, 4, 5):
         doc = model_doc()
         doc["schema_version"] = schema
         with pytest.raises(ModelError, match=f"unsupported schema version {schema}"):
@@ -318,16 +307,11 @@ def test_deserialize_rejects_wrong_schema_version():
 
 
 def _random_trace(model: AppModel, rng: random.Random) -> None:
-    """Trace steps over the model's inputs and states, some with paths and payloads."""
-    inputs = sorted(model.ewtg.inputs.values(), key=lambda i: i.id)
-    states = sorted(model.dstg.abstract_states)
-    for _ in range(rng.randrange(0, 6) if inputs and states else 0):
-        inp = rng.choice(inputs)
+    """Trace steps over the model's transitions, some with node paths."""
+    transitions = sorted(model.dstg.abstract_transitions)
+    for _ in range(rng.randrange(0, 6) if transitions else 0):
         path = rng.choice([None, (), (0,), (2, 1)])
-        payload = rng.choice([None, "", "hello"])
-        model.gstg.trace.append(
-            TraceStep(Action(inp.id, inp.action_type, path, payload), rng.choice(states))
-        )
+        model.gstg.trace.append(TraceStep(rng.choice(transitions), path))
 
 
 def _round_trips(model: AppModel) -> None:
@@ -414,13 +398,25 @@ def test_validation_catches_input_in_wrong_window():
     assert any("another window" in v for v in violations)
 
 
-def test_validation_catches_trace_with_missing_state():
+def test_validation_catches_trace_with_missing_transition():
     model = small_model()
-    model.gstg.trace[0] = TraceStep(
-        action=model.gstg.trace[0].action,
-        after_state_id="s-missing",
-    )
-    assert any("missing state" in v for v in validate_integrity(model))
+    model.gstg.trace.append(TraceStep("at-missing"))
+    assert "trace step 1 references missing transition at-missing" in validate_integrity(model)
+    with pytest.raises(ModelError):
+        serialize_model(model)
+
+
+def test_deserialize_rejects_a_trace_step_of_schema_5_or_a_missing_transition():
+    # a schema-5 row held the input, action type, node path, payload and
+    # reached state
+    doc = model_doc()
+    doc["gstg"]["trace"]["rows"][0] = ["i-ok", "Click", [], None, "s2"]
+    with pytest.raises(ModelError, match="expected rows of 2 cells"):
+        load(doc)
+    doc = model_doc()
+    set_cell(doc["gstg"]["trace"], 0, "transitionId", "at-missing")
+    with pytest.raises(ModelError, match="trace step 0 references missing transition"):
+        load(doc)
 
 
 def test_valuation_multiset_counts_cardinality():

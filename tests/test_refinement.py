@@ -7,7 +7,6 @@ from uptest.harness import DriverRejection
 from uptest.model import (
     AbstractState,
     AbstractTransition,
-    Action,
     ActionType,
     AppModel,
     Dstg,
@@ -82,12 +81,11 @@ def replay_model(after_roots):
         state = derive_abstract_state(tree, LEVELS["L1"], state_id=f"s{i}")
         dstg.abstract_states[state.id] = state
         if i > 1:  # the first screen is where the trace starts
-            model.gstg.trace.append(
-                TraceStep(
-                    action=Action(f"i{i}", ActionType.CLICK, concrete_node_path=()),
-                    after_state_id=state.id,
-                )
+            dstg.abstract_transitions[f"at{i}"] = AbstractTransition(
+                id=f"at{i}", source_state_id=f"s{i - 1}", source_avm_id=None,
+                action_type=ActionType.CLICK, destination_state_id=state.id,
             )
+            model.gstg.trace.append(TraceStep(f"at{i}", concrete_node_path=()))
     return model
 
 
@@ -136,6 +134,30 @@ def test_replay_warns_and_stops_on_hard_driver_failure():
         replay_flag_obsolete(model, driver)
     assert model.dstg.abstract_states["s2"].obsolete
     assert not model.dstg.abstract_states["s3"].obsolete
+
+
+def test_replay_performs_each_steps_transition_on_its_node():
+    model = replay_model([screen("a"), screen("b")])
+    tr = model.dstg.abstract_transitions["at2"]
+    tr.action_type, tr.data_payload = ActionType.TEXT_FILL, "hello"
+    model.gstg.trace = [TraceStep("at2", (0,)), TraceStep("at2", (0,)), TraceStep("at2", ())]
+    performed = []
+
+    class RecordingDriver(ScriptedDriver):
+        def perform(self, action):
+            performed.append(action)
+            return super().perform(action)
+
+    driver = RecordingDriver([FakeResult("wa", screen(rid)) for rid in "abbb"])
+    replay_flag_obsolete(model, driver)
+    assert [(a.action_type, a.concrete_node_path, a.data_payload) for a in performed] == [
+        (ActionType.TEXT_FILL, (0,), "hello"),
+        (ActionType.TEXT_FILL, (0,), "hello"),
+        (ActionType.TEXT_FILL, (), "hello"),
+    ]
+    # one action per distinct (transition, node path)
+    assert performed[0] is performed[1] and performed[2] is not performed[0]
+    assert not model.dstg.abstract_states["s2"].obsolete
 
 
 def test_replay_without_trace_is_a_no_op():
