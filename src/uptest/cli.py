@@ -51,7 +51,8 @@ def _read_ewtg(path: str) -> Ewtg:
 
 
 def _write_json(path, doc) -> None:
-    Path(path).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n", "utf-8")
+    """Write ``doc`` as compact JSON with sorted keys, which ``json`` encodes in C."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
 
 
 def _config(args) -> EngineConfig:

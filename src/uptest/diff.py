@@ -198,7 +198,7 @@ class DiffResult:
         )
 
     def to_json(self) -> bytes:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True).encode("utf-8")
+        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
 # --- matching ------------------------------------------------------------

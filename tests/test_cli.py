@@ -110,6 +110,16 @@ def test_diff_command_chains_from_exports(tmp_path):
     assert diff.replaced_widgets == {"w3": "w8"}
 
 
+def test_window_graph_and_diff_files_are_compact_json_with_sorted_keys(tmp_path):
+    base = write_ewtg(tmp_path, "v0")
+    diff = tmp_path / "diff.json"
+    assert main(["diff", str(base), str(write_ewtg(tmp_path, "v1")), "--out", str(diff)]) == 0
+    assert main(["pipeline", DIARY, "--budget", "10", "--workdir", str(tmp_path)]) == 0
+    for path in (base, diff, tmp_path / "diff_v1.json"):
+        data = path.read_text("utf-8")
+        assert data == json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")) + "\n"
+
+
 def test_adapt_command_chains_from_diff(tmp_path):
     spec = load_spec(DIARY)
     base_model = tmp_path / "model_v0.json"
