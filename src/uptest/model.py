@@ -17,13 +17,14 @@ A model document (schema 6) writes every list of records as a table,
 ``{"columns": [...], "rows": [[...], ...]}``: the column names once, then one
 row per record with one cell per column.  The columns are the record's fields
 in declaration order, named in camelCase (the trace's are ``transitionId,
-concreteNodePath``).  The tables are the window graph's ``windows``, ``widgets``, ``inputs`` and
-``windowTransitions``, the state graph's ``abstractStates`` (whose ``avms``
-cell is itself a table) and ``abstractTransitions``, and the session layer's
-``trace``.  Rows come in id order, the trace in execution order.  The window
-graph file ``uptest harness export-ewtg`` writes is the ``ewtg`` object of a
-model document.  A reader takes a table only with exactly the writer's
-columns and rows of exactly that width.
+concreteNodePath``).  The tables are the window graph's ``windows``,
+``widgets``, ``inputs`` and ``windowTransitions``, the state graph's
+``abstractStates`` (whose ``avms`` cell is itself a table) and
+``abstractTransitions``, and the session layer's ``trace``.  Rows come in id
+order, the trace in execution order.  The window graph file ``uptest harness
+export-ewtg`` writes is the ``ewtg`` object of a model document.  A reader
+takes a table only with exactly the writer's columns and rows of exactly that
+width.
 """
 
 from __future__ import annotations
