@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterator, Optional
+from typing import Collection, Iterator, Mapping, Optional
 
 from .model import (
     LEVEL_ORDER,
@@ -137,7 +137,7 @@ def is_interactable(node: GuiNode) -> bool:
 
 
 def _interactable_nodes(root: GuiNode) -> Iterator[GuiNode]:
-    """The tree's interactable nodes in pre-order, the order of ``walk``."""
+    """The tree's interactable nodes in pre-order."""
     stack = [root]
     while stack:
         node = stack.pop()
@@ -251,18 +251,20 @@ def fingerprint_from_dict(d: dict) -> Counter:
 def make_layout_guard(
     destination: AbstractState,
     trace_states: list[AbstractState],
+    layouts: Mapping[str, Counter],
     threshold: float,
 ) -> Optional[Counter]:
     """Fingerprint of the nearest previously visited state with a similar layout.
 
     ``trace_states`` is the session history in visit order; it is walked
-    backward from the most recent entry.
+    backward from the most recent entry.  ``layouts`` holds the layout
+    fingerprint of the destination and of each state in the history, by id.
     """
-    dest_fp = layout_fingerprint(destination)
+    dest_fp = layouts[destination.id]
     for state in reversed(trace_states):
         if state.id == destination.id:
             continue
-        fp = layout_fingerprint(state)
+        fp = layouts[state.id]
         if fingerprint_similarity(fp, dest_fp) >= threshold:
             return fp
     return None

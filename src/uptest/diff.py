@@ -97,17 +97,13 @@ def _xpath_vector(path: str) -> tuple[Counter, float]:
 
 
 def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
+    """Cosine similarity of two ``_xpath_vector`` results; 1.0 for two empty paths."""
     (ta, norm_a), (tb, norm_b) = a, b
     if not ta and not tb:
         return 1.0
     if not ta or not tb:
         return 0.0
     return sum(ta[t] * tb[t] for t in ta if t in tb) / (norm_a * norm_b)
-
-
-def xpath_similarity(a: str, b: str) -> float:
-    """Cosine similarity between '/'-token count vectors of two paths."""
-    return _cosine(_xpath_vector(a), _xpath_vector(b))
 
 
 # --- diff result ---------------------------------------------------------
@@ -128,19 +124,6 @@ class DiffResult:
     matched_windows: dict[str, str] = field(default_factory=dict)
     matched_widgets: dict[str, str] = field(default_factory=dict)
     matched_transitions: dict[str, str] = field(default_factory=dict)
-
-    def is_empty(self) -> bool:
-        return not (
-            self.added_windows
-            or self.deleted_windows
-            or self.replaced_windows
-            or self.added_widgets
-            or self.deleted_widgets
-            or self.replaced_widgets
-            or self.added_transitions
-            or self.deleted_transitions
-            or self.replaced_transitions
-        )
 
     def window_mapping(self) -> dict[str, str]:
         mapping = dict(self.matched_windows)

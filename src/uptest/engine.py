@@ -11,7 +11,6 @@ window's abstraction is sharpened or the stale learned transition is dropped.
 
 from __future__ import annotations
 
-import bisect
 import json
 import random
 import re
@@ -49,7 +48,7 @@ from .model import (
     Window,
     WindowKind,
 )
-from .planner import ActionSequence, MetaState, PlanStep, plan_to_target
+from .planner import ActionSequence, MetaState, PlanStep, PlanView, plan_to_target
 from .refinement import propagate_obsolescence
 
 
@@ -194,11 +193,11 @@ class _Screen:
         self.window_id = window_id
         self.root = root
         self._keys: dict[str, tuple] = {}  # level name -> state key
-        # widget ref -> (node path, node, xpath) of its first node in walk order
+        # widget ref -> (node path, node, xpath) of its first node in pre-order
         self.widgets: dict[str, tuple[tuple[int, ...], GuiNode, str]] = {}
         # (node path, widget ref, action type) of every action exploration may pick
         self.candidates: list[tuple[tuple[int, ...], Optional[str], ActionType]] = []
-        # pre-order, the order of ``GuiNode.walk``; an xpath lists the class
+        # pre-order (children left to right); an xpath lists the class
         # names of the nodes below the root down to the node
         stack: list[tuple[tuple[int, ...], GuiNode, str]] = [((), root, "/")]
         while stack:
@@ -291,19 +290,8 @@ class TestEngine:
                 state.window_id, state.abstraction_level, state.valuation_multiset()
             )
             self._states_by_key.setdefault(key, state)
-        # (source state, source AVM, action type) -> its transitions in id order
-        self._transitions: dict[
-            tuple[str, Optional[str], ActionType], list[AbstractTransition]
-        ] = {}
-        for tid in sorted(model.dstg.abstract_transitions):
-            tr = model.dstg.abstract_transitions[tid]
-            self._transitions.setdefault(
-                (tr.source_state_id, tr.source_avm_id, tr.action_type), []
-            ).append(tr)
-        # (window, widget, action type) -> the lowest-id input declared for it
-        self._inputs: dict[tuple[str, Optional[str], ActionType], Input] = {}
-        for inp in model.ewtg.inputs.values():
-            self._index_input(inp)
+        # what plans read, kept in step with every change to the model below
+        self.view = PlanView(model)
         # continue numbering after inherited states so new ids never collide
         taken = re.compile(r"^(?:st|at)-(\d+)$")
         self._counter = max(
@@ -324,15 +312,9 @@ class TestEngine:
         self._counter += 1
         return f"{prefix}{self._counter}"
 
-    def _index_input(self, inp: Input) -> None:
-        key = (inp.window_id, inp.widget_id, inp.action_type)
-        held = self._inputs.get(key)
-        if held is None or inp.id < held.id:
-            self._inputs[key] = inp
-
     def _add_input(self, inp: Input) -> None:
         self.model.ewtg.inputs[inp.id] = inp
-        self._index_input(inp)
+        self.view.add_input(inp)
 
     def _ensure_window(self, result: PerformResult) -> None:
         ewtg = self.model.ewtg
@@ -403,11 +385,14 @@ class TestEngine:
             dstg.abstract_states[sid] = match
             self._states_by_key[key] = match
             self.created_this_session.add(sid)
+            self.view.add_state(match)
         if match.id not in self.visited_layouts:
             self.visited_layouts[match.id] = layout_fingerprint(match)
-            # nothing flags a state obsolete while the session runs
             match.observed_in_versions.add(self.model.version)
-            match.obsolete = False
+            # nothing flags a state obsolete while the session runs
+            if match.obsolete:
+                match.obsolete = False
+                self.view.revive(match, dstg.abstract_states)
         tree.abstract_state_id = match.id
         self.state_history.append(match)
         self.current_state = match
@@ -443,10 +428,9 @@ class TestEngine:
         payload = action.data_payload if action.action_type == ActionType.TEXT_FILL else None
         avm_id = self._avm_id(before, widget_id)
         closing = self._is_closing(action, before, after)
-        outcomes = self._transitions.setdefault(
-            (before.id, avm_id, action.action_type), []
-        )
-        for tr in outcomes:
+        for _, tr, _ in self.view.transitions_from.get(before.id, ()):
+            if tr.source_avm_id != avm_id or tr.action_type != action.action_type:
+                continue
             if tr.data_payload == payload:
                 if tr.destination_state_id == after.id:
                     return tr
@@ -457,10 +441,9 @@ class TestEngine:
                     self._refine_window(before.window_id)
         guard = None
         if closing:
-            fp = make_layout_guard(
-                after, self.state_history[:-1], self.config.layout_similarity_threshold
-            )
-            guard = fingerprint_to_dict(fp if fp is not None else layout_fingerprint(after))
+            threshold = self.config.layout_similarity_threshold
+            fp = make_layout_guard(after, self.state_history[:-1], self.visited_layouts, threshold)
+            guard = fingerprint_to_dict(fp if fp is not None else self.visited_layouts[after.id])
         tr = AbstractTransition(
             id=self._next_id("at-"),
             source_state_id=before.id,
@@ -471,8 +454,7 @@ class TestEngine:
             layout_guard=guard,
         )
         dstg.abstract_transitions[tr.id] = tr
-        # ids order as strings ("at-10" before "at-9"), as the model file does
-        bisect.insort(outcomes, tr, key=lambda t: t.id)
+        self.view.add_transition(tr, before, after)
         return tr
 
     def _refine_window(self, window_id: str) -> None:
@@ -522,7 +504,7 @@ class TestEngine:
             return None
         matched = None
         if before_state is not None:
-            matched = self._inputs.get(
+            matched = self.view.input_for.get(
                 (before_state.window_id, widget_id, action.action_type)
             )
         if matched is not None:
@@ -632,13 +614,11 @@ class TestEngine:
         # the learned edge is stale
         if predecessor is None:
             return
-        dstg = self.model.dstg
-        avm_id = self._avm_id(predecessor, step.widget_id)
-        outcomes = self._transitions.get((predecessor.id, avm_id, step.action_type), [])
-        for tr in outcomes:
-            if tr.destination_state_id == expected_id:
-                del dstg.abstract_transitions[tr.id]
-        outcomes[:] = [tr for tr in outcomes if tr.destination_state_id != expected_id]
+        stale = (self._avm_id(predecessor, step.widget_id), step.action_type, expected_id)
+        for _, tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
+            if (tr.source_avm_id, tr.action_type, tr.destination_state_id) == stale:
+                del self.model.dstg.abstract_transitions[tr.id]
+                self.view.remove_transition(tr, predecessor)
 
     # -- exploration ------------------------------------------------------
 
@@ -691,15 +671,17 @@ class TestEngine:
 
     def _pursue_input(self, inp: Input, phase: int) -> int:
         start = self.executed
-        sequence = plan_to_target(
-            self.model, self.current_state, inp, self.visited_layouts.values(), self.config
-        )
+        sequence = self._plan(inp)
         entry = self._log_plan(phase, inp.id, sequence)
         if sequence is None:
             self.random_explore(min(5, self._budget_left()))
         else:
             self._follow_plan(sequence, entry)
         return self.executed - start
+
+    def _plan(self, target) -> Optional[ActionSequence]:
+        seen = self.visited_layouts.values()
+        return plan_to_target(self.model, self.current_state, target, seen, self.config, self.view)
 
     def _follow_plan(self, sequence: ActionSequence, entry: dict) -> None:
         """Execute planned steps until one mismatches or the budget runs out."""
@@ -741,9 +723,7 @@ class TestEngine:
             return
         if self.current_state.window_id == window_id:
             return
-        sequence = plan_to_target(
-            self.model, self.current_state, window, self.visited_layouts.values(), self.config
-        )
+        sequence = self._plan(window)
         entry = self._log_plan(phase, f"window:{window_id}", sequence)
         if sequence is not None:
             self._follow_plan(sequence, entry)

@@ -806,16 +806,13 @@ class DriverSession:
             for cond in guard
         )
 
-    def _go_back(self) -> bool:
+    def _go_back(self) -> None:
         if len(self.window_stack) > 1:
             self.window_stack.pop()
-            return True
-        return False
 
     def _apply_effects(
         self, effects: list[dict], action: Action, widget_id: Optional[str]
-    ) -> bool:
-        navigated = False
+    ) -> None:
         for effect in effects:
             if not _OVERRIDE_EFFECTS.isdisjoint(effect):
                 # an effect may change a widget of any window, not only this one
@@ -846,7 +843,5 @@ class DriverSession:
                 self._checked[effect["toggle"]] = not self.widget_checked(widget)
             if "goto" in effect:
                 self.window_stack.append(effect["goto"])
-                navigated = True
             if "back" in effect:
-                navigated = self._go_back() or navigated
-        return navigated
+                self._go_back()

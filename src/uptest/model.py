@@ -451,12 +451,6 @@ class GuiNode:
     bounds_hint: Optional[dict] = None
     widget_ref: Optional[str] = None  # association to a static widget; not a property
 
-    def walk(self, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], "GuiNode"]]:
-        out = [(path, self)]
-        for i, child in enumerate(self.children):
-            out.extend(child.walk(path + (i,)))
-        return out
-
     def node_at(self, path: tuple[int, ...]) -> "GuiNode":
         """The node at ``path``; ``IndexError`` when a step has no such child."""
         node = self

@@ -11,6 +11,7 @@ episode; the persistent model is never touched.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from collections import Counter
@@ -21,6 +22,7 @@ from .abstraction import guard_holds
 from .config import EngineConfig
 from .model import (
     AbstractState,
+    AbstractTransition,
     ActionType,
     AppModel,
     Input,
@@ -95,70 +97,110 @@ def _truncate2(x: float) -> float:
     return math.floor(x * 100.0 + 1e-9) / 100.0
 
 
+# --- the view a plan reads ----------------------------------------------
+
+
+class PlanView:
+    """The tables a plan reads, built from one model.
+
+    A session builds one view and keeps it in step with each change it makes
+    to the model; ``plan_to_target`` on a bare model builds a fresh one.  A
+    view kept in step equals one built fresh from the same model.
+    """
+
+    def __init__(self, model: AppModel):
+        # inputs by window in id order; (window, widget, action) -> lowest-id input
+        self.inputs_of_window: dict[str, list[Input]] = {}
+        self.input_for: dict[tuple, Input] = {}
+        # input id -> destination windows of its window transitions, in id order
+        self.window_destinations: dict[str, list[str]] = {}
+        # state id -> (widget, transition, destination) in id order, for
+        # transitions whose destination exists
+        self.transitions_from: dict[str, list[tuple]] = {}
+        # (window, widget, action) -> windows reached by recorded transitions
+        # into live states, each with the number of those transitions
+        self.reached: dict[tuple, Counter] = {}
+        # window -> presence ratio of each widget over the window's live
+        # states, from the count of live states and of those showing each widget
+        self.presence: dict[str, tuple[tuple[str, float], ...]] = {}
+        self._live: Counter = Counter()
+        self._widget_counts: dict[str, Counter] = {}
+        for inp in sorted(model.ewtg.inputs.values(), key=lambda i: i.id):
+            self.add_input(inp)
+        for wt in sorted(model.ewtg.window_transitions.values(), key=lambda t: t.id):
+            self.window_destinations.setdefault(wt.input_id, []).append(wt.destination_window_id)
+        states = model.dstg.abstract_states
+        for state in states.values():
+            if not state.obsolete:
+                self.add_state(state)
+        for tr in sorted(model.dstg.abstract_transitions.values(), key=lambda t: t.id):
+            src, dest = states.get(tr.source_state_id), states.get(tr.destination_state_id)
+            if src is not None and dest is not None:
+                self.add_transition(tr, src, dest)
+
+    def add_input(self, inp: Input) -> None:
+        bisect.insort(self.inputs_of_window.setdefault(inp.window_id, []), inp, key=lambda i: i.id)
+        key = (inp.window_id, inp.widget_id, inp.action_type)
+        self.input_for[key] = min(inp, self.input_for.get(key, inp), key=lambda i: i.id)
+
+    def add_state(self, state: AbstractState) -> None:
+        """Count a live state in its window's widget presence."""
+        self._live[state.window_id] += 1
+        live = self._live[state.window_id]
+        counts = self._widget_counts.setdefault(state.window_id, Counter())
+        counts.update({avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None})
+        self.presence[state.window_id] = tuple(sorted((w, c / live) for w, c in counts.items()))
+
+    def revive(self, state: AbstractState, states: dict[str, AbstractState]) -> None:
+        """Count an obsolete state that turned live, with the transitions into it."""
+        self.add_state(state)
+        for source_id, entries in self.transitions_from.items():
+            for widget_id, tr, dest in entries:
+                if dest is state:
+                    self._reach(states[source_id], widget_id, tr, state, 1)
+
+    def add_transition(
+        self, tr: AbstractTransition, source: AbstractState, dest: AbstractState
+    ) -> None:
+        avm = source.avm_by_id(tr.source_avm_id) if tr.source_avm_id is not None else None
+        widget_id = avm.ewtg_widget_id if avm else None
+        # ids order as strings ("at-10" before "at-9"), as the model file does
+        entries = self.transitions_from.setdefault(source.id, [])
+        bisect.insort(entries, (widget_id, tr, dest), key=lambda e: e[1].id)
+        self._reach(source, widget_id, tr, dest, 1)
+
+    def remove_transition(self, tr: AbstractTransition, source: AbstractState) -> None:
+        entries = self.transitions_from[source.id]
+        widget_id, _, dest = entries.pop([e[1] for e in entries].index(tr))
+        if not entries:
+            del self.transitions_from[source.id]
+        self._reach(source, widget_id, tr, dest, -1)
+
+    def _reach(self, source, widget_id, tr, dest: AbstractState, delta: int) -> None:
+        """Count ``tr``'s reach of ``dest``'s window, if ``dest`` is live."""
+        if dest.obsolete:
+            return
+        key = (source.window_id, widget_id, tr.action_type)
+        counts = self.reached.setdefault(key, Counter())
+        counts[dest.window_id] += delta
+        if not counts[dest.window_id]:
+            del counts[dest.window_id]
+            if not counts:
+                del self.reached[key]
+
+
 # --- search --------------------------------------------------------------
 
 
+@dataclass
 class Planner:
-    """Plans over one view of the model, built once from one pass over each
-    of its collections; the model must not change while the planner is used."""
+    """Plans over a model and a ``PlanView`` of it that is in step with it."""
 
-    def __init__(
-        self,
-        model: AppModel,
-        visited_layouts: Optional[Collection[Counter]] = None,
-        config: Optional[EngineConfig] = None,
-    ):
-        self.model = model
-        self.visited_layouts = visited_layouts or []
-        self.config = config or EngineConfig()
-        self._target: Optional[Union[Window, AbstractState, Input]] = None
-
-        ewtg, dstg = model.ewtg, model.dstg
-        # inputs by window in id order; (window, widget, action) -> lowest-id input
-        self._inputs_of_window: dict[str, list[Input]] = {}
-        self._input_for: dict[tuple[str, Optional[str], ActionType], Input] = {}
-        for inp in sorted(ewtg.inputs.values(), key=lambda i: i.id):
-            self._inputs_of_window.setdefault(inp.window_id, []).append(inp)
-            self._input_for.setdefault((inp.window_id, inp.widget_id, inp.action_type), inp)
-        # input id -> destination windows of its window transitions, in id order
-        self._window_destinations: dict[str, list[str]] = {}
-        for wt in sorted(ewtg.window_transitions.values(), key=lambda t: t.id):
-            self._window_destinations.setdefault(wt.input_id, []).append(
-                wt.destination_window_id
-            )
-        # state id -> (widget, transition, destination) in id order, for
-        # transitions whose destination exists; (window, widget, action) ->
-        # windows reached by recorded transitions into live states
-        self._transitions_from: dict[str, list[tuple]] = {}
-        reached: dict[tuple[str, Optional[str], ActionType], set[str]] = {}
-        states = dstg.abstract_states
-        for tr in sorted(dstg.abstract_transitions.values(), key=lambda t: t.id):
-            src = states.get(tr.source_state_id)
-            dest = states.get(tr.destination_state_id)
-            if src is None or dest is None:
-                continue
-            avm = src.avm_by_id(tr.source_avm_id) if tr.source_avm_id is not None else None
-            widget_id = avm.ewtg_widget_id if avm else None
-            self._transitions_from.setdefault(src.id, []).append((widget_id, tr, dest))
-            if not dest.obsolete:
-                reached.setdefault((src.window_id, widget_id, tr.action_type), set()).add(
-                    dest.window_id
-                )
-        self._reached = {key: sorted(windows) for key, windows in reached.items()}
-        # window -> presence ratio of each widget over the window's live states
-        counts: dict[str, Counter] = {}
-        live: Counter = Counter()
-        for state in states.values():
-            if state.obsolete:
-                continue
-            live[state.window_id] += 1
-            counts.setdefault(state.window_id, Counter()).update(
-                {avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None}
-            )
-        self._presence = {
-            window_id: tuple(sorted((w, c / live[window_id]) for w, c in widget_counts.items()))
-            for window_id, widget_counts in counts.items()
-        }
+    model: AppModel
+    view: PlanView
+    visited_layouts: Collection[Counter] = ()
+    config: EngineConfig = field(default_factory=EngineConfig)
+    _target: Optional[Union[Window, AbstractState, Input]] = field(default=None, init=False)
 
     # node keys: ("state", state_id) or ("meta", window_id, presence tuple);
     # an edge is a (destination node key, plan step) pair
@@ -170,11 +212,11 @@ class Planner:
         the widget presence of their live states; failing those, the input's
         window transitions give destinations without presence data.
         """
-        reached = self._reached.get((inp.window_id, inp.widget_id, inp.action_type))
+        reached = self.view.reached.get((inp.window_id, inp.widget_id, inp.action_type))
         if reached:
-            windows = [(w, self._presence.get(w, ())) for w in reached]
+            windows = [(w, self.view.presence.get(w, ())) for w in sorted(reached)]
         else:
-            windows = [(w, ()) for w in self._window_destinations.get(inp.id, ())]
+            windows = [(w, ()) for w in self.view.window_destinations.get(inp.id, ())]
             if not windows and isinstance(self._target, Input) and self._target.id == inp.id:
                 # destination unknown, but executing the target input is the goal
                 windows = [(inp.window_id, ())]
@@ -189,13 +231,13 @@ class Planner:
         edges: list[tuple[tuple, PlanStep]] = []
         exercised: set[tuple[Optional[str], ActionType]] = set()
         threshold = self.config.layout_similarity_threshold
-        for widget_id, tr, dest in self._transitions_from.get(state.id, ()):
+        for widget_id, tr, dest in self.view.transitions_from.get(state.id, ()):
             exercised.add((widget_id, tr.action_type))
             if dest.obsolete:
                 continue
             if not guard_holds(tr.layout_guard, self.visited_layouts, threshold):
                 continue
-            inp = self._input_for.get((state.window_id, widget_id, tr.action_type))
+            inp = self.view.input_for.get((state.window_id, widget_id, tr.action_type))
             input_id = inp.id if inp else f"runtime:{state.window_id}:{widget_id}:{tr.action_type.value}"
             step = PlanStep(
                 input_id, tr.action_type, widget_id, dest.id, 1.0,
@@ -205,7 +247,7 @@ class Planner:
         present_widgets = {
             avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None
         }
-        for inp in self._inputs_of_window.get(state.window_id, ()):
+        for inp in self.view.inputs_of_window.get(state.window_id, ()):
             if inp.action_type == ActionType.RESET_APP and not at_start:
                 continue
             if (inp.widget_id, inp.action_type) in exercised:
@@ -223,7 +265,7 @@ class Planner:
     ) -> list[tuple[tuple, PlanStep]]:
         edges: list[tuple[tuple, PlanStep]] = []
         presence = dict(widget_presence)
-        for inp in self._inputs_of_window.get(window_id, ()):
+        for inp in self.view.inputs_of_window.get(window_id, ()):
             if inp.action_type == ActionType.RESET_APP:
                 continue
             if inp.widget_id is None:
@@ -379,5 +421,8 @@ def plan_to_target(
     target: Union[Window, AbstractState, Input],
     visited_layouts: Optional[Collection[Counter]] = None,
     config: Optional[EngineConfig] = None,
+    view: Optional[PlanView] = None,
 ) -> Optional[ActionSequence]:
-    return Planner(model, visited_layouts, config).plan(current_state, target)
+    """The planner's sequence over a session's ``view``, or a fresh view of ``model``."""
+    planner = Planner(model, view or PlanView(model), visited_layouts or (), config or EngineConfig())
+    return planner.plan(current_state, target)

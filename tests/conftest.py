@@ -43,8 +43,25 @@ def make_tree(window_id: str, root: GuiNode, tree_id: str = "t1", session_index:
     return GuiTree(id=tree_id, window_id=window_id, root=root, session_index=session_index)
 
 
+def walk(node: GuiNode, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], GuiNode]]:
+    """``(path, node)`` of the node and every node below it, in pre-order."""
+    out = [(path, node)]
+    for i, child in enumerate(node.children):
+        out.extend(walk(child, path + (i,)))
+    return out
+
+
+def diff_is_empty(diff) -> bool:
+    """Whether the diff adds, deletes and replaces nothing."""
+    return not any(
+        value
+        for key, value in diff.to_dict().items()
+        if key.startswith(("added", "deleted", "replaced"))
+    )
+
+
 def path_of(root: GuiNode, widget_ref: str):
-    for path, node in root.walk():
+    for path, node in walk(root):
         if node.widget_ref == widget_ref:
             return path
     raise AssertionError(f"no node references widget {widget_ref}")

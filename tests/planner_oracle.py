@@ -26,7 +26,7 @@ from uptest.model import (
     WindowKind,
     WindowTransition,
 )
-from uptest.planner import MetaState, Planner
+from uptest.planner import MetaState, Planner, PlanView
 
 
 def sequence_cost_oracle(steps) -> float:
@@ -48,7 +48,7 @@ def exhaustive_min_cost(
     max_length: int = 8,
 ) -> Optional[float]:
     """Minimum cost over every acyclic sequence of length <= max_length."""
-    planner = Planner(model, config=EngineConfig(max_plan_length=max_length))
+    planner = Planner(model, PlanView(model), config=EngineConfig(max_plan_length=max_length))
     planner._target = target
 
     if isinstance(target, AbstractState):

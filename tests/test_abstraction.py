@@ -24,7 +24,7 @@ from uptest.abstraction import (
 from uptest.harness import DriverRejection, DriverSession, load_spec
 from uptest.model import AbstractState, Action, ActionType, AttributeValuationMap
 
-from conftest import make_node, make_tree
+from conftest import make_node, make_tree, walk
 
 
 def test_interactable_requires_an_action_property():
@@ -128,7 +128,7 @@ def walk_screens(app: str, steps: int, seed: int):
         for _ in range(steps):
             yield result
             actions = [Action("back", ActionType.PRESS_BACK)]
-            for path, node in result.root.walk():
+            for path, node in walk(result.root):
                 for prop, action_type in _NODE_ACTIONS:
                     if node.properties.get(prop):
                         payload = "typed" if action_type == ActionType.TEXT_FILL else None
@@ -243,12 +243,13 @@ def test_make_layout_guard_prefers_most_recent_similar_state():
         id="far", window_id="win",
         avms=[AttributeValuationMap(id="a", valuations={"R_CN": "Spinner"})],
     )
-    guard = make_layout_guard(base, [similar_old, similar_new, unrelated], 0.8)
+    layouts = {s.id: layout_fingerprint(s) for s in (base, similar_old, similar_new, unrelated)}
+    guard = make_layout_guard(base, [similar_old, similar_new, unrelated], layouts, 0.8)
     assert guard == layout_fingerprint(similar_new)
     # the destination's own id is skipped while walking backward
     same_id = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="dest")
-    assert make_layout_guard(base, [unrelated, same_id], 0.8) is None
-    assert make_layout_guard(base, [], 0.8) is None
+    assert make_layout_guard(base, [unrelated, same_id], layouts, 0.8) is None
+    assert make_layout_guard(base, [], layouts, 0.8) is None
 
 
 def avm(key, widget=None):

@@ -47,6 +47,7 @@ from uptest.planner import PlanStep, plan_to_target
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
 from uptest import fixture_path
+from conftest import diff_is_empty
 from hidden_app import hidden_spec_doc
 from planner_oracle import exhaustive_min_cost, random_model
 from test_planner import (
@@ -125,7 +126,7 @@ def test_a2_diff_reproduction():
         wt = updated.window_transitions["wt-i-cancel-0-home"]
         assert updated.inputs[wt.input_id].widget_id == "w9"
         for version, ewtg in (("v0", base), ("v1", updated)):
-            assert diff_ewtg(ewtg, export_ewtg(spec, version)).is_empty()
+            assert diff_is_empty(diff_ewtg(ewtg, export_ewtg(spec, version)))
         assert time.perf_counter() - start_time < 1.0
 
 

@@ -10,10 +10,11 @@ import pytest
 from uptest.diff import (
     DiffResult,
     PackedPatterns,
+    _cosine,
     _greedy_assign,
+    _xpath_vector,
     diff_ewtg,
     levenshtein_ratio,
-    xpath_similarity,
 )
 from uptest.harness import export_ewtg, load_spec
 from uptest.model import (
@@ -28,6 +29,7 @@ from uptest.model import (
 
 from uptest import fixture_path
 
+from conftest import diff_is_empty
 from random_ewtg import LARGE, random_ewtg_pair
 
 
@@ -110,6 +112,10 @@ def test_packed_distances_match_oracle_in_every_lane():
                 assert packed.distances(text) == expected, (patterns, text)
 
 
+def xpath_similarity(a: str, b: str) -> float:
+    return _cosine(_xpath_vector(a), _xpath_vector(b))
+
+
 def test_xpath_similarity_hand_computed_cosine():
     # token vectors {a:1, b:1} and {a:1, b:1, c:1}: dot 2, norms sqrt(2)*sqrt(3)
     assert xpath_similarity("/a/b", "/a/b/c") == pytest.approx(2 / math.sqrt(6))
@@ -174,7 +180,7 @@ def test_identical_models_match_exactly():
         one_window_ewtg("Main", "com.app.Main", widgets),
         one_window_ewtg("Main", "com.app.Main", widgets),
     )
-    assert diff.is_empty()
+    assert diff_is_empty(diff)
     assert diff.matched_windows == {"w1": "w1"}
     assert diff.matched_widgets == {"wd1": "wd1"}
 
@@ -246,7 +252,7 @@ def test_transition_with_changed_destination_is_replaced():
 def test_transition_with_same_trigger_and_destination_is_matched():
     diff = diff_ewtg(two_window_ewtg("w2"), two_window_ewtg("w2"))
     assert diff.matched_transitions == {"wt1": "wt1"}
-    assert diff.is_empty()
+    assert diff_is_empty(diff)
 
 
 def test_transition_of_a_deleted_widget_does_not_pair_with_a_widgetless_one():
@@ -298,7 +304,7 @@ def test_runtime_created_elements_stay_out_of_the_diff():
         (with_runtime_elements(main()), with_runtime_elements(main())),
     ):
         diff = diff_ewtg(base, upd)
-        assert diff.is_empty()
+        assert diff_is_empty(diff)
         assert diff.matched_windows == {"w1": "w1"}
         for value in diff.to_dict().values():
             ids = set(value) | set(value.values() if isinstance(value, dict) else ())
@@ -316,7 +322,7 @@ def test_self_diff_of_bundled_fixture_versions_is_empty():
         spec = load_spec(fixture_path(name))
         for v in spec.versions:
             ewtg = export_ewtg(spec, v.version)
-            assert diff_ewtg(ewtg, ewtg).is_empty()
+            assert diff_is_empty(diff_ewtg(ewtg, ewtg))
 
 
 def _content(diff) -> bytes:

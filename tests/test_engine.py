@@ -40,7 +40,7 @@ from uptest.model import (
     validate_integrity,
 )
 from uptest.harness import PerformResult
-from uptest.planner import PlanStep
+from uptest.planner import PlanStep, PlanView
 
 from uptest import fixture_path
 
@@ -199,7 +199,7 @@ def test_the_input_table_holds_the_lowest_id_input_of_each_key():
     expected = {}
     for inp in sorted(model.ewtg.inputs.values(), key=lambda i: i.id):
         expected.setdefault((inp.window_id, inp.widget_id, inp.action_type), inp)
-    assert engine._inputs == expected
+    assert engine.view.input_for == expected
 
 
 def test_runtime_widgets_take_the_class_names_down_to_them_as_xpath():
@@ -220,7 +220,7 @@ def test_runtime_widgets_take_the_class_names_down_to_them_as_xpath():
         "/Layout", "/Layout/Button", "/Layout/Frame/EditText",
     ]
     assert {"ri-new-back", "ri-rw-ok-Click", "ri-rw-name-TextFill"} <= set(model.ewtg.inputs)
-    assert engine._inputs[("new", "rw-name", ActionType.TEXT_FILL)].id == "ri-rw-name-TextFill"
+    assert engine.view.input_for[("new", "rw-name", ActionType.TEXT_FILL)].id == "ri-rw-name-TextFill"
 
 
 # --- focused unit checks on refinement hooks ------------------------------
@@ -283,6 +283,7 @@ def test_closing_nondeterminism_is_guarded_not_refined():
     sa = model.dstg.abstract_states["sa"]
     sc = model.dstg.abstract_states["sc"]
     engine.state_history = [sa]
+    engine.visited_layouts = {s.id: layout_fingerprint(s) for s in (sa, sc)}
     action = Action("x", ActionType.PRESS_BACK)
     tr = engine._record_transition(sa, action, None, sc)
     assert "win" not in model.dstg.abstraction_policy  # no level bump
@@ -306,6 +307,7 @@ def test_closing_guards_use_the_configured_layout_threshold(threshold, guard_fro
     sa = states["sa"]
     # "near" shares 2 of the 3 layout valuations of "dest": similarity 2/3
     engine.state_history = [states["near"], sa, states["dest"]]
+    engine.visited_layouts = {s.id: layout_fingerprint(s) for s in engine.state_history}
     tr = engine._record_transition(sa, Action("x", ActionType.PRESS_BACK), None, states["dest"])
     assert tr.layout_guard == fingerprint_to_dict(layout_fingerprint(states[guard_from]))
 
@@ -413,7 +415,12 @@ def transition_groups(dstg):
 
 
 def indexed_transitions(engine):
-    return {key: outcomes for key, outcomes in engine._transitions.items() if outcomes}
+    """The engine view's transitions, grouped as ``transition_groups`` groups the model's."""
+    groups = {}
+    for entries in engine.view.transitions_from.values():
+        for _, tr, _ in entries:
+            groups.setdefault((tr.source_state_id, tr.source_avm_id, tr.action_type), []).append(tr)
+    return groups
 
 
 def test_the_transition_index_follows_the_model_through_sessions_that_refine():
@@ -498,6 +505,66 @@ def test_an_outcome_recorded_after_its_stale_edge_is_deleted_is_a_new_edge():
     assert record_click(engine, "sb") == ("at-1", [])
     assert record_click(engine, "sc") == ("at-2", ["L2"])
     assert indexed_transitions(engine) == transition_groups(model.dstg)
+
+
+# --- the planning view the session keeps ----------------------------------
+
+
+def test_the_view_a_plan_reads_equals_one_built_fresh(tmp_path, monkeypatch):
+    # at every plan of a full pipeline on each fixture and on the hidden app,
+    # which refines and deletes stale edges, the view the engine kept equals
+    # one built from the model at that moment
+    import uptest.engine
+
+    changed = {}  # view -> the kinds of change its session made so far
+    checked_after = set()  # the kinds of change a check of the same view came after
+    plans = []
+    plan = uptest.engine.plan_to_target
+
+    def checked_plan(model, current_state, target, visited_layouts, config, view):
+        assert vars(view) == vars(PlanView(model))
+        plans.append(target)
+        checked_after.update(changed.get(view, ()))
+        return plan(model, current_state, target, visited_layouts, config, view)
+
+    def recording(method, kind, view_of):
+        def recorded(owner, *args):
+            changed.setdefault(view_of(owner), set()).add(kind)
+            return method(owner, *args)
+        return recorded
+
+    monkeypatch.setattr(uptest.engine, "plan_to_target", checked_plan)
+    monkeypatch.setattr(
+        TestEngine, "_add_input", recording(TestEngine._add_input, "input", lambda e: e.view)
+    )
+    monkeypatch.setattr(
+        PlanView, "remove_transition",
+        recording(PlanView.remove_transition, "deletion", lambda view: view),
+    )
+    for app in ("diary", "dialog", "news", "deep", "hidden"):
+        spec = load_spec(hidden_spec_doc() if app == "hidden" else fixture_path(app))
+        workdir = tmp_path / app
+        workdir.mkdir()
+        pipeline_run(
+            spec, spec.versions[0].version, spec.versions[-1].version,
+            budget=300, seed=7, workdir=workdir, config=EngineConfig(),
+        )
+    assert len(plans) > 40
+    # a runtime input was added and a stale edge deleted before some plan
+    assert checked_after == {"input", "deletion"}
+
+
+def test_an_obsolete_state_seen_again_counts_in_the_view_again():
+    model = two_state_model()
+    model.dstg.abstract_states["sb"].obsolete = True
+    engine = engine_on(model)
+    # the click's one recorded outcome leads into the obsolete state
+    assert ("win", "wd", ActionType.CLICK) not in engine.view.reached
+    assert engine.view.presence["other"] == ()
+    assert engine._observe(observed_result("other")).id == "sb"
+    assert not model.dstg.abstract_states["sb"].obsolete
+    assert engine.view.reached[("win", "wd", ActionType.CLICK)] == {"other": 1}
+    assert vars(engine.view) == vars(PlanView(model))
 
 
 # --- matching observations to learned states ------------------------------

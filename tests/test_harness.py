@@ -19,7 +19,7 @@ from uptest.harness import (
 from uptest.model import Action, ActionType, AppModel
 
 from uptest import fixture_path
-from conftest import path_of
+from conftest import path_of, walk
 
 
 def base_spec_doc() -> dict:
@@ -289,7 +289,7 @@ def test_target_manifest_shape():
 
 def test_render_excludes_invisible_widgets():
     session = toy_session()
-    refs = {n.widget_ref for _, n in session.render().walk()}
+    refs = {n.widget_ref for _, n in walk(session.render())}
     assert "w-go" in refs and "w-hidden" not in refs
 
 
@@ -340,7 +340,7 @@ def test_text_fill_updates_the_rendered_text():
                concrete_node_path=path_of(result.root, "w-name"),
                data_payload="hello")
     )
-    node = [n for _, n in session.render().walk() if n.widget_ref == "w-name"][0]
+    node = [n for _, n in walk(session.render()) if n.widget_ref == "w-name"][0]
     assert node.properties["text"] == "hello"
 
 
@@ -454,7 +454,7 @@ def test_sessions_are_deterministic_given_spec_seed_and_actions():
         spec = load_spec(fixture_path("news"))
         session = DriverSession(spec, "v1", seed=seed)
         root = session.reset().root
-        node = [n for _, n in root.walk() if n.widget_ref == "w-article"][0]
+        node = [n for _, n in walk(root) if n.widget_ref == "w-article"][0]
         texts.add(node.properties["text"])
     assert len(texts) > 1  # the generator varies content across seeds
 
@@ -467,7 +467,7 @@ def test_generator_follows_the_documented_seeding_scheme():
         # the constructor launches once; reset() launches again
         session.reset()
         expected = pool[random.Random(f"{seed}:2:0").randrange(len(pool))]
-        node = [n for _, n in session.render().walk() if n.widget_ref == "w-article"][0]
+        node = [n for _, n in walk(session.render()) if n.widget_ref == "w-article"][0]
         assert node.properties["text"] == expected
         assert session.variables["vi"] == pool.index(expected)
 
@@ -608,7 +608,7 @@ def test_an_effect_on_another_windows_widget_shows_once_the_driver_is_there():
     back = click(session, second, "w-label")
     again = click(session, click(session, back, "w-set"), "w-go")
     assert again.root is not second.root
-    label = [n for _, n in again.root.walk() if n.widget_ref == "w-label"][0]
+    label = [n for _, n in walk(again.root) if n.widget_ref == "w-label"][0]
     assert label.properties["text"] == "set"
     assert_screen_is_current(session, again)
 
@@ -618,7 +618,7 @@ def test_a_hidden_parent_moves_its_children_to_the_root_and_showing_it_nests_the
     start = session.reset()
     assert [len(path_of(start.root, w)) for w in ("w-check", "w-field")] == [2, 2]
     hidden = click(session, start, "w-hide")
-    assert "w-panel" not in {n.widget_ref for _, n in hidden.root.walk()}
+    assert "w-panel" not in {n.widget_ref for _, n in walk(hidden.root)}
     assert [len(path_of(hidden.root, w)) for w in ("w-check", "w-field")] == [1, 1]
     assert_screen_is_current(session, hidden)
     shown = click(session, hidden, "w-show")
@@ -643,7 +643,7 @@ def walk_checking_screens(session, steps, rng):
             result = session.reset()
         else:
             actions = [Action("walk", ActionType.PRESS_BACK)]
-            for path, node in result.root.walk():
+            for path, node in walk(result.root):
                 for prop, action_type in _WALK_ACTIONS:
                     if node.properties[prop]:
                         # a small pool, so that typed texts recur

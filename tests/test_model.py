@@ -27,7 +27,7 @@ from uptest.model import (
     validate_integrity,
 )
 
-from conftest import make_node
+from conftest import make_node, walk
 from planner_oracle import random_model
 from random_ewtg import random_ewtg_pair
 
@@ -438,6 +438,6 @@ def test_valuation_multiset_counts_cardinality():
 def test_gui_node_walk_and_node_at():
     leaf = make_node(resourceId="leaf")
     root = make_node(children=[make_node(children=[leaf]), make_node()])
-    paths = [p for p, _ in root.walk()]
+    paths = [p for p, _ in walk(root)]
     assert paths == [(), (0,), (0, 0), (1,)]
     assert root.node_at((0, 0)) is leaf

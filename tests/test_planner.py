@@ -28,6 +28,7 @@ from uptest.planner import (
     MetaState,
     Planner,
     PlanStep,
+    PlanView,
     plan_to_target,
 )
 
@@ -173,7 +174,7 @@ def test_plan_selects_the_cheaper_probabilistic_route():
 
 def test_plan_probabilities_come_from_widget_presence():
     model = route_choice_model()
-    destinations = Planner(model)._destinations_for_input(model.ewtg.inputs["i1"])
+    destinations = Planner(model, PlanView(model))._destinations_for_input(model.ewtg.inputs["i1"])
     assert [meta.window_id for _, meta in destinations] == ["win2"]
     meta = destinations[0][1]
     assert dict(meta.widget_presence) == {"w2": pytest.approx(2 / 3), "w4": pytest.approx(2 / 3)}
@@ -182,7 +183,7 @@ def test_plan_probabilities_come_from_widget_presence():
 def test_obsolete_states_leave_the_presence_ratio():
     model = route_choice_model()
     model.dstg.abstract_states["u3"].obsolete = True
-    [(_, meta)] = Planner(model)._destinations_for_input(model.ewtg.inputs["i1"])
+    [(_, meta)] = Planner(model, PlanView(model))._destinations_for_input(model.ewtg.inputs["i1"])
     assert meta.window_id == "win2"
     assert dict(meta.widget_presence)["w2"] == pytest.approx(1.0)
 
