@@ -232,22 +232,6 @@ def fingerprint_similarity(a: Counter, b: Counter) -> float:
     return inter / union
 
 
-def fingerprint_to_dict(fp: Counter) -> dict:
-    entries = sorted(
-        ({"valuations": dict(key), "count": count} for key, count in fp.items()),
-        key=lambda e: json.dumps(e["valuations"], sort_keys=True),
-    )
-    return {"entries": entries}
-
-
-def fingerprint_from_dict(d: dict) -> Counter:
-    counts: Counter = Counter()
-    for entry in d.get("entries", []):
-        key = tuple(sorted(entry["valuations"].items()))
-        counts[key] += entry["count"]
-    return counts
-
-
 def make_layout_guard(
     destination: AbstractState,
     trace_states: list[AbstractState],
@@ -271,13 +255,12 @@ def make_layout_guard(
 
 
 def guard_holds(
-    guard: Optional[dict], visited_layouts: Collection[Counter], threshold: float
+    guard: Optional[Counter], visited_layouts: Collection[Counter], threshold: float
 ) -> bool:
     """True without a guard, else when a visited layout is similar enough to it."""
     if guard is None:
         return True
-    guard_fp = fingerprint_from_dict(guard)
-    return any(fingerprint_similarity(guard_fp, fp) >= threshold for fp in visited_layouts)
+    return any(fingerprint_similarity(guard, fp) >= threshold for fp in visited_layouts)
 
 
 # --- refinement ----------------------------------------------------------

@@ -24,8 +24,6 @@ from .abstraction import (
     LEVEL_ORDER,
     AbstractionLevel,
     derive_abstract_state,
-    fingerprint_to_dict,
-    guard_holds,
     is_backward_equivalent,
     is_interactable,
     layout_fingerprint,
@@ -273,7 +271,6 @@ class TestEngine:
         self.retraversal_successes: set[str] = set()
         self.triggered_inputs: set[str] = set()
         self.attempts_without_gain: dict[str, int] = {}
-        self.guard_checks: list[dict] = []
         # an observed state may differ from the expected one in these widgets
         self._update_widgets = set(model.diff_context.get("addedWidgets", ())) | set(
             model.diff_context.get("replacedWidgets", ())
@@ -443,7 +440,7 @@ class TestEngine:
         if closing:
             threshold = self.config.layout_similarity_threshold
             fp = make_layout_guard(after, self.state_history[:-1], self.visited_layouts, threshold)
-            guard = fingerprint_to_dict(fp if fp is not None else self.visited_layouts[after.id])
+            guard = fp if fp is not None else self.visited_layouts[after.id]
         tr = AbstractTransition(
             id=self._next_id("at-"),
             source_state_id=before.id,
@@ -538,21 +535,6 @@ class TestEngine:
 
     def _execute_step(self, step: PlanStep) -> str:
         """Run one planned step; outcome is as-expected, backward-equivalent, or mismatch."""
-        if step.guard is not None:
-            satisfied = guard_holds(
-                step.guard,
-                self.visited_layouts.values(),
-                self.config.layout_similarity_threshold,
-            )
-            self.guard_checks.append(
-                {
-                    "guard": step.guard,
-                    "visitedCount": len(self.visited_layouts),
-                    "satisfied": satisfied,
-                }
-            )
-            if not satisfied:
-                return "mismatch"
         path: Optional[tuple[int, ...]] = None
         if step.widget_id is not None:
             path = self._node_path_for_widget(step.widget_id)

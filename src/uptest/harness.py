@@ -602,7 +602,6 @@ class DriverSession:
     """
 
     def __init__(self, spec: AppSpec, version: str, seed: int = 0):
-        self.spec = spec
         self.version_spec = spec.versions[spec.version_index(version)]
         self.seed = seed
         # (window, widget, action type) -> the lowest-id input declared for it

@@ -25,11 +25,18 @@ order, the trace in execution order.  The window graph file ``uptest harness
 export-ewtg`` writes is the ``ewtg`` object of a model document.  A reader
 takes a table only with exactly the writer's columns and rows of exactly that
 width.
+
+An abstract transition's ``layoutGuard`` cell is null or its layout
+fingerprint as ``{"entries": [{"valuations": {...}, "count": n}, ...]}``: one
+entry per layout valuation, ordered by valuations, each with a count of at
+least 1.  In memory the guard is the fingerprint itself, a ``Counter``; only
+this module knows the cell.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -150,38 +157,10 @@ class ActionType(str, Enum):
 _WINDOW_KINDS = {kind.value: kind for kind in WindowKind}
 _ACTION_TYPES = {action.value: action for action in ActionType}
 
-#: Window-level inputs act on no particular widget.
-WINDOW_LEVEL_ACTIONS = {
-    ActionType.PRESS_BACK,
-    ActionType.PRESS_MENU,
-    ActionType.ROTATE_SCREEN,
-    ActionType.RESET_APP,
-    ActionType.INTENT,
-    ActionType.CLOSE_KEYBOARD,
-}
-
 
 def action_cost(action_type: ActionType) -> int:
     """App reset is an order of magnitude slower than any other action."""
     return 10 if action_type == ActionType.RESET_APP else 1
-
-
-# The exact property set GUI nodes expose; reducers read nothing else.
-GUI_NODE_PROPERTIES = (
-    "resourceId",
-    "className",
-    "contentDescription",
-    "text",
-    "password",
-    "clickable",
-    "longClickable",
-    "scrollable",
-    "checked",
-    "enabled",
-    "selected",
-    "isInputField",
-    "hasChildren",
-)
 
 
 @dataclass
@@ -396,7 +375,7 @@ class AbstractTransition:
     action_type: ActionType
     destination_state_id: str
     data_payload: Optional[str] = None
-    layout_guard: Optional[dict] = None  # serialized layout fingerprint
+    layout_guard: Optional[Counter] = None  # layout fingerprint
 
     COLUMNS = (
         "id",
@@ -416,7 +395,7 @@ class AbstractTransition:
             self.action_type.value,
             self.destination_state_id,
             self.data_payload,
-            self.layout_guard,
+            None if self.layout_guard is None else fingerprint_to_dict(self.layout_guard),
         ]
 
     @classmethod
@@ -426,13 +405,37 @@ class AbstractTransition:
         require(str, t.id, t.source_state_id, t.destination_state_id)
         require(OPTIONAL_STR, t.source_avm_id, t.data_payload)
         if t.layout_guard is not None:
-            require(dict, t.layout_guard)
-            require(list, t.layout_guard["entries"])
-            for entry in t.layout_guard["entries"]:
-                require(dict, entry["valuations"])
-                require((str, int, float, type(None)), *entry["valuations"].values())
-                require_int(entry["count"])
+            t.layout_guard = fingerprint_from_dict(t.layout_guard)
         return t
+
+
+def fingerprint_to_dict(fp: Counter) -> dict:
+    """A layout fingerprint as its ``layoutGuard`` cell."""
+    entries = sorted(
+        ({"valuations": dict(key), "count": count} for key, count in fp.items()),
+        key=lambda e: json.dumps(e["valuations"], sort_keys=True),
+    )
+    return {"entries": entries}
+
+
+def fingerprint_from_dict(d: Any) -> Counter:
+    """The layout fingerprint a ``layoutGuard`` cell holds.
+
+    Raises one of ``SHAPE_ERRORS`` unless every entry has valuations of JSON
+    scalars and a count of at least 1.
+    """
+    require(dict, d)
+    require(list, d["entries"])
+    counts: Counter = Counter()
+    for entry in d["entries"]:
+        valuations, count = entry["valuations"], entry["count"]
+        require(dict, valuations)
+        require((str, int, float, type(None)), *valuations.values())
+        require_int(count)
+        if count < 1:
+            raise ValueError(f"layout guard entry count {count} is below 1")
+        counts[tuple(sorted(valuations.items()))] += count
+    return counts
 
 
 @dataclass(eq=False)

@@ -33,11 +33,12 @@ from .model import (
 
 @dataclass(frozen=True)
 class MetaState:
-    """Episode-local summary of a window's likely widgets after an input."""
+    """Episode-local expectation of reaching a window, its widgets unknown.
+
+    The planner's node key for it also holds the window's widget presence.
+    """
 
     window_id: str
-    source_input_id: str
-    widget_presence: tuple[tuple[str, float], ...] = ()
 
 
 ExpectedState = Union[str, MetaState]  # abstract state id or a meta state
@@ -51,7 +52,7 @@ class PlanStep:
     expected: ExpectedState
     probability: float  # p(action | previous expected state)
     data_payload: Optional[str] = None
-    guard: Optional[dict] = None  # serialized fingerprint of a traversed guard
+    guard: Optional[Counter] = None  # layout fingerprint of a traversed guard
 
     @property
     def cost(self) -> int:
@@ -80,21 +81,22 @@ class ActionSequence:
 
     @property
     def likelihood_partial(self) -> float:
-        if self.kind == "deterministic":
-            return 0.0
-        product = 1.0
-        for step in self.steps:
-            product *= step.probability
-        return _truncate2(1.0 - product)
+        return _likelihood_partial(math.prod(s.probability for s in self.steps))
 
     @property
     def cost(self) -> float:
-        return self.cost_full + self.cost_partial * self.likelihood_partial
+        return _sequence_cost(self.cost_full, math.prod(s.probability for s in self.steps))
 
 
-def _truncate2(x: float) -> float:
-    """Two-decimal truncation used when reporting partial-execution likelihood."""
-    return math.floor(x * 100.0 + 1e-9) / 100.0
+def _likelihood_partial(prod: float) -> float:
+    """Chance that a sequence whose step probabilities multiply to ``prod``
+    stops part way, truncated to two decimals; 0 when every step is certain."""
+    return math.floor((1.0 - prod) * 100.0 + 1e-9) / 100.0
+
+
+def _sequence_cost(cost_full: float, prod: float) -> float:
+    """Full cost plus the partial cost, half of it, weighted by that chance."""
+    return cost_full + cost_full / 2.0 * _likelihood_partial(prod)
 
 
 # --- the view a plan reads ----------------------------------------------
@@ -221,7 +223,7 @@ class Planner:
                 # destination unknown, but executing the target input is the goal
                 windows = [(inp.window_id, ())]
         return [
-            (("meta", window_id, presence), MetaState(window_id, inp.id, presence))
+            (("meta", window_id, presence), MetaState(window_id))
             for window_id, presence in windows
         ]
 
@@ -393,10 +395,7 @@ class Planner:
                     continue
                 new_cost_full = cost_full + step.cost
                 new_prod = prod * step.probability
-                likelihood = (
-                    0.0 if new_prod == 1.0 else _truncate2(1.0 - new_prod)
-                )
-                new_cost = new_cost_full + (new_cost_full / 2.0) * likelihood
+                new_cost = _sequence_cost(new_cost_full, new_prod)
                 new_steps = steps + [step]
                 new_meta_count = meta_count + (1 if step.is_meta else 0)
                 counter += 1

@@ -4,8 +4,25 @@ from __future__ import annotations
 
 import pytest
 
-from uptest.model import GuiNode, GuiTree, GUI_NODE_PROPERTIES
+from uptest.model import GuiNode, GuiTree
 
+
+# The exact property set GUI nodes expose; reducers read nothing else.
+GUI_NODE_PROPERTIES = (
+    "resourceId",
+    "className",
+    "contentDescription",
+    "text",
+    "password",
+    "clickable",
+    "longClickable",
+    "scrollable",
+    "checked",
+    "enabled",
+    "selected",
+    "isInputField",
+    "hasChildren",
+)
 
 _PROPERTY_DEFAULTS = {
     "resourceId": "",

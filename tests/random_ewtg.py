@@ -18,7 +18,6 @@ import random
 from dataclasses import dataclass, replace
 
 from uptest.model import (
-    WINDOW_LEVEL_ACTIONS,
     ActionType,
     Ewtg,
     EwtgWidget,
@@ -27,6 +26,16 @@ from uptest.model import (
     WindowKind,
     WindowTransition,
 )
+
+#: Window-level inputs act on no particular widget.
+WINDOW_LEVEL_ACTIONS = {
+    ActionType.PRESS_BACK,
+    ActionType.PRESS_MENU,
+    ActionType.ROTATE_SCREEN,
+    ActionType.RESET_APP,
+    ActionType.INTENT,
+    ActionType.CLOSE_KEYBOARD,
+}
 
 WORDS = ["main", "edit", "save", "list", "item", "title", "menu", "note", "date", "done"]
 CLASSES = ["Button", "TextView", "EditText", "ImageView", "CheckBox"]

@@ -11,9 +11,7 @@ from uptest.abstraction import (
     LEVEL_ORDER,
     AbstractionError,
     derive_abstract_state,
-    fingerprint_from_dict,
     fingerprint_similarity,
-    fingerprint_to_dict,
     is_backward_equivalent,
     is_interactable,
     layout_fingerprint,
@@ -22,7 +20,14 @@ from uptest.abstraction import (
     valuation_multiset,
 )
 from uptest.harness import DriverRejection, DriverSession, load_spec
-from uptest.model import AbstractState, Action, ActionType, AttributeValuationMap
+from uptest.model import (
+    AbstractState,
+    Action,
+    ActionType,
+    AttributeValuationMap,
+    fingerprint_from_dict,
+    fingerprint_to_dict,
+)
 
 from conftest import make_node, make_tree, walk
 

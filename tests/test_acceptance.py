@@ -10,17 +10,13 @@ import hashlib
 import json
 import random
 import time
+from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
 
 import pytest
 
-from uptest.abstraction import (
-    fingerprint_from_dict,
-    fingerprint_to_dict,
-    is_backward_equivalent,
-    layout_fingerprint,
-)
+from uptest.abstraction import guard_holds, is_backward_equivalent, layout_fingerprint
 from uptest.adaptation import adapt_model
 from uptest.config import EngineConfig
 from uptest.cli import pipeline_run
@@ -41,12 +37,13 @@ from uptest.model import (
     AttributeValuationMap,
     Dstg,
     deserialize_model,
+    fingerprint_to_dict,
     serialize_model,
 )
-from uptest.planner import PlanStep, plan_to_target
+from uptest.planner import plan_to_target
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
-from uptest import fixture_path
+from uptest import fixture_path, planner
 from conftest import diff_is_empty
 from hidden_app import hidden_spec_doc
 from planner_oracle import exhaustive_min_cost, random_model
@@ -66,16 +63,6 @@ def criterion(name):
         print(f"{name}: FAIL")
         raise
     print(f"{name}: PASS")
-
-
-class ExplodingDriver:
-    """A driver that must never be touched."""
-
-    def reset(self):
-        raise AssertionError("driver must not be touched")
-
-    def perform(self, action):
-        raise AssertionError("driver must not be touched")
 
 
 def test_a1_cost_model_reproduction():
@@ -398,41 +385,43 @@ def _jaccard(a, b):
     return intersection / union if union else 1.0
 
 
-def test_a9_guard_soundness_over_seeded_sessions():
+def test_a9_guard_soundness_over_seeded_sessions(monkeypatch):
     with criterion("A9 guard soundness"):
+        # every guard decision the planner makes in the sessions matches the
+        # Jaccard oracle over the layouts it was given at that moment
+        decisions = []
+
+        def recording(guard, visited_layouts, threshold):
+            held = guard_holds(guard, visited_layouts, threshold)
+            if guard is not None:
+                decisions.append((guard, list(visited_layouts), threshold, held))
+            return held
+
+        monkeypatch.setattr(planner, "guard_holds", recording)
         spec = load_spec(fixture_path("dialog"))
         counts = method_instruction_counts(spec, "v1")
         targets = TargetSet(set(counts), counts)
-        total_checks = 0
         for seed in range(10):
             model = AppModel(version="v1", ewtg=copy.deepcopy(export_ewtg(spec, "v1")))
-            engine = TestEngine(
-                model, targets, DriverSession(spec, "v1", seed=seed),
-                budget=80, seed=seed,
+            run_session(
+                model, targets, DriverSession(spec, "v1", seed=seed), budget=80, seed=seed
             )
-            engine.run_session()
-            threshold = engine.config.layout_similarity_threshold
-            for check in engine.guard_checks:
-                total_checks += 1
-                guard_fp = fingerprint_from_dict(check["guard"])
-                visited = list(engine.visited_layouts.values())[: check["visitedCount"]]
-                expected = any(
-                    _jaccard(guard_fp, fp) >= threshold for fp in visited
-                )
-                assert check["satisfied"] == expected, (seed, check)
-        assert total_checks >= 1
+        for guard, visited, threshold, held in decisions:
+            expected = any(_jaccard(guard, fp) >= threshold for fp in visited)
+            assert held == expected, (guard, visited)
+        assert any(held for *_, held in decisions)
 
-        # a guarded step is refused outright from a layout-incompatible state:
-        # the driver is never touched
+        # with no similar visited layout, no plan goes through the guarded edge
         model = route_choice_model()
-        targets = TargetSet({"m"}, {"m": 1})
-        engine = TestEngine(model, targets, ExplodingDriver(), budget=0, seed=0)
-        guard = fingerprint_to_dict(
-            layout_fingerprint(model.dstg.abstract_states["t1"])
-        )
-        step = PlanStep("i3", ActionType.CLICK, "w3", "done", 1.0, guard=guard)
-        assert engine._execute_step(step) == "mismatch"
-        assert engine.guard_checks[-1]["satisfied"] is False
+        guard = layout_fingerprint(model.dstg.abstract_states["t1"])
+        model.dstg.abstract_transitions["a7"].layout_guard = guard
+        start = model.dstg.abstract_states["s9"]
+        unlike = [layout_fingerprint(start)]
+        assert _jaccard(guard, unlike[0]) < EngineConfig().layout_similarity_threshold
+        target = model.ewtg.windows["winC"]  # reached only through a7
+        assert plan_to_target(model, start, target, visited_layouts=unlike) is None
+        seq = plan_to_target(model, start, target, visited_layouts=unlike + [guard])
+        assert seq is not None and seq.steps[0].guard == guard
 
 
 def test_a10_determinism_and_round_trip(tmp_path):
@@ -460,13 +449,16 @@ def test_a10_determinism_and_round_trip(tmp_path):
 def _canonical(value):
     """``value`` as plain JSON data, walked through its dataclass fields.
 
-    Sets are sorted and enums are given by value, so two models with the same
-    content give the same data whatever layout their document had.
+    Sets are sorted, enums are given by value and layout fingerprints by
+    their model-file cell, so two models with the same content give the same
+    data whatever layout their document had.
     """
     if dataclasses.is_dataclass(value):
         return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):
         return value.value
+    if isinstance(value, Counter):
+        return fingerprint_to_dict(value)
     if isinstance(value, (set, frozenset)):
         return sorted(_canonical(v) for v in value)
     if isinstance(value, dict):

@@ -8,7 +8,6 @@ from uptest.adaptation import adapt_model
 from uptest.abstraction import (
     LEVELS,
     derive_abstract_state,
-    fingerprint_to_dict,
     layout_fingerprint,
 )
 from uptest.cli import pipeline_run
@@ -309,7 +308,7 @@ def test_closing_guards_use_the_configured_layout_threshold(threshold, guard_fro
     engine.state_history = [states["near"], sa, states["dest"]]
     engine.visited_layouts = {s.id: layout_fingerprint(s) for s in engine.state_history}
     tr = engine._record_transition(sa, Action("x", ActionType.PRESS_BACK), None, states["dest"])
-    assert tr.layout_guard == fingerprint_to_dict(layout_fingerprint(states[guard_from]))
+    assert tr.layout_guard == layout_fingerprint(states[guard_from])
 
 
 def test_online_refine_deletes_stale_inherited_edges():

@@ -2,9 +2,11 @@
 
 import json
 import random
+from collections import Counter
 
 import pytest
 
+from uptest.cli import main
 from uptest.model import (
     AbstractState,
     AbstractTransition,
@@ -231,6 +233,20 @@ def test_deserialize_rejects_fields_of_the_wrong_type(edit):
         load(doc)
 
 
+@pytest.mark.parametrize("count", [0, -1])
+def test_deserialize_rejects_a_layout_guard_count_below_one(tmp_path, capsys, count):
+    # a zero count would make a guard check divide by zero against an empty layout
+    doc = model_doc()
+    set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard(count))
+    with pytest.raises(ModelError, match=f"layout guard entry count {count} is below 1"):
+        load(doc)
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), "utf-8")
+    assert main(["plan", str(path), "--from-state", "s1", "--target-window", "w-edit"]) == 1
+    err = capsys.readouterr().err
+    assert "malformed model document" in err and err.count("\n") == 1
+
+
 def test_the_written_tables_have_the_documented_columns():
     doc = model_doc()
     for locate, columns in TABLES.values():
@@ -335,7 +351,7 @@ def test_random_models_round_trip():
             if rng.random() < 0.3:
                 tr.data_payload = rng.choice(("hello", ""))
             if rng.random() < 0.3:
-                tr.layout_guard = guard(rng.randrange(1, 4))
+                tr.layout_guard = Counter({(("R_RID", "ok"),): rng.randrange(1, 4)})
         for state in model.dstg.abstract_states.values():
             state.observed_in_versions = set(rng.sample(["v0", "v1", "v2"], rng.randrange(3)))
         model.diff_context = {"addedWidgets": sorted(model.ewtg.widgets)[:2]}

@@ -19,9 +19,10 @@ from uptest.model import (
     Window,
     WindowKind,
     WindowTransition,
+    fingerprint_to_dict,
     validate_integrity,
 )
-from uptest.abstraction import fingerprint_to_dict, layout_fingerprint
+from uptest.abstraction import layout_fingerprint
 from uptest.config import EngineConfig
 from uptest.planner import (
     ActionSequence,
@@ -122,8 +123,7 @@ def route_choice_model() -> AppModel:
 
 def probabilistic_sequence() -> ActionSequence:
     """The 3-step shortcut with step probabilities 1, 2/3, 1/2."""
-    meta2 = MetaState("win2", "i1", (("w2", 2 / 3), ("w4", 2 / 3)))
-    meta3 = MetaState("win3", "i2", (("w11", 1 / 2), ("w3", 1 / 2)))
+    meta2, meta3 = MetaState("win2"), MetaState("win3")
     return ActionSequence(
         steps=[
             PlanStep("i1", ActionType.CLICK, "w1", meta2, 1.0),
@@ -235,14 +235,14 @@ def test_plan_avoids_obsolete_destinations():
 def test_layout_guarded_edges_require_a_similar_visited_layout():
     model = route_choice_model()
     guard_fp = layout_fingerprint(model.dstg.abstract_states["t1"])
-    model.dstg.abstract_transitions["a7"].layout_guard = fingerprint_to_dict(guard_fp)
+    model.dstg.abstract_transitions["a7"].layout_guard = guard_fp
     start = model.dstg.abstract_states["s9"]
     target = model.ewtg.windows["winC"]
     # without a compatible visited layout, the guarded chain is unusable
     assert plan_to_target(model, start, target, visited_layouts=[]) is None
     seq = plan_to_target(model, start, target, visited_layouts=[guard_fp])
     assert seq is not None
-    assert seq.steps[0].guard == fingerprint_to_dict(guard_fp)
+    assert seq.steps[0].guard == guard_fp
 
 
 def test_reset_app_costs_ten_and_is_start_only():
@@ -321,7 +321,7 @@ def _decorate(model, rng):
     for tid in sorted(model.dstg.abstract_transitions):
         tr = model.dstg.abstract_transitions[tid]
         if rng.random() < 0.3:
-            tr.layout_guard = fingerprint_to_dict(layout_fingerprint(rng.choice(states)))
+            tr.layout_guard = layout_fingerprint(rng.choice(states))
         if rng.random() < 0.2:
             tr.data_payload = rng.choice(("hello", "42", ""))
     return [layout_fingerprint(s) for s in states if rng.random() < 0.5]
@@ -338,7 +338,8 @@ def _plan_record(seq):
             expected = s.expected
         steps.append({
             "input": s.input_id, "action": s.action_type.value, "widget": s.widget_id,
-            "expected": expected, "p": s.probability, "guard": s.guard,
+            "expected": expected, "p": s.probability,
+            "guard": None if s.guard is None else fingerprint_to_dict(s.guard),
             "payload": s.data_payload,
         })
     return {"steps": steps, "cost": seq.cost}

@@ -1,7 +1,8 @@
-"""Every function the package defines is called or named by the program.
+"""Every function and data name the package defines is used by the program.
 
 The program is ``src/uptest`` and ``perfbench`` outside its tests; a function
-that only tests reach is API kept for the tests alone.
+that only tests reach is API kept for the tests alone, and a constant, field
+or attribute that only tests read is data kept for the tests alone.
 """
 
 import ast
@@ -58,6 +59,73 @@ def unreferenced_functions(package_paths, program_paths) -> list[str]:
     ]
 
 
+def _assigned_names(statement: ast.stmt) -> list[ast.Name]:
+    """The names an assignment statement binds; none for other statements."""
+    if isinstance(statement, ast.Assign):
+        targets = statement.targets
+    elif isinstance(statement, ast.AnnAssign):
+        targets = [statement.target]
+    else:
+        return []
+    return [n for target in targets for n in ast.walk(target) if isinstance(n, ast.Name)]
+
+
+def _is_enum(cls: ast.ClassDef) -> bool:
+    return any(getattr(b, "id", getattr(b, "attr", "")).endswith("Enum") for b in cls.bases)
+
+
+def defined_data(paths) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """Module constants, and members: class constants, dataclass fields and
+    ``self.`` attributes, each name -> ``file:line``.  ``Enum`` members are
+    left out."""
+    constants: dict[str, list[str]] = {}
+    members: dict[str, list[str]] = {}
+
+    def add(table, name, path, node):
+        table.setdefault(name, []).append(f"{path.name}:{node.lineno}")
+
+    for path in paths:
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        for statement in tree.body:
+            for name in _assigned_names(statement):
+                add(constants, name.id, path, name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef) and not _is_enum(node):
+                for statement in node.body:
+                    for name in _assigned_names(statement):
+                        add(members, name.id, path, name)
+            elif (
+                isinstance(node, ast.Attribute)
+                and isinstance(node.ctx, ast.Store)
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "self"
+            ):
+                add(members, node.attr, path, node)
+    return constants, members
+
+
+def loaded_names(paths) -> tuple[set[str], set[str]]:
+    """The names of every ``Name`` load and of every ``Attribute`` load."""
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attributes.add(node.attr)
+    return names, attributes
+
+
+def unread_data(package_paths, program_paths) -> list[str]:
+    """Constants no load reads, and members no attribute load reads."""
+    names, attributes = loaded_names(program_paths)
+    constants, members = defined_data(package_paths)
+    unread = [(n, w) for n, w in constants.items() if n not in names and n not in attributes]
+    unread += [(n, w) for n, w in members.items() if n not in attributes]
+    return sorted(f"{n} ({', '.join(w)})" for n, w in unread if not _is_dunder(n))
+
+
 def program_files() -> list[Path]:
     perfbench = [p for p in PERFBENCH.rglob("*.py") if "tests" not in p.relative_to(PERFBENCH).parts]
     return sorted(PACKAGE.glob("*.py")) + sorted(perfbench)
@@ -65,6 +133,10 @@ def program_files() -> list[Path]:
 
 def test_every_function_of_the_package_is_referenced_by_the_program():
     assert unreferenced_functions(sorted(PACKAGE.glob("*.py")), program_files()) == []
+
+
+def test_every_data_name_of_the_package_is_read_by_the_program():
+    assert unread_data(sorted(PACKAGE.glob("*.py")), program_files()) == []
 
 
 def test_the_check_sees_the_package_and_the_benchmark():
@@ -87,3 +159,32 @@ def test_a_function_only_its_own_body_names_is_unreferenced(tmp_path):
         "    pass\n"
     )
     assert unreferenced_functions([module], [module]) == ["walk (mod.py:4)"]
+
+
+def test_data_only_assigned_or_read_by_bare_name_is_unread(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "from dataclasses import dataclass\n"
+        "from enum import Enum\n"
+        "LIMIT = 3\n"
+        "UNUSED, ALSO_UNUSED = 1, 2\n"
+        "__all__ = ['Color']\n"
+        "class Color(Enum):\n"
+        "    RED = 'red'\n"
+        "@dataclass\n"
+        "class Step:\n"
+        "    COLUMNS = ('kind',)\n"
+        "    kind: str\n"
+        "    note: str = ''\n"
+        "    def __post_init__(self):\n"
+        "        self.seen = LIMIT\n"
+        "        self.count = len(self.COLUMNS)\n"
+        "def show(step, note):\n"
+        "    return step.kind, step.count, note\n"
+    )
+    assert unread_data([module], [module]) == [
+        "ALSO_UNUSED (mod.py:4)",
+        "UNUSED (mod.py:4)",
+        "note (mod.py:12)",
+        "seen (mod.py:14)",
+    ]
