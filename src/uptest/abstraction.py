@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterator, Mapping, Optional
+from typing import Collection, Iterator, Optional
 
 from .model import (
     LEVEL_ORDER,
@@ -233,23 +233,17 @@ def fingerprint_similarity(a: Counter, b: Counter) -> float:
 
 
 def make_layout_guard(
-    destination: AbstractState,
-    trace_states: list[AbstractState],
-    layouts: Mapping[str, Counter],
-    threshold: float,
+    destination: AbstractState, layouts: dict[str, Counter], threshold: float
 ) -> Optional[Counter]:
-    """Fingerprint of the nearest previously visited state with a similar layout.
+    """Fingerprint of the most recently visited other state with a similar layout.
 
-    ``trace_states`` is the session history in visit order; it is walked
-    backward from the most recent entry.  ``layouts`` holds the layout
-    fingerprint of the destination and of each state in the history, by id.
+    ``layouts`` holds the layout fingerprint of each visited state by id, the
+    destination's included, in last-visit order; it is walked backward from
+    the most recent visit, skipping the destination.
     """
     dest_fp = layouts[destination.id]
-    for state in reversed(trace_states):
-        if state.id == destination.id:
-            continue
-        fp = layouts[state.id]
-        if fingerprint_similarity(fp, dest_fp) >= threshold:
+    for state_id, fp in reversed(layouts.items()):
+        if state_id != destination.id and fingerprint_similarity(fp, dest_fp) >= threshold:
             return fp
     return None
 

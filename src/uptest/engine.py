@@ -64,13 +64,12 @@ class TargetSet:
 
 @dataclass
 class CoverageLedger:
-    """Covered instructions per method, with one event per executed action."""
+    """Covered instructions per method."""
 
     covered: dict[str, set[int]] = field(default_factory=dict)
-    events: list[dict] = field(default_factory=list)
 
     def record(
-        self, action_index: int, ranges: list[tuple[str, int, int]], targets: TargetSet
+        self, ranges: list[tuple[str, int, int]], targets: TargetSet
     ) -> dict[str, set[int]]:
         newly: dict[str, set[int]] = {}
         for method_id, lo, hi in ranges:
@@ -79,12 +78,6 @@ class CoverageLedger:
             self.covered[method_id] |= instructions
             if fresh and method_id in targets.target_method_ids:
                 newly.setdefault(method_id, set()).update(fresh)
-        self.events.append(
-            {
-                "actionIndex": action_index,
-                "newTargetInstructions": sum(len(v) for v in newly.values()),
-            }
-        )
         return newly
 
     def covered_target_instructions(self, targets: TargetSet) -> int:
@@ -184,7 +177,10 @@ class _Screen:
     """What the engine reads off one screen, each fact worked out once.
 
     Screens are never mutated (see ``GuiNode``), so the facts hold for as long
-    as the driver hands the same screen back.
+    as the driver hands the same screen back.  The engine keeps the current
+    observation as its index, its screen and its state; it builds a
+    ``GuiTree`` only for a unique target action's report and to derive a new
+    state.
     """
 
     def __init__(self, window_id: str, root: GuiNode):
@@ -256,13 +252,13 @@ class TestEngine:
         self.executed = 0
         self.first_coverage_at: Optional[int] = None
 
+        # the current observation: its index in the session, screen and state
+        self.observations = 0
+        self.current_screen: Optional[_Screen] = None
         self.current_state: Optional[AbstractState] = None
-        self.current_tree: Optional[GuiTree] = None
-        self.trees_observed = 0
-        self.state_history: list[AbstractState] = []
         self._screens: dict[GuiNode, _Screen] = {}
         # state id -> layout fingerprint of each state observed this session,
-        # in first-visit order
+        # in last-visit order
         self.visited_layouts: dict[str, Counter] = {}
         self._avm_ids: dict[str, dict[str, str]] = {}  # state id -> widget id -> AVM id
         self.created_this_session: set[str] = set()
@@ -359,6 +355,16 @@ class TestEngine:
                             )
                         )
 
+    def _tree(self, index: int, screen: _Screen, state: Optional[AbstractState]) -> GuiTree:
+        """The concrete tree of the session's ``index``-th observation."""
+        return GuiTree(
+            id=f"t{index}",
+            window_id=screen.window_id,
+            root=screen.root,
+            abstract_state_id=state.id if state is not None else None,
+            session_index=index,
+        )
+
     def _observe(self, result: PerformResult) -> AbstractState:
         screen = self._screens.get(result.root)
         if screen is None:  # a screen seen before has nothing the model lacks
@@ -366,34 +372,29 @@ class TestEngine:
             self._ensure_window(result)
             self._ensure_runtime_widgets(screen)
         dstg = self.model.dstg
-        self.trees_observed += 1
-        tree = GuiTree(
-            id=f"t{self.trees_observed}",
-            window_id=result.window_id,
-            root=result.root,
-            session_index=self.trees_observed,
-        )
+        self.observations += 1
         level = LEVELS[dstg.level_for(result.window_id)]
         key = screen.state_key(level)
         match = self._states_by_key.get(key)
         if match is None:  # only a new state is derived
             sid = self._next_id("st-")
+            tree = self._tree(self.observations, screen, None)
             match = derive_abstract_state(tree, level, state_id=sid)
             dstg.abstract_states[sid] = match
             self._states_by_key[key] = match
             self.created_this_session.add(sid)
             self.view.add_state(match)
-        if match.id not in self.visited_layouts:
-            self.visited_layouts[match.id] = layout_fingerprint(match)
+        layout = self.visited_layouts.pop(match.id, None)
+        if layout is None:
+            layout = layout_fingerprint(match)
             match.observed_in_versions.add(self.model.version)
             # nothing flags a state obsolete while the session runs
             if match.obsolete:
                 match.obsolete = False
                 self.view.revive(match, dstg.abstract_states)
-        tree.abstract_state_id = match.id
-        self.state_history.append(match)
+        self.visited_layouts[match.id] = layout  # the state moves to the end
         self.current_state = match
-        self.current_tree = tree
+        self.current_screen = screen
         return match
 
     def _avm_id(self, state: AbstractState, widget_id: Optional[str]) -> Optional[str]:
@@ -439,7 +440,7 @@ class TestEngine:
         guard = None
         if closing:
             threshold = self.config.layout_similarity_threshold
-            fp = make_layout_guard(after, self.state_history[:-1], self.visited_layouts, threshold)
+            fp = make_layout_guard(after, self.visited_layouts, threshold)
             guard = fp if fp is not None else self.visited_layouts[after.id]
         tr = AbstractTransition(
             id=self._next_id("at-"),
@@ -474,30 +475,21 @@ class TestEngine:
         )
         return pool[self.rng.randrange(len(pool))]
 
-    def _current_screen(self) -> _Screen:
-        tree = self.current_tree
-        screen = self._screens.get(tree.root)
-        if screen is None:
-            screen = self._screens[tree.root] = _Screen(tree.window_id, tree.root)
-        return screen
-
     def _node_path_for_widget(self, widget_id: str) -> Optional[tuple[int, ...]]:
-        if self.current_tree is None:
+        if self.current_screen is None:
             return None
-        first = self._current_screen().widgets.get(widget_id)
+        first = self.current_screen.widgets.get(widget_id)
         return first[0] if first is not None else None
 
     def _perform(self, action: Action, widget_id: Optional[str]) -> Optional[PerformResult]:
         """Execute one action; returns None on driver rejection."""
-        before_state = self.current_state
-        before_tree = self.current_tree
+        before_index, before_screen, before_state = (
+            self.observations, self.current_screen, self.current_state
+        )
         self.executed += 1
         try:
             result = self.driver.perform(action)
         except DriverRejection:
-            self.ledger.events.append(
-                {"actionIndex": self.executed, "newTargetInstructions": 0}
-            )
             return None
         matched = None
         if before_state is not None:
@@ -509,15 +501,15 @@ class TestEngine:
             # dynamically discovered handler methods enrich the static input
             matched.handler_method_ids.update(m for m, _, _ in result.executed)
         after_state = self._observe(result)
-        newly = self.ledger.record(self.executed, result.executed, self.targets)
+        newly = self.ledger.record(result.executed, self.targets)
         if newly and self.first_coverage_at is None:
             self.first_coverage_at = self.executed
         if newly:
             self.utas.append(
                 UtaRecord(
-                    before_tree=before_tree,
+                    before_tree=self._tree(before_index, before_screen, before_state),
                     action=action,
-                    after_tree=self.current_tree,
+                    after_tree=self._tree(self.observations, self.current_screen, after_state),
                     newly_covered={k: sorted(v) for k, v in newly.items()},
                 )
             )
@@ -606,9 +598,9 @@ class TestEngine:
 
     def random_explore(self, budget_slice: int) -> None:
         for _ in range(max(0, min(budget_slice, self._budget_left()))):
-            if self.current_tree is None:
+            if self.current_screen is None:
                 break
-            candidates = self._current_screen().candidates
+            candidates = self.current_screen.candidates
             if candidates:
                 path, widget_id, action_type = candidates[
                     self.rng.randrange(len(candidates))

@@ -75,7 +75,9 @@ class WidgetSpec:
     def from_dict(cls, d: dict) -> "WidgetSpec":
         props = _DEFAULT_WIDGET_PROPS.copy()
         for p in _WIDGET_PROP_NAMES.intersection(d):
-            props[p] = bool(d[p])
+            if not isinstance(d[p], bool):  # JSON true or false only
+                raise TypeError(f"widget {d['id']!r} flag {p!r} has the wrong type")
+            props[p] = d[p]
         w = cls(
             id=d["id"],
             resource_id=d.get("resourceId", d["id"]),
@@ -373,6 +375,13 @@ def _validate_version(v: VersionSpec) -> None:
                 chain.append(node.id)
                 node = window.widgets[node.parent]
             rooted.update(chain)
+    for window_id, related in v.related_windows.items():
+        for name in (window_id, *related):
+            if name not in v.windows:
+                raise SpecError(f"relatedWindows names unknown window {name}")
+    for widget_id in v.text_inputs:
+        if widget_id not in spec_widgets:
+            raise SpecError(f"textInputs names unknown widget {widget_id}")
     for inp in v.inputs.values():
         if inp.window not in v.windows:
             raise SpecError(f"input {inp.id} references unknown window {inp.window}")

@@ -248,13 +248,19 @@ def test_make_layout_guard_prefers_most_recent_similar_state():
         id="far", window_id="win",
         avms=[AttributeValuationMap(id="a", valuations={"R_CN": "Spinner"})],
     )
-    layouts = {s.id: layout_fingerprint(s) for s in (base, similar_old, similar_new, unrelated)}
-    guard = make_layout_guard(base, [similar_old, similar_new, unrelated], layouts, 0.8)
-    assert guard == layout_fingerprint(similar_new)
-    # the destination's own id is skipped while walking backward
-    same_id = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="dest")
-    assert make_layout_guard(base, [unrelated, same_id], layouts, 0.8) is None
-    assert make_layout_guard(base, [], layouts, 0.8) is None
+    def in_visit_order(*states):
+        return {s.id: layout_fingerprint(s) for s in states}
+
+    # the layouts are in last-visit order, the destination's last
+    layouts = in_visit_order(similar_old, similar_new, unrelated, base)
+    assert make_layout_guard(base, layouts, 0.8) is layouts["new"]
+    layouts = in_visit_order(similar_new, similar_old, unrelated, base)
+    assert make_layout_guard(base, layouts, 0.8) is layouts["old"]
+    # the destination's own layout is skipped wherever it stands in the order
+    layouts = in_visit_order(similar_old, base, unrelated)
+    assert make_layout_guard(base, layouts, 0.8) is layouts["old"]
+    assert make_layout_guard(base, in_visit_order(unrelated, base), 0.8) is None
+    assert make_layout_guard(base, in_visit_order(base), 0.8) is None
 
 
 def avm(key, widget=None):

@@ -397,6 +397,10 @@ def test_diff_rejects_a_window_graph_with_a_repeated_window_id(tmp_path, capsys)
     (json.dumps({"appId": "a", "versions": [{"version": "v0",
                                               "windows": [{"name": "x"}]}]}),
      "malformed app spec"),
+    (json.dumps({"appId": "a", "versions": [{"version": "v0", "windows": [
+        {"id": "main", "name": "Main", "className": "c.Main", "launcher": True,
+         "widgets": [{"id": "w", "clickable": "no"}]}]}]}),
+     "wrong type"),
 ])
 def test_spec_commands_reject_a_malformed_spec(tmp_path, capsys, text, message):
     spec = write_text(tmp_path, "spec.json", text)

@@ -12,9 +12,10 @@ from uptest.abstraction import (
 )
 from uptest.cli import pipeline_run
 from uptest.config import EngineConfig
-from uptest.engine import TargetSet, TestEngine, run_session
+from uptest.engine import TargetSet, TestEngine, _Screen, run_session
 from uptest.diff import diff_ewtg
 from uptest.harness import (
+    DriverRejection,
     DriverSession,
     export_ewtg,
     load_spec,
@@ -31,6 +32,7 @@ from uptest.model import (
     Dstg,
     Ewtg,
     EwtgWidget,
+    GuiTree,
     Input,
     Window,
     WindowKind,
@@ -78,10 +80,60 @@ def test_budget_zero_returns_an_untouched_session():
     assert result.actions_to_first_target_coverage is None
 
 
-def test_session_spends_the_whole_budget():
-    result, _ = run_diary(budget=30)
-    assert result.executed_actions == 30
-    assert len(result.ledger.events) == 30
+class RecordingDriver:
+    """Passes actions to a driver and keeps each call's index and ranges.
+
+    With ``reject_every`` set, every call whose index leaves remainder 1 is
+    rejected without reaching the driver, so the screen stays current.
+    """
+
+    def __init__(self, driver, reject_every=None):
+        self.driver = driver
+        self.reject_every = reject_every
+        self.calls = 0
+        self.rejections = 0
+        self.executed = []  # (call index, ranges) of every accepted action
+
+    def reset(self):
+        return self.driver.reset()
+
+    def perform(self, action):
+        self.calls += 1
+        if self.reject_every and self.calls % self.reject_every == 1:
+            self.rejections += 1
+            raise DriverRejection("rejected by the test")
+        result = self.driver.perform(action)
+        self.executed.append((self.calls, result.executed))
+        return result
+
+
+@pytest.mark.parametrize(
+    "app, budget, reject_every",
+    [("diary", 30, None), ("diary", 40, None), ("dialog", 80, 3), ("deep", 60, 4)],
+)
+def test_coverage_bookkeeping_matches_a_recount_of_the_driver_calls(app, budget, reject_every):
+    spec = load_spec(fixture_path(app))
+    version = spec.versions[0].version
+    model = AppModel(version=version, ewtg=export_ewtg(spec, version))
+    counts = method_instruction_counts(spec, version)
+    targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
+    driver = RecordingDriver(DriverSession(spec, version, seed=1), reject_every)
+    result = run_session(model, targets, driver, budget=budget, seed=1)
+    # the session spends the whole budget, rejected actions included
+    assert result.executed_actions == driver.calls == budget
+    assert (driver.rejections > 0) == (reject_every is not None)
+    covered = {}
+    first = None
+    for index, ranges in driver.executed:
+        for method_id, lo, hi in ranges:
+            seen = covered.setdefault(method_id, set())
+            size = len(seen)
+            seen.update(range(lo, hi + 1))
+            if first is None and method_id in targets.target_method_ids and len(seen) > size:
+                first = index
+    assert first is not None
+    assert result.actions_to_first_target_coverage == first
+    assert result.ledger.covered == covered
 
 
 def test_every_uta_strictly_increases_target_coverage():
@@ -99,21 +151,24 @@ def test_every_uta_strictly_increases_target_coverage():
     assert {m: v for m, v in covered.items() if v} == union
 
 
-def test_first_coverage_index_matches_the_event_log():
-    result, _ = run_diary()
-    first = next(
-        e["actionIndex"] for e in result.ledger.events if e["newTargetInstructions"] > 0
-    )
-    assert result.actions_to_first_target_coverage == first
+def test_visited_layouts_hold_one_layout_per_state_in_last_visit_order(monkeypatch):
+    observed = []
+    observe = TestEngine._observe
 
+    def recording_observe(self, result):
+        state = observe(self, result)
+        observed.append(state.id)
+        return state
 
-def test_visited_layouts_hold_one_layout_per_state_in_first_visit_order():
+    monkeypatch.setattr(TestEngine, "_observe", recording_observe)
     spec, model, targets = diary_setup()
     engine = TestEngine(model, targets, DriverSession(spec, "v0", seed=1), budget=40, seed=1)
     result = engine.run_session()
-    first_visits = list(dict.fromkeys(state.id for state in engine.state_history))
-    assert len(first_visits) < len(engine.state_history)  # states were seen again
-    assert list(engine.visited_layouts) == first_visits
+    first_visits = list(dict.fromkeys(observed))
+    last_visits = list(dict.fromkeys(reversed(observed)))[::-1]
+    assert len(first_visits) < len(observed)  # states were seen again
+    assert last_visits != first_visits  # and the two orders differ
+    assert list(engine.visited_layouts) == last_visits
     for sid, layout in engine.visited_layouts.items():
         assert layout == layout_fingerprint(result.model.dstg.abstract_states[sid])
 
@@ -134,14 +189,15 @@ def test_each_trace_step_starts_where_the_step_before_it_ended(app, tmp_path, mo
     # the first step's transition leaves the state the session's reset
     # reached, and each later one the state the step before it reached
     starts = []
-    run = TestEngine.run_session
+    observe = TestEngine._observe
 
-    def recording_run(self):
-        result = run(self)
-        starts.append(self.state_history[0].id)
-        return result
+    def recording_observe(self, result):
+        state = observe(self, result)
+        if self.observations == 1:  # the screen the session's reset showed
+            starts.append(state.id)
+        return state
 
-    monkeypatch.setattr(TestEngine, "run_session", recording_run)
+    monkeypatch.setattr(TestEngine, "_observe", recording_observe)
     spec = load_spec(hidden_spec_doc() if app == "hidden" else fixture_path(app))
     artifacts = pipeline_run(
         spec, spec.versions[0].version, spec.versions[-1].version,
@@ -267,7 +323,6 @@ def test_nondeterminism_bumps_the_window_abstraction_level():
     engine = engine_on(model)
     sa = model.dstg.abstract_states["sa"]
     sc = model.dstg.abstract_states["sc"]
-    engine.state_history = [sa]
     action = Action("i-wd", ActionType.CLICK, concrete_node_path=())
     engine._record_transition(sa, action, "wd", sc)
     assert model.dstg.abstraction_policy["win"] == "L2"
@@ -281,7 +336,7 @@ def test_closing_nondeterminism_is_guarded_not_refined():
     engine = engine_on(model)
     sa = model.dstg.abstract_states["sa"]
     sc = model.dstg.abstract_states["sc"]
-    engine.state_history = [sa]
+    # in last-visit order: the destination was observed last
     engine.visited_layouts = {s.id: layout_fingerprint(s) for s in (sa, sc)}
     action = Action("x", ActionType.PRESS_BACK)
     tr = engine._record_transition(sa, action, None, sc)
@@ -305,8 +360,9 @@ def test_closing_guards_use_the_configured_layout_threshold(threshold, guard_fro
     )
     sa = states["sa"]
     # "near" shares 2 of the 3 layout valuations of "dest": similarity 2/3
-    engine.state_history = [states["near"], sa, states["dest"]]
-    engine.visited_layouts = {s.id: layout_fingerprint(s) for s in engine.state_history}
+    engine.visited_layouts = {
+        s.id: layout_fingerprint(s) for s in (states["near"], sa, states["dest"])
+    }
     tr = engine._record_transition(sa, Action("x", ActionType.PRESS_BACK), None, states["dest"])
     assert tr.layout_guard == layout_fingerprint(states[guard_from])
 
@@ -351,8 +407,7 @@ def test_refinement_during_a_planned_step_keeps_the_plan_log_intact():
     engine = TestEngine(model, targets, ElsewhereDriver(), budget=5, seed=0)
     sa = model.dstg.abstract_states["sa"]
     engine.current_state = sa
-    engine.current_tree = make_tree("win", make_node(children=[make_node(widget_ref="wd")]))
-    engine.state_history = [sa]
+    engine.current_screen = _Screen("win", make_node(children=[make_node(widget_ref="wd")]))
 
     engine._visit_window("other", phase=3)
 
@@ -391,8 +446,7 @@ def test_a_planned_step_continues_through_a_backward_equivalent_state(diff_conte
     engine = TestEngine(model, targets, ExtraWidgetDriver(), budget=5, seed=0)
     sa = model.dstg.abstract_states["sa"]
     engine.current_state = sa
-    engine.current_tree = make_tree("win", make_node(children=[make_node(widget_ref="wd")]))
-    engine.state_history = [sa]
+    engine.current_screen = _Screen("win", make_node(children=[make_node(widget_ref="wd")]))
 
     step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
     assert engine._execute_step(step) == outcome
@@ -480,7 +534,6 @@ def record_click(engine, destination_id):
 def test_recorded_outcomes_are_compared_in_string_id_order():
     model = outcomes_model()
     engine = engine_on(model)
-    engine.state_history = [model.dstg.abstract_states["sa"]]
     # "at-10" comes first, so an outcome of "at-9" passes it over and refines once
     assert record_click(engine, "sb") == ("at-9", ["L2"])
     assert record_click(engine, "sc") == ("at-10", [])
@@ -496,7 +549,6 @@ def test_an_outcome_recorded_after_its_stale_edge_is_deleted_is_a_new_edge():
     model.dstg.abstract_states["sb"].observed_in_versions = {"v0"}
     engine = engine_on(model)
     sa = model.dstg.abstract_states["sa"]
-    engine.state_history = [sa]
     step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
     engine._online_refine("sb", model.dstg.abstract_states["sc"], sa, step)
     assert "at1" not in model.dstg.abstract_transitions
@@ -623,3 +675,25 @@ def test_a_session_derives_a_state_only_for_each_new_state(monkeypatch):
     # screens that match a known state are looked up by their multiset alone
     assert sorted(derived) == sorted(result.model.dstg.abstract_states)
     assert len(derived) < result.executed_actions
+
+
+def test_a_session_builds_screen_trees_only_for_utas_and_new_states(monkeypatch):
+    import uptest.engine
+
+    built = []
+
+    def counting_tree(*args, **kwargs):
+        built.append(GuiTree(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(uptest.engine, "GuiTree", counting_tree)
+    result, targets = run_diary(budget=200, seed=2)
+    assert result.utas
+    assert len(built) == 2 * len(result.utas) + len(result.model.dstg.abstract_states)
+    assert len(built) < result.executed_actions
+    # the report's trees name their observation and the state it matched
+    report = result.report(targets)
+    for uta in report["utas"]:
+        for tree in (uta["beforeTree"], uta["afterTree"]):
+            assert tree["id"] == f"t{tree['sessionIndex']}"
+            assert tree["abstractStateId"] in result.observed_state_ids

@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from uptest.abstraction import LEVELS
 from uptest.engine import TargetSet, run_session
 from uptest.harness import (
     DriverRejection,
@@ -19,7 +20,7 @@ from uptest.harness import (
 from uptest.model import Action, ActionType, AppModel
 
 from uptest import fixture_path
-from conftest import path_of, walk
+from conftest import GUI_NODE_PROPERTIES, path_of, walk
 
 
 def base_spec_doc() -> dict:
@@ -212,6 +213,19 @@ def go_command(doc) -> dict:
          "wrong type"),
         (lambda d: d["versions"][0]["windows"][0]["widgets"][0].update({"parent": ["w-name"]}),
          "wrong type"),
+        # the eight widget flags take JSON booleans only
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][0].update({"clickable": "no"}),
+         "wrong type"),
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][0].update({"enabled": 0}),
+         "wrong type"),
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][1].update({"password": None}),
+         "wrong type"),
+        (lambda d: d["versions"][0].update({"relatedWindows": {"nope": ["main"]}}),
+         "relatedWindows names unknown window nope"),
+        (lambda d: d["versions"][0].update({"relatedWindows": {"second": ["main", "nope"]}}),
+         "relatedWindows names unknown window nope"),
+        (lambda d: d["versions"][0].update({"textInputs": {"w-nope": ["a"]}}),
+         "textInputs names unknown widget w-nope"),
         (lambda d: go_command(d).update({"instructions": [5]}), "malformed app spec"),
         (lambda d: d["versions"][0].update({"textInputs": {"w-name": ["a", None]}}),
          "malformed app spec"),
@@ -226,6 +240,16 @@ def test_load_spec_rejects_what_would_fail_mid_session(mutate, message):
     mutate(doc)
     with pytest.raises(SpecError, match=message):
         load_spec(doc)
+
+
+def test_related_windows_and_text_inputs_may_name_any_window_and_widget_of_the_version():
+    doc = base_spec_doc()
+    doc["versions"][0].update(
+        {"relatedWindows": {"second": ["main"]}, "textInputs": {"w-label": ["a"]}}
+    )
+    version = load_spec(doc).versions[0]
+    assert version.related_windows == {"second": ["main"]}
+    assert version.text_inputs == {"w-label": ["a"]}
 
 
 def test_effect_targets_may_be_widgets_of_another_window():
@@ -675,6 +699,38 @@ def test_random_walks_see_a_current_screen_after_every_step(monkeypatch):
     # the walks write every kind of runtime override
     assert {"show", "hide", "setText", "setTextFromPayload", "setChecked",
             "toggle"} <= applied
+
+
+def test_rendered_nodes_carry_exactly_the_properties_reducers_read(monkeypatch):
+    # the property set the tests build nodes with is the one the driver
+    # renders, and it holds every property a level's reducers read
+    roots = []
+    shown = set()  # (version spec, window id) of every rendered screen
+    build = DriverSession._build_screen
+
+    def recording_build(self, window):
+        shown.add((id(self.version_spec), window.id))
+        roots.append(build(self, window))
+        return roots[-1]
+
+    monkeypatch.setattr(DriverSession, "_build_screen", recording_build)
+    apps = [load_spec(fixture_path(app)) for app in ("diary", "dialog", "news", "deep")]
+    apps.append(load_spec(screens_spec_doc()))
+    for i, spec in enumerate(apps):
+        for version in spec.versions:
+            rng = random.Random(f"{i}:{version.version}")
+            walk_checking_screens(DriverSession(spec, version.version, seed=2), 200, rng)
+    windows = {(id(v), w) for spec in apps for v in spec.versions for w in v.windows}
+    assert shown == windows  # the walks showed every window of every version
+    for root in roots:
+        for _, node in walk(root):
+            assert sorted(node.properties) == sorted(GUI_NODE_PROPERTIES)
+    read = {
+        reducer.property_name
+        for level in LEVELS.values()
+        for reducer in level.own_reducers + level.child_reducers
+    }
+    assert read <= set(GUI_NODE_PROPERTIES)
 
 
 def test_a_long_session_builds_no_more_screens_than_it_shows(monkeypatch):

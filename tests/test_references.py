@@ -2,7 +2,9 @@
 
 The program is ``src/uptest`` and ``perfbench`` outside its tests; a function
 that only tests reach is API kept for the tests alone, and a constant, field
-or attribute that only tests read is data kept for the tests alone.
+or attribute that only tests read is data kept for the tests alone.  A member
+the program only grows or empties in place, such as a log it appends to, is
+written and never read.
 """
 
 import ast
@@ -14,6 +16,9 @@ PERFBENCH = ROOT / "perfbench"
 # kept until online refinement uses it to pick the level that tells two
 # outcomes apart
 EXCEPTIONS = {"refine_level"}
+# methods that change their receiver in place; a call whose result is
+# discarded writes to the receiver and reads nothing out of it
+MUTATORS = {"append", "extend", "add", "update", "insert", "discard", "remove", "clear"}
 
 
 def _is_dunder(name: str) -> bool:
@@ -104,12 +109,32 @@ def defined_data(paths) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
     return constants, members
 
 
+def _mutated_in_place(tree: ast.AST) -> set[int]:
+    """Ids of the loads that only receive a mutator call as a statement,
+    like ``self.log`` in ``self.log.append(event)``."""
+    receivers = set()
+    for node in ast.walk(tree):
+        if (
+            isinstance(node, ast.Expr)
+            and isinstance(node.value, ast.Call)
+            and isinstance(node.value.func, ast.Attribute)
+            and node.value.func.attr in MUTATORS
+        ):
+            receivers.add(id(node.value.func.value))
+    return receivers
+
+
 def loaded_names(paths) -> tuple[set[str], set[str]]:
-    """The names of every ``Name`` load and of every ``Attribute`` load."""
+    """The names of every ``Name`` load and of every ``Attribute`` load,
+    except a load that only receives a mutator call."""
     names: set[str] = set()
     attributes: set[str] = set()
     for path in paths:
-        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+        tree = ast.parse(path.read_text("utf-8"), str(path))
+        written = _mutated_in_place(tree)
+        for node in ast.walk(tree):
+            if id(node) in written:
+                continue
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 names.add(node.id)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
@@ -188,3 +213,25 @@ def test_data_only_assigned_or_read_by_bare_name_is_unread(tmp_path):
         "note (mod.py:12)",
         "seen (mod.py:14)",
     ]
+
+
+def test_a_member_only_grown_or_emptied_in_place_is_unread(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class Log:\n"
+        "    def __init__(self):\n"
+        "        self.events = []\n"
+        "        self.kept = []\n"
+        "        self.seen = set()\n"
+        "        self.counts = {}\n"
+        "    def note(self, event):\n"
+        "        self.events.append(event)\n"
+        "        self.kept.append(event)\n"
+        "        self.seen.add(event)\n"
+        "        self.counts.update({event: 1})\n"
+        "        self.counts.clear()\n"
+        "        return self.seen.pop()\n"
+        "    def all(self):\n"
+        "        return list(self.kept)\n"
+    )
+    assert unread_data([module], [module]) == ["counts (mod.py:6)", "events (mod.py:3)"]
