@@ -252,7 +252,8 @@ class TestEngine:
         self.executed = 0
         self.first_coverage_at: Optional[int] = None
 
-        # the current observation: its index in the session, screen and state
+        # the current observation: its index in the session, screen and state;
+        # run_session observes the reset screen before any action
         self.observations = 0
         self.current_screen: Optional[_Screen] = None
         self.current_state: Optional[AbstractState] = None
@@ -476,8 +477,6 @@ class TestEngine:
         return pool[self.rng.randrange(len(pool))]
 
     def _node_path_for_widget(self, widget_id: str) -> Optional[tuple[int, ...]]:
-        if self.current_screen is None:
-            return None
         first = self.current_screen.widgets.get(widget_id)
         return first[0] if first is not None else None
 
@@ -491,11 +490,9 @@ class TestEngine:
             result = self.driver.perform(action)
         except DriverRejection:
             return None
-        matched = None
-        if before_state is not None:
-            matched = self.view.input_for.get(
-                (before_state.window_id, widget_id, action.action_type)
-            )
+        matched = self.view.input_for.get(
+            (before_state.window_id, widget_id, action.action_type)
+        )
         if matched is not None:
             self.triggered_inputs.add(matched.id)
             # dynamically discovered handler methods enrich the static input
@@ -520,9 +517,8 @@ class TestEngine:
                 self.attempts_without_gain[matched.id] = (
                     self.attempts_without_gain.get(matched.id, 0) + 1
                 )
-        if before_state is not None:
-            tr = self._record_transition(before_state, action, widget_id, after_state)
-            self.model.gstg.trace.append(TraceStep(tr.id, action.concrete_node_path))
+        tr = self._record_transition(before_state, action, widget_id, after_state)
+        self.model.gstg.trace.append(TraceStep(tr.id, action.concrete_node_path))
         return result
 
     def _execute_step(self, step: PlanStep) -> str:
@@ -598,8 +594,6 @@ class TestEngine:
 
     def random_explore(self, budget_slice: int) -> None:
         for _ in range(max(0, min(budget_slice, self._budget_left()))):
-            if self.current_screen is None:
-                break
             candidates = self.current_screen.candidates
             if candidates:
                 path, widget_id, action_type = candidates[

@@ -13,18 +13,24 @@ The model stores each fact once: a window's widgets are the widgets whose
 ``window_id``, and a trace step's action type, payload and reached state are
 those of its transition.
 
-A model document (schema 6) writes every list of records as a table,
+A model document (schema 7) writes every list of records as a table,
 ``{"columns": [...], "rows": [[...], ...]}``: the column names once, then one
 row per record with one cell per column.  The columns are the record's fields
-in declaration order, named in camelCase (the trace's are ``transitionId,
+in declaration order, named in camelCase (a trace step's are ``transitionId,
 concreteNodePath``).  The tables are the window graph's ``windows``,
 ``widgets``, ``inputs`` and ``windowTransitions``, the state graph's
 ``abstractStates`` (whose ``avms`` cell is itself a table) and
-``abstractTransitions``, and the session layer's ``trace``.  Rows come in id
-order, the trace in execution order.  The window graph file ``uptest harness
-export-ewtg`` writes is the ``ewtg`` object of a model document.  A reader
-takes a table only with exactly the writer's columns and rows of exactly that
-width.
+``abstractTransitions``, and the session layer's ``steps``.  Rows come in id
+order.  The window graph file ``uptest harness export-ewtg`` writes is the
+``ewtg`` object of a model document.  A reader takes a table only with exactly
+the writer's columns and rows of exactly that width.
+
+A session repeats a few steps many times, so the session layer is
+``{"steps": <table>, "trace": [<int>, ...]}``: ``steps`` holds each distinct
+trace step once, in order of first use, and ``trace`` one ``steps`` row index
+per executed action, in execution order.  A reader rejects a repeated row, a
+row no index names and an index that names no row.  In memory the trace is
+the list of steps, and a repeated index gives the same ``TraceStep`` object.
 
 An abstract transition's ``layoutGuard`` cell is null or its layout
 fingerprint as ``{"entries": [{"valuations": {...}, "count": n}, ...]}``: one
@@ -42,7 +48,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Optional
 
-SCHEMA_VERSION = 6
+SCHEMA_VERSION = 7
 
 #: Abstraction levels from coarsest to finest.
 LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
@@ -602,16 +608,36 @@ class Dstg:
         )
 
 
+def _step_key(step: TraceStep) -> tuple:
+    return (step.transition_id, step.concrete_node_path)
+
+
 @dataclass
 class Gstg:
     trace: list[TraceStep] = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        return {"trace": _table(TraceStep, self.trace)}
+        rows: dict[tuple, int] = {}  # step key -> row, in order of first use
+        trace = [rows.setdefault(_step_key(step), len(rows)) for step in self.trace]
+        steps = (TraceStep(*key) for key in rows)
+        return {"steps": _table(TraceStep, steps), "trace": trace}
 
     @classmethod
     def from_dict(cls, d: dict) -> "Gstg":
-        return cls(trace=_records(d["trace"], TraceStep))
+        """Raises one of ``SHAPE_ERRORS`` unless the ``steps`` rows are
+        distinct and ``trace`` is a list of row indices that names each row."""
+        steps = _records(d["steps"], TraceStep)
+        _reject_repeats(list(map(_step_key, steps)), "trace step")
+        trace = d["trace"]
+        require(list, trace)
+        require_int(*trace)
+        rows, named = set(range(len(steps))), set(trace)
+        if named != rows:
+            if named - rows:
+                raise ValueError(f"trace index {min(named - rows)} names no step row")
+            raise ValueError(f"step row {min(rows - named)} is named by no trace index")
+        # a repeated index names one shared step; nothing mutates a step
+        return cls(trace=[steps[i] for i in trace])
 
 
 @dataclass
@@ -726,9 +752,12 @@ def validate_integrity(model: AppModel) -> list[str]:
         if level not in LEVEL_ORDER:
             violations.append(f"abstraction policy of window {window_id} has unknown level")
 
+    missing: dict[str, int] = {}  # missing transition id -> first step taking it
     for i, step in enumerate(model.gstg.trace):
         if step.transition_id not in dstg.abstract_transitions:
-            violations.append(f"trace step {i} references missing transition {step.transition_id}")
+            missing.setdefault(step.transition_id, i)
+    for transition_id, i in missing.items():
+        violations.append(f"trace step {i} references missing transition {transition_id}")
 
     return violations
 

@@ -169,6 +169,44 @@ def test_test_and_refine_and_plan_commands(tmp_path):
                  "--target-window", "edit"]) == 2
 
 
+def session_model(tmp_path, model, name, seed) -> Path:
+    """The model ``uptest test`` writes after a 30-action v0 session from ``model``."""
+    out = tmp_path / name
+    assert main(["test", str(model), DIARY, "--version", "v0", "--budget", "30",
+                 "--seed", str(seed), "--out-model", str(out)]) == 0
+    return out
+
+
+def test_refine_flags_states_and_leaves_the_rest_of_the_model_unchanged(tmp_path):
+    learned = session_model(tmp_path, write_base_model(tmp_path), "learned.json", 4)
+    refined = tmp_path / "refined.json"
+    assert main(["refine", str(learned), DIARY, "--version", "v1",
+                 "--out", str(refined), "--seed", "5"]) == 0
+    before, after = json.loads(learned.read_bytes()), json.loads(refined.read_bytes())
+    assert after["gstg"] == before["gstg"] and before["gstg"]["trace"]
+    states = before["dstg"]["abstractStates"]
+    obsolete = states["columns"].index("obsolete")
+    flagged = [i for i, row in enumerate(after["dstg"]["abstractStates"]["rows"])
+               if row[obsolete] and not states["rows"][i][obsolete]]
+    assert flagged
+    for i in flagged:
+        after["dstg"]["abstractStates"]["rows"][i][obsolete] = False
+    assert after == before
+
+
+def test_a_second_session_writes_each_distinct_step_once(tmp_path):
+    first = session_model(tmp_path, write_base_model(tmp_path), "first.json", 4)
+    second = session_model(tmp_path, first, "second.json", 6)
+    old, new = json.loads(first.read_bytes())["gstg"], json.loads(second.read_bytes())["gstg"]
+    assert len(old["trace"]) == 30 and len(new["trace"]) == 60
+    # the first session's rows and indices stay, and later steps name them again
+    assert new["steps"]["rows"][: len(old["steps"]["rows"])] == old["steps"]["rows"]
+    assert new["trace"][:30] == old["trace"]
+    assert set(new["trace"][30:]) & set(old["trace"])
+    rows = [json.dumps(row) for row in new["steps"]["rows"]]
+    assert len(set(rows)) == len(rows)
+
+
 def test_pipeline_writes_versioned_artifacts(tmp_path):
     assert main(["pipeline", DIARY, "--budget", "40", "--seed", "2",
                  "--workdir", str(tmp_path)]) == 0

@@ -1,6 +1,7 @@
 """Test engine: session loop, UTA accounting, online refinement."""
 
 import copy
+import json
 
 import pytest
 
@@ -181,6 +182,16 @@ def test_session_model_stays_consistent_and_trace_is_replayable():
         reached = model.dstg.abstract_transitions[step.transition_id].destination_state_id
         assert reached in result.observed_state_ids
     assert result.observed_state_ids <= set(model.dstg.abstract_states)
+
+
+def test_a_long_session_writes_its_trace_in_at_most_three_bytes_a_step():
+    # each distinct step is written once and each action as a row index;
+    # a row per action took about 14 bytes a step
+    result, _ = run_diary(budget=1000)
+    steps = len(result.model.gstg.trace)
+    assert steps > 900
+    gstg = json.loads(serialize_model(result.model))["gstg"]
+    assert len(json.dumps(gstg, separators=(",", ":"))) <= 3 * steps
 
 
 @pytest.mark.parametrize("app", ["diary", "dialog", "news", "deep", "hidden"])

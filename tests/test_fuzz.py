@@ -122,7 +122,8 @@ def learned_model_doc() -> dict:
     run_session(model, targets, DriverSession(spec, "v1", seed=1), budget=60, seed=1)
     doc = json.loads(serialize_model(model))
     transitions = doc["dstg"]["abstractTransitions"]
-    assert transitions["rows"] and doc["gstg"]["trace"]["rows"]
+    # the trace repeats steps, so mutations reach both its rows and its indices
+    assert transitions["rows"] and len(doc["gstg"]["trace"]) > len(doc["gstg"]["steps"]["rows"])
     guard = transitions["columns"].index("layoutGuard")
     assert any(row[guard] for row in transitions["rows"])
     return doc

@@ -132,7 +132,8 @@ TABLES = {
         ["id", "sourceStateId", "sourceAvmId", "actionType", "destinationStateId",
          "dataPayload", "layoutGuard"],
     ),
-    "trace": (lambda doc: doc["gstg"]["trace"], ["transitionId", "concreteNodePath"]),
+    # the trace's rows: each distinct step once, named by the trace's indices
+    "trace": (lambda doc: doc["gstg"]["steps"], ["transitionId", "concreteNodePath"]),
 }
 
 #: A cell of another JSON type than its column takes; a string column gets 5.
@@ -217,9 +218,9 @@ def guard(count) -> dict:
     lambda doc: set_cell(avm_table(doc), 0, "valuations", {"R_RID": []}),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard("1")),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", {"entries": 3}),
-    lambda doc: set_cell(doc["gstg"]["trace"], 0, "concreteNodePath", ["0"]),
-    lambda doc: set_cell(doc["gstg"]["trace"], 0, "concreteNodePath", [-1]),
-    lambda doc: set_cell(doc["gstg"]["trace"], 0, "concreteNodePath", [True]),
+    lambda doc: set_cell(doc["gstg"]["steps"], 0, "concreteNodePath", ["0"]),
+    lambda doc: set_cell(doc["gstg"]["steps"], 0, "concreteNodePath", [-1]),
+    lambda doc: set_cell(doc["gstg"]["steps"], 0, "concreteNodePath", [True]),
     lambda doc: set_cell(avm_table(doc), 0, "cardinality", True),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard(True)),
     lambda doc: doc.update(diffContext={"addedWidgets": "wd-ok"}),
@@ -314,8 +315,9 @@ def test_deserialize_rejects_an_unknown_abstraction_level():
 def test_deserialize_rejects_wrong_schema_version():
     # schema 3 wrote each record as an object, schema 4 stored each window's
     # widgets and each window transition's source again, and schema 5 each
-    # trace step's action and reached state; no reader for any of them is kept
-    for schema in (99, 3, 4, 5):
+    # trace step's action and reached state, and schema 6 each executed
+    # action's step again; no reader for any of them is kept
+    for schema in (99, 3, 4, 5, 6):
         doc = model_doc()
         doc["schema_version"] = schema
         with pytest.raises(ModelError, match=f"unsupported schema version {schema}"):
@@ -323,11 +325,15 @@ def test_deserialize_rejects_wrong_schema_version():
 
 
 def _random_trace(model: AppModel, rng: random.Random) -> None:
-    """Trace steps over the model's transitions, some with node paths."""
+    """Trace steps over the model's transitions, some with node paths; as in
+    a session, most repeat an earlier step, each as an object of its own."""
     transitions = sorted(model.dstg.abstract_transitions)
-    for _ in range(rng.randrange(0, 6) if transitions else 0):
-        path = rng.choice([None, (), (0,), (2, 1)])
-        model.gstg.trace.append(TraceStep(rng.choice(transitions), path))
+    if not transitions:
+        return
+    paths = [None, (), (0,), (2, 1)]
+    pool = [(rng.choice(transitions), rng.choice(paths)) for _ in range(rng.randrange(1, 5))]
+    for _ in range(rng.randrange(0, 40)):
+        model.gstg.trace.append(TraceStep(*rng.choice(pool)))
 
 
 def _round_trips(model: AppModel) -> None:
@@ -335,6 +341,15 @@ def _round_trips(model: AppModel) -> None:
     restored = deserialize_model(data)
     assert restored == model
     assert serialize_model(restored) == data
+    # each distinct step is written once, in order of first use, and read
+    # back as one object
+    keys = [(step.transition_id, step.concrete_node_path) for step in model.gstg.trace]
+    rows = list(dict.fromkeys(keys))
+    gstg = json.loads(data)["gstg"]
+    assert gstg["steps"]["rows"] == [TraceStep(*key).to_row() for key in rows]
+    assert gstg["trace"] == [rows.index(key) for key in keys]
+    first: dict = {}
+    assert all(first.setdefault(k, step) is step for k, step in zip(keys, restored.gstg.trace))
 
 
 def test_random_window_graphs_round_trip():
@@ -416,8 +431,9 @@ def test_validation_catches_input_in_wrong_window():
 
 def test_validation_catches_trace_with_missing_transition():
     model = small_model()
-    model.gstg.trace.append(TraceStep("at-missing"))
-    assert "trace step 1 references missing transition at-missing" in validate_integrity(model)
+    model.gstg.trace += [TraceStep("at-missing"), TraceStep("at-1"), TraceStep("at-missing", (0,))]
+    # one violation per missing transition, at the first step that takes it
+    assert validate_integrity(model) == ["trace step 1 references missing transition at-missing"]
     with pytest.raises(ModelError):
         serialize_model(model)
 
@@ -426,13 +442,56 @@ def test_deserialize_rejects_a_trace_step_of_schema_5_or_a_missing_transition():
     # a schema-5 row held the input, action type, node path, payload and
     # reached state
     doc = model_doc()
-    doc["gstg"]["trace"]["rows"][0] = ["i-ok", "Click", [], None, "s2"]
+    doc["gstg"]["steps"]["rows"][0] = ["i-ok", "Click", [], None, "s2"]
     with pytest.raises(ModelError, match="expected rows of 2 cells"):
         load(doc)
     doc = model_doc()
-    set_cell(doc["gstg"]["trace"], 0, "transitionId", "at-missing")
-    with pytest.raises(ModelError, match="trace step 0 references missing transition"):
+    set_cell(doc["gstg"]["steps"], 0, "transitionId", "at-missing")
+    doc["gstg"]["trace"] = [0] * 1000
+    with pytest.raises(ModelError, match="trace step 0 references missing transition") as err:
         load(doc)
+    assert str(err.value).count("at-missing") == 1
+
+
+def trace_doc() -> dict:
+    """A model document whose trace names step rows 0, 1 and 0."""
+    model = small_model()
+    model.gstg.trace += [TraceStep("at-1", (0,)), TraceStep("at-1", ())]
+    doc = json.loads(serialize_model(model))
+    assert doc["gstg"]["steps"]["rows"] == [["at-1", []], ["at-1", [0]]]
+    assert doc["gstg"]["trace"] == [0, 1, 0]
+    return doc
+
+
+def set_index(gstg: dict, value) -> None:
+    gstg["trace"][1] = value
+
+
+@pytest.mark.parametrize("edit, message", [
+    (lambda gstg: gstg.update(trace={"0": 0}), "expected list"),
+    (lambda gstg: gstg.update(trace=None), "expected list"),
+    (lambda gstg: gstg.pop("trace"), "KeyError: 'trace'"),
+    (lambda gstg: set_index(gstg, True), "expected int, got True"),
+    (lambda gstg: set_index(gstg, 1.0), "expected int, got 1.0"),
+    (lambda gstg: set_index(gstg, "1"), "expected int, got '1'"),
+    (lambda gstg: set_index(gstg, -1), "trace index -1 names no step row"),
+    (lambda gstg: set_index(gstg, 2), "trace index 2 names no step row"),
+    (
+        lambda gstg: (gstg["steps"]["rows"].append(["at-1", [0]]), gstg["trace"].append(2)),
+        "duplicate trace step id ('at-1', (0,))",
+    ),
+    (lambda gstg: gstg["steps"]["rows"].append(["at-1", [1]]), "step row 2 is named by no"),
+    (lambda gstg: gstg.update(trace=[]), "step row 0 is named by no trace index"),
+], ids=[
+    "object", "null", "missing", "bool", "float", "string", "negative", "too large",
+    "repeated row", "unused row", "no index",
+])
+def test_deserialize_rejects_a_malformed_trace(edit, message):
+    doc = trace_doc()
+    edit(doc["gstg"])
+    with pytest.raises(ModelError, match="malformed model document") as err:
+        load(doc)
+    assert message in str(err.value)
 
 
 def test_valuation_multiset_counts_cardinality():
