@@ -7,6 +7,9 @@ the session trace; actions that strictly increase target-instruction coverage
 are recorded as unique target actions for the report.  Mismatches between the
 planned and observed state trigger online refinement: either the predecessor
 window's abstraction is sharpened or the stale learned transition is dropped.
+
+One ``Observer`` says which known state a screen is; the session and the
+offline replay (``refinement.replay_flag_obsolete``) both ask it.
 """
 
 from __future__ import annotations
@@ -47,7 +50,6 @@ from .model import (
     WindowKind,
 )
 from .planner import ActionSequence, MetaState, PlanStep, PlanView, plan_to_target
-from .refinement import propagate_obsolescence
 
 
 @dataclass
@@ -174,7 +176,7 @@ def _state_key(window_id: str, level: str, multiset: dict[tuple, int]) -> tuple:
 
 
 class _Screen:
-    """What the engine reads off one screen, each fact worked out once.
+    """What the session and the replay read off one screen, each fact once.
 
     Screens are never mutated (see ``GuiNode``), so the facts hold for as long
     as the driver hands the same screen back.  The engine keeps the current
@@ -223,6 +225,43 @@ class _Screen:
         return key
 
 
+class Observer:
+    """Which known state a screen is, for the session and the replay alike.
+
+    It keeps a ``_Screen`` per screen the driver hands back, keyed by its
+    identity, each known state's key, and per key the state with the lowest
+    id in string order: the state a screen with that key matches.  A
+    hand-written model may hold two states with one key, so replay compares
+    keys rather than matched states.
+    """
+
+    def __init__(self, states: dict[str, AbstractState]):
+        self._screens: dict[GuiNode, _Screen] = {}
+        self._keys: dict[str, tuple] = {}  # state id -> state key
+        self._states: dict[tuple, AbstractState] = {}  # state key -> lowest-id state
+        for sid in sorted(states):
+            s = states[sid]
+            self.add(s, _state_key(s.window_id, s.abstraction_level, s.valuation_multiset()))
+
+    def screen(self, result: PerformResult) -> tuple[_Screen, bool]:
+        """The result's screen, and whether it is new to this observer."""
+        screen = self._screens.get(result.root)
+        new = screen is None
+        if new:
+            screen = self._screens[result.root] = _Screen(result.window_id, result.root)
+        return screen, new
+
+    def key(self, state: AbstractState) -> tuple:
+        return self._keys[state.id]
+
+    def match(self, key: tuple) -> Optional[AbstractState]:
+        return self._states.get(key)
+
+    def add(self, state: AbstractState, key: tuple) -> None:
+        self._keys[state.id] = key
+        self._states.setdefault(key, state)
+
+
 class TestEngine:
     __test__ = False  # not a test class despite the name
 
@@ -257,7 +296,7 @@ class TestEngine:
         self.observations = 0
         self.current_screen: Optional[_Screen] = None
         self.current_state: Optional[AbstractState] = None
-        self._screens: dict[GuiNode, _Screen] = {}
+        self.observer = Observer(model.dstg.abstract_states)
         # state id -> layout fingerprint of each state observed this session,
         # in last-visit order
         self.visited_layouts: dict[str, Counter] = {}
@@ -276,14 +315,6 @@ class TestEngine:
         self.obsolete_scope = {
             s.window_id for s in model.dstg.abstract_states.values() if s.obsolete
         }
-        # an observation matches the lowest-id state with its key
-        self._states_by_key: dict[tuple, AbstractState] = {}
-        for sid in sorted(model.dstg.abstract_states):
-            state = model.dstg.abstract_states[sid]
-            key = _state_key(
-                state.window_id, state.abstraction_level, state.valuation_multiset()
-            )
-            self._states_by_key.setdefault(key, state)
         # what plans read, kept in step with every change to the model below
         self.view = PlanView(model)
         # continue numbering after inherited states so new ids never collide
@@ -367,22 +398,21 @@ class TestEngine:
         )
 
     def _observe(self, result: PerformResult) -> AbstractState:
-        screen = self._screens.get(result.root)
-        if screen is None:  # a screen seen before has nothing the model lacks
-            screen = self._screens[result.root] = _Screen(result.window_id, result.root)
+        screen, new = self.observer.screen(result)
+        if new:  # a screen seen before has nothing the model lacks
             self._ensure_window(result)
             self._ensure_runtime_widgets(screen)
         dstg = self.model.dstg
         self.observations += 1
         level = LEVELS[dstg.level_for(result.window_id)]
         key = screen.state_key(level)
-        match = self._states_by_key.get(key)
+        match = self.observer.match(key)
         if match is None:  # only a new state is derived
             sid = self._next_id("st-")
             tree = self._tree(self.observations, screen, None)
             match = derive_abstract_state(tree, level, state_id=sid)
             dstg.abstract_states[sid] = match
-            self._states_by_key[key] = match
+            self.observer.add(match, key)
             self.created_this_session.add(sid)
             self.view.add_state(match)
         layout = self.visited_layouts.pop(match.id, None)
@@ -569,21 +599,15 @@ class TestEngine:
         self,
         expected_id: str,
         observed: AbstractState,
-        predecessor: Optional[AbstractState],
+        predecessor: AbstractState,
         step: PlanStep,
     ) -> None:
         expected = self.model.dstg.abstract_states.get(expected_id)
-        seen_this_version = expected is not None and (
-            self.model.version in expected.observed_in_versions
-        )
-        if seen_this_version:
-            if predecessor is not None:
-                self._refine_window(predecessor.window_id)
+        if expected is not None and self.model.version in expected.observed_in_versions:
+            self._refine_window(predecessor.window_id)
             return
         # the expectation came from a past version and never materialized:
         # the learned edge is stale
-        if predecessor is None:
-            return
         stale = (self._avm_id(predecessor, step.widget_id), step.action_type, expected_id)
         for _, tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
             if (tr.source_avm_id, tr.action_type, tr.destination_state_id) == stale:
@@ -687,9 +711,7 @@ class TestEngine:
 
     def _visit_window(self, window_id: str, phase: int) -> None:
         window = self.model.ewtg.windows.get(window_id)
-        if window is None or self.current_state is None:
-            return
-        if self.current_state.window_id == window_id:
+        if window is None or self.current_state.window_id == window_id:
             return
         sequence = self._plan(window)
         entry = self._log_plan(phase, f"window:{window_id}", sequence)
@@ -785,3 +807,23 @@ def run_session(
         text_pools=text_pools,
     )
     return engine.run_session()
+
+
+def propagate_obsolescence(
+    model: AppModel,
+    created: set[str],
+    missed: set[str],
+    reached: set[str],
+    scope_window_ids: Optional[set[str]] = None,
+) -> AppModel:
+    """Flag each session-created state that a planned step expected and missed
+    and none reached; with ``scope_window_ids``, only states of those windows
+    (windows already known to shed states quickly)."""
+    for sid in (created & missed) - reached:
+        state = model.dstg.abstract_states.get(sid)
+        if state is None:
+            continue
+        if scope_window_ids is not None and state.window_id not in scope_window_ids:
+            continue
+        state.obsolete = True
+    return model

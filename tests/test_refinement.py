@@ -2,8 +2,13 @@
 
 import pytest
 
+import uptest.cli
+from uptest import fixture_path
 from uptest.abstraction import LEVELS, derive_abstract_state
-from uptest.harness import DriverRejection
+from uptest.cli import pipeline_run
+from uptest.config import EngineConfig
+from uptest.engine import propagate_obsolescence
+from uptest.harness import DriverRejection, DriverSession, load_spec
 from uptest.model import (
     AbstractState,
     AbstractTransition,
@@ -15,11 +20,7 @@ from uptest.model import (
     Window,
     WindowKind,
 )
-from uptest.refinement import (
-    propagate_obsolescence,
-    prune_unvisited,
-    replay_flag_obsolete,
-)
+from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
 from conftest import make_node, make_tree
 
@@ -71,14 +72,15 @@ class FakeResult:
         self.root = root
 
 
-def replay_model(after_roots):
-    """One-window model whose trace expects the given screens in order."""
+def replay_model(after_roots, level="L1"):
+    """One-window model whose trace expects the given screens, abstracted at
+    ``level``, in order."""
     ewtg = Ewtg(windows={"wa": window("wa")}, launcher_window_id="wa")
     dstg = Dstg()
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
     for i, root in enumerate(after_roots, start=1):
         tree = make_tree("wa", root, tree_id=f"t{i}")
-        state = derive_abstract_state(tree, LEVELS["L1"], state_id=f"s{i}")
+        state = derive_abstract_state(tree, LEVELS[level], state_id=f"s{i}")
         dstg.abstract_states[state.id] = state
         if i > 1:  # the first screen is where the trace starts
             dstg.abstract_transitions[f"at{i}"] = AbstractTransition(
@@ -89,8 +91,11 @@ def replay_model(after_roots):
     return model
 
 
-def screen(resource_id):
-    return make_node(children=[make_node(clickable=True, resourceId=resource_id)])
+def screen(resource_id, children=(), **props):
+    """A screen with one clickable node."""
+    return make_node(
+        children=[make_node(children=children, clickable=True, resourceId=resource_id, **props)]
+    )
 
 
 def test_replay_flags_states_that_no_longer_reproduce():
@@ -158,6 +163,62 @@ def test_replay_performs_each_steps_transition_on_its_node():
     # one action per distinct (transition, node path)
     assert performed[0] is performed[1] and performed[2] is not performed[0]
     assert not model.dstg.abstract_states["s2"].obsolete
+
+
+@pytest.mark.parametrize(
+    "level, replayed, flagged",
+    [
+        ("L1", screen("b", text="new"), False),  # L1 does not read text
+        ("L2", screen("b", text="old"), False),
+        ("L2", screen("b", text="new"), True),
+        ("L4", screen("b", children=[make_node(className="TextView")]), False),
+        ("L4", screen("b", children=[make_node(className="ImageView")]), True),
+    ],
+)
+def test_replay_compares_at_the_expected_states_own_level(level, replayed, flagged):
+    recorded = {
+        "L1": screen("b", text="old"),
+        "L2": screen("b", text="old"),
+        "L4": screen("b", children=[make_node(className="TextView")]),
+    }[level]
+    model = replay_model([screen("a"), recorded], level=level)
+    replay_flag_obsolete(model, ScriptedDriver([FakeResult("wa", screen("a")), FakeResult("wa", replayed)]))
+    assert model.dstg.abstract_states["s2"].obsolete == flagged
+
+
+@pytest.mark.parametrize("app", ["diary", "dialog", "news", "deep"])
+def test_replay_on_the_sessions_own_driver_seed_flags_nothing_the_trace_reaches(
+    app, tmp_path, monkeypatch
+):
+    # the session and the replay must read every screen alike: replaying a
+    # session's trace on a driver with the session's own seed shows the
+    # screens the session saw, so no state the trace reaches may be flagged
+    spec = load_spec(fixture_path(app))
+    newly_flagged = {}
+
+    def own_seed_replay(model, driver):
+        states = model.dstg.abstract_states
+        reached = {
+            model.dstg.abstract_transitions[step.transition_id].destination_state_id
+            for step in model.gstg.trace
+        }
+        flagged_before = {sid for sid in reached if states[sid].obsolete}
+        replay_flag_obsolete(model, DriverSession(spec, model.version, seed=seed))
+        newly_flagged[seed, model.version] = {
+            sid for sid in reached if states[sid].obsolete
+        } - flagged_before
+        return model
+
+    monkeypatch.setattr(uptest.cli, "replay_flag_obsolete", own_seed_replay)
+    for seed in (1, 2, 3):
+        workdir = tmp_path / str(seed)
+        workdir.mkdir()
+        pipeline_run(
+            spec, spec.versions[0].version, spec.versions[-1].version,
+            budget=300, seed=seed, workdir=workdir, config=EngineConfig(),
+        )
+    assert len(newly_flagged) == 3 * len(spec.versions)
+    assert all(not flagged for flagged in newly_flagged.values()), newly_flagged
 
 
 def test_replay_without_trace_is_a_no_op():
