@@ -1,13 +1,14 @@
 """Carry a learned model over to a new app version.
 
 The base model's learned state graph is copied once and rewritten according
-to the diff in a single cleanup pass: learned instances of deleted or
-replaced window transitions are dropped, states and AVMs whose window or
-widget the diff does not pair (deleted, or created at runtime and so never
-compared) disappear with the transitions they carried, paired elements are
-rebound to their counterpart, and anything left disconnected from the
-launcher window's states is pruned.  The session trace is not carried over,
-and the static layer is the new version's window graph itself, not a copy.
+to the diff.  States and AVMs whose window or widget the diff does not pair
+(deleted, or created at runtime and so never compared) are dropped and the
+rest rebound to their counterparts; then a single pass over the transitions,
+in the new version's ids, drops those left dangling and the learned
+instances of deleted or replaced window transitions; and anything left
+disconnected from the launcher window's states is pruned.  The session
+trace is not carried over, and the static layer is the new version's window
+graph itself, not a copy.
 """
 
 from __future__ import annotations
@@ -22,8 +23,12 @@ class AdaptationError(Exception):
     pass
 
 
-def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg) -> Dstg:
-    """Apply the diff to the given learned state graph in place and return it."""
+def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Dstg:
+    """Apply the diff to the given learned state graph in place and return it.
+
+    ``ewtg`` is the updated version's window graph and ``base_ewtg`` the one
+    the learned graph was built on.
+    """
     window_mapping = diff.window_mapping()
     widget_mapping = diff.widget_mapping()
 
@@ -44,13 +49,31 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg) -> Dstg:
             if avm.ewtg_widget_id is not None:
                 avm.ewtg_widget_id = widget_mapping[avm.ewtg_widget_id]
 
-    # (c) drop transitions left dangling by (a) and (b)
+    # the trigger (window, widget or None, action) of each deleted or replaced
+    # window transition, in the updated version's ids; the mappings are
+    # one-to-one, and a trigger on an unpaired window or widget is left out
+    # because (a) and (b) dropped everything it would match
+    doomed = set()
+    for wt_id in [*diff.deleted_transitions, *diff.replaced_transitions]:
+        wt = base_ewtg.window_transitions.get(wt_id)
+        inp = base_ewtg.inputs.get(wt.input_id) if wt is not None else None
+        if inp is None or inp.window_id not in window_mapping:
+            continue
+        if inp.widget_id is not None and inp.widget_id not in widget_mapping:
+            continue
+        window_id, widget_id = window_mapping[inp.window_id], widget_mapping.get(inp.widget_id)
+        doomed.add((window_id, widget_id, inp.action_type))
+
+    # (c) drop transitions left dangling by (a) and (b), and the learned
+    # instances of the doomed triggers
     for tr_id, tr in list(dstg.abstract_transitions.items()):
         src = dstg.abstract_states.get(tr.source_state_id)
+        avm = src.avm_by_id(tr.source_avm_id) if src and tr.source_avm_id is not None else None
         if (
             src is None
             or tr.destination_state_id not in dstg.abstract_states
-            or (tr.source_avm_id is not None and src.avm_by_id(tr.source_avm_id) is None)
+            or (tr.source_avm_id is not None and avm is None)
+            or (src.window_id, avm.ewtg_widget_id if avm else None, tr.action_type) in doomed
         ):
             del dstg.abstract_transitions[tr_id]
 
@@ -67,26 +90,17 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg) -> Dstg:
 
 
 def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
-    if not dstg.abstract_states:
-        return
     launcher_states = {
         s.id for s in dstg.abstract_states.values() if s.window_id == launcher_window_id
     }
-    if not launcher_states:
-        # no anchor: only remove fully isolated states
-        linked = set()
-        for tr in dstg.abstract_transitions.values():
-            linked.add(tr.source_state_id)
-            linked.add(tr.destination_state_id)
-        for sid in list(dstg.abstract_states):
-            if sid not in linked:
-                del dstg.abstract_states[sid]
-        return
-
     adjacency: dict[str, set[str]] = {sid: set() for sid in dstg.abstract_states}
     for tr in dstg.abstract_transitions.values():
         adjacency[tr.source_state_id].add(tr.destination_state_id)
         adjacency[tr.destination_state_id].add(tr.source_state_id)
+    if not launcher_states:
+        # no anchor: only remove fully isolated states
+        dstg.drop_states([sid for sid, linked in adjacency.items() if not linked])
+        return
 
     reachable: set[str] = set()
     frontier = list(launcher_states)
@@ -95,47 +109,8 @@ def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
         if sid in reachable:
             continue
         reachable.add(sid)
-        frontier.extend(adjacency.get(sid, ()))
-
-    for sid in list(dstg.abstract_states):
-        if sid not in reachable:
-            del dstg.abstract_states[sid]
-    for tr_id in list(dstg.abstract_transitions):
-        tr = dstg.abstract_transitions[tr_id]
-        if tr.source_state_id not in reachable or tr.destination_state_id not in reachable:
-            del dstg.abstract_transitions[tr_id]
-
-
-def _remove_stale_transition_edges(dstg: Dstg, diff: DiffResult, base: AppModel) -> None:
-    """Drop abstract transitions that instantiate deleted or replaced window transitions."""
-    doomed = set(diff.replaced_transitions) | set(diff.deleted_transitions)
-    if not doomed:
-        return
-    base_ewtg = base.ewtg
-    # key: (source window id, widget id or None, action type) of the base transition
-    doomed_keys = set()
-    for wt_id in doomed:
-        wt = base_ewtg.window_transitions.get(wt_id)
-        if wt is None:
-            continue
-        inp = base_ewtg.inputs.get(wt.input_id)
-        if inp is None:
-            continue
-        doomed_keys.add((inp.window_id, inp.widget_id, inp.action_type))
-
-    base_states = base.dstg.abstract_states
-    for tr_id in list(dstg.abstract_transitions):
-        tr = dstg.abstract_transitions[tr_id]
-        base_state = base_states.get(tr.source_state_id)
-        if base_state is None:
-            continue
-        widget_id = None
-        if tr.source_avm_id is not None:
-            avm = base_state.avm_by_id(tr.source_avm_id)
-            if avm is not None:
-                widget_id = avm.ewtg_widget_id
-        if (base_state.window_id, widget_id, tr.action_type) in doomed_keys:
-            del dstg.abstract_transitions[tr_id]
+        frontier.extend(adjacency[sid])
+    dstg.drop_states([sid for sid in adjacency if sid not in reachable])
 
 
 def adapt_model(
@@ -158,8 +133,7 @@ def adapt_model(
             raise AdaptationError(f"diff references unknown updated window {upd_id}")
 
     dstg = copy.deepcopy(base.dstg)
-    _remove_stale_transition_edges(dstg, diff, base)
-    update_dstg(dstg, diff, updated_ewtg)
+    update_dstg(dstg, diff, updated_ewtg, base.ewtg)
 
     model = AppModel(
         version=version or base.version,

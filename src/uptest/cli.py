@@ -93,6 +93,12 @@ def _targets_from_file(path: str, version: str) -> TargetSet:
         require(str, *methods)
         require(dict, counts)
         require_int(*counts.values())
+        for method, count in counts.items():
+            if count < 1:
+                raise ValueError(f"method {method!r} has instruction count {count}, below 1")
+        for method in methods:
+            if method not in counts:
+                raise LookupError(f"target method {method!r} has no instruction count")
         return TargetSet(target_method_ids=set(methods), instruction_counts=counts)
 
     return _read_document(path, parse, "targets file")
@@ -334,11 +340,6 @@ def cmd_harness_targets(args) -> int:
 # --- argument parsing ----------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--config", default=None, help="JSON config file")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uptest",
@@ -350,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("base")
     p.add_argument("updated")
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(func=cmd_diff)
 
     p = sub.add_parser("adapt", help="carry a model over to a new version")
@@ -359,7 +360,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("diff")
     p.add_argument("--out", required=True)
     p.add_argument("--version", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("test", help="run one test session")
@@ -372,7 +372,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--out-model", default=None)
     p.add_argument("--report", default=None)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(func=cmd_test)
 
     p = sub.add_parser("refine", help="replay the trace and flag obsolete states")
@@ -380,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("appspec")
     p.add_argument("--version", required=True)
     p.add_argument("--out", required=True)
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_refine)
 
     p = sub.add_parser("plan", help="print the planned sequence to a target")
@@ -390,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     group.add_argument("--target-window")
     group.add_argument("--target-state")
     group.add_argument("--target-input")
-    _add_common(p)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(func=cmd_plan)
 
     p = sub.add_parser("pipeline", help="run the full multi-version pipeline")
@@ -399,14 +400,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to-version", default=None)
     p.add_argument("--budget", type=int, default=100)
     p.add_argument("--workdir", default=".", help="artifact directory")
-    _add_common(p)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--config", default=None, help="JSON config file")
     p.set_defaults(func=cmd_pipeline)
 
     p = sub.add_parser("compare", help="compare two session reports")
     p.add_argument("report_a")
     p.add_argument("report_b")
     p.add_argument("--out", default=None)
-    _add_common(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("harness", help="simulated app platform utilities")
@@ -415,12 +416,10 @@ def build_parser() -> argparse.ArgumentParser:
     ph.add_argument("appspec")
     ph.add_argument("--version", required=True)
     ph.add_argument("--out", required=True)
-    _add_common(ph)
     ph.set_defaults(func=cmd_harness_export)
     ph = hsub.add_parser("diff-targets", help="emit the per-version target manifest")
     ph.add_argument("appspec")
     ph.add_argument("--out", required=True)
-    _add_common(ph)
     ph.set_defaults(func=cmd_harness_targets)
 
     return parser

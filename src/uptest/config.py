@@ -7,7 +7,7 @@ wrong type or out of range are rejected with ``ConfigError``.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Union
 
@@ -65,12 +65,6 @@ class EngineConfig:
         words = self.text_dictionary
         if not (isinstance(words, tuple) and words and all(isinstance(t, str) for t in words)):
             raise ConfigError(f"text_dictionary must be a non-empty list of strings, got {words!r}")
-
-    def to_dict(self) -> dict:
-        d = asdict(self)
-        d["phase_caps"] = list(self.phase_caps)
-        d["text_dictionary"] = list(self.text_dictionary)
-        return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "EngineConfig":

@@ -300,7 +300,6 @@ class TestEngine:
         # state id -> layout fingerprint of each state observed this session,
         # in last-visit order
         self.visited_layouts: dict[str, Counter] = {}
-        self._avm_ids: dict[str, dict[str, str]] = {}  # state id -> widget id -> AVM id
         self.created_this_session: set[str] = set()
         # states planned steps expected, by whether the step reached them
         self.retraversal_failures: set[str] = set()
@@ -430,15 +429,7 @@ class TestEngine:
 
     def _avm_id(self, state: AbstractState, widget_id: Optional[str]) -> Optional[str]:
         """The id of the first of ``state``'s AVMs bound to ``widget_id``, if any."""
-        if not widget_id:
-            return None
-        avm_ids = self._avm_ids.get(state.id)
-        if avm_ids is None:
-            avm_ids = self._avm_ids[state.id] = {}
-            for avm in state.avms:
-                if avm.ewtg_widget_id is not None:
-                    avm_ids.setdefault(avm.ewtg_widget_id, avm.id)
-        return avm_ids.get(widget_id)
+        return self.view.avm_for[state.id].get(widget_id) if widget_id else None
 
     def _is_closing(self, action: Action, before: AbstractState, after: AbstractState) -> bool:
         if action.action_type == ActionType.PRESS_BACK:

@@ -46,7 +46,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 SCHEMA_VERSION = 7
 
@@ -588,6 +588,17 @@ class Dstg:
     def level_for(self, window_id: str) -> str:
         return self.abstraction_policy.get(window_id, "L1")
 
+    def drop_states(self, ids: Iterable[str]) -> None:
+        """Delete the states ``ids`` names and every transition into or out of them."""
+        doomed = set(ids)
+        if not doomed:
+            return
+        for sid in doomed:
+            del self.abstract_states[sid]
+        for tr_id, tr in list(self.abstract_transitions.items()):
+            if tr.source_state_id in doomed or tr.destination_state_id in doomed:
+                del self.abstract_transitions[tr_id]
+
     def to_dict(self) -> dict:
         return {
             "abstractStates": _id_table(AbstractState, self.abstract_states),
@@ -722,7 +733,11 @@ def validate_integrity(model: AppModel) -> list[str]:
             violations.append(f"state {state.id} references missing window {state.window_id}")
         if state.abstraction_level not in LEVEL_ORDER:
             violations.append(f"state {state.id} has unknown abstraction level")
+        avm_ids: set[str] = set()
         for avm in state.avms:
+            if avm.id in avm_ids:
+                violations.append(f"state {state.id} has more than one avm {avm.id}")
+            avm_ids.add(avm.id)
             if avm.cardinality < 1:
                 violations.append(f"avm {avm.id} of state {state.id} has cardinality < 1")
             if avm.ewtg_widget_id is not None and avm.ewtg_widget_id not in ewtg.widgets:
@@ -745,6 +760,8 @@ def validate_integrity(model: AppModel) -> list[str]:
                 f"abstract transition {tr.id} references missing destination state "
                 f"{tr.destination_state_id}"
             )
+        if tr.layout_guard is not None and min(tr.layout_guard.values(), default=1) < 1:
+            violations.append(f"abstract transition {tr.id} has a layout guard count below 1")
 
     for window_id, level in dstg.abstraction_policy.items():
         if window_id not in ewtg.windows:

@@ -125,6 +125,9 @@ class PlanView:
         # window -> presence ratio of each widget over the window's live
         # states, from the count of live states and of those showing each widget
         self.presence: dict[str, tuple[tuple[str, float], ...]] = {}
+        # state id -> widget id -> the id of the state's first AVM bound to it,
+        # for every state, obsolete ones included
+        self.avm_for: dict[str, dict[str, str]] = {}
         self._live: Counter = Counter()
         self._widget_counts: dict[str, Counter] = {}
         for inp in sorted(model.ewtg.inputs.values(), key=lambda i: i.id):
@@ -133,8 +136,7 @@ class PlanView:
             self.window_destinations.setdefault(wt.input_id, []).append(wt.destination_window_id)
         states = model.dstg.abstract_states
         for state in states.values():
-            if not state.obsolete:
-                self.add_state(state)
+            self.add_state(state)
         for tr in sorted(model.dstg.abstract_transitions.values(), key=lambda t: t.id):
             src, dest = states.get(tr.source_state_id), states.get(tr.destination_state_id)
             if src is not None and dest is not None:
@@ -146,11 +148,17 @@ class PlanView:
         self.input_for[key] = min(inp, self.input_for.get(key, inp), key=lambda i: i.id)
 
     def add_state(self, state: AbstractState) -> None:
-        """Count a live state in its window's widget presence."""
+        """Map a state's widgets to their AVMs; count a live one in its window's widget presence."""
+        avm_ids = self.avm_for[state.id] = {}
+        for avm in state.avms:
+            if avm.ewtg_widget_id is not None:
+                avm_ids.setdefault(avm.ewtg_widget_id, avm.id)
+        if state.obsolete:
+            return
         self._live[state.window_id] += 1
         live = self._live[state.window_id]
         counts = self._widget_counts.setdefault(state.window_id, Counter())
-        counts.update({avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None})
+        counts.update(self.avm_for[state.id].keys())
         self.presence[state.window_id] = tuple(sorted((w, c / live) for w, c in counts.items()))
 
     def revive(self, state: AbstractState, states: dict[str, AbstractState]) -> None:
@@ -246,9 +254,7 @@ class Planner:
                 data_payload=tr.data_payload, guard=tr.layout_guard,
             )
             edges.append((("state", dest.id), step))
-        present_widgets = {
-            avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None
-        }
+        present_widgets = self.view.avm_for[state.id]
         for inp in self.view.inputs_of_window.get(state.window_id, ()):
             if inp.action_type == ActionType.RESET_APP and not at_start:
                 continue

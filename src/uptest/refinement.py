@@ -28,17 +28,11 @@ def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppMo
         for sid in observed
         if sid in dstg.abstract_states
     }
-    doomed = {
+    dstg.drop_states(
         sid
         for sid, state in dstg.abstract_states.items()
         if state.window_id in visited_windows and sid not in observed
-    }
-    for sid in doomed:
-        del dstg.abstract_states[sid]
-    for tr_id in list(dstg.abstract_transitions):
-        tr = dstg.abstract_transitions[tr_id]
-        if tr.source_state_id in doomed or tr.destination_state_id in doomed:
-            del dstg.abstract_transitions[tr_id]
+    )
     return model
 
 

@@ -1,6 +1,7 @@
 """Model carry-over across versions."""
 
 import copy
+import random
 
 import pytest
 
@@ -22,6 +23,8 @@ from uptest.model import (
 )
 
 from uptest import fixture_path
+
+from random_ewtg import random_ewtg_pair
 
 
 def avm(avm_id, widget_id=None, rid=""):
@@ -119,7 +122,7 @@ def test_adapted_model_takes_the_updated_window_graph_without_copying_it():
 def test_deleted_window_drops_states_and_edges():
     base = diary_base_model()
     diff = DiffResult(deleted_windows={"edit"}, matched_windows={"main": "main"})
-    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg)
+    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg, base.ewtg)
     assert "s2" not in updated.abstract_states
     assert updated.abstract_transitions == {}
 
@@ -132,7 +135,7 @@ def test_disconnected_component_is_pruned():
         matched_windows={"main": "main", "edit": "edit"},
         matched_widgets={w: w for w in ("w3", "w6", "w7", "w10")},
     )
-    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg)
+    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg, base.ewtg)
     assert "s9" not in updated.abstract_states
     assert {"s1", "s2"} <= set(updated.abstract_states)
 
@@ -194,6 +197,102 @@ def test_replaced_transition_drops_its_learned_instances():
     assert "at1" not in adapted.dstg.abstract_transitions
     # with its only edge gone, the edit state is disconnected and pruned
     assert "s2" not in adapted.dstg.abstract_states
+
+
+def test_deleted_transition_drops_its_learned_instances_and_only_those():
+    base = diary_base_model()
+    # same widget, another action: not an instance of the deleted transition
+    base.dstg.abstract_transitions["at2"] = AbstractTransition(
+        id="at2", source_state_id="s1", source_avm_id="avm2",
+        action_type=ActionType.LONG_CLICK, destination_state_id="s1",
+    )
+    # back from the edit state, so that it stays linked without at1
+    base.dstg.abstract_transitions["at3"] = AbstractTransition(
+        id="at3", source_state_id="s2", source_avm_id="avm6",
+        action_type=ActionType.CLICK, destination_state_id="s1",
+    )
+    spec = load_spec(fixture_path("diary"))
+    diff = diary_diff()
+    # the recorded v0 transition leaves from a replaced window on a replaced widget
+    assert diff.replaced_windows == {"main": "home"} and diff.replaced_widgets == {"w3": "w8"}
+    diff.matched_transitions.pop("wt-i-add-0-edit")
+    diff.deleted_transitions.add("wt-i-add-0-edit")
+    adapted = adapt_model(base, export_ewtg(spec, "v1"), diff, version="v1")
+    assert set(adapted.dstg.abstract_transitions) == {"at2", "at3"}
+    assert set(adapted.dstg.abstract_states) == {"s1", "s2"}
+    assert validate_integrity(adapted) == []
+
+
+def random_learned_graph(ewtg: Ewtg, rng: random.Random) -> Dstg:
+    """A learned graph on ``ewtg``: one to three states per window, each with an
+    AVM per widget of its window and one bound to none, and transitions that
+    mostly instantiate the window graph's inputs."""
+    dstg = Dstg()
+    for window_id in sorted(ewtg.windows):
+        widgets = sorted(w.id for w in ewtg.widgets.values() if w.window_id == window_id)
+        for k in range(rng.randint(1, 3)):
+            sid = f"{window_id}-s{k}"
+            avms = [avm(f"{sid}-{w}", w) for w in widgets] + [avm(f"{sid}-none")]
+            dstg.abstract_states[sid] = AbstractState(id=sid, window_id=window_id, avms=avms)
+    states = list(dstg.abstract_states.values())
+    inputs = sorted(ewtg.inputs.values(), key=lambda i: i.id)
+    for t in range(rng.randint(len(states), 3 * len(states))):
+        src = rng.choice(states)
+        own = [i for i in inputs if i.window_id == src.window_id]
+        if own and rng.random() < 0.7:
+            inp = rng.choice(own)
+            widget_id, action = inp.widget_id, inp.action_type
+        else:
+            widget_id = rng.choice([None] + [a.ewtg_widget_id for a in src.avms])
+            action = rng.choice(list(ActionType))
+        dstg.abstract_transitions[f"at{t}"] = AbstractTransition(
+            id=f"at{t}", source_state_id=src.id,
+            source_avm_id=f"{src.id}-{widget_id}" if widget_id else rng.choice([None, f"{src.id}-none"]),
+            action_type=action, destination_state_id=rng.choice(states).id,
+        )
+    return dstg
+
+
+def test_a_learned_transition_survives_exactly_when_its_ends_avm_and_trigger_do():
+    # oracle in the base version's ids: ends and source AVM survive, and its
+    # trigger is not that of a deleted or replaced window transition
+    doomed_only = renamed = 0
+    for seed in range(60):
+        base_ewtg, updated_ewtg = random_ewtg_pair(seed)
+        base = AppModel(
+            version="v0", ewtg=base_ewtg,
+            dstg=random_learned_graph(base_ewtg, random.Random(seed)),
+        )
+        assert validate_integrity(base) == []
+        diff = diff_ewtg(base_ewtg, updated_ewtg)
+        doomed = set()
+        for wt_id in [*diff.deleted_transitions, *diff.replaced_transitions]:
+            inp = base_ewtg.inputs[base_ewtg.window_transitions[wt_id].input_id]
+            doomed.add((inp.window_id, inp.widget_id, inp.action_type))
+        adapted = adapt_model(base, updated_ewtg, diff, version="v1")
+        states = adapted.dstg.abstract_states
+        expected = set()
+        for tr in base.dstg.abstract_transitions.values():
+            src = base.dstg.abstract_states[tr.source_state_id]
+            source_avm = src.avm_by_id(tr.source_avm_id) if tr.source_avm_id else None
+            trigger = (src.window_id, source_avm and source_avm.ewtg_widget_id, tr.action_type)
+            survives = (
+                src.id in states
+                and tr.destination_state_id in states
+                and (source_avm is None or states[src.id].avm_by_id(source_avm.id) is not None)
+            )
+            if survives and trigger not in doomed:
+                expected.add(tr.id)
+            elif survives:
+                doomed_only += 1
+                renamed += src.window_id in diff.replaced_windows or (
+                    source_avm is not None
+                    and source_avm.ewtg_widget_id in diff.replaced_widgets
+                )
+        assert set(adapted.dstg.abstract_transitions) == expected, seed
+        assert validate_integrity(adapted) == []
+    # the trigger alone drops transitions, some of them on renamed elements
+    assert doomed_only > 10 and renamed > 0
 
 
 def test_abstraction_policy_follows_replaced_windows():

@@ -1,11 +1,16 @@
 """Command-line interface: every subcommand, artifact chaining."""
 
+import argparse
+import ast
+import inspect
 import json
+from dataclasses import asdict
 from pathlib import Path
 
 import pytest
 
-from uptest.cli import compare_runs, main
+import uptest.cli
+from uptest.cli import build_parser, compare_runs, main
 from uptest.config import ConfigError, EngineConfig, load_config
 from uptest.diff import DiffResult
 from uptest.harness import export_ewtg, load_spec
@@ -15,6 +20,52 @@ from uptest import fixture_path
 
 
 DIARY = str(fixture_path("diary"))
+
+
+def options_read_by(handler) -> set[str]:
+    """Attributes ``handler`` reads off its first parameter, also through the
+    ``cli`` functions it passes that parameter to."""
+    tree = ast.parse(inspect.getsource(uptest.cli))
+    defs = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    read, seen, todo = set(), set(), [handler.__name__]
+    while todo:
+        name = todo.pop()
+        if name in seen:
+            continue
+        seen.add(name)
+        param = defs[name].args.args[0].arg
+        for node in ast.walk(defs[name]):
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                if node.value.id == param:
+                    read.add(node.attr)
+            elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                passed = any(isinstance(a, ast.Name) and a.id == param for a in node.args)
+                if passed and node.func.id in defs:
+                    todo.append(node.func.id)
+    return read
+
+
+def subcommands(parser: argparse.ArgumentParser):
+    """(subparser, handler) of every subcommand, nested ones included."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for sub in action.choices.values():
+                yield from subcommands(sub)
+    if parser.get_default("func") is not None:
+        yield parser, parser.get_default("func")
+
+
+def test_each_subcommand_takes_only_the_options_its_handler_reads():
+    found = list(subcommands(build_parser()))
+    assert len(found) == 9
+    # options read through the helpers a handler passes its arguments to count
+    assert {"config", "budget", "seed"} <= options_read_by(uptest.cli.cmd_pipeline)
+    for sub, handler in found:
+        options = {
+            action.dest for action in sub._actions
+            if not isinstance(action, argparse._HelpAction)
+        }
+        assert options <= options_read_by(handler), sub.prog
 
 
 def write_ewtg(tmp_path, version) -> Path:
@@ -89,6 +140,9 @@ def manifest_entry(**fields) -> dict:
     manifest_entry(instructionCounts={"m-add": "x"}),
     manifest_entry(instructionCounts={"m-add": True}),
     manifest_entry(instructionCounts=[["m-add", 3]]),
+    manifest_entry(instructionCounts={"m-add": -3}),
+    manifest_entry(instructionCounts={"m-add": 0}),
+    manifest_entry(updatedMethodIds=["m-add", "m-other"]),
 ])
 def test_test_command_rejects_a_malformed_target_manifest(tmp_path, capsys, doc):
     targets = write_text(tmp_path, "targets.json", json.dumps(doc))
@@ -497,4 +551,6 @@ def test_negative_budget_is_a_one_line_error(tmp_path, capsys, command):
 
 def test_config_round_trip():
     cfg = EngineConfig(phase_caps=(0.6, 0.2, 0.2))
-    assert EngineConfig.from_dict(cfg.to_dict()) == cfg
+    doc = json.loads(json.dumps(asdict(cfg)))  # JSON holds the tuple fields as lists
+    assert isinstance(doc["phase_caps"], list) and isinstance(doc["text_dictionary"], list)
+    assert EngineConfig.from_dict(doc) == cfg

@@ -12,6 +12,7 @@ and runs a session.  Seeds are fixed, so a failure reproduces.
 import copy
 import json
 import random
+from dataclasses import asdict
 
 import pytest
 
@@ -100,11 +101,12 @@ def test_mutated_specs_load_and_run_or_raise_spec_error():
 
 def test_mutated_configs_load_and_run_or_raise_config_error():
     rng = random.Random("fuzz-config")
+    config_doc = json.loads(json.dumps(asdict(EngineConfig())))  # the defaults as a JSON file
     spec = load_spec(fixture_path("dialog"))
     loaded = 0
     for _ in range(CASES):
         try:
-            config = EngineConfig.from_dict(mutate(rng, EngineConfig().to_dict()))
+            config = EngineConfig.from_dict(mutate(rng, config_doc))
         except ConfigError:
             continue
         loaded += 1

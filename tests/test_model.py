@@ -416,6 +416,28 @@ def test_validation_catches_bad_avm():
     assert any("missing widget" in v for v in validate_integrity(model))
 
 
+def test_validation_catches_a_state_with_two_avms_of_one_id():
+    model = small_model()
+    state = model.dstg.abstract_states["s1"]
+    state.avms.append(AttributeValuationMap(id="avm-1", valuations={"R_RID": "other"}))
+    assert validate_integrity(model) == ["state s1 has more than one avm avm-1"]
+    with pytest.raises(ModelError):
+        serialize_model(model)
+    with pytest.raises(ModelError, match="duplicate AVM id 'avm-1'"):
+        load(model.to_dict())  # the document serialize would write
+
+
+def test_validation_catches_a_layout_guard_count_below_one():
+    model = small_model()
+    guard = Counter({(("R_RID", "ok"),): 2, (("R_RID", "gone"),): 0})
+    model.dstg.abstract_transitions["at-1"].layout_guard = guard
+    assert validate_integrity(model) == ["abstract transition at-1 has a layout guard count below 1"]
+    with pytest.raises(ModelError):
+        serialize_model(model)
+    with pytest.raises(ModelError, match="count 0 is below 1"):
+        load(model.to_dict())  # the document serialize would write
+
+
 def test_validation_catches_transition_avm_mismatch():
     model = small_model()
     model.dstg.abstract_transitions["at-1"].source_avm_id = "avm-unknown"

@@ -211,6 +211,16 @@ def test_plan_to_obsolete_state_is_refused():
     assert plan_to_target(model, start, model.dstg.abstract_states["s6"]) is None
 
 
+def test_plan_starts_from_an_obsolete_state():
+    # the view maps every state's widgets to AVMs, so an obsolete start's
+    # unexercised inputs are offered as for a live one
+    model = route_choice_model()
+    start = model.dstg.abstract_states["s9"]
+    start.obsolete = True
+    seq = plan_to_target(model, start, model.ewtg.inputs["i3"])
+    assert [s.input_id for s in seq.steps] == ["i1", "i2", "i3"]
+
+
 def test_plan_from_goal_is_empty():
     model = route_choice_model()
     start = model.dstg.abstract_states["s9"]
