@@ -27,6 +27,7 @@ from .model import (
     AppModel,
     Ewtg,
     ModelError,
+    compact_json,
     deserialize_model,
     require,
     require_int,
@@ -51,8 +52,7 @@ def _read_ewtg(path: str) -> Ewtg:
 
 
 def _write_json(path, doc) -> None:
-    """Write ``doc`` as compact JSON with sorted keys, which ``json`` encodes in C."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8")
+    Path(path).write_bytes(compact_json(doc) + b"\n")
 
 
 def _config(args) -> EngineConfig:

@@ -17,13 +17,12 @@ as deletions.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Ewtg, EwtgWidget, Input, Window, WindowTransition, require
+from .model import Ewtg, EwtgWidget, Input, Window, WindowTransition, compact_json, require
 
 
 # --- string similarity ---------------------------------------------------
@@ -181,7 +180,7 @@ class DiffResult:
         )
 
     def to_json(self) -> bytes:
-        return json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+        return compact_json(self.to_dict())
 
 
 # --- matching ------------------------------------------------------------

@@ -14,7 +14,6 @@ offline replay (``refinement.replay_flag_obsolete``) both ask it.
 
 from __future__ import annotations
 
-import json
 import random
 import re
 from collections import Counter
@@ -48,6 +47,7 @@ from .model import (
     TraceStep,
     Window,
     WindowKind,
+    compact_json,
 )
 from .planner import ActionSequence, MetaState, PlanStep, PlanView, plan_to_target
 
@@ -122,7 +122,6 @@ class SessionResult:
     model: AppModel
     ledger: CoverageLedger
     utas: list[UtaRecord]
-    plan_log: list[dict]
     executed_actions: int
     actions_to_first_target_coverage: Optional[int]
     observed_state_ids: set[str] = field(default_factory=set)
@@ -153,12 +152,9 @@ class SessionResult:
 
 
 def emit_report(result: SessionResult, targets: TargetSet, out_path) -> dict:
-    """Write the session report as compact JSON with sorted keys, which ``json``
-    encodes in C (an indent makes it fall back to its Python encoder)."""
+    """Write the session report as ``compact_json`` and return it."""
     doc = result.report(targets)
-    Path(out_path).write_text(
-        json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n", "utf-8"
-    )
+    Path(out_path).write_bytes(compact_json(doc) + b"\n")
     return doc
 
 
@@ -287,7 +283,6 @@ class TestEngine:
 
         self.ledger = CoverageLedger()
         self.utas: list[UtaRecord] = []
-        self.plan_log: list[dict] = []
         self.executed = 0
         self.first_coverage_at: Optional[int] = None
 
@@ -482,9 +477,6 @@ class TestEngine:
         index = LEVEL_ORDER.index(current)
         if index + 1 < len(LEVEL_ORDER):
             self.model.dstg.abstraction_policy[window_id] = LEVEL_ORDER[index + 1]
-            self.plan_log.append(
-                {"event": "refine", "window": window_id, "level": LEVEL_ORDER[index + 1]}
-            )
 
     # -- execution --------------------------------------------------------
 
@@ -652,64 +644,38 @@ class TestEngine:
                 return False
         return True
 
-    def _pursue_input(self, inp: Input, phase: int) -> int:
+    def _pursue_input(self, inp: Input) -> int:
         start = self.executed
         sequence = self._plan(inp)
-        entry = self._log_plan(phase, inp.id, sequence)
         if sequence is None:
             self.random_explore(min(5, self._budget_left()))
         else:
-            self._follow_plan(sequence, entry)
+            self._follow_plan(sequence)
         return self.executed - start
 
     def _plan(self, target) -> Optional[ActionSequence]:
         seen = self.visited_layouts.values()
         return plan_to_target(self.model, self.current_state, target, seen, self.config, self.view)
 
-    def _follow_plan(self, sequence: ActionSequence, entry: dict) -> None:
+    def _follow_plan(self, sequence: ActionSequence) -> None:
         """Execute planned steps until one mismatches or the budget runs out."""
         for step in sequence.steps:
             if self._budget_left() <= 0:
                 break
-            outcome = self._execute_step(step)
-            entry["outcomes"].append(outcome)
-            if outcome == "mismatch":
+            if self._execute_step(step) == "mismatch":
                 break
 
-    def _log_plan(self, phase: int, target: str, sequence: Optional[ActionSequence]) -> dict:
-        entry: dict = {"event": "plan", "phase": phase, "target": target}
-        if sequence is None:
-            entry["steps"] = None
-        else:
-            entry["steps"] = [
-                {
-                    "inputId": s.input_id,
-                    "actionType": s.action_type.value,
-                    "widgetId": s.widget_id,
-                    "expected": (
-                        s.expected
-                        if isinstance(s.expected, str)
-                        else {"metaWindow": s.expected.window_id}
-                    ),
-                    "guarded": s.guard is not None,
-                }
-                for s in sequence.steps
-            ]
-            entry["cost"] = sequence.cost
-        entry["outcomes"] = []
-        self.plan_log.append(entry)
-        return entry
-
-    def _visit_window(self, window_id: str, phase: int) -> None:
+    def _visit_window(self, window_id: str) -> None:
         window = self.model.ewtg.windows.get(window_id)
         if window is None or self.current_state.window_id == window_id:
             return
         sequence = self._plan(window)
-        entry = self._log_plan(phase, f"window:{window_id}", sequence)
         if sequence is not None:
-            self._follow_plan(sequence, entry)
+            self._follow_plan(sequence)
 
-    def _run_phase(self, phase: int, cap: int, pending_fn) -> None:
+    def _run_phase(self, cap: int, pending_fn, visit_related: bool) -> None:
+        """Pursue pending inputs within ``cap`` actions; with ``visit_related``
+        (phase 3), visit each input's related windows before pursuing it."""
         used_at_start = self.executed
         pursuits: dict[str, int] = {}
         while self._budget_left() > 0 and self.executed - used_at_start < cap:
@@ -725,10 +691,10 @@ class TestEngine:
                 if self._budget_left() <= 0 or self.executed - used_at_start >= cap:
                     break
                 pursuits[inp.id] = pursuits.get(inp.id, 0) + 1
-                if phase == 3:
+                if visit_related:
                     for related_id in self.related_windows.get(inp.window_id, []):
-                        self._visit_window(related_id, phase)
-                consumed = self._pursue_input(inp, phase)
+                        self._visit_window(related_id)
+                consumed = self._pursue_input(inp)
                 if consumed > 0:
                     progressed = True
             if not progressed:
@@ -753,9 +719,9 @@ class TestEngine:
                     < self.config.retrigger_cap
                 ]
 
-            self._run_phase(1, caps[0], phase1_pending)
-            self._run_phase(2, caps[1], phase2_pending)
-            self._run_phase(3, caps[2], phase2_pending)
+            self._run_phase(caps[0], phase1_pending, False)
+            self._run_phase(caps[1], phase2_pending, False)
+            self._run_phase(caps[2], phase2_pending, True)
             # residual budget goes to free exploration
             self.random_explore(self._budget_left())
 
@@ -770,7 +736,6 @@ class TestEngine:
             model=self.model,
             ledger=self.ledger,
             utas=self.utas,
-            plan_log=self.plan_log,
             executed_actions=self.executed,
             actions_to_first_target_coverage=self.first_coverage_at,
             observed_state_ids=set(self.visited_layouts),

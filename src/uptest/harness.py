@@ -182,7 +182,7 @@ class CommandSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "CommandSpec":
-        lo, hi = d.get("instructions", (0, 0))
+        lo, hi = d["instructions"]
         cmd = cls(
             guard=list(d.get("guard", [])),
             effects=list(d.get("effects", [])),
@@ -798,10 +798,7 @@ class DriverSession:
             for cmd in handler.body:
                 if self._guard_holds(cmd.guard):
                     self._apply_effects(cmd.effects, action, widget_id)
-                    if cmd.instructions != (0, 0):
-                        executed.append(
-                            (handler.method_id, cmd.instructions[0], cmd.instructions[1])
-                        )
+                    executed.append((handler.method_id, *cmd.instructions))
                     break
         elif inp is None and action.action_type == ActionType.PRESS_BACK:
             self._go_back()

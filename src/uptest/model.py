@@ -779,16 +779,21 @@ def validate_integrity(model: AppModel) -> list[str]:
     return violations
 
 
+def compact_json(doc) -> bytes:
+    """``doc`` as ASCII JSON with sorted keys and no whitespace, which
+    ``json`` encodes in C (an indent makes it fall back to its Python encoder)."""
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+
+
 def serialize_model(model: AppModel) -> bytes:
     """Serialize a validated model to a canonical JSON document.
 
-    The document is compact, with sorted keys and no whitespace, because
-    ``json`` encodes that in C; any layout of the same document loads.
+    The document is ``compact_json``; any layout of the same document loads.
     """
     violations = validate_integrity(model)
     if violations:
         raise ModelError("model failed integrity validation: " + "; ".join(violations))
-    return json.dumps(model.to_dict(), sort_keys=True, separators=(",", ":")).encode("utf-8")
+    return compact_json(model.to_dict())
 
 
 def deserialize_model(data: bytes) -> AppModel:

@@ -43,7 +43,7 @@ from uptest.model import (
 from uptest.planner import plan_to_target
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
-from uptest import fixture_path, planner
+from uptest import engine, fixture_path, planner
 from conftest import diff_is_empty
 from hidden_app import hidden_spec_doc
 from planner_oracle import exhaustive_min_cost, random_model
@@ -330,7 +330,7 @@ def _launch2_choice(seed: int) -> int:
     return random.Random(f"{seed}:2:0").randrange(2)
 
 
-def test_a8_obsolescence_flagging_and_avoidance():
+def test_a8_obsolescence_flagging_and_avoidance(monkeypatch):
     with criterion("A8 obsolescence"):
         spec = load_spec(fixture_path("news"))
         # the learning session and the replay must see different headlines,
@@ -367,15 +367,22 @@ def test_a8_obsolescence_flagging_and_avoidance():
         }
         assert flagged == expected_flags
 
-        follow_up = run_session(
+        # the states every plan of the follow-up session expects to pass through
+        planned_through = set()
+
+        def recording_plan(*args):
+            sequence = plan_to_target(*args)
+            for step in sequence.steps if sequence is not None else ():
+                if isinstance(step.expected, str):
+                    planned_through.add(step.expected)
+            return sequence
+
+        monkeypatch.setattr(engine, "plan_to_target", recording_plan)
+        run_session(
             model, targets, DriverSession(spec, "v1", seed=next_seed),
             budget=40, seed=next_seed,
         )
-        planned_through = set()
-        for entry in follow_up.plan_log:
-            for step in entry.get("steps") or []:
-                if isinstance(step.get("expected"), str):
-                    planned_through.add(step["expected"])
+        assert planned_through
         assert not planned_through & expected_flags
 
 
@@ -537,23 +544,22 @@ REFINE_DIGEST = "a3b64636465474a6e4de45ad21d8368a9ee677189d7ac502c75e5709a745b0b
 
 
 def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monkeypatch):
-    import uptest.cli
-
-    refines, deleted = [], []
-    session = uptest.cli.run_session
+    refined, deleted = set(), []
+    refine_window = TestEngine._refine_window
     online_refine = TestEngine._online_refine
 
-    def recording_session(*args, **kwargs):
-        result = session(*args, **kwargs)
-        refines.extend(e for e in result.plan_log if e.get("event") == "refine")
-        return result
+    def recording_refine_window(self, window_id):
+        before = self.model.dstg.level_for(window_id)
+        refine_window(self, window_id)
+        if self.model.dstg.level_for(window_id) != before:
+            refined.add(window_id)
 
     def counting_online_refine(self, *args):
         before = len(self.model.dstg.abstract_transitions)
         online_refine(self, *args)
         deleted.append(before - len(self.model.dstg.abstract_transitions))
 
-    monkeypatch.setattr(uptest.cli, "run_session", recording_session)
+    monkeypatch.setattr(TestEngine, "_refine_window", recording_refine_window)
     monkeypatch.setattr(TestEngine, "_online_refine", counting_online_refine)
     spec = load_spec(hidden_spec_doc())
     digest = hashlib.sha256()
@@ -566,7 +572,7 @@ def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monk
         )
         _digest_contents(digest, workdir)
     # the digest covers both kinds of online refinement
-    assert {e["window"] for e in refines} == {"main", "left", "right"}
+    assert refined == {"main", "left", "right"}
     assert sum(deleted) >= 3
     assert digest.hexdigest() == REFINE_DIGEST
 

@@ -329,15 +329,32 @@ def engine_on(model):
     return TestEngine(model, targets, driver=None, budget=0, seed=0)
 
 
+def recorded_refinements(engine):
+    """The (window, new level) of each refinement ``engine`` makes from now
+    on, read off ``dstg.abstraction_policy`` around each ``_refine_window``."""
+    refines = []
+    dstg = engine.model.dstg
+
+    def refine(window_id):
+        before = dstg.level_for(window_id)
+        TestEngine._refine_window(engine, window_id)
+        if dstg.level_for(window_id) != before:
+            refines.append((window_id, dstg.level_for(window_id)))
+
+    engine._refine_window = refine
+    return refines
+
+
 def test_nondeterminism_bumps_the_window_abstraction_level():
     model = two_state_model()
     engine = engine_on(model)
+    refines = recorded_refinements(engine)
     sa = model.dstg.abstract_states["sa"]
     sc = model.dstg.abstract_states["sc"]
     action = Action("i-wd", ActionType.CLICK, concrete_node_path=())
     engine._record_transition(sa, action, "wd", sc)
     assert model.dstg.abstraction_policy["win"] == "L2"
-    assert any(e.get("event") == "refine" for e in engine.plan_log)
+    assert refines == [("win", "L2")]
 
 
 def test_closing_nondeterminism_is_guarded_not_refined():
@@ -403,9 +420,10 @@ def test_online_refine_sharpens_when_the_state_was_seen_this_version():
     assert model.dstg.abstraction_policy["win"] == "L2"
 
 
-def test_refinement_during_a_planned_step_keeps_the_plan_log_intact():
+def test_a_planned_step_into_a_conflicting_outcome_refines_its_window_twice():
     # the learned edge sa -> sb turns out to lead elsewhere, so the planned
-    # step both refines the source window and ends in a mismatch
+    # step ends in a mismatch and refines the source window twice: once when
+    # the conflicting outcome is recorded, and again in online refinement
     model = two_state_model()
     model.dstg.abstract_states["sb"].observed_in_versions = {"v1"}
 
@@ -419,12 +437,19 @@ def test_refinement_during_a_planned_step_keeps_the_plan_log_intact():
     sa = model.dstg.abstract_states["sa"]
     engine.current_state = sa
     engine.current_screen = _Screen("win", make_node(children=[make_node(widget_ref="wd")]))
+    refines = recorded_refinements(engine)
+    outcomes = []
 
-    engine._visit_window("other", phase=3)
+    def execute_step(step):
+        outcomes.append((step.expected, TestEngine._execute_step(engine, step)))
+        return outcomes[-1][1]
 
-    plan, refine = engine.plan_log[0], engine.plan_log[1]
-    assert plan["event"] == "plan" and plan["outcomes"] == ["mismatch"]
-    assert refine == {"event": "refine", "window": "win", "level": "L2"}
+    engine._execute_step = execute_step
+    engine._visit_window("other")
+
+    assert outcomes == [("sb", "mismatch")]
+    assert refines == [("win", "L2"), ("win", "L3")]
+    assert model.dstg.abstraction_policy["win"] == "L3"
     assert engine.executed == 1
 
 
@@ -505,12 +530,13 @@ def test_the_transition_index_follows_the_model_through_sessions_that_refine():
             budget=300, seed=7,
         )
         assert indexed_transitions(engine) == transition_groups(model.dstg)
+        session_refines = recorded_refinements(engine)
         engine.run_session()
         groups = transition_groups(model.dstg)
         assert indexed_transitions(engine) == groups
         # the session recorded more than one outcome of some action
         assert any(len({t.destination_state_id for t in g}) > 1 for g in groups.values())
-        refines += sum(e.get("event") == "refine" for e in engine.plan_log)
+        refines += len(session_refines)
     assert refines > 0
 
 
@@ -534,12 +560,12 @@ def record_click(engine, destination_id):
     ``win`` through, starting from L1."""
     dstg = engine.model.dstg
     dstg.abstraction_policy.clear()
-    start = len(engine.plan_log)
+    refines = recorded_refinements(engine)
     action = Action("i-wd", ActionType.CLICK, concrete_node_path=())
     tr = engine._record_transition(
         dstg.abstract_states["sa"], action, "wd", dstg.abstract_states[destination_id]
     )
-    return tr.id, [e["level"] for e in engine.plan_log[start:]]
+    return tr.id, [level for _, level in refines]
 
 
 def test_recorded_outcomes_are_compared_in_string_id_order():

@@ -227,6 +227,7 @@ def go_command(doc) -> dict:
         (lambda d: d["versions"][0].update({"textInputs": {"w-nope": ["a"]}}),
          "textInputs names unknown widget w-nope"),
         (lambda d: go_command(d).update({"instructions": [5]}), "malformed app spec"),
+        (lambda d: go_command(d).pop("instructions"), "'instructions'"),
         (lambda d: d["versions"][0].update({"textInputs": {"w-name": ["a", None]}}),
          "malformed app spec"),
         (lambda d: go_command(d).update({"instructions": [True, 3]}), "malformed app spec"),

@@ -4,7 +4,8 @@ The program is ``src/uptest`` and ``perfbench`` outside its tests; a function
 that only tests reach is API kept for the tests alone, and a constant, field
 or attribute that only tests read is data kept for the tests alone.  A member
 the program only grows or empties in place, such as a log it appends to, is
-written and never read.
+written and never read, and so is one the program only hands on under its
+own name, as in ``Result(log=self.log)``.
 """
 
 import ast
@@ -111,7 +112,8 @@ def defined_data(paths) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
 
 def _mutated_in_place(tree: ast.AST) -> set[int]:
     """Ids of the loads that only receive a mutator call as a statement,
-    like ``self.log`` in ``self.log.append(event)``."""
+    like ``self.log`` in ``self.log.append(event)``, or that only hand a
+    member on under its own name, like ``self.log`` in ``Result(log=self.log)``."""
     receivers = set()
     for node in ast.walk(tree):
         if (
@@ -121,6 +123,12 @@ def _mutated_in_place(tree: ast.AST) -> set[int]:
             and node.value.func.attr in MUTATORS
         ):
             receivers.add(id(node.value.func.value))
+        elif (
+            isinstance(node, ast.keyword)
+            and isinstance(node.value, ast.Attribute)
+            and node.value.attr == node.arg
+        ):
+            receivers.add(id(node.value))
     return receivers
 
 
@@ -235,3 +243,25 @@ def test_a_member_only_grown_or_emptied_in_place_is_unread(tmp_path):
         "        return list(self.kept)\n"
     )
     assert unread_data([module], [module]) == ["counts (mod.py:6)", "events (mod.py:3)"]
+
+
+def test_a_member_only_handed_on_under_its_own_name_is_unread(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class Result:\n"
+        "    def __init__(self, seen, log, count):\n"
+        "        self.log = log\n"
+        "        self.count = count\n"
+        "class Session:\n"
+        "    def __init__(self):\n"
+        "        self.log = []\n"
+        "        self.steps = 0\n"
+        "        self.seen = set()\n"
+        "    def result(self):\n"
+        "        return Result(self.seen, log=self.log, count=self.steps)\n"
+        "def summary(result):\n"
+        "    return result.count\n"
+    )
+    # ``log=self.log`` reads nothing; a member handed on under another
+    # name or by position is read
+    assert unread_data([module], [module]) == ["log (mod.py:3, mod.py:7)"]
