@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 
 from .diff import DiffResult
-from .model import AppModel, Dstg, Ewtg, Gstg, validate_integrity
+from .model import AppModel, Dstg, Ewtg, Gstg, validate_integrity, without_gc
 
 
 class AdaptationError(Exception):
@@ -113,6 +113,7 @@ def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
     dstg.drop_states([sid for sid in adjacency if sid not in reachable])
 
 
+@without_gc
 def adapt_model(
     base: AppModel, updated_ewtg: Ewtg, diff: DiffResult, version: str = ""
 ) -> AppModel:

@@ -8,8 +8,10 @@ is the exact Levenshtein ratio computed with a bit-parallel edit distance.
 Inside a window pair the resource ids of all unpaired base widgets are
 packed side by side, one lane each, into one integer, so one pass over an
 unpaired updated widget's id yields its distance to every one of them; each
-widget's xpath token vector is built once.  Transitions pair on the same
-trigger instead, and the destination decides matched or replaced.  Whatever is left unpaired is deleted (base side) or
+widget's xpath token vector is built once, and each distinct pair of names,
+class names or content descriptions is compared once per diff.  Transitions
+pair on the same trigger instead, and the destination decides matched or
+replaced.  Whatever is left unpaired is deleted (base side) or
 added (updated side).  Runtime-discovered elements, and transitions that
 reference them, are excluded on both sides so that they are never reported
 as deletions.
@@ -22,7 +24,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .model import Ewtg, EwtgWidget, Input, Window, WindowTransition, compact_json, require
+from .model import (
+    Ewtg,
+    EwtgWidget,
+    Input,
+    Window,
+    WindowTransition,
+    compact_json,
+    require,
+    without_gc,
+)
 
 
 # --- string similarity ---------------------------------------------------
@@ -87,6 +98,14 @@ def levenshtein_ratio(a: str, b: str) -> float:
     if a == b:
         return 1.0
     return _ratio(a, b, PackedPatterns([a]).distances(b)[0])
+
+
+def _pair_ratio(ratios: dict[tuple[str, str], float], a: str, b: str) -> float:
+    """``levenshtein_ratio(a, b)``, worked out once per pair held in ``ratios``."""
+    ratio = ratios.get((a, b))
+    if ratio is None:
+        ratio = ratios[a, b] = levenshtein_ratio(a, b)
+    return ratio
 
 
 def _xpath_vector(path: str) -> tuple[Counter, float]:
@@ -200,14 +219,16 @@ def _greedy_assign(candidates: list[tuple[float, int, str, str]]) -> dict[str, s
     return assignment
 
 
-def _window_corresponds(a: Window, b: Window, threshold: float) -> Optional[float]:
+def _window_corresponds(
+    a: Window, b: Window, threshold: float, ratios: dict[tuple[str, str], float]
+) -> Optional[float]:
     """Same window type, other attributes similar.  Returns a score or None."""
     if a.kind != b.kind:
         return None
-    name_sim = levenshtein_ratio(a.name, b.name)
+    name_sim = _pair_ratio(ratios, a.name, b.name)
     if name_sim < threshold:
         return None
-    class_sim = levenshtein_ratio(a.class_name, b.class_name)
+    class_sim = _pair_ratio(ratios, a.class_name, b.class_name)
     if class_sim < threshold:
         return None
     return (name_sim + class_sim) / 2
@@ -242,12 +263,15 @@ def _widget_candidates(
     widget_pairs: dict[str, str],
     lev_threshold: float,
     xpath_threshold: float,
+    ratios: dict[tuple[str, str], float],
 ) -> list[tuple[float, int, str, str]]:
     """Correspondence candidates among one window pair's unpaired widgets.
 
     A pair corresponds with a single allowed exception: parent or class name.
     The resource-id distances come from one packed pass per updated widget
-    over the ids of all base widgets; candidates keep (base, updated) order.
+    over the ids of all base widgets; content descriptions and class names,
+    which few distinct strings make up, take their ratios from ``ratios``.
+    Candidates keep (base, updated) order.
     """
     base_ids = PackedPatterns([bw.resource_id for bw in b_widgets])
     rid_distances = [base_ids.distances(uw.resource_id) for uw in u_widgets]
@@ -258,13 +282,13 @@ def _widget_candidates(
             rid_sim = _ratio(bw.resource_id, uw.resource_id, distances[i])
             if rid_sim < lev_threshold:
                 continue
-            cd_sim = levenshtein_ratio(bw.content_description, uw.content_description)
+            cd_sim = _pair_ratio(ratios, bw.content_description, uw.content_description)
             if cd_sim < lev_threshold:
                 continue
             xp_sim = _cosine(vectors[bw.xpath], vectors[uw.xpath])
             if xp_sim < xpath_threshold:
                 continue
-            class_sim = levenshtein_ratio(bw.class_name, uw.class_name)
+            class_sim = _pair_ratio(ratios, bw.class_name, uw.class_name)
             if class_sim >= lev_threshold:
                 score = (rid_sim + cd_sim + xp_sim + class_sim) / 4
             elif _parents_paired(bw, uw, widget_pairs):
@@ -327,6 +351,7 @@ def _static_transitions(
     return out
 
 
+@without_gc
 def diff_ewtg(
     base: Ewtg,
     updated: Ewtg,
@@ -335,6 +360,7 @@ def diff_ewtg(
 ) -> DiffResult:
     """Pair windows, then widgets inside paired windows, then transitions."""
     result = DiffResult()
+    ratios: dict[tuple[str, str], float] = {}  # (base text, updated text) -> ratio
 
     # Windows: exact on all attributes, then correspondence.
     base_windows = _static_windows(base)
@@ -351,7 +377,7 @@ def diff_ewtg(
         if bw.id in result.matched_windows:
             continue
         for uw in unmatched_upd:
-            score = _window_corresponds(bw, uw, lev_threshold)
+            score = _window_corresponds(bw, uw, lev_threshold, ratios)
             if score is not None:
                 candidates.append((score, len(candidates), bw.id, uw.id))
     result.replaced_windows = _greedy_assign(candidates)
@@ -381,6 +407,7 @@ def diff_ewtg(
             widget_pairs,
             lev_threshold,
             xpath_threshold,
+            ratios,
         )
         assigned = _greedy_assign(candidates)
         result.replaced_widgets.update(assigned)

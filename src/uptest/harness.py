@@ -31,6 +31,7 @@ from .model import (
     WindowTransition,
     require,
     require_int,
+    without_gc,
 )
 
 
@@ -448,6 +449,7 @@ def _validate_version(v: VersionSpec) -> None:
             raise SpecError(f"variable {name} is used as a number but may hold {value!r}")
 
 
+@without_gc
 def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
     """Parse and validate an app spec; any malformed document raises ``SpecError``."""
     try:
@@ -480,6 +482,7 @@ def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
 # --- static export -------------------------------------------------------
 
 
+@without_gc
 def export_ewtg(spec: AppSpec, version: str) -> Ewtg:
     """Static model of one version, blind to dynamic-only elements."""
     v = spec.versions[spec.version_index(version)]
@@ -707,28 +710,6 @@ class DriverSession:
         for widget in visible:
             parent = widget.parent if widget.parent in visible_ids else None
             children_of.setdefault(parent, []).append(widget)
-
-        def build(widget: WidgetSpec) -> GuiNode:
-            kids = [build(c) for c in children_of.get(widget.id, [])]
-            props = {
-                "resourceId": widget.resource_id,
-                "className": widget.class_name,
-                "contentDescription": widget.content_description,
-                "text": self.widget_text(widget),
-                "checked": self.widget_checked(widget),
-                "hasChildren": bool(kids),
-            }
-            for p in _WIDGET_BOOL_PROPS:
-                if p == "checked":
-                    continue
-                props[p] = widget.properties[p]
-            return GuiNode(
-                properties=props,
-                children=kids,
-                bounds_hint={"tiny": True} if widget.tiny else None,
-                widget_ref=widget.id,
-            )
-
         root_props = {
             "resourceId": window.name,
             "className": window.class_name,
@@ -746,8 +727,34 @@ class DriverSession:
         }
         return GuiNode(
             properties=root_props,
-            children=[build(w) for w in children_of.get(None, [])],
+            children=[self._build_node(w, children_of) for w in children_of.get(None, [])],
             widget_ref=None,
+        )
+
+    def _build_node(
+        self, widget: WidgetSpec, children_of: dict[Optional[str], list[WidgetSpec]]
+    ) -> GuiNode:
+        # a method, not a closure: a nested recursive function refers to
+        # itself through its own cell, and with ``self`` captured that cycle
+        # would keep the session and its screens alive until a collection
+        kids = [self._build_node(c, children_of) for c in children_of.get(widget.id, [])]
+        props = {
+            "resourceId": widget.resource_id,
+            "className": widget.class_name,
+            "contentDescription": widget.content_description,
+            "text": self.widget_text(widget),
+            "checked": self.widget_checked(widget),
+            "hasChildren": bool(kids),
+        }
+        for p in _WIDGET_BOOL_PROPS:
+            if p == "checked":
+                continue
+            props[p] = widget.properties[p]
+        return GuiNode(
+            properties=props,
+            children=kids,
+            bounds_hint={"tiny": True} if widget.tiny else None,
+            widget_ref=widget.id,
         )
 
     # -- execution

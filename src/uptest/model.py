@@ -41,12 +41,14 @@ this module knows the cell.
 
 from __future__ import annotations
 
+import functools
+import gc
 import json
 from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
-from typing import Any, Iterable, Optional
+from typing import Any, Callable, Iterable, Optional
 
 SCHEMA_VERSION = 7
 
@@ -80,6 +82,32 @@ def require_int(*values) -> None:
     for value in values:
         if isinstance(value, bool) or not isinstance(value, int):
             raise TypeError(f"expected int, got {value!r}")
+
+
+def without_gc(fn: Callable) -> Callable:
+    """Run ``fn`` with the cyclic garbage collector paused.
+
+    Wrap only a function that builds data with no reference cycles, such as
+    the window graph, a diff or a model: reference counting frees all of it,
+    so a collection started by its allocations frees nothing while it walks
+    every live object, the loaded app spec included.  A function that drives
+    the app or keeps objects that refer back to each other must not be
+    wrapped, or its cycles wait for the next collection outside it.  The
+    collector's state on entry is restored on exit, so one that was off
+    stays off.
+    """
+
+    @functools.wraps(fn)
+    def paused(*args, **kwargs):
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    return paused
 
 
 def _reject_repeats(ids: list, what: str) -> None:
@@ -785,6 +813,7 @@ def compact_json(doc) -> bytes:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
 
+@without_gc
 def serialize_model(model: AppModel) -> bytes:
     """Serialize a validated model to a canonical JSON document.
 
@@ -796,6 +825,7 @@ def serialize_model(model: AppModel) -> bytes:
     return compact_json(model.to_dict())
 
 
+@without_gc
 def deserialize_model(data: bytes) -> AppModel:
     try:
         doc = json.loads(data.decode("utf-8"))

@@ -211,6 +211,8 @@ class Planner:
     visited_layouts: Collection[Counter] = ()
     config: EngineConfig = field(default_factory=EngineConfig)
     _target: Optional[Union[Window, AbstractState, Input]] = field(default=None, init=False)
+    # (node key, at_start) -> its edges, for the plan being made
+    _edges_of: dict[tuple, list] = field(default_factory=dict, init=False)
 
     # node keys: ("state", state_id) or ("meta", window_id, presence tuple);
     # an edge is a (destination node key, plan step) pair
@@ -291,9 +293,17 @@ class Planner:
         return edges
 
     def _edges(self, key: tuple, at_start: bool) -> list[tuple[tuple, PlanStep]]:
-        if key[0] == "state":
-            return self._edges_from_state(self.model.dstg.abstract_states[key[1]], at_start)
-        return self._edges_from_meta(key[1], key[2])
+        """A node's edges, built once per plan: the view, the visited layouts
+        and the target, all they depend on, stay fixed while a plan is made."""
+        edges = self._edges_of.get((key, at_start))
+        if edges is None:
+            if key[0] == "state":
+                state = self.model.dstg.abstract_states[key[1]]
+                edges = self._edges_from_state(state, at_start)
+            else:
+                edges = self._edges_from_meta(key[1], key[2])
+            self._edges_of[key, at_start] = edges
+        return edges
 
     def _goal_reachable(self, start_key: tuple, node_is_goal, edge_is_goal) -> bool:
         """Whether a walk of at most ``max_plan_length`` edges reaches the goal.
@@ -336,6 +346,7 @@ class Planner:
         so the first completed candidate is optimal.
         """
         self._target = target
+        self._edges_of = {}
         if isinstance(target, AbstractState):
             target_state = self.model.dstg.abstract_states.get(target.id)
             if target_state is not None and target_state.obsolete:

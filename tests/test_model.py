@@ -1,12 +1,16 @@
 """Model layer: construction, validation, serialization."""
 
+import gc
 import json
 import random
 from collections import Counter
 
 import pytest
 
-from uptest.cli import main
+from uptest import fixture_path
+from uptest.cli import main, pipeline_run
+from uptest.config import EngineConfig
+from uptest.harness import load_spec
 from uptest.model import (
     AbstractState,
     AbstractTransition,
@@ -27,6 +31,7 @@ from uptest.model import (
     deserialize_model,
     serialize_model,
     validate_integrity,
+    without_gc,
 )
 
 from conftest import make_node, walk
@@ -538,3 +543,56 @@ def test_gui_node_walk_and_node_at():
     paths = [p for p, _ in walk(root)]
     assert paths == [(), (0,), (0, 0), (1,)]
     assert root.node_at((0, 0)) is leaf
+
+
+@pytest.fixture
+def collector_restored():
+    was_enabled = gc.isenabled()
+    yield
+    if was_enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_without_gc_pauses_the_collector_and_restores_its_state(enabled, collector_restored):
+    @without_gc
+    def collector_state():
+        return gc.isenabled()
+
+    @without_gc
+    def failing():
+        raise ValueError("boom")
+
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+    assert collector_state() is False
+    assert gc.isenabled() is enabled
+    with pytest.raises(ValueError, match="boom"):
+        failing()
+    assert gc.isenabled() is enabled
+
+
+def test_the_pipeline_leaves_no_reference_cycles(tmp_path, collector_restored):
+    # the carry stages run with the collector paused, which is sound only
+    # while they, and the session around them, build no reference cycles:
+    # with the collector off, a pass over every version must leave nothing
+    # for a collection to free
+    def run(name: str) -> None:
+        for app in ("diary", "dialog", "news", "deep"):
+            spec = load_spec(fixture_path(app))
+            workdir = tmp_path / name / app
+            workdir.mkdir(parents=True)
+            pipeline_run(
+                spec, spec.versions[0].version, spec.versions[-1].version,
+                budget=150, seed=3, workdir=workdir, config=EngineConfig(),
+            )
+
+    run("warm-up")  # caches filled once per process are not garbage
+    gc.collect()
+    gc.disable()
+    run("checked")
+    assert gc.collect() == 0
