@@ -19,7 +19,6 @@ from uptest.model import (
     Window,
     WindowKind,
     WindowTransition,
-    fingerprint_to_dict,
     validate_integrity,
 )
 from uptest.abstraction import layout_fingerprint
@@ -252,7 +251,7 @@ def test_layout_guarded_edges_require_a_similar_visited_layout():
     assert plan_to_target(model, start, target, visited_layouts=[]) is None
     seq = plan_to_target(model, start, target, visited_layouts=[guard_fp])
     assert seq is not None
-    assert seq.steps[0].guard == guard_fp
+    assert seq.steps[0].expected == "t1"  # through the guarded a7
 
 
 def test_reset_app_costs_ten_and_is_start_only():
@@ -348,19 +347,36 @@ def _plan_record(seq):
             expected = s.expected
         steps.append({
             "input": s.input_id, "action": s.action_type.value, "widget": s.widget_id,
-            "expected": expected, "p": s.probability,
-            "guard": None if s.guard is None else fingerprint_to_dict(s.guard),
-            "payload": s.data_payload,
+            "expected": expected, "p": s.probability, "payload": s.data_payload,
         })
     return {"steps": steps, "cost": seq.cost}
 
 
+def _guarded_steps(model, start, seq) -> int:
+    """How many steps of ``seq`` take a recorded transition that only a layout
+    guard lets the planner take: every transition with the step's source,
+    widget, action and destination has a guard."""
+    states = model.dstg.abstract_states
+    guarded: dict[tuple, bool] = {}
+    for tr in model.dstg.abstract_transitions.values():
+        avm = states[tr.source_state_id].avm_by_id(tr.source_avm_id)
+        key = (tr.source_state_id, avm.ewtg_widget_id if avm else None, tr.action_type,
+               tr.destination_state_id)
+        guarded[key] = guarded.get(key, True) and tr.layout_guard is not None
+    count, source = 0, start.id
+    for s in seq.steps:
+        count += guarded.get((source, s.widget_id, s.action_type, s.expected), False)
+        source = s.expected
+    return count
+
+
 #: sha256 of every plan (each step's input, action, widget, expected state or
-#: meta window, probability, guard and payload, plus the cost) on 400 seeded
-#: random models, frozen from the planner that scanned the model for every
-#: edge it considered; a meta step's presence shows in its successors'
-#: probabilities.
-RANDOM_PLANS_DIGEST = "597152bae60c8b97fef320c3c27f91ef44d5df43e2ecd9e968378469cab3d936"
+#: meta window, probability and payload, plus the cost) on 400 seeded random
+#: models, frozen from the planner that scanned the model for every edge it
+#: considered, and again when the steps' guards were left out: a plan step
+#: no longer carries the guard of the transition it takes; a meta step's
+#: presence shows in its successors' probabilities.
+RANDOM_PLANS_DIGEST = "061bae71489258d4aa289875972d7034ab11fee52c4e1f45e5bb087ad376bc5b"
 
 
 TARGET_KINDS = {AbstractState: "state", Window: "window", Input: "input"}
@@ -380,9 +396,9 @@ def test_plans_on_random_models_are_unchanged():
         if record is None:
             seen["none"] += 1
             continue
+        seen["guard"] += _guarded_steps(model, start, seq)
         for step in record["steps"]:
             seen["meta"] += isinstance(step["expected"], dict)
-            seen["guard"] += step["guard"] is not None
             seen["payload"] += step["payload"] is not None
     # every target kind, missing plans, meta steps, guards and payloads occur
     assert all(seen.values()), seen
