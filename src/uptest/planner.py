@@ -52,7 +52,6 @@ class PlanStep:
     expected: ExpectedState
     probability: float  # p(action | previous expected state)
     data_payload: Optional[str] = None
-    guard: Optional[Counter] = None  # layout fingerprint of a traversed guard
 
     @property
     def cost(self) -> int:
@@ -252,8 +251,7 @@ class Planner:
             inp = self.view.input_for.get((state.window_id, widget_id, tr.action_type))
             input_id = inp.id if inp else f"runtime:{state.window_id}:{widget_id}:{tr.action_type.value}"
             step = PlanStep(
-                input_id, tr.action_type, widget_id, dest.id, 1.0,
-                data_payload=tr.data_payload, guard=tr.layout_guard,
+                input_id, tr.action_type, widget_id, dest.id, 1.0, data_payload=tr.data_payload
             )
             edges.append((("state", dest.id), step))
         present_widgets = self.view.avm_for[state.id]
