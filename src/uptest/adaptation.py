@@ -114,10 +114,8 @@ def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
 
 
 @without_gc
-def adapt_model(
-    base: AppModel, updated_ewtg: Ewtg, diff: DiffResult, version: str = ""
-) -> AppModel:
-    """Produce the model to start the updated version's session from.
+def adapt_model(base: AppModel, updated_ewtg: Ewtg, diff: DiffResult, version: str) -> AppModel:
+    """Produce the model of the updated version ``version`` to start its session from.
 
     The returned model takes ownership of ``updated_ewtg``: it becomes the
     model's static layer as is, and the session run on the model adds its
@@ -137,7 +135,7 @@ def adapt_model(
     update_dstg(dstg, diff, updated_ewtg, base.ewtg)
 
     model = AppModel(
-        version=version or base.version,
+        version=version,
         ewtg=updated_ewtg,
         dstg=dstg,
         gstg=Gstg(),

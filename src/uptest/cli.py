@@ -133,7 +133,7 @@ def cmd_adapt(args) -> int:
     base = deserialize_model(Path(args.base_model).read_bytes())
     updated = _read_ewtg(args.updated_ewtg)
     diff = _read_document(args.diff, DiffResult.from_dict, "diff")
-    model = adapt_model(base, updated, diff, version=args.version or "")
+    model = adapt_model(base, updated, diff, version=args.version)
     Path(args.out).write_bytes(serialize_model(model) + b"\n")
     return 0
 
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("updated_ewtg")
     p.add_argument("diff")
     p.add_argument("--out", required=True)
-    p.add_argument("--version", default=None)
+    p.add_argument("--version", required=True)
     p.set_defaults(func=cmd_adapt)
 
     p = sub.add_parser("test", help="run one test session")

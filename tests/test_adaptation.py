@@ -309,7 +309,7 @@ def test_adapt_rejects_diff_with_unknown_windows():
     updated_ewtg = export_ewtg(spec, "v1")
     bad = DiffResult(replaced_windows={"no-such-window": "home"})
     with pytest.raises(AdaptationError):
-        adapt_model(base, updated_ewtg, bad)
+        adapt_model(base, updated_ewtg, bad, version="v1")
     bad = DiffResult(replaced_windows={"main": "no-such-window"})
     with pytest.raises(AdaptationError):
-        adapt_model(base, updated_ewtg, bad)
+        adapt_model(base, updated_ewtg, bad, version="v1")

@@ -192,6 +192,25 @@ def test_adapt_command_chains_from_diff(tmp_path):
     assert "home" in model.ewtg.windows
 
 
+def test_adapt_command_requires_the_new_version(tmp_path, capsys):
+    # the adapted model is the new version's: the base's version would make
+    # the next session count every carried state as observed in it
+    base_model = tmp_path / "model_v0.json"
+    base_model.write_bytes(
+        serialize_model(AppModel(version="v0", ewtg=export_ewtg(load_spec(DIARY), "v0")))
+    )
+    updated = write_ewtg(tmp_path, "v1")
+    diff = tmp_path / "diff.json"
+    assert main(["diff", str(write_ewtg(tmp_path, "v0")), str(updated),
+                 "--out", str(diff)]) == 0
+    out = tmp_path / "model_v1.json"
+    with pytest.raises(SystemExit) as exc:
+        main(["adapt", str(base_model), str(updated), str(diff), "--out", str(out)])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --version" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_test_and_refine_and_plan_commands(tmp_path):
     spec = load_spec(DIARY)
     base_model = tmp_path / "model_in.json"
@@ -432,7 +451,8 @@ def test_diff_and_adapt_reject_a_malformed_window_graph(tmp_path, capsys, text):
     model = write_base_model(tmp_path)
     diff = tmp_path / "diff.json"
     assert main(["diff", str(good), str(good), "--out", str(diff)]) == 0
-    assert main(["adapt", str(model), str(bad), str(diff), "--out", str(out)]) == 1
+    assert main(["adapt", str(model), str(bad), str(diff), "--out", str(out),
+                 "--version", "v1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "malformed window graph" in err
     assert err.count("\n") == 1
@@ -444,7 +464,7 @@ def test_adapt_rejects_a_malformed_diff(tmp_path, capsys):
     good = write_ewtg(tmp_path, "v0")
     bad = write_text(tmp_path, "diff.json", json.dumps({"replacedWindows": 5}))
     assert main(["adapt", str(model), str(good), str(bad), "--out",
-                 str(tmp_path / "out.json")]) == 1
+                 str(tmp_path / "out.json"), "--version", "v1"]) == 1
     assert "malformed diff" in capsys.readouterr().err
 
 
@@ -461,7 +481,8 @@ def test_adapt_rejects_diff_fields_of_the_wrong_shape(tmp_path, capsys, diff_doc
     good = write_ewtg(tmp_path, "v0")
     bad = write_text(tmp_path, "diff.json", json.dumps(diff_doc))
     out = tmp_path / "out.json"
-    assert main(["adapt", str(model), str(good), str(bad), "--out", str(out)]) == 1
+    assert main(["adapt", str(model), str(good), str(bad), "--out", str(out),
+                 "--version", "v1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed diff") and err.count("\n") == 1
     assert not out.exists()
