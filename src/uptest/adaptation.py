@@ -16,7 +16,7 @@ from __future__ import annotations
 import copy
 
 from .diff import DiffResult
-from .model import AppModel, Dstg, Ewtg, Gstg, validate_integrity, without_gc
+from .model import AppModel, Dstg, Ewtg, Gstg, bind_widget, validate_integrity, without_gc
 
 
 class AdaptationError(Exception):
@@ -34,7 +34,8 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Ds
 
     # (a) drop states of windows the diff does not pair, and (b) AVMs of
     # widgets it does not pair: deleted elements and runtime-created ones,
-    # which the diff never compares.  (d, e) Rebind the rest to their pairs.
+    # which the diff never compares.  (d, e) Rebind the rest to their pairs,
+    # an AVM with its pair's identity.
     for sid, state in list(dstg.abstract_states.items()):
         if state.window_id not in window_mapping:
             del dstg.abstract_states[sid]
@@ -47,7 +48,10 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Ds
         ]
         for avm in state.avms:
             if avm.ewtg_widget_id is not None:
-                avm.ewtg_widget_id = widget_mapping[avm.ewtg_widget_id]
+                widget_id = widget_mapping[avm.ewtg_widget_id]
+                if widget_id not in ewtg.widgets:
+                    raise AdaptationError(f"diff references unknown updated widget {widget_id}")
+                bind_widget(avm, ewtg.widgets[widget_id])
 
     # the trigger (window, widget or None, action) of each deleted or replaced
     # window transition, in the updated version's ids; the mappings are

@@ -355,6 +355,19 @@ class AttributeValuationMap:
         return avm
 
 
+#: The valuations of a widget's own resource id, class name and content
+#: description: a bound AVM holds its widget's identity under these keys.
+IDENTITY_KEYS = ("R_RID", "R_CN", "R_CD")
+
+
+def bind_widget(avm: AttributeValuationMap, widget: EwtgWidget) -> None:
+    """Bind ``avm`` to ``widget``: its widget id and its identity valuations."""
+    avm.ewtg_widget_id = widget.id
+    avm.valuations.update(
+        zip(IDENTITY_KEYS, (widget.resource_id, widget.class_name, widget.content_description))
+    )
+
+
 @dataclass
 class AbstractState:
     id: str

@@ -117,9 +117,12 @@ def test_a2_diff_reproduction():
         assert time.perf_counter() - start_time < 1.0
 
 
-def _avm(avm_id, widget_id, rid):
+def _avm(avm_id, widget_id, rid, class_name):
+    """An AVM bound to a diary widget with that widget's identity."""
     return AttributeValuationMap(
-        id=avm_id, valuations={"R_RID": rid}, ewtg_widget_id=widget_id
+        id=avm_id,
+        valuations={"R_RID": rid, "R_CN": class_name, "R_CD": ""},
+        ewtg_widget_id=widget_id,
     )
 
 
@@ -130,15 +133,15 @@ def diary_base_model() -> AppModel:
     dstg = Dstg(abstraction_policy={"main": "L1"})
     dstg.abstract_states["s1"] = AbstractState(
         id="s1", window_id="main",
-        avms=[_avm("avm2", "w3", "add")],
+        avms=[_avm("avm2", "w3", "addNewItem", "Button")],
         observed_in_versions={"v0"},
     )
     dstg.abstract_states["s2"] = AbstractState(
         id="s2", window_id="edit",
         avms=[
-            _avm("avm4", "w6", "name"),
-            _avm("avm5", "w7", "created"),
-            _avm("avm6", "w10", "ok"),
+            _avm("avm4", "w6", "nameField", "EditText"),
+            _avm("avm5", "w7", "createdTime", "TextView"),
+            _avm("avm6", "w10", "ok", "Button"),
         ],
         observed_in_versions={"v0"},
     )
@@ -154,12 +157,16 @@ def golden_adapted_dstg() -> Dstg:
     dstg = Dstg(abstraction_policy={"home": "L1"})
     dstg.abstract_states["s1"] = AbstractState(
         id="s1", window_id="home",
-        avms=[_avm("avm2", "w8", "add")],
+        # the replacement widget's identity: an ImageView in place of a Button
+        avms=[_avm("avm2", "w8", "addNewItem", "ImageView")],
         observed_in_versions={"v0"},
     )
     dstg.abstract_states["s2"] = AbstractState(
         id="s2", window_id="edit",
-        avms=[_avm("avm4", "w6", "name"), _avm("avm6", "w10", "ok")],
+        avms=[
+            _avm("avm4", "w6", "nameField", "EditText"),
+            _avm("avm6", "w10", "ok", "Button"),
+        ],
         observed_in_versions={"v0"},
     )
     dstg.abstract_transitions["at1"] = AbstractTransition(
@@ -177,7 +184,7 @@ def test_a3_adaptation_reproduction():
         adapted = adapt_model(
             base, updated, diff_ewtg(base.ewtg, updated), version="v1"
         )
-        assert adapted.dstg.to_dict() == golden_adapted_dstg().to_dict()
+        assert adapted.dstg == golden_adapted_dstg()
         # the added cancel widget (w9) carries no learned element
         for state in adapted.dstg.abstract_states.values():
             assert all(avm.ewtg_widget_id != "w9" for avm in state.avms)
@@ -205,7 +212,7 @@ def test_a4_backward_equivalence_property():
         s2 = golden_adapted_dstg().abstract_states["s2"]
         s3 = copy.deepcopy(s2)
         s3.id = "s3"
-        s3.avms.append(_avm("avm9", "w9", "cancel"))
+        s3.avms.append(_avm("avm9", "w9", "cancel", "Button"))
         assert is_backward_equivalent(s3, s2, excluded)
         # flipping any non-added AVM valuation breaks equivalence
         for index in range(len(s2.avms)):
@@ -514,8 +521,12 @@ def _digest_contents(digest, workdir) -> None:
 #: and report layouts changed, before schema 5 over content without the two
 #: window-graph fields that schema dropped, and, before schema 6 stored each
 #: trace step as the transition it took, over diff content, trace steps without
-#: their input ids and transitions without their version.
-SESSION_DIGEST = "87b786fd6b54e801648e33755ee4f7a52691bc239f1b0355bb2fdbc242cc0183"
+#: their input ids and transitions without their version, and before
+#: adaptation rebound an AVM's identity (resource id, class name, content
+#: description) with its widget: since then diary's carried home state holds
+#: its v1 widget's identity and the v1 session enters it, which changes only
+#: diary's v1 model and report.
+SESSION_DIGEST = "2ea6255004e17f1608e374063467287afa1970a3c7d2193109448ee1846f6580"
 
 
 def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):

@@ -19,6 +19,7 @@ from uptest.model import (
     EwtgWidget,
     Window,
     WindowKind,
+    bind_widget,
     validate_integrity,
 )
 
@@ -27,10 +28,12 @@ from uptest import fixture_path
 from random_ewtg import random_ewtg_pair
 
 
-def avm(avm_id, widget_id=None, rid=""):
-    return AttributeValuationMap(
-        id=avm_id, valuations={"R_RID": rid or avm_id}, ewtg_widget_id=widget_id
-    )
+def avm(avm_id, widget=None):
+    """An AVM bound to ``widget`` with its identity, or to no widget."""
+    made = AttributeValuationMap(id=avm_id, valuations={"R_RID": avm_id})
+    if widget is not None:
+        bind_widget(made, widget)
+    return made
 
 
 def diary_base_model() -> AppModel:
@@ -40,12 +43,12 @@ def diary_base_model() -> AppModel:
     dstg = Dstg(abstraction_policy={"main": "L1"})
     dstg.abstract_states["s1"] = AbstractState(
         id="s1", window_id="main",
-        avms=[avm("avm2", "w3", "add")],
+        avms=[avm("avm2", ewtg.widgets["w3"])],
         observed_in_versions={"v0"},
     )
     dstg.abstract_states["s2"] = AbstractState(
         id="s2", window_id="edit",
-        avms=[avm("avm4", "w6", "name"), avm("avm5", "w7", "created"), avm("avm6", "w10", "ok")],
+        avms=[avm(f"avm{n}", ewtg.widgets[w]) for n, w in ((4, "w6"), (5, "w7"), (6, "w10"))],
         observed_in_versions={"v0"},
     )
     dstg.abstract_transitions["at1"] = AbstractTransition(
@@ -98,7 +101,7 @@ def test_adapt_with_empty_diff_preserves_the_learned_graph():
     spec = load_spec(fixture_path("diary"))
     same_ewtg = export_ewtg(spec, "v0")
     adapted = adapt_model(base, same_ewtg, diff_ewtg(base.ewtg, same_ewtg), version="v0")
-    assert adapted.dstg.to_dict() == base.dstg.to_dict()
+    assert adapted.dstg == base.dstg
 
 
 def test_adapt_does_not_mutate_the_base_model():
@@ -165,10 +168,10 @@ def test_state_reached_only_through_a_runtime_widget_is_pruned():
         id="w-rt", window_id="main", class_name="View", resource_id="rt",
         content_description="", xpath="/rt", runtime_created=True,
     )
-    base.dstg.abstract_states["s1"].avms.append(avm("avm-rt", "w-rt", "rt"))
+    base.dstg.abstract_states["s1"].avms.append(avm("avm-rt", base.ewtg.widgets["w-rt"]))
     # the only way to state x starts at that widget's AVM
     base.dstg.abstract_states["x"] = AbstractState(
-        id="x", window_id="edit", avms=[avm("avm-x", "w6", "name")],
+        id="x", window_id="edit", avms=[avm("avm-x", base.ewtg.widgets["w6"])],
     )
     base.dstg.abstract_transitions["at-rt"] = AbstractTransition(
         id="at-rt", source_state_id="s1", source_avm_id="avm-rt",
@@ -232,7 +235,7 @@ def random_learned_graph(ewtg: Ewtg, rng: random.Random) -> Dstg:
         widgets = sorted(w.id for w in ewtg.widgets.values() if w.window_id == window_id)
         for k in range(rng.randint(1, 3)):
             sid = f"{window_id}-s{k}"
-            avms = [avm(f"{sid}-{w}", w) for w in widgets] + [avm(f"{sid}-none")]
+            avms = [avm(f"{sid}-{w}", ewtg.widgets[w]) for w in widgets] + [avm(f"{sid}-none")]
             dstg.abstract_states[sid] = AbstractState(id=sid, window_id=window_id, avms=avms)
     states = list(dstg.abstract_states.values())
     inputs = sorted(ewtg.inputs.values(), key=lambda i: i.id)
@@ -312,4 +315,13 @@ def test_adapt_rejects_diff_with_unknown_windows():
         adapt_model(base, updated_ewtg, bad, version="v1")
     bad = DiffResult(replaced_windows={"main": "no-such-window"})
     with pytest.raises(AdaptationError):
+        adapt_model(base, updated_ewtg, bad, version="v1")
+
+
+def test_adapt_rejects_a_diff_that_rebinds_an_avm_to_an_unknown_widget():
+    base = diary_base_model()
+    updated_ewtg = export_ewtg(load_spec(fixture_path("diary")), "v1")
+    bad = diary_diff()
+    bad.replaced_widgets["w3"] = "no-such-widget"
+    with pytest.raises(AdaptationError, match="unknown updated widget no-such-widget"):
         adapt_model(base, updated_ewtg, bad, version="v1")
