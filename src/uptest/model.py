@@ -10,10 +10,11 @@ trees are not part of the model.
 
 The model stores each fact once: a window's widgets are the widgets whose
 ``window_id`` names it, a window transition's source window is its input's
-``window_id``, and a trace step's action type, payload and reached state are
-those of its transition.
+``window_id``, a trace step's action type, payload and reached state are
+those of its transition, and an AVM bound to a widget takes its identity
+from the widget.
 
-A model document (schema 7) writes every list of records as a table,
+A model document (schema 8) writes every list of records as a table,
 ``{"columns": [...], "rows": [[...], ...]}``: the column names once, then one
 row per record with one cell per column.  The columns are the record's fields
 in declaration order, named in camelCase (a trace step's are ``transitionId,
@@ -24,6 +25,16 @@ concreteNodePath``).  The tables are the window graph's ``windows``,
 order.  The window graph file ``uptest harness export-ewtg`` writes is the
 ``ewtg`` object of a model document.  A reader takes a table only with exactly
 the writer's columns and rows of exactly that width.
+
+An AVM's identity is its ``R_RID``, ``R_CN`` and ``R_CD`` valuations, which
+are a widget's resource id, class name and content description.  In memory
+an AVM holds them as it holds every valuation: a state derived from a
+screen reads them from its nodes, and ``bind_widget`` copies them from the
+widget when adaptation rebinds an AVM and when loading reads one.  The ``avms`` row of an AVM with an
+``ewtgWidgetId`` leaves the three out, and a reader rejects such a row that
+holds one; an AVM of no widget keeps them in its row.  Integrity validation
+rejects a bound AVM whose identity is not its widget's, so a document never
+drops a value that loading would not give back.
 
 A session repeats a few steps many times, so the session layer is
 ``{"steps": <table>, "trace": [<int>, ...]}``: ``steps`` holds each distinct
@@ -50,7 +61,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
-SCHEMA_VERSION = 7
+SCHEMA_VERSION = 8
 
 #: Abstraction levels from coarsest to finest.
 LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
@@ -326,6 +337,15 @@ class WindowTransition:
         return t
 
 
+#: The valuations of a widget's own resource id, class name and content
+#: description: a bound AVM holds its widget's identity under these keys.
+IDENTITY_KEYS = ("R_RID", "R_CN", "R_CD")
+
+
+def _identity(widget: EwtgWidget) -> tuple:
+    return (widget.resource_id, widget.class_name, widget.content_description)
+
+
 @dataclass
 class AttributeValuationMap:
     """Record of reducer outputs for one group of look-alike widgets."""
@@ -342,30 +362,33 @@ class AttributeValuationMap:
     COLUMNS = ("id", "valuations", "cardinality", "ewtgWidgetId")
 
     def to_row(self) -> list:
-        return [self.id, dict(self.valuations), self.cardinality, self.ewtg_widget_id]
+        if self.ewtg_widget_id is None:
+            valuations = dict(self.valuations)
+        else:  # the widget holds the identity
+            valuations = {k: v for k, v in self.valuations.items() if k not in IDENTITY_KEYS}
+        return [self.id, valuations, self.cardinality, self.ewtg_widget_id]
 
     @classmethod
     def from_row(cls, row: list) -> "AttributeValuationMap":
+        """The AVM of a row; a bound AVM's identity is filled in by
+        ``AppModel.from_dict``, and its row may not hold it."""
         avm = cls(*row)
         require(str, avm.id)
         require(dict, avm.valuations)
         require_int(avm.cardinality)
         require(OPTIONAL_STR, avm.ewtg_widget_id)
         require((str, int, float, type(None)), *avm.valuations.values())
+        if avm.ewtg_widget_id is not None and not avm.valuations.keys().isdisjoint(IDENTITY_KEYS):
+            raise ValueError(
+                f"AVM {avm.id!r} holds valuations that widget {avm.ewtg_widget_id!r} gives it"
+            )
         return avm
-
-
-#: The valuations of a widget's own resource id, class name and content
-#: description: a bound AVM holds its widget's identity under these keys.
-IDENTITY_KEYS = ("R_RID", "R_CN", "R_CD")
 
 
 def bind_widget(avm: AttributeValuationMap, widget: EwtgWidget) -> None:
     """Bind ``avm`` to ``widget``: its widget id and its identity valuations."""
     avm.ewtg_widget_id = widget.id
-    avm.valuations.update(
-        zip(IDENTITY_KEYS, (widget.resource_id, widget.class_name, widget.content_description))
-    )
+    avm.valuations.update(zip(IDENTITY_KEYS, _identity(widget)))
 
 
 @dataclass
@@ -721,6 +744,12 @@ class AppModel:
             gstg=Gstg.from_dict(d["gstg"]),
             diff_context={k: list(v) for k, v in d.get("diffContext", {}).items()},
         )
+        widgets = model.ewtg.widgets
+        for state in model.dstg.abstract_states.values():
+            for avm in state.avms:
+                widget = widgets.get(avm.ewtg_widget_id)  # a missing one fails validation
+                if widget is not None:
+                    bind_widget(avm, widget)
         require(str, model.version)
         require(list, *d.get("diffContext", {}).values())
         for ids in model.diff_context.values():
@@ -781,10 +810,18 @@ def validate_integrity(model: AppModel) -> list[str]:
             avm_ids.add(avm.id)
             if avm.cardinality < 1:
                 violations.append(f"avm {avm.id} of state {state.id} has cardinality < 1")
-            if avm.ewtg_widget_id is not None and avm.ewtg_widget_id not in ewtg.widgets:
+            if avm.ewtg_widget_id is None:
+                continue
+            widget = ewtg.widgets.get(avm.ewtg_widget_id)
+            if widget is None:
                 violations.append(
                     f"avm {avm.id} of state {state.id} references missing widget "
                     f"{avm.ewtg_widget_id}"
+                )
+            elif tuple(map(avm.valuations.get, IDENTITY_KEYS)) != _identity(widget):
+                violations.append(
+                    f"avm {avm.id} of state {state.id} does not hold the identity of widget "
+                    f"{widget.id}"
                 )
 
     for tr in dstg.abstract_transitions.values():

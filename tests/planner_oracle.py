@@ -146,7 +146,8 @@ def random_model(rng: random.Random) -> tuple[AppModel, AbstractState, object]:
         chosen = [g for g in window_widgets if rng.random() < 0.7]
         avms = [
             AttributeValuationMap(
-                id=f"s{si}-a{g}", valuations={"R_RID": g}, ewtg_widget_id=g,
+                id=f"s{si}-a{g}", valuations={"R_RID": g, "R_CN": "Button", "R_CD": ""},
+                ewtg_widget_id=g,
             )
             for g in chosen
         ]

@@ -61,7 +61,7 @@ def small_model() -> AppModel:
 
     dstg = Dstg(abstraction_policy={"w-main": "L2"})
     avm = AttributeValuationMap(
-        id="avm-1", valuations={"R_RID": "ok", "R_CN": "Button"},
+        id="avm-1", valuations={"R_RID": "ok", "R_CN": "Button", "R_CD": "", "R_T": "OK"},
         cardinality=1, ewtg_widget_id="wd-ok",
     )
     dstg.abstract_states["s1"] = AbstractState(
@@ -220,7 +220,7 @@ def guard(count) -> dict:
 @pytest.mark.parametrize("edit", [
     lambda doc: set_cell(doc["ewtg"]["widgets"], 0, "resourceId", 5),
     lambda doc: set_cell(doc["ewtg"]["inputs"], 0, "handlerMethodIds", [["m-ok"]]),
-    lambda doc: set_cell(avm_table(doc), 0, "valuations", {"R_RID": []}),
+    lambda doc: set_cell(avm_table(doc), 0, "valuations", {"R_T": []}),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard("1")),
     lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", {"entries": 3}),
     lambda doc: set_cell(doc["gstg"]["steps"], 0, "concreteNodePath", ["0"]),
@@ -320,9 +320,10 @@ def test_deserialize_rejects_an_unknown_abstraction_level():
 def test_deserialize_rejects_wrong_schema_version():
     # schema 3 wrote each record as an object, schema 4 stored each window's
     # widgets and each window transition's source again, and schema 5 each
-    # trace step's action and reached state, and schema 6 each executed
-    # action's step again; no reader for any of them is kept
-    for schema in (99, 3, 4, 5, 6):
+    # trace step's action and reached state, schema 6 each executed action's
+    # step again, and schema 7 each bound AVM's widget identity; no reader
+    # for any of them is kept
+    for schema in (99, 3, 4, 5, 6, 7):
         doc = model_doc()
         doc["schema_version"] = schema
         with pytest.raises(ModelError, match=f"unsupported schema version {schema}"):
@@ -419,6 +420,54 @@ def test_validation_catches_bad_avm():
     state.avms[0].cardinality = 1
     state.avms[0].ewtg_widget_id = "wd-missing"
     assert any("missing widget" in v for v in validate_integrity(model))
+
+
+def test_a_bound_avm_row_leaves_out_the_identity_its_widget_gives():
+    doc = model_doc()
+    # the AVM of wd-ok keeps only its text; loading takes the rest from wd-ok
+    assert cells(avm_table(doc), 0)["valuations"] == {"R_T": "OK"}
+    restored = load(doc)
+    assert restored.dstg.abstract_states["s1"].avms[0].valuations == {
+        "R_RID": "ok", "R_CN": "Button", "R_CD": "", "R_T": "OK",
+    }
+    assert restored == small_model()
+
+
+def test_an_avm_of_no_widget_keeps_its_identity_in_its_row():
+    model = small_model()
+    model.dstg.abstract_states["s2"].avms.append(
+        AttributeValuationMap(id="avm-2", valuations={"R_RID": "x", "R_CN": "View", "R_CD": ""})
+    )
+    doc = json.loads(serialize_model(model))
+    edit_avms = doc_at(doc, ("dstg", "abstractStates", 1, "avms"))
+    assert cells(edit_avms, 0)["valuations"] == {"R_RID": "x", "R_CN": "View", "R_CD": ""}
+    assert load(doc) == model
+
+
+@pytest.mark.parametrize("key", ["R_RID", "R_CN", "R_CD"])
+def test_deserialize_rejects_a_bound_avm_row_that_holds_its_identity(key):
+    doc = model_doc()
+    set_cell(avm_table(doc), 0, "valuations", {"R_T": "OK", key: "ok"})
+    with pytest.raises(ModelError, match="malformed model document.*widget 'wd-ok' gives it"):
+        load(doc)
+
+
+@pytest.mark.parametrize("edit", [
+    lambda valuations: valuations.update(R_RID="stale"),
+    lambda valuations: valuations.update(R_CN="ImageView"),
+    lambda valuations: valuations.update(R_CD="add"),
+    lambda valuations: valuations.pop("R_CD"),
+], ids=["resource id", "class name", "content description", "missing"])
+def test_validation_catches_a_bound_avm_without_its_widgets_identity(edit):
+    # a model file leaves the identity out, so writing this AVM would lose
+    # the value loading cannot give back
+    model = small_model()
+    edit(model.dstg.abstract_states["s1"].avms[0].valuations)
+    assert validate_integrity(model) == [
+        "avm avm-1 of state s1 does not hold the identity of widget wd-ok"
+    ]
+    with pytest.raises(ModelError, match="does not hold the identity of widget wd-ok"):
+        serialize_model(model)
 
 
 def test_validation_catches_a_state_with_two_avms_of_one_id():

@@ -44,7 +44,8 @@ def _widget(wid, window_id):
 
 def _avm(state_id, widget_id):
     return AttributeValuationMap(
-        id=f"{state_id}-{widget_id}", valuations={"R_RID": widget_id},
+        id=f"{state_id}-{widget_id}",
+        valuations={"R_RID": widget_id, "R_CN": "Button", "R_CD": ""},
         ewtg_widget_id=widget_id,
     )
 
