@@ -7,6 +7,7 @@ from collections import Counter
 
 import pytest
 
+import uptest.cli
 from uptest import fixture_path
 from uptest.cli import main, pipeline_run
 from uptest.config import EngineConfig
@@ -35,6 +36,8 @@ from uptest.model import (
 )
 
 from conftest import make_node, walk
+from hidden_app import hidden_spec_doc
+from nested_app import nested_spec_doc
 from planner_oracle import random_model
 from random_ewtg import random_ewtg_pair
 
@@ -592,6 +595,51 @@ def test_gui_node_walk_and_node_at():
     paths = [p for p, _ in walk(root)]
     assert paths == [(), (0,), (0, 0), (1,)]
     assert root.node_at((0, 0)) is leaf
+
+
+#: Every app ``pipeline_run`` is run on in the tests, with the versions it takes.
+CHAINS = {
+    **{app: (fixture_path(app), None, None) for app in ("diary", "dialog", "news", "deep")},
+    "hidden": (hidden_spec_doc(), "v1", "v2"),
+    "nested": (nested_spec_doc(), "v1", "v2"),
+}
+
+
+@pytest.mark.parametrize("chain", list(CHAINS))
+def test_the_file_round_trip_gives_the_in_memory_model_after_every_stage(
+    tmp_path, monkeypatch, chain
+):
+    # ``uptest adapt`` -> file -> ``uptest test`` must start from the model
+    # ``pipeline_run`` keeps in memory, so loading what ``serialize_model``
+    # writes gives back every field of the model after each stage
+    checked = []
+
+    def round_trips(model: AppModel, stage: str) -> None:
+        assert deserialize_model(serialize_model(model)) == model, stage
+        checked.append(stage)
+
+    def wrap(name, model_of):
+        stage = getattr(uptest.cli, name)
+
+        def checking(*args, **kwargs):
+            out = stage(*args, **kwargs)
+            round_trips(model_of(args, out), name)
+            return out
+
+        monkeypatch.setattr(uptest.cli, name, checking)
+
+    wrap("adapt_model", lambda args, adapted: adapted)
+    wrap("run_session", lambda args, result: result.model)
+    wrap("replay_flag_obsolete", lambda args, _: args[0])
+    doc, first, last = CHAINS[chain]
+    spec = load_spec(doc)
+    pipeline_run(
+        spec, first or spec.versions[0].version, last or spec.versions[-1].version,
+        budget=150, seed=3, workdir=tmp_path, config=EngineConfig(),
+    )
+    versions = len(list(tmp_path.glob("model_*.json")))
+    assert checked.count("adapt_model") == versions - 1
+    assert checked.count("run_session") == checked.count("replay_flag_obsolete") == versions
 
 
 @pytest.fixture
