@@ -28,13 +28,14 @@ the writer's columns and rows of exactly that width.
 
 An AVM's identity is its ``R_RID``, ``R_CN`` and ``R_CD`` valuations, which
 are a widget's resource id, class name and content description.  In memory
-an AVM holds them as it holds every valuation: a state derived from a
-screen reads them from its nodes, and ``bind_widget`` copies them from the
-widget when adaptation rebinds an AVM and when loading reads one.  The ``avms`` row of an AVM with an
-``ewtgWidgetId`` leaves the three out, and a reader rejects such a row that
-holds one; an AVM of no widget keeps them in its row.  Integrity validation
-rejects a bound AVM whose identity is not its widget's, so a document never
-drops a value that loading would not give back.
+an AVM holds them as it holds every valuation: a state derived from a screen
+reads them from its nodes, and ``bind_widget`` copies them from the widget
+when adaptation rebinds an AVM and when loading reads one.  The ``avms`` row
+of an AVM with an ``ewtgWidgetId`` leaves the three out, and a reader
+rejects such a row that holds one; an AVM of no widget keeps them in its
+row.  Integrity validation rejects a bound AVM whose identity is not its
+widget's, so a document never drops a value that loading would not give
+back.
 
 A session repeats a few steps many times, so the session layer is
 ``{"steps": <table>, "trace": [<int>, ...]}``: ``steps`` holds each distinct
