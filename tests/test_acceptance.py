@@ -9,10 +9,11 @@ import dataclasses
 import hashlib
 import json
 import random
+import sys
 import time
-from collections import Counter
 from contextlib import contextmanager
 from enum import Enum
+from pathlib import Path
 
 import pytest
 
@@ -37,7 +38,6 @@ from uptest.model import (
     AttributeValuationMap,
     Dstg,
     deserialize_model,
-    fingerprint_to_dict,
     serialize_model,
 )
 from uptest.planner import plan_to_target
@@ -463,16 +463,13 @@ def test_a10_determinism_and_round_trip(tmp_path):
 def _canonical(value):
     """``value`` as plain JSON data, walked through its dataclass fields.
 
-    Sets are sorted, enums are given by value and layout fingerprints by
-    their model-file cell, so two models with the same content give the same
-    data whatever layout their document had.
+    Sets are sorted and enums are given by value, so two models with the same
+    content give the same data whatever layout their document had.
     """
     if dataclasses.is_dataclass(value):
         return {f.name: _canonical(getattr(value, f.name)) for f in dataclasses.fields(value)}
     if isinstance(value, Enum):
         return value.value
-    if isinstance(value, Counter):
-        return fingerprint_to_dict(value)
     if isinstance(value, (set, frozenset)):
         return sorted(_canonical(v) for v in value)
     if isinstance(value, dict):
@@ -480,6 +477,35 @@ def _canonical(value):
     if isinstance(value, (list, tuple)):
         return [_canonical(v) for v in value]
     return value
+
+
+def _sorted_json(items) -> list:
+    return sorted(items, key=lambda item: json.dumps(item, sort_keys=True))
+
+
+def _layout(fingerprint) -> list:
+    """A layout fingerprint as its ``[valuations, count]`` entries."""
+    return _sorted_json([dict(key), count] for key, count in fingerprint.items())
+
+
+def _transition(model, tr, guards: str) -> dict:
+    """An abstract transition with its source as the widget it acted on, or
+    None, and its guard as the layout it stands for (``guards="layout"``) or
+    as whether it has one (``guards="present"``)."""
+    source = model.dstg.abstract_states[tr.source_state_id]
+    avm = source.avm_by_id(tr.source_avm_id) if tr.source_avm_id is not None else None
+    guard = tr.layout_guard
+    if guard is not None:
+        guard = _layout(guard) if guards == "layout" else True
+    return {
+        "id": tr.id,
+        "source_state_id": tr.source_state_id,
+        "widget": avm.ewtg_widget_id if avm is not None else None,
+        "action_type": tr.action_type.value,
+        "destination_state_id": tr.destination_state_id,
+        "data_payload": tr.data_payload,
+        "layout": guard,
+    }
 
 
 def _step(model, step) -> list:
@@ -491,25 +517,37 @@ def _step(model, step) -> list:
     )
 
 
-def _canonical_model(model) -> dict:
-    """``_canonical(model)`` with each trace step given by ``_step``."""
+def _canonical_model(model, guards: str = "layout") -> dict:
+    """``_canonical(model)`` with a state's AVMs as an unordered collection,
+    each transition given by ``_transition`` and each trace step by ``_step``."""
     doc = _canonical(model)
+    dstg = doc["dstg"]
+    for state in dstg["abstract_states"].values():
+        for avm in state["avms"]:
+            del avm["id"]
+        state["avms"] = _sorted_json(state["avms"])
+    dstg["abstract_transitions"] = {
+        tid: _transition(model, tr, guards)
+        for tid, tr in model.dstg.abstract_transitions.items()
+    }
     doc["gstg"]["trace"] = [_step(model, step) for step in model.gstg.trace]
     return doc
 
 
-def _digest_contents(digest, workdir) -> None:
+def _digest_contents(digest, workdir, guards: str = "layout") -> None:
     """Add the name and content of every ``pipeline_run`` output in ``workdir``.
 
     A diff or a report counts by its JSON data and a model by its decoded
-    ``AppModel``, so the digest holds across layouts of the documents.
+    ``AppModel`` (see ``_canonical_model``), so the digest holds across
+    layouts of the documents.
     """
     for path in sorted(workdir.iterdir()):
         data = path.read_bytes()
         if path.name.startswith(("diff_", "report_")):
             data = json.dumps(json.loads(data), sort_keys=True, separators=(",", ":")).encode()
         elif path.name.startswith("model_"):
-            data = json.dumps(_canonical_model(deserialize_model(data)), sort_keys=True).encode()
+            model = deserialize_model(data)
+            data = json.dumps(_canonical_model(model, guards), sort_keys=True).encode()
         digest.update(path.name.encode())
         digest.update(data)
 
@@ -525,8 +563,10 @@ def _digest_contents(digest, workdir) -> None:
 #: adaptation rebound an AVM's identity (resource id, class name, content
 #: description) with its widget: since then diary's carried home state holds
 #: its v1 widget's identity and the v1 session enters it, which changes only
-#: diary's v1 model and report.
-SESSION_DIGEST = "2ea6255004e17f1608e374063467287afa1970a3c7d2193109448ee1846f6580"
+#: diary's v1 model and report; and over AVMs with their ids and transitions
+#: with their source AVM ids before AVMs were kept as an unordered collection
+#: and a transition's source as its widget.
+SESSION_DIGEST = "68cb716235ea65f44ae9122fd7f71e7a5a63d0c6aee9740898c0a37cbfb812d9"
 
 
 def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
@@ -549,9 +589,10 @@ def test_pipeline_outputs_of_every_fixture_are_unchanged(tmp_path):
 #: over file bytes before the engine kept the transitions out of each state in
 #: an index, over content before the model and report layouts changed, before
 #: schema 5 over content without the two window-graph fields that schema
-#: dropped, and as ``SESSION_DIGEST`` before schema 6.  On these seeds a
-#: session records an outcome again after deleting a stale edge.
-REFINE_DIGEST = "a3b64636465474a6e4de45ad21d8368a9ee677189d7ac502c75e5709a745b0bb"
+#: dropped, and as ``SESSION_DIGEST`` before schema 6 and before its AVMs
+#: lost their ids.  On these seeds a session records an outcome again after
+#: deleting a stale edge.
+REFINE_DIGEST = "cf92ffeadfda08fb26da639c2693c321e5068c39090969f50ad64b0697aaf05b"
 
 
 def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monkeypatch):
@@ -586,6 +627,49 @@ def test_pipeline_outputs_through_online_refinement_are_unchanged(tmp_path, monk
     assert refined == {"main", "left", "right"}
     assert sum(deleted) >= 3
     assert digest.hexdigest() == REFINE_DIGEST
+
+
+#: ``perfbench/appgen.py`` apps whose sessions carry layout guards from one
+#: version to the next: 15 windows of 10 widgets, 3 versions, perturbation 0.15.
+GENERATED_APPS = (0, 1, 3, 4)
+
+#: sha256 over the name and content of every file ``pipeline_run`` writes for
+#: each of ``GENERATED_APPS`` (first to last version, budget 150, seed 1).
+GENERATED_DIGEST = "8c467505f180ac5ca2830e5cb80736d695c24014050edd9447eac4d77e47f57f"
+
+#: ``GENERATED_DIGEST`` with each layout guard given only as present or absent.
+GENERATED_MASKED_DIGEST = "c25bf256ac8c72223c7b500004cb445d0804b333c689360b7c554ab980c9f9e8"
+
+
+@pytest.fixture(scope="module")
+def generated_outputs(tmp_path_factory):
+    """The ``pipeline_run`` output directory of each of ``GENERATED_APPS``."""
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import appgen
+    finally:
+        sys.path.pop(0)
+    workdirs = []
+    for app in GENERATED_APPS:
+        doc = appgen.generate_app(app, windows=15, widgets=10, perturbation=0.15, versions=3)
+        spec = load_spec(doc)
+        workdir = tmp_path_factory.mktemp(f"gen-{app}")
+        pipeline_run(
+            spec, spec.versions[0].version, spec.versions[-1].version,
+            budget=150, seed=1, workdir=workdir, config=EngineConfig(),
+        )
+        workdirs.append(workdir)
+    return workdirs
+
+
+@pytest.mark.parametrize(
+    "guards, expected", [("layout", GENERATED_DIGEST), ("present", GENERATED_MASKED_DIGEST)]
+)
+def test_pipeline_outputs_of_generated_apps_are_unchanged(generated_outputs, guards, expected):
+    digest = hashlib.sha256()
+    for workdir in generated_outputs:
+        _digest_contents(digest, workdir, guards)
+    assert digest.hexdigest() == expected
 
 
 class CopyingDriver:
