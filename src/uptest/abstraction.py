@@ -167,8 +167,8 @@ def derive_abstract_state(
 ) -> AbstractState:
     """Abstract a concrete tree: one AVM per distinct valuation key.
 
-    AVMs are numbered in the order their key first appears in the walk, and
-    an AVM takes the lowest of its nodes' ``widget_ref`` ids.
+    AVMs come in the order their key first appears in the walk, and an AVM
+    takes the lowest of its nodes' ``widget_ref`` ids.
     """
     groups: dict[tuple, list] = {}  # valuation key -> [count, widget ids]
     key_of = level.valuation_key
@@ -181,15 +181,13 @@ def derive_abstract_state(
         if node.widget_ref is not None:
             group[1].add(node.widget_ref)
 
-    prefix = state_id or tree.id
     avms = [
         AttributeValuationMap(
-            id=f"{prefix}-avm{index}",
             valuations=dict(key),
             cardinality=count,
             ewtg_widget_id=min(refs) if refs else None,
         )
-        for index, (key, (count, refs)) in enumerate(groups.items(), start=1)
+        for key, (count, refs) in groups.items()
     ]
     return AbstractState(
         id=state_id or f"{tree.id}-state",

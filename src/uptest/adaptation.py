@@ -69,17 +69,19 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Ds
         doomed.add((window_id, widget_id, inp.action_type))
 
     # (c) drop transitions left dangling by (a) and (b), and the learned
-    # instances of the doomed triggers
+    # instances of the doomed triggers; rebind the rest to their widget's pair
     for tr_id, tr in list(dstg.abstract_transitions.items()):
         src = dstg.abstract_states.get(tr.source_state_id)
-        avm = src.avm_by_id(tr.source_avm_id) if src and tr.source_avm_id is not None else None
+        widget_id = widget_mapping.get(tr.widget_id)
         if (
             src is None
             or tr.destination_state_id not in dstg.abstract_states
-            or (tr.source_avm_id is not None and avm is None)
-            or (src.window_id, avm.ewtg_widget_id if avm else None, tr.action_type) in doomed
+            or (tr.widget_id is not None and widget_id is None)
+            or (src.window_id, widget_id, tr.action_type) in doomed
         ):
             del dstg.abstract_transitions[tr_id]
+        else:
+            tr.widget_id = widget_id
 
     # abstraction policy follows its windows
     dstg.abstraction_policy = {

@@ -422,10 +422,6 @@ class TestEngine:
         self.current_screen = screen
         return match
 
-    def _avm_id(self, state: AbstractState, widget_id: Optional[str]) -> Optional[str]:
-        """The id of the first of ``state``'s AVMs bound to ``widget_id``, if any."""
-        return self.view.avm_for[state.id].get(widget_id) if widget_id else None
-
     def _is_closing(self, action: Action, before: AbstractState, after: AbstractState) -> bool:
         if action.action_type == ActionType.PRESS_BACK:
             return True
@@ -441,10 +437,11 @@ class TestEngine:
     ) -> AbstractTransition:
         dstg = self.model.dstg
         payload = action.data_payload if action.action_type == ActionType.TEXT_FILL else None
-        avm_id = self._avm_id(before, widget_id)
+        if widget_id not in self.view.widgets_of[before.id]:
+            widget_id = None  # no AVM of the state stands for the widget
         closing = self._is_closing(action, before, after)
-        for _, tr, _ in self.view.transitions_from.get(before.id, ()):
-            if tr.source_avm_id != avm_id or tr.action_type != action.action_type:
+        for tr, _ in self.view.transitions_from.get(before.id, ()):
+            if tr.widget_id != widget_id or tr.action_type != action.action_type:
                 continue
             if tr.data_payload == payload:
                 if tr.destination_state_id == after.id:
@@ -462,7 +459,7 @@ class TestEngine:
         tr = AbstractTransition(
             id=self._next_id("at-"),
             source_state_id=before.id,
-            source_avm_id=avm_id,
+            widget_id=widget_id,
             action_type=action.action_type,
             destination_state_id=after.id,
             data_payload=payload,
@@ -591,9 +588,10 @@ class TestEngine:
             return
         # the expectation came from a past version and never materialized:
         # the learned edge is stale
-        stale = (self._avm_id(predecessor, step.widget_id), step.action_type, expected_id)
-        for _, tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
-            if (tr.source_avm_id, tr.action_type, tr.destination_state_id) == stale:
+        widgets = self.view.widgets_of[predecessor.id]
+        stale = (step.widget_id if step.widget_id in widgets else None, step.action_type, expected_id)
+        for tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
+            if (tr.widget_id, tr.action_type, tr.destination_state_id) == stale:
                 del self.model.dstg.abstract_transitions[tr.id]
                 self.view.remove_transition(tr, predecessor)
 

@@ -62,7 +62,7 @@ from enum import Enum
 from operator import attrgetter
 from typing import Any, Callable, Iterable, Optional
 
-SCHEMA_VERSION = 8
+SCHEMA_VERSION = 9
 
 #: Abstraction levels from coarsest to finest.
 LEVEL_ORDER = ("L1", "L2", "L3", "L4", "L5")
@@ -351,7 +351,6 @@ def _identity(widget: EwtgWidget) -> tuple:
 class AttributeValuationMap:
     """Record of reducer outputs for one group of look-alike widgets."""
 
-    id: str
     valuations: dict[str, Any]
     cardinality: int = 1
     ewtg_widget_id: Optional[str] = None
@@ -360,29 +359,26 @@ class AttributeValuationMap:
         """Hashable canonical form of the valuations, used for comparisons."""
         return tuple(sorted(self.valuations.items()))
 
-    COLUMNS = ("id", "valuations", "cardinality", "ewtgWidgetId")
+    COLUMNS = ("valuations", "cardinality", "ewtgWidgetId")
 
     def to_row(self) -> list:
         if self.ewtg_widget_id is None:
             valuations = dict(self.valuations)
         else:  # the widget holds the identity
             valuations = {k: v for k, v in self.valuations.items() if k not in IDENTITY_KEYS}
-        return [self.id, valuations, self.cardinality, self.ewtg_widget_id]
+        return [valuations, self.cardinality, self.ewtg_widget_id]
 
     @classmethod
     def from_row(cls, row: list) -> "AttributeValuationMap":
         """The AVM of a row; a bound AVM's identity is filled in by
         ``AppModel.from_dict``, and its row may not hold it."""
         avm = cls(*row)
-        require(str, avm.id)
         require(dict, avm.valuations)
         require_int(avm.cardinality)
         require(OPTIONAL_STR, avm.ewtg_widget_id)
         require((str, int, float, type(None)), *avm.valuations.values())
         if avm.ewtg_widget_id is not None and not avm.valuations.keys().isdisjoint(IDENTITY_KEYS):
-            raise ValueError(
-                f"AVM {avm.id!r} holds valuations that widget {avm.ewtg_widget_id!r} gives it"
-            )
+            raise ValueError(f"an AVM holds valuations that widget {avm.ewtg_widget_id!r} gives it")
         return avm
 
 
@@ -401,12 +397,6 @@ class AbstractState:
     obsolete: bool = False
     observed_in_versions: set[str] = field(default_factory=set)
 
-    def avm_by_id(self, avm_id: str) -> Optional[AttributeValuationMap]:
-        for avm in self.avms:
-            if avm.id == avm_id:
-                return avm
-        return None
-
     def valuation_multiset(self) -> dict[tuple, int]:
         counts: dict[tuple, int] = {}
         for avm in self.avms:
@@ -420,7 +410,7 @@ class AbstractState:
         return [
             self.id,
             self.window_id,
-            _table(AttributeValuationMap, sorted(self.avms, key=_BY_ID)),
+            _table(AttributeValuationMap, self.avms),
             self.abstraction_level,
             self.obsolete,
             sorted(self.observed_in_versions),
@@ -434,7 +424,6 @@ class AbstractState:
         require(list, observed_in_versions)
         require(str, *observed_in_versions)
         avms = _records(avms, AttributeValuationMap)
-        _reject_repeats([avm.id for avm in avms], "AVM")
         return cls(id_, window_id, avms, abstraction_level, obsolete, set(observed_in_versions))
 
 
@@ -442,7 +431,7 @@ class AbstractState:
 class AbstractTransition:
     id: str
     source_state_id: str
-    source_avm_id: Optional[str]
+    widget_id: Optional[str]  # the widget acted on, bound to an AVM of the source
     action_type: ActionType
     destination_state_id: str
     data_payload: Optional[str] = None
@@ -451,7 +440,7 @@ class AbstractTransition:
     COLUMNS = (
         "id",
         "sourceStateId",
-        "sourceAvmId",
+        "widgetId",
         "actionType",
         "destinationStateId",
         "dataPayload",
@@ -462,7 +451,7 @@ class AbstractTransition:
         return [
             self.id,
             self.source_state_id,
-            self.source_avm_id,
+            self.widget_id,
             self.action_type.value,
             self.destination_state_id,
             self.data_payload,
@@ -474,7 +463,7 @@ class AbstractTransition:
         t = cls(*row)
         t.action_type = _ACTION_TYPES[t.action_type]
         require(str, t.id, t.source_state_id, t.destination_state_id)
-        require(OPTIONAL_STR, t.source_avm_id, t.data_payload)
+        require(OPTIONAL_STR, t.widget_id, t.data_payload)
         if t.layout_guard is not None:
             t.layout_guard = fingerprint_from_dict(t.layout_guard)
         return t
@@ -804,25 +793,19 @@ def validate_integrity(model: AppModel) -> list[str]:
             violations.append(f"state {state.id} references missing window {state.window_id}")
         if state.abstraction_level not in LEVEL_ORDER:
             violations.append(f"state {state.id} has unknown abstraction level")
-        avm_ids: set[str] = set()
-        for avm in state.avms:
-            if avm.id in avm_ids:
-                violations.append(f"state {state.id} has more than one avm {avm.id}")
-            avm_ids.add(avm.id)
+        for i, avm in enumerate(state.avms):
             if avm.cardinality < 1:
-                violations.append(f"avm {avm.id} of state {state.id} has cardinality < 1")
+                violations.append(f"avm {i} of state {state.id} has cardinality < 1")
             if avm.ewtg_widget_id is None:
                 continue
             widget = ewtg.widgets.get(avm.ewtg_widget_id)
             if widget is None:
                 violations.append(
-                    f"avm {avm.id} of state {state.id} references missing widget "
-                    f"{avm.ewtg_widget_id}"
+                    f"avm {i} of state {state.id} references missing widget {avm.ewtg_widget_id}"
                 )
             elif tuple(map(avm.valuations.get, IDENTITY_KEYS)) != _identity(widget):
                 violations.append(
-                    f"avm {avm.id} of state {state.id} does not hold the identity of widget "
-                    f"{widget.id}"
+                    f"avm {i} of state {state.id} does not hold the identity of widget {widget.id}"
                 )
 
     for tr in dstg.abstract_transitions.values():
@@ -830,9 +813,12 @@ def validate_integrity(model: AppModel) -> list[str]:
         if src is None:
             violations.append(f"abstract transition {tr.id} references missing source state "
                               f"{tr.source_state_id}")
-        elif tr.source_avm_id is not None and src.avm_by_id(tr.source_avm_id) is None:
+        elif tr.widget_id is not None and all(
+            avm.ewtg_widget_id != tr.widget_id for avm in src.avms
+        ):
             violations.append(
-                f"abstract transition {tr.id} source avm {tr.source_avm_id} not in state {src.id}"
+                f"abstract transition {tr.id} widget {tr.widget_id} is bound to no avm of "
+                f"state {src.id}"
             )
         if tr.destination_state_id not in dstg.abstract_states:
             violations.append(

@@ -115,8 +115,8 @@ class PlanView:
         self.input_for: dict[tuple, Input] = {}
         # input id -> destination windows of its window transitions, in id order
         self.window_destinations: dict[str, list[str]] = {}
-        # state id -> (widget, transition, destination) in id order, for
-        # transitions whose destination exists
+        # state id -> (transition, destination) in id order, for transitions
+        # whose destination exists
         self.transitions_from: dict[str, list[tuple]] = {}
         # (window, widget, action) -> windows reached by recorded transitions
         # into live states, each with the number of those transitions
@@ -124,9 +124,9 @@ class PlanView:
         # window -> presence ratio of each widget over the window's live
         # states, from the count of live states and of those showing each widget
         self.presence: dict[str, tuple[tuple[str, float], ...]] = {}
-        # state id -> widget id -> the id of the state's first AVM bound to it,
-        # for every state, obsolete ones included
-        self.avm_for: dict[str, dict[str, str]] = {}
+        # state id -> the widgets its AVMs are bound to, for every state,
+        # obsolete ones included
+        self.widgets_of: dict[str, set[str]] = {}
         self._live: Counter = Counter()
         self._widget_counts: dict[str, Counter] = {}
         for inp in sorted(model.ewtg.inputs.values(), key=lambda i: i.id):
@@ -147,49 +147,46 @@ class PlanView:
         self.input_for[key] = min(inp, self.input_for.get(key, inp), key=lambda i: i.id)
 
     def add_state(self, state: AbstractState) -> None:
-        """Map a state's widgets to their AVMs; count a live one in its window's widget presence."""
-        avm_ids = self.avm_for[state.id] = {}
-        for avm in state.avms:
-            if avm.ewtg_widget_id is not None:
-                avm_ids.setdefault(avm.ewtg_widget_id, avm.id)
+        """Note a state's widgets; count a live one in its window's widget presence."""
+        widgets = self.widgets_of[state.id] = {
+            avm.ewtg_widget_id for avm in state.avms if avm.ewtg_widget_id is not None
+        }
         if state.obsolete:
             return
         self._live[state.window_id] += 1
         live = self._live[state.window_id]
         counts = self._widget_counts.setdefault(state.window_id, Counter())
-        counts.update(self.avm_for[state.id].keys())
+        counts.update(widgets)
         self.presence[state.window_id] = tuple(sorted((w, c / live) for w, c in counts.items()))
 
     def revive(self, state: AbstractState, states: dict[str, AbstractState]) -> None:
         """Count an obsolete state that turned live, with the transitions into it."""
         self.add_state(state)
         for source_id, entries in self.transitions_from.items():
-            for widget_id, tr, dest in entries:
+            for tr, dest in entries:
                 if dest is state:
-                    self._reach(states[source_id], widget_id, tr, state, 1)
+                    self._reach(states[source_id], tr, state, 1)
 
     def add_transition(
         self, tr: AbstractTransition, source: AbstractState, dest: AbstractState
     ) -> None:
-        avm = source.avm_by_id(tr.source_avm_id) if tr.source_avm_id is not None else None
-        widget_id = avm.ewtg_widget_id if avm else None
         # ids order as strings ("at-10" before "at-9"), as the model file does
         entries = self.transitions_from.setdefault(source.id, [])
-        bisect.insort(entries, (widget_id, tr, dest), key=lambda e: e[1].id)
-        self._reach(source, widget_id, tr, dest, 1)
+        bisect.insort(entries, (tr, dest), key=lambda e: e[0].id)
+        self._reach(source, tr, dest, 1)
 
     def remove_transition(self, tr: AbstractTransition, source: AbstractState) -> None:
         entries = self.transitions_from[source.id]
-        widget_id, _, dest = entries.pop([e[1] for e in entries].index(tr))
+        _, dest = entries.pop([e[0] for e in entries].index(tr))
         if not entries:
             del self.transitions_from[source.id]
-        self._reach(source, widget_id, tr, dest, -1)
+        self._reach(source, tr, dest, -1)
 
-    def _reach(self, source, widget_id, tr, dest: AbstractState, delta: int) -> None:
+    def _reach(self, source, tr, dest: AbstractState, delta: int) -> None:
         """Count ``tr``'s reach of ``dest``'s window, if ``dest`` is live."""
         if dest.obsolete:
             return
-        key = (source.window_id, widget_id, tr.action_type)
+        key = (source.window_id, tr.widget_id, tr.action_type)
         counts = self.reached.setdefault(key, Counter())
         counts[dest.window_id] += delta
         if not counts[dest.window_id]:
@@ -242,7 +239,8 @@ class Planner:
         edges: list[tuple[tuple, PlanStep]] = []
         exercised: set[tuple[Optional[str], ActionType]] = set()
         threshold = self.config.layout_similarity_threshold
-        for widget_id, tr, dest in self.view.transitions_from.get(state.id, ()):
+        for tr, dest in self.view.transitions_from.get(state.id, ()):
+            widget_id = tr.widget_id
             exercised.add((widget_id, tr.action_type))
             if dest.obsolete:
                 continue
@@ -254,7 +252,7 @@ class Planner:
                 input_id, tr.action_type, widget_id, dest.id, 1.0, data_payload=tr.data_payload
             )
             edges.append((("state", dest.id), step))
-        present_widgets = self.view.avm_for[state.id]
+        present_widgets = self.view.widgets_of[state.id]
         for inp in self.view.inputs_of_window.get(state.window_id, ()):
             if inp.action_type == ActionType.RESET_APP and not at_start:
                 continue

@@ -146,8 +146,7 @@ def random_model(rng: random.Random) -> tuple[AppModel, AbstractState, object]:
         chosen = [g for g in window_widgets if rng.random() < 0.7]
         avms = [
             AttributeValuationMap(
-                id=f"s{si}-a{g}", valuations={"R_RID": g, "R_CN": "Button", "R_CD": ""},
-                ewtg_widget_id=g,
+                valuations={"R_RID": g, "R_CN": "Button", "R_CD": ""}, ewtg_widget_id=g,
             )
             for g in chosen
         ]
@@ -163,13 +162,13 @@ def random_model(rng: random.Random) -> tuple[AppModel, AbstractState, object]:
             dest = rng.choice(state_ids)
             if state.avms and rng.random() < 0.8:
                 avm = rng.choice(state.avms)
-                avm_id, action = avm.id, ActionType.CLICK
+                widget_id, action = avm.ewtg_widget_id, ActionType.CLICK
             else:
-                avm_id, action = None, ActionType.PRESS_BACK
+                widget_id, action = None, ActionType.PRESS_BACK
             tid = f"at{tr_index}"
             tr_index += 1
             dstg.abstract_transitions[tid] = AbstractTransition(
-                id=tid, source_state_id=sid, source_avm_id=avm_id,
+                id=tid, source_state_id=sid, widget_id=widget_id,
                 action_type=action, destination_state_id=dest,
             )
 

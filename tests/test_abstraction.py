@@ -246,7 +246,7 @@ def test_make_layout_guard_prefers_most_recent_similar_state():
     similar_new = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="new")
     unrelated = AbstractState(
         id="far", window_id="win",
-        avms=[AttributeValuationMap(id="a", valuations={"R_CN": "Spinner"})],
+        avms=[AttributeValuationMap(valuations={"R_CN": "Spinner"})],
     )
     def in_visit_order(*states):
         return {s.id: layout_fingerprint(s) for s in states}
@@ -264,7 +264,7 @@ def test_make_layout_guard_prefers_most_recent_similar_state():
 
 
 def avm(key, widget=None):
-    return AttributeValuationMap(id=f"avm-{key}", valuations={"R_RID": key}, ewtg_widget_id=widget)
+    return AttributeValuationMap(valuations={"R_RID": key}, ewtg_widget_id=widget)
 
 
 def test_backward_equivalence_tolerates_only_added_or_replaced_widgets():

@@ -117,10 +117,9 @@ def test_a2_diff_reproduction():
         assert time.perf_counter() - start_time < 1.0
 
 
-def _avm(avm_id, widget_id, rid, class_name):
+def _avm(widget_id, rid, class_name):
     """An AVM bound to a diary widget with that widget's identity."""
     return AttributeValuationMap(
-        id=avm_id,
         valuations={"R_RID": rid, "R_CN": class_name, "R_CD": ""},
         ewtg_widget_id=widget_id,
     )
@@ -133,20 +132,20 @@ def diary_base_model() -> AppModel:
     dstg = Dstg(abstraction_policy={"main": "L1"})
     dstg.abstract_states["s1"] = AbstractState(
         id="s1", window_id="main",
-        avms=[_avm("avm2", "w3", "addNewItem", "Button")],
+        avms=[_avm("w3", "addNewItem", "Button")],
         observed_in_versions={"v0"},
     )
     dstg.abstract_states["s2"] = AbstractState(
         id="s2", window_id="edit",
         avms=[
-            _avm("avm4", "w6", "nameField", "EditText"),
-            _avm("avm5", "w7", "createdTime", "TextView"),
-            _avm("avm6", "w10", "ok", "Button"),
+            _avm("w6", "nameField", "EditText"),
+            _avm("w7", "createdTime", "TextView"),
+            _avm("w10", "ok", "Button"),
         ],
         observed_in_versions={"v0"},
     )
     dstg.abstract_transitions["at1"] = AbstractTransition(
-        id="at1", source_state_id="s1", source_avm_id="avm2",
+        id="at1", source_state_id="s1", widget_id="w3",
         action_type=ActionType.CLICK, destination_state_id="s2",
     )
     return AppModel(version="v0", ewtg=ewtg, dstg=dstg)
@@ -158,19 +157,19 @@ def golden_adapted_dstg() -> Dstg:
     dstg.abstract_states["s1"] = AbstractState(
         id="s1", window_id="home",
         # the replacement widget's identity: an ImageView in place of a Button
-        avms=[_avm("avm2", "w8", "addNewItem", "ImageView")],
+        avms=[_avm("w8", "addNewItem", "ImageView")],
         observed_in_versions={"v0"},
     )
     dstg.abstract_states["s2"] = AbstractState(
         id="s2", window_id="edit",
         avms=[
-            _avm("avm4", "w6", "nameField", "EditText"),
-            _avm("avm6", "w10", "ok", "Button"),
+            _avm("w6", "nameField", "EditText"),
+            _avm("w10", "ok", "Button"),
         ],
         observed_in_versions={"v0"},
     )
     dstg.abstract_transitions["at1"] = AbstractTransition(
-        id="at1", source_state_id="s1", source_avm_id="avm2",
+        id="at1", source_state_id="s1", widget_id="w8",
         action_type=ActionType.CLICK, destination_state_id="s2",
     )
     return dstg
@@ -212,7 +211,7 @@ def test_a4_backward_equivalence_property():
         s2 = golden_adapted_dstg().abstract_states["s2"]
         s3 = copy.deepcopy(s2)
         s3.id = "s3"
-        s3.avms.append(_avm("avm9", "w9", "cancel", "Button"))
+        s3.avms.append(_avm("w9", "cancel", "Button"))
         assert is_backward_equivalent(s3, s2, excluded)
         # flipping any non-added AVM valuation breaks equivalence
         for index in range(len(s2.avms)):
@@ -236,7 +235,6 @@ def test_a4_backward_equivalence_property():
                 elif kind == 2:
                     observed.avms.append(
                         AttributeValuationMap(
-                            id=f"r{rng.randrange(10**6)}",
                             valuations={"R_RID": rng.choice(["name", "ok", "new"])},
                             ewtg_widget_id=rng.choice(widget_pool),
                         )
@@ -492,15 +490,13 @@ def _transition(model, tr, guards: str) -> dict:
     """An abstract transition with its source as the widget it acted on, or
     None, and its guard as the layout it stands for (``guards="layout"``) or
     as whether it has one (``guards="present"``)."""
-    source = model.dstg.abstract_states[tr.source_state_id]
-    avm = source.avm_by_id(tr.source_avm_id) if tr.source_avm_id is not None else None
     guard = tr.layout_guard
     if guard is not None:
         guard = _layout(guard) if guards == "layout" else True
     return {
         "id": tr.id,
         "source_state_id": tr.source_state_id,
-        "widget": avm.ewtg_widget_id if avm is not None else None,
+        "widget": tr.widget_id,
         "action_type": tr.action_type.value,
         "destination_state_id": tr.destination_state_id,
         "data_payload": tr.data_payload,
@@ -523,8 +519,6 @@ def _canonical_model(model, guards: str = "layout") -> dict:
     doc = _canonical(model)
     dstg = doc["dstg"]
     for state in dstg["abstract_states"].values():
-        for avm in state["avms"]:
-            del avm["id"]
         state["avms"] = _sorted_json(state["avms"])
     dstg["abstract_transitions"] = {
         tid: _transition(model, tr, guards)

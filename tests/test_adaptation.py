@@ -28,9 +28,10 @@ from uptest import fixture_path
 from random_ewtg import random_ewtg_pair
 
 
-def avm(avm_id, widget=None):
-    """An AVM bound to ``widget`` with its identity, or to no widget."""
-    made = AttributeValuationMap(id=avm_id, valuations={"R_RID": avm_id})
+def avm(rid, widget=None):
+    """An AVM bound to ``widget`` with its identity, or to no widget with the
+    resource id ``rid``."""
+    made = AttributeValuationMap(valuations={"R_RID": rid})
     if widget is not None:
         bind_widget(made, widget)
     return made
@@ -52,7 +53,7 @@ def diary_base_model() -> AppModel:
         observed_in_versions={"v0"},
     )
     dstg.abstract_transitions["at1"] = AbstractTransition(
-        id="at1", source_state_id="s1", source_avm_id="avm2",
+        id="at1", source_state_id="s1", widget_id="w3",
         action_type=ActionType.CLICK, destination_state_id="s2",
     )
     return AppModel(version="v0", ewtg=ewtg, dstg=dstg)
@@ -74,13 +75,13 @@ def test_adapt_diary_rebinds_and_prunes():
     # the main screen's state now lives in the replacement window
     assert s1.window_id == "home"
     # its add button AVM rebinds to the replacement widget
-    assert s1.avm_by_id("avm2").ewtg_widget_id == "w8"
+    assert [a.ewtg_widget_id for a in s1.avms] == ["w8"]
     # the deleted created-time widget loses its AVM
-    assert s2.avm_by_id("avm5") is None
-    assert {a.id for a in s2.avms} == {"avm4", "avm6"}
-    # the learned edge survives
+    assert [a.ewtg_widget_id for a in s2.avms] == ["w6", "w10"]
+    # the learned edge survives, on the replacement widget
     at1 = adapted.dstg.abstract_transitions["at1"]
     assert at1.source_state_id == "s1" and at1.destination_state_id == "s2"
+    assert at1.widget_id == "w8"
     # the added cancel widget has no learned element yet
     for state in adapted.dstg.abstract_states.values():
         assert all(avm.ewtg_widget_id != "w9" for avm in state.avms)
@@ -174,7 +175,7 @@ def test_state_reached_only_through_a_runtime_widget_is_pruned():
         id="x", window_id="edit", avms=[avm("avm-x", base.ewtg.widgets["w6"])],
     )
     base.dstg.abstract_transitions["at-rt"] = AbstractTransition(
-        id="at-rt", source_state_id="s1", source_avm_id="avm-rt",
+        id="at-rt", source_state_id="s1", widget_id="w-rt",
         action_type=ActionType.CLICK, destination_state_id="x",
     )
     assert validate_integrity(base) == []
@@ -182,7 +183,7 @@ def test_state_reached_only_through_a_runtime_widget_is_pruned():
     adapted = adapt_model(base, export_ewtg(spec, "v1"), diary_diff(), version="v1")
     assert "x" not in adapted.dstg.abstract_states
     assert "at-rt" not in adapted.dstg.abstract_transitions
-    assert adapted.dstg.abstract_states["s1"].avm_by_id("avm-rt") is None
+    assert all(a.ewtg_widget_id != "w-rt" for a in adapted.dstg.abstract_states["s1"].avms)
     assert set(adapted.dstg.abstract_states) == states_linked_to_a_launcher_state(adapted)
     assert validate_integrity(adapted) == []
 
@@ -206,12 +207,12 @@ def test_deleted_transition_drops_its_learned_instances_and_only_those():
     base = diary_base_model()
     # same widget, another action: not an instance of the deleted transition
     base.dstg.abstract_transitions["at2"] = AbstractTransition(
-        id="at2", source_state_id="s1", source_avm_id="avm2",
+        id="at2", source_state_id="s1", widget_id="w3",
         action_type=ActionType.LONG_CLICK, destination_state_id="s1",
     )
     # back from the edit state, so that it stays linked without at1
     base.dstg.abstract_transitions["at3"] = AbstractTransition(
-        id="at3", source_state_id="s2", source_avm_id="avm6",
+        id="at3", source_state_id="s2", widget_id="w10",
         action_type=ActionType.CLICK, destination_state_id="s1",
     )
     spec = load_spec(fixture_path("diary"))
@@ -250,15 +251,16 @@ def random_learned_graph(ewtg: Ewtg, rng: random.Random) -> Dstg:
             action = rng.choice(list(ActionType))
         dstg.abstract_transitions[f"at{t}"] = AbstractTransition(
             id=f"at{t}", source_state_id=src.id,
-            source_avm_id=f"{src.id}-{widget_id}" if widget_id else rng.choice([None, f"{src.id}-none"]),
+            widget_id=widget_id,
             action_type=action, destination_state_id=rng.choice(states).id,
         )
     return dstg
 
 
 def test_a_learned_transition_survives_exactly_when_its_ends_avm_and_trigger_do():
-    # oracle in the base version's ids: ends and source AVM survive, and its
-    # trigger is not that of a deleted or replaced window transition
+    # oracle in the base version's ids: ends and widget survive, and its
+    # trigger is not that of a deleted or replaced window transition; a
+    # surviving transition names its widget's pair
     doomed_only = renamed = 0
     for seed in range(60):
         base_ewtg, updated_ewtg = random_ewtg_pair(seed)
@@ -272,25 +274,26 @@ def test_a_learned_transition_survives_exactly_when_its_ends_avm_and_trigger_do(
         for wt_id in [*diff.deleted_transitions, *diff.replaced_transitions]:
             inp = base_ewtg.inputs[base_ewtg.window_transitions[wt_id].input_id]
             doomed.add((inp.window_id, inp.widget_id, inp.action_type))
+        widget_mapping = diff.widget_mapping()
         adapted = adapt_model(base, updated_ewtg, diff, version="v1")
         states = adapted.dstg.abstract_states
         expected = set()
         for tr in base.dstg.abstract_transitions.values():
             src = base.dstg.abstract_states[tr.source_state_id]
-            source_avm = src.avm_by_id(tr.source_avm_id) if tr.source_avm_id else None
-            trigger = (src.window_id, source_avm and source_avm.ewtg_widget_id, tr.action_type)
+            trigger = (src.window_id, tr.widget_id, tr.action_type)
             survives = (
                 src.id in states
                 and tr.destination_state_id in states
-                and (source_avm is None or states[src.id].avm_by_id(source_avm.id) is not None)
+                and (tr.widget_id is None or tr.widget_id in widget_mapping)
             )
             if survives and trigger not in doomed:
                 expected.add(tr.id)
+                carried = adapted.dstg.abstract_transitions.get(tr.id)
+                assert carried is None or carried.widget_id == widget_mapping.get(tr.widget_id)
             elif survives:
                 doomed_only += 1
-                renamed += src.window_id in diff.replaced_windows or (
-                    source_avm is not None
-                    and source_avm.ewtg_widget_id in diff.replaced_widgets
+                renamed += (
+                    src.window_id in diff.replaced_windows or tr.widget_id in diff.replaced_widgets
                 )
         assert set(adapted.dstg.abstract_transitions) == expected, seed
         assert validate_integrity(adapted) == []

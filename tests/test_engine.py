@@ -310,14 +310,13 @@ def two_state_model():
     dstg = Dstg()
     for sid, window_id in (("sa", "win"), ("sb", "other"), ("sc", "other")):
         avms = (
-            [AttributeValuationMap(id=f"{sid}-wd", valuations={"R_RID": "wd"},
-                                   ewtg_widget_id="wd")]
+            [AttributeValuationMap(valuations={"R_RID": "wd"}, ewtg_widget_id="wd")]
             if window_id == "win"
             else []
         )
         dstg.abstract_states[sid] = AbstractState(id=sid, window_id=window_id, avms=avms)
     dstg.abstract_transitions["at1"] = AbstractTransition(
-        id="at1", source_state_id="sa", source_avm_id="sa-wd",
+        id="at1", source_state_id="sa", widget_id="wd",
         action_type=ActionType.CLICK, destination_state_id="sb",
     )
     return AppModel(version="v1", ewtg=ewtg, dstg=dstg)
@@ -360,7 +359,7 @@ def test_nondeterminism_bumps_the_window_abstraction_level():
 def test_closing_nondeterminism_is_guarded_not_refined():
     model = two_state_model()
     model.dstg.abstract_transitions["at1"].action_type = ActionType.PRESS_BACK
-    model.dstg.abstract_transitions["at1"].source_avm_id = None
+    model.dstg.abstract_transitions["at1"].widget_id = None
     engine = engine_on(model)
     sa = model.dstg.abstract_states["sa"]
     sc = model.dstg.abstract_states["sc"]
@@ -379,7 +378,7 @@ def test_closing_guards_use_the_configured_layout_threshold(threshold, guard_fro
     for sid, rids in (("near", ("a", "b")), ("dest", ("a", "b", "c"))):
         states[sid] = AbstractState(
             id=sid, window_id="other",
-            avms=[AttributeValuationMap(id=f"{sid}-{r}", valuations={"R_RID": r}) for r in rids],
+            avms=[AttributeValuationMap(valuations={"R_RID": r}) for r in rids],
         )
     targets = TargetSet(target_method_ids={"m"}, instruction_counts={"m": 1})
     engine = TestEngine(
@@ -495,11 +494,11 @@ def test_a_planned_step_continues_through_a_backward_equivalent_state(diff_conte
 
 
 def transition_groups(dstg):
-    """The model's transitions by (source state, source AVM, action type), in id order."""
+    """The model's transitions by (source state, widget, action type), in id order."""
     groups = {}
     for tid in sorted(dstg.abstract_transitions):
         tr = dstg.abstract_transitions[tid]
-        groups.setdefault((tr.source_state_id, tr.source_avm_id, tr.action_type), []).append(tr)
+        groups.setdefault((tr.source_state_id, tr.widget_id, tr.action_type), []).append(tr)
     return groups
 
 
@@ -507,8 +506,8 @@ def indexed_transitions(engine):
     """The engine view's transitions, grouped as ``transition_groups`` groups the model's."""
     groups = {}
     for entries in engine.view.transitions_from.values():
-        for _, tr, _ in entries:
-            groups.setdefault((tr.source_state_id, tr.source_avm_id, tr.action_type), []).append(tr)
+        for tr, _ in entries:
+            groups.setdefault((tr.source_state_id, tr.widget_id, tr.action_type), []).append(tr)
     return groups
 
 
@@ -549,7 +548,7 @@ def outcomes_model():
     dstg.abstract_states["sd"] = AbstractState(id="sd", window_id="other", avms=[])
     for tid, dest in (("at-9", "sb"), ("at-10", "sc")):
         dstg.abstract_transitions[tid] = AbstractTransition(
-            id=tid, source_state_id="sa", source_avm_id="sa-wd",
+            id=tid, source_state_id="sa", widget_id="wd",
             action_type=ActionType.CLICK, destination_state_id=dest,
         )
     return model

@@ -64,7 +64,7 @@ def small_model() -> AppModel:
 
     dstg = Dstg(abstraction_policy={"w-main": "L2"})
     avm = AttributeValuationMap(
-        id="avm-1", valuations={"R_RID": "ok", "R_CN": "Button", "R_CD": "", "R_T": "OK"},
+        valuations={"R_RID": "ok", "R_CN": "Button", "R_CD": "", "R_T": "OK"},
         cardinality=1, ewtg_widget_id="wd-ok",
     )
     dstg.abstract_states["s1"] = AbstractState(
@@ -73,7 +73,7 @@ def small_model() -> AppModel:
     )
     dstg.abstract_states["s2"] = AbstractState(id="s2", window_id="w-edit")
     dstg.abstract_transitions["at-1"] = AbstractTransition(
-        id="at-1", source_state_id="s1", source_avm_id="avm-1",
+        id="at-1", source_state_id="s1", widget_id="wd-ok",
         action_type=ActionType.CLICK, destination_state_id="s2",
     )
 
@@ -134,10 +134,10 @@ TABLES = {
         lambda doc: doc["dstg"]["abstractStates"],
         ["id", "windowId", "avms", "abstractionLevel", "obsolete", "observedInVersions"],
     ),
-    "avms": (avm_table, ["id", "valuations", "cardinality", "ewtgWidgetId"]),
+    "avms": (avm_table, ["valuations", "cardinality", "ewtgWidgetId"]),
     "abstractTransitions": (
         lambda doc: doc["dstg"]["abstractTransitions"],
-        ["id", "sourceStateId", "sourceAvmId", "actionType", "destinationStateId",
+        ["id", "sourceStateId", "widgetId", "actionType", "destinationStateId",
          "dataPayload", "layoutGuard"],
     ),
     # the trace's rows: each distinct step once, named by the trace's indices
@@ -298,7 +298,6 @@ def test_deserialize_rejects_another_header_or_row_width(table, edit):
     (("ewtg", "windowTransitions"), "window transition"),
     (("dstg", "abstractStates"), "abstract state"),
     (("dstg", "abstractTransitions"), "abstract transition"),
-    (("dstg", "abstractStates", 0, "avms"), "AVM"),
 ])
 def test_deserialize_rejects_a_repeated_id(path, what):
     doc = model_doc()
@@ -324,9 +323,10 @@ def test_deserialize_rejects_wrong_schema_version():
     # schema 3 wrote each record as an object, schema 4 stored each window's
     # widgets and each window transition's source again, and schema 5 each
     # trace step's action and reached state, schema 6 each executed action's
-    # step again, and schema 7 each bound AVM's widget identity; no reader
-    # for any of them is kept
-    for schema in (99, 3, 4, 5, 6, 7):
+    # step again, schema 7 each bound AVM's widget identity, and schema 8 an
+    # id for each AVM and a transition's source as one; no reader for any of
+    # them is kept
+    for schema in (99, 3, 4, 5, 6, 7, 8):
         doc = model_doc()
         doc["schema_version"] = schema
         with pytest.raises(ModelError, match=f"unsupported schema version {schema}"):
@@ -439,7 +439,7 @@ def test_a_bound_avm_row_leaves_out_the_identity_its_widget_gives():
 def test_an_avm_of_no_widget_keeps_its_identity_in_its_row():
     model = small_model()
     model.dstg.abstract_states["s2"].avms.append(
-        AttributeValuationMap(id="avm-2", valuations={"R_RID": "x", "R_CN": "View", "R_CD": ""})
+        AttributeValuationMap(valuations={"R_RID": "x", "R_CN": "View", "R_CD": ""})
     )
     doc = json.loads(serialize_model(model))
     edit_avms = doc_at(doc, ("dstg", "abstractStates", 1, "avms"))
@@ -467,21 +467,10 @@ def test_validation_catches_a_bound_avm_without_its_widgets_identity(edit):
     model = small_model()
     edit(model.dstg.abstract_states["s1"].avms[0].valuations)
     assert validate_integrity(model) == [
-        "avm avm-1 of state s1 does not hold the identity of widget wd-ok"
+        "avm 0 of state s1 does not hold the identity of widget wd-ok"
     ]
     with pytest.raises(ModelError, match="does not hold the identity of widget wd-ok"):
         serialize_model(model)
-
-
-def test_validation_catches_a_state_with_two_avms_of_one_id():
-    model = small_model()
-    state = model.dstg.abstract_states["s1"]
-    state.avms.append(AttributeValuationMap(id="avm-1", valuations={"R_RID": "other"}))
-    assert validate_integrity(model) == ["state s1 has more than one avm avm-1"]
-    with pytest.raises(ModelError):
-        serialize_model(model)
-    with pytest.raises(ModelError, match="duplicate AVM id 'avm-1'"):
-        load(model.to_dict())  # the document serialize would write
 
 
 def test_validation_catches_a_layout_guard_count_below_one():
@@ -496,9 +485,14 @@ def test_validation_catches_a_layout_guard_count_below_one():
 
 
 def test_validation_catches_transition_avm_mismatch():
+    # a transition's widget is bound to an AVM of its source state
     model = small_model()
-    model.dstg.abstract_transitions["at-1"].source_avm_id = "avm-unknown"
-    assert any("avm-unknown" in v for v in validate_integrity(model))
+    model.dstg.abstract_transitions["at-1"].widget_id = "wd-other"
+    assert validate_integrity(model) == [
+        "abstract transition at-1 widget wd-other is bound to no avm of state s1"
+    ]
+    with pytest.raises(ModelError, match="widget wd-other is bound to no avm"):
+        load(model.to_dict())  # the document serialize would write
 
 
 def test_validation_catches_input_in_wrong_window():
@@ -578,9 +572,9 @@ def test_valuation_multiset_counts_cardinality():
         id="s",
         window_id="w",
         avms=[
-            AttributeValuationMap(id="a1", valuations={"R_CN": "Button"}, cardinality=2),
-            AttributeValuationMap(id="a2", valuations={"R_CN": "Button"}, cardinality=1),
-            AttributeValuationMap(id="a3", valuations={"R_CN": "TextView"}, cardinality=1),
+            AttributeValuationMap(valuations={"R_CN": "Button"}, cardinality=2),
+            AttributeValuationMap(valuations={"R_CN": "Button"}, cardinality=1),
+            AttributeValuationMap(valuations={"R_CN": "TextView"}, cardinality=1),
         ],
     )
     assert state.valuation_multiset() == {

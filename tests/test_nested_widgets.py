@@ -74,10 +74,12 @@ def test_a_model_file_keeps_every_child_valuation_of_a_bound_avm():
     rows = 0
     for state_row in json.loads(data)["dstg"]["abstractStates"]["rows"]:
         avms = state_row[2]
-        for avm_row in avms["rows"]:
+        state = model.dstg.abstract_states[state_row[0]]
+        # the rows keep the state's order of its AVMs
+        assert len(avms["rows"]) == len(state.avms)
+        for avm_row, in_memory_avm in zip(avms["rows"], state.avms):
             avm = dict(zip(avms["columns"], avm_row))
-            state = model.dstg.abstract_states[state_row[0]]
-            in_memory = state.avm_by_id(avm["id"]).valuations
+            in_memory = in_memory_avm.valuations
             assert avm["ewtgWidgetId"] is not None
             # only the three keys the widget gives are left out
             assert avm["valuations"] == {

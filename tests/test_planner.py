@@ -42,9 +42,8 @@ def _widget(wid, window_id):
     )
 
 
-def _avm(state_id, widget_id):
+def _avm(widget_id):
     return AttributeValuationMap(
-        id=f"{state_id}-{widget_id}",
         valuations={"R_RID": widget_id, "R_CN": "Button", "R_CD": ""},
         ewtg_widget_id=widget_id,
     )
@@ -81,7 +80,7 @@ def route_choice_model() -> AppModel:
     def add_state(sid, window_id, widgets):
         state = AbstractState(
             id=sid, window_id=window_id,
-            avms=[_avm(sid, w) for w in widgets],
+            avms=[_avm(w) for w in widgets],
         )
         dstg.abstract_states[sid] = state
         return state
@@ -113,7 +112,7 @@ def route_choice_model() -> AppModel:
     ]
     for tid, src, widget, dst in chain:
         dstg.abstract_transitions[tid] = AbstractTransition(
-            id=tid, source_state_id=src, source_avm_id=f"{src}-{widget}",
+            id=tid, source_state_id=src, widget_id=widget,
             action_type=ActionType.CLICK, destination_state_id=dst,
         )
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
@@ -357,12 +356,9 @@ def _guarded_steps(model, start, seq) -> int:
     """How many steps of ``seq`` take a recorded transition that only a layout
     guard lets the planner take: every transition with the step's source,
     widget, action and destination has a guard."""
-    states = model.dstg.abstract_states
     guarded: dict[tuple, bool] = {}
     for tr in model.dstg.abstract_transitions.values():
-        avm = states[tr.source_state_id].avm_by_id(tr.source_avm_id)
-        key = (tr.source_state_id, avm.ewtg_widget_id if avm else None, tr.action_type,
-               tr.destination_state_id)
+        key = (tr.source_state_id, tr.widget_id, tr.action_type, tr.destination_state_id)
         guarded[key] = guarded.get(key, True) and tr.layout_guard is not None
     count, source = 0, start.id
     for s in seq.steps:

@@ -39,7 +39,7 @@ def test_prune_unvisited_only_touches_visited_windows():
         },
         abstract_transitions={
             "at1": AbstractTransition(
-                id="at1", source_state_id="s1", source_avm_id=None,
+                id="at1", source_state_id="s1", widget_id=None,
                 action_type=ActionType.PRESS_BACK, destination_state_id="s2",
             ),
         },
@@ -84,7 +84,7 @@ def replay_model(after_roots, level="L1"):
         dstg.abstract_states[state.id] = state
         if i > 1:  # the first screen is where the trace starts
             dstg.abstract_transitions[f"at{i}"] = AbstractTransition(
-                id=f"at{i}", source_state_id=f"s{i - 1}", source_avm_id=None,
+                id=f"at{i}", source_state_id=f"s{i - 1}", widget_id=None,
                 action_type=ActionType.CLICK, destination_state_id=state.id,
             )
             model.gstg.trace.append(TraceStep(f"at{i}", concrete_node_path=()))
