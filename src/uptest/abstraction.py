@@ -17,7 +17,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Iterator, Optional
+from typing import Iterator, Mapping, Optional
 
 from .model import (
     LEVEL_ORDER,
@@ -232,8 +232,9 @@ def fingerprint_similarity(a: Counter, b: Counter) -> float:
 
 def make_layout_guard(
     destination: AbstractState, layouts: dict[str, Counter], threshold: float
-) -> Optional[Counter]:
-    """Fingerprint of the most recently visited other state with a similar layout.
+) -> str:
+    """The most recently visited other state with a layout similar to the
+    destination's, or failing one the destination itself.
 
     ``layouts`` holds the layout fingerprint of each visited state by id, the
     destination's included, in last-visit order; it is walked backward from
@@ -242,17 +243,26 @@ def make_layout_guard(
     dest_fp = layouts[destination.id]
     for state_id, fp in reversed(layouts.items()):
         if state_id != destination.id and fingerprint_similarity(fp, dest_fp) >= threshold:
-            return fp
-    return None
+            return state_id
+    return destination.id
 
 
 def guard_holds(
-    guard: Optional[Counter], visited_layouts: Collection[Counter], threshold: float
+    guard: Optional[str],
+    visited_layouts: Mapping[str, Counter],
+    states: Mapping[str, AbstractState],
+    threshold: float,
 ) -> bool:
-    """True without a guard, else when a visited layout is similar enough to it."""
-    if guard is None:
+    """True without a guard, else when a visited layout is similar enough to
+    the layout of the guard's state.
+
+    ``visited_layouts`` holds the layout of each visited state by id.  A
+    visited guard state holds at once: its layout is 1.0-similar to itself.
+    """
+    if guard is None or guard in visited_layouts:
         return True
-    return any(fingerprint_similarity(guard, fp) >= threshold for fp in visited_layouts)
+    layout = layout_fingerprint(states[guard])
+    return any(fingerprint_similarity(layout, fp) >= threshold for fp in visited_layouts.values())
 
 
 # --- refinement ----------------------------------------------------------

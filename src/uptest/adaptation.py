@@ -3,10 +3,12 @@
 The base model's learned state graph is copied once and rewritten according
 to the diff.  States and AVMs whose window or widget the diff does not pair
 (deleted, or created at runtime and so never compared) are dropped and the
-rest rebound to their counterparts; then a single pass over the transitions,
-in the new version's ids, drops those left dangling and the learned
-instances of deleted or replaced window transitions; and anything left
-disconnected from the launcher window's states is pruned.  The session
+rest rebound to their counterparts; a state goes with every transition into,
+out of or guarded by it.  Then a single pass over the transitions, in the new
+version's ids, drops those whose widget lost its AVM and the learned
+instances of deleted or replaced window transitions, and rebinds the rest to
+their widget's pair; and anything left disconnected from the launcher
+window's states is pruned.  The session
 trace is not carried over, and the static layer is the new version's window
 graph itself, not a copy.
 """
@@ -32,14 +34,14 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Ds
     window_mapping = diff.window_mapping()
     widget_mapping = diff.widget_mapping()
 
-    # (a) drop states of windows the diff does not pair, and (b) AVMs of
-    # widgets it does not pair: deleted elements and runtime-created ones,
-    # which the diff never compares.  (d, e) Rebind the rest to their pairs,
-    # an AVM with its pair's identity.
-    for sid, state in list(dstg.abstract_states.items()):
-        if state.window_id not in window_mapping:
-            del dstg.abstract_states[sid]
-            continue
+    # (a) drop states of windows the diff does not pair, with their
+    # transitions, and (b) AVMs of widgets it does not pair: deleted elements
+    # and runtime-created ones, which the diff never compares.  (d, e) Rebind
+    # the rest to their pairs, an AVM with its pair's identity.
+    dstg.drop_states(
+        [sid for sid, s in dstg.abstract_states.items() if s.window_id not in window_mapping]
+    )
+    for state in dstg.abstract_states.values():
         state.window_id = window_mapping[state.window_id]
         state.avms = [
             avm
@@ -68,17 +70,13 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Ds
         window_id, widget_id = window_mapping[inp.window_id], widget_mapping.get(inp.widget_id)
         doomed.add((window_id, widget_id, inp.action_type))
 
-    # (c) drop transitions left dangling by (a) and (b), and the learned
-    # instances of the doomed triggers; rebind the rest to their widget's pair
+    # (c) drop transitions whose widget (b) dropped, and the learned instances
+    # of the doomed triggers; rebind the rest to their widget's pair
     for tr_id, tr in list(dstg.abstract_transitions.items()):
-        src = dstg.abstract_states.get(tr.source_state_id)
+        src = dstg.abstract_states[tr.source_state_id]
         widget_id = widget_mapping.get(tr.widget_id)
-        if (
-            src is None
-            or tr.destination_state_id not in dstg.abstract_states
-            or (tr.widget_id is not None and widget_id is None)
-            or (src.window_id, widget_id, tr.action_type) in doomed
-        ):
+        unpaired = tr.widget_id is not None and widget_id is None
+        if unpaired or (src.window_id, widget_id, tr.action_type) in doomed:
             del dstg.abstract_transitions[tr_id]
         else:
             tr.widget_id = widget_id

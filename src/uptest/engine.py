@@ -454,8 +454,7 @@ class TestEngine:
         guard = None
         if closing:
             threshold = self.config.layout_similarity_threshold
-            fp = make_layout_guard(after, self.visited_layouts, threshold)
-            guard = fp if fp is not None else self.visited_layouts[after.id]
+            guard = make_layout_guard(after, self.visited_layouts, threshold)
         tr = AbstractTransition(
             id=self._next_id("at-"),
             source_state_id=before.id,
@@ -588,8 +587,10 @@ class TestEngine:
             return
         # the expectation came from a past version and never materialized:
         # the learned edge is stale
-        widgets = self.view.widgets_of[predecessor.id]
-        stale = (step.widget_id if step.widget_id in widgets else None, step.action_type, expected_id)
+        widget_id = step.widget_id
+        if widget_id not in self.view.widgets_of[predecessor.id]:
+            widget_id = None  # as _record_transition records it
+        stale = (widget_id, step.action_type, expected_id)
         for tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
             if (tr.widget_id, tr.action_type, tr.destination_state_id) == stale:
                 del self.model.dstg.abstract_transitions[tr.id]
@@ -652,8 +653,9 @@ class TestEngine:
         return self.executed - start
 
     def _plan(self, target) -> Optional[ActionSequence]:
-        seen = self.visited_layouts.values()
-        return plan_to_target(self.model, self.current_state, target, seen, self.config, self.view)
+        return plan_to_target(
+            self.model, self.current_state, target, self.visited_layouts, self.config, self.view
+        )
 
     def _follow_plan(self, sequence: ActionSequence) -> None:
         """Execute planned steps until one mismatches or the budget runs out."""

@@ -56,7 +56,6 @@ from __future__ import annotations
 import functools
 import gc
 import json
-from collections import Counter
 from dataclasses import dataclass, field
 from enum import Enum
 from operator import attrgetter
@@ -435,7 +434,7 @@ class AbstractTransition:
     action_type: ActionType
     destination_state_id: str
     data_payload: Optional[str] = None
-    layout_guard: Optional[Counter] = None  # layout fingerprint
+    layout_guard: Optional[str] = None  # the state whose layout guards it
 
     COLUMNS = (
         "id",
@@ -455,7 +454,7 @@ class AbstractTransition:
             self.action_type.value,
             self.destination_state_id,
             self.data_payload,
-            None if self.layout_guard is None else fingerprint_to_dict(self.layout_guard),
+            self.layout_guard,
         ]
 
     @classmethod
@@ -463,39 +462,8 @@ class AbstractTransition:
         t = cls(*row)
         t.action_type = _ACTION_TYPES[t.action_type]
         require(str, t.id, t.source_state_id, t.destination_state_id)
-        require(OPTIONAL_STR, t.widget_id, t.data_payload)
-        if t.layout_guard is not None:
-            t.layout_guard = fingerprint_from_dict(t.layout_guard)
+        require(OPTIONAL_STR, t.widget_id, t.data_payload, t.layout_guard)
         return t
-
-
-def fingerprint_to_dict(fp: Counter) -> dict:
-    """A layout fingerprint as its ``layoutGuard`` cell."""
-    entries = sorted(
-        ({"valuations": dict(key), "count": count} for key, count in fp.items()),
-        key=lambda e: json.dumps(e["valuations"], sort_keys=True),
-    )
-    return {"entries": entries}
-
-
-def fingerprint_from_dict(d: Any) -> Counter:
-    """The layout fingerprint a ``layoutGuard`` cell holds.
-
-    Raises one of ``SHAPE_ERRORS`` unless every entry has valuations of JSON
-    scalars and a count of at least 1.
-    """
-    require(dict, d)
-    require(list, d["entries"])
-    counts: Counter = Counter()
-    for entry in d["entries"]:
-        valuations, count = entry["valuations"], entry["count"]
-        require(dict, valuations)
-        require((str, int, float, type(None)), *valuations.values())
-        require_int(count)
-        if count < 1:
-            raise ValueError(f"layout guard entry count {count} is below 1")
-        counts[tuple(sorted(valuations.items()))] += count
-    return counts
 
 
 @dataclass(eq=False)
@@ -643,14 +611,16 @@ class Dstg:
         return self.abstraction_policy.get(window_id, "L1")
 
     def drop_states(self, ids: Iterable[str]) -> None:
-        """Delete the states ``ids`` names and every transition into or out of them."""
+        """Delete the states ``ids`` names and every transition into, out of
+        or guarded by them."""
         doomed = set(ids)
         if not doomed:
             return
         for sid in doomed:
             del self.abstract_states[sid]
         for tr_id, tr in list(self.abstract_transitions.items()):
-            if tr.source_state_id in doomed or tr.destination_state_id in doomed:
+            ends = (tr.source_state_id, tr.destination_state_id, tr.layout_guard)
+            if not doomed.isdisjoint(ends):
                 del self.abstract_transitions[tr_id]
 
     def to_dict(self) -> dict:
@@ -825,8 +795,10 @@ def validate_integrity(model: AppModel) -> list[str]:
                 f"abstract transition {tr.id} references missing destination state "
                 f"{tr.destination_state_id}"
             )
-        if tr.layout_guard is not None and min(tr.layout_guard.values(), default=1) < 1:
-            violations.append(f"abstract transition {tr.id} has a layout guard count below 1")
+        if tr.layout_guard is not None and tr.layout_guard not in dstg.abstract_states:
+            violations.append(
+                f"abstract transition {tr.id} has a layout guard of missing state {tr.layout_guard}"
+            )
 
     for window_id, level in dstg.abstraction_policy.items():
         if window_id not in ewtg.windows:

@@ -16,7 +16,7 @@ import heapq
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Collection, Optional, Union
+from typing import Mapping, Optional, Union
 
 from .abstraction import guard_holds
 from .config import EngineConfig
@@ -204,7 +204,8 @@ class Planner:
 
     model: AppModel
     view: PlanView
-    visited_layouts: Collection[Counter] = ()
+    # state id -> layout fingerprint of each visited state
+    visited_layouts: Mapping[str, Counter] = field(default_factory=dict)
     config: EngineConfig = field(default_factory=EngineConfig)
     _target: Optional[Union[Window, AbstractState, Input]] = field(default=None, init=False)
     # (node key, at_start) -> its edges, for the plan being made
@@ -238,13 +239,13 @@ class Planner:
     ) -> list[tuple[tuple, PlanStep]]:
         edges: list[tuple[tuple, PlanStep]] = []
         exercised: set[tuple[Optional[str], ActionType]] = set()
-        threshold = self.config.layout_similarity_threshold
+        states, threshold = self.model.dstg.abstract_states, self.config.layout_similarity_threshold
         for tr, dest in self.view.transitions_from.get(state.id, ()):
             widget_id = tr.widget_id
             exercised.add((widget_id, tr.action_type))
             if dest.obsolete:
                 continue
-            if not guard_holds(tr.layout_guard, self.visited_layouts, threshold):
+            if not guard_holds(tr.layout_guard, self.visited_layouts, states, threshold):
                 continue
             inp = self.view.input_for.get((state.window_id, widget_id, tr.action_type))
             input_id = inp.id if inp else f"runtime:{state.window_id}:{widget_id}:{tr.action_type.value}"
@@ -431,10 +432,10 @@ def plan_to_target(
     model: AppModel,
     current_state: AbstractState,
     target: Union[Window, AbstractState, Input],
-    visited_layouts: Optional[Collection[Counter]] = None,
+    visited_layouts: Optional[Mapping[str, Counter]] = None,
     config: Optional[EngineConfig] = None,
     view: Optional[PlanView] = None,
 ) -> Optional[ActionSequence]:
     """The planner's sequence over a session's ``view``, or a fresh view of ``model``."""
-    planner = Planner(model, view or PlanView(model), visited_layouts or (), config or EngineConfig())
+    planner = Planner(model, view or PlanView(model), visited_layouts or {}, config or EngineConfig())
     return planner.plan(current_state, target)

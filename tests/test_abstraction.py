@@ -12,6 +12,7 @@ from uptest.abstraction import (
     AbstractionError,
     derive_abstract_state,
     fingerprint_similarity,
+    guard_holds,
     is_backward_equivalent,
     is_interactable,
     layout_fingerprint,
@@ -20,14 +21,7 @@ from uptest.abstraction import (
     valuation_multiset,
 )
 from uptest.harness import DriverRejection, DriverSession, load_spec
-from uptest.model import (
-    AbstractState,
-    Action,
-    ActionType,
-    AttributeValuationMap,
-    fingerprint_from_dict,
-    fingerprint_to_dict,
-)
+from uptest.model import AbstractState, Action, ActionType, AttributeValuationMap
 
 from conftest import make_node, make_tree, walk
 
@@ -234,12 +228,6 @@ def test_fingerprint_similarity_hand_computed_jaccard():
     assert fingerprint_similarity(a, Counter()) == 0.0
 
 
-def test_fingerprint_serialization_round_trip():
-    state = derive_abstract_state(two_buttons_tree(), LEVELS["L2"], state_id="s")
-    fp = layout_fingerprint(state)
-    assert fingerprint_from_dict(fingerprint_to_dict(fp)) == fp
-
-
 def test_make_layout_guard_prefers_most_recent_similar_state():
     base = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="dest")
     similar_old = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="old")
@@ -253,14 +241,32 @@ def test_make_layout_guard_prefers_most_recent_similar_state():
 
     # the layouts are in last-visit order, the destination's last
     layouts = in_visit_order(similar_old, similar_new, unrelated, base)
-    assert make_layout_guard(base, layouts, 0.8) is layouts["new"]
+    assert make_layout_guard(base, layouts, 0.8) == "new"
     layouts = in_visit_order(similar_new, similar_old, unrelated, base)
-    assert make_layout_guard(base, layouts, 0.8) is layouts["old"]
+    assert make_layout_guard(base, layouts, 0.8) == "old"
     # the destination's own layout is skipped wherever it stands in the order
     layouts = in_visit_order(similar_old, base, unrelated)
-    assert make_layout_guard(base, layouts, 0.8) is layouts["old"]
-    assert make_layout_guard(base, in_visit_order(unrelated, base), 0.8) is None
-    assert make_layout_guard(base, in_visit_order(base), 0.8) is None
+    assert make_layout_guard(base, layouts, 0.8) == "old"
+    # failing a similar other state, the destination guards itself
+    assert make_layout_guard(base, in_visit_order(unrelated, base), 0.8) == "dest"
+    assert make_layout_guard(base, in_visit_order(base), 0.8) == "dest"
+
+
+def test_a_guard_holds_on_its_state_or_a_layout_like_the_states_current_one():
+    state = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="g")
+    other = AbstractState(
+        id="far", window_id="win", avms=[AttributeValuationMap(valuations={"R_CN": "Spinner"})]
+    )
+    states = {"g": state, "far": other}
+    assert guard_holds(None, {}, states, 0.8)
+    # a visited guard state holds without its layout being looked up
+    assert guard_holds("g", {"g": Counter()}, {}, 1.0)
+    assert not guard_holds("g", {"far": layout_fingerprint(other)}, states, 0.8)
+    # another state with the guard state's layout
+    assert guard_holds("g", {"twin": layout_fingerprint(state)}, states, 1.0)
+    # the guard state's layout as it is now, not when the guard was made
+    state.avms = list(other.avms)
+    assert guard_holds("g", {"far": layout_fingerprint(other)}, states, 1.0)
 
 
 def avm(key, widget=None):

@@ -5,7 +5,14 @@ import random
 
 import pytest
 
+from uptest.abstraction import (
+    LEVELS,
+    derive_abstract_state,
+    fingerprint_similarity,
+    layout_fingerprint,
+)
 from uptest.adaptation import AdaptationError, adapt_model, update_dstg
+from uptest.config import EngineConfig
 from uptest.diff import DiffResult, diff_ewtg
 from uptest.harness import export_ewtg, load_spec
 from uptest.model import (
@@ -22,9 +29,11 @@ from uptest.model import (
     bind_widget,
     validate_integrity,
 )
+from uptest.planner import plan_to_target
 
 from uptest import fixture_path
 
+from conftest import make_node, make_tree
 from random_ewtg import random_ewtg_pair
 
 
@@ -328,3 +337,64 @@ def test_adapt_rejects_a_diff_that_rebinds_an_avm_to_an_unknown_widget():
     bad.replaced_widgets["w3"] = "no-such-widget"
     with pytest.raises(AdaptationError, match="unknown updated widget no-such-widget"):
         adapt_model(base, updated_ewtg, bad, version="v1")
+
+
+def guarded_back_model(resource_id: str, widget_id: str) -> AppModel:
+    """A list screen whose one button (``widget_id``, resource id
+    ``resource_id``) opens a dialog; back from the dialog reaches home only
+    when a layout like the list's has been visited."""
+    ewtg = Ewtg(launcher_window_id="home")
+    for window_id, kind in (("home", WindowKind.ACTIVITY), ("list", WindowKind.ACTIVITY),
+                            ("dlg", WindowKind.DIALOG)):
+        ewtg.windows[window_id] = Window(
+            id=window_id, name=window_id, kind=kind, class_name=f"c.{window_id}"
+        )
+    ewtg.widgets[widget_id] = EwtgWidget(
+        id=widget_id, window_id="list", class_name="Button", resource_id=resource_id,
+        content_description="", xpath="/Button",
+    )
+    return AppModel(version="v1", ewtg=ewtg)
+
+
+def list_screen(resource_id: str, widget_id: str):
+    button = make_node(widget_ref=widget_id, resourceId=resource_id, className="Button",
+                       clickable=True)
+    return make_tree("list", make_node(children=[button]))
+
+
+def test_a_carried_guard_holds_on_its_states_screen_in_the_new_version():
+    base = guarded_back_model("old", "w3")
+    states = base.dstg.abstract_states
+    states["g"] = derive_abstract_state(list_screen("old", "w3"), LEVELS["L1"], state_id="g")
+    states["s"] = AbstractState(id="s", window_id="dlg")
+    states["d"] = AbstractState(id="d", window_id="home")
+    for tid, src, widget, action, dest, guard in (
+        ("at1", "g", "w3", ActionType.CLICK, "s", None),
+        ("at2", "s", None, ActionType.PRESS_BACK, "d", "g"),
+    ):
+        base.dstg.abstract_transitions[tid] = AbstractTransition(
+            id=tid, source_state_id=src, widget_id=widget, action_type=action,
+            destination_state_id=dest, layout_guard=guard,
+        )
+    assert validate_integrity(base) == []
+    v1_layout = layout_fingerprint(states["g"])
+
+    # v2 gives the list's button a new id and resource id
+    updated = guarded_back_model("new", "w3b").ewtg
+    diff = DiffResult(
+        matched_windows={w: w for w in ("home", "list", "dlg")}, replaced_widgets={"w3": "w3b"}
+    )
+    adapted = adapt_model(base, updated, diff, version="v2")
+    assert adapted.dstg.abstract_transitions["at2"].layout_guard == "g"
+    v2_layout = layout_fingerprint(derive_abstract_state(list_screen("new", "w3b"), LEVELS["L1"]))
+    assert layout_fingerprint(adapted.dstg.abstract_states["g"]) == v2_layout
+    # the layout the guard was made with is unlike anything v2 shows
+    threshold = EngineConfig().layout_similarity_threshold
+    assert fingerprint_similarity(v1_layout, v2_layout) < threshold
+
+    start, home = adapted.dstg.abstract_states["s"], adapted.ewtg.windows["home"]
+    assert plan_to_target(adapted, start, home, visited_layouts={}) is None
+    # the v2 list screen, seen as the guard's state or as another state
+    for visited in ({"g": v2_layout}, {"st-9": v2_layout}):
+        seq = plan_to_target(adapted, start, home, visited_layouts=visited)
+        assert seq is not None and [s.expected for s in seq.steps] == ["d"]

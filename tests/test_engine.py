@@ -368,7 +368,7 @@ def test_closing_nondeterminism_is_guarded_not_refined():
     action = Action("x", ActionType.PRESS_BACK)
     tr = engine._record_transition(sa, action, None, sc)
     assert "win" not in model.dstg.abstraction_policy  # no level bump
-    assert tr.layout_guard is not None  # the new edge carries a layout guard
+    assert tr.layout_guard == "sc"  # the new edge is guarded by its own destination
 
 
 @pytest.mark.parametrize("threshold, guard_from", [(0.8, "dest"), (0.6, "near")])
@@ -391,7 +391,7 @@ def test_closing_guards_use_the_configured_layout_threshold(threshold, guard_fro
         s.id: layout_fingerprint(s) for s in (states["near"], sa, states["dest"])
     }
     tr = engine._record_transition(sa, Action("x", ActionType.PRESS_BACK), None, states["dest"])
-    assert tr.layout_guard == layout_fingerprint(states[guard_from])
+    assert tr.layout_guard == guard_from
 
 
 def test_online_refine_deletes_stale_inherited_edges():

@@ -3,7 +3,6 @@
 import gc
 import json
 import random
-from collections import Counter
 
 import pytest
 
@@ -216,21 +215,17 @@ def test_deserialize_rejects_a_wrongly_shaped_document():
             load(doc)
 
 
-def guard(count) -> dict:
-    return {"entries": [{"valuations": {"R_RID": "ok"}, "count": count}]}
-
-
 @pytest.mark.parametrize("edit", [
     lambda doc: set_cell(doc["ewtg"]["widgets"], 0, "resourceId", 5),
     lambda doc: set_cell(doc["ewtg"]["inputs"], 0, "handlerMethodIds", [["m-ok"]]),
     lambda doc: set_cell(avm_table(doc), 0, "valuations", {"R_T": []}),
-    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard("1")),
-    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", {"entries": 3}),
+    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", 1),
+    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", {"entries": []}),
     lambda doc: set_cell(doc["gstg"]["steps"], 0, "concreteNodePath", ["0"]),
     lambda doc: set_cell(doc["gstg"]["steps"], 0, "concreteNodePath", [-1]),
     lambda doc: set_cell(doc["gstg"]["steps"], 0, "concreteNodePath", [True]),
     lambda doc: set_cell(avm_table(doc), 0, "cardinality", True),
-    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard(True)),
+    lambda doc: set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", ["s2"]),
     lambda doc: doc.update(diffContext={"addedWidgets": "wd-ok"}),
     # dict() would read a list of pairs as an object
     lambda doc: doc["dstg"].update(abstractionPolicy=[["w-main", "L2"]]),
@@ -242,18 +237,24 @@ def test_deserialize_rejects_fields_of_the_wrong_type(edit):
         load(doc)
 
 
-@pytest.mark.parametrize("count", [0, -1])
-def test_deserialize_rejects_a_layout_guard_count_below_one(tmp_path, capsys, count):
-    # a zero count would make a guard check divide by zero against an empty layout
+@pytest.mark.parametrize("column, value, message", [
+    ("layoutGuard", "s-gone", "has a layout guard of missing state s-gone"),
+    ("widgetId", "wd-other", "widget wd-other is bound to no avm of state s1"),
+])
+def test_deserialize_rejects_a_transition_naming_what_it_lacks(
+    tmp_path, capsys, column, value, message
+):
+    # a guard names a state of the model, and a transition's widget is bound
+    # to an AVM of its source state
     doc = model_doc()
-    set_cell(doc["dstg"]["abstractTransitions"], 0, "layoutGuard", guard(count))
-    with pytest.raises(ModelError, match=f"layout guard entry count {count} is below 1"):
+    set_cell(doc["dstg"]["abstractTransitions"], 0, column, value)
+    with pytest.raises(ModelError, match=message):
         load(doc)
     path = tmp_path / "model.json"
     path.write_text(json.dumps(doc), "utf-8")
     assert main(["plan", str(path), "--from-state", "s1", "--target-window", "w-edit"]) == 1
     err = capsys.readouterr().err
-    assert "malformed model document" in err and err.count("\n") == 1
+    assert "model failed integrity validation" in err and err.count("\n") == 1
 
 
 def test_the_written_tables_have_the_documented_columns():
@@ -375,7 +376,7 @@ def test_random_models_round_trip():
             if rng.random() < 0.3:
                 tr.data_payload = rng.choice(("hello", ""))
             if rng.random() < 0.3:
-                tr.layout_guard = Counter({(("R_RID", "ok"),): rng.randrange(1, 4)})
+                tr.layout_guard = rng.choice(sorted(model.dstg.abstract_states))
         for state in model.dstg.abstract_states.values():
             state.observed_in_versions = set(rng.sample(["v0", "v1", "v2"], rng.randrange(3)))
         model.diff_context = {"addedWidgets": sorted(model.ewtg.widgets)[:2]}
@@ -473,17 +474,29 @@ def test_validation_catches_a_bound_avm_without_its_widgets_identity(edit):
         serialize_model(model)
 
 
-def test_validation_catches_a_layout_guard_count_below_one():
+def test_validation_catches_a_layout_guard_of_a_missing_state():
     model = small_model()
-    guard = Counter({(("R_RID", "ok"),): 2, (("R_RID", "gone"),): 0})
-    model.dstg.abstract_transitions["at-1"].layout_guard = guard
-    assert validate_integrity(model) == ["abstract transition at-1 has a layout guard count below 1"]
+    model.dstg.abstract_transitions["at-1"].layout_guard = "s-gone"
+    assert validate_integrity(model) == [
+        "abstract transition at-1 has a layout guard of missing state s-gone"
+    ]
     with pytest.raises(ModelError):
         serialize_model(model)
-    with pytest.raises(ModelError, match="count 0 is below 1"):
-        load(model.to_dict())  # the document serialize would write
 
 
+def test_dropping_a_state_drops_the_transitions_it_guards():
+    model = small_model()
+    dstg = model.dstg
+    dstg.abstract_states["s3"] = AbstractState(id="s3", window_id="w-edit")
+    dstg.abstract_transitions["at-1"].layout_guard = "s3"
+    dstg.abstract_transitions["at-2"] = AbstractTransition(
+        id="at-2", source_state_id="s2", widget_id=None,
+        action_type=ActionType.PRESS_BACK, destination_state_id="s1", layout_guard="s2",
+    )
+    model.gstg.trace.clear()
+    dstg.drop_states(["s3"])
+    assert set(dstg.abstract_transitions) == {"at-2"}
+    assert validate_integrity(model) == []
 def test_validation_catches_transition_avm_mismatch():
     # a transition's widget is bound to an AVM of its source state
     model = small_model()

@@ -244,14 +244,16 @@ def test_plan_avoids_obsolete_destinations():
 def test_layout_guarded_edges_require_a_similar_visited_layout():
     model = route_choice_model()
     guard_fp = layout_fingerprint(model.dstg.abstract_states["t1"])
-    model.dstg.abstract_transitions["a7"].layout_guard = guard_fp
+    model.dstg.abstract_transitions["a7"].layout_guard = "t1"
     start = model.dstg.abstract_states["s9"]
     target = model.ewtg.windows["winC"]
     # without a compatible visited layout, the guarded chain is unusable
-    assert plan_to_target(model, start, target, visited_layouts=[]) is None
-    seq = plan_to_target(model, start, target, visited_layouts=[guard_fp])
-    assert seq is not None
-    assert seq.steps[0].expected == "t1"  # through the guarded a7
+    assert plan_to_target(model, start, target, visited_layouts={}) is None
+    # the guard state itself, or another state with its layout, was visited
+    for visited in ({"t1": guard_fp}, {"twin": guard_fp}):
+        seq = plan_to_target(model, start, target, visited_layouts=visited)
+        assert seq is not None
+        assert seq.steps[0].expected == "t1"  # through the guarded a7
 
 
 def test_reset_app_costs_ten_and_is_start_only():
@@ -330,10 +332,10 @@ def _decorate(model, rng):
     for tid in sorted(model.dstg.abstract_transitions):
         tr = model.dstg.abstract_transitions[tid]
         if rng.random() < 0.3:
-            tr.layout_guard = layout_fingerprint(rng.choice(states))
+            tr.layout_guard = rng.choice(states).id
         if rng.random() < 0.2:
             tr.data_payload = rng.choice(("hello", "42", ""))
-    return [layout_fingerprint(s) for s in states if rng.random() < 0.5]
+    return {s.id: layout_fingerprint(s) for s in states if rng.random() < 0.5}
 
 
 def _plan_record(seq):
