@@ -14,7 +14,7 @@ The model stores each fact once: a window's widgets are the widgets whose
 those of its transition, and an AVM bound to a widget takes its identity
 from the widget.
 
-A model document (schema 8) writes every list of records as a table,
+A model document (schema 9) writes every list of records as a table,
 ``{"columns": [...], "rows": [[...], ...]}``: the column names once, then one
 row per record with one cell per column.  The columns are the record's fields
 in declaration order, named in camelCase (a trace step's are ``transitionId,
@@ -22,9 +22,11 @@ concreteNodePath``).  The tables are the window graph's ``windows``,
 ``widgets``, ``inputs`` and ``windowTransitions``, the state graph's
 ``abstractStates`` (whose ``avms`` cell is itself a table) and
 ``abstractTransitions``, and the session layer's ``steps``.  Rows come in id
-order.  The window graph file ``uptest harness export-ewtg`` writes is the
-``ewtg`` object of a model document.  A reader takes a table only with exactly
-the writer's columns and rows of exactly that width.
+order, except that an ``avms`` table keeps its state's order of AVMs, the
+order derivation found them in, and a round trip keeps it.  The window graph
+file ``uptest harness export-ewtg`` writes is the ``ewtg`` object of a model
+document.  A reader takes a table only with exactly the writer's columns and
+rows of exactly that width.
 
 An AVM's identity is its ``R_RID``, ``R_CN`` and ``R_CD`` valuations, which
 are a widget's resource id, class name and content description.  In memory
@@ -44,11 +46,12 @@ per executed action, in execution order.  A reader rejects a repeated row, a
 row no index names and an index that names no row.  In memory the trace is
 the list of steps, and a repeated index gives the same ``TraceStep`` object.
 
-An abstract transition's ``layoutGuard`` cell is null or its layout
-fingerprint as ``{"entries": [{"valuations": {...}, "count": n}, ...]}``: one
-entry per layout valuation, ordered by valuations, each with a count of at
-least 1.  In memory the guard is the fingerprint itself, a ``Counter``; only
-this module knows the cell.
+An abstract transition names only states and a widget: its ``widgetId`` is
+the widget it acted on, bound to an AVM of its source state, or null, and
+its ``layoutGuard`` the id of the state whose layout guards it, or null.
+Integrity validation rejects a widget no AVM of the source is bound to and
+a guard that names no state, and dropping a state drops the transitions it
+guards, so a guard always has a layout to stand for.
 """
 
 from __future__ import annotations
