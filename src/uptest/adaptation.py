@@ -8,9 +8,8 @@ out of or guarded by it.  Then a single pass over the transitions, in the new
 version's ids, drops those whose widget lost its AVM and the learned
 instances of deleted or replaced window transitions, and rebinds the rest to
 their widget's pair; and anything left disconnected from the launcher
-window's states is pruned.  The session
-trace is not carried over, and the static layer is the new version's window
-graph itself, not a copy.
+window's states is pruned.  The session trace is not carried over, and the
+static layer is the new version's window graph itself, not a copy.
 """
 
 from __future__ import annotations

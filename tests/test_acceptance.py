@@ -668,7 +668,9 @@ def generated_outputs(tmp_path_factory):
 
 
 @pytest.mark.parametrize(
-    "guards, expected", [("layout", GENERATED_DIGEST), ("present", GENERATED_MASKED_DIGEST)]
+    "guards, expected",
+    [("layout", GENERATED_DIGEST), ("present", GENERATED_MASKED_DIGEST)],
+    ids=["full", "guards masked"],
 )
 def test_pipeline_outputs_of_generated_apps_are_unchanged(generated_outputs, guards, expected):
     digest = hashlib.sha256()

@@ -504,8 +504,6 @@ def test_validation_catches_transition_avm_mismatch():
     assert validate_integrity(model) == [
         "abstract transition at-1 widget wd-other is bound to no avm of state s1"
     ]
-    with pytest.raises(ModelError, match="widget wd-other is bound to no avm"):
-        load(model.to_dict())  # the document serialize would write
 
 
 def test_validation_catches_input_in_wrong_window():
