@@ -100,6 +100,9 @@ def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
     for tr in dstg.abstract_transitions.values():
         adjacency[tr.source_state_id].add(tr.destination_state_id)
         adjacency[tr.destination_state_id].add(tr.source_state_id)
+        if tr.layout_guard is not None:  # a guard state stays with its edge
+            adjacency[tr.source_state_id].add(tr.layout_guard)
+            adjacency[tr.layout_guard].add(tr.source_state_id)
     if not launcher_states:
         # no anchor: only remove fully isolated states
         dstg.drop_states([sid for sid, linked in adjacency.items() if not linked])

@@ -432,13 +432,17 @@ class TestEngine:
             and after.window_id != before.window_id
         )
 
+    def _source_widget(self, state: AbstractState, widget_id: Optional[str]) -> Optional[str]:
+        """The widget a transition from ``state`` names: ``widget_id`` when an
+        AVM of the state is bound to it, else None."""
+        return widget_id if widget_id in self.view.widgets_of[state.id] else None
+
     def _record_transition(
         self, before: AbstractState, action: Action, widget_id: Optional[str], after: AbstractState
     ) -> AbstractTransition:
         dstg = self.model.dstg
         payload = action.data_payload if action.action_type == ActionType.TEXT_FILL else None
-        if widget_id not in self.view.widgets_of[before.id]:
-            widget_id = None  # no AVM of the state stands for the widget
+        widget_id = self._source_widget(before, widget_id)
         closing = self._is_closing(action, before, after)
         for tr, _ in self.view.transitions_from.get(before.id, ()):
             if tr.widget_id != widget_id or tr.action_type != action.action_type:
@@ -587,10 +591,7 @@ class TestEngine:
             return
         # the expectation came from a past version and never materialized:
         # the learned edge is stale
-        widget_id = step.widget_id
-        if widget_id not in self.view.widgets_of[predecessor.id]:
-            widget_id = None  # as _record_transition records it
-        stale = (widget_id, step.action_type, expected_id)
+        stale = (self._source_widget(predecessor, step.widget_id), step.action_type, expected_id)
         for tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
             if (tr.widget_id, tr.action_type, tr.destination_state_id) == stale:
                 del self.model.dstg.abstract_transitions[tr.id]

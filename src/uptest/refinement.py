@@ -20,7 +20,8 @@ from .model import AbstractState, Action, AppModel
 
 
 def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppModel:
-    """Drop never-observed states of windows that the session did visit."""
+    """Drop never-observed states of windows that the session did visit,
+    but not the guard state of a transition that keeps both its ends."""
     observed = set(observed_state_ids)
     dstg = model.dstg
     visited_windows = {
@@ -28,11 +29,24 @@ def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppMo
         for sid in observed
         if sid in dstg.abstract_states
     }
-    dstg.drop_states(
+    doomed = {
         sid
         for sid, state in dstg.abstract_states.items()
         if state.window_id in visited_windows and sid not in observed
-    )
+    }
+    # a state stays while it guards a transition whose ends both stay
+    while True:
+        guards = {
+            tr.layout_guard
+            for tr in dstg.abstract_transitions.values()
+            if tr.layout_guard in doomed
+            and tr.source_state_id not in doomed
+            and tr.destination_state_id not in doomed
+        }
+        if not guards:
+            break
+        doomed -= guards
+    dstg.drop_states(doomed)
     return model
 
 

@@ -635,15 +635,16 @@ GENERATED_APPS = (0, 1, 3, 4)
 #: each of ``GENERATED_APPS`` (first to last version, budget 150, seed 1),
 #: frozen before a guard named its state: a carried guard then kept the
 #: layout its state had when the guard was made, and now it has the state's
-#: layout after adaptation's rebinding.
-GENERATED_DIGEST = "68950638ebbe15410d202ed77fce66fb262c9461df3f17ffbd72f4d400adb87a"
+#: layout after adaptation's rebinding.  It also moved as its twin did.
+GENERATED_DIGEST = "0dddf6fbb22d80fb961df25cd7e065af8095e0a492a1f2408da3b307c85319eb"
 
 #: ``GENERATED_DIGEST`` with each layout guard given only as present or
-#: absent, frozen before dropping a state dropped the transitions it guards:
-#: app 3's carry to v2 prunes the guard state of one transition as
-#: disconnected from the launcher window's states, and the transition now
-#: goes with it.  Every report stayed the same.
-GENERATED_MASKED_DIGEST = "7059a2b90eea0406890b7f8946f163b26d0c3f54e57f674844047697e628323d"
+#: absent, frozen before a guard named its state: app 3's carry to v2 found
+#: the guard state of one kept transition connected to the launcher window's
+#: states only through that guard.  It was pruned while the transition kept
+#: a copy of its layout; now the state stays as the transition's guard.
+#: Every report stayed the same.
+GENERATED_MASKED_DIGEST = "89569e66bc932b797262d8f963026c233fb05b06e89692902b7f668ebc691964"
 
 
 @pytest.fixture(scope="module")

@@ -153,8 +153,24 @@ def test_disconnected_component_is_pruned():
     assert {"s1", "s2"} <= set(updated.abstract_states)
 
 
+def test_a_guard_state_stays_with_the_edge_it_guards():
+    base = diary_base_model()
+    # linked to the launcher's states only as the guard of a kept edge
+    base.dstg.abstract_states["g"] = AbstractState(id="g", window_id="edit")
+    base.dstg.abstract_transitions["at1"].layout_guard = "g"
+    base.dstg.abstract_states["s9"] = AbstractState(id="s9", window_id="edit")
+    diff = DiffResult(
+        matched_windows={"main": "main", "edit": "edit"},
+        matched_widgets={w: w for w in ("w3", "w6", "w7", "w10")},
+    )
+    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg, base.ewtg)
+    assert set(updated.abstract_states) == {"s1", "s2", "g"}
+    assert updated.abstract_transitions["at1"].layout_guard == "g"
+
+
 def states_linked_to_a_launcher_state(model: AppModel) -> set[str]:
-    """States joined to a launcher-window state by transitions in either direction."""
+    """States joined to a launcher-window state by transitions in either
+    direction, a transition joining its guard's state to its ends."""
     dstg = model.dstg
     linked = {
         s.id for s in dstg.abstract_states.values()
@@ -164,7 +180,7 @@ def states_linked_to_a_launcher_state(model: AppModel) -> set[str]:
     while grew:
         grew = False
         for tr in dstg.abstract_transitions.values():
-            ends = {tr.source_state_id, tr.destination_state_id}
+            ends = {tr.source_state_id, tr.destination_state_id, tr.layout_guard} - {None}
             if ends & linked and not ends <= linked:
                 linked |= ends
                 grew = True

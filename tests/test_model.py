@@ -497,6 +497,8 @@ def test_dropping_a_state_drops_the_transitions_it_guards():
     dstg.drop_states(["s3"])
     assert set(dstg.abstract_transitions) == {"at-2"}
     assert validate_integrity(model) == []
+
+
 def test_validation_catches_transition_avm_mismatch():
     # a transition's widget is bound to an AVM of its source state
     model = small_model()

@@ -4,6 +4,7 @@ import pytest
 
 import uptest.cli
 from uptest import fixture_path
+from uptest.adaptation import adapt_model
 from uptest.abstraction import LEVELS, derive_abstract_state
 from uptest.cli import pipeline_run
 from uptest.config import EngineConfig
@@ -19,6 +20,8 @@ from uptest.model import (
     TraceStep,
     Window,
     WindowKind,
+    deserialize_model,
+    validate_integrity,
 )
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
@@ -48,6 +51,58 @@ def test_prune_unvisited_only_touches_visited_windows():
     prune_unvisited(model, {"s1"})
     assert set(model.dstg.abstract_states) == {"s1", "s3"}
     assert model.dstg.abstract_transitions == {}  # the dangling edge went too
+
+
+def test_prune_unvisited_keeps_the_guard_state_of_a_kept_transition():
+    ewtg = Ewtg(windows={"wa": window("wa")}, launcher_window_id="wa")
+    dstg = Dstg(abstract_states={s: AbstractState(id=s, window_id="wa") for s in "abghx"})
+    for tid, src, dest, guard in (
+        ("at1", "a", "b", "g"),  # both ends observed: g stays
+        ("at2", "g", "a", "h"),  # g stays, so h stays too
+        ("at3", "a", "x", "b"),  # x is unobserved: the edge goes with it
+    ):
+        dstg.abstract_transitions[tid] = AbstractTransition(
+            id=tid, source_state_id=src, widget_id=None, action_type=ActionType.PRESS_BACK,
+            destination_state_id=dest, layout_guard=guard,
+        )
+    model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
+    prune_unvisited(model, {"a", "b"})
+    assert set(model.dstg.abstract_states) == {"a", "b", "g", "h"}
+    assert set(model.dstg.abstract_transitions) == {"at1", "at2"}
+
+
+def test_a_retaken_carried_transition_keeps_its_unseen_guard_state(tmp_path, monkeypatch):
+    # the session records a carried transition it takes again whatever its
+    # guard, so the trace may name a transition whose guard state the new
+    # version never shows in a window the session visits
+    spec = load_spec(fixture_path("deep"))
+    first = spec.versions[0].version
+
+    def adapt_with_unseen_guard(base, updated, diff, version):
+        window_id = base.ewtg.launcher_window_id
+        unseen = derive_abstract_state(
+            make_tree(window_id, screen("unseen")), LEVELS["L1"], state_id="st-unseen"
+        )
+        unseen.observed_in_versions.add(base.version)
+        base.dstg.abstract_states[unseen.id] = unseen
+        for tr in base.dstg.abstract_transitions.values():
+            tr.layout_guard = unseen.id
+        return adapt_model(base, updated, diff, version=version)
+
+    monkeypatch.setattr(uptest.cli, "adapt_model", adapt_with_unseen_guard)
+    pipeline_run(
+        spec, first, spec.versions[-1].version,
+        budget=300, seed=1, workdir=tmp_path, config=EngineConfig(),
+    )
+    model = deserialize_model((tmp_path / f"model_{spec.versions[-1].version}.json").read_bytes())
+    dstg = model.dstg
+    retaken = {
+        step.transition_id for step in model.gstg.trace
+        if dstg.abstract_transitions[step.transition_id].layout_guard == "st-unseen"
+    }
+    assert retaken  # the session took a guarded carried transition
+    assert dstg.abstract_states["st-unseen"].observed_in_versions == {first}
+    assert validate_integrity(model) == []
 
 
 class ScriptedDriver:
