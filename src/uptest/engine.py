@@ -66,15 +66,23 @@ class TargetSet:
 
 @dataclass
 class CoverageLedger:
-    """Covered instructions per method."""
+    """Covered instructions per method.
+
+    A session executes the same few instruction ranges over and over; a range
+    recorded before covers nothing new, so ``record`` skips it."""
 
     covered: dict[str, set[int]] = field(default_factory=dict)
+    _recorded: set[tuple[str, int, int]] = field(default_factory=set, repr=False)
 
     def record(
         self, ranges: list[tuple[str, int, int]], targets: TargetSet
     ) -> dict[str, set[int]]:
         newly: dict[str, set[int]] = {}
-        for method_id, lo, hi in ranges:
+        for span in ranges:
+            if span in self._recorded:
+                continue
+            self._recorded.add(span)
+            method_id, lo, hi = span
             instructions = set(range(lo, hi + 1))
             fresh = instructions - self.covered.setdefault(method_id, set())
             self.covered[method_id] |= instructions
@@ -164,6 +172,11 @@ _NODE_ACTIONS = (
     ("scrollable", ActionType.SWIPE),
     ("isInputField", ActionType.TEXT_FILL),
 )
+# members the per-action code compares with, bound once: on CPython 3.11,
+# reading a member off its enum class costs about ten times a module global
+_PRESS_BACK = ActionType.PRESS_BACK
+_TEXT_FILL = ActionType.TEXT_FILL
+_DIALOG = WindowKind.DIALOG
 
 
 def _state_key(window_id: str, level: str, multiset: dict[tuple, int]) -> tuple:
@@ -178,12 +191,14 @@ class _Screen:
     as the driver hands the same screen back.  The engine keeps the current
     observation as its index, its screen and its state; it builds a
     ``GuiTree`` only for a unique target action's report and to derive a new
-    state.
+    state.  A state key is taken from ``interned``, the observer's one object
+    per distinct key, so that equal keys are the same object.
     """
 
-    def __init__(self, window_id: str, root: GuiNode):
+    def __init__(self, window_id: str, root: GuiNode, interned: dict[tuple, tuple]):
         self.window_id = window_id
         self.root = root
+        self._interned = interned
         self._keys: dict[str, tuple] = {}  # level name -> state key
         # widget ref -> (node path, node, xpath) of its first node in pre-order
         self.widgets: dict[str, tuple[tuple[int, ...], GuiNode, str]] = {}
@@ -215,9 +230,8 @@ class _Screen:
     def state_key(self, level: AbstractionLevel) -> tuple:
         key = self._keys.get(level.name)
         if key is None:
-            key = self._keys[level.name] = _state_key(
-                self.window_id, level.name, valuation_multiset(self.root, level)
-            )
+            key = _state_key(self.window_id, level.name, valuation_multiset(self.root, level))
+            key = self._keys[level.name] = self._interned.setdefault(key, key)
         return key
 
 
@@ -229,22 +243,31 @@ class Observer:
     id in string order: the state a screen with that key matches.  A
     hand-written model may hold two states with one key, so replay compares
     keys rather than matched states.
+
+    It keeps one object per distinct key, and states and screens take their
+    keys from it, so two keys are equal exactly when they are the same
+    object: matching a screen to a state, or a replayed screen to the state
+    its step expects, compares identities instead of multisets.
     """
 
     def __init__(self, states: dict[str, AbstractState]):
         self._screens: dict[GuiNode, _Screen] = {}
+        self._interned: dict[tuple, tuple] = {}  # state key -> the one object for it
         self._keys: dict[str, tuple] = {}  # state id -> state key
         self._states: dict[tuple, AbstractState] = {}  # state key -> lowest-id state
         for sid in sorted(states):
             s = states[sid]
-            self.add(s, _state_key(s.window_id, s.abstraction_level, s.valuation_multiset()))
+            key = _state_key(s.window_id, s.abstraction_level, s.valuation_multiset())
+            self.add(s, self._interned.setdefault(key, key))
 
     def screen(self, result: PerformResult) -> tuple[_Screen, bool]:
         """The result's screen, and whether it is new to this observer."""
         screen = self._screens.get(result.root)
         new = screen is None
         if new:
-            screen = self._screens[result.root] = _Screen(result.window_id, result.root)
+            screen = self._screens[result.root] = _Screen(
+                result.window_id, result.root, self._interned
+            )
         return screen, new
 
     def key(self, state: AbstractState) -> tuple:
@@ -254,6 +277,7 @@ class Observer:
         return self._states.get(key)
 
     def add(self, state: AbstractState, key: tuple) -> None:
+        """Record ``state`` under ``key``, a key this observer handed out."""
         self._keys[state.id] = key
         self._states.setdefault(key, state)
 
@@ -423,12 +447,12 @@ class TestEngine:
         return match
 
     def _is_closing(self, action: Action, before: AbstractState, after: AbstractState) -> bool:
-        if action.action_type == ActionType.PRESS_BACK:
+        if action.action_type == _PRESS_BACK:
             return True
         source_window = self.model.ewtg.windows.get(before.window_id)
         return (
             source_window is not None
-            and source_window.kind == WindowKind.DIALOG
+            and source_window.kind == _DIALOG
             and after.window_id != before.window_id
         )
 
@@ -441,7 +465,7 @@ class TestEngine:
         self, before: AbstractState, action: Action, widget_id: Optional[str], after: AbstractState
     ) -> AbstractTransition:
         dstg = self.model.dstg
-        payload = action.data_payload if action.action_type == ActionType.TEXT_FILL else None
+        payload = action.data_payload if action.action_type == _TEXT_FILL else None
         widget_id = self._source_widget(before, widget_id)
         closing = self._is_closing(action, before, after)
         for tr, _ in self.view.transitions_from.get(before.id, ()):
@@ -484,9 +508,7 @@ class TestEngine:
         return self.budget - self.executed
 
     def _payload_for(self, widget_id: Optional[str]) -> str:
-        pool = list(self.text_pools.get(widget_id, ())) or list(
-            self.config.text_dictionary
-        )
+        pool = self.text_pools.get(widget_id) or self.config.text_dictionary
         return pool[self.rng.randrange(len(pool))]
 
     def _node_path_for_widget(self, widget_id: str) -> Optional[tuple[int, ...]]:
@@ -508,8 +530,9 @@ class TestEngine:
         )
         if matched is not None:
             self.triggered_inputs.add(matched.id)
-            # dynamically discovered handler methods enrich the static input
-            matched.handler_method_ids.update(m for m, _, _ in result.executed)
+            if result.executed:
+                # dynamically discovered handler methods enrich the static input
+                matched.handler_method_ids.update(m for m, _, _ in result.executed)
         after_state = self._observe(result)
         newly = self.ledger.record(result.executed, self.targets)
         if newly and self.first_coverage_at is None:
@@ -544,7 +567,7 @@ class TestEngine:
                 # stale deterministic step: either way the sequence dies here.
                 return "mismatch"
         payload = step.data_payload
-        if step.action_type == ActionType.TEXT_FILL and payload is None:
+        if step.action_type == _TEXT_FILL and payload is None:
             payload = self._payload_for(step.widget_id)
         action = Action(
             input_id=step.input_id,
@@ -608,7 +631,7 @@ class TestEngine:
                 ]
                 payload = (
                     self._payload_for(widget_id)
-                    if action_type == ActionType.TEXT_FILL
+                    if action_type == _TEXT_FILL
                     else None
                 )
                 action = Action(
@@ -621,7 +644,7 @@ class TestEngine:
             else:
                 action = Action(
                     input_id=f"explore-{self.executed + 1}",
-                    action_type=ActionType.PRESS_BACK,
+                    action_type=_PRESS_BACK,
                 )
                 self._perform(action, None)
 

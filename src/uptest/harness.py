@@ -584,10 +584,11 @@ def target_manifest(spec: AppSpec) -> dict:
 # --- driver --------------------------------------------------------------
 
 
-#: Effects that write a widget's runtime visibility, text or checked flag.
-_OVERRIDE_EFFECTS = frozenset(
-    ("show", "hide", "setText", "setTextFromPayload", "setChecked", "toggle")
-)
+# members ``perform`` compares with, bound once: on CPython 3.11, reading a
+# member off its enum class costs about ten times a module global
+_RESET_APP = ActionType.RESET_APP
+_TEXT_FILL = ActionType.TEXT_FILL
+_PRESS_BACK = ActionType.PRESS_BACK
 
 
 @dataclass
@@ -609,8 +610,10 @@ class DriverSession:
     The driver renders each distinct screen once: whenever it comes back to
     the same window with the same visible widgets, texts and checked flags,
     it returns the same ``GuiNode`` tree as before.  Callers share these
-    trees and must never mutate them.  Until a runtime override changes, it
-    returns each window's screen without looking at the window's widgets.
+    trees and must never mutate them.  It keeps each window's current screen
+    and returns it without looking at the window's widgets until a runtime
+    override of one of them: an override forgets the current screen of the
+    windows that hold the overridden widget, and of no other window.
     """
 
     def __init__(self, spec: AppSpec, version: str, seed: int = 0):
@@ -620,6 +623,13 @@ class DriverSession:
         self._inputs: dict[tuple[str, Optional[str], ActionType], InputSpec] = {}
         for inp in sorted(self.version_spec.inputs.values(), key=lambda i: i.id):
             self._inputs.setdefault((inp.window, inp.widget, inp.action_type), inp)
+        # widget id -> the windows that hold a widget with that id, in spec
+        # order; widget ids are unique only within a window
+        self._windows_of: dict[str, tuple[str, ...]] = {}
+        for window in self.version_spec.windows.values():
+            for widget_id in window.widgets:
+                self._windows_of[widget_id] = self._windows_of.get(widget_id, ()) + (window.id,)
+        self._launcher_id = self.version_spec.launcher_window.id
         self.launch_counter = 0
         self.variables: dict[str, Any] = {}
         self.window_stack: list[str] = []
@@ -649,7 +659,7 @@ class DriverSession:
         self._text = {}
         self._checked = {}
         self._current = {}
-        self.window_stack = [self.version_spec.launcher_window.id]
+        self.window_stack = [self._launcher_id]
         self.launch_counter += 1
         self._apply_generators()
         return self._result([])
@@ -687,10 +697,11 @@ class DriverSession:
 
     def render(self) -> GuiNode:
         """The current screen, built only the first time the driver is in its state."""
-        screen = self._current.get(self.current_window_id)
+        window_id = self.window_stack[-1]
+        screen = self._current.get(window_id)
         if screen is not None:
             return screen
-        window = self.version_spec.windows[self.current_window_id]
+        window = self.version_spec.windows[window_id]
         key = (window.id, *[
             (self.widget_text(w), self.widget_checked(w))
             if self.widget_visible(w)
@@ -769,7 +780,8 @@ class DriverSession:
     }
 
     def perform(self, action: Action) -> PerformResult:
-        if action.action_type == ActionType.RESET_APP:
+        action_type = action.action_type
+        if action_type == _RESET_APP:
             return self.reset()
 
         window = self.version_spec.windows[self.current_window_id]
@@ -785,29 +797,29 @@ class DriverSession:
             widget = window.widgets[widget_id]
             if not self.widget_visible(widget) or not widget.properties["enabled"]:
                 raise DriverRejection(f"widget {widget_id} is not interactable")
-            required = self._ACTION_PROPERTY.get(action.action_type)
+            required = self._ACTION_PROPERTY.get(action_type)
             if required is not None and not widget.properties[required]:
                 raise DriverRejection(
-                    f"widget {widget_id} does not support {action.action_type.value}"
+                    f"widget {widget_id} does not support {action_type.value}"
                 )
             if widget.tiny:
                 raise DriverRejection(f"widget {widget_id} is below the size hint")
 
-        if action.action_type == ActionType.TEXT_FILL and widget_id is not None:
+        if action_type == _TEXT_FILL and widget_id is not None:
             # typing fills the field; a handler (if any) reacts afterwards
             self._text[widget_id] = action.data_payload or ""
-            self._current.clear()
+            self._forget_screens(widget_id)
 
-        inp = self._inputs.get((window.id, widget_id, action.action_type))
+        inp = self._inputs.get((window.id, widget_id, action_type))
         executed: list[tuple[str, int, int]] = []
         if inp is not None and inp.handler is not None:
             handler = self.version_spec.handlers[inp.handler]
             for cmd in handler.body:
-                if self._guard_holds(cmd.guard):
+                if not cmd.guard or self._guard_holds(cmd.guard):
                     self._apply_effects(cmd.effects, action, widget_id)
                     executed.append((handler.method_id, *cmd.instructions))
                     break
-        elif inp is None and action.action_type == ActionType.PRESS_BACK:
+        elif inp is None and action_type == _PRESS_BACK:
             self._go_back()
 
         return self._result(executed)
@@ -822,13 +834,16 @@ class DriverSession:
         if len(self.window_stack) > 1:
             self.window_stack.pop()
 
+    def _forget_screens(self, widget_id: str) -> None:
+        """Drop the current screen of each window that holds ``widget_id``,
+        whose runtime override just changed."""
+        for window_id in self._windows_of[widget_id]:
+            self._current.pop(window_id, None)
+
     def _apply_effects(
         self, effects: list[dict], action: Action, widget_id: Optional[str]
     ) -> None:
         for effect in effects:
-            if not _OVERRIDE_EFFECTS.isdisjoint(effect):
-                # an effect may change a widget of any window, not only this one
-                self._current.clear()
             if "set" in effect:
                 self.variables[effect["set"]["var"]] = effect["set"]["value"]
             if "inc" in effect:
@@ -836,23 +851,29 @@ class DriverSession:
                 self.variables[var] = self.variables.get(var, 0) + effect["inc"].get("by", 1)
             if "show" in effect:
                 self._visible[effect["show"]] = True
+                self._forget_screens(effect["show"])
             if "hide" in effect:
                 self._visible[effect["hide"]] = False
+                self._forget_screens(effect["hide"])
             if "setText" in effect:
                 self._text[effect["setText"]["widget"]] = str(effect["setText"]["value"])
+                self._forget_screens(effect["setText"]["widget"])
             if "setTextFromPayload" in effect:
                 self._text[effect["setTextFromPayload"]] = action.data_payload or ""
+                self._forget_screens(effect["setTextFromPayload"])
             if "setVarFromPayload" in effect:
                 self.variables[effect["setVarFromPayload"]] = action.data_payload or ""
             if "setChecked" in effect:
                 self._checked[effect["setChecked"]["widget"]] = bool(
                     effect["setChecked"]["value"]
                 )
+                self._forget_screens(effect["setChecked"]["widget"])
             if "toggle" in effect:
-                widget = self.version_spec.widget_window(effect["toggle"]).widgets[
-                    effect["toggle"]
-                ]
-                self._checked[effect["toggle"]] = not self.widget_checked(widget)
+                toggled = effect["toggle"]
+                # the first window that holds the widget gives its default flag
+                first = self.version_spec.windows[self._windows_of[toggled][0]]
+                self._checked[toggled] = not self.widget_checked(first.widgets[toggled])
+                self._forget_screens(toggled)
             if "goto" in effect:
                 self.window_stack.append(effect["goto"])
             if "back" in effect:

@@ -2,6 +2,7 @@
 
 import copy
 import json
+import random
 
 import pytest
 
@@ -13,7 +14,7 @@ from uptest.abstraction import (
 )
 from uptest.cli import pipeline_run
 from uptest.config import EngineConfig
-from uptest.engine import TargetSet, TestEngine, _Screen, run_session
+from uptest.engine import CoverageLedger, TargetSet, TestEngine, _Screen, run_session
 from uptest.diff import diff_ewtg
 from uptest.harness import (
     DriverRejection,
@@ -135,6 +136,32 @@ def test_coverage_bookkeeping_matches_a_recount_of_the_driver_calls(app, budget,
     assert first is not None
     assert result.actions_to_first_target_coverage == first
     assert result.ledger.covered == covered
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_the_ledger_covers_what_a_ledger_rebuilding_every_range_covers(seed):
+    # few methods and short ranges, so that ranges repeat and overlap, also
+    # within one call
+    rng = random.Random(seed)
+    targets = TargetSet(target_method_ids={"m0", "m1"},
+                        instruction_counts={"m0": 12, "m1": 12, "m2": 12})
+    ledger = CoverageLedger()
+    covered: dict[str, set[int]] = {}
+    for _ in range(60):
+        ranges = []
+        for _ in range(rng.randrange(4)):
+            lo = rng.randint(1, 12)
+            ranges.append((rng.choice(("m0", "m1", "m2")), lo, rng.randint(lo, min(12, lo + 3))))
+        expected: dict[str, set[int]] = {}
+        for method_id, lo, hi in ranges:
+            instructions = set(range(lo, hi + 1))
+            fresh = instructions - covered.setdefault(method_id, set())
+            covered[method_id] |= instructions
+            if fresh and method_id in targets.target_method_ids:
+                expected.setdefault(method_id, set()).update(fresh)
+        assert ledger.record(ranges, targets) == expected
+    assert ledger.covered == covered
+    assert list(ledger.covered) == list(covered)
 
 
 def test_every_uta_strictly_increases_target_coverage():
@@ -435,7 +462,7 @@ def test_a_planned_step_into_a_conflicting_outcome_refines_its_window_twice():
     engine = TestEngine(model, targets, ElsewhereDriver(), budget=5, seed=0)
     sa = model.dstg.abstract_states["sa"]
     engine.current_state = sa
-    engine.current_screen = _Screen("win", make_node(children=[make_node(widget_ref="wd")]))
+    engine.current_screen = _Screen("win", make_node(children=[make_node(widget_ref="wd")]), {})
     refines = recorded_refinements(engine)
     outcomes = []
 
@@ -481,7 +508,7 @@ def test_a_planned_step_continues_through_a_backward_equivalent_state(diff_conte
     engine = TestEngine(model, targets, ExtraWidgetDriver(), budget=5, seed=0)
     sa = model.dstg.abstract_states["sa"]
     engine.current_state = sa
-    engine.current_screen = _Screen("win", make_node(children=[make_node(widget_ref="wd")]))
+    engine.current_screen = _Screen("win", make_node(children=[make_node(widget_ref="wd")]), {})
 
     step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
     assert engine._execute_step(step) == outcome

@@ -579,6 +579,24 @@ def fill(session, result, widget_id, payload):
                                   concrete_node_path=path_of(result.root, widget_id)))
 
 
+def test_an_override_keeps_the_current_screen_of_a_window_without_the_widget():
+    session = screens_session()
+    start = session.reset()
+    second = click(session, start, "w-go")
+    main = click(session, second, "w-label")  # back to main
+    assert session._current["second"] is second.root
+    # the panel is a widget of main only
+    hidden = click(session, main, "w-hide")
+    assert session._current["second"] is second.root
+    again = click(session, hidden, "w-go")
+    assert again.root is second.root
+    assert_screen_is_current(session, again)
+    # w-set, in main, sets the text of a widget of the second window
+    changed = click(session, click(session, again, "w-label"), "w-set")
+    assert "second" not in session._current
+    assert_screen_is_current(session, click(session, changed, "w-go"))
+
+
 def test_a_repeated_driver_state_renders_the_same_screen():
     session = screens_session()
     start = session.reset()

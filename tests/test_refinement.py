@@ -3,13 +3,20 @@
 import pytest
 
 import uptest.cli
+import uptest.refinement
 from uptest import fixture_path
 from uptest.adaptation import adapt_model
 from uptest.abstraction import LEVELS, derive_abstract_state
 from uptest.cli import pipeline_run
 from uptest.config import EngineConfig
-from uptest.engine import propagate_obsolescence
-from uptest.harness import DriverRejection, DriverSession, load_spec
+from uptest.engine import Observer, TargetSet, _Screen, propagate_obsolescence, run_session
+from uptest.harness import (
+    DriverRejection,
+    DriverSession,
+    export_ewtg,
+    load_spec,
+    method_instruction_counts,
+)
 from uptest.model import (
     AbstractState,
     AbstractTransition,
@@ -21,6 +28,7 @@ from uptest.model import (
     Window,
     WindowKind,
     deserialize_model,
+    serialize_model,
     validate_integrity,
 )
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
@@ -274,6 +282,43 @@ def test_replay_on_the_sessions_own_driver_seed_flags_nothing_the_trace_reaches(
         )
     assert len(newly_flagged) == 3 * len(spec.versions)
     assert all(not flagged for flagged in newly_flagged.values()), newly_flagged
+
+
+@pytest.mark.parametrize("app", ["diary", "dialog", "news", "deep"])
+def test_a_replayed_screen_holds_the_key_object_of_each_state_it_matches(app, monkeypatch):
+    # the states of a loaded model and the screens of a fresh driver build
+    # their keys apart; the observer hands out one object per key, so replay
+    # may compare keys by identity
+    spec = load_spec(fixture_path(app))
+    version = spec.versions[0].version
+    model = AppModel(version=version, ewtg=export_ewtg(spec, version))
+    counts = method_instruction_counts(spec, version)
+    targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
+    run_session(model, targets, DriverSession(spec, version, seed=1), budget=200, seed=1)
+    model = deserialize_model(serialize_model(model))
+    observers = []
+    screen_keys = []
+    state_key = _Screen.state_key
+
+    class RecordingObserver(Observer):
+        def __init__(self, states):
+            super().__init__(states)
+            observers.append(self)
+
+    def recording_state_key(screen, level):
+        screen_keys.append(state_key(screen, level))
+        return screen_keys[-1]
+
+    monkeypatch.setattr(uptest.refinement, "Observer", RecordingObserver)
+    monkeypatch.setattr(_Screen, "state_key", recording_state_key)
+    replay_flag_obsolete(model, DriverSession(spec, version, seed=1))
+    [observer] = observers
+    state_keys = [observer.key(s) for s in model.dstg.abstract_states.values()]
+    # on the session's own seed every step shows a screen of the state it expects
+    assert len(screen_keys) == len(model.gstg.trace) > 0
+    for key in screen_keys:
+        equal = [k for k in state_keys if k == key]
+        assert equal and all(k is key for k in equal)
 
 
 def test_replay_without_trace_is_a_no_op():
