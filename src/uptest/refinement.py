@@ -12,7 +12,7 @@ from __future__ import annotations
 import warnings
 from typing import Iterable
 
-from .abstraction import LEVELS, AbstractionLevel
+from .abstraction import LEVELS
 from .abstraction import derive_abstract_state  # noqa: F401  perfbench traces it here
 from .engine import Observer
 from .harness import DriverRejection
@@ -66,20 +66,16 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
         return model
     dstg = model.dstg
     observer = Observer(dstg.abstract_states)
-    # (transition id, node path) -> the step's action, expected state, and
-    # that state's level and key
-    steps: dict[tuple, tuple[Action, AbstractState, AbstractionLevel, tuple]] = {}
+    # (transition id, node path) -> the step's action and expected state
+    steps: dict[tuple, tuple[Action, AbstractState]] = {}
     for step in trace:
-        at = (step.transition_id, step.concrete_node_path)
-        known = steps.get(at)
+        key = (step.transition_id, step.concrete_node_path)
+        known = steps.get(key)
         if known is None:
             tr = dstg.abstract_transitions[step.transition_id]
             action = Action(tr.id, tr.action_type, step.concrete_node_path, tr.data_payload)
-            expected = dstg.abstract_states[tr.destination_state_id]
-            known = steps[at] = (
-                action, expected, LEVELS[expected.abstraction_level], observer.key(expected)
-            )
-        action, expected, level, key = known
+            known = steps[key] = (action, dstg.abstract_states[tr.destination_state_id])
+        action, expected = known
         try:
             result = driver.perform(action)
         except DriverRejection:
@@ -90,6 +86,6 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
             return model
         screen, _ = observer.screen(result)
         # the observer hands out one object per key
-        if screen.state_key(level) is not key:
+        if screen.state_key(LEVELS[expected.abstraction_level]) is not observer.key(expected):
             expected.obsolete = True
     return model
