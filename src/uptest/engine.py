@@ -532,7 +532,8 @@ class TestEngine:
             self.triggered_inputs.add(matched.id)
             if result.executed:
                 # dynamically discovered handler methods enrich the static input
-                matched.handler_method_ids.update(m for m, _, _ in result.executed)
+                for method_id, _, _ in result.executed:
+                    matched.handler_method_ids.add(method_id)
         after_state = self._observe(result)
         newly = self.ledger.record(result.executed, self.targets)
         if newly and self.first_coverage_at is None:

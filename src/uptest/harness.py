@@ -291,12 +291,6 @@ class VersionSpec:
                 return window
         raise SpecError("no launcher window")
 
-    def widget_window(self, widget_id: str) -> Optional[WindowSpec]:
-        for window in self.windows.values():
-            if widget_id in window.widgets:
-                return window
-        return None
-
     def methods(self) -> dict[str, HandlerSpec]:
         return {h.method_id: h for h in self.handlers.values()}
 
@@ -440,7 +434,7 @@ def _validate_version(v: VersionSpec) -> None:
     for gen in v.generators:
         if not gen.pool:
             raise SpecError("generator pool must be non-empty")
-        if gen.widget is not None and v.widget_window(gen.widget) is None:
+        if gen.widget is not None and gen.widget not in spec_widgets:
             raise SpecError(f"generator references unknown widget {gen.widget}")
         if gen.var is not None and gen.var not in v.variables:
             raise SpecError(f"generator references unknown variable {gen.var}")
@@ -614,6 +608,15 @@ class DriverSession:
     and returns it without looking at the window's widgets until a runtime
     override of one of them: an override forgets the current screen of the
     windows that hold the overridden widget, and of no other window.
+
+    The driver works out each action once per (screen, node path, action
+    type): the node the path reaches, the checks that its widget takes the
+    action, the input declared for it and that input's handler, whose guards
+    it compiles to operator calls.  A screen's identity is a sound key for
+    all of that, because the driver builds one screen object per window and
+    set of visible widgets, texts and checked flags and never changes it, and
+    the rest is the spec's.  Each action then reads only the state variables
+    its handler's guards compare.
     """
 
     def __init__(self, spec: AppSpec, version: str, seed: int = 0):
@@ -641,6 +644,8 @@ class DriverSession:
         self._screens: dict[tuple, GuiNode] = {}
         # window id -> its screen; holds while the overrides above are unchanged
         self._current: dict[str, GuiNode] = {}
+        # (screen, node path, action type) -> what ``_resolve`` made of it
+        self._resolved: dict[tuple, Union[str, tuple]] = {}
         self.reset()
 
     # -- state management
@@ -784,50 +789,79 @@ class DriverSession:
         if action_type == _RESET_APP:
             return self.reset()
 
-        window = self.version_spec.windows[self.current_window_id]
-        widget_id: Optional[str] = None
-        if action.concrete_node_path is not None:
-            try:
-                node = self._screen.node_at(action.concrete_node_path)
-            except IndexError:
-                raise DriverRejection("node path no longer resolves")
-            widget_id = node.widget_ref
-            if widget_id is None:
-                raise DriverRejection("window root is not interactable")
-            widget = window.widgets[widget_id]
-            if not self.widget_visible(widget) or not widget.properties["enabled"]:
-                raise DriverRejection(f"widget {widget_id} is not interactable")
-            required = self._ACTION_PROPERTY.get(action_type)
-            if required is not None and not widget.properties[required]:
-                raise DriverRejection(
-                    f"widget {widget_id} does not support {action_type.value}"
-                )
-            if widget.tiny:
-                raise DriverRejection(f"widget {widget_id} is below the size hint")
+        path = action.concrete_node_path
+        key = (self._screen, path, action_type)
+        resolved = self._resolved.get(key)
+        if resolved is None:
+            resolved = self._resolved[key] = self._resolve(path, action_type)
+        if type(resolved) is str:
+            raise DriverRejection(resolved)
+        widget_id, commands = resolved
 
         if action_type == _TEXT_FILL and widget_id is not None:
             # typing fills the field; a handler (if any) reacts afterwards
             self._text[widget_id] = action.data_payload or ""
             self._forget_screens(widget_id)
 
-        inp = self._inputs.get((window.id, widget_id, action_type))
         executed: list[tuple[str, int, int]] = []
-        if inp is not None and inp.handler is not None:
-            handler = self.version_spec.handlers[inp.handler]
-            for cmd in handler.body:
-                if not cmd.guard or self._guard_holds(cmd.guard):
-                    self._apply_effects(cmd.effects, action, widget_id)
-                    executed.append((handler.method_id, *cmd.instructions))
-                    break
-        elif inp is None and action_type == _PRESS_BACK:
+        if commands is None:
             self._go_back()
-
+        else:
+            variables = self.variables
+            for guard, effects, span in commands:
+                for holds, var, value in guard:
+                    if not holds(variables.get(var), value):
+                        break
+                else:
+                    self._apply_effects(effects, action, widget_id)
+                    executed.append(span)
+                    break
         return self._result(executed)
 
-    def _guard_holds(self, guard: list[dict]) -> bool:
-        return all(
-            GUARD_OPS[cond.get("op", "==")](self.variables.get(cond["var"]), cond.get("value"))
-            for cond in guard
+    def _resolve(
+        self, path: Optional[tuple[int, ...]], action_type: ActionType
+    ) -> Union[str, tuple]:
+        """What an action of ``action_type`` at ``path`` on the current
+        screen does: the message it is rejected with, or the widget it acts
+        on and the commands of its input's handler, each its guard as
+        ``(operator, var, value)`` triples, its effects and its executed
+        span.  The commands are None for a press-back that no input handles,
+        which goes back a window."""
+        window = self.version_spec.windows[self.current_window_id]
+        widget_id: Optional[str] = None
+        if path is not None:
+            try:
+                node = self._screen.node_at(path)
+            except IndexError:
+                return "node path no longer resolves"
+            widget_id = node.widget_ref
+            if widget_id is None:
+                return "window root is not interactable"
+            widget = window.widgets[widget_id]
+            if not self.widget_visible(widget) or not widget.properties["enabled"]:
+                return f"widget {widget_id} is not interactable"
+            required = self._ACTION_PROPERTY.get(action_type)
+            if required is not None and not widget.properties[required]:
+                return f"widget {widget_id} does not support {action_type.value}"
+            if widget.tiny:
+                return f"widget {widget_id} is below the size hint"
+
+        inp = self._inputs.get((window.id, widget_id, action_type))
+        if inp is None:
+            return widget_id, None if action_type == _PRESS_BACK else ()
+        if inp.handler is None:
+            return widget_id, ()
+        handler = self.version_spec.handlers[inp.handler]
+        return widget_id, tuple(
+            (
+                tuple(
+                    (GUARD_OPS[cond.get("op", "==")], cond["var"], cond.get("value"))
+                    for cond in cmd.guard
+                ),
+                cmd.effects,
+                (handler.method_id, *cmd.instructions),
+            )
+            for cmd in handler.body
         )
 
     def _go_back(self) -> None:

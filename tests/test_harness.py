@@ -8,6 +8,7 @@ import pytest
 from uptest.abstraction import LEVELS
 from uptest.engine import TargetSet, run_session
 from uptest.harness import (
+    GUARD_OPS,
     DriverRejection,
     DriverSession,
     SpecError,
@@ -329,6 +330,48 @@ def test_guarded_commands_fire_first_match_only():
     r2 = click(session, r1, "w-go")
     assert r2.executed == [("m-go", 1, 4)]
     assert r2.window_id == "second"
+
+
+def test_every_guard_operator_fires_as_its_comparison_decides():
+    # one probe button per operator that compares n with 1, one that leaves
+    # the operator out and one with two conditions; each probe's guarded
+    # command covers [1, 1] and its fallback [2, 2]
+    guards = [[{"var": "n", "op": op, "value": 1}] for op in GUARD_OPS]
+    guards.append([{"var": "n", "value": 1}])
+    guards.append([{"var": "n", "op": ">", "value": -1}, {"var": "n", "op": "<", "value": 2}])
+    widgets = [{"id": "w-inc", "clickable": True}]
+    inputs = [{"id": "i-inc", "window": "main", "widget": "w-inc", "actionType": "Click",
+               "handler": "h-inc"}]
+    handlers = {"h-inc": {"methodId": "m-inc", "instructionCount": 1, "body": [
+        {"guard": [], "effects": [{"inc": {"var": "n"}}], "instructions": [1, 1]}]}}
+    for index, guard in enumerate(guards):
+        widgets.append({"id": f"w-{index}", "clickable": True})
+        inputs.append({"id": f"i-{index}", "window": "main", "widget": f"w-{index}",
+                       "actionType": "Click", "handler": f"h-{index}"})
+        handlers[f"h-{index}"] = {"methodId": f"m-{index}", "instructionCount": 2, "body": [
+            {"guard": guard, "effects": [], "instructions": [1, 1]},
+            {"guard": [], "effects": [], "instructions": [2, 2]},
+        ]}
+    doc = {"appId": "guards", "versions": [{
+        "version": "v1",
+        "windows": [{"id": "main", "launcher": True, "widgets": widgets}],
+        "inputs": inputs,
+        "handlers": handlers,
+        "stateVariables": [{"name": "n", "type": "int", "initial": -2}],
+    }]}
+    session = DriverSession(load_spec(doc), "v1")
+    result = session.reset()
+    fired = {index: set() for index in range(len(guards))}
+    for n in range(-2, 5):  # below, at and above each compared value
+        assert session.variables["n"] == n
+        for index, guard in enumerate(guards):
+            holds = all(GUARD_OPS[c.get("op", "==")](n, c["value"]) for c in guard)
+            result = click(session, result, f"w-{index}")
+            assert result.executed == [(f"m-{index}", *((1, 1) if holds else (2, 2)))]
+            fired[index].add(holds)
+        result = click(session, result, "w-inc")
+    # every guard both held and failed on the way
+    assert all(outcomes == {True, False} for outcomes in fired.values())
 
 
 def test_executed_ranges_stay_within_declared_bounds():
@@ -718,6 +761,68 @@ def test_random_walks_see_a_current_screen_after_every_step(monkeypatch):
     # the walks write every kind of runtime override
     assert {"show", "hide", "setText", "setTextFromPayload", "setChecked",
             "toggle"} <= applied
+
+
+def walk_against_fresh_resolutions(spec, version, steps, rng) -> set[str]:
+    """A random walk of two same-seed drivers, one of which resolves every
+    action afresh; both must return the same screen and executed ranges, or
+    reject with the same message.  Returns the rejection messages seen."""
+    cached = DriverSession(spec, version, seed=2)
+    fresh = DriverSession(spec, version, seed=2)
+    result = cached.reset()
+    fresh.reset()
+    action_types = [t for t in ActionType if t != ActionType.RESET_APP]
+    earlier_paths = [()]
+    rejections = set()
+    for _ in range(steps):
+        paths = [path for path, _ in walk(result.root)]
+        # the root, out-of-range and negative steps, and a path of an earlier
+        # screen, which may name another widget now or none
+        paths += [(len(result.root.children),), (0, 99), (-1,), rng.choice(earlier_paths)]
+        earlier_paths.append(rng.choice(paths))
+        if rng.random() < 0.02:
+            action = Action("walk", ActionType.RESET_APP)
+        else:
+            path = None if rng.random() < 0.1 else rng.choice(paths)
+            action = Action("walk", rng.choice(action_types), path, rng.choice(("a", "b")))
+        outcomes = []
+        for session in (cached, fresh):
+            if session is fresh:
+                session._resolved.clear()
+            try:
+                step = session.perform(action)
+            except DriverRejection as exc:
+                outcomes.append(str(exc))
+            else:
+                outcomes.append((step.window_id, step.root.to_dict(), step.executed))
+                if session is cached:
+                    result = step
+        assert outcomes[0] == outcomes[1]
+        if isinstance(outcomes[0], str):
+            rejections.add(outcomes[0])
+    return rejections
+
+
+def test_the_resolved_action_table_decides_as_a_fresh_resolution():
+    doc = screens_spec_doc()
+    version = doc["versions"][0]
+    # a disabled button whose click a handler would answer
+    version["windows"][0]["widgets"].append(
+        {"id": "w-off", "resourceId": "off", "className": "Button", "clickable": True,
+         "enabled": False})
+    version["inputs"].append({"id": "i-off", "window": "main", "widget": "w-off",
+                              "actionType": "Click", "handler": "h-w-go"})
+    walks = [(app, load_spec(fixture_path(app))) for app in ("diary", "dialog", "news", "deep")]
+    walks.append(("screens", load_spec(doc)))
+    rejections = set()
+    for app, spec in walks:
+        for version in spec.versions:
+            rng = random.Random(f"{app}:{version.version}")
+            rejections |= walk_against_fresh_resolutions(spec, version.version, 300, rng)
+    # every kind of rejection came up
+    assert {"node path no longer resolves", "window root is not interactable",
+            "widget w-off is not interactable", "widget w-tiny is below the size hint",
+            "widget w-memo does not support Click"} <= rejections
 
 
 def test_rendered_nodes_carry_exactly_the_properties_reducers_read(monkeypatch):
