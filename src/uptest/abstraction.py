@@ -1,15 +1,14 @@
 """State abstraction: reducers, abstraction levels, layout fingerprints.
 
-Abstract states are built by applying a level's reducers to every interactable
-node of a concrete GUI tree; nodes with identical reducer outputs merge into a
-single attribute-valuation map with a cardinality.  Levels L1..L3 grow the
-reducer set; L4 and L5 keep L2's reducers but additionally apply L1's / L2's
-reducers to each widget's children.
-
-A screen matches a state when their windows, levels and valuation multisets
-(``{valuation key: count}`` over the interactable nodes) are equal;
-``valuation_multiset`` computes a screen's multiset in one walk, without
-building a state.
+A level's reducers map each interactable node of a screen to a valuation
+key.  ``valuation_groups`` walks a screen once and groups its interactable
+nodes by that key, and both readings of a screen come from that walk.  The
+counts are the screen's valuation multiset (``{valuation key: count}``): a
+screen matches a state when their windows, levels and multisets are equal.
+A new state takes one attribute-valuation map per group, with the group's
+count as its cardinality and the group's lowest widget ref as its widget.
+Levels L1..L3 grow the reducer set; L4 and L5 keep L2's reducers but
+additionally apply L1's / L2's reducers to each widget's children.
 """
 
 from __future__ import annotations
@@ -17,14 +16,14 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Optional
+from typing import Mapping, Optional
 
 from .model import (
     LEVEL_ORDER,
     AbstractState,
+    ActionType,
     AttributeValuationMap,
     GuiNode,
-    GuiTree,
 )
 
 
@@ -126,74 +125,64 @@ LEVELS: dict[str, AbstractionLevel] = {
 _L1_REDUCER_NAMES = tuple(r.name for r in _L1_REDUCERS)
 
 
+#: Each property that makes a node interactable, with the action it offers.
+NODE_ACTIONS = (
+    ("clickable", ActionType.CLICK),
+    ("longClickable", ActionType.LONG_CLICK),
+    ("scrollable", ActionType.SWIPE),
+    ("isInputField", ActionType.TEXT_FILL),
+)
+
+
 def is_interactable(node: GuiNode) -> bool:
     props = node.properties
-    return bool(
-        props.get("clickable")
-        or props.get("longClickable")
-        or props.get("scrollable")
-        or props.get("isInputField")
-    )
+    return any(props.get(prop) for prop, _ in NODE_ACTIONS)
 
 
-def _interactable_nodes(root: GuiNode) -> Iterator[GuiNode]:
-    """The tree's interactable nodes in pre-order."""
+def valuation_groups(root: GuiNode, level: AbstractionLevel) -> dict[tuple, list]:
+    """``{valuation key: [count, lowest widget_ref]}`` over the screen's
+    interactable nodes, one walk in pre-order.
+
+    Keys come in the order the walk first meets them; a group's ref is None
+    when none of its nodes has one.
+    """
+    groups: dict[tuple, list] = {}
+    key_of = level.valuation_key
     stack = [root]
     while stack:
         node = stack.pop()
-        if is_interactable(node):
-            yield node
         stack.extend(reversed(node.children))
+        if not is_interactable(node):
+            continue
+        key = key_of(node)
+        ref = node.widget_ref
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [1, ref]
+        else:
+            group[0] += 1
+            if ref is not None and (group[1] is None or ref < group[1]):
+                group[1] = ref
+    return groups
 
 
 def valuation_multiset(root: GuiNode, level: AbstractionLevel) -> dict[tuple, int]:
-    """``{valuation key: count}`` over the screen's interactable nodes.
-
-    Equal to ``derive_abstract_state(tree, level).valuation_multiset()`` for a
-    tree with this root, without building the state.
-    """
-    counts: dict[tuple, int] = {}
-    key_of = level.valuation_key
-    for node in _interactable_nodes(root):
-        key = key_of(node)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
+    """``{valuation key: count}`` over the screen's interactable nodes: the
+    multiset a state derived from the screen has, without building it."""
+    return {key: count for key, (count, _) in valuation_groups(root, level).items()}
 
 
 def derive_abstract_state(
-    tree: GuiTree,
-    level: AbstractionLevel,
-    state_id: str = "",
+    window_id: str, root: GuiNode, level: AbstractionLevel, state_id: str
 ) -> AbstractState:
-    """Abstract a concrete tree: one AVM per distinct valuation key.
-
-    AVMs come in the order their key first appears in the walk, and an AVM
-    takes the lowest of its nodes' ``widget_ref`` ids.
-    """
-    groups: dict[tuple, list] = {}  # valuation key -> [count, widget ids]
-    key_of = level.valuation_key
-    for node in _interactable_nodes(tree.root):
-        key = key_of(node)
-        group = groups.get(key)
-        if group is None:
-            group = groups[key] = [0, set()]
-        group[0] += 1
-        if node.widget_ref is not None:
-            group[1].add(node.widget_ref)
-
+    """Abstract a screen: one AVM per valuation group, in the order of
+    ``valuation_groups``, bound to the group's lowest ``widget_ref``."""
     avms = [
-        AttributeValuationMap(
-            valuations=dict(key),
-            cardinality=count,
-            ewtg_widget_id=min(refs) if refs else None,
-        )
-        for key, (count, refs) in groups.items()
+        AttributeValuationMap(valuations=dict(key), cardinality=count, ewtg_widget_id=ref)
+        for key, (count, ref) in valuation_groups(root, level).items()
     ]
     return AbstractState(
-        id=state_id or f"{tree.id}-state",
-        window_id=tree.window_id,
-        avms=avms,
-        abstraction_level=level.name,
+        id=state_id, window_id=window_id, avms=avms, abstraction_level=level.name
     )
 
 
@@ -268,16 +257,16 @@ def guard_holds(
 # --- refinement ----------------------------------------------------------
 
 
-def refine_level(current_level: str, tree_a: GuiTree, tree_b: GuiTree) -> Optional[str]:
-    """Lowest level above ``current_level`` that tells the two trees apart.
+def refine_level(current_level: str, root_a: GuiNode, root_b: GuiNode) -> Optional[str]:
+    """Lowest level above ``current_level`` that tells the two screens apart.
 
-    Returns None when the trees stay indistinguishable through L5; the caller
-    then has to accept the non-determinism.
+    Returns None when the screens stay indistinguishable through L5; the
+    caller then has to accept the non-determinism.
     """
     start = LEVEL_ORDER.index(current_level)
     for name in LEVEL_ORDER[start + 1 :]:
         level = LEVELS[name]
-        if valuation_multiset(tree_a.root, level) != valuation_multiset(tree_b.root, level):
+        if valuation_multiset(root_a, level) != valuation_multiset(root_b, level):
             return name
     return None
 

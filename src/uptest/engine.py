@@ -24,10 +24,10 @@ from typing import Optional
 from .abstraction import (
     LEVELS,
     LEVEL_ORDER,
+    NODE_ACTIONS,
     AbstractionLevel,
     derive_abstract_state,
     is_backward_equivalent,
-    is_interactable,
     layout_fingerprint,
     make_layout_guard,
     valuation_multiset,
@@ -42,7 +42,6 @@ from .model import (
     AppModel,
     EwtgWidget,
     GuiNode,
-    GuiTree,
     Input,
     TraceStep,
     Window,
@@ -103,9 +102,12 @@ class CoverageLedger:
 
 @dataclass
 class UtaRecord:
-    before_tree: GuiTree
+    # (observation index, window id, root, state id) of the screen the action
+    # acted on and of the one it reached; a root, not the ``_Screen``, which
+    # holds the observer's table of keys
+    before: tuple[int, str, GuiNode, str]
     action: Action
-    after_tree: GuiTree
+    after: tuple[int, str, GuiNode, str]
     newly_covered: dict[str, list[int]]
 
     @property
@@ -114,15 +116,26 @@ class UtaRecord:
 
     def to_dict(self) -> dict:
         return {
-            "beforeTree": self.before_tree.to_dict(),
+            "beforeTree": _tree_dict(*self.before),
             # reports show each action's cost; the model's trace does not store it
             "action": {**self.action.to_dict(), "cost": self.action.cost},
-            "afterTree": self.after_tree.to_dict(),
+            "afterTree": _tree_dict(*self.after),
             "newlyCovered": {
                 k: sorted(v) for k, v in sorted(self.newly_covered.items())
             },
             "newlyCoveredInstructionCount": self.newly_covered_instruction_count,
         }
+
+
+def _tree_dict(index: int, window_id: str, root: GuiNode, state_id: str) -> dict:
+    """A report's record of the session's ``index``-th observation."""
+    return {
+        "id": f"t{index}",
+        "windowId": window_id,
+        "root": root.to_dict(),
+        "abstractStateId": state_id,
+        "sessionIndex": index,
+    }
 
 
 @dataclass
@@ -166,12 +179,6 @@ def emit_report(result: SessionResult, targets: TargetSet, out_path) -> dict:
     return doc
 
 
-_NODE_ACTIONS = (
-    ("clickable", ActionType.CLICK),
-    ("longClickable", ActionType.LONG_CLICK),
-    ("scrollable", ActionType.SWIPE),
-    ("isInputField", ActionType.TEXT_FILL),
-)
 # members the per-action code compares with, bound once: on CPython 3.11,
 # reading a member off its enum class costs about ten times a module global
 _PRESS_BACK = ActionType.PRESS_BACK
@@ -189,10 +196,12 @@ class _Screen:
 
     Screens are never mutated (see ``GuiNode``), so the facts hold for as long
     as the driver hands the same screen back.  The engine keeps the current
-    observation as its index, its screen and its state; it builds a
-    ``GuiTree`` only for a unique target action's report and to derive a new
-    state.  A state key is taken from ``interned``, the observer's one object
-    per distinct key, so that equal keys are the same object.
+    observation as its index, its screen and its state.  A state key is made
+    from the screen's valuation multiset, which ``valuation_groups`` computes
+    in the one walk a new state's AVMs come from too, and is taken from
+    ``interned``, the observer's one object per distinct key, so that equal
+    keys are the same object.  A unique target action's report records the
+    window id and root of the screens it acted on and reached.
     """
 
     def __init__(self, window_id: str, root: GuiNode, interned: dict[tuple, tuple]):
@@ -212,12 +221,10 @@ class _Screen:
             ref = node.widget_ref
             if ref is not None and ref not in self.widgets:
                 self.widgets[ref] = (path, node, xpath)
-            if is_interactable(node) and not (
-                node.bounds_hint and node.bounds_hint.get("tiny")
-            ):
+            if not (node.bounds_hint and node.bounds_hint.get("tiny")):
                 self.candidates.extend(
                     (path, ref, action_type)
-                    for prop, action_type in _NODE_ACTIONS
+                    for prop, action_type in NODE_ACTIONS
                     if node.properties.get(prop)
                 )
             prefix = xpath if path else ""
@@ -392,7 +399,7 @@ class TestEngine:
                 xpath=xpath,
                 runtime_created=True,
             )
-            for prop, action_type in _NODE_ACTIONS:
+            for prop, action_type in NODE_ACTIONS:
                 if node.properties.get(prop):
                     input_id = f"ri-{ref}-{action_type.value}"
                     if input_id not in ewtg.inputs:
@@ -404,16 +411,6 @@ class TestEngine:
                                 action_type=action_type,
                             )
                         )
-
-    def _tree(self, index: int, screen: _Screen, state: Optional[AbstractState]) -> GuiTree:
-        """The concrete tree of the session's ``index``-th observation."""
-        return GuiTree(
-            id=f"t{index}",
-            window_id=screen.window_id,
-            root=screen.root,
-            abstract_state_id=state.id if state is not None else None,
-            session_index=index,
-        )
 
     def _observe(self, result: PerformResult) -> AbstractState:
         screen, new = self.observer.screen(result)
@@ -427,8 +424,7 @@ class TestEngine:
         match = self.observer.match(key)
         if match is None:  # only a new state is derived
             sid = self._next_id("st-")
-            tree = self._tree(self.observations, screen, None)
-            match = derive_abstract_state(tree, level, state_id=sid)
+            match = derive_abstract_state(screen.window_id, screen.root, level, sid)
             dstg.abstract_states[sid] = match
             self.observer.add(match, key)
             self.created_this_session.add(sid)
@@ -541,10 +537,10 @@ class TestEngine:
         if newly:
             self.utas.append(
                 UtaRecord(
-                    before_tree=self._tree(before_index, before_screen, before_state),
-                    action=action,
-                    after_tree=self._tree(self.observations, self.current_screen, after_state),
-                    newly_covered={k: sorted(v) for k, v in newly.items()},
+                    (before_index, before_screen.window_id, before_screen.root, before_state.id),
+                    action,
+                    (self.observations, result.window_id, result.root, after_state.id),
+                    {k: sorted(v) for k, v in newly.items()},
                 )
             )
         if matched is not None:

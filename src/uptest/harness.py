@@ -308,14 +308,18 @@ class VersionSpec:
             if spec.id in inputs:
                 raise SpecError(f"duplicate input id {spec.id}")
             inputs[spec.id] = spec
+        variables = {}
+        for vd in d.get("stateVariables", []):
+            spec = VariableSpec.from_dict(vd)
+            if spec.name in variables:
+                raise SpecError(f"duplicate state variable {spec.name}")
+            variables[spec.name] = spec
         version = cls(
             version=d["version"],
             windows=windows,
             inputs=inputs,
             handlers={k: HandlerSpec.from_dict(v) for k, v in d.get("handlers", {}).items()},
-            variables={
-                v["name"]: VariableSpec.from_dict(v) for v in d.get("stateVariables", [])
-            },
+            variables=variables,
             related_windows=_lists_of_strings(d, "relatedWindows"),
             generators=[GeneratorSpec.from_dict(g) for g in d.get("generators", [])],
             text_inputs=_lists_of_strings(d, "textInputs"),
@@ -838,7 +842,8 @@ class DriverSession:
             if widget_id is None:
                 return "window root is not interactable"
             widget = window.widgets[widget_id]
-            if not self.widget_visible(widget) or not widget.properties["enabled"]:
+            # a rendered screen holds visible widgets only
+            if not widget.properties["enabled"]:
                 return f"widget {widget_id} is not interactable"
             required = self._ACTION_PROPERTY.get(action_type)
             if required is not None and not widget.properties[required]:

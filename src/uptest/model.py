@@ -5,8 +5,10 @@ the harness or hand-authored.  The dynamic layer (abstract states, abstract
 transitions) is learned during test sessions and drives planning.  The session
 layer is the trace of executed actions, each given as the abstract transition
 it took and the node it acted on; it is what replay re-runs, and it is
-discarded when a model is carried over to a new app version.  Concrete GUI
-trees are not part of the model.
+discarded when a model is carried over to a new app version.  Concrete
+screens, trees of ``GuiNode``, are not part of the model: the driver hands
+one back per action, and a session report writes the ones its unique target
+actions acted on and reached.
 
 The model stores each fact once: a window's widgets are the widgets whose
 ``window_id`` names it, a window transition's source window is its input's
@@ -471,13 +473,14 @@ class AbstractTransition:
 
 @dataclass(eq=False)
 class GuiNode:
-    """One node of a concrete screen.
+    """One node of a concrete screen; a screen is its root node.
 
-    A screen is never mutated once built: the driver hands the same tree back
+    A screen is never mutated once built: the driver hands the same root back
     whenever it shows the same screen again, and the engine and the replay
-    remember what they work out from a screen under the screen itself.  So
-    nodes compare and hash by identity; compare ``to_dict()`` for equal
-    content.
+    remember what they work out from a screen under its root.  So nodes
+    compare and hash by identity; compare ``to_dict()`` for equal content.
+    No type wraps a root: whoever needs a screen's window keeps it beside the
+    root.
     """
 
     properties: dict[str, Any]
@@ -500,24 +503,6 @@ class GuiNode:
             "children": [c.to_dict() for c in self.children],
             "boundsHint": self.bounds_hint,
             "widgetRef": self.widget_ref,
-        }
-
-
-@dataclass
-class GuiTree:
-    id: str
-    window_id: str
-    root: GuiNode
-    abstract_state_id: Optional[str] = None
-    session_index: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "windowId": self.window_id,
-            "root": self.root.to_dict(),
-            "abstractStateId": self.abstract_state_id,
-            "sessionIndex": self.session_index,
         }
 
 

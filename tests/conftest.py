@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from uptest.model import GuiNode, GuiTree
+from uptest.model import GuiNode
 
 
 # The exact property set GUI nodes expose; reducers read nothing else.
@@ -56,10 +56,6 @@ def make_node(children=None, widget_ref=None, bounds_hint=None, **overrides) -> 
     )
 
 
-def make_tree(window_id: str, root: GuiNode, tree_id: str = "t1", session_index: int = 0) -> GuiTree:
-    return GuiTree(id=tree_id, window_id=window_id, root=root, session_index=session_index)
-
-
 def walk(node: GuiNode, path: tuple[int, ...] = ()) -> list[tuple[tuple[int, ...], GuiNode]]:
     """``(path, node)`` of the node and every node below it, in pre-order."""
     out = [(path, node)]
@@ -87,8 +83,3 @@ def path_of(root: GuiNode, widget_ref: str):
 @pytest.fixture
 def node_factory():
     return make_node
-
-
-@pytest.fixture
-def tree_factory():
-    return make_tree

@@ -9,6 +9,7 @@ from uptest import fixture_path
 from uptest.abstraction import (
     LEVELS,
     LEVEL_ORDER,
+    NODE_ACTIONS,
     AbstractionError,
     derive_abstract_state,
     fingerprint_similarity,
@@ -23,7 +24,7 @@ from uptest.abstraction import (
 from uptest.harness import DriverRejection, DriverSession, load_spec
 from uptest.model import AbstractState, Action, ActionType, AttributeValuationMap
 
-from conftest import make_node, make_tree, walk
+from conftest import make_node, walk
 
 
 def test_interactable_requires_an_action_property():
@@ -46,8 +47,8 @@ def test_level_hierarchy_reducer_counts():
     assert len(LEVELS["L5"].child_reducers) == 12
 
 
-def two_buttons_tree(text_b="B"):
-    root = make_node(
+def two_buttons_screen(text_b="B"):
+    return make_node(
         children=[
             make_node(clickable=True, resourceId="btn", className="Button", text="A",
                       widget_ref="w-a"),
@@ -56,25 +57,43 @@ def two_buttons_tree(text_b="B"):
             make_node(resourceId="label", className="TextView"),  # not interactable
         ]
     )
-    return make_tree("win", root)
 
 
 def test_l1_merges_nodes_that_differ_only_in_text():
-    state = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="s")
+    state = derive_abstract_state("win", two_buttons_screen(), LEVELS["L1"], "s")
     assert len(state.avms) == 1
     assert state.avms[0].cardinality == 2
     # the representative static widget is the id-sorted first one
     assert state.avms[0].ewtg_widget_id == "w-a"
 
 
+@pytest.mark.parametrize(
+    "refs, lowest",
+    [
+        (("w-b", "w-a"), "w-a"),  # the walk meets the higher ref first
+        ((None, "w-b"), "w-b"),  # an unbound node comes before a bound one
+        ((None, None), None),
+    ],
+)
+def test_an_avm_takes_the_lowest_ref_of_its_group(refs, lowest):
+    root = make_node(
+        children=[
+            make_node(clickable=True, resourceId="btn", text=str(i), widget_ref=ref)
+            for i, ref in enumerate(refs)
+        ]
+    )
+    state = derive_abstract_state("win", root, LEVELS["L1"], "s")
+    assert [(a.cardinality, a.ewtg_widget_id) for a in state.avms] == [(2, lowest)]
+
+
 def test_l2_splits_on_text():
-    state = derive_abstract_state(two_buttons_tree(), LEVELS["L2"], state_id="s")
+    state = derive_abstract_state("win", two_buttons_screen(), LEVELS["L2"], "s")
     assert len(state.avms) == 2
     assert sorted(a.ewtg_widget_id for a in state.avms) == ["w-a", "w-b"]
 
 
 def test_non_interactable_nodes_get_no_avm():
-    state = derive_abstract_state(two_buttons_tree(), LEVELS["L3"], state_id="s")
+    state = derive_abstract_state("win", two_buttons_screen(), LEVELS["L3"], "s")
     names = {a.valuations["R_CN"] for a in state.avms}
     assert "TextView" not in names
 
@@ -85,9 +104,9 @@ def test_l3_splits_on_has_children():
         clickable=True, resourceId="box", className="Layout",
         children=[make_node(className="TextView")],
     )
-    tree = make_tree("win", make_node(children=[childless, parent]))
-    l2 = derive_abstract_state(tree, LEVELS["L2"], state_id="s")
-    l3 = derive_abstract_state(tree, LEVELS["L3"], state_id="s")
+    root = make_node(children=[childless, parent])
+    l2 = derive_abstract_state("win", root, LEVELS["L2"], "s")
+    l3 = derive_abstract_state("win", root, LEVELS["L3"], "s")
     assert len(l2.avms) == 1
     assert len(l3.avms) == 2
 
@@ -99,22 +118,14 @@ def test_l5_splits_on_child_text_where_l4_does_not():
             children=[make_node(className="TextView", text=child_text)],
         )
 
-    tree_a = make_tree("win", make_node(children=[box("one")]))
-    tree_b = make_tree("win", make_node(children=[box("two")]))
-    l4_a = derive_abstract_state(tree_a, LEVELS["L4"], state_id="a")
-    l4_b = derive_abstract_state(tree_b, LEVELS["L4"], state_id="b")
+    root_a = make_node(children=[box("one")])
+    root_b = make_node(children=[box("two")])
+    l4_a = derive_abstract_state("win", root_a, LEVELS["L4"], "a")
+    l4_b = derive_abstract_state("win", root_b, LEVELS["L4"], "b")
     assert l4_a.valuation_multiset() == l4_b.valuation_multiset()
-    l5_a = derive_abstract_state(tree_a, LEVELS["L5"], state_id="a")
-    l5_b = derive_abstract_state(tree_b, LEVELS["L5"], state_id="b")
+    l5_a = derive_abstract_state("win", root_a, LEVELS["L5"], "a")
+    l5_b = derive_abstract_state("win", root_b, LEVELS["L5"], "b")
     assert l5_a.valuation_multiset() != l5_b.valuation_multiset()
-
-
-_NODE_ACTIONS = (
-    ("clickable", ActionType.CLICK),
-    ("longClickable", ActionType.LONG_CLICK),
-    ("scrollable", ActionType.SWIPE),
-    ("isInputField", ActionType.TEXT_FILL),
-)
 
 
 def walk_screens(app: str, steps: int, seed: int):
@@ -128,7 +139,7 @@ def walk_screens(app: str, steps: int, seed: int):
             yield result
             actions = [Action("back", ActionType.PRESS_BACK)]
             for path, node in walk(result.root):
-                for prop, action_type in _NODE_ACTIONS:
+                for prop, action_type in NODE_ACTIONS:
                     if node.properties.get(prop):
                         payload = "typed" if action_type == ActionType.TEXT_FILL else None
                         actions.append(Action("walk", action_type, path, payload))
@@ -142,78 +153,77 @@ def walk_screens(app: str, steps: int, seed: int):
 def test_valuation_multiset_equals_the_derived_states_multiset(app):
     screens = 0
     for result in walk_screens(app, steps=60, seed=3):
-        tree = make_tree(result.window_id, result.root)
         for name in LEVEL_ORDER:
             level = LEVELS[name]
-            derived = derive_abstract_state(tree, level, state_id="s")
+            derived = derive_abstract_state(result.window_id, result.root, level, "s")
             assert valuation_multiset(result.root, level) == derived.valuation_multiset()
         screens += 1
     assert screens >= 60
 
 
-def nested_tree(order=(0, 1, 2)):
+def nested_screen(order=(0, 1, 2)):
     """Interactable widgets with children, some of them interactable too."""
     kids = [
         make_node(className="TextView", text="b", checked=True),
         make_node(clickable=True, resourceId="inner", text="a"),
         make_node(className="ImageView", contentDescription="icon"),
     ]
-    return make_tree("win", make_node(children=[
+    return make_node(children=[
         make_node(clickable=True, resourceId="row", children=[kids[i] for i in order]),
         make_node(clickable=True, resourceId="row", children=[make_node(text="c")]),
         make_node(clickable=True, resourceId="row", children=[make_node(text="d")]),
         make_node(scrollable=True, resourceId="list", children=[
             make_node(longClickable=True, resourceId="row", children=[make_node(text="c")]),
         ]),
-    ]))
+    ])
 
 
 def test_valuation_multiset_reads_children_from_l4_on():
-    tree = nested_tree()
+    root = nested_screen()
     for name in LEVEL_ORDER:
         level = LEVELS[name]
-        multiset = valuation_multiset(tree.root, level)
-        derived = derive_abstract_state(tree, level, state_id="s")
+        multiset = valuation_multiset(root, level)
+        derived = derive_abstract_state("win", root, level, "s")
         assert multiset == derived.valuation_multiset()
         # the order of a widget's children does not matter
-        assert valuation_multiset(nested_tree(order=(2, 0, 1)).root, level) == multiset
+        assert valuation_multiset(nested_screen(order=(2, 0, 1)), level) == multiset
     # the three clickable rows merge at L3, split by child layout at L4 and by
     # child text at L5
-    sizes = [len(valuation_multiset(tree.root, LEVELS[name])) for name in ("L3", "L4", "L5")]
+    sizes = [len(valuation_multiset(root, LEVELS[name])) for name in ("L3", "L4", "L5")]
     assert sizes == [4, 5, 6]
 
 
 def test_a_node_missing_a_reducer_property_raises_abstraction_error():
     button = make_node(clickable=True)
     del button.properties["checked"]
-    tree = make_tree("win", make_node(children=[button]))
+    root = make_node(children=[button])
     with pytest.raises(AbstractionError, match="'checked' required by R_Ch"):
-        valuation_multiset(tree.root, LEVELS["L1"])
+        valuation_multiset(root, LEVELS["L1"])
     with pytest.raises(AbstractionError, match="'checked' required by R_Ch"):
-        derive_abstract_state(tree, LEVELS["L1"])
+        derive_abstract_state("win", root, LEVELS["L1"], "s")
     # a child is read only from L4 on, and then it must carry the property too
     child = make_node()
     del child.properties["text"]
-    tree = make_tree("win", make_node(children=[make_node(clickable=True, children=[child])]))
-    assert valuation_multiset(tree.root, LEVELS["L4"])
+    root = make_node(children=[make_node(clickable=True, children=[child])])
+    assert valuation_multiset(root, LEVELS["L4"])
     with pytest.raises(AbstractionError, match="'text' required by R_T"):
-        valuation_multiset(tree.root, LEVELS["L5"])
+        valuation_multiset(root, LEVELS["L5"])
     with pytest.raises(AbstractionError, match="'text' required by R_T"):
-        derive_abstract_state(tree, LEVELS["L5"])
+        derive_abstract_state("win", root, LEVELS["L5"], "s")
 
 
 def test_refine_level_finds_the_first_distinguishing_level():
-    tree_a = two_buttons_tree(text_b="B")
-    tree_b = two_buttons_tree(text_b="ZZZ")
-    assert refine_level("L1", tree_a, tree_b) == "L2"
-    assert refine_level("L1", tree_a, tree_a) is None
+    root_a = two_buttons_screen(text_b="B")
+    root_b = two_buttons_screen(text_b="ZZZ")
+    assert refine_level("L1", root_a, root_b) == "L2"
+    assert refine_level("L1", root_a, root_a) is None
     # already past the distinguishing level: nothing further distinguishes
-    assert refine_level("L2", tree_a, tree_a) is None
+    assert refine_level("L2", root_a, root_a) is None
 
 
 def test_layout_fingerprint_projects_finer_levels_onto_l1():
-    l1 = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="a")
-    l2 = derive_abstract_state(two_buttons_tree(), LEVELS["L2"], state_id="b")
+    l1 = derive_abstract_state("win", two_buttons_screen(), LEVELS["L1"], "a")
+    l2 = derive_abstract_state("win", two_buttons_screen(), LEVELS["L2"], "b")
     assert layout_fingerprint(l1) == layout_fingerprint(l2)
     assert fingerprint_similarity(layout_fingerprint(l1), layout_fingerprint(l2)) == 1.0
 
@@ -229,9 +239,9 @@ def test_fingerprint_similarity_hand_computed_jaccard():
 
 
 def test_make_layout_guard_prefers_most_recent_similar_state():
-    base = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="dest")
-    similar_old = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="old")
-    similar_new = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="new")
+    base = derive_abstract_state("win", two_buttons_screen(), LEVELS["L1"], "dest")
+    similar_old = derive_abstract_state("win", two_buttons_screen(), LEVELS["L1"], "old")
+    similar_new = derive_abstract_state("win", two_buttons_screen(), LEVELS["L1"], "new")
     unrelated = AbstractState(
         id="far", window_id="win",
         avms=[AttributeValuationMap(valuations={"R_CN": "Spinner"})],
@@ -253,7 +263,7 @@ def test_make_layout_guard_prefers_most_recent_similar_state():
 
 
 def test_a_guard_holds_on_its_state_or_a_layout_like_the_states_current_one():
-    state = derive_abstract_state(two_buttons_tree(), LEVELS["L1"], state_id="g")
+    state = derive_abstract_state("win", two_buttons_screen(), LEVELS["L1"], "g")
     other = AbstractState(
         id="far", window_id="win", avms=[AttributeValuationMap(valuations={"R_CN": "Spinner"})]
     )

@@ -33,7 +33,7 @@ from uptest.planner import plan_to_target
 
 from uptest import fixture_path
 
-from conftest import make_node, make_tree
+from conftest import make_node
 from random_ewtg import random_ewtg_pair
 
 
@@ -375,13 +375,13 @@ def guarded_back_model(resource_id: str, widget_id: str) -> AppModel:
 def list_screen(resource_id: str, widget_id: str):
     button = make_node(widget_ref=widget_id, resourceId=resource_id, className="Button",
                        clickable=True)
-    return make_tree("list", make_node(children=[button]))
+    return make_node(children=[button])
 
 
 def test_a_carried_guard_holds_on_its_states_screen_in_the_new_version():
     base = guarded_back_model("old", "w3")
     states = base.dstg.abstract_states
-    states["g"] = derive_abstract_state(list_screen("old", "w3"), LEVELS["L1"], state_id="g")
+    states["g"] = derive_abstract_state("list", list_screen("old", "w3"), LEVELS["L1"], "g")
     states["s"] = AbstractState(id="s", window_id="dlg")
     states["d"] = AbstractState(id="d", window_id="home")
     for tid, src, widget, action, dest, guard in (
@@ -402,7 +402,8 @@ def test_a_carried_guard_holds_on_its_states_screen_in_the_new_version():
     )
     adapted = adapt_model(base, updated, diff, version="v2")
     assert adapted.dstg.abstract_transitions["at2"].layout_guard == "g"
-    v2_layout = layout_fingerprint(derive_abstract_state(list_screen("new", "w3b"), LEVELS["L1"]))
+    v2_state = derive_abstract_state("list", list_screen("new", "w3b"), LEVELS["L1"], "g")
+    v2_layout = layout_fingerprint(v2_state)
     assert layout_fingerprint(adapted.dstg.abstract_states["g"]) == v2_layout
     # the layout the guard was made with is unlike anything v2 shows
     threshold = EngineConfig().layout_similarity_threshold

@@ -34,7 +34,6 @@ from uptest.model import (
     Dstg,
     Ewtg,
     EwtgWidget,
-    GuiTree,
     Input,
     Window,
     WindowKind,
@@ -47,7 +46,7 @@ from uptest.planner import PlanStep, PlanView
 
 from uptest import fixture_path
 
-from conftest import make_node, make_tree
+from conftest import make_node
 from hidden_app import hidden_spec_doc
 
 
@@ -495,7 +494,7 @@ def test_a_planned_step_continues_through_a_backward_equivalent_state(diff_conte
     extra = make_node(widget_ref="w-new", clickable=True, resourceId="new")
     model = two_state_model()
     model.dstg.abstract_states["sb"] = derive_abstract_state(
-        make_tree("other", make_node(children=[kept])), LEVELS["L1"], state_id="sb"
+        "other", make_node(children=[kept]), LEVELS["L1"], "sb"
     )
     model.diff_context = diff_context
 
@@ -695,9 +694,8 @@ def test_observation_matches_the_first_equal_state_in_id_order():
         "win", make_node(widget_ref="wd", clickable=True, resourceId="wd")
     )
     for sid in ("st-9", "st-10"):
-        tree = make_tree("win", result.root)
         model.dstg.abstract_states[sid] = derive_abstract_state(
-            tree, LEVELS["L1"], state_id=sid
+            "win", result.root, LEVELS["L1"], sid
         )
     engine = engine_on(model)
     # "st-10" sorts before "st-9" as a string
@@ -740,20 +738,9 @@ def test_a_session_derives_a_state_only_for_each_new_state(monkeypatch):
     assert len(derived) < result.executed_actions
 
 
-def test_a_session_builds_screen_trees_only_for_utas_and_new_states(monkeypatch):
-    import uptest.engine
-
-    built = []
-
-    def counting_tree(*args, **kwargs):
-        built.append(GuiTree(*args, **kwargs))
-        return built[-1]
-
-    monkeypatch.setattr(uptest.engine, "GuiTree", counting_tree)
+def test_a_reports_trees_name_their_observation_and_its_state():
     result, targets = run_diary(budget=200, seed=2)
     assert result.utas
-    assert len(built) == 2 * len(result.utas) + len(result.model.dstg.abstract_states)
-    assert len(built) < result.executed_actions
     # the report's trees name their observation and the state it matched
     report = result.report(targets)
     for uta in report["utas"]:

@@ -173,6 +173,9 @@ def test_load_spec_requires_exactly_one_launcher():
         lambda d: d["versions"][0]["windows"][0]["widgets"].append(
             {"id": "w-go", "xpath": "/dup"}
         ),
+        lambda d: d["versions"][0]["stateVariables"].append(
+            {"name": "clicks", "type": "int", "initial": 5, "persistent": True}
+        ),
     ],
 )
 def test_load_spec_rejects_broken_documents(mutate):

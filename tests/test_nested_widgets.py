@@ -15,7 +15,7 @@ from uptest.model import (
     serialize_model,
 )
 
-from conftest import make_tree, path_of
+from conftest import path_of
 from nested_app import nested_spec_doc
 
 
@@ -45,17 +45,16 @@ def test_only_the_levels_that_read_children_tell_the_inbox_screens_apart():
     assert valuation_multiset(first, l4) != valuation_multiset(starred, l4)
     assert valuation_multiset(starred, l4) == valuation_multiset(read, l4)
     assert valuation_multiset(starred, l5) != valuation_multiset(read, l5)
-    tree = {k: make_tree("inbox", root, tree_id=k) for k, root in screens.items()}
-    assert refine_level("L2", tree["first"], tree["starred"]) == "L4"
-    assert refine_level("L2", tree["starred"], tree["read"]) == "L5"
-    assert refine_level("L4", tree["starred"], tree["read"]) == "L5"
+    assert refine_level("L2", first, starred) == "L4"
+    assert refine_level("L2", starred, read) == "L5"
+    assert refine_level("L4", starred, read) == "L5"
 
 
 @pytest.mark.parametrize("name", list(LEVELS))
 def test_the_multiset_of_a_screen_is_that_of_the_state_derived_from_it(name):
     level = LEVELS[name]
     for key, root in inbox_screens().items():
-        state = derive_abstract_state(make_tree("inbox", root, tree_id=key), level)
+        state = derive_abstract_state("inbox", root, level, key)
         assert valuation_multiset(root, level) == state.valuation_multiset(), key
         has_child_keys = any(k.startswith("child:") for avm in state.avms for k in avm.valuations)
         assert has_child_keys == (name in ("L4", "L5")), key
@@ -66,9 +65,7 @@ def test_a_model_file_keeps_every_child_valuation_of_a_bound_avm():
     model = AppModel(version="v1", ewtg=ewtg)
     for key, root in inbox_screens().items():
         for name in ("L4", "L5"):
-            state = derive_abstract_state(
-                make_tree("inbox", root), LEVELS[name], state_id=f"{key}-{name}"
-            )
+            state = derive_abstract_state("inbox", root, LEVELS[name], f"{key}-{name}")
             model.dstg.abstract_states[state.id] = state
     data = serialize_model(model)
     rows = 0

@@ -33,7 +33,7 @@ from uptest.model import (
 )
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
-from conftest import make_node, make_tree
+from conftest import make_node
 
 
 def window(wid):
@@ -88,9 +88,7 @@ def test_a_retaken_carried_transition_keeps_its_unseen_guard_state(tmp_path, mon
 
     def adapt_with_unseen_guard(base, updated, diff, version):
         window_id = base.ewtg.launcher_window_id
-        unseen = derive_abstract_state(
-            make_tree(window_id, screen("unseen")), LEVELS["L1"], state_id="st-unseen"
-        )
+        unseen = derive_abstract_state(window_id, screen("unseen"), LEVELS["L1"], "st-unseen")
         unseen.observed_in_versions.add(base.version)
         base.dstg.abstract_states[unseen.id] = unseen
         for tr in base.dstg.abstract_transitions.values():
@@ -142,8 +140,7 @@ def replay_model(after_roots, level="L1"):
     dstg = Dstg()
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
     for i, root in enumerate(after_roots, start=1):
-        tree = make_tree("wa", root, tree_id=f"t{i}")
-        state = derive_abstract_state(tree, LEVELS[level], state_id=f"s{i}")
+        state = derive_abstract_state("wa", root, LEVELS[level], f"s{i}")
         dstg.abstract_states[state.id] = state
         if i > 1:  # the first screen is where the trace starts
             dstg.abstract_transitions[f"at{i}"] = AbstractTransition(
