@@ -4,6 +4,8 @@ import hashlib
 import json
 import math
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -382,3 +384,36 @@ def test_diff_of_large_random_window_graph_pairs_is_unchanged():
         widest, empty_ids, lane_bits, replaced,
     )
     assert digest.hexdigest() == LARGE_PAIRS_DIGEST
+
+
+#: ``perfbench/appgen.py`` apps diffed version against version: two 60x40
+#: apps of five versions at perturbation 0.15, the shape the ``gen-carry``
+#: benchmark carries, whose perturbations rename widget ids and windows.
+GENERATED_APPS = (1, 2)
+
+#: sha256 of the concatenated ``to_json()`` of the diff of every ordered pair
+#: of each generated app's versions, self-pairs included, frozen from the
+#: diff that ran one packed pass per unpaired updated widget.
+GENERATED_PAIRS_DIGEST = "6a8809c4889e3d7d0f7ab1c101b294d3c2b109230c57a89c7db305b810838549"
+
+
+def test_diff_of_generated_app_versions_is_unchanged():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import appgen
+    finally:
+        sys.path.pop(0)
+    digest = hashlib.sha256()
+    classes = {key: 0 for key in DiffResult().to_dict()}
+    for app in GENERATED_APPS:
+        spec = load_spec(appgen.generate_app(app, 60, 40, perturbation=0.15, versions=5))
+        ewtgs = [export_ewtg(spec, v.version) for v in spec.versions]
+        for a in ewtgs:
+            for b in ewtgs:
+                diff = diff_ewtg(a, b)
+                digest.update(diff.to_json())
+                for key, value in diff.to_dict().items():
+                    classes[key] += len(value)
+    # the versions replace, add and delete windows, widgets and transitions
+    assert all(classes.values()), classes
+    assert digest.hexdigest() == GENERATED_PAIRS_DIGEST
