@@ -20,8 +20,9 @@ as deletions.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass, field
+from itertools import zip_longest
+from operator import attrgetter, itemgetter
 from typing import Optional
 
 from .model import (
@@ -39,54 +40,71 @@ from .model import (
 # --- string similarity ---------------------------------------------------
 
 
-class PackedPatterns:
-    """Exact Levenshtein distances from one text to many patterns in one pass.
+def pair_distances(patterns: list[str], texts: list[str]) -> list[list[int]]:
+    """The exact edit distance of every (text, pattern) cell, in one pass.
 
     Myers' algorithm (J. ACM 1999) in Hyyrö's edit-distance form (2001): bit i
     of ``pv``/``mv`` says that cell i of a pattern's DP column is one more/less
-    than cell i - 1, so each character of the text updates the whole column
-    with a few integer operations.  The patterns sit side by side in one
-    Python int (Hyyrö, Fredriksson and Navarro, ACM JEA 2006), each in its own
-    lane with a zero guard bit above it: the carry of ``(eq & pv) + pv`` stops
-    at the guard bit, and masking with the lane bits drops what a shift moves
-    into it.  Row 0 of the matrix is 0..len(text), so a lane's distance is
-    len(text) plus the vertical deltas summed down its column.
+    than cell i - 1, so each character of a text updates the whole column
+    with a few integer operations.  The patterns sit side by side in a block
+    (Hyyrö, Fredriksson and Navarro, ACM JEA 2006), each in its own lane with
+    a zero guard bit above it: the carry of ``(eq & pv) + pv`` stops at the
+    guard bit, and masking with the lane bits drops what a shift moves into
+    it.  One integer holds one copy of the block per text, each copy a whole
+    number of bytes wide and text ``s``'s the ``s``-th, so step ``j`` runs
+    the update for the ``j``-th character of every text at once: ``eq`` is
+    the bytes of each text's character mask, one block each, read as one
+    integer, and a text that has ended contributes a block of no matches.  Row 0 of the matrix
+    is 0..len(text), so a cell's distance is len(text) plus the vertical
+    deltas summed down its lane, read from ``pv``/``mv`` as they stood at
+    the step where its text ended; what a block does after that is never
+    read.
     """
-
-    def __init__(self, patterns: list[str]):
-        self.peq: dict[str, int] = {}  # character -> its positions in every lane
-        self.lanes: list[int] = []
-        self.bottoms = 0  # the lowest bit of each non-empty lane
-        offset = 0
-        for pattern in patterns:
-            for i, ch in enumerate(pattern):
-                self.peq[ch] = self.peq.get(ch, 0) | (1 << (offset + i))
-            self.lanes.append(((1 << len(pattern)) - 1) << offset)
-            if pattern:
-                self.bottoms |= 1 << offset
-            offset += len(pattern) + 1
-        self.mask = sum(self.lanes)
-
-    def distances(self, text: str) -> list[int]:
-        """The edit distance from ``text`` to each pattern, in pattern order."""
-        peq, mask, bottoms = self.peq, self.mask, self.bottoms
-        pv, mv = mask, 0
-        for ch in text:
-            eq = peq.get(ch, 0)
-            xv = eq | mv
-            xh = (((eq & pv) + pv) ^ pv) | eq
-            # row 0 grows by one per column: shift a +1 into each lane's bottom
-            ph = (((mv | ~(xh | pv)) << 1) & mask) | bottoms
-            pv = (((pv & xh) << 1) | ~(xv | ph)) & mask
-            mv = ph & xv
+    peq: dict[str, int] = {}  # character -> its positions in every lane
+    lanes: list[int] = []
+    bottoms = 0  # the lowest bit of each non-empty lane
+    bit = 1  # the next pattern character's position
+    for pattern in patterns:
+        lanes.append(((1 << len(pattern)) - 1) * bit)
+        if pattern:
+            bottoms |= bit
+        for ch in pattern:
+            peq[ch] = peq.get(ch, 0) | bit
+            bit <<= 1
+        bit <<= 1  # the guard bit
+    size = (bit.bit_length() + 6) // 8  # a block in whole bytes
+    zero = bytes(size)
+    blocks = dict.fromkeys("".join(texts), zero)  # a text character -> its block of matches
+    for ch in peq.keys() & blocks.keys():
+        blocks[ch] = peq[ch].to_bytes(size, "little")
+    blocks[None] = zero  # ``zip_longest``'s fill for a text that has ended
+    copies = len(texts)
+    mask = int.from_bytes(sum(lanes).to_bytes(size, "little") * copies, "little")
+    bottoms = int.from_bytes(bottoms.to_bytes(size, "little") * copies, "little")
+    pv, mv = mask, 0
+    steps = [(pv, mv)]  # (pv, mv) after each step; ints, so a snapshot is a reference
+    block_of, join, from_bytes = blocks.__getitem__, b"".join, int.from_bytes
+    for column in zip_longest(*texts):
+        eq = from_bytes(join(map(block_of, column)), "little")
+        xv = eq | mv
+        xh = (((eq & pv) + pv) ^ pv) | eq
+        # row 0 grows by one per column: shift a +1 into each lane's bottom.
+        # ``mask ^ x`` stands for ``~x & mask`` on positive ints; it differs
+        # only on a guard bit, which the shift moves onto the bottom of the
+        # next lane, set by ``bottoms`` anyway, or onto the next guard bit,
+        # which ``& mask`` clears.
+        ph = (((mv | (mask ^ (xh | pv))) << 1) & mask) | bottoms
+        pv = (((pv & xh) << 1) | (mask ^ (xv | ph))) & mask
+        mv = ph & xv
+        steps.append((pv, mv))
+    cells = []
+    for s, text in enumerate(texts):
         n = len(text)
-        return [n + (pv & lane).bit_count() - (mv & lane).bit_count() for lane in self.lanes]
-
-
-def _ratio(a: str, b: str, distance: int) -> float:
-    """1 - distance / max(len); 1.0 when both strings are empty."""
-    longer = max(len(a), len(b))
-    return 1.0 - distance / longer if longer else 1.0
+        pv, mv = steps[n]
+        pv >>= 8 * size * s  # text s's block to the bottom
+        mv >>= 8 * size * s
+        cells.append([n + (pv & lane).bit_count() - (mv & lane).bit_count() for lane in lanes])
+    return cells
 
 
 def levenshtein_ratio(a: str, b: str) -> float:
@@ -97,24 +115,20 @@ def levenshtein_ratio(a: str, b: str) -> float:
         return 0.0
     if a == b:
         return 1.0
-    return _ratio(a, b, PackedPatterns([a]).distances(b)[0])
+    return 1.0 - pair_distances([a], [b])[0][0] / max(len(a), len(b))
 
 
-def _pair_ratio(ratios: dict[tuple[str, str], float], a: str, b: str) -> float:
-    """``levenshtein_ratio(a, b)``, worked out once per pair held in ``ratios``."""
-    ratio = ratios.get((a, b))
-    if ratio is None:
-        ratio = ratios[a, b] = levenshtein_ratio(a, b)
-    return ratio
-
-
-def _xpath_vector(path: str) -> tuple[Counter, float]:
-    """The '/'-token count vector of a path and its Euclidean norm."""
-    tokens = Counter(t for t in path.split("/") if t)
+def _xpath_vector(path: str) -> tuple[dict[str, int], float]:
+    """The '/'-token count vector of a path, in first-occurrence order, and its
+    Euclidean norm."""
+    tokens: dict[str, int] = {}
+    for t in path.split("/"):
+        if t:
+            tokens[t] = tokens.get(t, 0) + 1
     return tokens, math.sqrt(sum(v * v for v in tokens.values()))
 
 
-def _cosine(a: tuple[Counter, float], b: tuple[Counter, float]) -> float:
+def _cosine(a: tuple[dict[str, int], float], b: tuple[dict[str, int], float]) -> float:
     """Cosine similarity of two ``_xpath_vector`` results; 1.0 for two empty paths."""
     (ta, norm_a), (tb, norm_b) = a, b
     if not ta and not tb:
@@ -171,14 +185,23 @@ class DiffResult:
 
     @classmethod
     def from_dict(cls, d: dict) -> "DiffResult":
+        """The diff ``to_dict`` wrote; raises one of ``SHAPE_ERRORS`` unless
+        ``d`` holds exactly its keys, each a list of strings or an object
+        from string to string as ``to_dict`` writes it."""
+        require(dict, d)
+        if d.keys() != _DIFF_KEYS:
+            wrong = [f"missing key {k!r}" for k in sorted(_DIFF_KEYS - d.keys())]
+            wrong += [f"unknown key {k!r}" for k in sorted(d.keys() - _DIFF_KEYS)]
+            raise ValueError(", ".join(wrong))
+
         def ids(key: str) -> set[str]:
-            value = d.get(key, [])
+            value = d[key]
             require(list, value)
             require(str, *value)
             return set(value)
 
         def pairs(key: str) -> dict[str, str]:
-            value = d.get(key, {})
+            value = d[key]
             require(dict, value)
             require(str, *value, *value.values())
             return dict(value)
@@ -202,6 +225,10 @@ class DiffResult:
         return compact_json(self.to_dict())
 
 
+#: The keys of a diff document, which ``from_dict`` requires exactly.
+_DIFF_KEYS = frozenset(DiffResult().to_dict())
+
+
 # --- matching ------------------------------------------------------------
 
 
@@ -209,14 +236,25 @@ def _greedy_assign(candidates: list[tuple[float, int, str, str]]) -> dict[str, s
     """1-to-1 assignment, highest score first, ties by insertion (document) order."""
     assignment: dict[str, str] = {}
     taken: set[str] = set()
-    for _score, _order, base_id, upd_id in sorted(
-        candidates, key=lambda c: (-c[0], c[1])
-    ):
+    # a stable sort on score, highest first, keeps the order among equal scores
+    by_order = sorted(candidates, key=itemgetter(1))
+    for _score, _order, base_id, upd_id in sorted(by_order, key=itemgetter(0), reverse=True):
         if base_id in assignment or upd_id in taken:
             continue
         assignment[base_id] = upd_id
         taken.add(upd_id)
     return assignment
+
+
+_id = attrgetter("id")
+
+
+def _pair_ratio(ratios: dict[tuple[str, str], float], a: str, b: str) -> float:
+    """``levenshtein_ratio(a, b)``, worked out once per pair held in ``ratios``."""
+    ratio = ratios.get((a, b))
+    if ratio is None:
+        ratio = ratios[a, b] = levenshtein_ratio(a, b)
+    return ratio
 
 
 def _window_corresponds(
@@ -241,20 +279,40 @@ def _parents_paired(a: EwtgWidget, b: EwtgWidget, widget_pairs: dict[str, str]) 
 
 
 def _parent_depth_order(widgets: list[EwtgWidget]) -> list[EwtgWidget]:
-    """Parents before children so pairing can be checked incrementally."""
+    """Parents before children so pairing can be checked incrementally: by
+    depth, then id.
+
+    A widget's depth is the number of distinct widgets of ``widgets`` on its
+    parent chain.  Depth 0 holds the widgets whose parent is not among them,
+    and depth d + 1 the children of those at depth d.  A widget that no
+    depth reaches is on a parent cycle (which a window graph file may hold)
+    or below one, and its chain is walked, so a cycle counts whole.
+    """
     by_id = {w.id: w for w in widgets}
-
-    def depth(w: EwtgWidget) -> int:
-        d = 0
-        seen = set()
-        parent = w.parent_id
-        while parent in by_id and parent not in seen:
-            seen.add(parent)
-            d += 1
-            parent = by_id[parent].parent_id
-        return d
-
-    return sorted(widgets, key=lambda w: (depth(w), w.id))
+    children: dict[str, list[EwtgWidget]] = {}
+    level = []
+    for w in widgets:
+        if w.parent_id in by_id:
+            children.setdefault(w.parent_id, []).append(w)
+        else:
+            level.append(w)
+    levels = []
+    while level:
+        levels.append(level)
+        level = [child for w in level for child in children.get(w.id, ())]
+    if sum(map(len, levels)) < len(widgets):
+        reached = {w.id for level in levels for w in level}
+        for w in widgets:
+            if w.id in reached:
+                continue
+            seen = set()
+            parent = w.parent_id
+            while parent in by_id and parent not in seen:
+                seen.add(parent)
+                parent = by_id[parent].parent_id
+            levels.extend([] for _ in range(len(seen) + 1 - len(levels)))
+            levels[len(seen)].append(w)
+    return [w for level in levels for w in sorted(level, key=_id)]
 
 
 def _widget_candidates(
@@ -268,27 +326,40 @@ def _widget_candidates(
     """Correspondence candidates among one window pair's unpaired widgets.
 
     A pair corresponds with a single allowed exception: parent or class name.
-    The resource-id distances come from one packed pass per updated widget
-    over the ids of all base widgets; content descriptions and class names,
+    The resource-id distances come from one ``pair_distances`` pass over the
+    window pair: the ids of the base widgets are the patterns and those of
+    the updated widgets the texts.  Content descriptions and class names,
     which few distinct strings make up, take their ratios from ``ratios``.
     Candidates keep (base, updated) order.
     """
-    base_ids = PackedPatterns([bw.resource_id for bw in b_widgets])
-    rid_distances = [base_ids.distances(uw.resource_id) for uw in u_widgets]
+    rid_distances = pair_distances(
+        [bw.resource_id for bw in b_widgets], [uw.resource_id for uw in u_widgets]
+    )
     vectors = {p: _xpath_vector(p) for p in {w.xpath for w in (*b_widgets, *u_widgets)}}
+    updated = [
+        (uw, len(uw.resource_id), uw.content_description, vectors[uw.xpath], uw.class_name, row)
+        for uw, row in zip(u_widgets, rid_distances)
+    ]
     candidates = []
     for i, bw in enumerate(b_widgets):
-        for uw, distances in zip(u_widgets, rid_distances):
-            rid_sim = _ratio(bw.resource_id, uw.resource_id, distances[i])
+        b_len, b_cd, b_class = len(bw.resource_id), bw.content_description, bw.class_name
+        (b_tokens, b_norm) = b_vector = vectors[bw.xpath]
+        for uw, u_len, u_cd, u_vector, u_class, row in updated:
+            longer = b_len if b_len > u_len else u_len
+            rid_sim = 1.0 - row[i] / longer if longer else 1.0
             if rid_sim < lev_threshold:
                 continue
-            cd_sim = _pair_ratio(ratios, bw.content_description, uw.content_description)
+            cd_sim = ratios.get((b_cd, u_cd))
+            if cd_sim is None:
+                cd_sim = ratios[b_cd, u_cd] = levenshtein_ratio(b_cd, u_cd)
             if cd_sim < lev_threshold:
                 continue
-            xp_sim = _cosine(vectors[bw.xpath], vectors[uw.xpath])
+            xp_sim = _cosine(b_vector, u_vector)
             if xp_sim < xpath_threshold:
                 continue
-            class_sim = _pair_ratio(ratios, bw.class_name, uw.class_name)
+            class_sim = ratios.get((b_class, u_class))
+            if class_sim is None:
+                class_sim = ratios[b_class, u_class] = levenshtein_ratio(b_class, u_class)
             if class_sim >= lev_threshold:
                 score = (rid_sim + cd_sim + xp_sim + class_sim) / 4
             elif _parents_paired(bw, uw, widget_pairs):
@@ -299,31 +370,36 @@ def _widget_candidates(
     return candidates
 
 
-def _window_key(w: Window) -> tuple:
-    return (w.name, w.kind, w.class_name)
+_window_key = attrgetter("name", "kind", "class_name")
+_widget_key = attrgetter("resource_id", "class_name", "content_description", "xpath")
 
 
-def _widget_key(w: EwtgWidget) -> tuple:
-    return (w.resource_id, w.class_name, w.content_description, w.xpath)
-
-
-def _by_key(elements: list, key) -> dict[tuple, list]:
-    """Elements grouped by ``key``, each group in the order of ``elements``."""
+def _by_key(elements: list, keys) -> dict[tuple, list]:
+    """Elements grouped by their ``keys``, each group in the order of ``elements``."""
     groups: dict[tuple, list] = {}
-    for element in elements:
-        groups.setdefault(key(element), []).append(element)
+    for element, key in zip(elements, keys):
+        group = groups.get(key)
+        if group is None:
+            groups[key] = [element]
+        else:
+            group.append(element)
     return groups
 
 
 def _static_windows(ewtg: Ewtg) -> list[Window]:
-    return sorted((w for w in ewtg.windows.values() if not w.runtime_created), key=lambda w: w.id)
+    return sorted((w for w in ewtg.windows.values() if not w.runtime_created), key=_id)
 
 
 def _static_widgets_by_window(ewtg: Ewtg, windows: list[Window]) -> dict[str, list[EwtgWidget]]:
+    """The static widgets of each of ``windows``, in id order."""
     by_window: dict[str, list[EwtgWidget]] = {w.id: [] for w in windows}
-    for widget in sorted(ewtg.widgets.values(), key=lambda w: w.id):
-        if not widget.runtime_created and widget.window_id in by_window:
-            by_window[widget.window_id].append(widget)
+    for widget in ewtg.widgets.values():
+        if not widget.runtime_created:
+            group = by_window.get(widget.window_id)
+            if group is not None:
+                group.append(widget)
+    for group in by_window.values():
+        group.sort(key=_id)
     return by_window
 
 
@@ -334,21 +410,22 @@ def _static_transitions(
 
     A transition's source window is its input's window.
     """
-    window_ids = {w.id for w in windows}
+    window_ids = set(map(_id, windows))
+    inputs, widgets = ewtg.inputs, ewtg.widgets
     out = []
     for wt in ewtg.window_transitions.values():
-        inp = ewtg.inputs.get(wt.input_id)
-        if inp is None:
+        inp = inputs.get(wt.input_id)
+        if inp is None or inp.window_id not in window_ids:
             continue
-        if inp.window_id not in window_ids or wt.destination_window_id not in window_ids:
+        if wt.destination_window_id not in window_ids:
             continue
         if inp.widget_id is not None:
-            widget = ewtg.widgets.get(inp.widget_id)
+            widget = widgets.get(inp.widget_id)
             if widget is None or widget.runtime_created:
                 continue
-        out.append((wt, inp))
-    out.sort(key=lambda t: (t[1].window_id, t[0].id))
-    return out
+        out.append((inp.window_id, wt.id, wt, inp))
+    out.sort()  # (window, id) is unique, so the sort never compares records
+    return [(wt, inp) for _, _, wt, inp in out]
 
 
 @without_gc
@@ -365,16 +442,17 @@ def diff_ewtg(
     # Windows: exact on all attributes, then correspondence.
     base_windows = _static_windows(base)
     upd_windows = _static_windows(updated)
-    upd_by_key = _by_key(upd_windows, _window_key)
-    for bw in base_windows:
-        same_key = upd_by_key.get(_window_key(bw))
+    upd_by_key = _by_key(upd_windows, map(_window_key, upd_windows))
+    matched_windows = result.matched_windows
+    for bw, key in zip(base_windows, map(_window_key, base_windows)):
+        same_key = upd_by_key.get(key)
         if same_key:
-            result.matched_windows[bw.id] = same_key.pop(0).id
-    matched_upd = set(result.matched_windows.values())
+            matched_windows[bw.id] = same_key.pop(0).id
+    matched_upd = set(matched_windows.values())
     unmatched_upd = [uw for uw in upd_windows if uw.id not in matched_upd]
     candidates = []
     for bw in base_windows:
-        if bw.id in result.matched_windows:
+        if bw.id in matched_windows:
             continue
         for uw in unmatched_upd:
             score = _window_corresponds(bw, uw, lev_threshold, ratios)
@@ -386,24 +464,31 @@ def diff_ewtg(
     # Widgets: matched inside paired windows only, exact pass then correspondence.
     base_by_window = _static_widgets_by_window(base, base_windows)
     upd_by_window = _static_widgets_by_window(updated, upd_windows)
+    matched_widgets = result.matched_widgets
     widget_pairs: dict[str, str] = {}
     for base_win_id, upd_win_id in sorted(window_pairs.items()):
         # parent-depth ordering guarantees parents are paired first
         b_widgets = _parent_depth_order(base_by_window[base_win_id])
-        upd_by_key = _by_key(upd_by_window[upd_win_id], _widget_key)
+        u_widgets = upd_by_window[upd_win_id]
+        upd_by_key = _by_key(u_widgets, map(_widget_key, u_widgets))
         matched_upd = set()
-        for bw in b_widgets:
-            same_key = upd_by_key.get(_widget_key(bw), ())
+        for bw, key in zip(b_widgets, map(_widget_key, b_widgets)):
+            same_key = upd_by_key.get(key)
+            if not same_key:
+                continue
+            # the parent id its match must have (``_parents_paired``): none,
+            # or the pair of its own; False, which no id equals, when unpaired
+            parent = bw.parent_id
+            parent = None if parent is None else widget_pairs.get(parent, False)
             for i, uw in enumerate(same_key):
-                if _parents_paired(bw, uw, widget_pairs):
-                    result.matched_widgets[bw.id] = uw.id
-                    widget_pairs[bw.id] = uw.id
+                if uw.parent_id == parent:
+                    matched_widgets[bw.id] = widget_pairs[bw.id] = uw.id
                     matched_upd.add(uw.id)
                     del same_key[i]
                     break
         candidates = _widget_candidates(
-            [bw for bw in b_widgets if bw.id not in result.matched_widgets],
-            [uw for uw in upd_by_window[upd_win_id] if uw.id not in matched_upd],
+            [bw for bw in b_widgets if bw.id not in matched_widgets],
+            [uw for uw in u_widgets if uw.id not in matched_upd],
             widget_pairs,
             lev_threshold,
             xpath_threshold,
@@ -419,7 +504,8 @@ def diff_ewtg(
     base_transitions = _static_transitions(base, base_windows)
     upd_transitions = _static_transitions(updated, upd_windows)
     by_trigger = _by_key(
-        upd_transitions, lambda t: (t[1].window_id, t[1].action_type, t[1].widget_id)
+        upd_transitions,
+        [(inp.window_id, inp.action_type, inp.widget_id) for _, inp in upd_transitions],
     )
     for bt, inp in base_transitions:
         src_pair = window_pairs.get(inp.window_id)
@@ -437,15 +523,17 @@ def diff_ewtg(
             result.replaced_transitions[bt.id] = ut.id
 
     # Whatever is left unpaired on either side was deleted or added.
-    base_widgets = {w.id for ws in base_by_window.values() for w in ws}
-    upd_widgets = {w.id for ws in upd_by_window.values() for w in ws}
     transition_pairs = {**result.matched_transitions, **result.replaced_transitions}
-    result.deleted_windows = {w.id for w in base_windows} - window_pairs.keys()
-    result.added_windows = {w.id for w in upd_windows} - set(window_pairs.values())
-    result.deleted_widgets = base_widgets - widget_pairs.keys()
-    result.added_widgets = upd_widgets - set(widget_pairs.values())
-    result.deleted_transitions = {t.id for t, _ in base_transitions} - transition_pairs.keys()
-    result.added_transitions = {t.id for t, _ in upd_transitions} - set(
+    result.deleted_windows = set(map(_id, base_windows)).difference(window_pairs)
+    result.added_windows = set(map(_id, upd_windows)).difference(window_pairs.values())
+    result.deleted_widgets = {
+        w.id for ws in base_by_window.values() for w in ws
+    }.difference(widget_pairs)
+    result.added_widgets = {
+        w.id for ws in upd_by_window.values() for w in ws
+    }.difference(widget_pairs.values())
+    result.deleted_transitions = {t.id for t, _ in base_transitions}.difference(transition_pairs)
+    result.added_transitions = {t.id for t, _ in upd_transitions}.difference(
         transition_pairs.values()
     )
     return result

@@ -485,61 +485,50 @@ def export_ewtg(spec: AppSpec, version: str) -> Ewtg:
     """Static model of one version, blind to dynamic-only elements."""
     v = spec.versions[spec.version_index(version)]
     ewtg = Ewtg()
+    windows, widgets = ewtg.windows, ewtg.widgets
     for window in v.windows.values():
         if window.dynamic_only:
             continue
-        ewtg.windows[window.id] = Window(
-            id=window.id,
-            name=window.name,
-            kind=window.kind,
-            class_name=window.class_name,
-        )
+        window_id = window.id
+        windows[window_id] = Window(window_id, window.name, window.kind, window.class_name)
         if window.launcher:
-            ewtg.launcher_window_id = window.id
-        for widget in window.widgets.values():
+            ewtg.launcher_window_id = window_id
+        specs = window.widgets
+        for widget in specs.values():
             if widget.dynamic_only:
                 continue
             parent = widget.parent
-            if parent is not None and window.widgets[parent].dynamic_only:
+            if parent is not None and specs[parent].dynamic_only:
                 parent = None
-            ewtg.widgets[widget.id] = EwtgWidget(
-                id=widget.id,
-                window_id=window.id,
-                class_name=widget.class_name,
-                resource_id=widget.resource_id,
-                content_description=widget.content_description,
-                xpath=widget.xpath,
-                parent_id=parent,
+            widgets[widget.id] = EwtgWidget(
+                widget.id,
+                window_id,
+                widget.class_name,
+                widget.resource_id,
+                widget.content_description,
+                widget.xpath,
+                parent,
             )
-    for inp in sorted(v.inputs.values(), key=lambda i: i.id):
-        if inp.window not in ewtg.windows:
+    handlers = v.handlers
+    for inp in sorted(v.inputs.values(), key=operator.attrgetter("id")):
+        if inp.window not in windows:
             continue
-        if inp.widget is not None and inp.widget not in ewtg.widgets:
+        if inp.widget is not None and inp.widget not in widgets:
             continue
-        methods = set()
-        if inp.handler is not None:
-            methods.add(v.handlers[inp.handler].method_id)
-        ewtg.inputs[inp.id] = Input(
-            id=inp.id,
-            window_id=inp.window,
-            widget_id=inp.widget,
-            action_type=inp.action_type,
-            handler_method_ids=methods,
-        )
-        if inp.handler is not None:
-            for ci, cmd in enumerate(v.handlers[inp.handler].body):
-                if cmd.hidden:
+        handler = None if inp.handler is None else handlers[inp.handler]
+        methods = set() if handler is None else {handler.method_id}
+        ewtg.inputs[inp.id] = Input(inp.id, inp.window, inp.action_type, inp.widget, methods)
+        if handler is None:
+            continue
+        for ci, cmd in enumerate(handler.body):
+            if cmd.hidden:
+                continue
+            for effect in cmd.effects:
+                dest = effect.get("goto")
+                if dest is None or dest not in windows:
                     continue
-                for effect in cmd.effects:
-                    dest = effect.get("goto")
-                    if dest is None or dest not in ewtg.windows:
-                        continue
-                    tid = f"wt-{inp.id}-{ci}-{dest}"
-                    ewtg.window_transitions[tid] = WindowTransition(
-                        id=tid,
-                        destination_window_id=dest,
-                        input_id=inp.id,
-                    )
+                tid = f"wt-{inp.id}-{ci}-{dest}"
+                ewtg.window_transitions[tid] = WindowTransition(tid, dest, inp.id)
     return ewtg
 
 

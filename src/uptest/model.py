@@ -213,7 +213,7 @@ def action_cost(action_type: ActionType) -> int:
     return 10 if action_type == ActionType.RESET_APP else 1
 
 
-@dataclass
+@dataclass(slots=True)
 class Window:
     id: str
     name: str
@@ -234,7 +234,7 @@ class Window:
         return cls(id_, name, _WINDOW_KINDS[kind], class_name, runtime_created)
 
 
-@dataclass
+@dataclass(slots=True)
 class EwtgWidget:
     id: str
     window_id: str
@@ -286,7 +286,7 @@ class EwtgWidget:
         return w
 
 
-@dataclass
+@dataclass(slots=True)
 class Input:
     id: str
     window_id: str
@@ -319,7 +319,7 @@ class Input:
         return cls(id_, window_id, _ACTION_TYPES[action_type], widget_id, set(handler_method_ids))
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowTransition:
     id: str
     destination_window_id: str

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from uptest.model import GuiNode
 
 
@@ -78,8 +76,3 @@ def path_of(root: GuiNode, widget_ref: str):
         if node.widget_ref == widget_ref:
             return path
     raise AssertionError(f"no node references widget {widget_ref}")
-
-
-@pytest.fixture
-def node_factory():
-    return make_node

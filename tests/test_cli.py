@@ -14,7 +14,7 @@ from uptest.cli import build_parser, compare_runs, main
 from uptest.config import ConfigError, EngineConfig, load_config
 from uptest.diff import DiffResult
 from uptest.harness import export_ewtg, load_spec
-from uptest.model import AppModel, deserialize_model, serialize_model
+from uptest.model import SHAPE_ERRORS, AppModel, deserialize_model, serialize_model
 
 from uptest import fixture_path
 
@@ -468,6 +468,14 @@ def test_adapt_rejects_a_malformed_diff(tmp_path, capsys):
     assert "malformed diff" in capsys.readouterr().err
 
 
+def written_diff(tmp_path) -> dict:
+    """The diff document ``uptest diff`` writes for the diary's v0 and v1."""
+    out = tmp_path / "written-diff.json"
+    assert main(["diff", str(write_ewtg(tmp_path, "v0")), str(write_ewtg(tmp_path, "v1")),
+                 "--out", str(out)]) == 0
+    return json.loads(out.read_bytes())
+
+
 @pytest.mark.parametrize("diff_doc", [
     {"matchedWindows": {"edit": ["x"]}},
     {"matchedWidgets": ["ab", "cd"]},  # dict() would read it as {"a": "b", "c": "d"}
@@ -477,14 +485,42 @@ def test_adapt_rejects_a_malformed_diff(tmp_path, capsys):
     {"deletedWindows": {"main": "main"}},
 ])
 def test_adapt_rejects_diff_fields_of_the_wrong_shape(tmp_path, capsys, diff_doc):
+    # each case is the written diff with one field wrong, so it fails for that field
+    doc = written_diff(tmp_path)
+    DiffResult.from_dict(doc)
+    doc.update(diff_doc)
+    with pytest.raises(SHAPE_ERRORS):
+        DiffResult.from_dict(doc)
     model = write_base_model(tmp_path)
-    good = write_ewtg(tmp_path, "v0")
-    bad = write_text(tmp_path, "diff.json", json.dumps(diff_doc))
+    good = write_ewtg(tmp_path, "v1")
+    bad = write_text(tmp_path, "diff.json", json.dumps(doc))
     out = tmp_path / "out.json"
     assert main(["adapt", str(model), str(good), str(bad), "--out", str(out),
                  "--version", "v1"]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: malformed diff") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("change, named", [
+    (lambda doc: doc.pop("matchedWindows"), "missing key 'matchedWindows'"),
+    (lambda doc: doc.update(matchedWindow=doc.pop("matchedWindows")),
+     "missing key 'matchedWindows', unknown key 'matchedWindow'"),
+    (lambda doc: doc.update(comment="extra"), "unknown key 'comment'"),
+], ids=["missing", "misspelled", "unknown"])
+def test_adapt_rejects_a_diff_without_exactly_the_written_keys(tmp_path, capsys, change, named):
+    # a misspelled key once loaded as a partial diff, and adaptation carried less
+    doc = written_diff(tmp_path)
+    change(doc)
+    model = write_base_model(tmp_path)
+    good = write_ewtg(tmp_path, "v1")
+    bad = write_text(tmp_path, "diff.json", json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["adapt", str(model), str(good), str(bad), "--out", str(out),
+                 "--version", "v1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: malformed diff") and err.count("\n") == 1
+    assert named in err
     assert not out.exists()
 
 

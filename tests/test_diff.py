@@ -11,12 +11,13 @@ import pytest
 
 from uptest.diff import (
     DiffResult,
-    PackedPatterns,
     _cosine,
     _greedy_assign,
+    _parent_depth_order,
     _xpath_vector,
     diff_ewtg,
     levenshtein_ratio,
+    pair_distances,
 )
 from uptest.harness import export_ewtg, load_spec
 from uptest.model import (
@@ -89,14 +90,16 @@ def test_levenshtein_ratio_matches_oracle_on_random_strings():
 
 
 def test_packed_distances_match_oracle_in_every_lane():
+    # ``pair_distances`` packs the patterns in lanes, one block per text
     rng = random.Random(11)
 
     def word(alphabet, low, high):
         return "".join(rng.choice(alphabet) for _ in range(rng.randrange(low, high + 1)))
 
-    # up to 25 lanes of up to 80 characters cross many 64-bit words; a
-    # repeated pattern gets a lane of its own, and an empty one (the diff
-    # packs empty resource ids too) a lane of no bits
+    # up to 25 lanes of up to 80 characters make blocks of many 64-bit
+    # words; a repeated pattern gets a lane of its own, and an empty one
+    # (the diff packs empty resource ids too) a lane of no bits
+    cases = []
     for alphabet in ("ab", "abcde", "aé日_"):
         for _ in range(12):
             patterns = []
@@ -107,11 +110,58 @@ def test_packed_distances_match_oracle_in_every_lane():
                     patterns.append(word(alphabet, 1, 80))
             if rng.random() < 0.3:
                 patterns[rng.randrange(len(patterns))] = ""
-            packed = PackedPatterns(patterns)
-            for _ in range(2):
-                text = word(alphabet, 0, 80)
-                expected = [edit_distance_oracle(p, text) for p in patterns]
-                assert packed.distances(text) == expected, (patterns, text)
+            texts = [word(alphabet, 0, 80) for _ in range(2)]
+            cases.append((patterns, texts))
+            cases.extend((patterns, [text]) for text in texts)  # a single text
+    # many texts of unequal lengths, the empty one among them, against
+    # blocks of 1 to 200 bits: a text that ends early is read at its own
+    # step while the longer ones run on
+    rng = random.Random(12)
+    for alphabet in ("ab", "abcde", "aé日_"):
+        for _ in range(12):
+            patterns = [word(alphabet, 0, 40) for _ in range(rng.randrange(1, 6))]
+            texts = [word(alphabet, 0, 60) for _ in range(rng.randrange(2, 12))]
+            texts.insert(rng.randrange(len(texts) + 1), "")
+            cases.append((patterns, texts))
+    cases += [
+        ([""], ["", "a", "abc"]),  # an empty pattern: the distance is the text's length
+        (["", "ab", ""], ["ba", ""]),
+        (["a" * 70], ["a" * 69 + "b", "a"]),  # a lane wider than 64 bits
+        (["ab", "abc"], []),  # no text
+        ([], ["abc", ""]),  # no pattern
+    ]
+    for patterns, texts in cases:
+        expected = [[edit_distance_oracle(p, t) for p in patterns] for t in texts]
+        assert pair_distances(patterns, texts) == expected, (patterns, texts)
+
+
+def test_parent_depth_order_puts_each_parent_first_and_counts_a_cycle_whole():
+    def widget(wid, parent):
+        return EwtgWidget(wid, "w", "View", wid, "", f"/{wid}", parent_id=parent)
+
+    def walked(widgets):
+        """Independent restatement: each widget's depth is the number of
+        distinct widgets on its parent chain."""
+        by_id = {w.id: w for w in widgets}
+
+        def depth(w):
+            seen = []
+            parent = w.parent_id
+            while parent in by_id and parent not in seen:
+                seen.append(parent)
+                parent = by_id[parent].parent_id
+            return len(seen)
+
+        return sorted(widgets, key=lambda w: (depth(w), w.id))
+
+    rng = random.Random(5)
+    for _ in range(300):
+        ids = [f"x{i}" for i in range(rng.randrange(1, 12))]
+        # parents among the widgets (cycles included), outside them, or none
+        widgets = [
+            widget(wid, rng.choice([None, "elsewhere", *ids])) for wid in sorted(ids)
+        ]
+        assert _parent_depth_order(widgets) == walked(widgets), widgets
 
 
 def xpath_similarity(a: str, b: str) -> float:
