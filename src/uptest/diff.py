@@ -5,16 +5,19 @@ one pass: windows first, then widgets inside paired windows, then
 transitions.  Each kind gets an exact pass (matched) and a greedy assignment
 of correspondence candidates scored by string similarity (replaced), which
 is the exact Levenshtein ratio computed with a bit-parallel edit distance.
-Inside a window pair the resource ids of all unpaired base widgets are
-packed side by side, one lane each, into one integer, so one pass over an
-unpaired updated widget's id yields its distance to every one of them; each
-widget's xpath token vector is built once, and each distinct pair of names,
-class names or content descriptions is compared once per diff.  Transitions
-pair on the same trigger instead, and the destination decides matched or
-replaced.  Whatever is left unpaired is deleted (base side) or
-added (updated side).  Runtime-discovered elements, and transitions that
-reference them, are excluded on both sides so that they are never reported
-as deletions.
+``pair_distances`` is the one edit-distance kernel: inside a window pair it
+packs the resource ids of all unpaired base widgets side by side, one lane
+each, into a block, holds one copy of the block per unpaired updated widget
+in one integer, and runs one integer update per character step for all of
+them, so one pass yields every (updated, base) distance of the pair.  Every
+distance it returns is exact, read where its text ended, and so is every
+ratio built from one.  Each widget's xpath token vector is built once per
+window pair, and each distinct pair of names, class names or content
+descriptions is compared once per diff.  Transitions pair on the same
+trigger instead, and the destination decides matched or replaced.
+Whatever is left unpaired is deleted (base side) or added (updated side).
+Runtime-discovered elements, and transitions that reference them, are
+excluded on both sides so that they are never reported as deletions.
 """
 
 from __future__ import annotations
@@ -116,6 +119,14 @@ def levenshtein_ratio(a: str, b: str) -> float:
     if a == b:
         return 1.0
     return 1.0 - pair_distances([a], [b])[0][0] / max(len(a), len(b))
+
+
+def _pair_ratio(ratios: dict[tuple[str, str], float], a: str, b: str) -> float:
+    """``levenshtein_ratio(a, b)``, worked out once per pair held in ``ratios``."""
+    ratio = ratios.get((a, b))
+    if ratio is None:
+        ratio = ratios[a, b] = levenshtein_ratio(a, b)
+    return ratio
 
 
 def _xpath_vector(path: str) -> tuple[dict[str, int], float]:
@@ -246,17 +257,6 @@ def _greedy_assign(candidates: list[tuple[float, int, str, str]]) -> dict[str, s
     return assignment
 
 
-_id = attrgetter("id")
-
-
-def _pair_ratio(ratios: dict[tuple[str, str], float], a: str, b: str) -> float:
-    """``levenshtein_ratio(a, b)``, worked out once per pair held in ``ratios``."""
-    ratio = ratios.get((a, b))
-    if ratio is None:
-        ratio = ratios[a, b] = levenshtein_ratio(a, b)
-    return ratio
-
-
 def _window_corresponds(
     a: Window, b: Window, threshold: float, ratios: dict[tuple[str, str], float]
 ) -> Optional[float]:
@@ -343,7 +343,7 @@ def _widget_candidates(
     candidates = []
     for i, bw in enumerate(b_widgets):
         b_len, b_cd, b_class = len(bw.resource_id), bw.content_description, bw.class_name
-        (b_tokens, b_norm) = b_vector = vectors[bw.xpath]
+        b_vector = vectors[bw.xpath]
         for uw, u_len, u_cd, u_vector, u_class, row in updated:
             longer = b_len if b_len > u_len else u_len
             rid_sim = 1.0 - row[i] / longer if longer else 1.0
@@ -370,6 +370,7 @@ def _widget_candidates(
     return candidates
 
 
+_id = attrgetter("id")
 _window_key = attrgetter("name", "kind", "class_name")
 _widget_key = attrgetter("resource_id", "class_name", "content_description", "xpath")
 
