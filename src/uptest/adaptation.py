@@ -1,20 +1,19 @@
 """Carry a learned model over to a new app version.
 
-The base model's learned state graph is copied once and rewritten according
-to the diff.  States and AVMs whose window or widget the diff does not pair
-(deleted, or created at runtime and so never compared) are dropped and the
-rest rebound to their counterparts; a state goes with every transition into,
-out of or guarded by it.  Then a single pass over the transitions, in the new
-version's ids, drops those whose widget lost its AVM and the learned
-instances of deleted or replaced window transitions, and rebinds the rest to
-their widget's pair; and anything left disconnected from the launcher
-window's states is pruned.  The session trace is not carried over, and the
-static layer is the new version's window graph itself, not a copy.
+The adapted model takes over both layers it is made from: the new version's
+window graph as its static layer, and the base model's learned state graph,
+rewritten in place according to the diff.  States and AVMs whose window or
+widget the diff does not pair (deleted, or created at runtime and so never
+compared) are dropped and the rest rebound to their counterparts; a state
+goes with every transition into, out of or guarded by it.  Then a single
+pass over the transitions, in the new version's ids, drops those whose
+widget lost its AVM and the learned instances of deleted or replaced window
+transitions, and rebinds the rest to their widget's pair; and anything left
+disconnected from the launcher window's states is pruned.  The session trace
+is not carried over.
 """
 
 from __future__ import annotations
-
-import copy
 
 from .diff import DiffResult
 from .model import AppModel, Dstg, Ewtg, Gstg, bind_widget, validate_integrity, without_gc
@@ -24,8 +23,8 @@ class AdaptationError(Exception):
     pass
 
 
-def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Dstg:
-    """Apply the diff to the given learned state graph in place and return it.
+def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> None:
+    """Apply the diff to the given learned state graph in place.
 
     ``ewtg`` is the updated version's window graph and ``base_ewtg`` the one
     the learned graph was built on.
@@ -89,7 +88,6 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> Ds
 
     # (f) drop components not containing a launcher-window state
     _prune_disconnected(dstg, ewtg.launcher_window_id)
-    return dstg
 
 
 def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
@@ -123,12 +121,13 @@ def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
 def adapt_model(base: AppModel, updated_ewtg: Ewtg, diff: DiffResult, version: str) -> AppModel:
     """Produce the model of the updated version ``version`` to start its session from.
 
-    The returned model takes ownership of ``updated_ewtg``: it becomes the
-    model's static layer as is, and the session run on the model adds its
-    runtime-discovered windows and widgets to it.  Pass a window graph that
-    nothing else holds, such as a fresh ``export_ewtg`` result, and do not
-    use it afterwards.  ``base`` is not changed; its learned state graph is
-    copied.
+    The returned model takes ownership of both of its layers.  ``updated_ewtg``
+    becomes its static layer as is, and the session run on the model adds its
+    runtime-discovered windows and widgets to it; pass a window graph that
+    nothing else holds, such as a fresh ``export_ewtg`` result.  ``base.dstg``
+    is rewritten in place and becomes its learned layer.  Use neither
+    ``base`` nor ``updated_ewtg`` afterwards, also when this raises
+    ``AdaptationError``: the base's learned graph may then be half rewritten.
     """
     for base_id in diff.replaced_windows:
         if base_id not in base.ewtg.windows:
@@ -137,13 +136,12 @@ def adapt_model(base: AppModel, updated_ewtg: Ewtg, diff: DiffResult, version: s
         if upd_id not in updated_ewtg.windows:
             raise AdaptationError(f"diff references unknown updated window {upd_id}")
 
-    dstg = copy.deepcopy(base.dstg)
-    update_dstg(dstg, diff, updated_ewtg, base.ewtg)
+    update_dstg(base.dstg, diff, updated_ewtg, base.ewtg)
 
     model = AppModel(
         version=version,
         ewtg=updated_ewtg,
-        dstg=dstg,
+        dstg=base.dstg,
         gstg=Gstg(),
         diff_context={
             "addedWidgets": sorted(diff.added_widgets),

@@ -66,15 +66,9 @@ def _budget(args) -> int:
 
 
 def _targets_for(spec: AppSpec, version: str, first: bool) -> TargetSet:
-    methods = (
-        set(method_instruction_counts(spec, version))
-        if first
-        else updated_methods(spec, version)
-    )
-    return TargetSet(
-        target_method_ids=methods,
-        instruction_counts=method_instruction_counts(spec, version),
-    )
+    counts = method_instruction_counts(spec, version)
+    methods = set(counts) if first else updated_methods(spec, version)
+    return TargetSet(target_method_ids=methods, instruction_counts=counts)
 
 
 def _targets_from_file(path: str, version: str) -> TargetSet:
@@ -254,7 +248,6 @@ def pipeline_run(
             config=config,
             **_session_kwargs(spec, version),
         )
-        model = result.model
         prune_unvisited(model, result.observed_state_ids)
         replay_flag_obsolete(model, DriverSession(spec, version, seed=seed + 1))
         model_path = workdir / f"model_{version}.json"

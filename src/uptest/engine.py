@@ -151,18 +151,15 @@ class SessionResult:
         total = targets.total_target_instructions
         covered = self.ledger.covered_target_instructions(targets)
         n_methods = len(targets.target_method_ids)
+        covered_methods = self.ledger.covered_target_methods(targets)
         return {
             "summary": {
                 "version": self.model.version,
                 "executedActions": self.executed_actions,
                 "utaCount": len(self.utas),
                 "targetMethodCount": n_methods,
-                "coveredTargetMethods": self.ledger.covered_target_methods(targets),
-                "targetMethodCoverage": (
-                    self.ledger.covered_target_methods(targets) / n_methods
-                    if n_methods
-                    else 0.0
-                ),
+                "coveredTargetMethods": covered_methods,
+                "targetMethodCoverage": covered_methods / n_methods if n_methods else 0.0,
                 "totalTargetInstructions": total,
                 "coveredTargetInstructions": covered,
                 "targetInstructionCoverage": covered / total if total else 0.0,
@@ -792,7 +789,7 @@ def propagate_obsolescence(
     missed: set[str],
     reached: set[str],
     scope_window_ids: Optional[set[str]] = None,
-) -> AppModel:
+) -> None:
     """Flag each session-created state that a planned step expected and missed
     and none reached; with ``scope_window_ids``, only states of those windows
     (windows already known to shed states quickly)."""
@@ -803,4 +800,3 @@ def propagate_obsolescence(
         if scope_window_ids is not None and state.window_id not in scope_window_ids:
             continue
         state.obsolete = True
-    return model

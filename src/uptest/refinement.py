@@ -19,7 +19,7 @@ from .harness import DriverRejection
 from .model import AbstractState, Action, AppModel
 
 
-def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppModel:
+def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> None:
     """Drop never-observed states of windows that the session did visit,
     but not the guard state of a transition that keeps both its ends."""
     observed = set(observed_state_ids)
@@ -47,10 +47,9 @@ def prune_unvisited(model: AppModel, observed_state_ids: Iterable[str]) -> AppMo
             break
         doomed -= guards
     dstg.drop_states(doomed)
-    return model
 
 
-def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
+def replay_flag_obsolete(model: AppModel, driver) -> None:
     """Re-run the recorded trace; expected states that fail to reappear are flagged.
 
     Each step performs its transition's action on its node and expects its
@@ -58,12 +57,12 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
     """
     trace = model.gstg.trace
     if not trace:
-        return model
+        return
     try:
         driver.reset()
     except Exception as exc:  # pragma: no cover - defensive
         warnings.warn(f"replay aborted at reset: {exc}")
-        return model
+        return
     dstg = model.dstg
     observer = Observer(dstg.abstract_states)
     # (transition id, node path) -> the step's action and expected state
@@ -83,9 +82,8 @@ def replay_flag_obsolete(model: AppModel, driver) -> AppModel:
             continue
         except Exception as exc:
             warnings.warn(f"replay aborted mid-trace: {exc}")
-            return model
+            return
         screen, _ = observer.screen(result)
         # the observer hands out one object per key
         if screen.state_key(LEVELS[expected.abstraction_level]) is not observer.key(expected):
             expected.obsolete = True
-    return model

@@ -27,6 +27,7 @@ from uptest.model import (
     Window,
     WindowKind,
     bind_widget,
+    serialize_model,
     validate_integrity,
 )
 from uptest.planner import plan_to_target
@@ -110,34 +111,31 @@ def test_adapt_with_empty_diff_preserves_the_learned_graph():
     base = diary_base_model()
     spec = load_spec(fixture_path("diary"))
     same_ewtg = export_ewtg(spec, "v0")
+    learned = base.dstg.to_dict()
     adapted = adapt_model(base, same_ewtg, diff_ewtg(base.ewtg, same_ewtg), version="v0")
-    assert adapted.dstg == base.dstg
+    assert adapted.dstg.to_dict() == learned
 
 
-def test_adapt_does_not_mutate_the_base_model():
+def test_adapted_model_takes_the_learned_graph_without_copying_it():
     base = diary_base_model()
-    snapshot = copy.deepcopy(base.to_dict())
     spec = load_spec(fixture_path("diary"))
-    adapt_model(base, export_ewtg(spec, "v1"), diary_diff(), version="v1")
-    assert base.to_dict() == snapshot
+    adapted = adapt_model(base, export_ewtg(spec, "v1"), diary_diff(), version="v1")
+    assert adapted.dstg is base.dstg
 
 
 def test_adapted_model_takes_the_updated_window_graph_without_copying_it():
     base = diary_base_model()
-    snapshot = copy.deepcopy(base.to_dict())
     updated_ewtg = export_ewtg(load_spec(fixture_path("diary")), "v1")
     adapted = adapt_model(base, updated_ewtg, diary_diff(), version="v1")
     assert adapted.ewtg is updated_ewtg
-    assert adapted.dstg is not base.dstg
-    assert base.to_dict() == snapshot
 
 
 def test_deleted_window_drops_states_and_edges():
     base = diary_base_model()
     diff = DiffResult(deleted_windows={"edit"}, matched_windows={"main": "main"})
-    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg, base.ewtg)
-    assert "s2" not in updated.abstract_states
-    assert updated.abstract_transitions == {}
+    update_dstg(base.dstg, diff, base.ewtg, base.ewtg)
+    assert "s2" not in base.dstg.abstract_states
+    assert base.dstg.abstract_transitions == {}
 
 
 def test_disconnected_component_is_pruned():
@@ -148,9 +146,9 @@ def test_disconnected_component_is_pruned():
         matched_windows={"main": "main", "edit": "edit"},
         matched_widgets={w: w for w in ("w3", "w6", "w7", "w10")},
     )
-    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg, base.ewtg)
-    assert "s9" not in updated.abstract_states
-    assert {"s1", "s2"} <= set(updated.abstract_states)
+    update_dstg(base.dstg, diff, base.ewtg, base.ewtg)
+    assert "s9" not in base.dstg.abstract_states
+    assert {"s1", "s2"} <= set(base.dstg.abstract_states)
 
 
 def test_a_guard_state_stays_with_the_edge_it_guards():
@@ -163,9 +161,9 @@ def test_a_guard_state_stays_with_the_edge_it_guards():
         matched_windows={"main": "main", "edit": "edit"},
         matched_widgets={w: w for w in ("w3", "w6", "w7", "w10")},
     )
-    updated = update_dstg(copy.deepcopy(base.dstg), diff, base.ewtg, base.ewtg)
-    assert set(updated.abstract_states) == {"s1", "s2", "g"}
-    assert updated.abstract_transitions["at1"].layout_guard == "g"
+    update_dstg(base.dstg, diff, base.ewtg, base.ewtg)
+    assert set(base.dstg.abstract_states) == {"s1", "s2", "g"}
+    assert base.dstg.abstract_transitions["at1"].layout_guard == "g"
 
 
 def states_linked_to_a_launcher_state(model: AppModel) -> set[str]:
@@ -300,11 +298,12 @@ def test_a_learned_transition_survives_exactly_when_its_ends_avm_and_trigger_do(
             inp = base_ewtg.inputs[base_ewtg.window_transitions[wt_id].input_id]
             doomed.add((inp.window_id, inp.widget_id, inp.action_type))
         widget_mapping = diff.widget_mapping()
+        learned = copy.deepcopy(base.dstg)  # adapting rewrites base.dstg
         adapted = adapt_model(base, updated_ewtg, diff, version="v1")
         states = adapted.dstg.abstract_states
         expected = set()
-        for tr in base.dstg.abstract_transitions.values():
-            src = base.dstg.abstract_states[tr.source_state_id]
+        for tr in learned.abstract_transitions.values():
+            src = learned.abstract_states[tr.source_state_id]
             trigger = (src.window_id, tr.widget_id, tr.action_type)
             survives = (
                 src.id in states
@@ -324,6 +323,23 @@ def test_a_learned_transition_survives_exactly_when_its_ends_avm_and_trigger_do(
         assert validate_integrity(adapted) == []
     # the trigger alone drops transitions, some of them on renamed elements
     assert doomed_only > 10 and renamed > 0
+
+
+def test_adapting_in_place_matches_adapting_deep_copies():
+    spec = load_spec(fixture_path("diary"))
+    cases = [(diary_base_model(), export_ewtg(spec, "v1"), diary_diff())]
+    for seed in range(60):
+        base_ewtg, updated_ewtg = random_ewtg_pair(seed)
+        learned = random_learned_graph(base_ewtg, random.Random(seed))
+        base = AppModel(version="v0", ewtg=base_ewtg, dstg=learned)
+        cases.append((base, updated_ewtg, diff_ewtg(base_ewtg, updated_ewtg)))
+    for base, updated_ewtg, diff in cases:
+        # nothing else holds what the reference rewrites
+        reference = adapt_model(
+            copy.deepcopy(base), copy.deepcopy(updated_ewtg), diff, version="v1"
+        )
+        adapted = adapt_model(base, updated_ewtg, diff, version="v1")
+        assert serialize_model(adapted) == serialize_model(reference)
 
 
 def test_abstraction_policy_follows_replaced_windows():

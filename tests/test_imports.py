@@ -1,14 +1,18 @@
-"""Every name a module of the package imports is used in that module, and
-the package's modules import each other without a cycle."""
+"""Every name a module of the package imports is used in that module, the
+package's modules import each other without a cycle, and the names the
+benchmark's traced mode patches are there."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
 
 import uptest
+from uptest import engine, refinement
 
 MODULES = sorted(Path(uptest.__file__).parent.glob("*.py"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
 def unused_imports(path: Path) -> list[str]:
@@ -100,3 +104,19 @@ def test_an_import_inside_a_function_can_close_a_cycle(tmp_path):
 
 def test_the_check_sees_the_whole_package():
     assert {p.name for p in MODULES} >= {"engine.py", "planner.py", "model.py", "__init__.py"}
+
+
+def test_the_benchmark_can_trace_the_names_it_patches():
+    """``perfbench/stages.py`` wraps names that the package's modules look up,
+    one of them an import ``refinement`` keeps only for it; entering its
+    traced mode fails when one has gone, and leaving it restores them all."""
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        import spans
+        import stages
+    finally:
+        sys.path.pop(0)
+    before = {module: dict(vars(module)) for module in (engine, refinement)}
+    with stages.traced_internals(spans.Tracer()):
+        assert any(vars(module) != names for module, names in before.items())
+    assert all(vars(module) == names for module, names in before.items())
