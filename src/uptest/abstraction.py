@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Optional
 
 from .model import (
@@ -31,78 +31,52 @@ class AbstractionError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Reducer:
-    name: str
-    property_name: str
-
-
-R_RID = Reducer("R_RID", "resourceId")
-R_CN = Reducer("R_CN", "className")
-R_CD = Reducer("R_CD", "contentDescription")
-R_P = Reducer("R_P", "password")
-R_C = Reducer("R_C", "clickable")
-R_LC = Reducer("R_LC", "longClickable")
-R_SCROLLABLE = Reducer("R_Scrollable", "scrollable")
-R_CH = Reducer("R_Ch", "checked")
-R_E = Reducer("R_E", "enabled")
-R_SELECTED = Reducer("R_Selected", "selected")
-R_I = Reducer("R_I", "isInputField")
-R_T = Reducer("R_T", "text")
-R_HC = Reducer("R_HC", "hasChildren")
-
-_L1_REDUCERS = (
-    R_RID,
-    R_CN,
-    R_CD,
-    R_P,
-    R_C,
-    R_LC,
-    R_SCROLLABLE,
-    R_CH,
-    R_E,
-    R_SELECTED,
-    R_I,
+#: (reducer name, property) of each reducer of the layout level, by name
+_L1_FIELDS = (
+    ("R_C", "clickable"),
+    ("R_CD", "contentDescription"),
+    ("R_CN", "className"),
+    ("R_Ch", "checked"),
+    ("R_E", "enabled"),
+    ("R_I", "isInputField"),
+    ("R_LC", "longClickable"),
+    ("R_P", "password"),
+    ("R_RID", "resourceId"),
+    ("R_Scrollable", "scrollable"),
+    ("R_Selected", "selected"),
 )
-_L2_REDUCERS = _L1_REDUCERS + (R_T,)
-_L3_REDUCERS = _L2_REDUCERS + (R_HC,)
+_L2_FIELDS = tuple(sorted(_L1_FIELDS + (("R_T", "text"),)))
+_L3_FIELDS = tuple(sorted(_L2_FIELDS + (("R_HC", "hasChildren"),)))
+
+
+def _child_fields(fields: tuple[tuple[str, str], ...]) -> tuple[tuple[str, str], ...]:
+    return tuple((f"child:{name}", prop) for name, prop in fields)
 
 
 @dataclass(frozen=True)
 class AbstractionLevel:
     name: str
-    own_reducers: tuple[Reducer, ...]
-    child_reducers: tuple[Reducer, ...] = ()
     # (key name, property) pairs in the order sorting a valuation dict lists
     # them; every "child:" name sorts after every own "R_" name
-    _own_fields: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
-    _child_fields: tuple[tuple[str, str], ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        own = sorted((r.name, r.property_name) for r in self.own_reducers)
-        children = sorted((f"child:{r.name}", r.property_name) for r in self.child_reducers)
-        object.__setattr__(self, "_own_fields", tuple(own))
-        object.__setattr__(self, "_child_fields", tuple(children))
+    own_fields: tuple[tuple[str, str], ...]
+    child_fields: tuple[tuple[str, str], ...] = ()
 
     def valuation_key(self, node: GuiNode) -> tuple:
         """The node's ``(key name, value)`` pairs, sorted by name."""
         props = node.properties
         try:
-            key = tuple([(name, props[prop]) for name, prop in self._own_fields])
-            if self._child_fields:
+            key = tuple([(name, props[prop]) for name, prop in self.own_fields])
+            if self.child_fields:
                 key += tuple(
                     [
                         (name, _child_values(node.children, prop))
-                        for name, prop in self._child_fields
+                        for name, prop in self.child_fields
                     ]
                 )
         except KeyError as exc:
             prop = exc.args[0]
-            reducer = next(
-                r.name
-                for r in self.own_reducers + self.child_reducers
-                if r.property_name == prop
-            )
+            # on every level a child property is an own property too
+            reducer = next(name for name, p in self.own_fields if p == prop)
             raise AbstractionError(
                 f"node is missing property {prop!r} required by {reducer}"
             ) from None
@@ -114,15 +88,15 @@ def _child_values(children: list[GuiNode], prop: str) -> str:
 
 
 LEVELS: dict[str, AbstractionLevel] = {
-    "L1": AbstractionLevel("L1", _L1_REDUCERS),
-    "L2": AbstractionLevel("L2", _L2_REDUCERS),
-    "L3": AbstractionLevel("L3", _L3_REDUCERS),
-    "L4": AbstractionLevel("L4", _L2_REDUCERS, _L1_REDUCERS),
-    "L5": AbstractionLevel("L5", _L2_REDUCERS, _L2_REDUCERS),
+    "L1": AbstractionLevel("L1", _L1_FIELDS),
+    "L2": AbstractionLevel("L2", _L2_FIELDS),
+    "L3": AbstractionLevel("L3", _L3_FIELDS),
+    "L4": AbstractionLevel("L4", _L2_FIELDS, _child_fields(_L1_FIELDS)),
+    "L5": AbstractionLevel("L5", _L2_FIELDS, _child_fields(_L2_FIELDS)),
 }
 
 #: Reducer names that make up a layout fingerprint (text and children excluded).
-_L1_REDUCER_NAMES = tuple(r.name for r in _L1_REDUCERS)
+_L1_REDUCER_NAMES = tuple(name for name, _ in LEVELS["L1"].own_fields)
 
 
 #: Each property that makes a node interactable, with the action it offers.

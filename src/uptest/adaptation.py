@@ -27,7 +27,8 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> No
     """Apply the diff to the given learned state graph in place.
 
     ``ewtg`` is the updated version's window graph and ``base_ewtg`` the one
-    the learned graph was built on.
+    the learned graph was built on; every id the diff names is in the graph
+    of its side (see ``_check_diff_ids``).
     """
     window_mapping = diff.window_mapping()
     widget_mapping = diff.widget_mapping()
@@ -48,10 +49,7 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> No
         ]
         for avm in state.avms:
             if avm.ewtg_widget_id is not None:
-                widget_id = widget_mapping[avm.ewtg_widget_id]
-                if widget_id not in ewtg.widgets:
-                    raise AdaptationError(f"diff references unknown updated widget {widget_id}")
-                bind_widget(avm, ewtg.widgets[widget_id])
+                bind_widget(avm, ewtg.widgets[widget_mapping[avm.ewtg_widget_id]])
 
     # the trigger (window, widget or None, action) of each deleted or replaced
     # window transition, in the updated version's ids; the mappings are
@@ -59,9 +57,8 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> No
     # because (a) and (b) dropped everything it would match
     doomed = set()
     for wt_id in [*diff.deleted_transitions, *diff.replaced_transitions]:
-        wt = base_ewtg.window_transitions.get(wt_id)
-        inp = base_ewtg.inputs.get(wt.input_id) if wt is not None else None
-        if inp is None or inp.window_id not in window_mapping:
+        inp = base_ewtg.inputs[base_ewtg.window_transitions[wt_id].input_id]
+        if inp.window_id not in window_mapping:
             continue
         if inp.widget_id is not None and inp.widget_id not in widget_mapping:
             continue
@@ -88,6 +85,31 @@ def update_dstg(dstg: Dstg, diff: DiffResult, ewtg: Ewtg, base_ewtg: Ewtg) -> No
 
     # (f) drop components not containing a launcher-window state
     _prune_disconnected(dstg, ewtg.launcher_window_id)
+
+
+def _check_diff_ids(diff: DiffResult, base_ewtg: Ewtg, updated_ewtg: Ewtg) -> None:
+    """Raise AdaptationError unless every id the diff names is in the window
+    graph of its side: deleted ids and the first of each pair in the base
+    one, added ids and the second of each pair in the updated one."""
+    checks = (
+        ("base window", base_ewtg.windows,
+         (diff.deleted_windows, diff.replaced_windows, diff.matched_windows)),
+        ("updated window", updated_ewtg.windows,
+         (diff.added_windows, diff.replaced_windows.values(), diff.matched_windows.values())),
+        ("base widget", base_ewtg.widgets,
+         (diff.deleted_widgets, diff.replaced_widgets, diff.matched_widgets)),
+        ("updated widget", updated_ewtg.widgets,
+         (diff.added_widgets, diff.replaced_widgets.values(), diff.matched_widgets.values())),
+        ("base transition", base_ewtg.window_transitions,
+         (diff.deleted_transitions, diff.replaced_transitions, diff.matched_transitions)),
+        ("updated transition", updated_ewtg.window_transitions,
+         (diff.added_transitions, diff.replaced_transitions.values(),
+          diff.matched_transitions.values())),
+    )
+    for what, known, groups in checks:
+        unknown = [i for group in groups for i in group if i not in known]
+        if unknown:
+            raise AdaptationError(f"diff references unknown {what} {min(unknown)}")
 
 
 def _prune_disconnected(dstg: Dstg, launcher_window_id) -> None:
@@ -128,14 +150,10 @@ def adapt_model(base: AppModel, updated_ewtg: Ewtg, diff: DiffResult, version: s
     is rewritten in place and becomes its learned layer.  Use neither
     ``base`` nor ``updated_ewtg`` afterwards, also when this raises
     ``AdaptationError``: the base's learned graph may then be half rewritten.
+    A diff that names an id missing from its side's window graph raises it
+    before anything is rewritten.
     """
-    for base_id in diff.replaced_windows:
-        if base_id not in base.ewtg.windows:
-            raise AdaptationError(f"diff references unknown base window {base_id}")
-    for upd_id in diff.replaced_windows.values():
-        if upd_id not in updated_ewtg.windows:
-            raise AdaptationError(f"diff references unknown updated window {upd_id}")
-
+    _check_diff_ids(diff, base.ewtg, updated_ewtg)
     update_dstg(base.dstg, diff, updated_ewtg, base.ewtg)
 
     model = AppModel(

@@ -32,6 +32,7 @@ from .model import (
     require,
     require_int,
     serialize_model,
+    validate_integrity,
 )
 from .planner import MetaState, plan_to_target
 from .refinement import prune_unvisited, replay_flag_obsolete
@@ -48,7 +49,12 @@ def _read_document(path: str, parse: Callable[[dict], T], what: str) -> T:
 
 
 def _read_ewtg(path: str) -> Ewtg:
-    return _read_document(path, Ewtg.from_dict, "window graph")
+    """The window graph at ``path``; one whose references dangle raises ModelError."""
+    ewtg = _read_document(path, Ewtg.from_dict, "window graph")
+    violations = validate_integrity(AppModel(version="", ewtg=ewtg))
+    if violations:
+        raise ModelError(f"malformed window graph {path}: " + "; ".join(violations))
+    return ewtg
 
 
 def _write_json(path, doc) -> None:
@@ -136,8 +142,8 @@ def cmd_test(args) -> int:
     spec = load_spec(args.appspec)
     model = deserialize_model(Path(args.model).read_bytes())
     if args.targets == "auto":
-        first = spec.version_index(args.version) == 0
-        targets = _targets_for(spec, args.version, first)
+        # at the first version every method is an updated one
+        targets = _targets_for(spec, args.version, first=False)
     else:
         targets = _targets_from_file(args.targets, args.version)
     driver = DriverSession(spec, args.version, seed=args.seed)

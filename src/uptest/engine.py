@@ -333,7 +333,7 @@ class TestEngine:
         self._update_widgets = set(model.diff_context.get("addedWidgets", ())) | set(
             model.diff_context.get("replacedWidgets", ())
         )
-        # windows already carrying obsolete states; scope for propagation
+        # windows already carrying obsolete states; the scope of _flag_obsolete
         self.obsolete_scope = {
             s.window_id for s in model.dstg.abstract_states.values() if s.obsolete
         }
@@ -529,9 +529,9 @@ class TestEngine:
                     matched.handler_method_ids.add(method_id)
         after_state = self._observe(result)
         newly = self.ledger.record(result.executed, self.targets)
-        if newly and self.first_coverage_at is None:
-            self.first_coverage_at = self.executed
         if newly:
+            if self.first_coverage_at is None:
+                self.first_coverage_at = self.executed
             self.utas.append(
                 UtaRecord(
                     (before_index, before_screen.window_id, before_screen.root, before_state.id),
@@ -540,13 +540,12 @@ class TestEngine:
                     {k: sorted(v) for k, v in newly.items()},
                 )
             )
-        if matched is not None:
-            if newly:
+            if matched is not None:
                 self.attempts_without_gain[matched.id] = 0
-            else:
-                self.attempts_without_gain[matched.id] = (
-                    self.attempts_without_gain.get(matched.id, 0) + 1
-                )
+        elif matched is not None:
+            self.attempts_without_gain[matched.id] = (
+                self.attempts_without_gain.get(matched.id, 0) + 1
+            )
         tr = self._record_transition(before_state, action, widget_id, after_state)
         self.model.gstg.trace.append(TraceStep(tr.id, action.concrete_node_path))
         return result
@@ -587,28 +586,23 @@ class TestEngine:
             self.retraversal_successes.add(expected_id)
             return "as-expected"
         self.retraversal_failures.add(expected_id)
-        expected = self.model.dstg.abstract_states.get(expected_id)
-        if expected is not None and is_backward_equivalent(
-            observed, expected, self._update_widgets
-        ):
+        # a planned step names a state the plan read from the model, and a
+        # session deletes no state
+        expected = self.model.dstg.abstract_states[expected_id]
+        if is_backward_equivalent(observed, expected, self._update_widgets):
             return "backward-equivalent"
-        self._online_refine(expected_id, observed, predecessor, step)
+        self._online_refine(expected, predecessor, step)
         return "mismatch"
 
     def _online_refine(
-        self,
-        expected_id: str,
-        observed: AbstractState,
-        predecessor: AbstractState,
-        step: PlanStep,
+        self, expected: AbstractState, predecessor: AbstractState, step: PlanStep
     ) -> None:
-        expected = self.model.dstg.abstract_states.get(expected_id)
-        if expected is not None and self.model.version in expected.observed_in_versions:
+        if self.model.version in expected.observed_in_versions:
             self._refine_window(predecessor.window_id)
             return
         # the expectation came from a past version and never materialized:
         # the learned edge is stale
-        stale = (self._source_widget(predecessor, step.widget_id), step.action_type, expected_id)
+        stale = (self._source_widget(predecessor, step.widget_id), step.action_type, expected.id)
         for tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
             if (tr.widget_id, tr.action_type, tr.destination_state_id) == stale:
                 del self.model.dstg.abstract_transitions[tr.id]
@@ -623,24 +617,18 @@ class TestEngine:
                 path, widget_id, action_type = candidates[
                     self.rng.randrange(len(candidates))
                 ]
-                payload = (
-                    self._payload_for(widget_id)
-                    if action_type == _TEXT_FILL
-                    else None
-                )
-                action = Action(
-                    input_id=f"explore-{self.executed + 1}",
-                    action_type=action_type,
-                    concrete_node_path=path,
-                    data_payload=payload,
-                )
-                self._perform(action, widget_id)
             else:
-                action = Action(
-                    input_id=f"explore-{self.executed + 1}",
-                    action_type=_PRESS_BACK,
-                )
-                self._perform(action, None)
+                path, widget_id, action_type = None, None, _PRESS_BACK
+            payload = (
+                self._payload_for(widget_id) if action_type == _TEXT_FILL else None
+            )
+            action = Action(
+                input_id=f"explore-{self.executed + 1}",
+                action_type=action_type,
+                concrete_node_path=path,
+                data_payload=payload,
+            )
+            self._perform(action, widget_id)
 
     # -- phases -----------------------------------------------------------
 
@@ -743,13 +731,7 @@ class TestEngine:
             # residual budget goes to free exploration
             self.random_explore(self._budget_left())
 
-            propagate_obsolescence(
-                self.model,
-                self.created_this_session,
-                self.retraversal_failures,
-                self.retraversal_successes,
-                scope_window_ids=self.obsolete_scope or None,
-            )
+            self._flag_obsolete()
         return SessionResult(
             model=self.model,
             ledger=self.ledger,
@@ -759,44 +741,21 @@ class TestEngine:
             observed_state_ids=set(self.visited_layouts),
         )
 
+    def _flag_obsolete(self) -> None:
+        """Flag each state this session created that a planned step expected
+        and missed and none reached.  Windows that already carry obsolete
+        states are known to shed states quickly: when any window does, only
+        states of those windows are flagged."""
+        states = self.model.dstg.abstract_states
+        missed = self.created_this_session & self.retraversal_failures
+        for sid in missed - self.retraversal_successes:
+            state = states[sid]
+            if not self.obsolete_scope or state.window_id in self.obsolete_scope:
+                state.obsolete = True
+
 
 def run_session(
-    model: AppModel,
-    targets: TargetSet,
-    driver,
-    budget: int,
-    seed: int = 0,
-    config: Optional[EngineConfig] = None,
-    related_windows: Optional[dict[str, list[str]]] = None,
-    text_pools: Optional[dict[str, list[str]]] = None,
+    model: AppModel, targets: TargetSet, driver, budget: int, **options
 ) -> SessionResult:
-    engine = TestEngine(
-        model,
-        targets,
-        driver,
-        budget,
-        seed=seed,
-        config=config,
-        related_windows=related_windows,
-        text_pools=text_pools,
-    )
-    return engine.run_session()
-
-
-def propagate_obsolescence(
-    model: AppModel,
-    created: set[str],
-    missed: set[str],
-    reached: set[str],
-    scope_window_ids: Optional[set[str]] = None,
-) -> None:
-    """Flag each session-created state that a planned step expected and missed
-    and none reached; with ``scope_window_ids``, only states of those windows
-    (windows already known to shed states quickly)."""
-    for sid in (created & missed) - reached:
-        state = model.dstg.abstract_states.get(sid)
-        if state is None:
-            continue
-        if scope_window_ids is not None and state.window_id not in scope_window_ids:
-            continue
-        state.obsolete = True
+    """Run one session; ``options`` are ``TestEngine``'s keyword arguments."""
+    return TestEngine(model, targets, driver, budget, **options).run_session()

@@ -806,7 +806,7 @@ class DriverSession:
                     if not holds(variables.get(var), value):
                         break
                 else:
-                    self._apply_effects(effects, action, widget_id)
+                    self._apply_effects(effects, action)
                     executed.append(span)
                     break
         return self._result(executed)
@@ -868,9 +868,7 @@ class DriverSession:
         for window_id in self._windows_of[widget_id]:
             self._current.pop(window_id, None)
 
-    def _apply_effects(
-        self, effects: list[dict], action: Action, widget_id: Optional[str]
-    ) -> None:
+    def _apply_effects(self, effects: list[dict], action: Action) -> None:
         for effect in effects:
             if "set" in effect:
                 self.variables[effect["set"]["var"]] = effect["set"]["value"]

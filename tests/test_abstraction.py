@@ -37,14 +37,14 @@ def test_interactable_requires_an_action_property():
 
 def test_level_hierarchy_reducer_counts():
     assert LEVEL_ORDER == ("L1", "L2", "L3", "L4", "L5")
-    assert len(LEVELS["L1"].own_reducers) == 11
-    assert len(LEVELS["L2"].own_reducers) == 12
-    assert len(LEVELS["L3"].own_reducers) == 13
+    assert len(LEVELS["L1"].own_fields) == 11
+    assert len(LEVELS["L2"].own_fields) == 12
+    assert len(LEVELS["L3"].own_fields) == 13
     # L4/L5 keep L2's own reducers and add child reducers
-    assert LEVELS["L4"].own_reducers == LEVELS["L2"].own_reducers
-    assert LEVELS["L5"].own_reducers == LEVELS["L2"].own_reducers
-    assert len(LEVELS["L4"].child_reducers) == 11
-    assert len(LEVELS["L5"].child_reducers) == 12
+    assert LEVELS["L4"].own_fields == LEVELS["L2"].own_fields
+    assert LEVELS["L5"].own_fields == LEVELS["L2"].own_fields
+    assert len(LEVELS["L4"].child_fields) == 11
+    assert len(LEVELS["L5"].child_fields) == 12
 
 
 def two_buttons_screen(text_b="B"):

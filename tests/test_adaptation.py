@@ -352,14 +352,30 @@ def test_abstraction_policy_follows_replaced_windows():
 
 def test_adapt_rejects_diff_with_unknown_windows():
     base = diary_base_model()
+    before = serialize_model(base)
     spec = load_spec(fixture_path("diary"))
     updated_ewtg = export_ewtg(spec, "v1")
-    bad = DiffResult(replaced_windows={"no-such-window": "home"})
-    with pytest.raises(AdaptationError):
-        adapt_model(base, updated_ewtg, bad, version="v1")
-    bad = DiffResult(replaced_windows={"main": "no-such-window"})
-    with pytest.raises(AdaptationError):
-        adapt_model(base, updated_ewtg, bad, version="v1")
+    # each diff names one id that is not in the window graph of its side
+    cases = [
+        ("base window", DiffResult(replaced_windows={"no-such-window": "home"})),
+        ("updated window", DiffResult(replaced_windows={"main": "no-such-window"})),
+        ("base window", DiffResult(deleted_windows={"no-such-window"})),
+        ("updated window", DiffResult(added_windows={"no-such-window"})),
+        ("base widget", DiffResult(deleted_widgets={"no-such-widget"})),
+        ("updated widget", DiffResult(added_widgets={"no-such-widget"})),
+        ("base widget", DiffResult(matched_widgets={"no-such-widget": "w6"})),
+        ("updated widget", DiffResult(matched_widgets={"w6": "no-such-widget"})),
+        ("base transition", DiffResult(deleted_transitions={"no-such-transition"})),
+        ("updated transition", DiffResult(added_transitions={"no-such-transition"})),
+        ("base transition",
+         DiffResult(replaced_transitions={"no-such-transition": "wt-i-add-0-edit"})),
+        ("updated transition",
+         DiffResult(matched_transitions={"wt-i-add-0-edit": "no-such-transition"})),
+    ]
+    for named, bad in cases:
+        with pytest.raises(AdaptationError, match=f"unknown {named} no-such-"):
+            adapt_model(base, updated_ewtg, bad, version="v1")
+        assert serialize_model(base) == before  # rejected before any rewrite
 
 
 def test_adapt_rejects_a_diff_that_rebinds_an_avm_to_an_unknown_widget():

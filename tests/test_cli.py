@@ -430,6 +430,14 @@ SCHEMA_4_EWTG = {
 }
 
 
+def dangling_diary_ewtg(edit) -> str:
+    """The diary's v0 window graph document after ``edit``, which makes one
+    of its references dangle."""
+    ewtg = export_ewtg(load_spec(DIARY), "v0")
+    edit(ewtg)
+    return json.dumps(ewtg.to_dict())
+
+
 @pytest.mark.parametrize("text", [
     "not json",
     "[]",
@@ -438,6 +446,20 @@ SCHEMA_4_EWTG = {
     json.dumps({"windows": [{"id": "w1", "name": "M", "kind": "Spaceship",
                              "className": "M"}]}),
     json.dumps(SCHEMA_4_EWTG),
+    pytest.param(
+        dangling_diary_ewtg(lambda g: setattr(g.widgets["w3"], "window_id", "no-such-window")),
+        id="widget-of-no-window",
+    ),
+    pytest.param(
+        dangling_diary_ewtg(lambda g: setattr(g.inputs["i-ok"], "widget_id", "no-such-widget")),
+        id="input-on-no-widget",
+    ),
+    pytest.param(
+        dangling_diary_ewtg(
+            lambda g: setattr(g.window_transitions["wt-i-add-0-edit"], "input_id", "no-such-input")
+        ),
+        id="transition-of-no-input",
+    ),
 ])
 def test_diff_and_adapt_reject_a_malformed_window_graph(tmp_path, capsys, text):
     good = write_ewtg(tmp_path, "v0")
@@ -521,6 +543,28 @@ def test_adapt_rejects_a_diff_without_exactly_the_written_keys(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err.startswith("error: malformed diff") and err.count("\n") == 1
     assert named in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("field, value, named", [
+    ("addedWidgets", ["no-such-widget"], "unknown updated widget no-such-widget"),
+    ("deletedWidgets", ["no-such-widget"], "unknown base widget no-such-widget"),
+    ("deletedTransitions", ["no-such-transition"], "unknown base transition no-such-transition"),
+    ("addedTransitions", ["no-such-transition"],
+     "unknown updated transition no-such-transition"),
+])
+def test_adapt_rejects_a_diff_that_names_an_unknown_id(tmp_path, capsys, field, value, named):
+    # an unknown added widget once reached the adapted model's diff context
+    doc = written_diff(tmp_path)
+    doc[field] = value
+    model = write_base_model(tmp_path)
+    good = write_ewtg(tmp_path, "v1")
+    bad = write_text(tmp_path, "diff.json", json.dumps(doc))
+    out = tmp_path / "out.json"
+    assert main(["adapt", str(model), str(good), str(bad), "--out", str(out),
+                 "--version", "v1"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and named in err and err.count("\n") == 1
     assert not out.exists()
 
 

@@ -426,9 +426,8 @@ def test_online_refine_deletes_stale_inherited_edges():
     model.dstg.abstract_states["sb"].observed_in_versions = {"v0"}
     engine = engine_on(model)
     sa = model.dstg.abstract_states["sa"]
-    sc = model.dstg.abstract_states["sc"]
     step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
-    engine._online_refine("sb", sc, sa, step)
+    engine._online_refine(model.dstg.abstract_states["sb"], sa, step)
     assert "at1" not in model.dstg.abstract_transitions
     assert "win" not in model.dstg.abstraction_policy
 
@@ -438,9 +437,8 @@ def test_online_refine_sharpens_when_the_state_was_seen_this_version():
     model.dstg.abstract_states["sb"].observed_in_versions = {"v1"}
     engine = engine_on(model)
     sa = model.dstg.abstract_states["sa"]
-    sc = model.dstg.abstract_states["sc"]
     step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
-    engine._online_refine("sb", sc, sa, step)
+    engine._online_refine(model.dstg.abstract_states["sb"], sa, step)
     assert "at1" in model.dstg.abstract_transitions  # the edge survives
     assert model.dstg.abstraction_policy["win"] == "L2"
 
@@ -612,7 +610,7 @@ def test_an_outcome_recorded_after_its_stale_edge_is_deleted_is_a_new_edge():
     engine = engine_on(model)
     sa = model.dstg.abstract_states["sa"]
     step = PlanStep("i-wd", ActionType.CLICK, "wd", "sb", 1.0)
-    engine._online_refine("sb", model.dstg.abstract_states["sc"], sa, step)
+    engine._online_refine(model.dstg.abstract_states["sb"], sa, step)
     assert "at1" not in model.dstg.abstract_transitions
     # the click does lead to sb after all: nothing is left to conflict with
     assert record_click(engine, "sb") == ("at-1", [])

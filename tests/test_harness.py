@@ -750,9 +750,9 @@ def test_random_walks_see_a_current_screen_after_every_step(monkeypatch):
     applied = set()
     apply_effects = DriverSession._apply_effects
 
-    def recording_apply_effects(self, effects, action, widget_id):
+    def recording_apply_effects(self, effects, action):
         applied.update(name for effect in effects for name in effect)
-        return apply_effects(self, effects, action, widget_id)
+        return apply_effects(self, effects, action)
 
     monkeypatch.setattr(DriverSession, "_apply_effects", recording_apply_effects)
     walks = [(app, load_spec(fixture_path(app))) for app in ("diary", "dialog", "news", "deep")]
@@ -853,9 +853,9 @@ def test_rendered_nodes_carry_exactly_the_properties_reducers_read(monkeypatch):
         for _, node in walk(root):
             assert sorted(node.properties) == sorted(GUI_NODE_PROPERTIES)
     read = {
-        reducer.property_name
+        prop
         for level in LEVELS.values()
-        for reducer in level.own_reducers + level.child_reducers
+        for _, prop in level.own_fields + level.child_fields
     }
     assert read <= set(GUI_NODE_PROPERTIES)
 

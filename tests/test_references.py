@@ -5,7 +5,8 @@ that only tests reach is API kept for the tests alone, and a constant, field
 or attribute that only tests read is data kept for the tests alone.  A member
 the program only grows or empties in place, such as a log it appends to, is
 written and never read, and so is one the program only hands on under its
-own name, as in ``Result(log=self.log)``.
+own name, as in ``Result(log=self.log)``.  Every parameter of a package
+function is read in that function's body.
 """
 
 import ast
@@ -159,6 +160,37 @@ def unread_data(package_paths, program_paths) -> list[str]:
     return sorted(f"{n} ({', '.join(w)})" for n, w in unread if not _is_dunder(n))
 
 
+def unread_parameters(paths) -> list[str]:
+    """``function.parameter (file:line)`` of each parameter that no ``Name``
+    load in its function's body reads, nested functions included; ``self``,
+    ``cls`` and the parameters of dunder methods, whose signature a protocol
+    fixes, are left out."""
+    unread = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            name = getattr(node, "name", "<lambda>")
+            if _is_dunder(name):
+                continue
+            args = node.args
+            params = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+            params += [a.arg for a in (args.vararg, args.kwarg) if a is not None]
+            body = node.body if isinstance(node.body, list) else [node.body]
+            read = {
+                n.id
+                for statement in body
+                for n in ast.walk(statement)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+            }
+            unread += [
+                f"{name}.{param} ({path.name}:{node.lineno})"
+                for param in params
+                if param not in read and param not in ("self", "cls")
+            ]
+    return sorted(unread)
+
+
 def program_files() -> list[Path]:
     perfbench = [p for p in PERFBENCH.rglob("*.py") if "tests" not in p.relative_to(PERFBENCH).parts]
     return sorted(PACKAGE.glob("*.py")) + sorted(perfbench)
@@ -170,6 +202,10 @@ def test_every_function_of_the_package_is_referenced_by_the_program():
 
 def test_every_data_name_of_the_package_is_read_by_the_program():
     assert unread_data(sorted(PACKAGE.glob("*.py")), program_files()) == []
+
+
+def test_every_parameter_of_the_package_is_read_by_its_function():
+    assert unread_parameters(sorted(PACKAGE.glob("*.py"))) == []
 
 
 def test_the_check_sees_the_package_and_the_benchmark():
@@ -265,3 +301,31 @@ def test_a_member_only_handed_on_under_its_own_name_is_unread(tmp_path):
     # ``log=self.log`` reads nothing; a member handed on under another
     # name or by position is read
     assert unread_data([module], [module]) == ["log (mod.py:3, mod.py:7)"]
+
+
+def test_a_parameter_its_body_does_not_load_is_unread(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "class Driver:\n"
+        "    def __exit__(self, kind, value, tb):\n"
+        "        return False\n"
+        "    def perform(self, action, widget_id, *extra, **options):\n"
+        "        self.last = action\n"
+        "        return options\n"
+        "    @classmethod\n"
+        "    def make(cls, seed=0):\n"
+        "        return cls()\n"
+        "def outer(limit, step):\n"
+        "    def inner(value):\n"
+        "        return value < limit\n"
+        "    return inner\n"
+        "pick = lambda first, second: first\n"
+    )
+    # a nested function that reads ``limit`` reads it for ``outer``
+    assert unread_parameters([module]) == [
+        "<lambda>.second (mod.py:14)",
+        "make.seed (mod.py:8)",
+        "outer.step (mod.py:10)",
+        "perform.extra (mod.py:4)",
+        "perform.widget_id (mod.py:4)",
+    ]

@@ -9,7 +9,7 @@ from uptest.adaptation import adapt_model
 from uptest.abstraction import LEVELS, derive_abstract_state
 from uptest.cli import pipeline_run
 from uptest.config import EngineConfig
-from uptest.engine import Observer, TargetSet, _Screen, propagate_obsolescence, run_session
+from uptest.engine import Observer, TargetSet, TestEngine, _Screen, run_session
 from uptest.harness import (
     DriverRejection,
     DriverSession,
@@ -328,6 +328,18 @@ def test_replay_without_trace_is_a_no_op():
     replay_flag_obsolete(model, Untouchable())
 
 
+def flag_obsolete(model, created, missed, reached):
+    """Run a session engine's closing obsolescence pass over ``model`` as if
+    the session had created ``created``, and its planned steps had missed
+    ``missed`` and reached ``reached``."""
+    targets = TargetSet(target_method_ids=set(), instruction_counts={})
+    engine = TestEngine(model, targets, driver=None, budget=0)
+    engine.created_this_session = created
+    engine.retraversal_failures = missed
+    engine.retraversal_successes = reached
+    engine._flag_obsolete()
+
+
 def test_propagate_obsolescence_needs_failures_and_no_successes():
     ewtg = Ewtg(windows={w: window(w) for w in ("wa", "wb")}, launcher_window_id="wa")
     dstg = Dstg(
@@ -338,7 +350,7 @@ def test_propagate_obsolescence_needs_failures_and_no_successes():
         }
     )
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
-    propagate_obsolescence(
+    flag_obsolete(
         model, created={"s1", "s2", "s3"}, missed={"s1", "s2", "s3"}, reached={"s2"}
     )
     assert model.dstg.abstract_states["s1"].obsolete
@@ -352,12 +364,11 @@ def test_propagate_obsolescence_respects_the_window_scope():
         abstract_states={
             "s1": AbstractState(id="s1", window_id="wa"),
             "s3": AbstractState(id="s3", window_id="wb"),
+            # wb already carries an obsolete state, so only wb is in scope
+            "s4": AbstractState(id="s4", window_id="wb", obsolete=True),
         }
     )
     model = AppModel(version="v1", ewtg=ewtg, dstg=dstg)
-    propagate_obsolescence(
-        model, created={"s1", "s3"}, missed={"s1", "s3"}, reached=set(),
-        scope_window_ids={"wb"},
-    )
+    flag_obsolete(model, created={"s1", "s3"}, missed={"s1", "s3"}, reached=set())
     assert not model.dstg.abstract_states["s1"].obsolete
     assert model.dstg.abstract_states["s3"].obsolete
