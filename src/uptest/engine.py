@@ -205,7 +205,7 @@ class _Screen:
         self.window_id = window_id
         self.root = root
         self._interned = interned
-        self._keys: dict[str, tuple] = {}  # level name -> state key
+        self.keys: dict[str, tuple] = {}  # level name -> state key, once computed
         # widget ref -> (node path, node, xpath) of its first node in pre-order
         self.widgets: dict[str, tuple[tuple[int, ...], GuiNode, str]] = {}
         # (node path, widget ref, action type) of every action exploration may pick
@@ -232,10 +232,11 @@ class _Screen:
                 )
 
     def state_key(self, level: AbstractionLevel) -> tuple:
-        key = self._keys.get(level.name)
+        """The key at ``level``, computed once; ``keys`` holds those computed."""
+        key = self.keys.get(level.name)
         if key is None:
             key = _state_key(self.window_id, level.name, valuation_multiset(self.root, level))
-            key = self._keys[level.name] = self._interned.setdefault(key, key)
+            key = self.keys[level.name] = self._interned.setdefault(key, key)
         return key
 
 
@@ -255,35 +256,31 @@ class Observer:
     """
 
     def __init__(self, states: dict[str, AbstractState]):
-        self._screens: dict[GuiNode, _Screen] = {}
+        self.screens: dict[GuiNode, _Screen] = {}  # root -> its screen
         self._interned: dict[tuple, tuple] = {}  # state key -> the one object for it
         self._keys: dict[str, tuple] = {}  # state id -> state key
-        self._states: dict[tuple, AbstractState] = {}  # state key -> lowest-id state
+        self.states: dict[tuple, AbstractState] = {}  # state key -> lowest-id state
         for sid in sorted(states):
             s = states[sid]
             key = _state_key(s.window_id, s.abstraction_level, s.valuation_multiset())
             self.add(s, self._interned.setdefault(key, key))
 
-    def screen(self, result: PerformResult) -> tuple[_Screen, bool]:
-        """The result's screen, and whether it is new to this observer."""
-        screen = self._screens.get(result.root)
-        new = screen is None
-        if new:
-            screen = self._screens[result.root] = _Screen(
+    def screen(self, result: PerformResult) -> _Screen:
+        """The result's screen, made the first time; ``screens`` holds those made."""
+        screen = self.screens.get(result.root)
+        if screen is None:
+            screen = self.screens[result.root] = _Screen(
                 result.window_id, result.root, self._interned
             )
-        return screen, new
+        return screen
 
     def key(self, state: AbstractState) -> tuple:
         return self._keys[state.id]
 
-    def match(self, key: tuple) -> Optional[AbstractState]:
-        return self._states.get(key)
-
     def add(self, state: AbstractState, key: tuple) -> None:
         """Record ``state`` under ``key``, a key this observer handed out."""
         self._keys[state.id] = key
-        self._states.setdefault(key, state)
+        self.states.setdefault(key, state)
 
 
 class TestEngine:
@@ -320,6 +317,11 @@ class TestEngine:
         self.current_screen: Optional[_Screen] = None
         self.current_state: Optional[AbstractState] = None
         self.observer = Observer(model.dstg.abstract_states)
+        # (transition id, node path) -> the one trace step for it, as
+        # ``Gstg.from_dict`` shares a repeated step
+        self._steps: dict[tuple, TraceStep] = {}
+        for step in model.gstg.trace:
+            self._steps.setdefault((step.transition_id, step.concrete_node_path), step)
         # state id -> layout fingerprint of each state observed this session,
         # in last-visit order
         self.visited_layouts: dict[str, Counter] = {}
@@ -410,20 +412,24 @@ class TestEngine:
                         )
 
     def _observe(self, result: PerformResult) -> AbstractState:
-        screen, new = self.observer.screen(result)
-        if new:  # a screen seen before has nothing the model lacks
+        observer = self.observer
+        screen = observer.screens.get(result.root)
+        if screen is None:  # a screen seen before has nothing the model lacks
+            screen = observer.screen(result)
             self._ensure_window(result)
             self._ensure_runtime_widgets(screen)
         dstg = self.model.dstg
         self.observations += 1
-        level = LEVELS[dstg.level_for(result.window_id)]
-        key = screen.state_key(level)
-        match = self.observer.match(key)
+        level_name = dstg.abstraction_policy.get(result.window_id, "L1")
+        key = screen.keys.get(level_name)
+        if key is None:
+            key = screen.state_key(LEVELS[level_name])
+        match = observer.states.get(key)
         if match is None:  # only a new state is derived
             sid = self._next_id("st-")
-            match = derive_abstract_state(screen.window_id, screen.root, level, sid)
+            match = derive_abstract_state(screen.window_id, screen.root, LEVELS[level_name], sid)
             dstg.abstract_states[sid] = match
-            self.observer.add(match, key)
+            observer.add(match, key)
             self.created_this_session.add(sid)
             self.view.add_state(match)
         layout = self.visited_layouts.pop(match.id, None)
@@ -439,30 +445,21 @@ class TestEngine:
         self.current_screen = screen
         return match
 
-    def _is_closing(self, action: Action, before: AbstractState, after: AbstractState) -> bool:
-        if action.action_type == _PRESS_BACK:
-            return True
-        source_window = self.model.ewtg.windows.get(before.window_id)
-        return (
-            source_window is not None
-            and source_window.kind == _DIALOG
-            and after.window_id != before.window_id
-        )
-
-    def _source_widget(self, state: AbstractState, widget_id: Optional[str]) -> Optional[str]:
-        """The widget a transition from ``state`` names: ``widget_id`` when an
-        AVM of the state is bound to it, else None."""
-        return widget_id if widget_id in self.view.widgets_of[state.id] else None
-
     def _record_transition(
         self, before: AbstractState, action: Action, widget_id: Optional[str], after: AbstractState
     ) -> AbstractTransition:
-        dstg = self.model.dstg
-        payload = action.data_payload if action.action_type == _TEXT_FILL else None
-        widget_id = self._source_widget(before, widget_id)
-        closing = self._is_closing(action, before, after)
+        action_type = action.action_type
+        payload = action.data_payload if action_type is _TEXT_FILL else None
+        # a transition names the widget only when an AVM of its source is bound to it
+        if widget_id not in self.view.widgets_of[before.id]:
+            widget_id = None
+        # pressing back, or leaving a dialog for another window, closes a screen
+        closing = action_type is _PRESS_BACK
+        if not closing and after.window_id != before.window_id:
+            source_window = self.model.ewtg.windows.get(before.window_id)
+            closing = source_window is not None and source_window.kind is _DIALOG
         for tr, _ in self.view.transitions_from.get(before.id, ()):
-            if tr.widget_id != widget_id or tr.action_type != action.action_type:
+            if tr.widget_id != widget_id or tr.action_type is not action_type:
                 continue
             if tr.data_payload == payload:
                 if tr.destination_state_id == after.id:
@@ -480,12 +477,12 @@ class TestEngine:
             id=self._next_id("at-"),
             source_state_id=before.id,
             widget_id=widget_id,
-            action_type=action.action_type,
+            action_type=action_type,
             destination_state_id=after.id,
             data_payload=payload,
             layout_guard=guard,
         )
-        dstg.abstract_transitions[tr.id] = tr
+        self.model.dstg.abstract_transitions[tr.id] = tr
         self.view.add_transition(tr, before, after)
         return tr
 
@@ -502,7 +499,7 @@ class TestEngine:
 
     def _payload_for(self, widget_id: Optional[str]) -> str:
         pool = self.text_pools.get(widget_id) or self.config.text_dictionary
-        return pool[self.rng.randrange(len(pool))]
+        return self.rng.choice(pool)
 
     def _node_path_for_widget(self, widget_id: str) -> Optional[tuple[int, ...]]:
         first = self.current_screen.widgets.get(widget_id)
@@ -528,7 +525,7 @@ class TestEngine:
                 for method_id, _, _ in result.executed:
                     matched.handler_method_ids.add(method_id)
         after_state = self._observe(result)
-        newly = self.ledger.record(result.executed, self.targets)
+        newly = self.ledger.record(result.executed, self.targets) if result.executed else None
         if newly:
             if self.first_coverage_at is None:
                 self.first_coverage_at = self.executed
@@ -547,7 +544,11 @@ class TestEngine:
                 self.attempts_without_gain.get(matched.id, 0) + 1
             )
         tr = self._record_transition(before_state, action, widget_id, after_state)
-        self.model.gstg.trace.append(TraceStep(tr.id, action.concrete_node_path))
+        key = (tr.id, action.concrete_node_path)
+        step = self._steps.get(key)
+        if step is None:
+            step = self._steps[key] = TraceStep(*key)
+        self.model.gstg.trace.append(step)
         return result
 
     def _execute_step(self, step: PlanStep) -> str:
@@ -602,7 +603,10 @@ class TestEngine:
             return
         # the expectation came from a past version and never materialized:
         # the learned edge is stale
-        stale = (self._source_widget(predecessor, step.widget_id), step.action_type, expected.id)
+        widget_id = step.widget_id
+        if widget_id not in self.view.widgets_of[predecessor.id]:
+            widget_id = None
+        stale = (widget_id, step.action_type, expected.id)
         for tr, _ in list(self.view.transitions_from.get(predecessor.id, ())):
             if (tr.widget_id, tr.action_type, tr.destination_state_id) == stale:
                 del self.model.dstg.abstract_transitions[tr.id]
@@ -614,13 +618,11 @@ class TestEngine:
         for _ in range(max(0, min(budget_slice, self._budget_left()))):
             candidates = self.current_screen.candidates
             if candidates:
-                path, widget_id, action_type = candidates[
-                    self.rng.randrange(len(candidates))
-                ]
+                path, widget_id, action_type = self.rng.choice(candidates)
             else:
                 path, widget_id, action_type = None, None, _PRESS_BACK
             payload = (
-                self._payload_for(widget_id) if action_type == _TEXT_FILL else None
+                self._payload_for(widget_id) if action_type is _TEXT_FILL else None
             )
             action = Action(
                 input_id=f"explore-{self.executed + 1}",

@@ -98,6 +98,7 @@ class WidgetSpec:
             and isinstance(w.resource_id, str)
             and isinstance(w.class_name, str)
             and isinstance(w.xpath, str)
+            and w.xpath  # a window graph rejects a widget with no xpath
             and isinstance(w.content_description, str)
             and isinstance(w.text, str)
             and isinstance(w.parent, OPTIONAL_STR)
@@ -105,7 +106,7 @@ class WidgetSpec:
             and isinstance(w.dynamic_only, bool)
             and isinstance(w.tiny, bool)
         ):
-            raise TypeError(f"widget {w.id!r} has a field of the wrong type")
+            raise TypeError(f"widget {w.id!r} has a field of the wrong type or an empty xpath")
         return w
 
 
@@ -359,8 +360,12 @@ def _validate_version(v: VersionSpec) -> None:
         )
     if launchers[0].dynamic_only:
         raise SpecError(f"version {v.version}: launcher window cannot be dynamic-only")
-    spec_widgets = set()
+    spec_widgets: set[str] = set()
     for window in v.windows.values():
+        # a version has one id space of widgets: the window graph keys them by id
+        if not spec_widgets.isdisjoint(window.widgets):
+            repeated = min(spec_widgets.intersection(window.widgets))
+            raise SpecError(f"version {v.version}: widget id {repeated} is in two windows")
         spec_widgets.update(window.widgets)
         rooted: set[str] = set()  # widgets whose ancestors are known to end at the window
         for widget in window.widgets.values():
@@ -577,8 +582,50 @@ _RESET_APP = ActionType.RESET_APP
 _TEXT_FILL = ActionType.TEXT_FILL
 _PRESS_BACK = ActionType.PRESS_BACK
 
+# the order ``DriverSession._apply_effects`` applies the kinds of one effect in
+_EFFECT_ORDER = (
+    "set",
+    "inc",
+    "show",
+    "hide",
+    "setText",
+    "setTextFromPayload",
+    "setVarFromPayload",
+    "setChecked",
+    "toggle",
+    "goto",
+    "back",
+)
 
-@dataclass
+
+def _compile_effects(effects: list[dict]) -> tuple[tuple[str, Any], ...]:
+    """A command's effects as ``(name, argument)`` pairs, effect by effect
+    and within one effect in ``_EFFECT_ORDER``.  An argument is what its
+    effect reads of the spec: a window or widget id, a variable name,
+    ``(var, value)`` for ``set``, ``(var, by)`` for ``inc`` and
+    ``(widget, value)`` for ``setText`` and ``setChecked``, the value
+    already a string or a flag, and None for ``back``."""
+    pairs = []
+    for effect in effects:
+        for name in _EFFECT_ORDER:
+            if name not in effect:
+                continue
+            arg = effect[name]
+            if name == "set":
+                arg = (arg["var"], arg["value"])
+            elif name == "inc":
+                arg = (arg["var"], arg.get("by", 1))
+            elif name == "setText":
+                arg = (arg["widget"], str(arg["value"]))
+            elif name == "setChecked":
+                arg = (arg["widget"], bool(arg["value"]))
+            elif name == "back":
+                arg = None
+            pairs.append((name, arg))
+    return tuple(pairs)
+
+
+@dataclass(slots=True)
 class PerformResult:
     window_id: str
     window_kind: WindowKind
@@ -609,7 +656,11 @@ class DriverSession:
     all of that, because the driver builds one screen object per window and
     set of visible widgets, texts and checked flags and never changes it, and
     the rest is the spec's.  Each action then reads only the state variables
-    its handler's guards compare.
+    its handler's guards compare, and applies its command's effects compiled
+    to ``(name, argument)`` pairs, one dispatch each.
+
+    A version has one id space of widgets (``load_spec`` rejects an id in two
+    windows), so each widget id names one widget of one window.
     """
 
     def __init__(self, spec: AppSpec, version: str, seed: int = 0):
@@ -619,12 +670,13 @@ class DriverSession:
         self._inputs: dict[tuple[str, Optional[str], ActionType], InputSpec] = {}
         for inp in sorted(self.version_spec.inputs.values(), key=lambda i: i.id):
             self._inputs.setdefault((inp.window, inp.widget, inp.action_type), inp)
-        # widget id -> the windows that hold a widget with that id, in spec
-        # order; widget ids are unique only within a window
-        self._windows_of: dict[str, tuple[str, ...]] = {}
-        for window in self.version_spec.windows.values():
-            for widget_id in window.widgets:
-                self._windows_of[widget_id] = self._windows_of.get(widget_id, ()) + (window.id,)
+        self._windows = self.version_spec.windows
+        # widget id -> its spec and the window that holds it
+        self._widgets: dict[str, WidgetSpec] = {}
+        self._window_of: dict[str, str] = {}
+        for window in self._windows.values():
+            self._widgets.update(window.widgets)
+            self._window_of.update(dict.fromkeys(window.widgets, window.id))
         self._launcher_id = self.version_spec.launcher_window.id
         self.launch_counter = 0
         self.variables: dict[str, Any] = {}
@@ -663,11 +715,13 @@ class DriverSession:
         return self._result([])
 
     def _result(self, executed: list[tuple[str, int, int]]) -> PerformResult:
-        window = self.version_spec.windows[self.current_window_id]
-        self._screen = self.render()  # what the next action's node path refers to
-        return PerformResult(
-            window.id, window.kind, window.class_name, self._screen, executed
-        )
+        window_id = self.window_stack[-1]
+        screen = self._current.get(window_id)
+        if screen is None:
+            screen = self.render()
+        self._screen = screen  # what the next action's node path refers to
+        window = self._windows[window_id]
+        return PerformResult(window_id, window.kind, window.class_name, screen, executed)
 
     def _apply_generators(self) -> None:
         for gi, gen in enumerate(self.version_spec.generators):
@@ -699,10 +753,11 @@ class DriverSession:
         screen = self._current.get(window_id)
         if screen is not None:
             return screen
-        window = self.version_spec.windows[window_id]
-        key = (window.id, *[
-            (self.widget_text(w), self.widget_checked(w))
-            if self.widget_visible(w)
+        window = self._windows[window_id]
+        visible, text, checked = self._visible, self._text, self._checked
+        key = (window_id, *[
+            (text.get(w.id, w.text), checked.get(w.id, w.properties["checked"]))
+            if visible.get(w.id, w.visible)
             else None
             for w in window.widgets.values()
         ])
@@ -818,9 +873,10 @@ class DriverSession:
         screen does: the message it is rejected with, or the widget it acts
         on and the commands of its input's handler, each its guard as
         ``(operator, var, value)`` triples, its effects and its executed
-        span.  The commands are None for a press-back that no input handles,
-        which goes back a window."""
-        window = self.version_spec.windows[self.current_window_id]
+        span.  The effects are ``_compile_effects``'s pairs.  The commands
+        are None for a press-back that no input handles, which goes back a
+        window."""
+        window = self._windows[self.current_window_id]
         widget_id: Optional[str] = None
         if path is not None:
             try:
@@ -852,7 +908,7 @@ class DriverSession:
                     (GUARD_OPS[cond.get("op", "==")], cond["var"], cond.get("value"))
                     for cond in cmd.guard
                 ),
-                cmd.effects,
+                _compile_effects(cmd.effects),
                 (handler.method_id, *cmd.instructions),
             )
             for cmd in handler.body
@@ -863,44 +919,77 @@ class DriverSession:
             self.window_stack.pop()
 
     def _forget_screens(self, widget_id: str) -> None:
-        """Drop the current screen of each window that holds ``widget_id``,
+        """Drop the current screen of the window that holds ``widget_id``,
         whose runtime override just changed."""
-        for window_id in self._windows_of[widget_id]:
-            self._current.pop(window_id, None)
+        self._current.pop(self._window_of[widget_id], None)
 
-    def _apply_effects(self, effects: list[dict], action: Action) -> None:
-        for effect in effects:
-            if "set" in effect:
-                self.variables[effect["set"]["var"]] = effect["set"]["value"]
-            if "inc" in effect:
-                var = effect["inc"]["var"]
-                self.variables[var] = self.variables.get(var, 0) + effect["inc"].get("by", 1)
-            if "show" in effect:
-                self._visible[effect["show"]] = True
-                self._forget_screens(effect["show"])
-            if "hide" in effect:
-                self._visible[effect["hide"]] = False
-                self._forget_screens(effect["hide"])
-            if "setText" in effect:
-                self._text[effect["setText"]["widget"]] = str(effect["setText"]["value"])
-                self._forget_screens(effect["setText"]["widget"])
-            if "setTextFromPayload" in effect:
-                self._text[effect["setTextFromPayload"]] = action.data_payload or ""
-                self._forget_screens(effect["setTextFromPayload"])
-            if "setVarFromPayload" in effect:
-                self.variables[effect["setVarFromPayload"]] = action.data_payload or ""
-            if "setChecked" in effect:
-                self._checked[effect["setChecked"]["widget"]] = bool(
-                    effect["setChecked"]["value"]
-                )
-                self._forget_screens(effect["setChecked"]["widget"])
-            if "toggle" in effect:
-                toggled = effect["toggle"]
-                # the first window that holds the widget gives its default flag
-                first = self.version_spec.windows[self._windows_of[toggled][0]]
-                self._checked[toggled] = not self.widget_checked(first.widgets[toggled])
-                self._forget_screens(toggled)
-            if "goto" in effect:
-                self.window_stack.append(effect["goto"])
-            if "back" in effect:
-                self._go_back()
+    def _apply_effects(self, effects: tuple[tuple[str, Any], ...], action: Action) -> None:
+        for name, arg in effects:
+            apply = self._EFFECTS.get(name)
+            if apply is not None:
+                apply(self, arg)
+            else:
+                self._PAYLOAD_EFFECTS[name](self, arg, action.data_payload or "")
+
+    # one method per effect kind, each taking its compiled argument, and the
+    # action's payload if the effect reads it
+
+    def _set(self, arg: tuple[str, Any]) -> None:
+        var, value = arg
+        self.variables[var] = value
+
+    def _inc(self, arg: tuple[str, Any]) -> None:
+        var, by = arg
+        self.variables[var] = self.variables.get(var, 0) + by
+
+    def _show(self, widget_id: str) -> None:
+        self._visible[widget_id] = True
+        self._forget_screens(widget_id)
+
+    def _hide(self, widget_id: str) -> None:
+        self._visible[widget_id] = False
+        self._forget_screens(widget_id)
+
+    def _set_text(self, arg: tuple[str, str]) -> None:
+        widget_id, text = arg
+        self._text[widget_id] = text
+        self._forget_screens(widget_id)
+
+    def _set_text_from_payload(self, widget_id: str, payload: str) -> None:
+        self._text[widget_id] = payload
+        self._forget_screens(widget_id)
+
+    def _set_var_from_payload(self, var: str, payload: str) -> None:
+        self.variables[var] = payload
+
+    def _set_checked(self, arg: tuple[str, bool]) -> None:
+        widget_id, flag = arg
+        self._checked[widget_id] = flag
+        self._forget_screens(widget_id)
+
+    def _toggle(self, widget_id: str) -> None:
+        self._checked[widget_id] = not self.widget_checked(self._widgets[widget_id])
+        self._forget_screens(widget_id)
+
+    def _navigate(self, window_id: Optional[str]) -> None:
+        """Go to ``window_id``, or back a window when it is None."""
+        if window_id is None:
+            self._go_back()
+        else:
+            self.window_stack.append(window_id)
+
+    _EFFECTS = {
+        "set": _set,
+        "inc": _inc,
+        "show": _show,
+        "hide": _hide,
+        "setText": _set_text,
+        "setChecked": _set_checked,
+        "toggle": _toggle,
+        "goto": _navigate,
+        "back": _navigate,
+    }
+    _PAYLOAD_EFFECTS = {
+        "setTextFromPayload": _set_text_from_payload,
+        "setVarFromPayload": _set_var_from_payload,
+    }

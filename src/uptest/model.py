@@ -351,7 +351,7 @@ def _identity(widget: EwtgWidget) -> tuple:
     return (widget.resource_id, widget.class_name, widget.content_description)
 
 
-@dataclass
+@dataclass(slots=True)
 class AttributeValuationMap:
     """Record of reducer outputs for one group of look-alike widgets."""
 
@@ -392,7 +392,7 @@ def bind_widget(avm: AttributeValuationMap, widget: EwtgWidget) -> None:
     avm.valuations.update(zip(IDENTITY_KEYS, _identity(widget)))
 
 
-@dataclass
+@dataclass(slots=True)
 class AbstractState:
     id: str
     window_id: str
@@ -431,7 +431,7 @@ class AbstractState:
         return cls(id_, window_id, avms, abstraction_level, obsolete, set(observed_in_versions))
 
 
-@dataclass
+@dataclass(slots=True)
 class AbstractTransition:
     id: str
     source_state_id: str
@@ -506,7 +506,7 @@ class GuiNode:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Action:
     input_id: str
     action_type: ActionType
@@ -528,7 +528,7 @@ class Action:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceStep:
     """One executed action: the abstract transition it took and the node it
     acted on.  Its action type, payload and reached state are the
@@ -576,6 +576,8 @@ class Ewtg:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Ewtg":
+        """Raises one of ``SHAPE_ERRORS`` for a document of the wrong shape or
+        one whose widget parents form a cycle."""
         ewtg = cls(
             windows=_by_id(d["windows"], Window, "window"),
             widgets=_by_id(d["widgets"], EwtgWidget, "widget"),
@@ -586,7 +588,24 @@ class Ewtg:
             launcher_window_id=d.get("launcherWindowId"),
         )
         require(OPTIONAL_STR, ewtg.launcher_window_id)
+        _reject_parent_cycles(ewtg.widgets)
         return ewtg
+
+
+def _reject_parent_cycles(widgets: dict[str, EwtgWidget]) -> None:
+    """Raise ``ValueError`` if a widget is its own ancestor.  One pass: a
+    chain stops at a widget already known to end, so each widget is walked
+    once.  A missing parent ends a chain; integrity validation reports it."""
+    parent_of = {w.id: w.parent_id for w in widgets.values() if w.parent_id is not None}
+    ended: set[str] = set()
+    for node in parent_of:
+        chain: dict[str, None] = {}  # the chain so far, as an ordered set
+        while node in parent_of and node not in ended:
+            if node in chain:
+                raise ValueError(f"widget {node} is its own ancestor")
+            chain[node] = None
+            node = parent_of[node]
+        ended.update(chain)
 
 
 @dataclass

@@ -65,16 +65,20 @@ def replay_flag_obsolete(model: AppModel, driver) -> None:
         return
     dstg = model.dstg
     observer = Observer(dstg.abstract_states)
-    # (transition id, node path) -> the step's action and expected state
-    steps: dict[tuple, tuple[Action, AbstractState]] = {}
+    # (transition id, node path) -> the step's action, its expected state,
+    # that state's level and key
+    steps: dict[tuple, tuple[Action, AbstractState, str, tuple]] = {}
     for step in trace:
         key = (step.transition_id, step.concrete_node_path)
         known = steps.get(key)
         if known is None:
             tr = dstg.abstract_transitions[step.transition_id]
             action = Action(tr.id, tr.action_type, step.concrete_node_path, tr.data_payload)
-            known = steps[key] = (action, dstg.abstract_states[tr.destination_state_id])
-        action, expected = known
+            expected = dstg.abstract_states[tr.destination_state_id]
+            known = steps[key] = (
+                action, expected, expected.abstraction_level, observer.key(expected)
+            )
+        action, expected, level_name, expected_key = known
         try:
             result = driver.perform(action)
         except DriverRejection:
@@ -83,7 +87,10 @@ def replay_flag_obsolete(model: AppModel, driver) -> None:
         except Exception as exc:
             warnings.warn(f"replay aborted mid-trace: {exc}")
             return
-        screen, _ = observer.screen(result)
+        screen = observer.screen(result)
+        key = screen.keys.get(level_name)
+        if key is None:
+            key = screen.state_key(LEVELS[level_name])
         # the observer hands out one object per key
-        if screen.state_key(LEVELS[expected.abstraction_level]) is not observer.key(expected):
+        if key is not expected_key:
             expected.obsolete = True

@@ -745,3 +745,16 @@ def test_a_reports_trees_name_their_observation_and_its_state():
         for tree in (uta["beforeTree"], uta["afterTree"]):
             assert tree["id"] == f"t{tree['sessionIndex']}"
             assert tree["abstractStateId"] in result.observed_state_ids
+
+
+@pytest.mark.parametrize("app", ["diary", "dialog", "news", "deep"])
+def test_a_sessions_trace_holds_one_step_object_per_transition_and_node(app):
+    spec = load_spec(fixture_path(app))
+    version = spec.versions[-1].version
+    model = AppModel(version=version, ewtg=export_ewtg(spec, version))
+    counts = method_instruction_counts(spec, version)
+    targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
+    run_session(model, targets, DriverSession(spec, version, seed=1), budget=300, seed=1)
+    trace = model.gstg.trace
+    distinct = {(step.transition_id, step.concrete_node_path) for step in trace}
+    assert len({id(step) for step in trace}) == len(distinct) < len(trace)

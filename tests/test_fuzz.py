@@ -4,9 +4,11 @@ Each case takes a valid document (a fixture spec, the default config, a
 learned model), applies a few random edits to its JSON tree (delete a key or
 list item, put in a value of another type, put in a string from elsewhere in
 the document, or copy another subtree over it) and loads the result.  A
-document that loads must also be usable: a spec exports and runs a short
-session on every version, a config runs a session, a model serializes again
-and runs a session.  Seeds are fixed, so a failure reproduces.
+document that loads must also be usable: a spec exports, runs a short
+session on every version and goes through prune, replay and serialization, a
+config runs a session, a model serializes again and runs a session.  Seeds
+are fixed, so a failure reproduces.  Documents that fuzzing once found loading
+and then failing are kept as named regression cases.
 """
 
 import copy
@@ -27,6 +29,7 @@ from uptest.harness import (
     method_instruction_counts,
 )
 from uptest.model import AppModel, ModelError, deserialize_model, serialize_model
+from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
 FIXTURES = ("diary", "dialog", "news", "deep")
 CASES = 150
@@ -72,11 +75,11 @@ def mutate(rng: random.Random, doc):
     return doc
 
 
-def short_session(spec, model: AppModel, version: str, config=None) -> None:
+def short_session(spec, model: AppModel, version: str, config=None):
     counts = method_instruction_counts(spec, version)
     targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
     driver = DriverSession(spec, version, seed=1)
-    run_session(model, targets, driver, budget=10, seed=1, config=config)
+    return run_session(model, targets, driver, budget=10, seed=1, config=config)
 
 
 def fixture_doc(name: str) -> dict:
@@ -95,8 +98,43 @@ def test_mutated_specs_load_and_run_or_raise_spec_error():
         loaded += 1
         for v in spec.versions:
             model = AppModel(version=v.version, ewtg=export_ewtg(spec, v.version))
-            short_session(spec, model, v.version)
+            result = short_session(spec, model, v.version)
+            prune_unvisited(model, result.observed_state_ids)
+            replay_flag_obsolete(model, DriverSession(spec, v.version, seed=2))
+            serialize_model(model)
     assert 0 < loaded < CASES  # both outcomes are reached
+
+
+def _empty_xpath(doc: dict) -> None:
+    doc["versions"][0]["windows"][0]["widgets"][0]["xpath"] = ""
+
+
+def _widget_in_two_windows(doc: dict) -> None:
+    main, edit = doc["versions"][0]["windows"]
+    edit["widgets"].append(copy.deepcopy(main["widgets"][0]))
+
+
+# diary v0 specs that once loaded and failed only at serialization, after a session
+BAD_SPECS = {"empty-xpath": _empty_xpath, "widget-in-two-windows": _widget_in_two_windows}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_SPECS))
+def test_known_bad_specs_raise_spec_error(name):
+    doc = fixture_doc("diary")
+    BAD_SPECS[name](doc)
+    with pytest.raises(SpecError):
+        load_spec(doc)
+
+
+def test_a_model_whose_widgets_are_each_others_parents_raises_model_error():
+    spec = load_spec(fixture_path("diary"))
+    doc = json.loads(serialize_model(AppModel(version="v0", ewtg=export_ewtg(spec, "v0"))))
+    widgets = doc["ewtg"]["widgets"]
+    id_col, parent_col = widgets["columns"].index("id"), widgets["columns"].index("parentId")
+    rows = {row[id_col]: row for row in widgets["rows"]}
+    rows["w6"][parent_col], rows["w7"][parent_col] = "w7", "w6"
+    with pytest.raises(ModelError, match="own ancestor"):
+        deserialize_model(json.dumps(doc).encode("utf-8"))
 
 
 def test_mutated_configs_load_and_run_or_raise_config_error():

@@ -751,7 +751,7 @@ def test_random_walks_see_a_current_screen_after_every_step(monkeypatch):
     apply_effects = DriverSession._apply_effects
 
     def recording_apply_effects(self, effects, action):
-        applied.update(name for effect in effects for name in effect)
+        applied.update(name for name, _ in effects)  # the compiled (name, argument) pairs
         return apply_effects(self, effects, action)
 
     monkeypatch.setattr(DriverSession, "_apply_effects", recording_apply_effects)
@@ -894,3 +894,101 @@ def test_a_long_session_builds_no_more_screens_than_it_shows(monkeypatch):
     assert result.executed_actions == 1000
     distinct = {repr(root.to_dict()) for root in driver.screens}
     assert len(builds) <= len(distinct) < 20
+
+
+class DictWalkSession(DriverSession):
+    """A driver that applies each command's effects from the spec's raw
+    effect dicts, by the walk the driver made before it compiled them: every
+    kind an effect holds, in a fixed order, tested by membership."""
+
+    def _resolve(self, path, action_type):
+        resolved = super()._resolve(path, action_type)
+        if type(resolved) is str or not resolved[1]:
+            return resolved
+        widget_id, commands = resolved
+        inp = self._inputs[(self.window_stack[-1], widget_id, action_type)]
+        body = self.version_spec.handlers[inp.handler].body
+        return widget_id, tuple(
+            (guard, cmd.effects, span) for (guard, _, span), cmd in zip(commands, body)
+        )
+
+    def _apply_effects(self, effects, action):
+        def widget_spec(widget_id):
+            [widget] = [w.widgets[widget_id] for w in self.version_spec.windows.values()
+                        if widget_id in w.widgets]
+            return widget
+
+        for effect in effects:
+            if "set" in effect:
+                self.variables[effect["set"]["var"]] = effect["set"]["value"]
+            if "inc" in effect:
+                var = effect["inc"]["var"]
+                self.variables[var] = self.variables.get(var, 0) + effect["inc"].get("by", 1)
+            if "show" in effect:
+                self._visible[effect["show"]] = True
+                self._forget_screens(effect["show"])
+            if "hide" in effect:
+                self._visible[effect["hide"]] = False
+                self._forget_screens(effect["hide"])
+            if "setText" in effect:
+                self._text[effect["setText"]["widget"]] = str(effect["setText"]["value"])
+                self._forget_screens(effect["setText"]["widget"])
+            if "setTextFromPayload" in effect:
+                self._text[effect["setTextFromPayload"]] = action.data_payload or ""
+                self._forget_screens(effect["setTextFromPayload"])
+            if "setVarFromPayload" in effect:
+                self.variables[effect["setVarFromPayload"]] = action.data_payload or ""
+            if "setChecked" in effect:
+                widget_id = effect["setChecked"]["widget"]
+                self._checked[widget_id] = bool(effect["setChecked"]["value"])
+                self._forget_screens(widget_id)
+            if "toggle" in effect:
+                toggled = effect["toggle"]
+                self._checked[toggled] = not self.widget_checked(widget_spec(toggled))
+                self._forget_screens(toggled)
+            if "goto" in effect:
+                self.window_stack.append(effect["goto"])
+            if "back" in effect:
+                self._go_back()
+
+
+def driver_state(session) -> tuple:
+    return (dict(session.variables), dict(session._visible), dict(session._text),
+            dict(session._checked), list(session.window_stack))
+
+
+@pytest.mark.parametrize("app", ["diary", "dialog", "news", "deep", "screens"])
+def test_compiled_effects_change_what_the_dict_walk_changes(app):
+    spec = load_spec(screens_spec_doc() if app == "screens" else fixture_path(app))
+    applied = 0
+    for version in spec.versions:
+        compiled = DriverSession(spec, version.version, seed=2)
+        walked = DictWalkSession(spec, version.version, seed=2)
+        result = compiled.reset()
+        walked.reset()
+        rng = random.Random(f"{app}:{version.version}")
+        for _ in range(400):
+            if rng.random() < 0.02:
+                action = Action("walk", ActionType.RESET_APP)
+            else:
+                actions = [Action("walk", ActionType.PRESS_BACK)]
+                for path, node in walk(result.root):
+                    for prop, action_type in _WALK_ACTIONS:
+                        if node.properties[prop]:
+                            actions.append(
+                                Action("walk", action_type, path, rng.choice(("a", "b"))))
+                action = rng.choice(actions)
+            outcomes = []
+            for session in (compiled, walked):
+                try:
+                    step = session.perform(action)
+                except DriverRejection as exc:
+                    outcomes.append(str(exc))
+                else:
+                    outcomes.append((step.window_id, step.root.to_dict(), step.executed))
+                    applied += bool(step.executed)
+                    if session is compiled:
+                        result = step
+            assert outcomes[0] == outcomes[1]
+            assert driver_state(compiled) == driver_state(walked)
+    assert applied > 0

@@ -9,7 +9,7 @@ from uptest.adaptation import adapt_model
 from uptest.abstraction import LEVELS, derive_abstract_state
 from uptest.cli import pipeline_run
 from uptest.config import EngineConfig
-from uptest.engine import Observer, TargetSet, TestEngine, _Screen, run_session
+from uptest.engine import Observer, TargetSet, TestEngine, run_session
 from uptest.harness import (
     DriverRejection,
     DriverSession,
@@ -294,25 +294,29 @@ def test_a_replayed_screen_holds_the_key_object_of_each_state_it_matches(app, mo
     run_session(model, targets, DriverSession(spec, version, seed=1), budget=200, seed=1)
     model = deserialize_model(serialize_model(model))
     observers = []
-    screen_keys = []
-    state_key = _Screen.state_key
+    replayed = []  # the screen of each replayed step
 
     class RecordingObserver(Observer):
         def __init__(self, states):
             super().__init__(states)
             observers.append(self)
 
-    def recording_state_key(screen, level):
-        screen_keys.append(state_key(screen, level))
-        return screen_keys[-1]
+        def screen(self, result):
+            replayed.append(super().screen(result))
+            return replayed[-1]
 
     monkeypatch.setattr(uptest.refinement, "Observer", RecordingObserver)
-    monkeypatch.setattr(_Screen, "state_key", recording_state_key)
     replay_flag_obsolete(model, DriverSession(spec, version, seed=1))
     [observer] = observers
     state_keys = [observer.key(s) for s in model.dstg.abstract_states.values()]
     # on the session's own seed every step shows a screen of the state it expects
-    assert len(screen_keys) == len(model.gstg.trace) > 0
+    assert len(replayed) == len(model.gstg.trace) > 0
+    # the key each step compared: its screen's key at its expected state's level
+    screen_keys = []
+    for screen, step in zip(replayed, model.gstg.trace):
+        tr = model.dstg.abstract_transitions[step.transition_id]
+        level = model.dstg.abstract_states[tr.destination_state_id].abstraction_level
+        screen_keys.append(screen.keys[level])
     for key in screen_keys:
         equal = [k for k in state_keys if k == key]
         assert equal and all(k is key for k in equal)
