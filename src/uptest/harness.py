@@ -6,6 +6,11 @@ per-launch content generators.  A driver session renders GUI trees, executes
 handlers with per-instruction-range coverage reporting, and is fully
 deterministic given (spec, seed, action sequence).  The same documents also
 yield the static window graph and the per-version updated-method manifest.
+
+A loaded spec is read-only.  Its per-element records are slotted
+dataclasses, with no per-instance dict, because a carried app loads every
+version in full: a 60-window app of five versions holds over 12,000
+widgets.  Widgets with the same eight flags share one property dict.
 """
 
 from __future__ import annotations
@@ -18,6 +23,8 @@ from pathlib import Path
 from typing import Any, Optional, Union
 
 from .model import (
+    _ACTION_TYPES,
+    _WINDOW_KINDS,
     OPTIONAL_STR,
     SHAPE_ERRORS,
     Action,
@@ -29,6 +36,7 @@ from .model import (
     Window,
     WindowKind,
     WindowTransition,
+    own_ancestor,
     require,
     require_int,
     without_gc,
@@ -54,12 +62,19 @@ _WIDGET_BOOL_PROPS = (
     "isInputField",
 )
 # every property off except ``enabled`` unless the spec says otherwise
-_DEFAULT_WIDGET_PROPS = {p: p == "enabled" for p in _WIDGET_BOOL_PROPS}
-_WIDGET_PROP_NAMES = frozenset(_WIDGET_BOOL_PROPS)
+_DEFAULT_FLAGS = tuple(p == "enabled" for p in _WIDGET_BOOL_PROPS)
+_BOOL_ONLY = frozenset((bool,))
+# flag tuple -> the property dict every widget with those flags shares; at
+# most 2^8 entries.  Nothing writes to these dicts.
+_PROPERTY_DICTS: dict[tuple[bool, ...], dict[str, bool]] = {}
 
 
-@dataclass
+@dataclass(slots=True)
 class WidgetSpec:
+    """One widget of a window.  ``properties`` maps each of the eight flags
+    in ``_WIDGET_BOOL_PROPS`` to its value; it is shared by every widget
+    with the same flags, so it is read-only."""
+
     id: str
     resource_id: str
     class_name: str
@@ -74,11 +89,15 @@ class WidgetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WidgetSpec":
-        props = _DEFAULT_WIDGET_PROPS.copy()
-        for p in _WIDGET_PROP_NAMES.intersection(d):
-            if not isinstance(d[p], bool):  # JSON true or false only
-                raise TypeError(f"widget {d['id']!r} flag {p!r} has the wrong type")
-            props[p] = d[p]
+        flags = tuple(map(d.get, _WIDGET_BOOL_PROPS, _DEFAULT_FLAGS))
+        # checked before the lookup: 0 == False and the two hash alike, so
+        # the table would hand a widget with a 0 the dict of a false flag
+        if not _BOOL_ONLY.issuperset(map(type, flags)):  # JSON true or false only
+            p = next(p for p, flag in zip(_WIDGET_BOOL_PROPS, flags) if type(flag) is not bool)
+            raise TypeError(f"widget {d['id']!r} flag {p!r} has the wrong type")
+        props = _PROPERTY_DICTS.get(flags)
+        if props is None:
+            props = _PROPERTY_DICTS[flags] = dict(zip(_WIDGET_BOOL_PROPS, flags))
         w = cls(
             id=d["id"],
             resource_id=d.get("resourceId", d["id"]),
@@ -110,7 +129,7 @@ class WidgetSpec:
         return w
 
 
-@dataclass
+@dataclass(slots=True)
 class WindowSpec:
     id: str
     name: str
@@ -131,7 +150,7 @@ class WindowSpec:
         window = cls(
             id=d["id"],
             name=d.get("name", d["id"]),
-            kind=WindowKind(d.get("kind", "Activity")),
+            kind=_WINDOW_KINDS[d.get("kind", "Activity")],
             class_name=d.get("className", d.get("name", d["id"])),
             launcher=d.get("launcher", False),
             dynamic_only=d.get("dynamicOnly", False),
@@ -148,7 +167,7 @@ class WindowSpec:
         return window
 
 
-@dataclass
+@dataclass(slots=True)
 class InputSpec:
     id: str
     window: str
@@ -161,7 +180,7 @@ class InputSpec:
         inp = cls(
             id=d["id"],
             window=d["window"],
-            action_type=ActionType(d["actionType"]),
+            action_type=_ACTION_TYPES[d["actionType"]],
             widget=d.get("widget"),
             handler=d.get("handler"),
         )
@@ -175,7 +194,7 @@ class InputSpec:
         return inp
 
 
-@dataclass
+@dataclass(slots=True)
 class CommandSpec:
     guard: list[dict]
     effects: list[dict]
@@ -196,7 +215,7 @@ class CommandSpec:
         return cmd
 
 
-@dataclass
+@dataclass(slots=True)
 class HandlerSpec:
     method_id: str
     instruction_count: int
@@ -232,7 +251,7 @@ class HandlerSpec:
         )
 
 
-@dataclass
+@dataclass(slots=True)
 class VariableSpec:
     name: str
     type: str
@@ -253,7 +272,7 @@ class VariableSpec:
         return var
 
 
-@dataclass
+@dataclass(slots=True)
 class GeneratorSpec:
     pool: list[Any]
     widget: Optional[str] = None
@@ -361,24 +380,23 @@ def _validate_version(v: VersionSpec) -> None:
     if launchers[0].dynamic_only:
         raise SpecError(f"version {v.version}: launcher window cannot be dynamic-only")
     spec_widgets: set[str] = set()
+    parent_of: dict[str, str] = {}
     for window in v.windows.values():
         # a version has one id space of widgets: the window graph keys them by id
         if not spec_widgets.isdisjoint(window.widgets):
             repeated = min(spec_widgets.intersection(window.widgets))
             raise SpecError(f"version {v.version}: widget id {repeated} is in two windows")
         spec_widgets.update(window.widgets)
-        rooted: set[str] = set()  # widgets whose ancestors are known to end at the window
         for widget in window.widgets.values():
-            chain: list[str] = []
-            node = widget
-            while node.parent is not None and node.id not in rooted:
-                if node.id in chain:
-                    raise SpecError(f"widget {node.id} is its own ancestor")
-                if node.parent not in window.widgets:
-                    raise SpecError(f"widget {node.id} references unknown parent {node.parent}")
-                chain.append(node.id)
-                node = window.widgets[node.parent]
-            rooted.update(chain)
+            if widget.parent is not None:
+                if widget.parent not in window.widgets:
+                    raise SpecError(
+                        f"widget {widget.id} references unknown parent {widget.parent}"
+                    )
+                parent_of[widget.id] = widget.parent
+    cyclic = own_ancestor(parent_of)
+    if cyclic is not None:
+        raise SpecError(f"widget {cyclic} is its own ancestor")
     for window_id, related in v.related_windows.items():
         for name in (window_id, *related):
             if name not in v.windows:

@@ -588,24 +588,30 @@ class Ewtg:
             launcher_window_id=d.get("launcherWindowId"),
         )
         require(OPTIONAL_STR, ewtg.launcher_window_id)
-        _reject_parent_cycles(ewtg.widgets)
+        # a missing parent ends a chain; integrity validation reports it
+        cyclic = own_ancestor(
+            {w.id: w.parent_id for w in ewtg.widgets.values() if w.parent_id is not None}
+        )
+        if cyclic is not None:
+            raise ValueError(f"widget {cyclic} is its own ancestor")
         return ewtg
 
 
-def _reject_parent_cycles(widgets: dict[str, EwtgWidget]) -> None:
-    """Raise ``ValueError`` if a widget is its own ancestor.  One pass: a
-    chain stops at a widget already known to end, so each widget is walked
-    once.  A missing parent ends a chain; integrity validation reports it."""
-    parent_of = {w.id: w.parent_id for w in widgets.values() if w.parent_id is not None}
+def own_ancestor(parent_of: dict[str, str]) -> Optional[str]:
+    """The first widget found to be its own ancestor in ``parent_of``
+    (widget id -> parent id), or None.  One pass: a chain stops at a widget
+    already known to end, so each widget is walked once.  A parent that is
+    not a key ends its chain."""
     ended: set[str] = set()
     for node in parent_of:
         chain: dict[str, None] = {}  # the chain so far, as an ordered set
         while node in parent_of and node not in ended:
             if node in chain:
-                raise ValueError(f"widget {node} is its own ancestor")
+                return node
             chain[node] = None
             node = parent_of[node]
         ended.update(chain)
+    return None
 
 
 @dataclass
@@ -825,8 +831,15 @@ def validate_integrity(model: AppModel) -> list[str]:
 
 def compact_json(doc) -> bytes:
     """``doc`` as ASCII JSON with sorted keys and no whitespace, which
-    ``json`` encodes in C (an indent makes it fall back to its Python encoder)."""
-    return json.dumps(doc, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    ``json`` encodes in C (an indent makes it fall back to its Python encoder).
+
+    Every ``doc`` the program encodes is a tree built fresh, by a ``to_dict``
+    or from parsed JSON, and holds no cycle, so the encoder skips its
+    circular-reference check: that check records the id of every container
+    it enters and would find nothing.  Skipping it changes no byte."""
+    return json.dumps(
+        doc, sort_keys=True, separators=(",", ":"), check_circular=False
+    ).encode("utf-8")
 
 
 @without_gc

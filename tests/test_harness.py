@@ -6,6 +6,8 @@ import random
 import pytest
 
 from uptest.abstraction import LEVELS
+from uptest.cli import pipeline_run
+from uptest.config import EngineConfig
 from uptest.engine import TargetSet, run_session
 from uptest.harness import (
     GUARD_OPS,
@@ -22,6 +24,7 @@ from uptest.model import Action, ActionType, AppModel
 
 from uptest import fixture_path
 from conftest import GUI_NODE_PROPERTIES, path_of, walk
+from nested_app import nested_spec_doc
 
 
 def base_spec_doc() -> dict:
@@ -224,6 +227,16 @@ def go_command(doc) -> dict:
          "wrong type"),
         (lambda d: d["versions"][0]["windows"][0]["widgets"][1].update({"password": None}),
          "wrong type"),
+        # w-go, loaded first, has real booleans, and w-tiny's flags compare and
+        # hash equal to w-go's: only a type check before the lookup of the
+        # shared property dict tells them apart
+        (lambda d: [d["versions"][0]["windows"][0]["widgets"][i].update(flags)
+                    for i, flags in ((0, {"enabled": False}), (2, {"enabled": 0}))],
+         "wrong type"),
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][2].update({"clickable": 1}),
+         "wrong type"),
+        (lambda d: d["versions"][0]["windows"][0]["widgets"][2].update({"checked": 0.0}),
+         "wrong type"),
         (lambda d: d["versions"][0].update({"relatedWindows": {"nope": ["main"]}}),
          "relatedWindows names unknown window nope"),
         (lambda d: d["versions"][0].update({"relatedWindows": {"second": ["main", "nope"]}}),
@@ -261,6 +274,33 @@ def test_effect_targets_may_be_widgets_of_another_window():
     doc = base_spec_doc()
     go_command(doc)["effects"].append({"toggle": "w-label"})
     load_spec(doc)
+
+
+def _spec_records(spec):
+    """Every per-element record of a loaded spec."""
+    for version in spec.versions:
+        for window in version.windows.values():
+            yield window
+            yield from window.widgets.values()
+        yield from version.inputs.values()
+        for handler in version.handlers.values():
+            yield handler
+            yield from handler.body
+        yield from version.variables.values()
+        yield from version.generators
+
+
+def test_widgets_with_the_same_flags_share_one_property_dict_and_records_are_slotted():
+    spec = load_spec(base_spec_doc())
+    widgets = spec.versions[0].windows["main"].widgets
+    assert widgets["w-go"].properties is widgets["w-tiny"].properties
+    assert widgets["w-go"].properties is not widgets["w-name"].properties
+    records = [*_spec_records(spec), *_spec_records(load_spec(fixture_path("news")))]
+    assert {type(r).__name__ for r in records} == {
+        "WindowSpec", "WidgetSpec", "InputSpec", "HandlerSpec", "CommandSpec",
+        "VariableSpec", "GeneratorSpec",
+    }
+    assert not [r for r in records if hasattr(r, "__dict__")]
 
 
 # --- static export --------------------------------------------------------
@@ -764,6 +804,29 @@ def test_random_walks_see_a_current_screen_after_every_step(monkeypatch):
     # the walks write every kind of runtime override
     assert {"show", "hide", "setText", "setTextFromPayload", "setChecked",
             "toggle"} <= applied
+
+
+def test_a_run_leaves_the_loaded_spec_as_its_document_loads(tmp_path):
+    sources = [(app, fixture_path(app)) for app in ("diary", "dialog", "news", "deep")]
+    sources += [("screens", screens_spec_doc()), ("nested", nested_spec_doc())]
+    for app, source in sources:
+        spec = load_spec(source)
+        # the copy holds property dicts of its own, so a write to a shared
+        # one, which a fresh load would see too, shows against the copy
+        before = copy.deepcopy(spec)
+        workdir = tmp_path / app
+        workdir.mkdir()
+        # a session, a prune and a replay at every version
+        pipeline_run(
+            spec, spec.versions[0].version, spec.versions[-1].version,
+            budget=100, seed=1, workdir=workdir, config=EngineConfig(),
+        )
+        # and walks that write every kind of runtime override
+        for version in spec.versions:
+            walk_checking_screens(
+                DriverSession(spec, version.version, seed=2), 200, random.Random(app)
+            )
+        assert spec == before == load_spec(source)
 
 
 def walk_against_fresh_resolutions(spec, version, steps, rng) -> set[str]:

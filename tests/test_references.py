@@ -6,7 +6,8 @@ or attribute that only tests read is data kept for the tests alone.  A member
 the program only grows or empties in place, such as a log it appends to, is
 written and never read, and so is one the program only hands on under its
 own name, as in ``Result(log=self.log)``.  Every parameter of a package
-function is read in that function's body.
+function is read in that function's body.  Every dataclass of the package
+is slotted, with no per-instance dict, unless ``UNSLOTTED`` names it.
 """
 
 import ast
@@ -21,6 +22,29 @@ EXCEPTIONS = {"refine_level"}
 # methods that change their receiver in place; a call whose result is
 # discarded writes to the receiver and reads nothing out of it
 MUTATORS = {"append", "extend", "add", "update", "insert", "discard", "remove", "clear"}
+# the dataclasses left with a per-instance dict: each is built once per app,
+# version, model, session, report or run, or a few times per plan, never once
+# per element of a loaded document
+UNSLOTTED = {
+    "AppSpec": "one per loaded app",
+    "VersionSpec": "one per version of a loaded app",
+    "Ewtg": "one window graph per version",
+    "Dstg": "one learned graph per model",
+    "Gstg": "one session trace per model",
+    "AppModel": "one per version a run carries",
+    "DiffResult": "one per carry",
+    "SessionResult": "one per session",
+    "TargetSet": "one per session",
+    "CoverageLedger": "one per session",
+    "UtaRecord": "one per unique target action of a session's report",
+    "EngineConfig": "one per run",
+    "AbstractionLevel": "five, one per level, built at import",
+    "Planner": "one per session",
+    "MetaState": "one per window a plan expects to reach, a frozen search key",
+    "PlanStep": "one per step of a plan",
+    "ActionSequence": "one per plan",
+    "GuiNode": "one per node of a distinct screen, which the driver builds once",
+}
 
 
 def _is_dunder(name: str) -> bool:
@@ -191,6 +215,33 @@ def unread_parameters(paths) -> list[str]:
     return sorted(unread)
 
 
+def unslotted_dataclasses(paths) -> list[str]:
+    """``Class (file:line)`` of each ``@dataclass`` class whose decorator
+    does not pass ``slots=True`` and whose body assigns no ``__slots__``."""
+    unslotted = []
+    for path in paths:
+        for node in ast.walk(ast.parse(path.read_text("utf-8"), str(path))):
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for decorator in node.decorator_list:
+                call = decorator if isinstance(decorator, ast.Call) else None
+                target = decorator.func if call else decorator
+                if getattr(target, "id", getattr(target, "attr", "")) != "dataclass":
+                    continue
+                slots = call is not None and any(
+                    k.arg == "slots" and getattr(k.value, "value", False) is True
+                    for k in call.keywords
+                )
+                declared = any(
+                    name.id == "__slots__"
+                    for statement in node.body
+                    for name in _assigned_names(statement)
+                )
+                if not slots and not declared:
+                    unslotted.append(f"{node.name} ({path.name}:{node.lineno})")
+    return sorted(unslotted)
+
+
 def program_files() -> list[Path]:
     perfbench = [p for p in PERFBENCH.rglob("*.py") if "tests" not in p.relative_to(PERFBENCH).parts]
     return sorted(PACKAGE.glob("*.py")) + sorted(perfbench)
@@ -206,6 +257,11 @@ def test_every_data_name_of_the_package_is_read_by_the_program():
 
 def test_every_parameter_of_the_package_is_read_by_its_function():
     assert unread_parameters(sorted(PACKAGE.glob("*.py"))) == []
+
+
+def test_every_dataclass_of_the_package_is_slotted_or_named_unslotted():
+    unslotted = unslotted_dataclasses(sorted(PACKAGE.glob("*.py")))
+    assert sorted(entry.split(" ")[0] for entry in unslotted) == sorted(UNSLOTTED)
 
 
 def test_the_check_sees_the_package_and_the_benchmark():
@@ -328,4 +384,35 @@ def test_a_parameter_its_body_does_not_load_is_unread(tmp_path):
         "outer.step (mod.py:10)",
         "perform.extra (mod.py:4)",
         "perform.widget_id (mod.py:4)",
+    ]
+
+
+def test_a_dataclass_that_declares_no_slots_is_unslotted(tmp_path):
+    module = tmp_path / "mod.py"
+    module.write_text(
+        "import dataclasses\n"
+        "from dataclasses import dataclass\n"
+        "@dataclass\n"
+        "class Plain:\n"
+        "    x: int\n"
+        "@dataclass(frozen=True)\n"
+        "class Frozen:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(slots=False)\n"
+        "class Qualified:\n"
+        "    x: int\n"
+        "@dataclasses.dataclass(slots=True)\n"
+        "class Slotted:\n"
+        "    x: int\n"
+        "@dataclass\n"
+        "class Declared:\n"
+        "    __slots__ = ('x',)\n"
+        "    x: int\n"
+        "class Record:\n"
+        "    x: int = 0\n"
+    )
+    assert unslotted_dataclasses([module]) == [
+        "Frozen (mod.py:7)",
+        "Plain (mod.py:4)",
+        "Qualified (mod.py:10)",
     ]
