@@ -74,7 +74,7 @@ class CoverageLedger:
     _recorded: set[tuple[str, int, int]] = field(default_factory=set, repr=False)
 
     def record(
-        self, ranges: list[tuple[str, int, int]], targets: TargetSet
+        self, ranges: tuple[tuple[str, int, int], ...], targets: TargetSet
     ) -> dict[str, set[int]]:
         newly: dict[str, set[int]] = {}
         for span in ranges:
@@ -181,6 +181,8 @@ def emit_report(result: SessionResult, targets: TargetSet, out_path) -> dict:
 _PRESS_BACK = ActionType.PRESS_BACK
 _TEXT_FILL = ActionType.TEXT_FILL
 _DIALOG = WindowKind.DIALOG
+# what exploration does on a screen with nothing to act on
+_EXPLORE_BACK = Action(None, _PRESS_BACK)
 
 
 def _state_key(window_id: str, level: str, multiset: dict[tuple, int]) -> tuple:
@@ -199,6 +201,10 @@ class _Screen:
     ``interned``, the observer's one object per distinct key, so that equal
     keys are the same object.  A unique target action's report records the
     window id and root of the screens it acted on and reached.
+
+    Each action exploration may pick on the screen is built here, once, as a
+    ``(widget ref, Action)`` pair whose action has no input id; exploration
+    draws these shared actions and names one only when it is reported.
     """
 
     def __init__(self, window_id: str, root: GuiNode, interned: dict[tuple, tuple]):
@@ -208,8 +214,8 @@ class _Screen:
         self.keys: dict[str, tuple] = {}  # level name -> state key, once computed
         # widget ref -> (node path, node, xpath) of its first node in pre-order
         self.widgets: dict[str, tuple[tuple[int, ...], GuiNode, str]] = {}
-        # (node path, widget ref, action type) of every action exploration may pick
-        self.candidates: list[tuple[tuple[int, ...], Optional[str], ActionType]] = []
+        # (widget ref, action) of every action exploration may pick
+        self.candidates: list[tuple[Optional[str], Action]] = []
         # pre-order (children left to right); an xpath lists the class
         # names of the nodes below the root down to the node
         stack: list[tuple[tuple[int, ...], GuiNode, str]] = [((), root, "/")]
@@ -220,7 +226,7 @@ class _Screen:
                 self.widgets[ref] = (path, node, xpath)
             if not (node.bounds_hint and node.bounds_hint.get("tiny")):
                 self.candidates.extend(
-                    (path, ref, action_type)
+                    (ref, Action(None, action_type, path))
                     for prop, action_type in NODE_ACTIONS
                     if node.properties.get(prop)
                 )
@@ -506,7 +512,9 @@ class TestEngine:
         return first[0] if first is not None else None
 
     def _perform(self, action: Action, widget_id: Optional[str]) -> Optional[PerformResult]:
-        """Execute one action; returns None on driver rejection."""
+        """Execute one action; returns None on driver rejection.  An action
+        without an input id is exploration's, named ``explore-<n>`` after
+        the ``n``-th action of the session only if it is reported."""
         before_index, before_screen, before_state = (
             self.observations, self.current_screen, self.current_state
         )
@@ -529,6 +537,11 @@ class TestEngine:
         if newly:
             if self.first_coverage_at is None:
                 self.first_coverage_at = self.executed
+            if action.input_id is None:
+                action = Action(
+                    f"explore-{self.executed}", action.action_type,
+                    action.concrete_node_path, action.data_payload,
+                )
             self.utas.append(
                 UtaRecord(
                     (before_index, before_screen.window_id, before_screen.root, before_state.id),
@@ -563,12 +576,7 @@ class TestEngine:
         payload = step.data_payload
         if step.action_type == _TEXT_FILL and payload is None:
             payload = self._payload_for(step.widget_id)
-        action = Action(
-            input_id=step.input_id,
-            action_type=step.action_type,
-            concrete_node_path=path,
-            data_payload=payload,
-        )
+        action = Action(step.input_id, step.action_type, path, payload)
         predecessor = self.current_state
         result = self._perform(action, step.widget_id)
         if result is None:
@@ -615,21 +623,21 @@ class TestEngine:
     # -- exploration ------------------------------------------------------
 
     def random_explore(self, budget_slice: int) -> None:
+        """Perform up to ``budget_slice`` random actions, each drawn from the
+        current screen's prebuilt candidates, or a press-back when it has
+        none.  Only a text fill builds an action, for the payload it draws
+        after the candidate."""
         for _ in range(max(0, min(budget_slice, self._budget_left()))):
             candidates = self.current_screen.candidates
             if candidates:
-                path, widget_id, action_type = self.rng.choice(candidates)
+                widget_id, action = self.rng.choice(candidates)
+                if action.action_type is _TEXT_FILL:
+                    action = Action(
+                        None, _TEXT_FILL, action.concrete_node_path,
+                        self._payload_for(widget_id),
+                    )
             else:
-                path, widget_id, action_type = None, None, _PRESS_BACK
-            payload = (
-                self._payload_for(widget_id) if action_type is _TEXT_FILL else None
-            )
-            action = Action(
-                input_id=f"explore-{self.executed + 1}",
-                action_type=action_type,
-                concrete_node_path=path,
-                data_payload=payload,
-            )
+                widget_id, action = None, _EXPLORE_BACK
             self._perform(action, widget_id)
 
     # -- phases -----------------------------------------------------------

@@ -643,13 +643,19 @@ def _compile_effects(effects: list[dict]) -> tuple[tuple[str, Any], ...]:
     return tuple(pairs)
 
 
-@dataclass(slots=True)
+@dataclass(frozen=True, slots=True)
 class PerformResult:
+    """What a reset or an action left on screen and the instruction span it
+    executed.  A driver runs at most one command per action, so ``executed``
+    is ``()`` or ``(span,)``, and the screen and that span decide the whole
+    result: the driver hands back one shared result per pair, which nobody
+    can write to."""
+
     window_id: str
     window_kind: WindowKind
     window_class_name: str
     root: GuiNode
-    executed: list[tuple[str, int, int]]  # (method id, range lo, range hi)
+    executed: tuple[tuple[str, int, int], ...]  # (method id, range lo, range hi)
 
 
 class DriverSession:
@@ -676,6 +682,11 @@ class DriverSession:
     the rest is the spec's.  Each action then reads only the state variables
     its handler's guards compare, and applies its command's effects compiled
     to ``(name, argument)`` pairs, one dispatch each.
+
+    Results are shared like screens: the driver keeps one ``PerformResult``
+    per (screen, executed span) and hands it back whenever an action or a
+    reset ends on that screen having run that span.  A result is frozen and
+    its ``executed`` a tuple.
 
     A version has one id space of widgets (``load_spec`` rejects an id in two
     windows), so each widget id names one widget of one window.
@@ -709,6 +720,8 @@ class DriverSession:
         self._current: dict[str, GuiNode] = {}
         # (screen, node path, action type) -> what ``_resolve`` made of it
         self._resolved: dict[tuple, Union[str, tuple]] = {}
+        # (screen, executed span or None) -> the one result for it
+        self._results: dict[tuple, PerformResult] = {}
         self.reset()
 
     # -- state management
@@ -730,16 +743,26 @@ class DriverSession:
         self.window_stack = [self._launcher_id]
         self.launch_counter += 1
         self._apply_generators()
-        return self._result([])
+        return self._result(None)
 
-    def _result(self, executed: list[tuple[str, int, int]]) -> PerformResult:
+    def _result(self, span: Optional[tuple[str, int, int]]) -> PerformResult:
+        """The result for the current screen and ``span``, the one command's
+        executed span or None; built the first time.  A screen belongs to
+        one window, so the pair decides the window too."""
         window_id = self.window_stack[-1]
         screen = self._current.get(window_id)
         if screen is None:
             screen = self.render()
         self._screen = screen  # what the next action's node path refers to
-        window = self._windows[window_id]
-        return PerformResult(window_id, window.kind, window.class_name, screen, executed)
+        key = (screen, span)
+        result = self._results.get(key)
+        if result is None:
+            window = self._windows[window_id]
+            result = self._results[key] = PerformResult(
+                window_id, window.kind, window.class_name, screen,
+                () if span is None else (span,),
+            )
+        return result
 
     def _apply_generators(self) -> None:
         for gi, gen in enumerate(self.version_spec.generators):
@@ -869,20 +892,19 @@ class DriverSession:
             self._text[widget_id] = action.data_payload or ""
             self._forget_screens(widget_id)
 
-        executed: list[tuple[str, int, int]] = []
         if commands is None:
             self._go_back()
-        else:
-            variables = self.variables
-            for guard, effects, span in commands:
-                for holds, var, value in guard:
-                    if not holds(variables.get(var), value):
-                        break
-                else:
-                    self._apply_effects(effects, action)
-                    executed.append(span)
+            return self._result(None)
+        # the first command whose guard holds runs, and no other
+        variables = self.variables
+        for guard, effects, span in commands:
+            for holds, var, value in guard:
+                if not holds(variables.get(var), value):
                     break
-        return self._result(executed)
+            else:
+                self._apply_effects(effects, action)
+                return self._result(span)
+        return self._result(None)
 
     def _resolve(
         self, path: Optional[tuple[int, ...]], action_type: ActionType

@@ -508,7 +508,7 @@ class GuiNode:
 
 @dataclass(slots=True)
 class Action:
-    input_id: str
+    input_id: Optional[str]  # None for an exploration action not yet reported
     action_type: ActionType
     concrete_node_path: Optional[tuple[int, ...]] = None
     data_payload: Optional[str] = None

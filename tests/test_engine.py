@@ -758,3 +758,99 @@ def test_a_sessions_trace_holds_one_step_object_per_transition_and_node(app):
     trace = model.gstg.trace
     distinct = {(step.transition_id, step.concrete_node_path) for step in trace}
     assert len({id(step) for step in trace}) == len(distinct) < len(trace)
+
+
+class UtaCountingDriver(RecordingDriver):
+    """A ``RecordingDriver`` that notes, before each call, how many unique
+    target actions the session has reported; ``utas`` is the engine's list."""
+
+    def __init__(self, driver, reject_every=None):
+        super().__init__(driver, reject_every)
+        self.utas = []
+        self.reported_before = []  # per call, in call order
+
+    def perform(self, action):
+        self.reported_before.append(len(self.utas))
+        return super().perform(action)
+
+
+def check_uta_names(spec, version, reject_every) -> int:
+    """Run a session and check each UTA's input id; returns how many of
+    them exploration named."""
+    model = AppModel(version=version, ewtg=export_ewtg(spec, version))
+    counts = method_instruction_counts(spec, version)
+    targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
+    driver = UtaCountingDriver(DriverSession(spec, version, seed=1), reject_every)
+    engine = TestEngine(model, targets, driver, budget=300, seed=1)
+    driver.utas = engine.utas
+    engine.run_session()
+    explored = 0
+    for index, uta in enumerate(engine.utas):
+        # an action reports at most one UTA, so UTA ``index`` came from the
+        # last call that started with ``index`` UTAs reported
+        k = max(k for k, n in enumerate(driver.reported_before, 1) if n == index)
+        input_id = uta.action.input_id
+        assert input_id is not None
+        if input_id.startswith("explore-"):
+            assert input_id == f"explore-{k}"
+            explored += 1
+    return explored
+
+
+@pytest.mark.parametrize("reject_every", [None, 7])
+def test_an_exploration_uta_is_named_after_the_action_that_produced_it(reject_every):
+    explored = 0
+    for app in ("diary", "dialog", "news", "deep"):
+        spec = load_spec(fixture_path(app))
+        for version in spec.versions:
+            explored += check_uta_names(spec, version.version, reject_every)
+    assert explored > 0
+
+
+def test_no_fixture_report_holds_an_unnamed_action(tmp_path):
+    for app in ("diary", "dialog", "news", "deep"):
+        spec = load_spec(fixture_path(app))
+        workdir = tmp_path / app
+        workdir.mkdir()
+        artifacts = pipeline_run(
+            spec, spec.versions[0].version, spec.versions[-1].version,
+            budget=300, seed=1, workdir=workdir, config=EngineConfig(),
+        )
+        reports = [p for p in artifacts if p.name.startswith("report_")]
+        assert len(reports) == len(spec.versions)
+        for path in reports:
+            for uta in json.loads(path.read_bytes())["utas"]:
+                assert isinstance(uta["action"]["inputId"], str)
+
+
+def test_a_long_session_builds_no_result_or_explore_action_per_step():
+    spec = load_spec(fixture_path("deep"))
+    version = spec.versions[-1].version
+    model = AppModel(version=version, ewtg=export_ewtg(spec, version))
+    counts = method_instruction_counts(spec, version)
+    targets = TargetSet(target_method_ids=set(counts), instruction_counts=counts)
+    inner = DriverSession(spec, version, seed=1)
+    results, explored = [], []
+
+    class KeepingDriver:
+        """Keeps every result the engine receives and every action it hands over."""
+
+        def reset(self):
+            results.append(inner.reset())
+            return results[-1]
+
+        def perform(self, action):
+            if action.input_id is None and action.action_type is not ActionType.TEXT_FILL:
+                explored.append(action)
+            results.append(inner.perform(action))
+            return results[-1]
+
+    engine = TestEngine(model, targets, KeepingDriver(), budget=1000, seed=1)
+    assert engine.run_session().executed_actions == 1000
+    # the lists keep every object alive, so distinct objects have distinct ids
+    assert len({id(r) for r in results}) == len({(id(r.root), r.executed) for r in results})
+    candidates = sum(len(screen.candidates) for screen in engine.observer.screens.values())
+    distinct = len({id(a) for a in explored})
+    # the screens' candidates and the one press-back on a screen without any
+    assert distinct <= candidates + 1
+    assert len(explored) > 2 * (candidates + 1)

@@ -1,6 +1,7 @@
 """Simulated app platform: spec loading, static export, driver semantics."""
 
 import copy
+import dataclasses
 import random
 
 import pytest
@@ -367,12 +368,64 @@ def test_guarded_commands_fire_first_match_only():
     result = session.reset()
     # first click: the guard clicks >= 1 fails, the fallback command runs
     r1 = click(session, result, "w-go")
-    assert r1.executed == [("m-go", 5, 6)]
+    assert r1.executed == (("m-go", 5, 6),)
     assert r1.window_id == "main"
     # second click: the guard holds and navigation fires
     r2 = click(session, r1, "w-go")
-    assert r2.executed == [("m-go", 1, 4)]
+    assert r2.executed == (("m-go", 1, 4),)
     assert r2.window_id == "second"
+
+
+def test_the_same_screen_and_span_return_the_one_result():
+    session = toy_session()
+    first = session.reset()
+    clicked = click(session, first, "w-go")
+    assert clicked.executed == (("m-go", 5, 6),) and clicked.root is first.root
+    # a reset forgets the click, so the same click ends the same way again
+    assert session.reset() is first
+    assert click(session, first, "w-go") is clicked
+
+
+def test_a_shared_result_cannot_be_written():
+    result = toy_session().reset()
+    for name in ("window_id", "window_kind", "window_class_name", "root", "executed"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(result, name, None)
+    assert result.executed == ()
+
+
+def test_each_drivers_results_still_hold_their_key_after_a_run(tmp_path, monkeypatch):
+    import uptest.cli
+
+    drivers = []
+
+    class KeptDriverSession(DriverSession):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            drivers.append(self)
+
+    monkeypatch.setattr(uptest.cli, "DriverSession", KeptDriverSession)
+    versions = 0
+    for app in ("diary", "dialog", "news", "deep"):
+        spec = load_spec(fixture_path(app))
+        workdir = tmp_path / app
+        workdir.mkdir()
+        pipeline_run(
+            spec, spec.versions[0].version, spec.versions[-1].version,
+            budget=300, seed=1, workdir=workdir, config=EngineConfig(),
+        )
+        versions += len(spec.versions)
+    # a session and a replay driver per version
+    assert len(drivers) == 2 * versions
+    spans = 0
+    for driver in drivers:
+        for (screen, span), result in driver._results.items():
+            assert result.root is screen
+            assert result.executed == (() if span is None else (span,))
+            window = driver._windows[result.window_id]
+            assert (result.window_kind, result.window_class_name) == (window.kind, window.class_name)
+            spans += span is not None
+    assert spans > 0
 
 
 def test_every_guard_operator_fires_as_its_comparison_decides():
@@ -410,7 +463,7 @@ def test_every_guard_operator_fires_as_its_comparison_decides():
         for index, guard in enumerate(guards):
             holds = all(GUARD_OPS[c.get("op", "==")](n, c["value"]) for c in guard)
             result = click(session, result, f"w-{index}")
-            assert result.executed == [(f"m-{index}", *((1, 1) if holds else (2, 2)))]
+            assert result.executed == ((f"m-{index}", *((1, 1) if holds else (2, 2))),)
             fired[index].add(holds)
         result = click(session, result, "w-inc")
     # every guard both held and failed on the way
@@ -487,7 +540,7 @@ def test_inputs_sharing_a_widget_and_action_run_the_lowest_input_id():
                                   "actionType": "Click", "handler": handler})
     session = DriverSession(load_spec(doc), "v1")
     result = click(session, session.reset(), "w-go")
-    assert result.executed == [("m-back", 1, 2)]
+    assert result.executed == (("m-back", 1, 2),)
 
 
 def test_node_path_after_a_rejected_action_resolves_on_the_unchanged_screen():
@@ -495,7 +548,7 @@ def test_node_path_after_a_rejected_action_resolves_on_the_unchanged_screen():
     result = session.reset()
     with pytest.raises(DriverRejection):
         click(session, result, "w-tiny")
-    assert click(session, result, "w-go").executed == [("m-go", 5, 6)]
+    assert click(session, result, "w-go").executed == (("m-go", 5, 6),)
 
 
 def test_node_path_after_a_show_effect_resolves_on_the_new_screen():
@@ -524,7 +577,7 @@ def test_node_path_after_a_show_effect_resolves_on_the_new_screen():
     shown = click(session, before, "w-show")
     # the shown widget takes the path "w-show" had on the screen before
     assert path_of(shown.root, "w-hidden") == path_of(before.root, "w-show")
-    assert click(session, shown, "w-hidden").executed == [("m-hidden", 1, 1)]
+    assert click(session, shown, "w-hidden").executed == (("m-hidden", 1, 1),)
 
 
 def test_reset_restores_state_except_persistent_variables():
