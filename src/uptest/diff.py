@@ -282,11 +282,11 @@ def _parent_depth_order(widgets: list[EwtgWidget]) -> list[EwtgWidget]:
     """Parents before children so pairing can be checked incrementally: by
     depth, then id.
 
-    A widget's depth is the number of distinct widgets of ``widgets`` on its
-    parent chain.  Depth 0 holds the widgets whose parent is not among them,
-    and depth d + 1 the children of those at depth d.  A widget that no
-    depth reaches is on a parent cycle (which a window graph file may hold)
-    or below one, and its chain is walked, so a cycle counts whole.
+    A widget's depth is the number of widgets of ``widgets`` on its parent
+    chain.  Depth 0 holds the widgets whose parent is not among them, and
+    depth d + 1 the children of those at depth d.  The widgets hold no
+    parent cycle, which ``load_spec`` and ``Ewtg.from_dict`` reject, so every
+    widget has a depth.
     """
     by_id = {w.id: w for w in widgets}
     children: dict[str, list[EwtgWidget]] = {}
@@ -300,18 +300,6 @@ def _parent_depth_order(widgets: list[EwtgWidget]) -> list[EwtgWidget]:
     while level:
         levels.append(level)
         level = [child for w in level for child in children.get(w.id, ())]
-    if sum(map(len, levels)) < len(widgets):
-        reached = {w.id for level in levels for w in level}
-        for w in widgets:
-            if w.id in reached:
-                continue
-            seen = set()
-            parent = w.parent_id
-            while parent in by_id and parent not in seen:
-                seen.add(parent)
-                parent = by_id[parent].parent_id
-            levels.extend([] for _ in range(len(seen) + 1 - len(levels)))
-            levels[len(seen)].append(w)
     return [w for level in levels for w in sorted(level, key=_id)]
 
 

@@ -31,7 +31,7 @@ from .model import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MetaState:
     """Episode-local expectation of reaching a window, its widgets unknown.
 
@@ -44,7 +44,7 @@ class MetaState:
 ExpectedState = Union[str, MetaState]  # abstract state id or a meta state
 
 
-@dataclass
+@dataclass(slots=True)
 class PlanStep:
     input_id: str
     action_type: ActionType
@@ -369,61 +369,57 @@ class Planner:
             return None
 
         counter = 0
-        # frontier entries: cost, meta steps, tiebreak, node key, steps,
-        # cost_full, prod, and the node keys the path visited
-        frontier: list[tuple] = []
-        heapq.heappush(frontier, (0.0, 0, counter, start_key, [], 0.0, 1.0, frozenset([start_key])))
-        # Pareto frontiers per node: lower cost_full and higher probability
-        # dominate, but only when the dominating path visited no extra nodes
-        # (otherwise it might forbid a suffix the dominated path still allows)
-        best: dict[tuple, list[tuple[float, float, frozenset]]] = {}
+        # frontier entries: cost, meta steps, tiebreak, node key, steps, cost_full, prod
+        frontier: list[tuple] = [(0.0, 0, counter, start_key, [], 0.0, 1.0)]
+        # Pareto frontiers per node over the label (cost_full, prod, length,
+        # meta steps): a label no worse in all four takes every suffix the
+        # other can, within the length bound, to a plan no worse in the heap's
+        # order.  A step costs at least 1 and has probability at most 1, so a
+        # walk back to a node is dominated by the label recorded when its path
+        # expanded that node: plans stay acyclic.
+        best: dict[tuple, list[tuple[float, float, int, int]]] = {}
 
-        def dominated(key: tuple, cost_full: float, prod: float, visited: frozenset) -> bool:
-            for cf, pr, vs in best.get(key, []):
-                if cf <= cost_full and pr >= prod and vs <= visited:
+        def dominated(key: tuple, cost_full: float, prod: float, length: int, metas: int) -> bool:
+            for cf, pr, n, m in best.get(key, ()):
+                if cf <= cost_full and pr >= prod and n <= length and m <= metas:
                     return True
             return False
 
-        def record(key: tuple, cost_full: float, prod: float, visited: frozenset) -> None:
+        def record(key: tuple, cost_full: float, prod: float, length: int, metas: int) -> None:
             entries = best.setdefault(key, [])
             entries[:] = [
-                (cf, pr, vs)
-                for cf, pr, vs in entries
-                if not (cost_full <= cf and prod >= pr and visited <= vs)
+                (cf, pr, n, m)
+                for cf, pr, n, m in entries
+                if not (cost_full <= cf and prod >= pr and length <= n and metas <= m)
             ]
-            entries.append((cost_full, prod, visited))
+            entries.append((cost_full, prod, length, metas))
 
         while frontier:
-            cost, meta_count, _, key, steps, cost_full, prod, visited_keys = heapq.heappop(frontier)
+            cost, meta_count, _, key, steps, cost_full, prod = heapq.heappop(frontier)
             if key == "GOAL" or node_is_goal(key):
                 return ActionSequence(steps=list(steps))
-            if len(steps) >= self.config.max_plan_length:
+            length = len(steps)
+            if length >= self.config.max_plan_length:
                 continue
-            if dominated(key, cost_full, prod, visited_keys):
+            if dominated(key, cost_full, prod, length, meta_count):
                 continue
-            record(key, cost_full, prod, visited_keys)
+            record(key, cost_full, prod, length, meta_count)
 
             for dest_key, step in self._edges(key, at_start=not steps):
-                # a goal edge may revisit a node (e.g. a self-loop input)
-                if not edge_is_goal(step) and dest_key in visited_keys:
-                    continue
                 new_cost_full = cost_full + step.cost
                 new_prod = prod * step.probability
-                new_cost = _sequence_cost(new_cost_full, new_prod)
-                new_steps = steps + [step]
                 new_meta_count = meta_count + (1 if step.is_meta else 0)
-                counter += 1
                 if edge_is_goal(step):
-                    # target input reached; candidate completes with this step
-                    heapq.heappush(frontier, (new_cost, new_meta_count, counter, "GOAL", new_steps, new_cost_full, new_prod, None))
+                    # target input reached, even by a self-loop: the
+                    # candidate completes with this step
+                    dest_key = "GOAL"
+                elif dominated(dest_key, new_cost_full, new_prod, length + 1, new_meta_count):
                     continue
-                new_visited = visited_keys | {dest_key}
-                if dominated(dest_key, new_cost_full, new_prod, new_visited):
-                    continue
+                counter += 1
                 heapq.heappush(
                     frontier,
-                    (new_cost, new_meta_count, counter, dest_key, new_steps,
-                     new_cost_full, new_prod, new_visited),
+                    (_sequence_cost(new_cost_full, new_prod), new_meta_count, counter,
+                     dest_key, steps + [step], new_cost_full, new_prod),
                 )
         return None
 

@@ -135,7 +135,7 @@ def test_packed_distances_match_oracle_in_every_lane():
         assert pair_distances(patterns, texts) == expected, (patterns, texts)
 
 
-def test_parent_depth_order_puts_each_parent_first_and_counts_a_cycle_whole():
+def test_parent_depth_order_puts_each_parent_first():
     def widget(wid, parent):
         return EwtgWidget(wid, "w", "View", wid, "", f"/{wid}", parent_id=parent)
 
@@ -157,10 +157,13 @@ def test_parent_depth_order_puts_each_parent_first_and_counts_a_cycle_whole():
     rng = random.Random(5)
     for _ in range(300):
         ids = [f"x{i}" for i in range(rng.randrange(1, 12))]
-        # parents among the widgets (cycles included), outside them, or none
+        # each parent an earlier id, one outside them, or none: no cycle; the
+        # shuffle puts children before their parents too
         widgets = [
-            widget(wid, rng.choice([None, "elsewhere", *ids])) for wid in sorted(ids)
+            widget(wid, rng.choice([None, "elsewhere", *ids[:i]]))
+            for i, wid in enumerate(ids)
         ]
+        rng.shuffle(widgets)
         assert _parent_depth_order(widgets) == walked(widgets), widgets
 
 

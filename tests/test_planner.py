@@ -404,6 +404,32 @@ def test_plans_on_random_models_are_unchanged():
     assert digest.hexdigest() == RANDOM_PLANS_DIGEST
 
 
+def test_no_plan_on_random_models_visits_a_node_twice():
+    # the search prunes by label alone; a walk back to a node must still
+    # never be returned, save a final step on the target input
+    walked = 0
+    for seed in range(400):
+        rng = random.Random(seed)
+        model, start, target = random_model(rng)
+        layouts = _decorate(model, rng)
+        planner = Planner(model, PlanView(model), layouts, EngineConfig())
+        seq = planner.plan(start, target)
+        if seq is None or not seq.steps:
+            continue
+        walked += 1
+        steps = seq.steps
+        if isinstance(target, Input) and steps[-1].input_id == target.id:
+            steps = steps[:-1]
+        key = ("state", start.id)
+        keys = [key]
+        for i, step in enumerate(steps):
+            # the step is the very object its edge holds
+            (key,) = [d for d, s in planner._edges_of[key, i == 0] if s is step]
+            keys.append(key)
+        assert len(keys) == len(set(keys)), (seed, keys)
+    assert walked > 100
+
+
 def test_precheck_stops_exactly_the_plans_the_search_cannot_find(monkeypatch):
     # with and without the breadth-first pre-check the planner returns the
     # same plans, and the pre-check answers "unreachable" for every target

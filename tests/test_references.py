@@ -23,8 +23,8 @@ EXCEPTIONS = {"refine_level"}
 # discarded writes to the receiver and reads nothing out of it
 MUTATORS = {"append", "extend", "add", "update", "insert", "discard", "remove", "clear"}
 # the dataclasses left with a per-instance dict: each is built once per app,
-# version, model, session, report or run, or a few times per plan, never once
-# per element of a loaded document
+# version, model, session, report, run or plan, never once per element of a
+# loaded document
 UNSLOTTED = {
     "AppSpec": "one per loaded app",
     "VersionSpec": "one per version of a loaded app",
@@ -40,8 +40,6 @@ UNSLOTTED = {
     "EngineConfig": "one per run",
     "AbstractionLevel": "five, one per level, built at import",
     "Planner": "one per session",
-    "MetaState": "one per window a plan expects to reach, a frozen search key",
-    "PlanStep": "one per step of a plan",
     "ActionSequence": "one per plan",
     "GuiNode": "one per node of a distinct screen, which the driver builds once",
 }
