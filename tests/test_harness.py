@@ -2,7 +2,10 @@
 
 import copy
 import dataclasses
+import hashlib
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -302,6 +305,29 @@ def test_widgets_with_the_same_flags_share_one_property_dict_and_records_are_slo
         "VariableSpec", "GeneratorSpec",
     }
     assert not [r for r in records if hasattr(r, "__dict__")]
+
+
+#: sha256 of the concatenated ``repr`` of the loaded spec of each shipped
+#: fixture, loaded by path, then of ``perfbench/appgen.py`` apps 1 and 2 at
+#: the ``gen-carry`` shape (60x40, perturbation 0.15, five versions).  Every
+#: spec record is a dataclass, so the repr covers every field, enum member
+#: and shared flag dict that ``load_spec`` builds.
+SPEC_DIGEST = "e90245f53c42d0d0a19584a1b3198fa984cc2111f8911a1ea6af0ca0bffb0d69"
+
+
+def test_loaded_specs_are_unchanged():
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+    try:
+        import appgen
+    finally:
+        sys.path.pop(0)
+    digest = hashlib.sha256()
+    for name in ("diary", "dialog", "news", "deep"):
+        digest.update(repr(load_spec(fixture_path(name))).encode())
+    for app in (1, 2):
+        doc = appgen.generate_app(app, 60, 40, perturbation=0.15, versions=5)
+        digest.update(repr(load_spec(doc)).encode())
+    assert digest.hexdigest() == SPEC_DIGEST
 
 
 # --- static export --------------------------------------------------------
