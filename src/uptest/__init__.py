@@ -1,6 +1,5 @@
 """Update-aware, model-based GUI test generation over a simulated app platform."""
 
-from importlib import resources
 from pathlib import Path
 
 from .model import (  # noqa: F401
@@ -15,6 +14,9 @@ __version__ = "0.1.0"
 
 
 def fixture_path(name: str) -> Path:
-    """Path of a bundled example app spec (e.g. ``diary``, ``dialog``)."""
-    path = resources.files("uptest") / "fixtures" / f"{name}.json"
-    return Path(str(path))
+    """Path of a bundled example app spec (e.g. ``diary``, ``dialog``).
+
+    The specs ship as files in the package's ``fixtures`` directory, next to
+    this module, so the package must be installed on disk, not in a zip.
+    """
+    return Path(__file__).with_name("fixtures") / f"{name}.json"

@@ -11,6 +11,16 @@ A loaded spec is read-only.  Its per-element records are slotted
 dataclasses, with no per-instance dict, because a carried app loads every
 version in full: a 60-window app of five versions holds over 12,000
 widgets.  Widgets with the same eight flags share one property dict.
+
+Each record's ``from_dict`` reads every key of its JSON object once,
+computes a default only when its key is missing, checks every field's type
+inline and then calls the record's constructor positionally.  A widget,
+window or input with a wrong field raises one message that names it; the
+other records raise through ``require`` or ``require_int``, whose messages
+name the expected type.  No check takes a boolean for an integer.  Besides
+malformed documents and dangling references, ``load_spec`` rejects a
+version id used twice and a method id that two handlers of one version
+declare.
 """
 
 from __future__ import annotations
@@ -89,7 +99,8 @@ class WidgetSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WidgetSpec":
-        flags = tuple(map(d.get, _WIDGET_BOOL_PROPS, _DEFAULT_FLAGS))
+        get = d.get
+        flags = tuple(map(get, _WIDGET_BOOL_PROPS, _DEFAULT_FLAGS))
         # checked before the lookup: 0 == False and the two hash alike, so
         # the table would hand a widget with a 0 the dict of a false flag
         if not _BOOL_ONLY.issuperset(map(type, flags)):  # JSON true or false only
@@ -98,35 +109,44 @@ class WidgetSpec:
         props = _PROPERTY_DICTS.get(flags)
         if props is None:
             props = _PROPERTY_DICTS[flags] = dict(zip(_WIDGET_BOOL_PROPS, flags))
-        w = cls(
-            id=d["id"],
-            resource_id=d.get("resourceId", d["id"]),
-            class_name=d.get("className", "View"),
-            xpath=d.get("xpath", f"/{d.get('resourceId', d['id'])}"),
-            content_description=d.get("contentDescription", ""),
-            parent=d.get("parent"),
-            text=d.get("text", ""),
-            visible=d.get("visible", True),
-            dynamic_only=d.get("dynamicOnly", False),
-            tiny=d.get("tiny", False),
-            properties=props,
-        )
+        widget_id = d["id"]
+        resource_id = get("resourceId", widget_id)
+        class_name = get("className", "View")
+        xpath = d["xpath"] if "xpath" in d else f"/{resource_id}"
+        content_description = get("contentDescription", "")
+        parent = get("parent")
+        text = get("text", "")
+        visible = get("visible", True)
+        dynamic_only = get("dynamicOnly", False)
+        tiny = get("tiny", False)
         # inline checks: this runs once per widget of every version
         if not (
-            isinstance(w.id, str)
-            and isinstance(w.resource_id, str)
-            and isinstance(w.class_name, str)
-            and isinstance(w.xpath, str)
-            and w.xpath  # a window graph rejects a widget with no xpath
-            and isinstance(w.content_description, str)
-            and isinstance(w.text, str)
-            and isinstance(w.parent, OPTIONAL_STR)
-            and isinstance(w.visible, bool)
-            and isinstance(w.dynamic_only, bool)
-            and isinstance(w.tiny, bool)
+            isinstance(widget_id, str)
+            and isinstance(resource_id, str)
+            and isinstance(class_name, str)
+            and isinstance(xpath, str)
+            and xpath  # a window graph rejects a widget with no xpath
+            and isinstance(content_description, str)
+            and isinstance(text, str)
+            and (parent is None or isinstance(parent, str))
+            and type(visible) is bool
+            and type(dynamic_only) is bool
+            and type(tiny) is bool
         ):
-            raise TypeError(f"widget {w.id!r} has a field of the wrong type or an empty xpath")
-        return w
+            raise TypeError(f"widget {widget_id!r} has a field of the wrong type or an empty xpath")
+        return cls(
+            widget_id,
+            resource_id,
+            class_name,
+            xpath,
+            content_description,
+            parent,
+            text,
+            visible,
+            dynamic_only,
+            tiny,
+            props,
+        )
 
 
 @dataclass(slots=True)
@@ -141,30 +161,23 @@ class WindowSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WindowSpec":
-        widgets = {}
-        for wd in d.get("widgets", []):
-            spec = WidgetSpec.from_dict(wd)
-            if spec.id in widgets:
-                raise SpecError(f"duplicate widget id {spec.id}")
-            widgets[spec.id] = spec
-        window = cls(
-            id=d["id"],
-            name=d.get("name", d["id"]),
-            kind=_WINDOW_KINDS[d.get("kind", "Activity")],
-            class_name=d.get("className", d.get("name", d["id"])),
-            launcher=d.get("launcher", False),
-            dynamic_only=d.get("dynamicOnly", False),
-            widgets=widgets,
-        )
+        widgets = _keyed(list(map(WidgetSpec.from_dict, d.get("widgets", ()))), "id", "widget id")
+        get = d.get
+        window_id = d["id"]
+        name = get("name", window_id)
+        kind = _WINDOW_KINDS[get("kind", "Activity")]
+        class_name = d["className"] if "className" in d else name
+        launcher = get("launcher", False)
+        dynamic_only = get("dynamicOnly", False)
         if not (
-            isinstance(window.id, str)
-            and isinstance(window.name, str)
-            and isinstance(window.class_name, str)
-            and isinstance(window.launcher, bool)
-            and isinstance(window.dynamic_only, bool)
+            isinstance(window_id, str)
+            and isinstance(name, str)
+            and isinstance(class_name, str)
+            and type(launcher) is bool
+            and type(dynamic_only) is bool
         ):
-            raise TypeError(f"window {window.id!r} has a field of the wrong type")
-        return window
+            raise TypeError(f"window {window_id!r} has a field of the wrong type")
+        return cls(window_id, name, kind, class_name, launcher, dynamic_only, widgets)
 
 
 @dataclass(slots=True)
@@ -177,21 +190,19 @@ class InputSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "InputSpec":
-        inp = cls(
-            id=d["id"],
-            window=d["window"],
-            action_type=_ACTION_TYPES[d["actionType"]],
-            widget=d.get("widget"),
-            handler=d.get("handler"),
-        )
+        input_id = d["id"]
+        window = d["window"]
+        action_type = _ACTION_TYPES[d["actionType"]]
+        widget = d.get("widget")
+        handler = d.get("handler")
         if not (
-            isinstance(inp.id, str)
-            and isinstance(inp.window, str)
-            and isinstance(inp.widget, OPTIONAL_STR)
-            and isinstance(inp.handler, OPTIONAL_STR)
+            isinstance(input_id, str)
+            and isinstance(window, str)
+            and (widget is None or isinstance(widget, str))
+            and (handler is None or isinstance(handler, str))
         ):
-            raise TypeError(f"input {inp.id!r} has a field of the wrong type")
-        return inp
+            raise TypeError(f"input {input_id!r} has a field of the wrong type")
+        return cls(input_id, window, action_type, widget, handler)
 
 
 @dataclass(slots=True)
@@ -204,15 +215,14 @@ class CommandSpec:
     @classmethod
     def from_dict(cls, d: dict) -> "CommandSpec":
         lo, hi = d["instructions"]
-        cmd = cls(
-            guard=list(d.get("guard", [])),
-            effects=list(d.get("effects", [])),
-            instructions=(lo, hi),
-            hidden=d.get("hidden", False),
-        )
-        require_int(lo, hi)
-        require(bool, cmd.hidden)
-        return cmd
+        guard = list(d.get("guard", ()))
+        effects = list(d.get("effects", ()))
+        hidden = d.get("hidden", False)
+        if not (type(lo) is int and type(hi) is int and type(hidden) is bool):
+            # raise with the checks' own messages; an int subclass passes them
+            require_int(lo, hi)
+            require(bool, hidden)
+        return cls(guard, effects, (lo, hi), hidden)
 
 
 @dataclass(slots=True)
@@ -223,14 +233,13 @@ class HandlerSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "HandlerSpec":
-        handler = cls(
-            method_id=d["methodId"],
-            instruction_count=d["instructionCount"],
-            body=[CommandSpec.from_dict(c) for c in d.get("body", [])],
-        )
-        require(str, handler.method_id)
-        require_int(handler.instruction_count)
-        return handler
+        method_id = d["methodId"]
+        instruction_count = d["instructionCount"]
+        body = list(map(CommandSpec.from_dict, d.get("body", ())))
+        if not (isinstance(method_id, str) and type(instruction_count) is int):
+            require(str, method_id)
+            require_int(instruction_count)
+        return cls(method_id, instruction_count, body)
 
     def canonical(self) -> str:
         return json.dumps(
@@ -260,12 +269,7 @@ class VariableSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VariableSpec":
-        var = cls(
-            name=d["name"],
-            type=d.get("type", "int"),
-            initial=d.get("initial", 0),
-            persistent=d.get("persistent", False),
-        )
+        var = cls(d["name"], d.get("type", "int"), d.get("initial", 0), d.get("persistent", False))
         require(str, var.name, var.type)
         require((str, int, float, type(None)), var.initial)
         require(bool, var.persistent)
@@ -280,7 +284,7 @@ class GeneratorSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "GeneratorSpec":
-        gen = cls(pool=d["pool"], widget=d.get("widget"), var=d.get("var"))
+        gen = cls(d["pool"], d.get("widget"), d.get("var"))
         require(list, gen.pool)
         require(OPTIONAL_STR, gen.widget, gen.var)
         return gen
@@ -291,6 +295,19 @@ def _lists_of_strings(d: dict, key: str) -> dict[str, list[str]]:
     for items in lists.values():
         require(str, *items)
     return lists
+
+
+def _keyed(records: list, key: str, what: str) -> dict:
+    """``records`` by their ``key`` attribute.  A repeated key raises
+    ``SpecError`` naming the first repeat: the dict's size is compared with
+    the record count instead of testing each key on insertion."""
+    keys = list(map(operator.attrgetter(key), records))
+    keyed = dict(zip(keys, records))
+    if len(keyed) != len(records):
+        seen: set = set()
+        repeat = next(k for k in keys if k in seen or seen.add(k))
+        raise SpecError(f"duplicate {what} {repeat}")
+    return keyed
 
 
 @dataclass
@@ -316,36 +333,20 @@ class VersionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VersionSpec":
-        windows = {}
-        for wd in d.get("windows", []):
-            spec = WindowSpec.from_dict(wd)
-            if spec.id in windows:
-                raise SpecError(f"duplicate window id {spec.id}")
-            windows[spec.id] = spec
-        inputs = {}
-        for idd in d.get("inputs", []):
-            spec = InputSpec.from_dict(idd)
-            if spec.id in inputs:
-                raise SpecError(f"duplicate input id {spec.id}")
-            inputs[spec.id] = spec
-        variables = {}
-        for vd in d.get("stateVariables", []):
-            spec = VariableSpec.from_dict(vd)
-            if spec.name in variables:
-                raise SpecError(f"duplicate state variable {spec.name}")
-            variables[spec.name] = spec
-        version = cls(
-            version=d["version"],
-            windows=windows,
-            inputs=inputs,
-            handlers={k: HandlerSpec.from_dict(v) for k, v in d.get("handlers", {}).items()},
-            variables=variables,
-            related_windows=_lists_of_strings(d, "relatedWindows"),
-            generators=[GeneratorSpec.from_dict(g) for g in d.get("generators", [])],
-            text_inputs=_lists_of_strings(d, "textInputs"),
+        windows = _keyed(list(map(WindowSpec.from_dict, d.get("windows", ()))), "id", "window id")
+        inputs = _keyed(list(map(InputSpec.from_dict, d.get("inputs", ()))), "id", "input id")
+        variables = _keyed(
+            list(map(VariableSpec.from_dict, d.get("stateVariables", ()))), "name", "state variable"
         )
-        require(str, version.version)
-        return version
+        version = d["version"]
+        handlers = {k: HandlerSpec.from_dict(v) for k, v in d.get("handlers", {}).items()}
+        related_windows = _lists_of_strings(d, "relatedWindows")
+        generators = list(map(GeneratorSpec.from_dict, d.get("generators", ())))
+        text_inputs = _lists_of_strings(d, "textInputs")
+        require(str, version)
+        return cls(
+            version, windows, inputs, handlers, variables, related_windows, generators, text_inputs
+        )
 
 
 @dataclass
@@ -414,7 +415,15 @@ def _validate_version(v: VersionSpec) -> None:
     # variables that are incremented or compared by order must only ever hold numbers
     numeric: set[str] = set()
     written = [(name, var.initial) for name, var in v.variables.items()]
+    # coverage counts a method's instructions by its id, so one id is one handler
+    handler_of: dict[str, str] = {}
     for key, handler in v.handlers.items():
+        first = handler_of.setdefault(handler.method_id, key)
+        if first != key:
+            raise SpecError(
+                f"version {v.version}: method {handler.method_id} is declared by "
+                f"handlers {first} and {key}"
+            )
         if handler.instruction_count < 1:
             raise SpecError(f"handler {key} must declare a positive instruction count")
         for cmd in handler.body:
@@ -490,6 +499,8 @@ def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
         versions = [VersionSpec.from_dict(v) for v in doc["versions"]]
         if not versions:
             raise SpecError("app spec declares no versions")
+        # ``AppSpec.version_index`` finds a version by its id
+        _keyed(versions, "version", "version id")
         for v in versions:
             if not v.windows:
                 raise SpecError(f"version {v.version} declares no windows")

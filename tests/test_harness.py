@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import hashlib
+import json
 import random
 import sys
 from pathlib import Path
@@ -183,6 +184,8 @@ def test_load_spec_requires_exactly_one_launcher():
         lambda d: d["versions"][0]["stateVariables"].append(
             {"name": "clicks", "type": "int", "initial": 5, "persistent": True}
         ),
+        lambda d: d["versions"].append(copy.deepcopy(d["versions"][0])),
+        lambda d: d["versions"][0]["handlers"]["h-name"].update({"methodId": "m-go"}),
     ],
 )
 def test_load_spec_rejects_broken_documents(mutate):
@@ -192,8 +195,48 @@ def test_load_spec_rejects_broken_documents(mutate):
         load_spec(doc)
 
 
+def test_load_spec_names_a_repeated_version_id_and_a_shared_method_id():
+    # a repeated version id made ``version_index`` find the first version
+    # twice, and a shared method id let covered instructions exceed the total
+    doc = json.loads(fixture_path("diary").read_text("utf-8"))
+    repeated = copy.deepcopy(doc)
+    repeated["versions"][1]["version"] = "v0"
+    with pytest.raises(SpecError, match="duplicate version id v0"):
+        load_spec(repeated)
+    doc["versions"][0]["handlers"]["h-time"]["methodId"] = "m-add"
+    shared = "version v0: method m-add is declared by handlers h-add and h-time"
+    with pytest.raises(SpecError, match=shared):
+        load_spec(doc)
+
+
 def go_command(doc) -> dict:
     return doc["versions"][0]["handlers"]["h-go"]["body"][1]
+
+
+def widget(doc, index=0) -> dict:
+    return doc["versions"][0]["windows"][0]["widgets"][index]
+
+
+def window(doc, index=0) -> dict:
+    return doc["versions"][0]["windows"][index]
+
+
+def first_input(doc) -> dict:
+    return doc["versions"][0]["inputs"][0]
+
+
+def variable(doc, index=0) -> dict:
+    return doc["versions"][0]["stateVariables"][index]
+
+
+def generators(**fields) -> dict:
+    """A version update with one generator of ``fields`` over valid ones."""
+    return {"generators": [{"pool": ["a"], "widget": "w-name", "var": "clicks", **fields}]}
+
+
+WIDGET_TYPE = "TypeError: widget 'w-go' has a field of the wrong type or an empty xpath"
+WINDOW_TYPE = "TypeError: window 'main' has a field of the wrong type"
+INPUT_TYPE = "TypeError: input 'i-go' has a field of the wrong type"
 
 
 @pytest.mark.parametrize(
@@ -255,6 +298,63 @@ def go_command(doc) -> dict:
         (lambda d: go_command(d).update({"instructions": [1, False]}), "malformed app spec"),
         (lambda d: d["versions"][0]["handlers"]["h-go"].update({"instructionCount": True}),
          "malformed app spec"),
+        # a wrong type for each field a record loader reads, with its message
+        (lambda d: widget(d).update({"id": 5}),
+         "TypeError: widget 5 has a field of the wrong type or an empty xpath"),
+        (lambda d: widget(d).update({"className": 5}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"xpath": 5}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"xpath": ""}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"xpath": None}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"contentDescription": 5}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"text": None}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"visible": 0}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"visible": 1}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"dynamicOnly": 1}), WIDGET_TYPE),
+        (lambda d: widget(d).update({"tiny": 0}), WIDGET_TYPE),
+        (lambda d: window(d).update({"id": 5}),
+         "TypeError: window 5 has a field of the wrong type"),
+        (lambda d: window(d).update({"name": 5}), WINDOW_TYPE),
+        (lambda d: window(d).update({"className": None}), WINDOW_TYPE),
+        (lambda d: window(d).update({"launcher": 1}), WINDOW_TYPE),
+        (lambda d: window(d, 1).update({"dynamicOnly": 0}),
+         "TypeError: window 'second' has a field of the wrong type"),
+        (lambda d: window(d).update({"widgets": 5}), "TypeError: 'int' object is not iterable"),
+        (lambda d: first_input(d).update({"id": 5}),
+         "TypeError: input 5 has a field of the wrong type"),
+        (lambda d: first_input(d).update({"window": 5}), INPUT_TYPE),
+        (lambda d: first_input(d).update({"widget": 5}), INPUT_TYPE),
+        (lambda d: first_input(d).update({"handler": ["h-go"]}), INPUT_TYPE),
+        (lambda d: first_input(d).update({"actionType": "Spaceship"}), "KeyError: 'Spaceship'"),
+        (lambda d: go_command(d).update({"hidden": 0}), "TypeError: expected bool, got 0"),
+        (lambda d: go_command(d).update({"hidden": 1}), "TypeError: expected bool, got 1"),
+        (lambda d: go_command(d).update({"instructions": ["5", 6]}),
+         "TypeError: expected int, got '5'"),
+        (lambda d: go_command(d).update({"guard": 5}), "TypeError: 'int' object is not iterable"),
+        (lambda d: go_command(d).update({"effects": 5}),
+         "TypeError: 'int' object is not iterable"),
+        (lambda d: d["versions"][0]["handlers"]["h-go"].update({"methodId": 5}),
+         "TypeError: expected str, got 5"),
+        (lambda d: d["versions"][0]["handlers"]["h-go"].update({"instructionCount": "6"}),
+         "TypeError: expected int, got '6'"),
+        (lambda d: d["versions"][0]["handlers"]["h-go"].update({"body": 5}),
+         "TypeError: 'int' object is not iterable"),
+        (lambda d: d["versions"][0]["handlers"]["h-go"].pop("methodId"), "KeyError: 'methodId'"),
+        (lambda d: variable(d).update({"name": 5}), "TypeError: expected str, got 5"),
+        (lambda d: variable(d).update({"type": None}), "TypeError: expected str, got None"),
+        (lambda d: variable(d).update({"initial": [0]}),
+         r"TypeError: expected str/int/float/NoneType, got \[0\]"),
+        (lambda d: variable(d).update({"persistent": 0}), "TypeError: expected bool, got 0"),
+        (lambda d: variable(d, 1).update({"persistent": 1}), "TypeError: expected bool, got 1"),
+        (lambda d: d["versions"][0].update(generators(pool="a")),
+         "TypeError: expected list, got 'a'"),
+        (lambda d: d["versions"][0].update(generators(widget=5)),
+         "TypeError: expected str/NoneType, got 5"),
+        (lambda d: d["versions"][0].update(generators(var=5)),
+         "TypeError: expected str/NoneType, got 5"),
+        (lambda d: d["versions"][0].update({"relatedWindows": {"second": [5]}}),
+         "TypeError: expected str, got 5"),
+        (lambda d: d["versions"][0].update({"version": 1}), "TypeError: expected str, got 1"),
+        (lambda d: d.update({"appId": 5}), "TypeError: expected str, got 5"),
     ],
 )
 def test_load_spec_rejects_what_would_fail_mid_session(mutate, message):
