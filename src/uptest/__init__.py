@@ -12,6 +12,8 @@ from .model import (  # noqa: F401
 
 __version__ = "0.1.0"
 
+_FIXTURES = Path(__file__).with_name("fixtures")
+
 
 def fixture_path(name: str) -> Path:
     """Path of a bundled example app spec (e.g. ``diary``, ``dialog``).
@@ -19,4 +21,4 @@ def fixture_path(name: str) -> Path:
     The specs ship as files in the package's ``fixtures`` directory, next to
     this module, so the package must be installed on disk, not in a zip.
     """
-    return Path(__file__).with_name("fixtures") / f"{name}.json"
+    return _FIXTURES / f"{name}.json"

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import json
 import operator
+import os
 import random
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -161,7 +162,7 @@ class WindowSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "WindowSpec":
-        widgets = _keyed(list(map(WidgetSpec.from_dict, d.get("widgets", ()))), "id", "widget id")
+        widgets = _by_id(list(map(WidgetSpec.from_dict, d.get("widgets", ()))), "widget")
         get = d.get
         window_id = d["id"]
         name = get("name", window_id)
@@ -297,17 +298,20 @@ def _lists_of_strings(d: dict, key: str) -> dict[str, list[str]]:
     return lists
 
 
-def _keyed(records: list, key: str, what: str) -> dict:
-    """``records`` by their ``key`` attribute.  A repeated key raises
-    ``SpecError`` naming the first repeat: the dict's size is compared with
-    the record count instead of testing each key on insertion."""
-    keys = list(map(operator.attrgetter(key), records))
-    keyed = dict(zip(keys, records))
-    if len(keyed) != len(records):
-        seen: set = set()
-        repeat = next(k for k in keys if k in seen or seen.add(k))
-        raise SpecError(f"duplicate {what} {repeat}")
-    return keyed
+def _first_repeat(keys: list[str]) -> str:
+    """The first of ``keys`` that an earlier one repeats; there must be one."""
+    seen: set[str] = set()
+    return next(k for k in keys if k in seen or seen.add(k))
+
+
+def _by_id(records: list, what: str) -> dict:
+    """``records`` by id.  A repeated id raises ``SpecError`` naming the first
+    repeat: the dict's size is compared with the record count instead of
+    testing each id on insertion."""
+    by_id = {r.id: r for r in records}
+    if len(by_id) != len(records):
+        raise SpecError(f"duplicate {what} id {_first_repeat([r.id for r in records])}")
+    return by_id
 
 
 @dataclass
@@ -333,11 +337,14 @@ class VersionSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "VersionSpec":
-        windows = _keyed(list(map(WindowSpec.from_dict, d.get("windows", ()))), "id", "window id")
-        inputs = _keyed(list(map(InputSpec.from_dict, d.get("inputs", ()))), "id", "input id")
-        variables = _keyed(
-            list(map(VariableSpec.from_dict, d.get("stateVariables", ()))), "name", "state variable"
-        )
+        windows = _by_id(list(map(WindowSpec.from_dict, d.get("windows", ()))), "window")
+        inputs = _by_id(list(map(InputSpec.from_dict, d.get("inputs", ()))), "input")
+        variables = {}
+        for vd in d.get("stateVariables", ()):
+            spec = VariableSpec.from_dict(vd)
+            if spec.name in variables:
+                raise SpecError(f"duplicate state variable {spec.name}")
+            variables[spec.name] = spec
         version = d["version"]
         handlers = {k: HandlerSpec.from_dict(v) for k, v in d.get("handlers", {}).items()}
         related_windows = _lists_of_strings(d, "relatedWindows")
@@ -488,7 +495,9 @@ def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
         elif isinstance(source, bytes):
             doc = json.loads(source.decode("utf-8"))
         else:
-            doc = json.loads(Path(source).read_text("utf-8"))
+            # a path only: ``open`` alone would take an int as a file descriptor
+            with open(os.fspath(source), encoding="utf-8") as f:
+                doc = json.load(f)
     except ValueError as exc:  # undecodable bytes or malformed JSON
         raise SpecError(f"app spec is not a JSON document: {exc}") from exc
     if not isinstance(doc, dict):
@@ -500,7 +509,9 @@ def load_spec(source: Union[str, Path, bytes, dict]) -> AppSpec:
         if not versions:
             raise SpecError("app spec declares no versions")
         # ``AppSpec.version_index`` finds a version by its id
-        _keyed(versions, "version", "version id")
+        ids = [v.version for v in versions]
+        if len(set(ids)) != len(ids):
+            raise SpecError(f"duplicate version id {_first_repeat(ids)}")
         for v in versions:
             if not v.windows:
                 raise SpecError(f"version {v.version} declares no windows")
