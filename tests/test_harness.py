@@ -230,7 +230,7 @@ def variable(doc, index=0) -> dict:
 
 
 def generators(**fields) -> dict:
-    """A version update with one generator of ``fields`` over valid ones."""
+    """A version's ``generators`` entry: one valid generator, ``fields`` overriding."""
     return {"generators": [{"pool": ["a"], "widget": "w-name", "var": "clicks", **fields}]}
 
 
@@ -298,6 +298,14 @@ INPUT_TYPE = "TypeError: input 'i-go' has a field of the wrong type"
         (lambda d: go_command(d).update({"instructions": [1, False]}), "malformed app spec"),
         (lambda d: d["versions"][0]["handlers"]["h-go"].update({"instructionCount": True}),
          "malformed app spec"),
+        # a repeated id names the first record that repeats an earlier one
+        (lambda d: window(d)["widgets"].extend([{"id": "w-name", "xpath": "/a"},
+                                                {"id": "w-go", "xpath": "/b"}]),
+         "duplicate widget id w-name"),
+        (lambda d: d["versions"][0]["windows"].append({"id": "second"}),
+         "duplicate window id second"),
+        (lambda d: d["versions"][0]["inputs"].append(dict(first_input(d))),
+         "duplicate input id i-go"),
         # a wrong type for each field a record loader reads, with its message
         (lambda d: widget(d).update({"id": 5}),
          "TypeError: widget 5 has a field of the wrong type or an empty xpath"),
