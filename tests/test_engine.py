@@ -179,15 +179,19 @@ def test_every_uta_strictly_increases_target_coverage():
 
 
 def test_visited_layouts_hold_one_layout_per_state_in_last_visit_order(monkeypatch):
+    # the reset's state, then the state each performed action reached
     observed = []
-    observe = TestEngine._observe
+    perform = TestEngine._perform
 
-    def recording_observe(self, result):
-        state = observe(self, result)
-        observed.append(state.id)
-        return state
+    def recording_perform(self, *args):
+        if not observed:
+            observed.append(self.current_state.id)
+        result = perform(self, *args)
+        if result is not None:
+            observed.append(self.current_state.id)
+        return result
 
-    monkeypatch.setattr(TestEngine, "_observe", recording_observe)
+    monkeypatch.setattr(TestEngine, "_perform", recording_perform)
     spec, model, targets = diary_setup()
     engine = TestEngine(model, targets, DriverSession(spec, "v0", seed=1), budget=40, seed=1)
     result = engine.run_session()

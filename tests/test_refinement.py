@@ -344,7 +344,7 @@ def flag_obsolete(model, created, missed, reached):
     engine._flag_obsolete()
 
 
-def test_propagate_obsolescence_needs_failures_and_no_successes():
+def test_flag_obsolete_needs_failures_and_no_successes():
     ewtg = Ewtg(windows={w: window(w) for w in ("wa", "wb")}, launcher_window_id="wa")
     dstg = Dstg(
         abstract_states={
@@ -362,7 +362,7 @@ def test_propagate_obsolescence_needs_failures_and_no_successes():
     assert model.dstg.abstract_states["s3"].obsolete
 
 
-def test_propagate_obsolescence_respects_the_window_scope():
+def test_flag_obsolete_respects_the_window_scope():
     ewtg = Ewtg(windows={w: window(w) for w in ("wa", "wb")}, launcher_window_id="wa")
     dstg = Dstg(
         abstract_states={
