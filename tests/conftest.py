@@ -2,7 +2,16 @@
 
 from __future__ import annotations
 
+import sys
+from pathlib import Path
+
 from uptest.model import GuiNode
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
+try:
+    import appgen  # noqa: F401  the benchmark's app generator, which tests draw apps from
+finally:
+    sys.path.pop(0)
 
 
 # The exact property set GUI nodes expose; reducers read nothing else.

@@ -9,11 +9,9 @@ import dataclasses
 import hashlib
 import json
 import random
-import sys
 import time
 from contextlib import contextmanager
 from enum import Enum
-from pathlib import Path
 
 import pytest
 
@@ -44,7 +42,7 @@ from uptest.planner import plan_to_target
 from uptest.refinement import prune_unvisited, replay_flag_obsolete
 
 from uptest import engine, fixture_path, planner
-from conftest import diff_is_empty
+from conftest import appgen, diff_is_empty
 from hidden_app import hidden_spec_doc
 from planner_oracle import exhaustive_min_cost, random_model
 from test_planner import (
@@ -650,11 +648,6 @@ GENERATED_MASKED_DIGEST = "89569e66bc932b797262d8f963026c233fb05b06e89692902b7f6
 @pytest.fixture(scope="module")
 def generated_outputs(tmp_path_factory):
     """The ``pipeline_run`` output directory of each of ``GENERATED_APPS``."""
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import appgen
-    finally:
-        sys.path.pop(0)
     workdirs = []
     for app in GENERATED_APPS:
         doc = appgen.generate_app(app, windows=15, widgets=10, perturbation=0.15, versions=3)

@@ -5,8 +5,6 @@ import dataclasses
 import hashlib
 import json
 import random
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -28,7 +26,7 @@ from uptest.harness import (
 from uptest.model import Action, ActionType, AppModel
 
 from uptest import fixture_path
-from conftest import GUI_NODE_PROPERTIES, path_of, walk
+from conftest import GUI_NODE_PROPERTIES, appgen, path_of, walk
 from nested_app import nested_spec_doc
 
 
@@ -424,11 +422,6 @@ SPEC_DIGEST = "e90245f53c42d0d0a19584a1b3198fa984cc2111f8911a1ea6af0ca0bffb0d69"
 
 
 def test_loaded_specs_are_unchanged():
-    sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
-    try:
-        import appgen
-    finally:
-        sys.path.pop(0)
     digest = hashlib.sha256()
     for name in ("diary", "dialog", "news", "deep"):
         digest.update(repr(load_spec(fixture_path(name))).encode())
