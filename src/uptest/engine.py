@@ -328,6 +328,14 @@ class TestEngine:
         self._steps: dict[tuple, TraceStep] = {}
         for step in model.gstg.trace:
             self._steps.setdefault((step.transition_id, step.concrete_node_path), step)
+        # (before state id, before screen, candidate index, result, payload) of
+        # an exploration step that refined no window -> (matched input, after
+        # screen, after state, trace step): what taking that step again leads
+        # to.  A refinement or a removed transition can change that, so each
+        # replaces the table with an empty one.  The key holds the state as
+        # well as the screen, since a refinement leaves the current state at
+        # the old level until the next observation.
+        self._explored: dict[tuple, tuple] = {}
         # state id -> layout fingerprint of each state observed this session,
         # in last-visit order
         self.visited_layouts: dict[str, Counter] = {}
@@ -493,6 +501,7 @@ class TestEngine:
         return tr
 
     def _refine_window(self, window_id: str) -> None:
+        self._explored = {}
         current = self.model.dstg.level_for(window_id)
         index = LEVEL_ORDER.index(current)
         if index + 1 < len(LEVEL_ORDER):
@@ -511,10 +520,19 @@ class TestEngine:
         first = self.current_screen.widgets.get(widget_id)
         return first[0] if first is not None else None
 
-    def _perform(self, action: Action, widget_id: Optional[str]) -> Optional[PerformResult]:
+    def _perform(
+        self, action: Action, widget_id: Optional[str], index: Optional[int] = None
+    ) -> Optional[PerformResult]:
         """Execute one action; returns None on driver rejection.  An action
         without an input id is exploration's, named ``explore-<n>`` after
-        the ``n``-th action of the session only if it is reported."""
+        the ``n``-th action of the session only if it is reported.
+
+        Exploration passes the ``index`` of the candidate it drew, and its
+        step is looked up in ``_explored`` first.  A step found there was
+        taken before from the same state and screen with the same outcome,
+        so only what a repeat changes is done: the observation is counted,
+        its state moves to the end of ``visited_layouts``, the matched input
+        gets one more attempt without gain and the trace one more step."""
         before_index, before_screen, before_state = (
             self.observations, self.current_screen, self.current_state
         )
@@ -523,6 +541,20 @@ class TestEngine:
             result = self.driver.perform(action)
         except DriverRejection:
             return None
+        explored = self._explored
+        if index is not None:
+            key = (before_state.id, before_screen, index, result, action.data_payload)
+            known = explored.get(key)
+            if known is not None:
+                matched, screen, state, step = known
+                self.observations += 1
+                self.visited_layouts[state.id] = self.visited_layouts.pop(state.id)
+                self.current_screen = screen
+                self.current_state = state
+                if matched is not None:
+                    self.attempts_without_gain[matched.id] += 1
+                self.model.gstg.trace.append(step)
+                return result
         matched = self.view.input_for.get(
             (before_state.window_id, widget_id, action.action_type)
         )
@@ -533,6 +565,7 @@ class TestEngine:
                 for method_id, _, _ in result.executed:
                     matched.handler_method_ids.add(method_id)
         after_state = self._observe(result)
+        after_screen = self.current_screen
         newly = self.ledger.record(result.executed, self.targets) if result.executed else None
         if newly:
             if self.first_coverage_at is None:
@@ -557,11 +590,15 @@ class TestEngine:
                 self.attempts_without_gain.get(matched.id, 0) + 1
             )
         tr = self._record_transition(before_state, action, widget_id, after_state)
-        key = (tr.id, action.concrete_node_path)
-        step = self._steps.get(key)
+        step_key = (tr.id, action.concrete_node_path)
+        step = self._steps.get(step_key)
         if step is None:
-            step = self._steps[key] = TraceStep(*key)
+            step = self._steps[step_key] = TraceStep(*step_key)
         self.model.gstg.trace.append(step)
+        # a repeat ends as this step did and covers nothing, unless a window
+        # was refined meanwhile, which replaced the table
+        if index is not None and explored is self._explored:
+            explored[key] = (matched, after_screen, after_state, step)
         return result
 
     def _execute_step(self, step: PlanStep) -> str:
@@ -619,26 +656,31 @@ class TestEngine:
             if (tr.widget_id, tr.action_type, tr.destination_state_id) == stale:
                 del self.model.dstg.abstract_transitions[tr.id]
                 self.view.remove_transition(tr, predecessor)
+                self._explored = {}
 
     # -- exploration ------------------------------------------------------
 
     def random_explore(self, budget_slice: int) -> None:
         """Perform up to ``budget_slice`` random actions, each drawn from the
         current screen's prebuilt candidates, or a press-back when it has
-        none.  Only a text fill builds an action, for the payload it draws
-        after the candidate."""
+        none.  The candidate's index is drawn over the index range, which
+        draws from the generator exactly as drawing from the candidates
+        does; ``_perform`` keys its table of known steps by that index.
+        Only a text fill builds an action, for the payload it draws after
+        the candidate."""
         for _ in range(max(0, min(budget_slice, self._budget_left()))):
             candidates = self.current_screen.candidates
             if candidates:
-                widget_id, action = self.rng.choice(candidates)
+                index = self.rng.choice(range(len(candidates)))
+                widget_id, action = candidates[index]
                 if action.action_type is _TEXT_FILL:
                     action = Action(
                         None, _TEXT_FILL, action.concrete_node_path,
                         self._payload_for(widget_id),
                     )
-            else:
-                widget_id, action = None, _EXPLORE_BACK
-            self._perform(action, widget_id)
+            else:  # no candidate index is negative
+                index, widget_id, action = -1, None, _EXPLORE_BACK
+            self._perform(action, widget_id, index)
 
     # -- phases -----------------------------------------------------------
 

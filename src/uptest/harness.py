@@ -665,13 +665,15 @@ def _compile_effects(effects: list[dict]) -> tuple[tuple[str, Any], ...]:
     return tuple(pairs)
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, eq=False)
 class PerformResult:
     """What a reset or an action left on screen and the instruction span it
     executed.  A driver runs at most one command per action, so ``executed``
     is ``()`` or ``(span,)``, and the screen and that span decide the whole
     result: the driver hands back one shared result per pair, which nobody
-    can write to."""
+    can write to.  A result hashes and compares by identity, like a
+    ``GuiNode``: the shared result stands for its pair, so the session keys
+    the steps it has taken by it without hashing its fields."""
 
     window_id: str
     window_kind: WindowKind

@@ -46,8 +46,9 @@ from uptest.planner import PlanStep, PlanView
 
 from uptest import fixture_path
 
-from conftest import make_node
+from conftest import appgen, make_node
 from hidden_app import hidden_spec_doc
+from nested_app import nested_spec_doc
 
 
 def diary_setup(version="v0"):
@@ -858,3 +859,69 @@ def test_a_long_session_builds_no_result_or_explore_action_per_step():
     # the screens' candidates and the one press-back on a screen without any
     assert distinct <= candidates + 1
     assert len(explored) > 2 * (candidates + 1)
+
+
+#: the apps the step table is checked on: the fixtures, an app whose hidden
+#: variable refines its windows and whose v2 makes learned edges stale, an
+#: app of nested widgets and two generated apps
+STEP_TABLE_APPS = {
+    **{app: lambda app=app: fixture_path(app) for app in ("diary", "dialog", "news", "deep")},
+    "hidden": hidden_spec_doc,
+    "nested": nested_spec_doc,
+    **{f"gen-{app}": lambda app=app: appgen.generate_app(app, 15, 10)
+       for app in (0, 1)},
+}
+
+
+@pytest.mark.parametrize("app", sorted(STEP_TABLE_APPS))
+def test_a_known_exploration_step_ends_as_the_step_taken_afresh(app, tmp_path, monkeypatch):
+    # each session runs twice: as is, then with the table of known steps
+    # emptied before every action, so that every step is worked out afresh;
+    # both write the same bytes
+    spec = load_spec(STEP_TABLE_APPS[app]())
+    perform, observe, refine = (
+        TestEngine._perform, TestEngine._observe, TestEngine._refine_window
+    )
+    counts = {"observed": 0, "known": 0, "refined": 0}
+
+    def counting_observe(self, result):
+        counts["observed"] += 1
+        return observe(self, result)
+
+    def counting_refine(self, window_id):
+        counts["refined"] += 1
+        refine(self, window_id)
+
+    def counting_perform(self, *args):
+        observed = counts["observed"]
+        result = perform(self, *args)
+        if result is not None and counts["observed"] == observed:
+            counts["known"] += 1
+        return result
+
+    def forgetting_perform(self, *args):
+        self._explored = {}
+        return counting_perform(self, *args)
+
+    monkeypatch.setattr(TestEngine, "_observe", counting_observe)
+    monkeypatch.setattr(TestEngine, "_refine_window", counting_refine)
+
+    def outputs(perform_fn, workdir):
+        monkeypatch.setattr(TestEngine, "_perform", perform_fn)
+        artifacts = []
+        for seed in (1, 2, 3):
+            seed_dir = workdir / str(seed)
+            seed_dir.mkdir(parents=True)
+            artifacts += pipeline_run(
+                spec, spec.versions[0].version, spec.versions[-1].version,
+                budget=300, seed=seed, workdir=seed_dir, config=EngineConfig(),
+            )
+        return [(p.relative_to(workdir), p.read_bytes()) for p in artifacts]
+
+    with_table = outputs(counting_perform, tmp_path / "table")
+    known, refined = counts["known"], counts["refined"]
+    assert outputs(forgetting_perform, tmp_path / "afresh") == with_table
+    assert counts["known"] == known  # no step was known without the table
+    assert known > 0
+    if app == "hidden":
+        assert refined > 0  # the table was emptied by refinements too
