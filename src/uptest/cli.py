@@ -104,6 +104,20 @@ def _targets_from_file(path: str, version: str) -> TargetSet:
     return _read_document(path, parse, "targets file")
 
 
+def _require_model_of(model: AppModel, spec: AppSpec, version: str) -> None:
+    """Reject a model of another version or app: its version must be
+    ``version`` and each of its static windows a window of that version."""
+    if model.version != version:
+        raise ModelError(f"the model is of version {model.version!r}, not {version!r}")
+    windows = export_ewtg(spec, version).windows
+    for window in model.ewtg.windows.values():
+        if not window.runtime_created and window.id not in windows:
+            raise ModelError(
+                f"the model's window {window.id!r} is not a window of "
+                f"{spec.app_id} {version}"
+            )
+
+
 def _session_kwargs(spec: AppSpec, version: str):
     v = spec.versions[spec.version_index(version)]
     return {
@@ -141,6 +155,7 @@ def cmd_adapt(args) -> int:
 def cmd_test(args) -> int:
     spec = load_spec(args.appspec)
     model = deserialize_model(Path(args.model).read_bytes())
+    _require_model_of(model, spec, args.version)
     if args.targets == "auto":
         # at the first version every method is an updated one
         targets = _targets_for(spec, args.version, first=False)
@@ -166,6 +181,7 @@ def cmd_test(args) -> int:
 def cmd_refine(args) -> int:
     spec = load_spec(args.appspec)
     model = deserialize_model(Path(args.model).read_bytes())
+    _require_model_of(model, spec, args.version)
     driver = DriverSession(spec, args.version, seed=args.seed)
     replay_flag_obsolete(model, driver)
     Path(args.out).write_bytes(serialize_model(model) + b"\n")

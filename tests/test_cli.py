@@ -4,6 +4,10 @@ import argparse
 import ast
 import inspect
 import json
+import os
+import shutil
+import subprocess
+import sys
 from dataclasses import asdict
 from pathlib import Path
 
@@ -242,19 +246,26 @@ def test_test_and_refine_and_plan_commands(tmp_path):
                  "--target-window", "edit"]) == 2
 
 
-def session_model(tmp_path, model, name, seed) -> Path:
-    """The model ``uptest test`` writes after a 30-action v0 session from ``model``."""
+def session_model(tmp_path, model, name, seed, version="v0") -> Path:
+    """The model ``uptest test`` writes after a 30-action diary session from ``model``."""
     out = tmp_path / name
-    assert main(["test", str(model), DIARY, "--version", "v0", "--budget", "30",
+    assert main(["test", str(model), DIARY, "--version", version, "--budget", "30",
                  "--seed", str(seed), "--out-model", str(out)]) == 0
     return out
 
 
 def test_refine_flags_states_and_leaves_the_rest_of_the_model_unchanged(tmp_path):
-    learned = session_model(tmp_path, write_base_model(tmp_path), "learned.json", 4)
+    # refine replays the model's own version; with the driver seeded apart
+    # from the session's, one state news's v1 session learned is not reached
+    news = str(fixture_path("news"))
+    base = tmp_path / "base.json"
+    base.write_bytes(serialize_model(AppModel(version="v1", ewtg=export_ewtg(load_spec(news), "v1"))))
+    learned = tmp_path / "learned.json"
+    assert main(["test", str(base), news, "--version", "v1", "--budget", "30",
+                 "--seed", "4", "--out-model", str(learned)]) == 0
     refined = tmp_path / "refined.json"
-    assert main(["refine", str(learned), DIARY, "--version", "v1",
-                 "--out", str(refined), "--seed", "5"]) == 0
+    assert main(["refine", str(learned), news, "--version", "v1",
+                 "--out", str(refined), "--seed", "6"]) == 0
     before, after = json.loads(learned.read_bytes()), json.loads(refined.read_bytes())
     assert after["gstg"] == before["gstg"] and before["gstg"]["trace"]
     states = before["dstg"]["abstractStates"]
@@ -265,6 +276,29 @@ def test_refine_flags_states_and_leaves_the_rest_of_the_model_unchanged(tmp_path
     for i in flagged:
         after["dstg"]["abstractStates"]["rows"][i][obsolete] = False
     assert after == before
+
+
+def diary_v1_model(tmp_path) -> Path:
+    """The model of a 30-action diary v1 session."""
+    return session_model(tmp_path, write_base_model(tmp_path, "v1"), "diary_v1.json", 4, "v1")
+
+
+@pytest.mark.parametrize("command", ["test", "refine"])
+@pytest.mark.parametrize("appspec, version, message", [
+    (str(fixture_path("news")), "v1",
+     "error: the model's window 'edit' is not a window of news v1\n"),
+    (DIARY, "v0", "error: the model is of version 'v1', not 'v0'\n"),
+], ids=["another app", "another version"])
+def test_test_and_refine_reject_a_model_of_another_app_or_version(
+    tmp_path, capsys, command, appspec, version, message
+):
+    model = diary_v1_model(tmp_path)
+    capsys.readouterr()
+    out = tmp_path / "out.json"
+    option = "--out-model" if command == "test" else "--out"
+    assert main([command, str(model), appspec, "--version", version, option, str(out)]) == 1
+    assert capsys.readouterr().err == message
+    assert not out.exists()
 
 
 def test_a_second_session_writes_each_distinct_step_once(tmp_path):
@@ -287,6 +321,33 @@ def test_pipeline_writes_versioned_artifacts(tmp_path):
                  "model_v1.json", "report_v1.json"):
         assert (tmp_path / name).exists(), name
     deserialize_model((tmp_path / "model_v1.json").read_bytes())
+
+
+def pipeline_outputs(workdir: Path) -> dict[str, bytes]:
+    return {p.name: p.read_bytes() for p in sorted(workdir.iterdir())}
+
+
+@pytest.mark.parametrize("minor", range(10, 15), ids=lambda minor: f"python3.{minor}")
+def test_other_interpreters_write_the_same_pipeline_bytes(tmp_path, minor):
+    # the project claims Python 3.10 and later; each other python3.N found on
+    # PATH that starts writes what this interpreter writes
+    if minor == sys.version_info.minor:
+        pytest.skip(f"python3.{minor} is the running interpreter")
+    interpreter = shutil.which(f"python3.{minor}")
+    if interpreter is None:
+        pytest.skip(f"no python3.{minor} on PATH")
+    if subprocess.run([interpreter, "-c", "pass"], capture_output=True).returncode:
+        pytest.skip(f"{interpreter} does not start")
+    argv = ["pipeline", str(fixture_path("deep")), "--budget", "300", "--seed", "3"]
+    here, there = tmp_path / "here", tmp_path / "there"
+    here.mkdir()
+    there.mkdir()
+    assert main(argv + ["--workdir", str(here)]) == 0
+    src = str(Path(uptest.cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run([interpreter, "-m", "uptest.cli", *argv, "--workdir", str(there)],
+                   env=env, check=True, capture_output=True, timeout=300)
+    assert pipeline_outputs(there) == pipeline_outputs(here)
 
 
 def test_pipeline_fails_cleanly_on_missing_workdir(tmp_path, capsys):
