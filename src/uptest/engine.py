@@ -501,11 +501,11 @@ class TestEngine:
         return tr
 
     def _refine_window(self, window_id: str) -> None:
-        self._explored = {}
         current = self.model.dstg.level_for(window_id)
         index = LEVEL_ORDER.index(current)
         if index + 1 < len(LEVEL_ORDER):
             self.model.dstg.abstraction_policy[window_id] = LEVEL_ORDER[index + 1]
+            self._explored = {}
 
     # -- execution --------------------------------------------------------
 
