@@ -7,9 +7,10 @@ from pathlib import Path
 
 from uptest.model import GuiNode
 
+# the benchmark's app generator, which tests draw generated apps from
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 try:
-    import appgen  # noqa: F401  the benchmark's app generator, which tests draw apps from
+    import appgen  # noqa: F401
 finally:
     sys.path.pop(0)
 

@@ -259,7 +259,9 @@ def test_refine_flags_states_and_leaves_the_rest_of_the_model_unchanged(tmp_path
     # from the session's, one state news's v1 session learned is not reached
     news = str(fixture_path("news"))
     base = tmp_path / "base.json"
-    base.write_bytes(serialize_model(AppModel(version="v1", ewtg=export_ewtg(load_spec(news), "v1"))))
+    base.write_bytes(
+        serialize_model(AppModel(version="v1", ewtg=export_ewtg(load_spec(news), "v1")))
+    )
     learned = tmp_path / "learned.json"
     assert main(["test", str(base), news, "--version", "v1", "--budget", "30",
                  "--seed", "4", "--out-model", str(learned)]) == 0
@@ -278,11 +280,6 @@ def test_refine_flags_states_and_leaves_the_rest_of_the_model_unchanged(tmp_path
     assert after == before
 
 
-def diary_v1_model(tmp_path) -> Path:
-    """The model of a 30-action diary v1 session."""
-    return session_model(tmp_path, write_base_model(tmp_path, "v1"), "diary_v1.json", 4, "v1")
-
-
 @pytest.mark.parametrize("command", ["test", "refine"])
 @pytest.mark.parametrize("appspec, version, message", [
     (str(fixture_path("news")), "v1",
@@ -292,7 +289,7 @@ def diary_v1_model(tmp_path) -> Path:
 def test_test_and_refine_reject_a_model_of_another_app_or_version(
     tmp_path, capsys, command, appspec, version, message
 ):
-    model = diary_v1_model(tmp_path)
+    model = session_model(tmp_path, write_base_model(tmp_path, "v1"), "diary_v1.json", 4, "v1")
     capsys.readouterr()
     out = tmp_path / "out.json"
     option = "--out-model" if command == "test" else "--out"
@@ -344,7 +341,8 @@ def test_other_interpreters_write_the_same_pipeline_bytes(tmp_path, minor):
     there.mkdir()
     assert main(argv + ["--workdir", str(here)]) == 0
     src = str(Path(uptest.cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
     subprocess.run([interpreter, "-m", "uptest.cli", *argv, "--workdir", str(there)],
                    env=env, check=True, capture_output=True, timeout=300)
     assert pipeline_outputs(there) == pipeline_outputs(here)
