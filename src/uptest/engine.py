@@ -331,7 +331,7 @@ class TestEngine:
         # (before state id, before screen, candidate index, result, payload) of
         # an exploration step that refined no window -> (matched input, after
         # screen, after state, trace step): what taking that step again leads
-        # to.  A refinement or a removed transition can change that, so each
+        # to.  A level change or a removed transition can change that, so each
         # replaces the table with an empty one.  The key holds the state as
         # well as the screen, since a refinement leaves the current state at
         # the old level until the next observation.
